@@ -17,8 +17,14 @@ import numpy as np
 
 from .errors import DegenerateDenominator, InvalidOrder, NoBracket, TooSmall
 from .levelmatrix import LevelMatrix, build_level_matrix, second_order_row_sums
-from .spectra import DEFAULT_CLUSTER_TOL, Spectrum, symmetric_eigenvalues
-from .trees import RootedTree, is_rooted_path
+from .spectra import (
+    DEFAULT_CLUSTER_TOL,
+    Spectrum,
+    level_profile,
+    level_spectrum,
+    profile_nullity,
+)
+from .trees import RootedTree, is_rooted_path, levels
 
 #: Uniform comparison tolerance scale: a relation is satisfied within
 #: ``COMPARISON_TOL * max(1, |lhs|, |rhs|)``.
@@ -86,7 +92,11 @@ def _report(name: str, lhs: float, rhs, relation: str,
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Tree + level matrix + spectrum, with the aggregates every bound needs."""
+    """Tree + level matrix + spectrum, with the aggregates every bound needs.
+
+    The spectrum and the exact nullity come from the profile engine, so
+    trees sharing a level profile share one quotient solve.
+    """
 
     tree: RootedTree
     matrix: LevelMatrix
@@ -95,12 +105,25 @@ class SpectralData:
     @classmethod
     def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL,
                   method: str = "ql") -> "SpectralData":
-        matrix = build_level_matrix(tree)
-        return cls(tree, matrix, symmetric_eigenvalues(matrix, tol=tol, method=method))
+        spectrum = level_spectrum(levels(tree), tol=tol, method=method)
+        return cls(tree, build_level_matrix(tree), spectrum)
 
     @property
     def n(self) -> int:
         return self.tree.n
+
+    @cached_property
+    def vertex_levels(self) -> np.ndarray:
+        return levels(self.tree)
+
+    @cached_property
+    def profile(self) -> tuple[int, ...]:
+        return level_profile(self.vertex_levels)
+
+    @cached_property
+    def nullity(self) -> int:
+        """Exact multiplicity of the eigenvalue 0."""
+        return profile_nullity(self.profile)
 
     @cached_property
     def q_vector(self) -> np.ndarray:

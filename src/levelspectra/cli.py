@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .spectra import (
     CharPoly,
     Spectrum,
     characteristic_polynomial,
-    exact_zero_multiplicity,
+    clear_profile_cache,
 )
 from .levelmatrix import build_level_matrix
 from .trees import (
@@ -171,7 +172,7 @@ class AnalysisReport:
             tree=tree,
             matrix=data.matrix,
             spectrum=data.spectrum,
-            mul_zero_exact=exact_zero_multiplicity(data.matrix),
+            mul_zero_exact=data.nullity,
             charpoly=characteristic_polynomial(data.matrix) if include_charpoly else None,
             bounds=reports,
             extras=extras or {},
@@ -465,11 +466,16 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    # One invocation is one run: it starts from an empty profile cache, so an
+    # in-process call does (and can be measured doing) the work of a fresh
+    # process.
+    clear_profile_cache()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "tol", 1.0) <= 0:
-            raise _UsageError("--tol must be positive")
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise _UsageError(f"--tol must be positive and finite, got {tol}")
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,6 +7,11 @@ selectable via ``method="jacobi"``.
 
 Both paths return all eigenvalues sorted descending together with an
 orthonormal matrix of eigenvectors (as columns, matching the value order).
+
+In production the solver runs on the small (h+1)x(h+1) quotient of a level
+profile (see ``spectra.level_spectrum``), once per distinct profile. Run on a
+full n x n level matrix (``spectra.symmetric_eigenvalues``) it is the dense
+oracle path that the profile engine is tested against.
 """
 
 from __future__ import annotations

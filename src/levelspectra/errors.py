@@ -79,3 +79,7 @@ class NoBracket(LevelSpectraError, ArithmeticError):
 
 class ResourceLimit(LevelSpectraError, RuntimeError):
     """Request exceeds a configured size cap (see LEVEL_SPECTRA_CAP)."""
+
+
+class InvalidCap(LevelSpectraError, ValueError):
+    """LEVEL_SPECTRA_CAP is set to something other than a positive integer."""

@@ -1,6 +1,20 @@
-"""Spectral data of level matrices: numerical eigenvalues via the in-repo
-dense solver, exact integer characteristic polynomial, exact nullity, and
-eigenvalue-cluster multiplicities.
+"""Spectral data of level matrices: numerical eigenvalues, exact integer
+characteristic polynomial, exact nullity, and eigenvalue-cluster
+multiplicities.
+
+The level matrix depends only on the level profile (n_0, ..., n_h), the
+number of vertices at each level. Its nonzero spectrum is the spectrum of
+the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
+and its other n-h-1 eigenvalues are exactly zero. The profile engine
+(:func:`level_spectrum`, :func:`profile_spectrum`, :func:`profile_nullity`)
+solves S once per profile and caches the result, so a sweep over many trees
+does one small solve per distinct profile instead of one dense n x n solve
+per tree. Its exact nullity is n - rank(B) with the integer matrix
+B_ab = |a - b| n_b, which has the rank of S.
+
+:func:`symmetric_eigenvalues` and :func:`exact_zero_multiplicity` on the
+full n x n matrix are kept as the independent oracle paths the engine is
+tested against.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computation, which run in exact arbitrary-precision integers.
@@ -8,8 +22,11 @@ and the rank computation, which run in exact arbitrary-precision integers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +40,18 @@ from .levelmatrix import LevelMatrix
 #: this; exact rank is the authority for the zero cluster.
 DEFAULT_CLUSTER_TOL = 1e-8
 
+#: Distinct profiles whose quotient solves, spectra and nullities are kept.
+#: Order 16 has 2**14 profiles; an entry is a few arrays of order n.
+PROFILE_CACHE_SIZE = 1 << 16
+
 #: Characteristic polynomials beyond this order are refused by default; the
 #: coefficients grow combinatorially.
 DEFAULT_CHARPOLY_CAP = 24
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def _as_array(matrix) -> np.ndarray:
@@ -39,7 +65,8 @@ class Spectrum:
     """Eigenvalues sorted descending, with clusters and Perron data.
 
     ``perron`` is the sign-normalised eigenvector of the top eigenvalue
-    (``None`` for 1x1 input, where no Perron vector exists).
+    (``None`` for 1x1 input, where no Perron vector exists, and for a
+    :func:`profile_spectrum`, which fixes no vertex order).
     """
 
     values: np.ndarray
@@ -76,13 +103,15 @@ def _cluster(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], .
 
 def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
                           method: str = "ql") -> Spectrum:
-    """Full spectrum of a symmetric matrix, computed in-repo.
+    """Full spectrum of a symmetric matrix by a dense in-repo solve.
 
     ``tol`` controls the cluster grouping (scaled by ``max(1, rho)``), not
     the solver itself, which iterates to machine precision.
+
+    Oracle path: level matrices go through :func:`level_spectrum`; this
+    dense n x n solve is the independent check it is tested against.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     a = _as_array(matrix)
     values, vectors = symmetric_eigh(a, method=method)
     rho = float(np.abs(values).max()) if len(values) else 0.0
@@ -196,7 +225,11 @@ def charpoly_roots(charpoly: CharPoly) -> np.ndarray:
 
 
 def exact_zero_multiplicity(matrix) -> int:
-    """Exact nullity via Bareiss fraction-free integer elimination."""
+    """Exact nullity via Bareiss fraction-free integer elimination.
+
+    Oracle path for level matrices, whose nullity :func:`profile_nullity`
+    takes from the (h+1)x(h+1) profile matrix with this same elimination.
+    """
     a = _as_array(matrix)
     n = a.shape[0]
     M = [[int(a[i, j]) for j in range(n)] for i in range(n)]
@@ -231,8 +264,7 @@ def clustered_multiplicity(spectrum: Spectrum, value: float,
     Raises :class:`AmbiguousCluster` when the selected group is not separated
     from the remaining eigenvalues by more than the same threshold.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     threshold = tol * max(1.0, spectrum.rho)
     dist = np.abs(spectrum.values - value)
     inside = dist <= threshold
@@ -265,3 +297,111 @@ def eigenvalues_interlace(outer: Sequence[float], inner: Sequence[float],
     return bool(
         np.all(inner <= outer[:-1] + slack) and np.all(inner >= outer[1:] - slack)
     )
+
+
+# ---------------------------------------------------------------------------
+# profile engine
+# ---------------------------------------------------------------------------
+
+def level_profile(vertex_levels) -> tuple[int, ...]:
+    """(n_0, ..., n_h): the number of vertices at each level."""
+    return tuple(int(c) for c in np.bincount(np.asarray(vertex_levels, dtype=np.int64)))
+
+
+def _profile_key(profile) -> tuple[int, ...]:
+    key = tuple(int(c) for c in profile)
+    if not key or min(key) < 1:
+        raise ValueError(f"a level profile needs positive counts, got {key}")
+    return key
+
+
+def quotient_matrix(profile) -> np.ndarray:
+    """The symmetric quotient S_ab = sqrt(n_a n_b)|a - b| of a level profile.
+
+    Each entry takes one rounding (the square root of the exact product),
+    and is exact where n_a n_b is a square.
+    """
+    counts = np.asarray(_profile_key(profile), dtype=float)
+    idx = np.arange(len(counts))
+    return np.abs(idx[:, None] - idx[None, :]) * np.sqrt(np.outer(counts, counts))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _quotient_solve(profile: tuple[int, ...], method: str):
+    """All n eigenvalues of the level matrix (descending) and the Perron
+    vector per level, w_a = y_a / sqrt(n_a) for the unit top eigenvector y
+    of S; ``w`` is ``None`` when n = 1."""
+    values, vectors = symmetric_eigh(quotient_matrix(profile), method=method)
+    zeros = np.zeros(sum(profile) - len(profile))
+    full = np.sort(np.concatenate([values, zeros]))[::-1].copy()
+    if sum(profile) < 2:
+        return _frozen(full), None
+    w = vectors[:, 0] / np.linalg.norm(vectors[:, 0]) / np.sqrt(profile)
+    if w[np.argmax(np.abs(w))] < 0:
+        w = -w
+    return _frozen(full), _frozen(w)
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _profile_spectrum(profile: tuple[int, ...], tol: float, method: str) -> Spectrum:
+    values, _ = _quotient_solve(profile, method)
+    rho = float(np.abs(values).max())
+    return Spectrum(
+        values=values,
+        clusters=_cluster(values, tol * max(1.0, rho)),
+        rho=rho,
+        energy=float(np.abs(values).sum()),
+        perron=None,
+    )
+
+
+def profile_spectrum(profile, tol: float = DEFAULT_CLUSTER_TOL,
+                     method: str = "ql") -> Spectrum:
+    """Spectrum of every level matrix with this profile, from one cached
+    solve of the quotient; ``perron`` is ``None``."""
+    _check_tol(tol)
+    return _profile_spectrum(_profile_key(profile), float(tol), method)
+
+
+def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
+                   method: str = "ql") -> Spectrum:
+    """Spectrum of the level matrix of a tree with these vertex levels.
+
+    Values and clusters come from :func:`profile_spectrum`; the Perron
+    vector is lifted to the vertices as x_i = y_l / sqrt(n_l) at l = level
+    of i, which has unit norm.
+    """
+    lev = np.asarray(vertex_levels, dtype=np.int64)
+    profile = level_profile(lev)
+    spectrum = profile_spectrum(profile, tol=tol, method=method)
+    _, w = _quotient_solve(profile, method)
+    if w is None:
+        return spectrum
+    return dataclasses.replace(spectrum, perron=w[lev])
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _profile_nullity(profile: tuple[int, ...]) -> int:
+    h1 = len(profile)
+    b = np.array([[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)],
+                 dtype=np.int64)
+    return exact_zero_multiplicity(b) + sum(profile) - h1
+
+
+def profile_nullity(profile) -> int:
+    """Exact multiplicity of the eigenvalue 0 of every level matrix with
+    this profile: n - rank(B), B_ab = |a - b| n_b, by Bareiss elimination of
+    the (h+1)x(h+1) integer matrix B."""
+    return _profile_nullity(_profile_key(profile))
+
+
+def clear_profile_cache() -> None:
+    """Forget every cached quotient solve, spectrum and nullity."""
+    _quotient_solve.cache_clear()
+    _profile_spectrum.cache_clear()
+    _profile_nullity.cache_clear()

@@ -19,6 +19,7 @@ from .errors import (
     CannotDeleteRoot,
     CycleDetected,
     IndexOutOfRange,
+    InvalidCap,
     InvalidOrder,
     MultipleRoots,
     NoRoot,
@@ -42,9 +43,9 @@ def enumeration_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise InvalidCap(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be positive, got {cap}")
+        raise InvalidCap(f"{CAP_ENV_VAR} must be positive, got {cap}")
     return cap
 
 

@@ -18,18 +18,18 @@ import numpy as np
 from . import bounds
 from .bounds import COMPARISON_TOL, SpectralData
 from .errors import InvalidOrder
-from .levelmatrix import build_level_matrix, distance_matrix, row_sum_difference
+from .levelmatrix import distance_matrix, row_sum_difference
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     clustered_multiplicity,
-    exact_zero_multiplicity,
+    level_profile,
     positive_eigenvalue_count,
-    symmetric_eigenvalues,
+    profile_nullity,
+    profile_spectrum,
 )
 from .trees import (
     RootedTree,
     canonical_level_sequence,
-    delete_leaf,
     enumerate_rooted_trees,
     is_rooted_path,
     is_rooted_star,
@@ -123,10 +123,11 @@ class CheckStat:
                 self.offenders.append(seq)
 
     def merge(self, other: "CheckStat") -> None:
+        """Fold in the aggregate of the trees enumerated after this one's."""
         self.trees_checked += other.trees_checked
         self.violations += other.violations
         self.worst_slack = min(self.worst_slack, other.worst_slack)
-        self.offenders = sorted(set(self.offenders) | set(other.offenders))[:MAX_OFFENDERS]
+        self.offenders = (self.offenders + other.offenders)[:MAX_OFFENDERS]
 
     def to_dict(self) -> dict:
         return {
@@ -164,13 +165,18 @@ class ExtremalStat:
             self.runner_max = value
 
     def merge(self, other: "ExtremalStat") -> None:
-        for value, seq in ((other.min_value, other.min_seq), (other.max_value, other.max_seq)):
-            if seq:
-                self.record(value, seq)
-        if self.min_value < other.runner_min < self.runner_min:
-            self.runner_min = other.runner_min
-        if self.runner_max < other.runner_max < self.max_value:
-            self.runner_max = other.runner_max
+        """Fold in the aggregate of the trees enumerated after this one's;
+        ties keep the earlier tree, as :meth:`record` does."""
+        if other.min_value < self.min_value:
+            self.runner_min = min(self.min_value, other.runner_min)
+            self.min_value, self.min_seq = other.min_value, other.min_seq
+        else:
+            self.runner_min = min(self.runner_min, other.min_value)
+        if other.max_value > self.max_value:
+            self.runner_max = max(self.max_value, other.runner_max)
+            self.max_value, self.max_seq = other.max_value, other.max_seq
+        else:
+            self.runner_max = max(self.runner_max, other.max_value)
 
     @property
     def min_gap(self) -> float:
@@ -234,14 +240,19 @@ def _seq_label(tree: RootedTree) -> str:
     return " ".join(str(v) for v in canonical_level_sequence(tree))
 
 
-def _leaf_spectra(data: SpectralData, tol: float):
-    """Spectrum and exact nullity of every leaf-deleted subtree."""
+def _leaf_profiles(data: SpectralData) -> list[tuple[int, ...]]:
+    """Distinct profiles of the leaf-deleted subtrees.
+
+    Deleting a leaf at level k takes one vertex from n_k, and the deepest
+    level drops when it empties; leaves on one level leave one profile.
+    """
     out = []
-    for leaf in data.tree.leaves():
-        sub = delete_leaf(data.tree, leaf)
-        sub_matrix = build_level_matrix(sub)
-        out.append((symmetric_eigenvalues(sub_matrix, tol=tol),
-                    exact_zero_multiplicity(sub_matrix)))
+    for k in sorted({int(data.vertex_levels[leaf]) for leaf in data.tree.leaves()}):
+        sub = list(data.profile)
+        sub[k] -= 1
+        if sub[-1] == 0:
+            sub.pop()
+        out.append(tuple(sub))
     return out
 
 
@@ -249,20 +260,13 @@ def _structural_results(data: SpectralData, names: list[str], tol: float):
     """Evaluate structural checks; yields (name, ok, slack)."""
     n = data.n
     matrix, spectrum = data.matrix, data.spectrum
-    nullity = None
-    leaf_data = None
-
-    def need_nullity():
-        nonlocal nullity
-        if nullity is None:
-            nullity = exact_zero_multiplicity(matrix)
-        return nullity
+    leaf_profiles = None
 
     def need_leaves():
-        nonlocal leaf_data
-        if leaf_data is None:
-            leaf_data = _leaf_spectra(data, tol)
-        return leaf_data
+        nonlocal leaf_profiles
+        if leaf_profiles is None:
+            leaf_profiles = _leaf_profiles(data)
+        return leaf_profiles
 
     for name in names:
         if n < STRUCTURAL_CHECKS[name]:
@@ -278,16 +282,16 @@ def _structural_results(data: SpectralData, names: list[str], tol: float):
             tol_abs = COMPARISON_TOL * max(1.0, a)
             yield name, a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)
         elif name == "zero-multiplicity":
-            yield name, need_nullity() == n - 1 - matrix.l_max, math.nan
+            yield name, data.nullity == n - 1 - matrix.l_max, math.nan
         elif name == "one-positive-eigenvalue":
             yield name, positive_eigenvalue_count(spectrum, tol) == 1, math.nan
         elif name == "star-characterisation":
             star = is_rooted_star(data.tree)
-            yield name, (need_nullity() == n - 2) == star, math.nan
+            yield name, (data.nullity == n - 2) == star, math.nan
         elif name == "path-characterisation":
-            yield name, (need_nullity() == 0) == data.is_path, math.nan
+            yield name, (data.nullity == 0) == data.is_path, math.nan
         elif name == "zero-cluster-consistency":
-            yield name, clustered_multiplicity(spectrum, 0.0, tol) == need_nullity(), math.nan
+            yield name, clustered_multiplicity(spectrum, 0.0, tol) == data.nullity, math.nan
         elif name == "distance-domination":
             dist = distance_matrix(data.tree)
             dominated = bool(np.all(matrix.entries <= dist))
@@ -306,8 +310,8 @@ def _structural_results(data: SpectralData, names: list[str], tol: float):
         elif name == "interlacing":
             eps = INTERLACING_TOL * max(1.0, spectrum.rho)
             worst = math.inf
-            for sub_spectrum, _ in need_leaves():
-                outer, inner = spectrum.values, sub_spectrum.values
+            for sub in need_leaves():
+                outer, inner = spectrum.values, profile_spectrum(sub, tol).values
                 worst = min(
                     worst,
                     float((outer[:-1] - inner).min()),
@@ -317,16 +321,16 @@ def _structural_results(data: SpectralData, names: list[str], tol: float):
         elif name == "leaf-deletion-multiplicity":
             threshold = tol * max(1.0, spectrum.rho)
             ok = True
-            for sub_spectrum, _ in need_leaves():
+            for sub in need_leaves():
+                sub_spectrum = profile_spectrum(sub, tol)
                 for value, mult in spectrum.clusters:
                     sub_mult = int((np.abs(sub_spectrum.values - value) <= threshold).sum())
                     if abs(mult - sub_mult) > 1:
                         ok = False
             yield name, ok, math.nan
         elif name == "zero-deletion-multiplicity":
-            base = need_nullity()
-            yield name, all(base - sub_nullity in (0, 1)
-                            for _, sub_nullity in need_leaves()), math.nan
+            yield name, all(data.nullity - profile_nullity(sub) in (0, 1)
+                            for sub in need_leaves()), math.nan
 
 
 def _evaluate_batch(order: int, seqs: list[tuple[int, ...]], bound_names: list[str],
@@ -365,8 +369,9 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     """Run the selected checks over every rooted tree of the given order.
 
     ``jobs`` sets the worker-pool width (default: available parallelism, with
-    a sequential fast path for small orders). The merged ledger is
-    deterministic regardless of scheduling.
+    a sequential fast path for small orders); it is clamped to the CPUs this
+    process may run on. Batches are contiguous runs of the enumeration merged
+    in order, so the ledger equals the sequential one.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
@@ -378,9 +383,8 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
             f"enumerator produced {len(seqs)} trees at order {order}, "
             f"counting recurrence says {expected}"
         )
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(seqs)))
+    cpus = available_cpus()
+    jobs = max(1, min(cpus if jobs is None else jobs, cpus, len(seqs)))
     if jobs == 1 or len(seqs) < 64:
         partials = [_evaluate_batch(order, seqs, bound_names, structural,
                                     report_filter, tol, stats)]
@@ -413,6 +417,15 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
 
 def _batch_entry(args):
     return _evaluate_batch(*args)
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +466,7 @@ def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_T
     best: dict[str, RootedTree] = {}
     for tree in enumerate_rooted_trees(order, cap=cap):
         count += 1
-        matrix = build_level_matrix(tree)
-        spectrum = symmetric_eigenvalues(matrix, tol=tol)
+        spectrum = profile_spectrum(level_profile(levels(tree)), tol=tol)
         value = spectrum.rho if stat == "rho" else spectrum.energy
         before_min, before_max = tracker.min_value, tracker.max_value
         tracker.record(value, _seq_label(tree))

@@ -136,6 +136,18 @@ class TestExitCodes:
         assert code == 64
         assert "tol" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_64(self, tree_file, capsys, tol):
+        code, out, err = run(capsys, "analyze", tree_file, "--tol", tol)
+        assert code == 64 and out == ""
+        assert "tol" in err and len(err.strip().splitlines()) == 1
+
+    def test_bad_cap_variable_is_64(self, monkeypatch, capsys):
+        monkeypatch.setenv("LEVEL_SPECTRA_CAP", "abc")
+        code, out, err = run(capsys, "verify", "--order", "3")
+        assert code == 64 and out == ""
+        assert "LEVEL_SPECTRA_CAP" in err and len(err.strip().splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_order8_clean(self, capsys):

@@ -1,0 +1,169 @@
+"""The profile engine against the dense oracle paths.
+
+The engine solves the (h+1)x(h+1) quotient of each level profile once; the
+dense n x n solve and the n x n Bareiss elimination stay as independent
+oracles, and every tree of orders 1..9 (plus random larger trees) must agree
+with them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levelspectra import (
+    RootedTree,
+    SpectralData,
+    build_level_matrix,
+    clustered_multiplicity,
+    delete_leaf,
+    enumerate_rooted_trees,
+    exact_zero_multiplicity,
+    level_profile,
+    level_spectrum,
+    levels,
+    profile_nullity,
+    profile_spectrum,
+    quotient_matrix,
+    rooted_path,
+    rooted_star,
+    symmetric_eigenvalues,
+)
+from levelspectra import spectra as spectra_mod
+from levelspectra.verify import _leaf_profiles, extremal_sweep
+
+from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM
+
+
+def assert_matches_oracle(tree: RootedTree) -> None:
+    matrix = build_level_matrix(tree)
+    dense = symmetric_eigenvalues(matrix)
+    engine = level_spectrum(levels(tree))
+    scale = max(1.0, dense.rho)
+    assert engine.n == tree.n
+    assert np.abs(engine.values - dense.values).max() <= 1e-12 * scale
+    assert abs(engine.rho - dense.rho) <= 1e-12 * scale
+    assert abs(engine.energy - dense.energy) <= 1e-12 * scale * tree.n
+    assert [m for _, m in engine.clusters] == [m for _, m in dense.clusters]
+    assert profile_nullity(level_profile(levels(tree))) == exact_zero_multiplicity(matrix)
+    if tree.n == 1:
+        assert engine.perron is None
+    else:
+        assert np.abs(engine.perron - dense.perron).max() <= 1e-10
+        assert abs(np.linalg.norm(engine.perron) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_every_tree_matches_dense_oracle(order):
+    for tree in enumerate_rooted_trees(order):
+        assert_matches_oracle(tree)
+
+
+@st.composite
+def parent_arrays(draw):
+    """Random labelled rooted trees: a random attachment order, relabelled
+    by a random permutation so the root need not be vertex 0."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    attach = [-1] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    parent = [0] * n
+    for i, p in enumerate(attach):
+        parent[perm[i]] = -1 if p == -1 else perm[p]
+    return RootedTree(parent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parent_arrays())
+def test_random_trees_match_dense_oracle(tree):
+    assert_matches_oracle(tree)
+
+
+class TestProfiles:
+    def test_sample9(self):
+        assert level_profile(SAMPLE9_LEVELS) == (1, 2, 3, 3)
+        spectrum = profile_spectrum((1, 2, 3, 3))
+        assert np.allclose(spectrum.values, SAMPLE9_SPECTRUM, atol=1e-6)
+        assert profile_nullity((1, 2, 3, 3)) == 5
+
+    def test_zeros_are_exact(self):
+        spectrum = profile_spectrum((1, 2, 3, 3))
+        assert np.count_nonzero(spectrum.values == 0.0) == 9 - 4
+
+    def test_quotient_is_symmetric_blowup(self):
+        s = quotient_matrix((1, 4))
+        assert np.array_equal(s, [[0.0, 2.0], [2.0, 0.0]])
+
+    def test_single_vertex(self):
+        spectrum = level_spectrum([0])
+        assert spectrum.values.tolist() == [0.0] and spectrum.perron is None
+        assert profile_nullity((1,)) == 1
+
+    def test_cached_once_per_profile(self):
+        first = profile_spectrum((1, 3, 2))
+        assert profile_spectrum((1, 3, 2)) is first
+        assert not first.values.flags.writeable
+        assert first.perron is None
+
+    def test_trees_sharing_a_profile_share_values(self):
+        a = level_spectrum([0, 1, 2, 1, 2])
+        b = level_spectrum([0, 1, 1, 2, 2])
+        assert a.values is b.values
+        assert np.allclose(a.perron[[0, 1, 3, 2, 4]], b.perron)
+
+    @pytest.mark.parametrize("bad", [(), (1, 0, 2), (0,)])
+    def test_rejects_bad_profiles(self, bad):
+        with pytest.raises(ValueError):
+            profile_spectrum(bad)
+        with pytest.raises(ValueError):
+            profile_nullity(bad)
+
+    def test_rejects_gapped_levels(self):
+        with pytest.raises(ValueError):
+            level_spectrum([0, 2])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_non_finite_or_nonpositive_tol_rejected(tol):
+    matrix = build_level_matrix(rooted_star(3))
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(matrix, tol=tol)
+    with pytest.raises(ValueError):
+        clustered_multiplicity(symmetric_eigenvalues(matrix), 0.0, tol=tol)
+    with pytest.raises(ValueError):
+        profile_spectrum((1, 2), tol=tol)
+    with pytest.raises(ValueError):
+        level_spectrum([0, 1, 1], tol=tol)
+
+
+def test_spectral_data_uses_engine():
+    data = SpectralData.from_tree(rooted_path(6))
+    assert data.profile == (1,) * 6
+    assert data.nullity == 0
+    assert data.spectrum.values is profile_spectrum((1,) * 6).values
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_leaf_profiles_match_deleted_trees(order):
+    for tree in enumerate_rooted_trees(order):
+        data = SpectralData.from_tree(tree)
+        deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
+        subs = _leaf_profiles(data)
+        assert len(subs) == len(set(subs)) and set(subs) == deleted
+
+
+def test_extremal_sweep_solves_once_per_profile(monkeypatch):
+    calls = []
+    real = spectra_mod.symmetric_eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectra_mod, "symmetric_eigh", counting)
+    spectra_mod.clear_profile_cache()
+    sweep = extremal_sweep(8, "rho")
+    assert sweep.min_is_star and sweep.max_is_path
+    # 115 trees but 2**6 profiles (compositions of 7 below the root)
+    assert len(calls) == 2 ** 6

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from levelspectra import (
     rooted_tree_count,
@@ -13,7 +15,9 @@ from levelspectra import (
 )
 from levelspectra.bounds import path_rho_closed_form
 from levelspectra.errors import InvalidOrder
+from levelspectra import verify as verify_mod
 from levelspectra.verify import (
+    MAX_OFFENDERS,
     CheckStat,
     ExtremalStat,
     available_checks,
@@ -180,3 +184,107 @@ class TestAggregates:
         assert a.max_value == 5.0 and a.max_seq == "a"
         assert a.min_gap == pytest.approx(1.0)
         assert a.max_gap == pytest.approx(1.0)
+
+    def test_extremal_merge_of_single_tree_batches(self):
+        a, b = ExtremalStat("rho"), ExtremalStat("rho")
+        a.record(1.0, "a")
+        b.record(3.0, "b")
+        a.merge(b)
+        assert (a.min_value, a.min_seq, a.min_gap) == (1.0, "a", 2.0)
+        assert (a.max_value, a.max_seq, a.max_gap) == (3.0, "b", 2.0)
+
+    def test_extremal_merge_into_empty_has_no_runner_up(self):
+        merged, batch = ExtremalStat("rho"), ExtremalStat("rho")
+        batch.record(2.0, "only")
+        merged.merge(batch)
+        assert merged.to_dict()["min"]["gap"] is None
+        assert merged.to_dict()["max"]["gap"] is None
+
+
+# Values from a small set, so ties (which keep the earlier tree) are common.
+_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+_entries = st.lists(st.tuples(st.booleans(), _values), max_size=30)
+
+
+def _split(items, cuts):
+    bounds = sorted({min(c, len(items)) for c in cuts})
+    edges = [0] + bounds + [len(items)]
+    return [items[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+class TestMergeEqualsOnePass:
+    @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
+    def test_extremal_stat(self, entries, cuts):
+        labelled = [(value, f"t{i}") for i, (_, value) in enumerate(entries)]
+        one_pass = ExtremalStat("rho")
+        for value, label in labelled:
+            one_pass.record(value, label)
+        merged = ExtremalStat("rho")
+        for part in _split(labelled, cuts):
+            batch = ExtremalStat("rho")
+            for value, label in part:
+                batch.record(value, label)
+            merged.merge(batch)
+        assert merged == one_pass
+
+    @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
+    def test_check_stat(self, entries, cuts):
+        labelled = [(ok, slack, f"t{i}") for i, (ok, slack) in enumerate(entries)]
+        one_pass = CheckStat("demo")
+        for ok, slack, label in labelled:
+            one_pass.record(ok, slack, label)
+        merged = CheckStat("demo")
+        for part in _split(labelled, cuts):
+            batch = CheckStat("demo")
+            for ok, slack, label in part:
+                batch.record(ok, slack, label)
+            merged.merge(batch)
+        assert merged == one_pass
+        assert len(merged.offenders) <= MAX_OFFENDERS
+
+    def test_offenders_keep_enumeration_order(self):
+        first, second = CheckStat("demo"), CheckStat("demo")
+        for i in range(MAX_OFFENDERS):
+            first.record(False, -1.0, f"z{i}")
+        second.record(False, -1.0, "a")
+        first.merge(second)
+        assert first.offenders == [f"z{i}" for i in range(MAX_OFFENDERS)]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the width, runs in-process."""
+
+    widths: list = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+class TestPoolWidth:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        _RecordingPool.widths = []
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool
+
+    @pytest.mark.parametrize("jobs", [None, 1000])
+    def test_clamped_to_affinity(self, pool, monkeypatch, jobs):
+        monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        ledger = verify_order(8, jobs=jobs)
+        assert pool.widths == [3]
+        assert ledger.to_dict() == verify_order(8, jobs=1).to_dict()
+
+    def test_falls_back_to_cpu_count(self, pool, monkeypatch):
+        monkeypatch.delattr(verify_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        verify_order(8, jobs=64)
+        assert pool.widths == [2]
