@@ -16,15 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidOrder, NoBracket, TooSmall
-from .levelmatrix import LevelMatrix, build_level_matrix, second_order_row_sums
+from .levelmatrix import LevelMatrix, second_order_row_sums
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     Spectrum,
     level_profile,
-    level_spectrum,
     profile_nullity,
+    profile_spectrum,
 )
-from .trees import RootedTree, is_rooted_path, levels
+from .trees import RootedTree, levels
 
 #: Uniform comparison tolerance scale: a relation is satisfied within
 #: ``COMPARISON_TOL * max(1, |lhs|, |rhs|)``.
@@ -94,31 +94,29 @@ def _report(name: str, lhs: float, rhs, relation: str,
 class SpectralData:
     """Tree + level matrix + spectrum, with the aggregates every bound needs.
 
-    The spectrum and the exact nullity come from the profile engine, so
-    trees sharing a level profile share one quotient solve.
+    The vertex levels are computed once; the matrix, the profile and the
+    spectrum all come from them. The spectrum and the exact nullity come
+    from the profile engine, so trees sharing a level profile share one
+    quotient solve. The spectrum carries no Perron vector.
     """
 
     tree: RootedTree
+    vertex_levels: np.ndarray
+    profile: tuple[int, ...]
     matrix: LevelMatrix
     spectrum: Spectrum
 
     @classmethod
     def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL,
                   method: str = "ql") -> "SpectralData":
-        spectrum = level_spectrum(levels(tree), tol=tol, method=method)
-        return cls(tree, build_level_matrix(tree), spectrum)
+        lev = levels(tree)
+        profile = level_profile(lev)
+        spectrum = profile_spectrum(profile, tol=tol, method=method)
+        return cls(tree, lev, profile, LevelMatrix.from_levels(lev), spectrum)
 
     @property
     def n(self) -> int:
         return self.tree.n
-
-    @cached_property
-    def vertex_levels(self) -> np.ndarray:
-        return levels(self.tree)
-
-    @cached_property
-    def profile(self) -> tuple[int, ...]:
-        return level_profile(self.vertex_levels)
 
     @cached_property
     def nullity(self) -> int:
@@ -130,9 +128,10 @@ class SpectralData:
         """q_i = sum_j l_ij * L_j (row sums of the squared matrix)."""
         return second_order_row_sums(self.matrix)
 
-    @cached_property
+    @property
     def is_path(self) -> bool:
-        return is_rooted_path(self.tree)
+        """The rooted path is the one tree with a vertex on every level."""
+        return len(self.profile) == self.n
 
 
 def _data(tree_or_data) -> SpectralData:

@@ -7,6 +7,10 @@ selectable via ``method="jacobi"``.
 
 Both paths return all eigenvalues sorted descending together with an
 orthonormal matrix of eigenvectors (as columns, matching the value order).
+With ``vectors=False`` the QL path computes values only: the reduction skips
+accumulating the orthogonal factor and the QL loop skips the rotations of its
+columns. The diagonal and subdiagonal go through the same IEEE operations
+either way, so the values are bit-identical to those of the vector solve.
 
 In production the solver runs on the small (h+1)x(h+1) quotient of a level
 profile (see ``spectra.level_spectrum``), once per distinct profile. Run on a
@@ -27,12 +31,14 @@ from .errors import ConvergenceFailure
 ITERATION_FACTOR = 30
 
 
-def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def householder_tridiagonalize(a: np.ndarray, vectors: bool = True
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Orthogonal reduction of a symmetric matrix to tridiagonal form.
 
     Returns ``(d, e, q)`` with diagonal ``d``, subdiagonal ``e`` (length n,
     ``e[n-1]`` is zero padding) and the accumulated orthogonal ``q`` so that
-    ``q.T @ a @ q`` is tridiagonal.
+    ``q.T @ a @ q`` is tridiagonal; ``q`` is ``None`` when ``vectors`` is
+    false.
     """
     A = np.array(a, dtype=float)
     n = A.shape[0]
@@ -62,6 +68,10 @@ def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         d[i] = h
     e[:-1] = e[1:]
     e[-1] = 0.0
+    if not vectors:
+        # The accumulation below reads d[i] = A[i, i] before it touches that
+        # entry, so the diagonal is already final here.
+        return np.diagonal(A).copy(), e, None
     # Accumulate the Householder reflectors into an explicit orthogonal matrix.
     d[0] = 0.0
     for i in range(n):
@@ -75,27 +85,32 @@ def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return d, e, A
 
 
-def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
+def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray | None,
                       iteration_cap: int | None = None) -> None:
     """Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 
     ``d`` (diagonal) and ``e`` (subdiagonal, ``e[n-1]`` scratch) are reduced
     in place; on return ``d`` holds the eigenvalues. ``z`` is multiplied by
     the eigenvector matrix, so passing the orthogonal factor of the
-    tridiagonalization yields eigenvectors of the original matrix.
+    tridiagonalization yields eigenvectors of the original matrix; with
+    ``z=None`` only the values are computed.
     """
     n = len(d)
     if n <= 1:
         return
     if iteration_cap is None:
         iteration_cap = ITERATION_FACTOR * n
-    eps = np.finfo(float).eps
-    e[n - 1] = 0.0
+    eps = float(np.finfo(float).eps)
+    # The scalar recurrences run on Python floats: the same IEEE binary64
+    # operations as on numpy scalars, without their per-operation overhead.
+    dl = [float(x) for x in d]
+    el = [float(x) for x in e]
+    el[n - 1] = 0.0
     steps = 0
     for l in range(n):
         while True:
             m = l
-            while m + 1 < n and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+            while m + 1 < n and abs(el[m]) > eps * (abs(dl[m]) + abs(dl[m + 1])):
                 m += 1
             if m == l:
                 break
@@ -106,36 +121,39 @@ def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
                     f"order-{n} tridiagonal matrix"
                 )
             # Wilkinson-style shift from the leading 2x2 block.
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = (dl[l + 1] - dl[l]) / (2.0 * el[l])
             r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            g = dl[m] - dl[l] + el[l] / (g + math.copysign(r, g))
             s, c, p = 1.0, 1.0, 0.0
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
+                f = s * el[i]
+                b = c * el[i]
                 if abs(f) > abs(g):
                     c = g / f
                     r = math.hypot(c, 1.0)
-                    e[i + 1] = f * r
+                    el[i + 1] = f * r
                     s = 1.0 / r
                     c *= s
                 else:
                     s = f / g
                     r = math.hypot(s, 1.0)
-                    e[i + 1] = g * r
+                    el[i + 1] = g * r
                     c = 1.0 / r
                     s *= c
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = dl[i + 1] - p
+                r = (dl[i] - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                dl[i + 1] = g + p
                 g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
+                if z is not None:
+                    col = z[:, i + 1].copy()
+                    z[:, i + 1] = s * z[:, i] + c * col
+                    z[:, i] = c * z[:, i] - s * col
+            dl[l] -= p
+            el[l] = g
+            el[m] = 0.0
+    d[:] = dl
+    e[:] = el
 
 
 def jacobi_eigh(a: np.ndarray, iteration_cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -195,26 +213,28 @@ def jacobi_eigh(a: np.ndarray, iteration_cap: int | None = None) -> tuple[np.nda
     )
 
 
-def symmetric_eigh(a, method: str = "ql",
-                   iteration_cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigh(a, method: str = "ql", iteration_cap: int | None = None,
+                   vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """All eigenvalues (descending) and eigenvectors of a symmetric matrix.
 
     ``method`` is ``"ql"`` (Householder + implicit-shift QL, the default) or
-    ``"jacobi"`` (cross-validation path).
+    ``"jacobi"`` (cross-validation path). With ``vectors=False`` the result
+    is ``(values, None)``; the QL path then skips all eigenvector work and
+    returns the same values bit for bit.
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n == 1:
-        return np.array([float(A[0, 0])]), np.eye(1)
+        return np.array([float(A[0, 0])]), (np.eye(1) if vectors else None)
     if method == "ql":
-        d, e, z = householder_tridiagonalize(A)
+        d, e, z = householder_tridiagonalize(A, vectors)
         ql_implicit_shift(d, e, z, iteration_cap)
-        values, vectors = d, z
+        values = d
     elif method == "jacobi":
-        values, vectors = jacobi_eigh(A, iteration_cap)
+        values, z = jacobi_eigh(A, iteration_cap)
     else:
         raise ValueError(f"unknown method {method!r}; use 'ql' or 'jacobi'")
     order = np.argsort(values, kind="stable")[::-1]
-    return values[order], vectors[:, order]
+    return values[order], (z[:, order] if vectors else None)

@@ -26,6 +26,11 @@ class LevelMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
+    @classmethod
+    def from_levels(cls, vertex_levels) -> "LevelMatrix":
+        lev = np.asarray(vertex_levels)
+        return cls(np.abs(lev[:, None] - lev[None, :]))
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -56,8 +61,7 @@ class LevelMatrix:
 
 
 def build_level_matrix(tree: RootedTree) -> LevelMatrix:
-    lev = levels(tree)
-    return LevelMatrix(np.abs(lev[:, None] - lev[None, :]))
+    return LevelMatrix.from_levels(levels(tree))
 
 
 def level_index(matrix: LevelMatrix) -> int:

@@ -7,17 +7,22 @@ number of vertices at each level. Its nonzero spectrum is the spectrum of
 the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine
 (:func:`level_spectrum`, :func:`profile_spectrum`, :func:`profile_nullity`)
-solves S once per profile and caches the result, so a sweep over many trees
-does one small solve per distinct profile instead of one dense n x n solve
-per tree. Its exact nullity is n - rank(B) with the integer matrix
-B_ab = |a - b| n_b, which has the rank of S.
+solves S once per profile, for its values only, and caches the result, so a
+sweep over many trees does one small solve per distinct profile instead of
+one dense n x n solve per tree. Only :func:`level_spectrum` also solves for
+the eigenvectors, to lift the Perron vector to the vertices. The exact
+nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b, which has
+the rank of S. Its rank is certified by elimination modulo a prime, which
+can only under-count the rank; when that count is short of full rank, the
+exact rank comes from Bareiss elimination of B.
 
 :func:`symmetric_eigenvalues` and :func:`exact_zero_multiplicity` on the
 full n x n matrix are kept as the independent oracle paths the engine is
 tested against.
 
 Floating point (binary64) everywhere except the characteristic polynomial
-and the rank computation, which run in exact arbitrary-precision integers.
+and the rank computations, which are exact: arbitrary-precision integers,
+or residues modulo a prime.
 """
 
 from __future__ import annotations
@@ -228,7 +233,8 @@ def exact_zero_multiplicity(matrix) -> int:
     """Exact nullity via Bareiss fraction-free integer elimination.
 
     Oracle path for level matrices, whose nullity :func:`profile_nullity`
-    takes from the (h+1)x(h+1) profile matrix with this same elimination.
+    takes from the (h+1)x(h+1) profile matrix by a rank modulo a prime; this
+    elimination is its fallback when that rank is not full.
     """
     a = _as_array(matrix)
     n = a.shape[0]
@@ -332,24 +338,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _quotient_solve(profile: tuple[int, ...], method: str):
-    """All n eigenvalues of the level matrix (descending) and the Perron
-    vector per level, w_a = y_a / sqrt(n_a) for the unit top eigenvector y
-    of S; ``w`` is ``None`` when n = 1."""
-    values, vectors = symmetric_eigh(quotient_matrix(profile), method=method)
-    zeros = np.zeros(sum(profile) - len(profile))
-    full = np.sort(np.concatenate([values, zeros]))[::-1].copy()
-    if sum(profile) < 2:
-        return _frozen(full), None
-    w = vectors[:, 0] / np.linalg.norm(vectors[:, 0]) / np.sqrt(profile)
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
-    return _frozen(full), _frozen(w)
-
-
-@lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def _profile_spectrum(profile: tuple[int, ...], tol: float, method: str) -> Spectrum:
-    values, _ = _quotient_solve(profile, method)
+    values, _ = symmetric_eigh(quotient_matrix(profile), method=method, vectors=False)
+    zeros = np.zeros(sum(profile) - len(profile))
+    values = _frozen(np.sort(np.concatenate([values, zeros]))[::-1].copy())
     rho = float(np.abs(values).max())
     return Spectrum(
         values=values,
@@ -363,9 +355,20 @@ def _profile_spectrum(profile: tuple[int, ...], tol: float, method: str) -> Spec
 def profile_spectrum(profile, tol: float = DEFAULT_CLUSTER_TOL,
                      method: str = "ql") -> Spectrum:
     """Spectrum of every level matrix with this profile, from one cached
-    solve of the quotient; ``perron`` is ``None``."""
+    values-only solve of the quotient; ``perron`` is ``None``."""
     _check_tol(tol)
     return _profile_spectrum(_profile_key(profile), float(tol), method)
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _perron_levels(profile: tuple[int, ...], method: str) -> np.ndarray:
+    """The Perron vector per level, w_a = y_a / sqrt(n_a) for the unit top
+    eigenvector y of S (n >= 2)."""
+    _, vectors = symmetric_eigh(quotient_matrix(profile), method=method)
+    w = vectors[:, 0] / np.linalg.norm(vectors[:, 0]) / np.sqrt(profile)
+    if w[np.argmax(np.abs(w))] < 0:
+        w = -w
+    return _frozen(w)
 
 
 def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
@@ -374,34 +377,81 @@ def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
 
     Values and clusters come from :func:`profile_spectrum`; the Perron
     vector is lifted to the vertices as x_i = y_l / sqrt(n_l) at l = level
-    of i, which has unit norm.
+    of i, which has unit norm. The vector solve behind it is cached per
+    profile too.
     """
     lev = np.asarray(vertex_levels, dtype=np.int64)
     profile = level_profile(lev)
     spectrum = profile_spectrum(profile, tol=tol, method=method)
-    _, w = _quotient_solve(profile, method)
-    if w is None:
+    if len(lev) < 2:
         return spectrum
-    return dataclasses.replace(spectrum, perron=w[lev])
+    return dataclasses.replace(spectrum, perron=_perron_levels(profile, method)[lev])
+
+
+#: Modulus of the rank certificate, the prime 2**31 - 1. Residues are below
+#: 2**31, so a product of two stays below 2**62 and fits in int64.
+RANK_PRIME = (1 << 31) - 1
+
+
+def _rank_mod_p(rows) -> int:
+    """Rank over GF(RANK_PRIME) of an integer matrix, a lower bound on its
+    rank over the rationals.
+
+    The entries are reduced on Python integers, so any input size is safe;
+    the elimination then runs in int64 on the active submatrix.
+    """
+    m = np.array([[int(x) % RANK_PRIME for x in row] for row in rows], dtype=np.int64)
+    n_rows, n_cols = m.shape
+    rank = 0
+    for col in range(n_cols):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not len(nonzero):
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        inverse = pow(int(m[rank, col]), RANK_PRIME - 2, RANK_PRIME)
+        top = m[rank, col:] * inverse % RANK_PRIME
+        below = m[rank + 1:, col:]
+        below -= below[:, :1] * top
+        below %= RANK_PRIME
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _certified_nullity(rows) -> int:
+    """Exact nullity of a square integer matrix: a full rank modulo
+    RANK_PRIME proves full rank over the rationals; any other outcome is
+    decided by Bareiss elimination."""
+    if _rank_mod_p(rows) == len(rows):
+        return 0
+    return exact_zero_multiplicity(np.array(rows, dtype=object))
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def _profile_nullity(profile: tuple[int, ...]) -> int:
+    # B = D diag(n) with D_ab = |a - b| the distance matrix of the path on
+    # h + 1 vertices, det D = (-1)^h h 2^(h-1). So for h >= 1, B is singular
+    # modulo the prime only if the prime divides h or some n_b, and the
+    # certificate decides for every profile below 2**31 - 1 vertices; the
+    # one-level profile (h = 0, B = [[0]]) goes to the fallback.
     h1 = len(profile)
-    b = np.array([[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)],
-                 dtype=np.int64)
-    return exact_zero_multiplicity(b) + sum(profile) - h1
+    b = [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
+    return _certified_nullity(b) + sum(profile) - h1
 
 
 def profile_nullity(profile) -> int:
     """Exact multiplicity of the eigenvalue 0 of every level matrix with
-    this profile: n - rank(B), B_ab = |a - b| n_b, by Bareiss elimination of
-    the (h+1)x(h+1) integer matrix B."""
+    this profile: n - rank(B), B_ab = |a - b| n_b, with the rank of the
+    (h+1)x(h+1) integer matrix B certified modulo the prime RANK_PRIME, and
+    taken from Bareiss elimination of B where that rank is not full."""
     return _profile_nullity(_profile_key(profile))
 
 
 def clear_profile_cache() -> None:
     """Forget every cached quotient solve, spectrum and nullity."""
-    _quotient_solve.cache_clear()
     _profile_spectrum.cache_clear()
+    _perron_levels.cache_clear()
     _profile_nullity.cache_clear()

@@ -298,7 +298,7 @@ def _structural_results(data: SpectralData, names: list[str], tol: float):
             equal = bool(np.array_equal(matrix.entries, dist))
             yield name, dominated and equal == data.is_path, math.nan
         elif name == "row-sum-difference":
-            lev = sorted((int(v) for v in levels(data.tree)), reverse=True)
+            lev = sorted((int(v) for v in data.vertex_levels), reverse=True)
             arr = np.array(lev, dtype=np.int64)
             sums = np.abs(arr[:, None] - arr[None, :]).sum(axis=1)
             ok = all(

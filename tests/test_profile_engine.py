@@ -32,6 +32,8 @@ from levelspectra import (
     symmetric_eigenvalues,
 )
 from levelspectra import spectra as spectra_mod
+from levelspectra.eigen import symmetric_eigh
+from levelspectra.spectra import RANK_PRIME, _certified_nullity, _rank_mod_p
 from levelspectra.verify import _leaf_profiles, extremal_sweep
 
 from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM
@@ -167,3 +169,145 @@ def test_extremal_sweep_solves_once_per_profile(monkeypatch):
     assert sweep.min_is_star and sweep.max_is_path
     # 115 trees but 2**6 profiles (compositions of 7 below the root)
     assert len(calls) == 2 ** 6
+
+
+def tree_profiles(order):
+    """Every level profile of a rooted tree of this order: n_0 = 1 followed
+    by a composition of order - 1 (2**(order - 2) of them for order >= 2)."""
+    if order == 1:
+        yield (1,)
+        return
+    rest = order - 1
+    for cuts in range(1 << (rest - 1)):
+        parts, run = [1], 1
+        for bit in range(rest - 1):
+            if cuts >> bit & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        parts.append(run)
+        yield tuple(parts)
+
+
+ALL_PROFILES = [p for order in range(1, 13) for p in tree_profiles(order)]
+
+
+def test_profile_enumeration_is_complete():
+    assert len(ALL_PROFILES) == len(set(ALL_PROFILES)) == 2048
+    assert all(sum(p) <= 12 and p[0] == 1 for p in ALL_PROFILES)
+
+
+class TestValuesOnlySolve:
+    def test_bit_identical_on_every_quotient(self):
+        for profile in ALL_PROFILES:
+            s = quotient_matrix(profile)
+            values, vectors = symmetric_eigh(s, vectors=False)
+            assert vectors is None
+            assert np.array_equal(values, symmetric_eigh(s)[0]), profile
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                           min_size=n * n, max_size=n * n)))
+    def test_bit_identical_on_random_symmetric(self, entries):
+        n = math.isqrt(len(entries))
+        a = np.array(entries).reshape(n, n)
+        a = a + a.T
+        values, vectors = symmetric_eigh(a, vectors=False)
+        assert vectors is None
+        assert np.array_equal(values, symmetric_eigh(a)[0])
+
+    def test_jacobi_values_only(self):
+        s = quotient_matrix((1, 2, 3))
+        values, vectors = symmetric_eigh(s, method="jacobi", vectors=False)
+        assert vectors is None
+        assert np.array_equal(values, symmetric_eigh(s, method="jacobi")[0])
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_level_spectrum_values_equal_profile_values(self, order):
+        for tree in enumerate_rooted_trees(order):
+            lev = levels(tree)
+            assert np.array_equal(level_spectrum(lev).values,
+                                  profile_spectrum(level_profile(lev)).values)
+
+    def test_engine_solves_without_vectors(self, monkeypatch):
+        flags = []
+        real = spectra_mod.symmetric_eigh
+
+        def recording(a, *args, vectors=True, **kwargs):
+            flags.append(vectors)
+            return real(a, *args, vectors=vectors, **kwargs)
+
+        monkeypatch.setattr(spectra_mod, "symmetric_eigh", recording)
+        spectra_mod.clear_profile_cache()
+        SpectralData.from_tree(rooted_path(5))
+        assert flags == [False]
+        level_spectrum(levels(rooted_path(5)))
+        assert flags == [False, True]
+
+
+def profile_b(profile):
+    h1 = len(profile)
+    return [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
+
+
+class TestRankCertificate:
+    def test_profile_nullity_equals_bareiss_on_b(self):
+        spectra_mod.clear_profile_cache()
+        for profile in ALL_PROFILES:
+            b = profile_b(profile)
+            expected = exact_zero_multiplicity(np.array(b)) + sum(profile) - len(profile)
+            assert profile_nullity(profile) == expected, profile
+
+    def test_certificate_decides_every_deep_profile(self, monkeypatch):
+        calls = []
+        real = spectra_mod.exact_zero_multiplicity
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
+        spectra_mod.clear_profile_cache()
+        for profile in ALL_PROFILES:
+            profile_nullity(profile)
+        # only the one-level profile (1,), whose B = [[0]], falls back
+        assert len(calls) == 1
+        assert profile_nullity((1,) * 200) == 0
+        assert len(calls) == 1
+
+    def test_rank_lost_modulo_p_falls_back(self):
+        m = [[RANK_PRIME, 0], [0, 1]]
+        assert _rank_mod_p(m) == 1
+        assert _certified_nullity(m) == exact_zero_multiplicity(np.array(m)) == 0
+
+    def test_singular(self):
+        assert _rank_mod_p([[1, 2], [2, 4]]) == 1
+        assert _certified_nullity([[1, 2], [2, 4]]) == 1
+
+    def test_zero_matrices(self):
+        assert _rank_mod_p([[0]]) == 0
+        assert _certified_nullity([[0]]) == 1
+        assert _rank_mod_p([[0] * 3] * 3) == 0
+        assert _certified_nullity([[0] * 3] * 3) == 3
+
+    def test_entries_beyond_int32(self):
+        big = [[2**31, 2**40 + 1], [-(2**62), 2**70 + 3]]
+        assert _rank_mod_p(big) == 2
+        assert _certified_nullity(big) == exact_zero_multiplicity(
+            np.array(big, dtype=object)) == 0
+        dependent = [[2**40, 2**41], [2**45, 2**46]]
+        assert _certified_nullity(dependent) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4)
+                     | st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME]),
+                     min_size=n, max_size=n),
+            min_size=n, max_size=n)))
+    def test_random_integer_matrices(self, rows):
+        exact = exact_zero_multiplicity(np.array(rows, dtype=object))
+        assert _rank_mod_p(rows) <= len(rows) - exact
+        assert _certified_nullity(rows) == exact

@@ -15,6 +15,9 @@ from levelspectra import (
 )
 from levelspectra.bounds import path_rho_closed_form
 from levelspectra.errors import InvalidOrder
+from levelspectra import bounds as bounds_mod
+from levelspectra import levelmatrix as levelmatrix_mod
+from levelspectra import trees as trees_mod
 from levelspectra import verify as verify_mod
 from levelspectra.verify import (
     MAX_OFFENDERS,
@@ -26,6 +29,20 @@ from levelspectra.verify import (
 
 
 class TestVerifyOrder:
+    def test_levels_computed_at_most_four_times_per_tree(self, monkeypatch):
+        calls = []
+        real = trees_mod.levels
+
+        def counting(tree):
+            calls.append(tree.n)
+            return real(tree)
+
+        for module in (trees_mod, levelmatrix_mod, bounds_mod, verify_mod):
+            monkeypatch.setattr(module, "levels", counting)
+        ledger = verify_order(7, jobs=1)
+        assert ledger.violations == 0
+        assert len(calls) <= 4 * ledger.tree_count
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zero_violations(self, n):
         ledger = verify_order(n, jobs=1)
