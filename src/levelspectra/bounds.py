@@ -92,31 +92,36 @@ def _report(name: str, lhs: float, rhs, relation: str,
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Tree + level matrix + spectrum, with the aggregates every bound needs.
+    """Vertex levels + level matrix + spectrum, with the aggregates every
+    bound needs.
 
-    The vertex levels are computed once; the matrix, the profile and the
-    spectrum all come from them. The spectrum and the exact nullity come
-    from the profile engine, so trees sharing a level profile share one
-    quotient solve. The spectrum carries no Perron vector.
+    The matrix and the profile come from the vertex levels, which are all a
+    level matrix depends on. The spectrum and the exact nullity come from the
+    profile engine, so trees sharing a level profile share one quotient
+    solve. The spectrum carries no Perron vector.
     """
 
-    tree: RootedTree
     vertex_levels: np.ndarray
     profile: tuple[int, ...]
     matrix: LevelMatrix
     spectrum: Spectrum
 
     @classmethod
-    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL,
-                  method: str = "ql") -> "SpectralData":
-        lev = levels(tree)
+    def from_levels(cls, vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
+                    method: str = "ql") -> "SpectralData":
+        lev = np.asarray(vertex_levels, dtype=np.int64)
         profile = level_profile(lev)
         spectrum = profile_spectrum(profile, tol=tol, method=method)
-        return cls(tree, lev, profile, LevelMatrix.from_levels(lev), spectrum)
+        return cls(lev, profile, LevelMatrix.from_levels(lev), spectrum)
+
+    @classmethod
+    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL,
+                  method: str = "ql") -> "SpectralData":
+        return cls.from_levels(levels(tree), tol=tol, method=method)
 
     @property
     def n(self) -> int:
-        return self.tree.n
+        return len(self.vertex_levels)
 
     @cached_property
     def nullity(self) -> int:
@@ -127,6 +132,12 @@ class SpectralData:
     def q_vector(self) -> np.ndarray:
         """q_i = sum_j l_ij * L_j (row sums of the squared matrix)."""
         return second_order_row_sums(self.matrix)
+
+    @cached_property
+    def q_square_sum(self) -> int:
+        """sum_i q_i^2 as an exact integer; in int64 it wraps from the
+        rooted path of 206 vertices on."""
+        return sum(q * q for q in self.q_vector.tolist())
 
     @property
     def is_path(self) -> bool:
@@ -193,8 +204,8 @@ def check_rho_second_order(tree_or_data) -> BoundReport:
     denom = int((d.matrix.row_sums.astype(np.int64) ** 2).sum())
     if denom == 0:
         raise DegenerateDenominator("all row sums vanish (single vertex)")
-    num = float((d.q_vector.astype(np.int64) ** 2).sum())
-    return _report("rho-second-order", d.spectrum.rho, math.sqrt(num / denom), ">=")
+    return _report("rho-second-order", d.spectrum.rho,
+                   math.sqrt(float(d.q_square_sum) / denom), ">=")
 
 
 def check_second_order_identity(tree_or_data) -> BoundReport:

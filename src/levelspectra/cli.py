@@ -372,9 +372,13 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     selection = None
-    if args.only:
+    if args.only is not None:
         selection = [s.strip() for s in args.only.split(",") if s.strip()]
+        if not selection:
+            raise _UsageError(f"--only names no check: {args.only!r}")
         known = set(verify_mod.available_checks())
         for name in selection:
             if name not in known:

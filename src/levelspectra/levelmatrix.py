@@ -107,12 +107,29 @@ def distance_matrix(tree: RootedTree) -> np.ndarray:
     return dist
 
 
+def ordered_distance_matrix(parent) -> np.ndarray:
+    """Path distances of a tree rooted at vertex 0 whose parent array puts
+    every parent before its children, as a level sequence's does.
+
+    The vertices before v are outside v's subtree, so each one's path to v
+    runs through v's parent: d(v, u) = d(parent(v), u) + 1 for u < v.
+    :func:`distance_matrix` is the independent check on this recurrence.
+    """
+    n = len(parent)
+    dist = np.zeros((n, n), dtype=np.int64)
+    for v in range(1, n):
+        row = dist[parent[v], :v] + 1
+        dist[v, :v] = row
+        dist[:v, v] = row
+    return dist
+
+
 def row_sum_difference(sorted_levels, i: int, k: int) -> int:
     """Closed form for L_i - L_k when levels are sorted non-increasing.
 
     ``sorted_levels`` lists the vertex levels in non-increasing order; i and k
-    are 1-based positions with 1 <= i < k <= n. Used as an oracle against the
-    directly computed row-sum difference.
+    are 1-based positions with 1 <= i < k <= n. Kept as the scalar oracle of
+    :func:`row_sum_differences`.
     """
     lev = list(sorted_levels)
     n = len(lev)
@@ -122,6 +139,23 @@ def row_sum_difference(sorted_levels, i: int, k: int) -> int:
         raise IndexError("levels must be sorted non-increasing")
     middle = sum(lev[j - 1] for j in range(i + 1, k))
     return (n - 2 * i) * lev[i - 1] - 2 * middle - (n - 2 * k + 2) * lev[k - 1]
+
+
+def row_sum_differences(sorted_levels) -> np.ndarray:
+    """The closed form of :func:`row_sum_difference` for every pair at once.
+
+    Entry [i-1, k-1] is L_i - L_k for 1 <= i < k <= n; the entries on and
+    below the diagonal have no meaning.
+    """
+    lev = np.asarray(sorted_levels, dtype=np.int64)
+    if np.any(lev[:-1] < lev[1:]):
+        raise IndexError("levels must be sorted non-increasing")
+    n = len(lev)
+    pos = np.arange(1, n + 1)
+    prefix = np.concatenate(([0], np.cumsum(lev)))  # prefix[m]: first m levels
+    middle = prefix[None, :-1] - prefix[1:, None]   # levels strictly between i and k
+    return (((n - 2 * pos) * lev)[:, None] - 2 * middle
+            - ((n - 2 * pos + 2) * lev)[None, :])
 
 
 def is_irreducible(matrix: LevelMatrix) -> bool:

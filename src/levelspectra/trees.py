@@ -223,9 +223,9 @@ def canonical_level_sequence(tree: RootedTree) -> tuple[int, ...]:
     return encode(tree.root, 0)
 
 
-def tree_from_level_sequence(seq) -> RootedTree:
-    """Tree whose DFS level sequence is ``seq`` (parent = nearest shallower
-    vertex to the left)."""
+def level_sequence_parents(seq) -> list[int]:
+    """Parent array of the tree whose DFS level sequence is ``seq``: the
+    parent of each vertex is the nearest shallower vertex to its left."""
     seq = list(seq)
     if not seq or seq[0] != 0:
         raise InvalidOrder("level sequence must start at level 0")
@@ -236,7 +236,12 @@ def tree_from_level_sequence(seq) -> RootedTree:
             raise InvalidOrder(f"invalid level {lev} at position {i}")
         parent.append(last_at_level[lev - 1])
         last_at_level[lev] = i
-    return RootedTree(parent)
+    return parent
+
+
+def tree_from_level_sequence(seq) -> RootedTree:
+    """Tree whose DFS level sequence is ``seq``."""
+    return RootedTree(level_sequence_parents(seq))
 
 
 def canonicalize(tree: RootedTree) -> RootedTree:
@@ -244,14 +249,14 @@ def canonicalize(tree: RootedTree) -> RootedTree:
     return tree_from_level_sequence(canonical_level_sequence(tree))
 
 
-def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTree]:
-    """Yield one canonical representative per isomorphism class of rooted
-    trees on ``n`` unlabeled vertices.
+def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the canonical level sequence of every isomorphism class of
+    rooted trees on ``n`` unlabeled vertices.
 
-    Generates canonical level sequences directly, in decreasing lexicographic
-    order, starting from the rooted path and ending at the rooted star. The
-    successor rule truncates at the deepest vertex below level 1 and tiles the
-    tail with copies of the block between that vertex's parent and the cut.
+    The sequences come in decreasing lexicographic order, starting from the
+    rooted path and ending at the rooted star. The successor rule truncates
+    at the deepest vertex below level 1 and tiles the tail with copies of the
+    block between that vertex's parent and the cut.
     """
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
@@ -264,13 +269,21 @@ def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTre
         )
     seq = list(range(n))  # the rooted path
     while True:
-        yield tree_from_level_sequence(seq)
+        yield tuple(seq)
         p = max((i for i in range(n) if seq[i] > 1), default=None)
         if p is None:
             return
         q = max(i for i in range(p) if seq[i] == seq[p] - 1)
         for i in range(p, n):
             seq[i] = seq[i - (p - q)]
+
+
+def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTree]:
+    """Yield one canonical representative per isomorphism class of rooted
+    trees on ``n`` unlabeled vertices: the trees of :func:`level_sequences`,
+    in its order."""
+    for seq in level_sequences(n, cap=cap):
+        yield tree_from_level_sequence(seq)
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import bounds
 from .bounds import COMPARISON_TOL, SpectralData
 from .errors import InvalidOrder
-from .levelmatrix import distance_matrix, row_sum_difference
+from .levelmatrix import ordered_distance_matrix, row_sum_differences
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     clustered_multiplicity,
@@ -29,11 +30,11 @@ from .spectra import (
 )
 from .trees import (
     RootedTree,
-    canonical_level_sequence,
-    enumerate_rooted_trees,
     is_rooted_path,
     is_rooted_star,
-    levels,
+    level_sequence_parents,
+    level_sequences,
+    levels,  # noqa: F401  part of this namespace: callers patch it to count calls
     rooted_tree_count,
     tree_from_level_sequence,
 )
@@ -44,22 +45,6 @@ INTERLACING_TOL = 1e-8
 
 #: How many offending trees to record per check before truncating.
 MAX_OFFENDERS = 10
-
-#: Structural checks (beyond the bound reports) with their minimum orders.
-STRUCTURAL_CHECKS: dict[str, int] = {
-    "strict-row-sum-lower": 3,
-    "bound-chain": 2,
-    "zero-multiplicity": 3,
-    "one-positive-eigenvalue": 2,
-    "star-characterisation": 3,
-    "path-characterisation": 3,
-    "zero-cluster-consistency": 1,
-    "distance-domination": 1,
-    "row-sum-difference": 2,
-    "interlacing": 2,
-    "leaf-deletion-multiplicity": 2,
-    "zero-deletion-multiplicity": 3,
-}
 
 #: Report-level names produced by multi-report bound evaluators, mapped back
 #: to their evaluator for selection purposes.
@@ -236,19 +221,23 @@ class VerificationLedger:
         return "\n".join(lines) + "\n"
 
 
-def _seq_label(tree: RootedTree) -> str:
-    return " ".join(str(v) for v in canonical_level_sequence(tree))
+def _leaf_levels(seq) -> frozenset[int]:
+    """Levels that hold a leaf of the tree with canonical level sequence
+    ``seq``: vertex i is a leaf iff it is last or the next vertex is no
+    deeper."""
+    last = len(seq) - 1
+    return frozenset(seq[i] for i in range(len(seq)) if i == last or seq[i + 1] <= seq[i])
 
 
-def _leaf_profiles(data: SpectralData) -> list[tuple[int, ...]]:
+def _leaf_profiles(profile: tuple[int, ...], leaf_levels) -> list[tuple[int, ...]]:
     """Distinct profiles of the leaf-deleted subtrees.
 
     Deleting a leaf at level k takes one vertex from n_k, and the deepest
     level drops when it empties; leaves on one level leave one profile.
     """
     out = []
-    for k in sorted({int(data.vertex_levels[leaf]) for leaf in data.tree.leaves()}):
-        sub = list(data.profile)
+    for k in sorted(leaf_levels):
+        sub = list(profile)
         sub[k] -= 1
         if sub[-1] == 0:
             sub.pop()
@@ -256,108 +245,181 @@ def _leaf_profiles(data: SpectralData) -> list[tuple[int, ...]]:
     return out
 
 
-def _structural_results(data: SpectralData, names: list[str], tol: float):
-    """Evaluate structural checks; yields (name, ok, slack)."""
-    n = data.n
-    matrix, spectrum = data.matrix, data.spectrum
-    leaf_profiles = None
+# ---------------------------------------------------------------------------
+# structural checks
+# ---------------------------------------------------------------------------
 
-    def need_leaves():
-        nonlocal leaf_profiles
-        if leaf_profiles is None:
-            leaf_profiles = _leaf_profiles(data)
-        return leaf_profiles
+def _strict_row_sum_lower(data: SpectralData, tol: float):
+    rho = data.spectrum.rho
+    slack = rho - 2.0 * data.matrix.level_index / data.n
+    return slack > COMPARISON_TOL * max(1.0, rho), slack
 
-    for name in names:
-        if n < STRUCTURAL_CHECKS[name]:
+
+def _bound_chain(data: SpectralData, tol: float):
+    matrix, n = data.matrix, data.n
+    sum_l2 = int((matrix.row_sums.astype(np.int64) ** 2).sum())
+    a = math.sqrt(float(data.q_square_sum) / sum_l2)
+    b = math.sqrt(sum_l2 / n)
+    c = 2.0 * matrix.level_index / n
+    tol_abs = COMPARISON_TOL * max(1.0, a)
+    return a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)
+
+
+def _zero_multiplicity(data: SpectralData, tol: float):
+    return data.nullity == data.n - 1 - data.matrix.l_max, math.nan
+
+
+def _one_positive_eigenvalue(data: SpectralData, tol: float):
+    return positive_eigenvalue_count(data.spectrum, tol) == 1, math.nan
+
+
+def _star_characterisation(data: SpectralData, tol: float):
+    star = len(data.profile) <= 2  # no vertex below level 1
+    return (data.nullity == data.n - 2) == star, math.nan
+
+
+def _path_characterisation(data: SpectralData, tol: float):
+    return (data.nullity == 0) == data.is_path, math.nan
+
+
+def _zero_cluster_consistency(data: SpectralData, tol: float):
+    return clustered_multiplicity(data.spectrum, 0.0, tol) == data.nullity, math.nan
+
+
+def _row_sum_difference(data: SpectralData, tol: float):
+    lev = np.sort(data.vertex_levels)[::-1]
+    sums = np.abs(lev[:, None] - lev[None, :]).sum(axis=1)
+    pairs = np.triu_indices(data.n, 1)
+    ok = np.array_equal(row_sum_differences(lev)[pairs],
+                        (sums[:, None] - sums[None, :])[pairs])
+    return ok, math.nan
+
+
+def _interlacing(data: SpectralData, leaf_profiles, tol: float):
+    spectrum = data.spectrum
+    eps = INTERLACING_TOL * max(1.0, spectrum.rho)
+    worst = math.inf
+    for sub in leaf_profiles:
+        outer, inner = spectrum.values, profile_spectrum(sub, tol).values
+        worst = min(
+            worst,
+            float((outer[:-1] - inner).min()),
+            float((inner - outer[1:]).min()),
+        )
+    return worst >= -eps, worst
+
+
+def _leaf_deletion_multiplicity(data: SpectralData, leaf_profiles, tol: float):
+    spectrum = data.spectrum
+    threshold = tol * max(1.0, spectrum.rho)
+    ok = True
+    for sub in leaf_profiles:
+        sub_spectrum = profile_spectrum(sub, tol)
+        for value, mult in spectrum.clusters:
+            sub_mult = int((np.abs(sub_spectrum.values - value) <= threshold).sum())
+            if abs(mult - sub_mult) > 1:
+                ok = False
+    return ok, math.nan
+
+
+def _zero_deletion_multiplicity(data: SpectralData, leaf_profiles, tol: float):
+    return all(data.nullity - profile_nullity(sub) in (0, 1)
+               for sub in leaf_profiles), math.nan
+
+
+def _distance_domination(data: SpectralData, seq):
+    lev = np.asarray(seq, dtype=np.int64)
+    entries = np.abs(lev[:, None] - lev[None, :])
+    dist = ordered_distance_matrix(level_sequence_parents(seq))
+    dominated = bool(np.all(entries <= dist))
+    equal = bool(np.array_equal(entries, dist))
+    return dominated and equal == data.is_path, math.nan
+
+
+#: What a structural verdict depends on. It fixes how often a batch
+#: evaluates the check and what the evaluator is given (``data`` is the
+#: SpectralData of the level profile, ``seq`` the canonical level sequence):
+#:   PROFILE      once per level profile             check(data, tol)
+#:   LEAF_LEVELS  once per (profile, leaf levels)    check(data, leaf_profiles, tol)
+#:   TREE         once per tree                      check(data, seq)
+PROFILE, LEAF_LEVELS, TREE = "profile", "leaf levels", "tree"
+
+#: Structural checks (beyond the bound reports): name -> (minimum order,
+#: dependency, evaluator). An evaluator returns (ok, slack); a nan slack
+#: means the check has none.
+STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
+    "strict-row-sum-lower": (3, PROFILE, _strict_row_sum_lower),
+    "bound-chain": (2, PROFILE, _bound_chain),
+    "zero-multiplicity": (3, PROFILE, _zero_multiplicity),
+    "one-positive-eigenvalue": (2, PROFILE, _one_positive_eigenvalue),
+    "star-characterisation": (3, PROFILE, _star_characterisation),
+    "path-characterisation": (3, PROFILE, _path_characterisation),
+    "zero-cluster-consistency": (1, PROFILE, _zero_cluster_consistency),
+    "distance-domination": (1, TREE, _distance_domination),
+    "row-sum-difference": (2, PROFILE, _row_sum_difference),
+    "interlacing": (2, LEAF_LEVELS, _interlacing),
+    "leaf-deletion-multiplicity": (2, LEAF_LEVELS, _leaf_deletion_multiplicity),
+    "zero-deletion-multiplicity": (3, LEAF_LEVELS, _zero_deletion_multiplicity),
+}
+
+
+def _profile_results(data: SpectralData, bound_names: list[str],
+                     report_filter: set[str] | None, checks, tol: float):
+    """Verdicts fixed by the level profile, as (name, ok, slack): the bound
+    reports folded per check, then the profile-level structural checks."""
+    folded: dict[str, tuple[bool, float]] = {}
+    for report in bounds.evaluate_checks(data, bound_names):
+        name = report.name
+        if name.startswith("eigenvalue-interval-"):
+            name = "eigenvalue-intervals"
+        if report_filter is not None and report.name not in report_filter:
             continue
-        if name == "strict-row-sum-lower":
-            slack = spectrum.rho - 2.0 * matrix.level_index / n
-            yield name, slack > COMPARISON_TOL * max(1.0, spectrum.rho), slack
-        elif name == "bound-chain":
-            sum_l2 = int((matrix.row_sums.astype(np.int64) ** 2).sum())
-            a = math.sqrt(float((data.q_vector.astype(np.int64) ** 2).sum()) / sum_l2)
-            b = math.sqrt(sum_l2 / n)
-            c = 2.0 * matrix.level_index / n
-            tol_abs = COMPARISON_TOL * max(1.0, a)
-            yield name, a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)
-        elif name == "zero-multiplicity":
-            yield name, data.nullity == n - 1 - matrix.l_max, math.nan
-        elif name == "one-positive-eigenvalue":
-            yield name, positive_eigenvalue_count(spectrum, tol) == 1, math.nan
-        elif name == "star-characterisation":
-            star = is_rooted_star(data.tree)
-            yield name, (data.nullity == n - 2) == star, math.nan
-        elif name == "path-characterisation":
-            yield name, (data.nullity == 0) == data.is_path, math.nan
-        elif name == "zero-cluster-consistency":
-            yield name, clustered_multiplicity(spectrum, 0.0, tol) == data.nullity, math.nan
-        elif name == "distance-domination":
-            dist = distance_matrix(data.tree)
-            dominated = bool(np.all(matrix.entries <= dist))
-            equal = bool(np.array_equal(matrix.entries, dist))
-            yield name, dominated and equal == data.is_path, math.nan
-        elif name == "row-sum-difference":
-            lev = sorted((int(v) for v in data.vertex_levels), reverse=True)
-            arr = np.array(lev, dtype=np.int64)
-            sums = np.abs(arr[:, None] - arr[None, :]).sum(axis=1)
-            ok = all(
-                row_sum_difference(lev, i, k) == int(sums[i - 1] - sums[k - 1])
-                for i in range(1, n + 1)
-                for k in range(i + 1, n + 1)
-            )
-            yield name, ok, math.nan
-        elif name == "interlacing":
-            eps = INTERLACING_TOL * max(1.0, spectrum.rho)
-            worst = math.inf
-            for sub in need_leaves():
-                outer, inner = spectrum.values, profile_spectrum(sub, tol).values
-                worst = min(
-                    worst,
-                    float((outer[:-1] - inner).min()),
-                    float((inner - outer[1:]).min()),
-                )
-            yield name, worst >= -eps, worst
-        elif name == "leaf-deletion-multiplicity":
-            threshold = tol * max(1.0, spectrum.rho)
-            ok = True
-            for sub in need_leaves():
-                sub_spectrum = profile_spectrum(sub, tol)
-                for value, mult in spectrum.clusters:
-                    sub_mult = int((np.abs(sub_spectrum.values - value) <= threshold).sum())
-                    if abs(mult - sub_mult) > 1:
-                        ok = False
-            yield name, ok, math.nan
-        elif name == "zero-deletion-multiplicity":
-            yield name, all(data.nullity - profile_nullity(sub) in (0, 1)
-                            for sub in need_leaves()), math.nan
+        ok, slack = folded.get(name, (True, math.inf))
+        folded[name] = (ok and report.satisfied, min(slack, report.slack))
+    return ([(name, ok, slack) for name, (ok, slack) in folded.items()]
+            + [(name, *check(data, tol)) for name, check in checks])
 
 
 def _evaluate_batch(order: int, seqs: list[tuple[int, ...]], bound_names: list[str],
                     structural: list[str], report_filter: set[str] | None,
                     tol: float, stats: tuple[str, ...]):
     """Worker: evaluate all selected checks on a batch of canonical level
-    sequences; returns mergeable partial aggregates."""
+    sequences; returns mergeable partial aggregates.
+
+    Each verdict is computed once per level profile, once per (profile, leaf
+    levels) or once per tree, as STRUCTURAL_CHECKS says, and memoised for
+    the rest of the batch.
+    """
+    checks: dict[str, list] = {PROFILE: [], LEAF_LEVELS: [], TREE: []}
+    for name in structural:
+        min_order, depends_on, check = STRUCTURAL_CHECKS[name]
+        if order >= min_order:
+            checks[depends_on].append((name, check))
     check_stats: dict[str, CheckStat] = {}
     extremal = {stat: ExtremalStat(stat) for stat in stats}
+    per_profile: dict[tuple[int, ...], tuple] = {}
+    per_leaf_levels: dict[tuple, list] = {}
     for seq in seqs:
-        tree = tree_from_level_sequence(seq)
-        data = SpectralData.from_tree(tree, tol=tol)
+        profile = level_profile(seq)
+        if profile not in per_profile:
+            data = SpectralData.from_levels(seq, tol=tol)
+            values = {"rho": data.spectrum.rho, "energy": data.spectrum.energy}
+            per_profile[profile] = (data, values, _profile_results(
+                data, bound_names, report_filter, checks[PROFILE], tol))
+        data, values, results = per_profile[profile]
+        if checks[LEAF_LEVELS]:
+            key = (profile, _leaf_levels(seq))
+            if key not in per_leaf_levels:
+                subs = _leaf_profiles(profile, key[1])
+                per_leaf_levels[key] = [(name, *check(data, subs, tol))
+                                        for name, check in checks[LEAF_LEVELS]]
+            results = results + per_leaf_levels[key]
+        results = results + [(name, *check(data, seq)) for name, check in checks[TREE]]
         label = " ".join(str(v) for v in seq)
-        per_tree: dict[str, tuple[bool, float]] = {}
-        for report in bounds.evaluate_checks(data, bound_names):
-            name = report.name
-            if name.startswith("eigenvalue-interval-"):
-                name = "eigenvalue-intervals"
-            if report_filter is not None and report.name not in report_filter:
-                continue
-            ok, slack = per_tree.get(name, (True, math.inf))
-            per_tree[name] = (ok and report.satisfied, min(slack, report.slack))
-        for name, (ok, slack) in per_tree.items():
-            check_stats.setdefault(name, CheckStat(name)).record(ok, slack, label)
-        for name, ok, slack in _structural_results(data, structural, tol):
-            check_stats.setdefault(name, CheckStat(name)).record(ok, slack, label)
-        values = {"rho": data.spectrum.rho, "energy": data.spectrum.energy}
+        for name, ok, slack in results:
+            if name not in check_stats:
+                check_stats[name] = CheckStat(name)
+            check_stats[name].record(ok, slack, label)
         for stat in stats:
             extremal[stat].record(values[stat], label)
     return check_stats, extremal
@@ -368,15 +430,19 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
                  stats: tuple[str, ...] = ("rho", "energy")) -> VerificationLedger:
     """Run the selected checks over every rooted tree of the given order.
 
-    ``jobs`` sets the worker-pool width (default: available parallelism, with
-    a sequential fast path for small orders); it is clamped to the CPUs this
-    process may run on. Batches are contiguous runs of the enumeration merged
-    in order, so the ledger equals the sequential one.
+    The trees are walked as canonical level sequences; no tree object is
+    built. ``jobs`` sets the worker-pool width (default: available
+    parallelism, with a sequential fast path for small orders); it must be
+    at least 1 and is clamped to the CPUs this process may run on. Batches
+    are contiguous runs of the enumeration merged in order, so the ledger
+    equals the sequential one.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     bound_names, structural, report_filter = _resolve_selection(selection)
-    seqs = [canonical_level_sequence(t) for t in enumerate_rooted_trees(order, cap=cap)]
+    seqs = list(level_sequences(order, cap=cap))
     expected = rooted_tree_count(order)
     if len(seqs) != expected:
         raise AssertionError(
@@ -463,25 +529,25 @@ def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_T
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
     tracker = ExtremalStat(stat)
     count = 0
-    best: dict[str, RootedTree] = {}
-    for tree in enumerate_rooted_trees(order, cap=cap):
+    best: dict[str, tuple[int, ...]] = {}
+    for seq in level_sequences(order, cap=cap):
         count += 1
-        spectrum = profile_spectrum(level_profile(levels(tree)), tol=tol)
+        spectrum = profile_spectrum(level_profile(seq), tol=tol)
         value = spectrum.rho if stat == "rho" else spectrum.energy
         before_min, before_max = tracker.min_value, tracker.max_value
-        tracker.record(value, _seq_label(tree))
+        tracker.record(value, " ".join(str(v) for v in seq))
         if value < before_min:
-            best["min"] = tree
+            best["min"] = seq
         if value > before_max:
-            best["max"] = tree
+            best["max"] = seq
     return ExtremalSweep(
         order=order,
         stat=stat,
         tree_count=count,
-        min_tree=best["min"],
+        min_tree=tree_from_level_sequence(best["min"]),
         min_value=tracker.min_value,
         min_gap=tracker.min_gap,
-        max_tree=best["max"],
+        max_tree=tree_from_level_sequence(best["max"]),
         max_value=tracker.max_value,
         max_gap=tracker.max_gap,
     )

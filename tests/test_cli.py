@@ -166,6 +166,18 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--order", "5", "--only", "bogus")
         assert code == 64
 
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    def test_only_naming_no_check_is_64(self, capsys, only):
+        code, out, err = run(capsys, "verify", "--order", "3", "--only", only)
+        assert code == 64 and out == ""
+        assert "--only" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_64(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--order", "3", "--jobs", jobs)
+        assert code == 64 and out == ""
+        assert "--jobs" in err
+
     def test_json_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "ledger.json"
         code, out, _ = run(capsys, "verify", "--order", "4", "--jobs", "1",

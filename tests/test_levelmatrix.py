@@ -17,7 +17,11 @@ from levelspectra import (
     row_sums,
     second_order_row_sums,
 )
-from levelspectra.levelmatrix import is_irreducible
+from levelspectra.levelmatrix import (
+    is_irreducible,
+    ordered_distance_matrix,
+    row_sum_differences,
+)
 
 from conftest import SAMPLE9_H, SAMPLE9_LI, SAMPLE9_MATRIX, SAMPLE9_ROW_SUMS
 
@@ -181,3 +185,39 @@ class TestExport:
         assert len(lines) == 10
         parsed = np.array([[int(x) for x in row.split()] for row in lines[1:]])
         assert np.array_equal(parsed, SAMPLE9_MATRIX)
+
+
+def _sorted_levels(order):
+    """Every non-increasing level list of a rooted tree of this order."""
+    seen = set()
+    for tree in enumerate_rooted_trees(order):
+        seen.add(tuple(sorted((int(v) for v in levels(tree)), reverse=True)))
+    return sorted(seen)
+
+
+class TestRowSumDifferences:
+    @pytest.mark.parametrize("order", range(1, 10))
+    def test_matches_scalar_closed_form(self, order):
+        for lev in _sorted_levels(order):
+            table = row_sum_differences(lev)
+            assert table.shape == (order, order)
+            for i in range(1, order + 1):
+                for k in range(i + 1, order + 1):
+                    assert table[i - 1, k - 1] == row_sum_difference(lev, i, k)
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(IndexError):
+            row_sum_differences([0, 1, 2])
+
+
+class TestOrderedDistanceMatrix:
+    @pytest.mark.parametrize("order", range(1, 10))
+    def test_matches_lca_walk(self, order):
+        for tree in enumerate_rooted_trees(order):
+            assert np.array_equal(ordered_distance_matrix(tree.parent),
+                                  distance_matrix(tree))
+
+    def test_breadth_first_order(self):
+        # parents precede children, but the order is not depth-first
+        tree = from_parent_list([0, 1, 1, 2, 3, 2], one_based=True)
+        assert np.array_equal(ordered_distance_matrix(tree.parent), distance_matrix(tree))

@@ -151,7 +151,8 @@ def test_leaf_profiles_match_deleted_trees(order):
     for tree in enumerate_rooted_trees(order):
         data = SpectralData.from_tree(tree)
         deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
-        subs = _leaf_profiles(data)
+        subs = _leaf_profiles(data.profile,
+                              {int(data.vertex_levels[leaf]) for leaf in tree.leaves()})
         assert len(subs) == len(set(subs)) and set(subs) == deleted
 
 

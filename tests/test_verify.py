@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from levelspectra import (
+    level_profile,
     rooted_tree_count,
     verify_extremal_energy,
     verify_extremal_rho,
@@ -17,6 +19,7 @@ from levelspectra.bounds import path_rho_closed_form
 from levelspectra.errors import InvalidOrder
 from levelspectra import bounds as bounds_mod
 from levelspectra import levelmatrix as levelmatrix_mod
+from levelspectra import spectra as spectra_mod
 from levelspectra import trees as trees_mod
 from levelspectra import verify as verify_mod
 from levelspectra.verify import (
@@ -305,3 +308,136 @@ class TestPoolWidth:
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
         verify_order(8, jobs=64)
         assert pool.widths == [2]
+
+
+class TestJobsValidation:
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            verify_order(3, jobs=jobs)
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_sequence_facts_match_tree(order):
+    """Profile, leaf levels and parents read off a canonical level sequence
+    equal those of the tree built from it."""
+    seqs = list(trees_mod.level_sequences(order))
+    assert seqs == [trees_mod.canonical_level_sequence(t)
+                    for t in trees_mod.enumerate_rooted_trees(order)]
+    for seq in seqs:
+        tree = trees_mod.tree_from_level_sequence(seq)
+        lev = trees_mod.levels(tree)
+        assert lev.tolist() == list(seq)
+        assert level_profile(seq) == level_profile(lev)
+        assert verify_mod._leaf_levels(seq) == {int(lev[leaf]) for leaf in tree.leaves()}
+        assert trees_mod.level_sequence_parents(seq) == list(tree.parent)
+
+
+# ---------------------------------------------------------------------------
+# the ledger rebuilt tree by tree, with no profile memo, as an oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_structural(tree, data, tol):
+    """(name, ok, slack) of every structural check on one tree, from the
+    tree itself: leaf deletion, the LCA-walk distance matrix and the scalar
+    row-sum closed form."""
+    n, matrix, spectrum = data.n, data.matrix, data.spectrum
+    sub_data = [bounds_mod.SpectralData.from_tree(trees_mod.delete_leaf(tree, leaf), tol=tol)
+                for leaf in tree.leaves()] if n >= 2 else []
+    out = []
+    if n >= 3:
+        slack = spectrum.rho - 2.0 * matrix.level_index / n
+        out.append(("strict-row-sum-lower",
+                    slack > bounds_mod.COMPARISON_TOL * max(1.0, spectrum.rho), slack))
+    if n >= 2:
+        sum_l2 = sum(int(v) ** 2 for v in matrix.row_sums)
+        a = math.sqrt(float(sum(int(q) ** 2 for q in data.q_vector)) / sum_l2)
+        b = math.sqrt(sum_l2 / n)
+        c = 2.0 * matrix.level_index / n
+        tol_abs = bounds_mod.COMPARISON_TOL * max(1.0, a)
+        out.append(("bound-chain", a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)))
+    if n >= 3:
+        out.append(("zero-multiplicity", data.nullity == n - 1 - matrix.l_max, math.nan))
+    if n >= 2:
+        out.append(("one-positive-eigenvalue",
+                    spectra_mod.positive_eigenvalue_count(spectrum, tol) == 1, math.nan))
+    if n >= 3:
+        out.append(("star-characterisation",
+                    (data.nullity == n - 2) == trees_mod.is_rooted_star(tree), math.nan))
+        out.append(("path-characterisation",
+                    (data.nullity == 0) == trees_mod.is_rooted_path(tree), math.nan))
+    out.append(("zero-cluster-consistency",
+                spectra_mod.clustered_multiplicity(spectrum, 0.0, tol) == data.nullity, math.nan))
+    dist = levelmatrix_mod.distance_matrix(tree)
+    out.append(("distance-domination",
+                bool(np.all(matrix.entries <= dist))
+                and bool(np.array_equal(matrix.entries, dist)) == trees_mod.is_rooted_path(tree),
+                math.nan))
+    if n >= 2:
+        lev = sorted((int(v) for v in data.vertex_levels), reverse=True)
+        sums = [sum(abs(x - y) for y in lev) for x in lev]
+        ok = all(levelmatrix_mod.row_sum_difference(lev, i, k) == sums[i - 1] - sums[k - 1]
+                 for i in range(1, n + 1) for k in range(i + 1, n + 1))
+        out.append(("row-sum-difference", ok, math.nan))
+        eps = verify_mod.INTERLACING_TOL * max(1.0, spectrum.rho)
+        worst = min(min(float((spectrum.values[:-1] - sub.spectrum.values).min()),
+                        float((sub.spectrum.values - spectrum.values[1:]).min()))
+                    for sub in sub_data)
+        out.append(("interlacing", worst >= -eps, worst))
+        threshold = tol * max(1.0, spectrum.rho)
+        ok = all(abs(mult - int((np.abs(sub.spectrum.values - value) <= threshold).sum())) <= 1
+                 for sub in sub_data for value, mult in spectrum.clusters)
+        out.append(("leaf-deletion-multiplicity", ok, math.nan))
+    if n >= 3:
+        out.append(("zero-deletion-multiplicity",
+                    all(data.nullity - sub.nullity in (0, 1) for sub in sub_data), math.nan))
+    return out
+
+
+def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
+    checks: dict[str, CheckStat] = {}
+    extremal = {stat: ExtremalStat(stat) for stat in ("rho", "energy")}
+    for tree in trees_mod.enumerate_rooted_trees(order):
+        data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
+        label = " ".join(str(v) for v in trees_mod.canonical_level_sequence(tree))
+        folded: dict[str, tuple[bool, float]] = {}
+        for report in bounds_mod.evaluate_checks(data):
+            name = report.name
+            if name.startswith("eigenvalue-interval-"):
+                name = "eigenvalue-intervals"
+            ok, slack = folded.get(name, (True, math.inf))
+            folded[name] = (ok and report.satisfied, min(slack, report.slack))
+        results = [(name, ok, slack) for name, (ok, slack) in folded.items()]
+        for name, ok, slack in results + _oracle_structural(tree, data, tol):
+            checks.setdefault(name, CheckStat(name)).record(ok, slack, label)
+        extremal["rho"].record(data.spectrum.rho, label)
+        extremal["energy"].record(data.spectrum.energy, label)
+    return verify_mod.VerificationLedger(
+        order=order, tree_count=rooted_tree_count(order),
+        checks=[checks[k] for k in sorted(checks)], extremal=extremal)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_ledger_equals_tree_by_tree_oracle(order):
+    assert verify_order(order, jobs=1).to_dict() == _oracle_ledger(order).to_dict()
+
+
+@pytest.mark.parametrize("n", [206, 600, 800])
+def test_second_order_sums_are_exact(n):
+    """rho-second-order and bound-chain on rooted paths long enough for
+    sum q_i^2 to leave int64, against exact Python integers."""
+    lev = range(n)
+    row = [sum(abs(i - j) for j in lev) for i in lev]
+    q = [sum(abs(i - j) * row[j] for j in lev) for i in lev]
+    sum_l2 = sum(x * x for x in row)
+    a = math.sqrt(sum(x * x for x in q) / sum_l2)
+    b = math.sqrt(sum_l2 / n)
+    c = sum(row) / n
+    data = bounds_mod.SpectralData.from_levels(lev)
+    report = bounds_mod.check_rho_second_order(data)
+    assert report.satisfied
+    assert report.rhs == pytest.approx(a, rel=1e-12)
+    _, _, bound_chain = verify_mod.STRUCTURAL_CHECKS["bound-chain"]
+    ok, slack = bound_chain(data, spectra_mod.DEFAULT_CLUSTER_TOL)
+    assert ok
+    assert slack == pytest.approx(min(a - b, b - c), rel=1e-12)
