@@ -1,126 +1,86 @@
 """Level matrices of rooted trees: construction, exact and numerical spectral
-data, eigenvalue bounds, and exhaustive verification at small orders."""
+data, eigenvalue bounds, and exhaustive verification at small orders.
 
-from .bounds import (
-    BoundReport,
-    SpectralData,
-    evaluate_checks,
-    leafstar_cubic_roots,
-    path_rho_closed_form,
-)
-from .levelmatrix import (
-    LevelMatrix,
-    build_level_matrix,
-    distance_matrix,
-    h_value,
-    level_index,
-    matrix_text,
-    row_sum_difference,
-    row_sums,
-    second_order_row_sums,
-)
-from .spectra import (
-    CharPoly,
-    Spectrum,
-    characteristic_polynomial,
-    charpoly_roots,
-    clustered_multiplicity,
-    exact_zero_multiplicity,
-    level_energy,
-    level_profile,
-    level_spectrum,
-    perron_vector,
-    profile_nullity,
-    profile_spectrum,
-    quotient_matrix,
-    symmetric_eigenvalues,
-)
-from .trees import (
-    RootedTree,
-    canonical_level_sequence,
-    canonicalize,
-    complete_dary,
-    delete_leaf,
-    enumerate_rooted_trees,
-    format_tree,
-    from_parent_list,
-    is_rooted_path,
-    is_rooted_star,
-    level_sequences,
-    levels,
-    parse_tree,
-    rooted_path,
-    rooted_star,
-    rooted_tree_count,
-    star_rooted_at_leaf,
-    to_dot,
-)
-from .verify import (
-    ExtremalSweep,
-    VerificationLedger,
-    extremal_sweep,
-    verify_extremal_energy,
-    verify_extremal_rho,
-    verify_interlacing,
-    verify_multiplicity_theorems,
-    verify_order,
-)
+Importing the package loads no submodule and not numpy: each public name is
+imported from its submodule on first access (PEP 562). The command line
+relies on this to set its BLAS thread count before numpy starts.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CharPoly",
-    "ExtremalSweep",
-    "LevelMatrix",
-    "RootedTree",
-    "SpectralData",
-    "Spectrum",
-    "VerificationLedger",
-    "build_level_matrix",
-    "canonical_level_sequence",
-    "canonicalize",
-    "characteristic_polynomial",
-    "charpoly_roots",
-    "clustered_multiplicity",
-    "complete_dary",
-    "delete_leaf",
-    "distance_matrix",
-    "enumerate_rooted_trees",
-    "evaluate_checks",
-    "exact_zero_multiplicity",
-    "extremal_sweep",
-    "format_tree",
-    "from_parent_list",
-    "h_value",
-    "is_rooted_path",
-    "is_rooted_star",
-    "leafstar_cubic_roots",
-    "level_energy",
-    "level_index",
-    "level_profile",
-    "level_sequences",
-    "level_spectrum",
-    "levels",
-    "matrix_text",
-    "parse_tree",
-    "path_rho_closed_form",
-    "perron_vector",
-    "profile_nullity",
-    "profile_spectrum",
-    "quotient_matrix",
-    "rooted_path",
-    "rooted_star",
-    "rooted_tree_count",
-    "row_sum_difference",
-    "row_sums",
-    "second_order_row_sums",
-    "star_rooted_at_leaf",
-    "symmetric_eigenvalues",
-    "to_dot",
-    "verify_extremal_energy",
-    "verify_extremal_rho",
-    "verify_interlacing",
-    "verify_multiplicity_theorems",
-    "verify_order",
-]
+#: Public name -> submodule that defines it.
+_SUBMODULE_OF = {
+    **dict.fromkeys([
+        "BoundReport",
+        "SpectralData",
+        "evaluate_checks",
+        "leafstar_cubic_roots",
+        "path_rho_closed_form",
+    ], "bounds"),
+    **dict.fromkeys([
+        "LevelMatrix",
+        "build_level_matrix",
+        "distance_matrix",
+        "h_value",
+        "level_index",
+        "matrix_text",
+        "row_sum_difference",
+        "row_sums",
+        "second_order_row_sums",
+    ], "levelmatrix"),
+    **dict.fromkeys([
+        "CharPoly",
+        "Spectrum",
+        "characteristic_polynomial",
+        "charpoly_roots",
+        "clustered_multiplicity",
+        "exact_zero_multiplicity",
+        "level_energy",
+        "level_profile",
+        "level_spectrum",
+        "perron_vector",
+        "profile_nullity",
+        "profile_spectrum",
+        "quotient_matrix",
+        "symmetric_eigenvalues",
+    ], "spectra"),
+    **dict.fromkeys([
+        "RootedTree",
+        "canonical_level_sequence",
+        "canonicalize",
+        "complete_dary",
+        "delete_leaf",
+        "enumerate_rooted_trees",
+        "format_tree",
+        "from_parent_list",
+        "is_rooted_path",
+        "is_rooted_star",
+        "level_sequences",
+        "levels",
+        "parse_tree",
+        "rooted_path",
+        "rooted_star",
+        "rooted_tree_count",
+        "star_rooted_at_leaf",
+        "to_dot",
+    ], "trees"),
+    **dict.fromkeys([
+        "ExtremalSweep",
+        "VerificationLedger",
+        "extremal_sweep",
+        "verify_order",
+    ], "verify"),
+}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -7,6 +7,15 @@ error, 3 I/O error, 4 resource limit, 64 usage error.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller set a count. The program's BLAS calls are
+# small matrix-vector products and `verify` runs its own process pool, so an
+# OpenBLAS thread pool only costs start-up time. OpenBLAS reads the variable
+# when numpy loads, hence before any import below; it is set here and not at
+# package import, so a program that imports the library keeps its threading.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,6 +67,8 @@ def _resolve_selection(selection) -> tuple[list[str], list[str], set[str] | None
     optional report-name filter."""
     if selection is None:
         return list(bounds.CHECKS), list(STRUCTURAL_CHECKS), None
+    if not selection:
+        raise ValueError("selection names no check; pass None to run them all")
     bound_names: list[str] = []
     structural: list[str] = []
     report_filter: set[str] = set()
@@ -430,8 +431,10 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
                  stats: tuple[str, ...] = ("rho", "energy")) -> VerificationLedger:
     """Run the selected checks over every rooted tree of the given order.
 
-    The trees are walked as canonical level sequences; no tree object is
-    built. ``jobs`` sets the worker-pool width (default: available
+    ``selection`` lists names from :func:`available_checks` (``None``: all
+    of them); an unknown name raises ``KeyError`` and an empty list
+    ``ValueError``. The trees are walked as canonical level sequences; no
+    tree object is built. ``jobs`` sets the worker-pool width (default: available
     parallelism, with a sequential fast path for small orders); it must be
     at least 1 and is clamped to the CPUs this process may run on. Batches
     are contiguous runs of the enumeration merged in order, so the ledger
@@ -457,6 +460,8 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     else:
         chunk = (len(seqs) + jobs - 1) // jobs
         batches = [seqs[i:i + chunk] for i in range(0, len(seqs), chunk)]
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(
                 _batch_entry,
@@ -551,37 +556,3 @@ def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_T
         max_value=tracker.max_value,
         max_gap=tracker.max_gap,
     )
-
-
-def verify_extremal_rho(order: int, **kwargs) -> ExtremalSweep:
-    """Sweep confirming the star minimises and the path maximises rho."""
-    return extremal_sweep(order, "rho", **kwargs)
-
-
-def verify_extremal_energy(order: int, **kwargs) -> ExtremalSweep:
-    """Sweep confirming the path maximises the energy."""
-    return extremal_sweep(order, "energy", **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# focused harnesses
-# ---------------------------------------------------------------------------
-
-MULTIPLICITY_CHECKS = (
-    "zero-multiplicity",
-    "one-positive-eigenvalue",
-    "star-characterisation",
-    "path-characterisation",
-    "leaf-deletion-multiplicity",
-    "zero-deletion-multiplicity",
-)
-
-
-def verify_multiplicity_theorems(order: int, **kwargs) -> VerificationLedger:
-    """Exact-nullity and leaf-deletion multiplicity claims at one order."""
-    return verify_order(order, selection=list(MULTIPLICITY_CHECKS), **kwargs)
-
-
-def verify_interlacing(order: int, **kwargs) -> VerificationLedger:
-    """Cauchy interlacing of every leaf-deleted subtree at one order."""
-    return verify_order(order, selection=["interlacing"], **kwargs)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from levelspectra import from_parent_list
+from levelspectra import RootedTree, from_parent_list
 
 # A 9-vertex tree whose level matrix, characteristic polynomial and spectrum
 # are known exactly; used as the golden example throughout the suite.
@@ -30,3 +31,17 @@ SAMPLE9_ROW_SUMS = [17, 10, 7, 10, 7, 10, 7, 10, 10]
 @pytest.fixture
 def sample9():
     return from_parent_list(SAMPLE9_PARENTS, one_based=True)
+
+
+@st.composite
+def parent_arrays(draw):
+    """Random labelled rooted trees of up to 40 vertices: a random attachment
+    order, relabelled by a random permutation so the root need not be
+    vertex 0."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    attach = [-1] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    parent = [0] * n
+    for i, p in enumerate(attach):
+        parent[perm[i]] = -1 if p == -1 else perm[p]
+    return RootedTree(parent)

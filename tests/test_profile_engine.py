@@ -36,7 +36,7 @@ from levelspectra.eigen import symmetric_eigh
 from levelspectra.spectra import RANK_PRIME, _certified_nullity, _rank_mod_p
 from levelspectra.verify import _leaf_profiles, extremal_sweep
 
-from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM
+from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays
 
 
 def assert_matches_oracle(tree: RootedTree) -> None:
@@ -61,19 +61,6 @@ def assert_matches_oracle(tree: RootedTree) -> None:
 def test_every_tree_matches_dense_oracle(order):
     for tree in enumerate_rooted_trees(order):
         assert_matches_oracle(tree)
-
-
-@st.composite
-def parent_arrays(draw):
-    """Random labelled rooted trees: a random attachment order, relabelled
-    by a random permutation so the root need not be vertex 0."""
-    n = draw(st.integers(min_value=1, max_value=40))
-    attach = [-1] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
-    perm = draw(st.permutations(range(n)))
-    parent = [0] * n
-    for i, p in enumerate(attach):
-        parent[perm[i]] = -1 if p == -1 else perm[p]
-    return RootedTree(parent)
 
 
 @settings(max_examples=40, deadline=None)

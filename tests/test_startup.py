@@ -1,0 +1,119 @@
+"""Start-up policy of the package and the command line.
+
+Each check runs in a fresh interpreter: in this process pytest and the other
+test modules have long since imported numpy and the package, which would
+hide a regression.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from levelspectra.verify import available_cpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, **env_overrides) -> dict:
+    """Run ``code`` in a new interpreter with this checkout's package first
+    on the path; it prints one JSON object, which is returned. An override
+    of None removes that variable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for key, value in env_overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_numpy_and_every_name_resolves():
+    out = run_python(
+        "import json, sys\n"
+        "import levelspectra\n"
+        "numpy_loaded = 'numpy' in sys.modules\n"
+        "missing = [n for n in levelspectra.__all__ if not hasattr(levelspectra, n)]\n"
+        "print(json.dumps({'numpy_loaded': numpy_loaded, 'missing': missing,\n"
+        "                  'names': len(levelspectra.__all__)}))\n"
+    )
+    assert not out["numpy_loaded"]
+    assert out["missing"] == []
+    assert out["names"] > 0
+
+
+def test_star_import_and_unknown_name():
+    out = run_python(
+        "import json\n"
+        "import levelspectra\n"
+        "ns = {}\n"
+        "exec('from levelspectra import *', ns)\n"
+        "try:\n"
+        "    levelspectra.no_such_name\n"
+        "    raised = False\n"
+        "except AttributeError:\n"
+        "    raised = True\n"
+        "print(json.dumps({'star': sorted(k for k in ns if k != '__builtins__'),\n"
+        "                  'all': sorted(levelspectra.__all__), 'raised': raised}))\n"
+    )
+    assert out["star"] == out["all"]
+    assert out["raised"]
+
+
+_BLAS_PROBE = (
+    "import json, os\n"
+    "import {module}\n"
+    "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+    "print(json.dumps({{'var': os.environ.get('OPENBLAS_NUM_THREADS'), 'threads': threads}}))\n"
+)
+
+
+def test_cli_defaults_to_one_blas_thread():
+    out = run_python(_BLAS_PROBE.format(module="levelspectra.cli"), OPENBLAS_NUM_THREADS=None)
+    assert out["var"] == "1"
+    if out["threads"] is not None:
+        # set before numpy loaded OpenBLAS: no BLAS worker threads started
+        assert out["threads"] == 1
+
+
+def test_cli_keeps_the_callers_blas_setting():
+    out = run_python(_BLAS_PROBE.format(module="levelspectra.cli"), OPENBLAS_NUM_THREADS="3")
+    assert out["var"] == "3"
+
+
+def test_library_import_leaves_blas_setting_alone():
+    out = run_python(_BLAS_PROBE.format(module="levelspectra.verify"), OPENBLAS_NUM_THREADS=None)
+    assert out["var"] is None
+
+
+_POOL_PROBE = (
+    "import json, sys\n"
+    "from levelspectra.cli import main\n"
+    "codes = [main(argv) for argv in {argvs!r}]\n"
+    "print(json.dumps({{'codes': codes,\n"
+    "                  'pool': 'concurrent.futures.process' in sys.modules}}))\n"
+)
+
+
+def test_extremal_and_analyze_do_not_import_the_pool(tmp_path):
+    tree = tmp_path / "path.tree"
+    tree.write_text("5\n0 1 2 3 4\n")
+    argvs = [["extremal", "--order", "7", "--stat", "rho", "--min", "--expect", "star"],
+             ["analyze", str(tree), "--format", "json"],
+             ["verify", "--order", "8", "--jobs", "1", "--format", "json"]]
+    out = run_python(_POOL_PROBE.format(argvs=argvs))
+    assert out == {"codes": [0, 0, 0], "pool": False}
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="a pool needs two CPUs")
+def test_verify_with_a_pool_imports_it():
+    out = run_python(_POOL_PROBE.format(argvs=[["verify", "--order", "8", "--jobs", "2",
+                                                "--format", "json"]]))
+    assert out == {"codes": [0], "pool": True}

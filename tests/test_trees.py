@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from levelspectra import (
     RootedTree,
@@ -34,6 +35,8 @@ from levelspectra.errors import (
     ResourceLimit,
 )
 from levelspectra.trees import tree_from_level_sequence
+
+from conftest import parent_arrays
 
 # counts of non-isomorphic rooted trees per order, frozen from the
 # divisor-sum recurrence (independently implemented in rooted_tree_count)
@@ -255,6 +258,22 @@ class TestDeleteLeaf:
 class TestTextFormats:
     def test_roundtrip(self, sample9):
         assert parse_tree(format_tree(sample9)) == sample9
+
+    @settings(max_examples=60, deadline=None)
+    @given(parent_arrays())
+    def test_random_parent_arrays_roundtrip(self, tree):
+        text = format_tree(tree)
+        parsed = parse_tree(text)
+        assert parsed == tree
+        assert format_tree(parsed) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(parent_arrays())
+    def test_canonical_form_survives_the_file_format(self, tree):
+        canon = canonicalize(tree)
+        parsed = parse_tree(format_tree(canon))
+        assert parsed == canon
+        assert canonical_level_sequence(parsed) == canonical_level_sequence(tree)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -9,10 +10,6 @@ from hypothesis import strategies as st
 from levelspectra import (
     level_profile,
     rooted_tree_count,
-    verify_extremal_energy,
-    verify_extremal_rho,
-    verify_interlacing,
-    verify_multiplicity_theorems,
     verify_order,
 )
 from levelspectra.bounds import path_rho_closed_form
@@ -75,6 +72,11 @@ class TestVerifyOrder:
         with pytest.raises(KeyError):
             verify_order(4, selection=["made-up-check"])
 
+    @pytest.mark.parametrize("selection", [[], ()])
+    def test_empty_selection_rejected(self, selection):
+        with pytest.raises(ValueError):
+            verify_order(5, selection=selection, jobs=1)
+
     def test_bad_order(self):
         with pytest.raises(InvalidOrder):
             verify_order(0)
@@ -112,25 +114,25 @@ class TestVerifyOrder:
 
 class TestExtremalSweeps:
     def test_order3(self):
-        sweep = verify_extremal_rho(3)
+        sweep = extremal_sweep(3, "rho")
         assert sweep.tree_count == 2
         assert sweep.min_is_star and sweep.min_value == pytest.approx(math.sqrt(2), abs=1e-10)
         assert sweep.max_is_path and sweep.max_value == pytest.approx(1 + math.sqrt(3), abs=1e-9)
 
     def test_order5_values(self):
-        sweep = verify_extremal_rho(5)
+        sweep = extremal_sweep(5, "rho")
         assert sweep.min_value == pytest.approx(2.0, abs=1e-10)
         assert sweep.max_value == pytest.approx(path_rho_closed_form(5), rel=1e-8)
         assert sweep.min_gap > 1e-9 and sweep.max_gap > 1e-9
 
     def test_energy_matches_rho_argmax(self):
-        rho_sweep = verify_extremal_rho(6)
-        energy_sweep = verify_extremal_energy(6)
+        rho_sweep = extremal_sweep(6, "rho")
+        energy_sweep = extremal_sweep(6, "energy")
         assert energy_sweep.max_is_path
         assert energy_sweep.max_value == pytest.approx(2 * rho_sweep.max_value, rel=1e-8)
 
     def test_order2_degenerate(self):
-        sweep = verify_extremal_rho(2)
+        sweep = extremal_sweep(2, "rho")
         assert sweep.tree_count == 1
         assert sweep.min_value == sweep.max_value == pytest.approx(1.0)
 
@@ -145,7 +147,10 @@ class TestExtremalSweeps:
 
 class TestFocusedHarnesses:
     def test_multiplicity(self):
-        ledger = verify_multiplicity_theorems(6, jobs=1)
+        ledger = verify_order(6, selection=[
+            "zero-multiplicity", "one-positive-eigenvalue", "star-characterisation",
+            "path-characterisation", "leaf-deletion-multiplicity",
+            "zero-deletion-multiplicity"], jobs=1)
         assert ledger.violations == 0
         names = {c.name for c in ledger.checks}
         assert "zero-multiplicity" in names
@@ -153,7 +158,7 @@ class TestFocusedHarnesses:
         assert "eigenvalue-cap" not in names
 
     def test_interlacing(self):
-        ledger = verify_interlacing(6, jobs=1)
+        ledger = verify_order(6, selection=["interlacing"], jobs=1)
         assert ledger.violations == 0
         assert [c.name for c in ledger.checks] == ["interlacing"]
 
@@ -293,7 +298,7 @@ class TestPoolWidth:
     @pytest.fixture
     def pool(self, monkeypatch):
         _RecordingPool.widths = []
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         return _RecordingPool
 
     @pytest.mark.parametrize("jobs", [None, 1000])
