@@ -16,7 +16,6 @@ from levelspectra import (
     charpoly_roots,
     exact_zero_multiplicity,
     from_parent_list,
-    level_energy,
     perron_vector,
     symmetric_eigenvalues,
 )
@@ -31,8 +30,8 @@ for v in spectrum.values:
     print(f"  {v: .9f}")
 print("clusters:", [(round(v, 6), k) for v, k in spectrum.clusters])
 print("spectral radius rho:", spectrum.rho)
-print("energy (sum |eigenvalue|):", level_energy(spectrum))
-print("energy equals 2*rho:", abs(level_energy(spectrum) - 2 * spectrum.rho) < 1e-10)
+print("energy (sum |eigenvalue|):", spectrum.energy)
+print("energy equals 2*rho:", abs(spectrum.energy - 2 * spectrum.rho) < 1e-10)
 
 # The Perron vector: strictly positive unit eigenvector of the top eigenvalue.
 rho, v = perron_vector(m)

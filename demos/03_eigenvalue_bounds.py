@@ -24,17 +24,19 @@ for r in evaluate_checks(SpectralData.from_tree(rooted_star(2))):
     marker = "  <- equality expected" if r.equality_expected else ""
     print(f"  {r.name:26s} slack {r.slack: .3g}{marker}")
 
-# The three lower bounds on rho form a chain, tightest first.
+# The three lower bounds on rho form a chain, tightest first. Their
+# aggregates come from the level profile: a vertex on level a has row sum
+# L_a and second-order row sum q_a.
 import math
 
-import numpy as np
-
-m = data.matrix
-sum_l2 = int((m.row_sums ** 2).sum())
+print("\nlevel profile:", data.profile)
+print("row sum per level L_a:        ", data.level_row_sums.tolist())
+print("second-order sum per level q_a:", data.level_second_order_sums.tolist())
+sum_l2 = data.row_square_sum
 chain = [
-    ("second-order", math.sqrt(float((data.q_vector ** 2).sum()) / sum_l2)),
+    ("second-order", math.sqrt(data.q_square_sum / sum_l2)),
     ("row-square", math.sqrt(sum_l2 / data.n)),
-    ("mean row sum", 2 * m.level_index / data.n),
+    ("mean row sum", 2 * data.level_index / data.n),
 ]
 print(f"\nrho = {data.spectrum.rho:.9f}; lower bounds, strongest first:")
 for name, value in chain:

@@ -23,12 +23,8 @@ _SUBMODULE_OF = {
         "LevelMatrix",
         "build_level_matrix",
         "distance_matrix",
-        "h_value",
-        "level_index",
         "matrix_text",
         "row_sum_difference",
-        "row_sums",
-        "second_order_row_sums",
     ], "levelmatrix"),
     **dict.fromkeys([
         "CharPoly",
@@ -37,7 +33,6 @@ _SUBMODULE_OF = {
         "charpoly_roots",
         "clustered_multiplicity",
         "exact_zero_multiplicity",
-        "level_energy",
         "level_profile",
         "level_spectrum",
         "perron_vector",

@@ -3,8 +3,8 @@
 Every inequality, identity and closed form gets a named evaluator returning
 one or more :class:`BoundReport` records. Evaluators read cached aggregates
 (row sums, level index, H, second-order row sums) from a shared
-:class:`SpectralData` carrier so the verification harness never recomputes
-them per bound.
+:class:`SpectralData` carrier, built from the level profile alone, so the
+verification harness never recomputes them per bound or per tree.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidOrder, NoBracket, TooSmall
-from .levelmatrix import LevelMatrix, second_order_row_sums
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     Spectrum,
@@ -92,36 +91,44 @@ def _report(name: str, lhs: float, rhs, relation: str,
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Vertex levels + level matrix + spectrum, with the aggregates every
-    bound needs.
+    """A level profile and its spectrum, with the aggregates every bound
+    needs.
 
-    The matrix and the profile come from the vertex levels, which are all a
-    level matrix depends on. The spectrum and the exact nullity come from the
-    profile engine, so trees sharing a level profile share one quotient
-    solve. The spectrum carries no Perron vector.
+    A level matrix depends only on its profile (n_0, ..., n_h), so every
+    aggregate is an exact integer function of the profile, found without the
+    n x n matrix: a vertex on level a has row sum L_a = sum_b n_b |a - b| and
+    second-order row sum q_a = sum_b n_b |a - b| L_b. The spectrum and the
+    exact nullity come from the profile engine, so trees sharing a profile
+    share one quotient solve. The spectrum carries no Perron vector.
     """
 
-    vertex_levels: np.ndarray
     profile: tuple[int, ...]
-    matrix: LevelMatrix
     spectrum: Spectrum
 
     @classmethod
-    def from_levels(cls, vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
-                    method: str = "ql") -> "SpectralData":
-        lev = np.asarray(vertex_levels, dtype=np.int64)
-        profile = level_profile(lev)
+    def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL,
+                     method: str = "ql") -> "SpectralData":
         spectrum = profile_spectrum(profile, tol=tol, method=method)
-        return cls(lev, profile, LevelMatrix.from_levels(lev), spectrum)
+        return cls(tuple(int(c) for c in profile), spectrum)
 
     @classmethod
     def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL,
                   method: str = "ql") -> "SpectralData":
-        return cls.from_levels(levels(tree), tol=tol, method=method)
+        return cls.from_profile(level_profile(levels(tree)), tol=tol, method=method)
+
+    @cached_property
+    def n(self) -> int:
+        return sum(self.profile)
 
     @property
-    def n(self) -> int:
-        return len(self.vertex_levels)
+    def l_max(self) -> int:
+        """The largest entry |a - b| of the matrix: the height h."""
+        return len(self.profile) - 1
+
+    @property
+    def is_path(self) -> bool:
+        """The rooted path is the one tree with a vertex on every level."""
+        return len(self.profile) == self.n
 
     @cached_property
     def nullity(self) -> int:
@@ -129,121 +136,132 @@ class SpectralData:
         return profile_nullity(self.profile)
 
     @cached_property
-    def q_vector(self) -> np.ndarray:
-        """q_i = sum_j l_ij * L_j (row sums of the squared matrix)."""
-        return second_order_row_sums(self.matrix)
+    def _level_distances(self) -> np.ndarray:
+        """|a - b| over the levels a, b = 0..h, in int64."""
+        idx = np.arange(len(self.profile), dtype=np.int64)
+        return np.abs(idx[:, None] - idx[None, :])
+
+    def _level_sum(self, values: np.ndarray, power: int = 1) -> int:
+        """sum_a n_a * values[a]**power over the levels, in Python integers."""
+        return sum(c * v**power for c, v in zip(self.profile, values.tolist()))
+
+    @cached_property
+    def level_row_sums(self) -> np.ndarray:
+        """L_a = sum_b n_b |a - b|: the row sum of every vertex on level a."""
+        return self._level_distances @ np.array(self.profile)
+
+    @cached_property
+    def level_second_order_sums(self) -> np.ndarray:
+        """q_a = sum_b n_b |a - b| L_b: the row sum of the squared matrix at
+        every vertex on level a."""
+        return self._level_distances @ (np.array(self.profile) * self.level_row_sums)
+
+    @cached_property
+    def level_index(self) -> int:
+        """LI = half the sum of all entries = (1/2) sum_a n_a L_a."""
+        return self._level_sum(self.level_row_sums) // 2
+
+    @cached_property
+    def h_value(self) -> int:
+        """H = trace of the squared matrix = sum_{a,b} n_a n_b (a - b)^2."""
+        counts = np.array(self.profile)
+        return int(counts @ self._level_distances**2 @ counts)
+
+    @cached_property
+    def row_square_sum(self) -> int:
+        """sum_i L_i^2 = sum_a n_a L_a^2, exactly."""
+        return self._level_sum(self.level_row_sums, 2)
 
     @cached_property
     def q_square_sum(self) -> int:
-        """sum_i q_i^2 as an exact integer; in int64 it wraps from the
-        rooted path of 206 vertices on."""
-        return sum(q * q for q in self.q_vector.tolist())
-
-    @property
-    def is_path(self) -> bool:
-        """The rooted path is the one tree with a vertex on every level."""
-        return len(self.profile) == self.n
-
-
-def _data(tree_or_data) -> SpectralData:
-    if isinstance(tree_or_data, SpectralData):
-        return tree_or_data
-    return SpectralData.from_tree(tree_or_data)
+        """sum_i q_i^2 = sum_a n_a q_a^2, exactly; in int64 it would wrap
+        from the rooted path of 206 vertices on."""
+        return self._level_sum(self.level_second_order_sums, 2)
 
 
 # ---------------------------------------------------------------------------
 # single-relation checks
 # ---------------------------------------------------------------------------
 
-def check_eigenvalue_cap(tree_or_data) -> BoundReport:
+def check_eigenvalue_cap(d: SpectralData) -> BoundReport:
     """Every |eigenvalue| is at most (n-1) * l_max; equality only for n <= 2."""
-    d = _data(tree_or_data)
     lhs = float(np.abs(d.spectrum.values).max())
-    return _report("eigenvalue-cap", lhs, (d.n - 1) * d.matrix.l_max, "<=",
+    return _report("eigenvalue-cap", lhs, (d.n - 1) * d.l_max, "<=",
                    equality_expected=d.n <= 2)
 
 
-def check_trace_identity(tree_or_data) -> BoundReport:
+def check_trace_identity(d: SpectralData) -> BoundReport:
     """Sum of squared eigenvalues equals H, the trace of the squared matrix."""
-    d = _data(tree_or_data)
     lhs = float((d.spectrum.values**2).sum())
-    return _report("trace-identity", lhs, d.matrix.h_value, "==",
+    return _report("trace-identity", lhs, d.h_value, "==",
                    tol_scale=IDENTITY_TOL)
 
 
-def check_rho_mean_square(tree_or_data) -> BoundReport:
+def check_rho_mean_square(d: SpectralData) -> BoundReport:
     """rho^2 is at least the mean squared row of the matrix, H/n."""
-    d = _data(tree_or_data)
-    return _report("rho-mean-square", d.spectrum.rho**2, d.matrix.h_value / d.n,
+    return _report("rho-mean-square", d.spectrum.rho**2, d.h_value / d.n,
                    ">=", equality_expected=d.n <= 2)
 
 
-def check_rho_row_sum_bounds(tree_or_data) -> list[BoundReport]:
+def check_rho_row_sum_bounds(d: SpectralData) -> list[BoundReport]:
     """Average row sum (= 2*LI/n) <= rho <= maximum row sum; the lower bound
     is an equality only for n <= 2."""
-    d = _data(tree_or_data)
     rho = d.spectrum.rho
     return [
-        _report("rho-row-sum-lower", 2.0 * d.matrix.level_index / d.n, rho, "<=",
+        _report("rho-row-sum-lower", 2.0 * d.level_index / d.n, rho, "<=",
                 equality_expected=d.n <= 2),
-        _report("rho-row-sum-upper", rho, int(d.matrix.row_sums.max()), "<="),
+        _report("rho-row-sum-upper", rho, int(d.level_row_sums.max()), "<="),
     ]
 
 
-def check_rho_row_square(tree_or_data) -> BoundReport:
+def check_rho_row_square(d: SpectralData) -> BoundReport:
     """rho >= sqrt(mean of squared row sums)."""
-    d = _data(tree_or_data)
-    sum_sq = float((d.matrix.row_sums.astype(np.int64) ** 2).sum())
-    return _report("rho-row-square", d.spectrum.rho, math.sqrt(sum_sq / d.n), ">=")
+    return _report("rho-row-square", d.spectrum.rho,
+                   math.sqrt(float(d.row_square_sum) / d.n), ">=")
 
 
-def check_rho_second_order(tree_or_data) -> BoundReport:
+def check_rho_second_order(d: SpectralData) -> BoundReport:
     """rho >= sqrt(sum q_i^2 / sum L_j^2), the Rayleigh quotient of the
     row-sum vector."""
-    d = _data(tree_or_data)
-    denom = int((d.matrix.row_sums.astype(np.int64) ** 2).sum())
+    denom = d.row_square_sum
     if denom == 0:
         raise DegenerateDenominator("all row sums vanish (single vertex)")
     return _report("rho-second-order", d.spectrum.rho,
                    math.sqrt(float(d.q_square_sum) / denom), ">=")
 
 
-def check_second_order_identity(tree_or_data) -> BoundReport:
+def check_second_order_identity(d: SpectralData) -> BoundReport:
     """sum_i q_i equals sum_j L_j^2 exactly (integers)."""
-    d = _data(tree_or_data)
-    lhs = int(d.q_vector.sum())
-    rhs = int((d.matrix.row_sums.astype(np.int64) ** 2).sum())
+    lhs = d._level_sum(d.level_second_order_sums)
+    rhs = d.row_square_sum
     report = _report("second-order-identity", lhs, rhs, "==", tol_scale=0.0)
     # integers: demand exact equality regardless of scale
     return BoundReport(report.name, report.lhs, report.rhs, report.relation,
                        report.slack, lhs == rhs, report.equality_expected)
 
 
-def check_quotient_bound(tree_or_data) -> BoundReport:
+def check_quotient_bound(d: SpectralData) -> BoundReport:
     """rho >= the largest eigenvalue of any 2x2 row-sum quotient matrix:
     max_i (LI - L_i + sqrt((LI - L_i)^2 + (n-1) L_i^2)) / (n-1)."""
-    d = _data(tree_or_data)
     if d.n <= 1:
         raise TooSmall("quotient bound needs n > 1")
-    li = d.matrix.level_index
-    L = d.matrix.row_sums.astype(float)
+    li = d.level_index
+    L = d.level_row_sums.astype(float)  # one entry per level: the same maximum
     best = float(((li - L) + np.sqrt((li - L) ** 2 + (d.n - 1) * L**2)).max()) / (d.n - 1)
     return _report("quotient-bound", d.spectrum.rho, best, ">=")
 
 
-def check_eigenvalue_square(tree_or_data) -> BoundReport:
+def check_eigenvalue_square(d: SpectralData) -> BoundReport:
     """Every eigenvalue satisfies lambda^2 <= (n-1)/n * H."""
-    d = _data(tree_or_data)
     lhs = float((d.spectrum.values**2).max())
-    return _report("eigenvalue-square", lhs, (d.n - 1) * d.matrix.h_value / d.n, "<=")
+    return _report("eigenvalue-square", lhs, (d.n - 1) * d.h_value / d.n, "<=")
 
 
-def check_eigenvalue_intervals(tree_or_data) -> list[BoundReport]:
+def check_eigenvalue_intervals(d: SpectralData) -> list[BoundReport]:
     """Per-index eigenvalue intervals from the first two spectral moments
     (zero trace, squared sum H), valid for n > 2; plus the global interval
     that contains the whole spectrum."""
-    d = _data(tree_or_data)
-    n, h = d.n, float(d.matrix.h_value)
+    n, h = d.n, float(d.h_value)
     if n <= 2:
         raise TooSmall("interval bounds need n > 2")
     lam = d.spectrum.values
@@ -265,12 +283,11 @@ def check_eigenvalue_intervals(tree_or_data) -> list[BoundReport]:
     return reports
 
 
-def check_energy_bounds(tree_or_data) -> list[BoundReport]:
+def check_energy_bounds(d: SpectralData) -> list[BoundReport]:
     """Energy bounds: E <= sqrt(n*H) always, E <= sqrt((n-1)*H) for every
     tree other than the rooted path, and the identity E = 2*rho."""
-    d = _data(tree_or_data)
     energy = d.spectrum.energy
-    h = float(d.matrix.h_value)
+    h = float(d.h_value)
     reports = [
         _report("energy-upper", energy, math.sqrt(d.n * h), "<="),
         _report("energy-identity", energy, 2.0 * d.spectrum.rho, "==",
@@ -351,33 +368,39 @@ def leafstar_cubic_roots(n: int) -> np.ndarray:
 # registry
 # ---------------------------------------------------------------------------
 
-#: name -> (evaluator, minimum order). Evaluators return a BoundReport or a
-#: list of them; the minimum order gates trees the relation does not cover.
+#: name -> (evaluator, minimum order, ledger lines). Evaluators return a
+#: BoundReport or a list of them; the minimum order gates trees the relation
+#: does not cover. A verification ledger records each report under its own
+#: name when that is one of the check's lines and under the check's name
+#: otherwise, so the per-index eigenvalue intervals share one line.
 CHECKS: dict[str, tuple] = {
-    "eigenvalue-cap": (check_eigenvalue_cap, 1),
-    "trace-identity": (check_trace_identity, 1),
-    "rho-mean-square": (check_rho_mean_square, 1),
-    "rho-row-sums": (check_rho_row_sum_bounds, 1),
-    "rho-row-square": (check_rho_row_square, 1),
-    "rho-second-order": (check_rho_second_order, 2),
-    "second-order-identity": (check_second_order_identity, 1),
-    "quotient-bound": (check_quotient_bound, 2),
-    "eigenvalue-square": (check_eigenvalue_square, 1),
-    "eigenvalue-intervals": (check_eigenvalue_intervals, 3),
-    "energy-bounds": (check_energy_bounds, 1),
+    "eigenvalue-cap": (check_eigenvalue_cap, 1, ("eigenvalue-cap",)),
+    "trace-identity": (check_trace_identity, 1, ("trace-identity",)),
+    "rho-mean-square": (check_rho_mean_square, 1, ("rho-mean-square",)),
+    "rho-row-sums": (check_rho_row_sum_bounds, 1,
+                     ("rho-row-sum-lower", "rho-row-sum-upper")),
+    "rho-row-square": (check_rho_row_square, 1, ("rho-row-square",)),
+    "rho-second-order": (check_rho_second_order, 2, ("rho-second-order",)),
+    "second-order-identity": (check_second_order_identity, 1,
+                              ("second-order-identity",)),
+    "quotient-bound": (check_quotient_bound, 2, ("quotient-bound",)),
+    "eigenvalue-square": (check_eigenvalue_square, 1, ("eigenvalue-square",)),
+    "eigenvalue-intervals": (check_eigenvalue_intervals, 3,
+                             ("eigenvalue-intervals", "spectrum-interval")),
+    "energy-bounds": (check_energy_bounds, 1,
+                      ("energy-upper", "energy-upper-improved", "energy-identity")),
 }
 
 
-def evaluate_checks(tree_or_data, names=None) -> list[BoundReport]:
+def evaluate_checks(d: SpectralData, names=None) -> list[BoundReport]:
     """Run the named bound checks (all by default) that apply at this order."""
-    d = _data(tree_or_data)
     if names is None:
         names = list(CHECKS)
     reports: list[BoundReport] = []
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        func, min_order = CHECKS[name]
+        func, min_order, _ = CHECKS[name]
         if d.n < min_order:
             continue
         result = func(d)

@@ -28,16 +28,14 @@ from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .bounds import BoundReport, SpectralData, leafstar_cubic_roots, path_rho_closed_form
 from .errors import LevelSpectraError, ParseError, ResourceLimit
-from .levelmatrix import LevelMatrix
+from .levelmatrix import build_level_matrix
 from .spectra import (
     DEFAULT_CHARPOLY_CAP,
     DEFAULT_CLUSTER_TOL,
     CharPoly,
-    Spectrum,
     characteristic_polynomial,
     clear_profile_cache,
 )
-from .levelmatrix import build_level_matrix
 from .trees import (
     RootedTree,
     canonical_level_sequence,
@@ -164,9 +162,7 @@ class AnalysisReport:
     """Everything the analyzer knows about one tree."""
 
     tree: RootedTree
-    matrix: LevelMatrix
-    spectrum: Spectrum
-    mul_zero_exact: int
+    data: SpectralData
     charpoly: CharPoly | None
     bounds: list[BoundReport]
     extras: dict
@@ -179,47 +175,49 @@ class AnalysisReport:
         reports = [] if bound_names == [] else bounds_mod.evaluate_checks(data, bound_names)
         return cls(
             tree=tree,
-            matrix=data.matrix,
-            spectrum=data.spectrum,
-            mul_zero_exact=data.nullity,
-            charpoly=characteristic_polynomial(data.matrix) if include_charpoly else None,
+            data=data,
+            charpoly=(characteristic_polynomial(build_level_matrix(tree))
+                      if include_charpoly else None),
             bounds=reports,
             extras=extras or {},
         )
 
+    def _row_sums(self) -> list[int]:
+        """L_i per vertex: the row sum of the vertex's level."""
+        return self.data.level_row_sums[levels(self.tree)].tolist()
+
     def to_dict(self) -> dict:
-        lev = levels(self.tree)
+        d, sp = self.data, self.data.spectrum
         return {
             "n": self.tree.n,
-            "levels": [int(v) for v in lev],
-            "l_max": self.matrix.l_max,
-            "level_index": self.matrix.level_index,
-            "h_value": self.matrix.h_value,
-            "row_sums": [int(v) for v in self.matrix.row_sums],
-            "spectrum": self.spectrum.to_dict(),
-            "rho": float(self.spectrum.rho),
-            "energy": float(self.spectrum.energy),
-            "mul_zero_exact": self.mul_zero_exact,
+            "levels": levels(self.tree).tolist(),
+            "l_max": d.l_max,
+            "level_index": d.level_index,
+            "h_value": d.h_value,
+            "row_sums": self._row_sums(),
+            "spectrum": sp.to_dict(),
+            "rho": float(sp.rho),
+            "energy": float(sp.energy),
+            "mul_zero_exact": d.nullity,
             "charpoly": [str(c) for c in self.charpoly.coeffs] if self.charpoly else None,
             "bounds": [r.to_dict() for r in self.bounds],
             "extras": self.extras,
         }
 
     def to_text(self) -> str:
-        lev = levels(self.tree)
+        d, sp = self.data, self.data.spectrum
         lines = [
             f"vertices:      {self.tree.n}",
-            f"levels:        {' '.join(str(int(v)) for v in lev)}",
-            f"l_max:         {self.matrix.l_max}",
-            f"level index:   {self.matrix.level_index}",
-            f"H:             {self.matrix.h_value}",
-            f"row sums:      {' '.join(str(int(v)) for v in self.matrix.row_sums)}",
-            f"rho:           {_fmt(self.spectrum.rho)}",
-            f"energy:        {_fmt(self.spectrum.energy)}",
-            f"mul(0) exact:  {self.mul_zero_exact}",
-            "eigenvalues:   " + " ".join(_fmt(v) for v in self.spectrum.values),
-            "clusters:      " + ", ".join(
-                f"{_fmt(v)} (x{m})" for v, m in self.spectrum.clusters),
+            f"levels:        {' '.join(str(v) for v in levels(self.tree).tolist())}",
+            f"l_max:         {d.l_max}",
+            f"level index:   {d.level_index}",
+            f"H:             {d.h_value}",
+            f"row sums:      {' '.join(str(v) for v in self._row_sums())}",
+            f"rho:           {_fmt(sp.rho)}",
+            f"energy:        {_fmt(sp.energy)}",
+            f"mul(0) exact:  {d.nullity}",
+            "eigenvalues:   " + " ".join(_fmt(v) for v in sp.values),
+            "clusters:      " + ", ".join(f"{_fmt(v)} (x{m})" for v, m in sp.clusters),
         ]
         if self.charpoly is not None:
             lines.append(f"charpoly:      {polynomial_text(self.charpoly)}")
@@ -450,10 +448,11 @@ def _cmd_special(args) -> int:
     if args.family == "path":
         closed = path_rho_closed_form(tree.n)
         report.extras["closed_form_rho"] = _fmt(closed)
-        report.extras["closed_form_residual"] = _fmt(abs(closed - report.spectrum.rho))
+        report.extras["closed_form_residual"] = _fmt(abs(closed - report.data.spectrum.rho))
     elif args.family == "leafstar":
         roots = leafstar_cubic_roots(tree.n)
-        nonzero = report.spectrum.values[np.argsort(-np.abs(report.spectrum.values))][:3]
+        values = report.data.spectrum.values
+        nonzero = values[np.argsort(-np.abs(values))][:3]
         residual = float(np.abs(np.sort(roots) - np.sort(nonzero)).max())
         report.extras["cubic_roots"] = " ".join(_fmt(r) for r in sorted(roots, reverse=True))
         report.extras["cubic_residual"] = _fmt(residual)

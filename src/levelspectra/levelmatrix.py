@@ -4,22 +4,30 @@ Entry (i, j) is the absolute difference of the levels of vertices i and j.
 The matrix is symmetric with zero diagonal, so its eigenvalues are real and
 sum to zero. Cached alongside: the row sums L_i, the level index
 LI = (1/2) * sum of all entries, and H = trace of the squared matrix.
+
+The bounds and the verifier take these aggregates from the level profile
+(``bounds.SpectralData``); the n x n matrix is kept for ``analyze``'s
+characteristic polynomial, the exports, and as the oracle those profile
+aggregates are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOutOfRange
 from .trees import RootedTree, levels
 
 
 @dataclass(frozen=True)
 class LevelMatrix:
-    """Symmetric integer matrix of pairwise level differences."""
+    """Symmetric integer matrix of pairwise level differences.
+
+    Its cached aggregates are computed from the entries, independently of
+    the profile formulas in ``bounds.SpectralData``: the oracle for them.
+    """
 
     entries: np.ndarray
 
@@ -62,26 +70,6 @@ class LevelMatrix:
 
 def build_level_matrix(tree: RootedTree) -> LevelMatrix:
     return LevelMatrix.from_levels(levels(tree))
-
-
-def level_index(matrix: LevelMatrix) -> int:
-    return matrix.level_index
-
-
-def h_value(matrix: LevelMatrix) -> int:
-    return matrix.h_value
-
-
-def row_sums(matrix: LevelMatrix) -> np.ndarray:
-    return matrix.row_sums
-
-
-def second_order_row_sums(matrix: LevelMatrix) -> np.ndarray:
-    """Row sums of the squared matrix: q_i = sum_j l_ij * L_j.
-
-    Satisfies sum_i q_i = sum_j L_j**2 exactly.
-    """
-    return matrix.entries @ matrix.row_sums
 
 
 def distance_matrix(tree: RootedTree) -> np.ndarray:
@@ -156,23 +144,6 @@ def row_sum_differences(sorted_levels) -> np.ndarray:
     middle = prefix[None, :-1] - prefix[1:, None]   # levels strictly between i and k
     return (((n - 2 * pos) * lev)[:, None] - 2 * middle
             - ((n - 2 * pos + 2) * lev)[None, :])
-
-
-def is_irreducible(matrix: LevelMatrix) -> bool:
-    """Connectivity of the weighted graph on the nonzero entries."""
-    n = matrix.n
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in np.nonzero(matrix.entries[v])[0]:
-            if not seen[w]:
-                seen[w] = True
-                frontier.append(int(w))
-    return bool(seen.all())
 
 
 def matrix_text(matrix: LevelMatrix) -> str:

@@ -32,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -155,12 +154,6 @@ def perron_vector(matrix, tol: float = DEFAULT_CLUSTER_TOL,
             "irreducible non-negative matrix"
         )
     return spectrum.rho, v
-
-
-def level_energy(spectrum: Spectrum) -> float:
-    """Sum of the absolute eigenvalues; equals 2*rho for every level matrix
-    (exactly one positive eigenvalue and zero trace)."""
-    return float(np.abs(spectrum.values).sum())
 
 
 @dataclass(frozen=True)
@@ -290,19 +283,6 @@ def positive_eigenvalue_count(spectrum: Spectrum,
     """Eigenvalues exceeding ``tol * max(1, rho)``; one for every level
     matrix of order >= 2."""
     return int((spectrum.values > tol * max(1.0, spectrum.rho)).sum())
-
-
-def eigenvalues_interlace(outer: Sequence[float], inner: Sequence[float],
-                          slack: float) -> bool:
-    """Cauchy interlacing test: inner[k] within [outer[k+1], outer[k]] up to
-    ``slack``, both sequences descending."""
-    outer = np.asarray(outer, dtype=float)
-    inner = np.asarray(inner, dtype=float)
-    if len(inner) != len(outer) - 1:
-        raise ValueError("inner spectrum must have exactly one fewer value")
-    return bool(
-        np.all(inner <= outer[:-1] + slack) and np.all(inner >= outer[1:] - slack)
-    )
 
 
 # ---------------------------------------------------------------------------

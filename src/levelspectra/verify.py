@@ -33,7 +33,6 @@ from .trees import (
     is_rooted_star,
     level_sequence_parents,
     level_sequences,
-    levels,  # noqa: F401  part of this namespace: callers patch it to count calls
     rooted_tree_count,
     tree_from_level_sequence,
 )
@@ -45,48 +44,40 @@ INTERLACING_TOL = 1e-8
 #: How many offending trees to record per check before truncating.
 MAX_OFFENDERS = 10
 
-#: Report-level names produced by multi-report bound evaluators, mapped back
-#: to their evaluator for selection purposes.
-_REPORT_ALIASES: dict[str, str] = {
-    "rho-row-sum-lower": "rho-row-sums",
-    "rho-row-sum-upper": "rho-row-sums",
-    "energy-upper": "energy-bounds",
-    "energy-upper-improved": "energy-bounds",
-    "energy-identity": "energy-bounds",
-    "spectrum-interval": "eigenvalue-intervals",
-}
+def _bound_check_of_line() -> dict[str, str]:
+    """Ledger line -> the bound check that reports under it."""
+    return {line: name for name, (_, _, lines) in bounds.CHECKS.items() for line in lines}
 
 
 def available_checks() -> list[str]:
-    """Every name accepted by the ``selection`` arguments."""
-    return sorted(set(bounds.CHECKS) | set(STRUCTURAL_CHECKS) | set(_REPORT_ALIASES))
+    """Every name accepted by the ``selection`` arguments: each bound check,
+    each ledger line of one, and each structural check."""
+    return sorted(set(bounds.CHECKS) | set(_bound_check_of_line()) | set(STRUCTURAL_CHECKS))
 
 
-def _resolve_selection(selection) -> tuple[list[str], list[str], set[str] | None]:
-    """Split a selection into bound evaluators, structural checks, and an
-    optional report-name filter."""
+def _resolve_selection(selection) -> tuple[dict[str, set[str]], list[str]]:
+    """Split a selection into the bound checks to run, each with the ledger
+    lines to record, and the structural checks. A bound check's name selects
+    all its lines; a line's name selects that line of its check."""
     if selection is None:
-        return list(bounds.CHECKS), list(STRUCTURAL_CHECKS), None
+        return ({name: set(lines) for name, (_, _, lines) in bounds.CHECKS.items()},
+                list(STRUCTURAL_CHECKS))
     if not selection:
         raise ValueError("selection names no check; pass None to run them all")
-    bound_names: list[str] = []
+    check_of_line = _bound_check_of_line()
+    bound_lines: dict[str, set[str]] = {}
     structural: list[str] = []
-    report_filter: set[str] = set()
-    filtered = False
     for name in selection:
         if name in bounds.CHECKS:
-            bound_names.append(name)
+            bound_lines.setdefault(name, set()).update(bounds.CHECKS[name][2])
+        elif name in check_of_line:
+            bound_lines.setdefault(check_of_line[name], set()).add(name)
         elif name in STRUCTURAL_CHECKS:
-            structural.append(name)
-        elif name in _REPORT_ALIASES:
-            evaluator = _REPORT_ALIASES[name]
-            if evaluator not in bound_names:
-                bound_names.append(evaluator)
-            report_filter.add(name)
-            filtered = True
+            if name not in structural:
+                structural.append(name)
         else:
             raise KeyError(f"unknown check {name!r}; known: {available_checks()}")
-    return bound_names, structural, (report_filter if filtered else None)
+    return bound_lines, structural
 
 
 @dataclass
@@ -252,22 +243,21 @@ def _leaf_profiles(profile: tuple[int, ...], leaf_levels) -> list[tuple[int, ...
 
 def _strict_row_sum_lower(data: SpectralData, tol: float):
     rho = data.spectrum.rho
-    slack = rho - 2.0 * data.matrix.level_index / data.n
+    slack = rho - 2.0 * data.level_index / data.n
     return slack > COMPARISON_TOL * max(1.0, rho), slack
 
 
 def _bound_chain(data: SpectralData, tol: float):
-    matrix, n = data.matrix, data.n
-    sum_l2 = int((matrix.row_sums.astype(np.int64) ** 2).sum())
+    n, sum_l2 = data.n, data.row_square_sum
     a = math.sqrt(float(data.q_square_sum) / sum_l2)
     b = math.sqrt(sum_l2 / n)
-    c = 2.0 * matrix.level_index / n
+    c = 2.0 * data.level_index / n
     tol_abs = COMPARISON_TOL * max(1.0, a)
     return a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)
 
 
 def _zero_multiplicity(data: SpectralData, tol: float):
-    return data.nullity == data.n - 1 - data.matrix.l_max, math.nan
+    return data.nullity == data.n - 1 - data.l_max, math.nan
 
 
 def _one_positive_eigenvalue(data: SpectralData, tol: float):
@@ -288,8 +278,8 @@ def _zero_cluster_consistency(data: SpectralData, tol: float):
 
 
 def _row_sum_difference(data: SpectralData, tol: float):
-    lev = np.sort(data.vertex_levels)[::-1]
-    sums = np.abs(lev[:, None] - lev[None, :]).sum(axis=1)
+    lev = np.repeat(np.arange(data.l_max + 1), data.profile)[::-1]  # non-increasing
+    sums = data.level_row_sums[lev]
     pairs = np.triu_indices(data.n, 1)
     ok = np.array_equal(row_sum_differences(lev)[pairs],
                         (sums[:, None] - sums[None, :])[pairs])
@@ -364,25 +354,26 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
 }
 
 
-def _profile_results(data: SpectralData, bound_names: list[str],
-                     report_filter: set[str] | None, checks, tol: float):
+def _profile_results(data: SpectralData, bound_lines: dict[str, set[str]],
+                     checks, tol: float):
     """Verdicts fixed by the level profile, as (name, ok, slack): the bound
-    reports folded per check, then the profile-level structural checks."""
+    reports folded into the selected ledger lines of their checks (see
+    ``bounds.CHECKS``), then the profile-level structural checks."""
     folded: dict[str, tuple[bool, float]] = {}
-    for report in bounds.evaluate_checks(data, bound_names):
-        name = report.name
-        if name.startswith("eigenvalue-interval-"):
-            name = "eigenvalue-intervals"
-        if report_filter is not None and report.name not in report_filter:
-            continue
-        ok, slack = folded.get(name, (True, math.inf))
-        folded[name] = (ok and report.satisfied, min(slack, report.slack))
+    for check, keep in bound_lines.items():
+        lines = bounds.CHECKS[check][2]
+        for report in bounds.evaluate_checks(data, [check]):
+            name = report.name if report.name in lines else check
+            if name not in keep:
+                continue
+            ok, slack = folded.get(name, (True, math.inf))
+            folded[name] = (ok and report.satisfied, min(slack, report.slack))
     return ([(name, ok, slack) for name, (ok, slack) in folded.items()]
             + [(name, *check(data, tol)) for name, check in checks])
 
 
-def _evaluate_batch(order: int, seqs: list[tuple[int, ...]], bound_names: list[str],
-                    structural: list[str], report_filter: set[str] | None,
+def _evaluate_batch(order: int, seqs: list[tuple[int, ...]],
+                    bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float, stats: tuple[str, ...]):
     """Worker: evaluate all selected checks on a batch of canonical level
     sequences; returns mergeable partial aggregates.
@@ -403,10 +394,10 @@ def _evaluate_batch(order: int, seqs: list[tuple[int, ...]], bound_names: list[s
     for seq in seqs:
         profile = level_profile(seq)
         if profile not in per_profile:
-            data = SpectralData.from_levels(seq, tol=tol)
+            data = SpectralData.from_profile(profile, tol=tol)
             values = {"rho": data.spectrum.rho, "energy": data.spectrum.energy}
             per_profile[profile] = (data, values, _profile_results(
-                data, bound_names, report_filter, checks[PROFILE], tol))
+                data, bound_lines, checks[PROFILE], tol))
         data, values, results = per_profile[profile]
         if checks[LEAF_LEVELS]:
             key = (profile, _leaf_levels(seq))
@@ -444,7 +435,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         raise InvalidOrder(f"need order >= 1, got {order}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    bound_names, structural, report_filter = _resolve_selection(selection)
+    bound_lines, structural = _resolve_selection(selection)
     seqs = list(level_sequences(order, cap=cap))
     expected = rooted_tree_count(order)
     if len(seqs) != expected:
@@ -455,8 +446,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     cpus = available_cpus()
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, len(seqs)))
     if jobs == 1 or len(seqs) < 64:
-        partials = [_evaluate_batch(order, seqs, bound_names, structural,
-                                    report_filter, tol, stats)]
+        partials = [_evaluate_batch(order, seqs, bound_lines, structural, tol, stats)]
     else:
         chunk = (len(seqs) + jobs - 1) // jobs
         batches = [seqs[i:i + chunk] for i in range(0, len(seqs), chunk)]
@@ -465,7 +455,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(
                 _batch_entry,
-                [(order, batch, bound_names, structural, report_filter, tol, stats)
+                [(order, batch, bound_lines, structural, tol, stats)
                  for batch in batches],
             ))
     merged_checks: dict[str, CheckStat] = {}

@@ -9,6 +9,8 @@ from levelspectra import (
     enumerate_rooted_trees,
     evaluate_checks,
     leafstar_cubic_roots,
+    level_profile,
+    levels,
     path_rho_closed_form,
     rooted_path,
     rooted_star,
@@ -132,7 +134,7 @@ class TestRhoSecondOrder:
 
     def test_star3_hand_computed(self):
         d = data_for(rooted_star(3))
-        assert d.q_vector.tolist() == [2, 2, 2]
+        assert d.level_second_order_sums[levels(rooted_star(3))].tolist() == [2, 2, 2]
         r = check_rho_second_order(d)
         assert r.rhs == pytest.approx(math.sqrt(2))
 
@@ -214,7 +216,7 @@ class TestEigenvalueIntervals:
             check_eigenvalue_intervals(data_for(rooted_path(2)))
 
     def test_gated_out_by_evaluate(self):
-        names = {r.name for r in evaluate_checks(rooted_path(2))}
+        names = {r.name for r in evaluate_checks(data_for(rooted_path(2)))}
         assert not any(n.startswith("eigenvalue-interval") for n in names)
 
 
@@ -290,10 +292,12 @@ class TestEvaluateChecks:
     def test_all_pass_small_orders(self):
         for n in range(1, 7):
             for tree in enumerate_rooted_trees(n):
-                assert all(r.satisfied for r in evaluate_checks(tree))
+                assert all(r.satisfied for r in evaluate_checks(data_for(tree)))
 
-    def test_accepts_raw_tree(self, sample9):
-        assert evaluate_checks(sample9)
+    def test_tree_and_profile_give_same_reports(self, sample9, d9):
+        from_profile = SpectralData.from_profile(level_profile(levels(sample9)))
+        assert evaluate_checks(d9) == evaluate_checks(from_profile)
+        assert evaluate_checks(d9)
 
     def test_selection(self, d9):
         reports = evaluate_checks(d9, ["trace-identity"])
@@ -309,6 +313,6 @@ class TestEvaluateChecks:
         members = [rooted_star(50), rooted_path(50), star_rooted_at_leaf(50),
                    complete_dary(2, 5), complete_dary(3, 3)]
         for tree in members:
-            reports = evaluate_checks(tree)
+            reports = evaluate_checks(data_for(tree))
             bad = [r.name for r in reports if not r.satisfied]
             assert bad == []

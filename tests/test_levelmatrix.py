@@ -6,19 +6,14 @@ from levelspectra import (
     distance_matrix,
     enumerate_rooted_trees,
     from_parent_list,
-    h_value,
     is_rooted_path,
-    level_index,
     levels,
     matrix_text,
     rooted_path,
     rooted_star,
     row_sum_difference,
-    row_sums,
-    second_order_row_sums,
 )
 from levelspectra.levelmatrix import (
-    is_irreducible,
     ordered_distance_matrix,
     row_sum_differences,
 )
@@ -58,46 +53,46 @@ class TestBuild:
 
 class TestAggregates:
     def test_level_index_sample9(self, sample9):
-        assert level_index(build_level_matrix(sample9)) == SAMPLE9_LI
+        assert build_level_matrix(sample9).level_index == SAMPLE9_LI
 
     def test_level_index_star(self):
         for n in (2, 5, 9):
-            assert level_index(build_level_matrix(rooted_star(n))) == n - 1
+            assert build_level_matrix(rooted_star(n)).level_index == n - 1
 
     def test_level_index_p3(self):
         # |0-1| + |0-2| + |1-2| = 4
-        assert level_index(build_level_matrix(rooted_path(3))) == 4
+        assert build_level_matrix(rooted_path(3)).level_index == 4
 
     def test_h_sample9(self, sample9):
-        assert h_value(build_level_matrix(sample9)) == SAMPLE9_H
+        assert build_level_matrix(sample9).h_value == SAMPLE9_H
 
     def test_h_star(self):
         for n in (2, 5, 9):
-            assert h_value(build_level_matrix(rooted_star(n))) == 2 * (n - 1)
+            assert build_level_matrix(rooted_star(n)).h_value == 2 * (n - 1)
 
     def test_h_p2(self):
-        assert h_value(build_level_matrix(rooted_path(2))) == 2
+        assert build_level_matrix(rooted_path(2)).h_value == 2
 
     def test_row_sums_sample9(self, sample9):
         m = build_level_matrix(sample9)
-        assert row_sums(m).tolist() == SAMPLE9_ROW_SUMS
+        assert m.row_sums.tolist() == SAMPLE9_ROW_SUMS
 
     def test_row_sums_basics(self):
-        assert row_sums(build_level_matrix(rooted_star(7)))[0] == 6
-        assert row_sums(build_level_matrix(rooted_path(3)))[0] == 3
+        assert build_level_matrix(rooted_star(7)).row_sums[0] == 6
+        assert build_level_matrix(rooted_path(3)).row_sums[0] == 3
 
     def test_row_sums_vs_level_index(self):
         for n in range(1, 8):
             for tree in enumerate_rooted_trees(n):
                 m = build_level_matrix(tree)
-                assert int(row_sums(m).sum()) == 2 * level_index(m)
+                assert int(m.row_sums.sum()) == 2 * m.level_index
 
     def test_second_order_identity(self):
         for n in range(1, 8):
             for tree in enumerate_rooted_trees(n):
                 m = build_level_matrix(tree)
-                q = second_order_row_sums(m)
-                assert int(q.sum()) == int((row_sums(m).astype(np.int64) ** 2).sum())
+                q = m.entries @ m.row_sums  # row sums of the squared matrix
+                assert int(q.sum()) == int((m.row_sums.astype(np.int64) ** 2).sum())
 
 
 class TestDistanceMatrix:
@@ -168,12 +163,12 @@ class TestRowSumDifference:
 
 class TestIrreducibility:
     def test_all_small_trees(self):
+        # every other vertex lies below the root, so the weighted graph on
+        # the nonzero entries is connected through the root
         for n in range(2, 8):
             for tree in enumerate_rooted_trees(n):
-                assert is_irreducible(build_level_matrix(tree))
-
-    def test_single_vertex(self):
-        assert is_irreducible(build_level_matrix(rooted_path(1)))
+                m = build_level_matrix(tree)
+                assert np.all(m.entries[tree.root, np.arange(n) != tree.root] > 0)
 
 
 class TestExport:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelspectra import (
+    LevelMatrix,
     RootedTree,
     SpectralData,
     build_level_matrix,
@@ -22,6 +23,7 @@ from levelspectra import (
     enumerate_rooted_trees,
     exact_zero_multiplicity,
     level_profile,
+    level_sequences,
     level_spectrum,
     levels,
     profile_nullity,
@@ -138,8 +140,8 @@ def test_leaf_profiles_match_deleted_trees(order):
     for tree in enumerate_rooted_trees(order):
         data = SpectralData.from_tree(tree)
         deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
-        subs = _leaf_profiles(data.profile,
-                              {int(data.vertex_levels[leaf]) for leaf in tree.leaves()})
+        lev = levels(tree)
+        subs = _leaf_profiles(data.profile, {int(lev[leaf]) for leaf in tree.leaves()})
         assert len(subs) == len(set(subs)) and set(subs) == deleted
 
 
@@ -299,3 +301,62 @@ class TestRankCertificate:
         exact = exact_zero_multiplicity(np.array(rows, dtype=object))
         assert _rank_mod_p(rows) <= len(rows) - exact
         assert _certified_nullity(rows) == exact
+
+
+# ---------------------------------------------------------------------------
+# SpectralData's profile aggregates against the n x n LevelMatrix oracle
+# ---------------------------------------------------------------------------
+
+def all_profiles(order: int):
+    """Every level profile of a rooted tree of this order: n_0 = 1, then a
+    composition of order - 1 (any positive counts are realised by a tree)."""
+    if order == 1:
+        yield (1,)
+        return
+    for cuts in range(2 ** (order - 2)):
+        parts, run = [1], 1
+        for bit in range(order - 2):
+            if cuts >> bit & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        yield tuple(parts + [run])
+
+
+def assert_aggregates_match_matrix(lev: np.ndarray) -> None:
+    """Every profile aggregate equals the dense matrix's, as Python ints."""
+    matrix = LevelMatrix.from_levels(lev)
+    data = SpectralData.from_profile(level_profile(lev))
+    q = matrix.entries @ matrix.row_sums
+    exact = (data.n, data.l_max, data.level_index, data.h_value,
+             data.row_square_sum, data.q_square_sum)
+    assert all(type(v) is int for v in exact)
+    assert exact == (matrix.n, matrix.l_max, matrix.level_index, matrix.h_value,
+                     sum(int(x) ** 2 for x in matrix.row_sums),
+                     sum(int(x) ** 2 for x in q))
+    assert data.level_row_sums[lev].tolist() == matrix.row_sums.tolist()
+    assert data.level_second_order_sums[lev].tolist() == q.tolist()
+
+
+def test_all_profiles_enumerated():
+    profiles = [p for order in range(1, 13) for p in all_profiles(order)]
+    assert len(profiles) == len(set(profiles)) == 2048
+    assert {level_profile(seq) for seq in level_sequences(9)} == set(all_profiles(9))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_profile_aggregates_equal_matrix_aggregates(order):
+    for profile in all_profiles(order):
+        assert_aggregates_match_matrix(np.repeat(np.arange(len(profile)), profile))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parent_arrays())
+def test_profile_aggregates_of_random_trees(tree):
+    assert_aggregates_match_matrix(levels(tree))
+
+
+@pytest.mark.parametrize("n", [50, 250])
+def test_profile_aggregates_of_rooted_paths(n):
+    assert_aggregates_match_matrix(np.arange(n))

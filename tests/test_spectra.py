@@ -12,7 +12,8 @@ from levelspectra import (
     delete_leaf,
     enumerate_rooted_trees,
     exact_zero_multiplicity,
-    level_energy,
+    level_profile,
+    level_sequences,
     levels,
     perron_vector,
     rooted_path,
@@ -21,11 +22,12 @@ from levelspectra import (
     symmetric_eigenvalues,
 )
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
+from levelspectra.bounds import SpectralData
 from levelspectra.spectra import (
     CharPoly,
-    eigenvalues_interlace,
     positive_eigenvalue_count,
 )
+from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_levels, _leaf_profiles
 
 from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
 
@@ -114,22 +116,22 @@ class TestPerron:
 class TestEnergy:
     def test_sample9(self, sample9):
         sp = symmetric_eigenvalues(build_level_matrix(sample9))
-        assert level_energy(sp) == pytest.approx(20.831625448, abs=1e-5)
+        assert sp.energy == pytest.approx(20.831625448, abs=1e-5)
 
     def test_star(self):
         for n in (2, 7, 20):
             sp = symmetric_eigenvalues(build_level_matrix(rooted_star(n)))
-            assert level_energy(sp) == pytest.approx(2 * math.sqrt(n - 1), abs=1e-10)
+            assert sp.energy == pytest.approx(2 * math.sqrt(n - 1), abs=1e-10)
 
     def test_single_vertex(self):
         sp = symmetric_eigenvalues(build_level_matrix(rooted_path(1)))
-        assert level_energy(sp) == 0.0
+        assert sp.energy == 0.0
 
     def test_twice_rho_for_all_trees(self):
         for n in range(2, 8):
             for tree in enumerate_rooted_trees(n):
                 sp = symmetric_eigenvalues(build_level_matrix(tree))
-                assert level_energy(sp) == pytest.approx(2 * sp.rho, rel=1e-8)
+                assert sp.energy == pytest.approx(2 * sp.rho, rel=1e-8)
 
 
 class TestCharPoly:
@@ -261,29 +263,49 @@ class TestPositiveCount:
         assert positive_eigenvalue_count(sp) == 0
 
 
+def _interlace(outer, inner, slack) -> bool:
+    """Cauchy interlacing: inner[k] within [outer[k+1], outer[k]] up to
+    ``slack``, both descending."""
+    return bool(np.all(inner <= outer[:-1] + slack) and np.all(inner >= outer[1:] - slack))
+
+
 class TestInterlacing:
+    """The dense oracle spectra interlace under leaf deletion, and the
+    ledger's ``interlacing`` check, which reads profile spectra, tells
+    interlacing from its failure."""
+
     def test_p3_to_p2(self):
         outer = symmetric_eigenvalues(build_level_matrix(rooted_path(3))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_path(2))).values
-        assert eigenvalues_interlace(outer, inner, slack=1e-8)
+        assert _interlace(outer, inner, slack=1e-8)
+        assert _interlacing(SpectralData.from_profile((1, 1, 1)), [(1, 1)], 1e-8)[0]
 
     def test_s4_to_s3(self):
         outer = symmetric_eigenvalues(build_level_matrix(rooted_star(4))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_star(3))).values
-        assert eigenvalues_interlace(outer, inner, slack=1e-8)
+        assert _interlace(outer, inner, slack=1e-8)
+        assert _interlacing(SpectralData.from_profile((1, 3)), [(1, 2)], 1e-8)[0]
 
     def test_violation_detected(self):
-        assert not eigenvalues_interlace([2.0, 1.0, 0.0], [3.0, 0.5], slack=1e-8)
+        # the star's top eigenvalue sqrt(3) lies below the path's 1 + sqrt(3)
+        ok, worst = _interlacing(SpectralData.from_profile((1, 3)), [(1, 1, 1)], 1e-8)
+        assert not ok
+        assert worst == pytest.approx(math.sqrt(3) - (1 + math.sqrt(3)))
 
     def test_shape_check(self):
-        with pytest.raises(ValueError):
-            eigenvalues_interlace([1.0, 0.0], [0.5, 0.2], slack=1e-8)
+        # the check compares n values with n - 1: every leaf-deleted profile
+        # it is handed has one vertex fewer
+        for n in range(2, 9):
+            for seq in level_sequences(n):
+                profile = level_profile(seq)
+                for sub in _leaf_profiles(profile, _leaf_levels(seq)):
+                    assert sum(sub) == n - 1 and min(sub) >= 1
 
     def test_every_leaf_deletion(self):
         for n in range(2, 7):
             for tree in enumerate_rooted_trees(n):
                 sp = symmetric_eigenvalues(build_level_matrix(tree))
-                eps = 1e-8 * max(1.0, sp.rho)
+                eps = INTERLACING_TOL * max(1.0, sp.rho)
                 for leaf in tree.leaves():
                     sub = symmetric_eigenvalues(build_level_matrix(delete_leaf(tree, leaf)))
-                    assert eigenvalues_interlace(sp.values, sub.values, slack=eps)
+                    assert _interlace(sp.values, sub.values, slack=eps)

@@ -29,7 +29,9 @@ from levelspectra.verify import (
 
 
 class TestVerifyOrder:
-    def test_levels_computed_at_most_four_times_per_tree(self, monkeypatch):
+    def test_levels_never_computed(self, monkeypatch):
+        """verify walks level sequences and builds no tree, so no tree's
+        levels are ever computed."""
         calls = []
         real = trees_mod.levels
 
@@ -38,10 +40,11 @@ class TestVerifyOrder:
             return real(tree)
 
         for module in (trees_mod, levelmatrix_mod, bounds_mod, verify_mod):
-            monkeypatch.setattr(module, "levels", counting)
+            if hasattr(module, "levels"):
+                monkeypatch.setattr(module, "levels", counting)
         ledger = verify_order(7, jobs=1)
         assert ledger.violations == 0
-        assert len(calls) <= 4 * ledger.tree_count
+        assert calls == []
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zero_violations(self, n):
@@ -63,6 +66,27 @@ class TestVerifyOrder:
         ledger = verify_order(5, selection=["energy-identity"], jobs=1)
         assert [c.name for c in ledger.checks] == ["energy-identity"]
         assert ledger.checks[0].trees_checked == 9
+
+    @pytest.mark.parametrize("selection, lines", [
+        (["energy-identity", "rho-row-sums"],
+         ["energy-identity", "rho-row-sum-lower", "rho-row-sum-upper"]),
+        (["spectrum-interval", "eigenvalue-intervals"],
+         ["eigenvalue-intervals", "spectrum-interval"]),
+        (["rho-row-sum-upper", "energy-upper", "energy-identity"],
+         ["energy-identity", "energy-upper", "rho-row-sum-upper"]),
+    ])
+    def test_selection_mixes_lines_and_checks(self, selection, lines):
+        """A ledger line selects itself, a check all of its lines; each
+        evaluator keeps what was asked of it."""
+        ledger = verify_order(5, selection=selection, jobs=1)
+        assert [c.name for c in ledger.checks] == lines
+        full = {c.name: c.to_dict() for c in verify_order(5, jobs=1).checks}
+        assert [c.to_dict() for c in ledger.checks] == [full[name] for name in lines]
+
+    def test_selection_repeated_name_counts_once(self):
+        ledger = verify_order(5, selection=["interlacing", "interlacing",
+                                            "trace-identity", "trace-identity"], jobs=1)
+        assert [c.trees_checked for c in ledger.checks] == [9, 9]
 
     def test_selection_structural(self):
         ledger = verify_order(5, selection=["zero-multiplicity", "interlacing"], jobs=1)
@@ -346,7 +370,8 @@ def _oracle_structural(tree, data, tol):
     """(name, ok, slack) of every structural check on one tree, from the
     tree itself: leaf deletion, the LCA-walk distance matrix and the scalar
     row-sum closed form."""
-    n, matrix, spectrum = data.n, data.matrix, data.spectrum
+    n, spectrum = data.n, data.spectrum
+    matrix = levelmatrix_mod.LevelMatrix.from_levels(trees_mod.levels(tree))
     sub_data = [bounds_mod.SpectralData.from_tree(trees_mod.delete_leaf(tree, leaf), tol=tol)
                 for leaf in tree.leaves()] if n >= 2 else []
     out = []
@@ -356,7 +381,8 @@ def _oracle_structural(tree, data, tol):
                     slack > bounds_mod.COMPARISON_TOL * max(1.0, spectrum.rho), slack))
     if n >= 2:
         sum_l2 = sum(int(v) ** 2 for v in matrix.row_sums)
-        a = math.sqrt(float(sum(int(q) ** 2 for q in data.q_vector)) / sum_l2)
+        q = matrix.entries @ matrix.row_sums
+        a = math.sqrt(float(sum(int(x) ** 2 for x in q)) / sum_l2)
         b = math.sqrt(sum_l2 / n)
         c = 2.0 * matrix.level_index / n
         tol_abs = bounds_mod.COMPARISON_TOL * max(1.0, a)
@@ -379,7 +405,7 @@ def _oracle_structural(tree, data, tol):
                 and bool(np.array_equal(matrix.entries, dist)) == trees_mod.is_rooted_path(tree),
                 math.nan))
     if n >= 2:
-        lev = sorted((int(v) for v in data.vertex_levels), reverse=True)
+        lev = sorted(trees_mod.levels(tree).tolist(), reverse=True)
         sums = [sum(abs(x - y) for y in lev) for x in lev]
         ok = all(levelmatrix_mod.row_sum_difference(lev, i, k) == sums[i - 1] - sums[k - 1]
                  for i in range(1, n + 1) for k in range(i + 1, n + 1))
@@ -438,7 +464,7 @@ def test_second_order_sums_are_exact(n):
     a = math.sqrt(sum(x * x for x in q) / sum_l2)
     b = math.sqrt(sum_l2 / n)
     c = sum(row) / n
-    data = bounds_mod.SpectralData.from_levels(lev)
+    data = bounds_mod.SpectralData.from_profile((1,) * n)
     report = bounds_mod.check_rho_second_order(data)
     assert report.satisfied
     assert report.rhs == pytest.approx(a, rel=1e-12)
