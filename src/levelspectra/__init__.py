@@ -39,6 +39,7 @@ _SUBMODULE_OF = {
         "profile_nullity",
         "profile_spectrum",
         "quotient_matrix",
+        "solve_profiles",
         "symmetric_eigenvalues",
     ], "spectra"),
     **dict.fromkeys([
@@ -53,6 +54,7 @@ _SUBMODULE_OF = {
         "is_rooted_path",
         "is_rooted_star",
         "level_sequences",
+        "level_profiles",
         "levels",
         "parse_tree",
         "rooted_path",

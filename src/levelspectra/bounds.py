@@ -98,23 +98,23 @@ class SpectralData:
     aggregate is an exact integer function of the profile, found without the
     n x n matrix: a vertex on level a has row sum L_a = sum_b n_b |a - b| and
     second-order row sum q_a = sum_b n_b |a - b| L_b. The spectrum and the
-    exact nullity come from the profile engine, so trees sharing a profile
-    share one quotient solve. The spectrum carries no Perron vector.
+    exact nullity come from the profile engine (``spectra.solve_profiles``),
+    so trees sharing a profile share one quotient solve. The spectrum
+    carries no Perron vector.
     """
 
     profile: tuple[int, ...]
     spectrum: Spectrum
+    nullity: int  # exact multiplicity of the eigenvalue 0
 
     @classmethod
-    def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL,
-                     method: str = "ql") -> "SpectralData":
-        spectrum = profile_spectrum(profile, tol=tol, method=method)
-        return cls(tuple(int(c) for c in profile), spectrum)
+    def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
+        key = tuple(int(c) for c in profile)
+        return cls(key, profile_spectrum(key, tol=tol), profile_nullity(key))
 
     @classmethod
-    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL,
-                  method: str = "ql") -> "SpectralData":
-        return cls.from_profile(level_profile(levels(tree)), tol=tol, method=method)
+    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
+        return cls.from_profile(level_profile(levels(tree)), tol=tol)
 
     @cached_property
     def n(self) -> int:
@@ -129,11 +129,6 @@ class SpectralData:
     def is_path(self) -> bool:
         """The rooted path is the one tree with a vertex on every level."""
         return len(self.profile) == self.n
-
-    @cached_property
-    def nullity(self) -> int:
-        """Exact multiplicity of the eigenvalue 0."""
-        return profile_nullity(self.profile)
 
     @cached_property
     def _level_distances(self) -> np.ndarray:

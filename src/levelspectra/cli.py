@@ -86,6 +86,16 @@ def polynomial_text(charpoly: CharPoly) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def _level_charpoly(tree: RootedTree, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPoly:
+    """Exact characteristic polynomial of the tree's level matrix. An order
+    above ``cap`` is refused before the O(n^2) matrix is built."""
+    if tree.n > cap:
+        raise ResourceLimit(
+            f"characteristic polynomial of order {tree.n} exceeds the cap of {cap}"
+        )
+    return characteristic_polynomial(build_level_matrix(tree), cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # analysis report
 # ---------------------------------------------------------------------------
@@ -170,14 +180,13 @@ class AnalysisReport:
     @classmethod
     def build(cls, tree: RootedTree, include_charpoly: bool = False,
               bound_names=None, tol: float = DEFAULT_CLUSTER_TOL,
-              method: str = "ql", extras: dict | None = None) -> "AnalysisReport":
-        data = SpectralData.from_tree(tree, tol=tol, method=method)
+              extras: dict | None = None) -> "AnalysisReport":
+        data = SpectralData.from_tree(tree, tol=tol)
         reports = [] if bound_names == [] else bounds_mod.evaluate_checks(data, bound_names)
         return cls(
             tree=tree,
             data=data,
-            charpoly=(characteristic_polynomial(build_level_matrix(tree))
-                      if include_charpoly else None),
+            charpoly=_level_charpoly(tree) if include_charpoly else None,
             bounds=reports,
             extras=extras or {},
         )
@@ -279,7 +288,6 @@ def _build_parser() -> _Parser:
                            help="include the exact characteristic polynomial")
     p_analyze.add_argument("--bounds", default="all", metavar="all|none|NAMES",
                            help="comma-separated bound checks to evaluate")
-    p_analyze.add_argument("--method", choices=["ql", "jacobi"], default="ql")
     add_tol(p_analyze)
 
     p_charpoly = sub.add_parser("charpoly", help="exact characteristic polynomial")
@@ -355,7 +363,6 @@ def _cmd_analyze(args) -> int:
         include_charpoly=args.charpoly,
         bound_names=_parse_bound_selection(args.bounds),
         tol=args.tol,
-        method=args.method,
     )
     if args.format == "json":
         json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -369,7 +376,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     tree = _read_tree(args.path)
-    poly = characteristic_polynomial(build_level_matrix(tree), cap=args.cap)
+    poly = _level_charpoly(tree, cap=args.cap)
     if args.format == "json":
         sys.stdout.write(poly.to_json() + "\n")
     else:

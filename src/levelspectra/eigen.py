@@ -1,9 +1,15 @@
-"""Dense symmetric eigensolver, self-contained.
+"""Dense symmetric eigensolver, self-contained: an oracle only.
+
+The program's eigenvalues come from LAPACK through numpy (the profile
+engine, ``spectra.solve_profiles``). This module is the independent solver
+the engine is tested against, run on a quotient or on a full n x n level
+matrix through ``spectra.symmetric_eigenvalues``; no production path calls
+it.
 
 Primary path: Householder reduction to tridiagonal form followed by the
 implicit-shift QL iteration (the classic tred2/imtql2 pair, ported to numpy).
-A cyclic Jacobi solver is kept as an independent cross-validation path,
-selectable via ``method="jacobi"``.
+A cyclic Jacobi solver is kept as a second, independent path, selectable via
+``method="jacobi"``.
 
 Both paths return all eigenvalues sorted descending together with an
 orthonormal matrix of eigenvectors (as columns, matching the value order).
@@ -11,11 +17,6 @@ With ``vectors=False`` the QL path computes values only: the reduction skips
 accumulating the orthogonal factor and the QL loop skips the rotations of its
 columns. The diagonal and subdiagonal go through the same IEEE operations
 either way, so the values are bit-identical to those of the vector solve.
-
-In production the solver runs on the small (h+1)x(h+1) quotient of a level
-profile (see ``spectra.level_spectrum``), once per distinct profile. Run on a
-full n x n level matrix (``spectra.symmetric_eigenvalues``) it is the dense
-oracle path that the profile engine is tested against.
 """
 
 from __future__ import annotations

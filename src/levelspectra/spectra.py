@@ -5,20 +5,24 @@ multiplicities.
 The level matrix depends only on the level profile (n_0, ..., n_h), the
 number of vertices at each level. Its nonzero spectrum is the spectrum of
 the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
-and its other n-h-1 eigenvalues are exactly zero. The profile engine
-(:func:`level_spectrum`, :func:`profile_spectrum`, :func:`profile_nullity`)
-solves S once per profile, for its values only, and caches the result, so a
-sweep over many trees does one small solve per distinct profile instead of
-one dense n x n solve per tree. Only :func:`level_spectrum` also solves for
-the eigenvectors, to lift the Perron vector to the vertices. The exact
-nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b, which has
-the rank of S. Its rank is certified by elimination modulo a prime, which
-can only under-count the rank; when that count is short of full rank, the
-exact rank comes from Bareiss elimination of B.
+and its other n-h-1 eigenvalues are exactly zero. The profile engine,
+:func:`solve_profiles`, takes many profiles at once: it stacks the quotients
+of each height and solves every stack with one LAPACK ``eigvalsh`` call and
+one lock-step rank certificate. :func:`profile_spectrum` and
+:func:`profile_nullity` are its cached batches of one. Only
+:func:`level_spectrum` also solves for eigenvectors (LAPACK ``eigh``), to
+lift the Perron vector to the vertices. The exact nullity is n - rank(B)
+with the integer matrix B_ab = |a - b| n_b, which has the rank of S. Its
+rank is certified by elimination modulo a prime, which can only under-count
+the rank; when that count is short of full rank, the exact rank comes from
+Bareiss elimination of B.
 
-:func:`symmetric_eigenvalues` and :func:`exact_zero_multiplicity` on the
-full n x n matrix are kept as the independent oracle paths the engine is
-tested against.
+Oracle paths, kept to test the engine against:
+:func:`symmetric_eigenvalues` and :func:`perron_vector` run the in-repo
+QL or Jacobi solver (:mod:`levelspectra.eigen`), on the full n x n matrix or
+on a quotient; :func:`exact_zero_multiplicity` is the n x n Bareiss
+elimination (also the engine's fallback); :func:`_rank_mod_p` is the
+one-matrix rank modulo the prime.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
@@ -32,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +49,9 @@ from .levelmatrix import LevelMatrix
 #: this; exact rank is the authority for the zero cluster.
 DEFAULT_CLUSTER_TOL = 1e-8
 
-#: Distinct profiles whose quotient solves, spectra and nullities are kept.
-#: Order 16 has 2**14 profiles; an entry is a few arrays of order n.
+#: Distinct profiles whose one-profile solves (:func:`profile_spectrum`,
+#: :func:`profile_nullity`) and Perron vectors are kept; an entry is a few
+#: arrays of order n. Batches of :func:`solve_profiles` bypass this cache.
 PROFILE_CACHE_SIZE = 1 << 16
 
 #: Characteristic polynomials beyond this order are refused by default; the
@@ -107,13 +113,15 @@ def _cluster(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], .
 
 def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
                           method: str = "ql") -> Spectrum:
-    """Full spectrum of a symmetric matrix by a dense in-repo solve.
+    """Full spectrum of a symmetric matrix by a dense in-repo solve
+    (``method`` is ``"ql"`` or ``"jacobi"``).
 
     ``tol`` controls the cluster grouping (scaled by ``max(1, rho)``), not
     the solver itself, which iterates to machine precision.
 
-    Oracle path: level matrices go through :func:`level_spectrum`; this
-    dense n x n solve is the independent check it is tested against.
+    Oracle path: level matrices go through the LAPACK profile engine
+    (:func:`solve_profiles`); this in-repo solve, of the n x n matrix or of
+    a quotient, is the independent check it is tested against.
     """
     _check_tol(tol)
     a = _as_array(matrix)
@@ -142,6 +150,7 @@ def perron_vector(matrix, tol: float = DEFAULT_CLUSTER_TOL,
 
     Valid for irreducible non-negative matrices of order >= 2, where the top
     eigenvalue is simple and its eigenvector can be taken entrywise positive.
+    Oracle path for :func:`level_spectrum`'s Perron vector.
     """
     a = _as_array(matrix)
     if a.shape[0] < 2:
@@ -225,9 +234,9 @@ def charpoly_roots(charpoly: CharPoly) -> np.ndarray:
 def exact_zero_multiplicity(matrix) -> int:
     """Exact nullity via Bareiss fraction-free integer elimination.
 
-    Oracle path for level matrices, whose nullity :func:`profile_nullity`
-    takes from the (h+1)x(h+1) profile matrix by a rank modulo a prime; this
-    elimination is its fallback when that rank is not full.
+    Oracle path for level matrices, whose nullity the profile engine takes
+    from the (h+1)x(h+1) profile matrix B by a rank modulo a prime; this
+    elimination of B is its fallback when that rank is not full.
     """
     a = _as_array(matrix)
     n = a.shape[0]
@@ -295,10 +304,18 @@ def level_profile(vertex_levels) -> tuple[int, ...]:
 
 
 def _profile_key(profile) -> tuple[int, ...]:
-    key = tuple(int(c) for c in profile)
+    key = tuple(map(int, profile))
     if not key or min(key) < 1:
         raise ValueError(f"a level profile needs positive counts, got {key}")
     return key
+
+
+def _quotient_stack(counts: np.ndarray) -> np.ndarray:
+    """The quotients of a (k, h+1) array of level counts, as a (k, h+1, h+1)
+    stack."""
+    idx = np.arange(counts.shape[1])
+    c = counts.astype(float)
+    return np.abs(idx[:, None] - idx[None, :]) * np.sqrt(c[:, :, None] * c[:, None, :])
 
 
 def quotient_matrix(profile) -> np.ndarray:
@@ -307,9 +324,26 @@ def quotient_matrix(profile) -> np.ndarray:
     Each entry takes one rounding (the square root of the exact product),
     and is exact where n_a n_b is a square.
     """
-    counts = np.asarray(_profile_key(profile), dtype=float)
-    idx = np.arange(len(counts))
-    return np.abs(idx[:, None] - idx[None, :]) * np.sqrt(np.outer(counts, counts))
+    return _quotient_stack(np.array([_profile_key(profile)], dtype=np.int64))[0]
+
+
+#: Modulus of the rank certificate, the prime 2**31 - 1. Residues are below
+#: 2**31, so a product of two stays below 2**62 and fits in int64.
+RANK_PRIME = (1 << 31) - 1
+
+#: Profiles of one height solved together: one LAPACK call and one
+#: elimination per stack of at most this many, which bounds a batch's
+#: working arrays to a few (STACK_SIZE, h+1, h+1) blocks.
+STACK_SIZE = 1024
+
+
+class ProfileSolution(NamedTuple):
+    """What the profile engine knows of one level profile: the spectrum of
+    its level matrices (``perron`` is ``None``) and the exact multiplicity
+    of their eigenvalue 0."""
+
+    spectrum: Spectrum
+    nullity: int
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -317,42 +351,152 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _profile_spectrum(profile: tuple[int, ...], tol: float, method: str) -> Spectrum:
-    values, _ = symmetric_eigh(quotient_matrix(profile), method=method, vectors=False)
-    zeros = np.zeros(sum(profile) - len(profile))
-    values = _frozen(np.sort(np.concatenate([values, zeros]))[::-1].copy())
-    rho = float(np.abs(values).max())
-    return Spectrum(
-        values=values,
-        clusters=_cluster(values, tol * max(1.0, rho)),
-        rho=rho,
-        energy=float(np.abs(values).sum()),
-        perron=None,
-    )
+def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
+    """Whether each member of a (k, s, s) int64 stack of residues modulo
+    RANK_PRIME has full rank over GF(RANK_PRIME).
+
+    All members are eliminated in lock step, fraction-free: below the pivot
+    row, row <- row * pivot - head * top (mod p). Scaling a row by a nonzero
+    residue keeps the rank, and each product of two residues is below 2**62,
+    so no modular inverse is needed. A member without a pivot in some column
+    is singular modulo p, and the elimination zeroes the rows below it.
+    """
+    m = residues.copy()
+    k, s, _ = m.shape
+    members = np.arange(k)
+    full = np.ones(k, dtype=bool)
+    for col in range(s):
+        nonzero = m[:, col:, col] != 0
+        full &= nonzero.any(axis=1)
+        pivot_row = col + nonzero.argmax(axis=1)
+        top = m[members, pivot_row].copy()
+        m[members, pivot_row] = m[:, col]
+        m[:, col] = top
+        m[:, col + 1:, col:] = (m[:, col + 1:, col:] * top[:, None, col:col + 1]
+                                - m[:, col + 1:, col:col + 1] * top[:, None, col:]
+                                ) % RANK_PRIME
+    return full
 
 
-def profile_spectrum(profile, tol: float = DEFAULT_CLUSTER_TOL,
-                     method: str = "ql") -> Spectrum:
-    """Spectrum of every level matrix with this profile, from one cached
-    values-only solve of the quotient; ``perron`` is ``None``."""
+def _profile_b(profile: tuple[int, ...]) -> list[list[int]]:
+    """B_ab = |a - b| n_b in Python integers."""
+    h1 = len(profile)
+    return [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
+
+
+def _solve_stack(profiles: list[tuple[int, ...]], tol: float) -> list[ProfileSolution]:
+    """Solve profiles of one height: one stacked ``eigvalsh`` and one stacked
+    rank certificate, with the clusters found for all members at once."""
+    counts = np.array(profiles, dtype=np.int64)
+    k, s = counts.shape
+    n = counts.sum(axis=1)
+    quotient_values = np.linalg.eigvalsh(_quotient_stack(counts))  # ascending
+    rho = np.abs(quotient_values).max(axis=1)
+    energy = np.abs(quotient_values).sum(axis=1)
+
+    # Each member's n values, descending, in a row of a (k, max n) array:
+    # the positive quotient values, then n - h - 1 exact zeros, then the
+    # rest. Columns from n on are zero padding.
+    width = int(n.max())
+    desc = quotient_values[:, ::-1]
+    positive = (desc > 0).sum(axis=1)
+    j = np.arange(s)
+    cols = j + np.where(j < positive[:, None], 0, (n - s)[:, None])
+    values = np.zeros((k, width))
+    values[np.arange(k)[:, None], cols] = desc
+    _frozen(values)
+
+    # A cluster starts at each row's first value and wherever a gap exceeds
+    # the threshold; the padding of a row is a block of its own, dropped.
+    threshold = tol * np.maximum(1.0, rho)
+    starts = np.zeros((k, width), dtype=bool)
+    starts[:, 0] = True
+    starts[:, 1:] = ((values[:, :-1] - values[:, 1:] > threshold[:, None])
+                     | (np.arange(1, width) == n[:, None]))
+    first = np.flatnonzero(starts)
+    sizes = np.diff(first, append=values.size)
+    means = np.add.reduceat(values.ravel(), first) / sizes
+    row, col = np.divmod(first, width)
+    real = col < n[row]
+    per_row = np.bincount(row[real], minlength=k).tolist()
+    clusters = list(zip(means[real].tolist(), sizes[real].tolist()))
+
+    b = np.abs(j[:, None] - j[None, :])[None] * (counts % RANK_PRIME)[:, None, :]
+    full_rank = _full_rank_mod_p(b % RANK_PRIME).tolist()
+
+    out = []
+    offset = 0
+    for i, profile in enumerate(profiles):
+        size = int(n[i])
+        b_nullity = 0 if full_rank[i] else exact_zero_multiplicity(
+            np.array(_profile_b(profile), dtype=object))
+        spectrum = Spectrum(
+            values=values[i, :size],
+            clusters=tuple(clusters[offset:offset + per_row[i]]),
+            rho=float(rho[i]),
+            energy=float(energy[i]),
+            perron=None,
+        )
+        offset += per_row[i]
+        out.append(ProfileSolution(spectrum, size - s + b_nullity))
+    return out
+
+
+def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
+                   ) -> dict[tuple[int, ...], ProfileSolution]:
+    """The profile engine: spectrum and exact nullity of every distinct
+    profile given, keyed by the profile as a tuple.
+
+    Profiles are grouped by height and solved in stacks of up to
+    STACK_SIZE. The values come from one LAPACK ``eigvalsh`` call per stack
+    on the (h+1)x(h+1) quotients, padded with n - h - 1 exact zeros. The
+    nullity is n - rank(B) with B_ab = |a - b| n_b, which has the rank of
+    the quotient. A full rank modulo RANK_PRIME proves full rank over the
+    rationals; any other outcome is decided by Bareiss elimination of B.
+    """
     _check_tol(tol)
-    return _profile_spectrum(_profile_key(profile), float(tol), method)
+    by_height: dict[int, list[tuple[int, ...]]] = {}
+    for key in dict.fromkeys(_profile_key(p) for p in profiles):
+        by_height.setdefault(len(key), []).append(key)
+    out = {}
+    for group in by_height.values():
+        for start in range(0, len(group), STACK_SIZE):
+            chunk = group[start:start + STACK_SIZE]
+            out.update(zip(chunk, _solve_stack(chunk, float(tol))))
+    return out
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _perron_levels(profile: tuple[int, ...], method: str) -> np.ndarray:
+def _profile_solution(profile: tuple[int, ...], tol: float) -> ProfileSolution:
+    return solve_profiles([profile], tol)[profile]
+
+
+def profile_spectrum(profile, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+    """Spectrum of every level matrix with this profile, from the cached
+    :func:`solve_profiles` of this profile alone; ``perron`` is ``None``."""
+    _check_tol(tol)
+    return _profile_solution(_profile_key(profile), float(tol)).spectrum
+
+
+def profile_nullity(profile) -> int:
+    """Exact multiplicity of the eigenvalue 0 of every level matrix with
+    this profile, from the cached :func:`solve_profiles` of this profile
+    alone."""
+    return _profile_solution(_profile_key(profile), DEFAULT_CLUSTER_TOL).nullity
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _perron_levels(profile: tuple[int, ...]) -> np.ndarray:
     """The Perron vector per level, w_a = y_a / sqrt(n_a) for the unit top
     eigenvector y of S (n >= 2)."""
-    _, vectors = symmetric_eigh(quotient_matrix(profile), method=method)
-    w = vectors[:, 0] / np.linalg.norm(vectors[:, 0]) / np.sqrt(profile)
+    _, vectors = np.linalg.eigh(quotient_matrix(profile))  # ascending
+    w = vectors[:, -1] / np.linalg.norm(vectors[:, -1]) / np.sqrt(profile)
     if w[np.argmax(np.abs(w))] < 0:
         w = -w
     return _frozen(w)
 
 
-def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
-                   method: str = "ql") -> Spectrum:
+def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Spectrum of the level matrix of a tree with these vertex levels.
 
     Values and clusters come from :func:`profile_spectrum`; the Perron
@@ -362,25 +506,26 @@ def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL,
     """
     lev = np.asarray(vertex_levels, dtype=np.int64)
     profile = level_profile(lev)
-    spectrum = profile_spectrum(profile, tol=tol, method=method)
+    spectrum = profile_spectrum(profile, tol=tol)
     if len(lev) < 2:
         return spectrum
-    return dataclasses.replace(spectrum, perron=_perron_levels(profile, method)[lev])
+    return dataclasses.replace(spectrum, perron=_perron_levels(profile)[lev])
 
 
-#: Modulus of the rank certificate, the prime 2**31 - 1. Residues are below
-#: 2**31, so a product of two stays below 2**62 and fits in int64.
-RANK_PRIME = (1 << 31) - 1
+def _residues(rows) -> np.ndarray:
+    """An integer matrix reduced modulo RANK_PRIME, on Python integers so
+    that any entry size is safe."""
+    return np.array([[int(x) % RANK_PRIME for x in row] for row in rows], dtype=np.int64)
 
 
 def _rank_mod_p(rows) -> int:
     """Rank over GF(RANK_PRIME) of an integer matrix, a lower bound on its
     rank over the rationals.
 
-    The entries are reduced on Python integers, so any input size is safe;
-    the elimination then runs in int64 on the active submatrix.
+    Oracle for the stacked certificate :func:`_full_rank_mod_p`: one matrix
+    at a time, with a modular inverse per pivot.
     """
-    m = np.array([[int(x) % RANK_PRIME for x in row] for row in rows], dtype=np.int64)
+    m = _residues(rows)
     n_rows, n_cols = m.shape
     rank = 0
     for col in range(n_cols):
@@ -402,36 +547,15 @@ def _rank_mod_p(rows) -> int:
 
 
 def _certified_nullity(rows) -> int:
-    """Exact nullity of a square integer matrix: a full rank modulo
-    RANK_PRIME proves full rank over the rationals; any other outcome is
-    decided by Bareiss elimination."""
-    if _rank_mod_p(rows) == len(rows):
+    """Exact nullity of one square integer matrix, decided as
+    :func:`solve_profiles` decides a profile's: the stacked certificate,
+    then Bareiss elimination where the rank modulo RANK_PRIME is not full."""
+    if _full_rank_mod_p(_residues(rows)[None])[0]:
         return 0
     return exact_zero_multiplicity(np.array(rows, dtype=object))
 
 
-@lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _profile_nullity(profile: tuple[int, ...]) -> int:
-    # B = D diag(n) with D_ab = |a - b| the distance matrix of the path on
-    # h + 1 vertices, det D = (-1)^h h 2^(h-1). So for h >= 1, B is singular
-    # modulo the prime only if the prime divides h or some n_b, and the
-    # certificate decides for every profile below 2**31 - 1 vertices; the
-    # one-level profile (h = 0, B = [[0]]) goes to the fallback.
-    h1 = len(profile)
-    b = [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
-    return _certified_nullity(b) + sum(profile) - h1
-
-
-def profile_nullity(profile) -> int:
-    """Exact multiplicity of the eigenvalue 0 of every level matrix with
-    this profile: n - rank(B), B_ab = |a - b| n_b, with the rank of the
-    (h+1)x(h+1) integer matrix B certified modulo the prime RANK_PRIME, and
-    taken from Bareiss elimination of B where that rank is not full."""
-    return _profile_nullity(_profile_key(profile))
-
-
 def clear_profile_cache() -> None:
-    """Forget every cached quotient solve, spectrum and nullity."""
-    _profile_spectrum.cache_clear()
+    """Forget every cached profile solution and Perron vector."""
+    _profile_solution.cache_clear()
     _perron_levels.cache_clear()
-    _profile_nullity.cache_clear()

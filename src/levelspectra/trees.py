@@ -258,15 +258,7 @@ def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
     at the deepest vertex below level 1 and tiles the tail with copies of the
     block between that vertex's parent and the cut.
     """
-    if n < 1:
-        raise InvalidOrder(f"need n >= 1, got {n}")
-    if cap is None:
-        cap = enumeration_cap()
-    if n > cap:
-        raise ResourceLimit(
-            f"enumeration of order {n} exceeds the cap of {cap}; "
-            f"raise it via {CAP_ENV_VAR} or the cap argument"
-        )
+    check_enumeration_cap(n, cap)
     seq = list(range(n))  # the rooted path
     while True:
         yield tuple(seq)
@@ -276,6 +268,43 @@ def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
         q = max(i for i in range(p) if seq[i] == seq[p] - 1)
         for i in range(p, n):
             seq[i] = seq[i - (p - q)]
+
+
+def check_enumeration_cap(n: int, cap: int | None = None) -> None:
+    """Refuse an order below 1, or above ``cap`` (default: the
+    :func:`enumeration_cap`), before any tree of it is enumerated."""
+    if n < 1:
+        raise InvalidOrder(f"need n >= 1, got {n}")
+    if cap is None:
+        cap = enumeration_cap()
+    if n > cap:
+        raise ResourceLimit(
+            f"enumeration of order {n} exceeds the cap of {cap}; "
+            f"raise it via {CAP_ENV_VAR} or the cap argument"
+        )
+
+
+def level_profiles(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every level profile (n_0, ..., n_h) of a rooted tree on ``n``
+    vertices: n_0 = 1 followed by a composition of n - 1, which some tree
+    realises for any positive counts. There are 2**(n - 2) of them for
+    n >= 2; bit i of the counter cuts the composition after its (i+1)-th
+    unit."""
+    if n < 1:
+        raise InvalidOrder(f"need n >= 1, got {n}")
+    if n == 1:
+        yield (1,)
+        return
+    for cuts in range(1 << (n - 2)):
+        parts, run = [1], 1
+        for bit in range(n - 2):
+            if cuts >> bit & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        parts.append(run)
+        yield tuple(parts)
 
 
 def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTree]:

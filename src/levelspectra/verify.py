@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -21,16 +22,18 @@ from .errors import InvalidOrder
 from .levelmatrix import ordered_distance_matrix, row_sum_differences
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
+    STACK_SIZE,
     clustered_multiplicity,
     level_profile,
     positive_eigenvalue_count,
-    profile_nullity,
-    profile_spectrum,
+    solve_profiles,
 )
 from .trees import (
     RootedTree,
+    check_enumeration_cap,
     is_rooted_path,
     is_rooted_star,
+    level_profiles,
     level_sequence_parents,
     level_sequences,
     rooted_tree_count,
@@ -43,6 +46,22 @@ INTERLACING_TOL = 1e-8
 
 #: How many offending trees to record per check before truncating.
 MAX_OFFENDERS = 10
+
+#: Fewest trees for which ``verify_order`` starts a worker pool. CLI wall
+#: time of ``verify --order N --format json``, ``--jobs 1`` against
+#: ``--jobs 2``, 12 interleaved runs per order on a 2-vCPU host (medians):
+#:
+#:   order  trees   --jobs 1  --jobs 2  --jobs 2 faster
+#:       8    115    0.250 s   0.338 s   1 of 12
+#:       9    286    0.293 s   0.390 s   0 of 12
+#:      10    719    0.419 s   0.500 s   0 of 12
+#:      11  1,842    0.782 s   0.873 s   0 of 12
+#:      12  4,766    1.508 s   1.158 s  11 of 12
+#:      13 12,486    3.230 s   2.461 s  12 of 12
+#:
+#: Order 12 is the first at which two workers win at least 10 of 12 runs.
+POOL_MIN_TREES = 4766
+
 
 def _bound_check_of_line() -> dict[str, str]:
     """Ledger line -> the bound check that reports under it."""
@@ -286,12 +305,12 @@ def _row_sum_difference(data: SpectralData, tol: float):
     return ok, math.nan
 
 
-def _interlacing(data: SpectralData, leaf_profiles, tol: float):
+def _interlacing(data: SpectralData, subs: list[SpectralData], tol: float):
     spectrum = data.spectrum
     eps = INTERLACING_TOL * max(1.0, spectrum.rho)
     worst = math.inf
-    for sub in leaf_profiles:
-        outer, inner = spectrum.values, profile_spectrum(sub, tol).values
+    for sub in subs:
+        outer, inner = spectrum.values, sub.spectrum.values
         worst = min(
             worst,
             float((outer[:-1] - inner).min()),
@@ -300,22 +319,20 @@ def _interlacing(data: SpectralData, leaf_profiles, tol: float):
     return worst >= -eps, worst
 
 
-def _leaf_deletion_multiplicity(data: SpectralData, leaf_profiles, tol: float):
+def _leaf_deletion_multiplicity(data: SpectralData, subs: list[SpectralData], tol: float):
     spectrum = data.spectrum
     threshold = tol * max(1.0, spectrum.rho)
     ok = True
-    for sub in leaf_profiles:
-        sub_spectrum = profile_spectrum(sub, tol)
+    for sub in subs:
         for value, mult in spectrum.clusters:
-            sub_mult = int((np.abs(sub_spectrum.values - value) <= threshold).sum())
+            sub_mult = int((np.abs(sub.spectrum.values - value) <= threshold).sum())
             if abs(mult - sub_mult) > 1:
                 ok = False
     return ok, math.nan
 
 
-def _zero_deletion_multiplicity(data: SpectralData, leaf_profiles, tol: float):
-    return all(data.nullity - profile_nullity(sub) in (0, 1)
-               for sub in leaf_profiles), math.nan
+def _zero_deletion_multiplicity(data: SpectralData, subs: list[SpectralData], tol: float):
+    return all(data.nullity - sub.nullity in (0, 1) for sub in subs), math.nan
 
 
 def _distance_domination(data: SpectralData, seq):
@@ -329,9 +346,10 @@ def _distance_domination(data: SpectralData, seq):
 
 #: What a structural verdict depends on. It fixes how often a batch
 #: evaluates the check and what the evaluator is given (``data`` is the
-#: SpectralData of the level profile, ``seq`` the canonical level sequence):
+#: SpectralData of the level profile, ``subs`` that of each distinct
+#: leaf-deleted profile, ``seq`` the canonical level sequence):
 #:   PROFILE      once per level profile             check(data, tol)
-#:   LEAF_LEVELS  once per (profile, leaf levels)    check(data, leaf_profiles, tol)
+#:   LEAF_LEVELS  once per (profile, leaf levels)    check(data, subs, tol)
 #:   TREE         once per tree                      check(data, seq)
 PROFILE, LEAF_LEVELS, TREE = "profile", "leaf levels", "tree"
 
@@ -378,31 +396,39 @@ def _evaluate_batch(order: int, seqs: list[tuple[int, ...]],
     """Worker: evaluate all selected checks on a batch of canonical level
     sequences; returns mergeable partial aggregates.
 
-    Each verdict is computed once per level profile, once per (profile, leaf
-    levels) or once per tree, as STRUCTURAL_CHECKS says, and memoised for
-    the rest of the batch.
+    The batch solves its profiles and leaf-deleted profiles in one call of
+    the profile engine and keeps the result as its memo. Each verdict is
+    computed once per level profile, once per (profile, leaf levels) or once
+    per tree, as STRUCTURAL_CHECKS says, and memoised for the rest of the
+    batch.
     """
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVELS: [], TREE: []}
     for name in structural:
         min_order, depends_on, check = STRUCTURAL_CHECKS[name]
         if order >= min_order:
             checks[depends_on].append((name, check))
+    profiles = [level_profile(seq) for seq in seqs]
+    leaf_keys = ([(profile, _leaf_levels(seq)) for profile, seq in zip(profiles, seqs)]
+                 if checks[LEAF_LEVELS] else [])
+    needed = set(profiles)
+    for key in set(leaf_keys):
+        needed.update(_leaf_profiles(*key))
+    memo = {profile: SpectralData(profile, *solution)
+            for profile, solution in solve_profiles(needed, tol).items()}
     check_stats: dict[str, CheckStat] = {}
     extremal = {stat: ExtremalStat(stat) for stat in stats}
-    per_profile: dict[tuple[int, ...], tuple] = {}
+    per_profile: dict[tuple[int, ...], list] = {}
     per_leaf_levels: dict[tuple, list] = {}
-    for seq in seqs:
-        profile = level_profile(seq)
-        if profile not in per_profile:
-            data = SpectralData.from_profile(profile, tol=tol)
-            values = {"rho": data.spectrum.rho, "energy": data.spectrum.energy}
-            per_profile[profile] = (data, values, _profile_results(
-                data, bound_lines, checks[PROFILE], tol))
-        data, values, results = per_profile[profile]
-        if checks[LEAF_LEVELS]:
-            key = (profile, _leaf_levels(seq))
+    for i, seq in enumerate(seqs):
+        data = memo[profiles[i]]
+        if data.profile not in per_profile:
+            per_profile[data.profile] = _profile_results(
+                data, bound_lines, checks[PROFILE], tol)
+        results = per_profile[data.profile]
+        if leaf_keys:
+            key = leaf_keys[i]
             if key not in per_leaf_levels:
-                subs = _leaf_profiles(profile, key[1])
+                subs = [memo[sub] for sub in _leaf_profiles(*key)]
                 per_leaf_levels[key] = [(name, *check(data, subs, tol))
                                         for name, check in checks[LEAF_LEVELS]]
             results = results + per_leaf_levels[key]
@@ -413,7 +439,7 @@ def _evaluate_batch(order: int, seqs: list[tuple[int, ...]],
                 check_stats[name] = CheckStat(name)
             check_stats[name].record(ok, slack, label)
         for stat in stats:
-            extremal[stat].record(values[stat], label)
+            extremal[stat].record(getattr(data.spectrum, stat), label)
     return check_stats, extremal
 
 
@@ -426,8 +452,8 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     of them); an unknown name raises ``KeyError`` and an empty list
     ``ValueError``. The trees are walked as canonical level sequences; no
     tree object is built. ``jobs`` sets the worker-pool width (default: available
-    parallelism, with a sequential fast path for small orders); it must be
-    at least 1 and is clamped to the CPUs this process may run on. Batches
+    parallelism); it must be at least 1 and is clamped to the CPUs this
+    process may run on. Below POOL_MIN_TREES trees no pool is started. Batches
     are contiguous runs of the enumeration merged in order, so the ledger
     equals the sequential one.
     """
@@ -445,7 +471,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         )
     cpus = available_cpus()
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, len(seqs)))
-    if jobs == 1 or len(seqs) < 64:
+    if jobs == 1 or len(seqs) < POOL_MIN_TREES:
         partials = [_evaluate_batch(order, seqs, bound_lines, structural, tol, stats)]
     else:
         chunk = (len(seqs) + jobs - 1) // jobs
@@ -522,13 +548,20 @@ def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_T
         raise KeyError(f"unknown statistic {stat!r}; use 'rho' or 'energy'")
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
+    check_enumeration_cap(order, cap)
+    # The statistic depends on the level profile alone: solve every profile
+    # of the order in stacks, keep its value, then walk the trees.
+    value_of: dict[tuple[int, ...], float] = {}
+    profiles = level_profiles(order)
+    while chunk := list(islice(profiles, STACK_SIZE)):
+        for profile, solution in solve_profiles(chunk, tol).items():
+            value_of[profile] = getattr(solution.spectrum, stat)
     tracker = ExtremalStat(stat)
     count = 0
     best: dict[str, tuple[int, ...]] = {}
     for seq in level_sequences(order, cap=cap):
         count += 1
-        spectrum = profile_spectrum(level_profile(seq), tol=tol)
-        value = spectrum.rho if stat == "rho" else spectrum.energy
+        value = value_of[level_profile(seq)]
         before_min, before_max = tracker.min_value, tracker.max_value
         tracker.record(value, " ".join(str(v) for v in seq))
         if value < before_min:

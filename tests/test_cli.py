@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from levelspectra import canonicalize, parse_tree
+from levelspectra import cli as cli_mod
 from levelspectra.cli import ANALYSIS_REPORT_SCHEMA, main, polynomial_text
 from levelspectra.spectra import CharPoly
 
@@ -76,10 +77,12 @@ class TestAnalyze:
         assert code == 0
         assert "bound" not in out
 
-    def test_jacobi_method(self, tree_file, capsys):
-        code, out, _ = run(capsys, "analyze", tree_file, "--method", "jacobi")
-        assert code == 0
-        assert "rho:           10.415812724" in out
+    def test_method_option_removed(self, tree_file, capsys):
+        # the quotient is solved by LAPACK; the in-repo QL and Jacobi
+        # solvers are test oracles and no option selects them
+        code, out, err = run(capsys, "analyze", tree_file, "--method", "jacobi")
+        assert code == 64
+        assert out == "" and "--method" in err
 
     def test_deterministic_output(self, tree_file, capsys):
         _, first, _ = run(capsys, "analyze", tree_file, "--charpoly")
@@ -261,6 +264,17 @@ class TestCharpolyCommand:
     def test_cap_is_4(self, tree_file, capsys):
         code, _, _ = run(capsys, "charpoly", tree_file, "--cap", "5")
         assert code == 4
+
+    @pytest.mark.parametrize("argv", [["charpoly"], ["analyze", "--charpoly"]])
+    def test_cap_checked_before_the_matrix_is_built(self, argv, tmp_path,
+                                                    monkeypatch, capsys):
+        star = tmp_path / "star.tree"
+        star.write_text("30\n0" + " 1" * 29 + "\n")
+        built = []
+        monkeypatch.setattr(cli_mod, "build_level_matrix", built.append)
+        code, out, err = run(capsys, argv[0], str(star), *argv[1:])
+        assert code == 4 and out == "" and "exceeds the cap of 24" in err
+        assert built == []
 
 
 class TestPolynomialText:

@@ -1,8 +1,10 @@
-"""The profile engine against the dense oracle paths.
+"""The profile engine against the oracle paths.
 
-The engine solves the (h+1)x(h+1) quotient of each level profile once; the
-dense n x n solve and the n x n Bareiss elimination stay as independent
-oracles, and every tree of orders 1..9 (plus random larger trees) must agree
+The engine solves the (h+1)x(h+1) quotients of many level profiles at once,
+with LAPACK and a stacked rank certificate modulo a prime. The in-repo QL
+and Jacobi solvers, the n x n Bareiss elimination and the one-matrix rank
+modulo the prime stay as independent oracles: every tree of orders 1..9
+(plus random larger trees) and every profile of orders 1..12 must agree
 with them.
 """
 
@@ -21,8 +23,10 @@ from levelspectra import (
     clustered_multiplicity,
     delete_leaf,
     enumerate_rooted_trees,
+    evaluate_checks,
     exact_zero_multiplicity,
     level_profile,
+    level_profiles,
     level_sequences,
     level_spectrum,
     levels,
@@ -31,11 +35,21 @@ from levelspectra import (
     quotient_matrix,
     rooted_path,
     rooted_star,
+    solve_profiles,
     symmetric_eigenvalues,
 )
 from levelspectra import spectra as spectra_mod
 from levelspectra.eigen import symmetric_eigh
-from levelspectra.spectra import RANK_PRIME, _certified_nullity, _rank_mod_p
+from levelspectra.spectra import (
+    DEFAULT_CLUSTER_TOL,
+    RANK_PRIME,
+    Spectrum,
+    _certified_nullity,
+    _cluster,
+    _full_rank_mod_p,
+    _rank_mod_p,
+    _residues,
+)
 from levelspectra.verify import _leaf_profiles, extremal_sweep
 
 from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays
@@ -145,42 +159,41 @@ def test_leaf_profiles_match_deleted_trees(order):
         assert len(subs) == len(set(subs)) and set(subs) == deleted
 
 
-def test_extremal_sweep_solves_once_per_profile(monkeypatch):
+def record_lapack_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Record (name, shape) of every numpy eigensolver call, and fail on
+    any call of the in-repo solver."""
     calls = []
-    real = spectra_mod.symmetric_eigh
 
-    def counting(a, *args, **kwargs):
-        calls.append(len(a))
-        return real(a, *args, **kwargs)
+    def recording(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(spectra_mod, "symmetric_eigh", counting)
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return call
+
+    def in_repo_solver(*args, **kwargs):
+        raise AssertionError("the engine called the in-repo solver")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    monkeypatch.setattr(spectra_mod, "symmetric_eigh", in_repo_solver)
     spectra_mod.clear_profile_cache()
+    return calls
+
+
+def test_extremal_sweep_solves_once_per_profile(monkeypatch):
+    calls = record_lapack_calls(monkeypatch)
     sweep = extremal_sweep(8, "rho")
     assert sweep.min_is_star and sweep.max_is_path
-    # 115 trees but 2**6 profiles (compositions of 7 below the root)
-    assert len(calls) == 2 ** 6
+    # 115 trees but 2**6 profiles (compositions of 7 below the root), in one
+    # stack per height h = 1..7
+    assert {name for name, _ in calls} == {"eigvalsh"}
+    assert sorted(shape[1] for _, shape in calls) == list(range(2, 9))
+    assert sum(shape[0] for _, shape in calls) == 2 ** 6
 
 
-def tree_profiles(order):
-    """Every level profile of a rooted tree of this order: n_0 = 1 followed
-    by a composition of order - 1 (2**(order - 2) of them for order >= 2)."""
-    if order == 1:
-        yield (1,)
-        return
-    rest = order - 1
-    for cuts in range(1 << (rest - 1)):
-        parts, run = [1], 1
-        for bit in range(rest - 1):
-            if cuts >> bit & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        yield tuple(parts)
-
-
-ALL_PROFILES = [p for order in range(1, 13) for p in tree_profiles(order)]
+ALL_PROFILES = [p for order in range(1, 13) for p in level_profiles(order)]
 
 
 def test_profile_enumeration_is_complete():
@@ -222,19 +235,57 @@ class TestValuesOnlySolve:
                                   profile_spectrum(level_profile(lev)).values)
 
     def test_engine_solves_without_vectors(self, monkeypatch):
-        flags = []
-        real = spectra_mod.symmetric_eigh
-
-        def recording(a, *args, vectors=True, **kwargs):
-            flags.append(vectors)
-            return real(a, *args, vectors=vectors, **kwargs)
-
-        monkeypatch.setattr(spectra_mod, "symmetric_eigh", recording)
-        spectra_mod.clear_profile_cache()
+        calls = record_lapack_calls(monkeypatch)
         SpectralData.from_tree(rooted_path(5))
-        assert flags == [False]
+        assert calls == [("eigvalsh", (1, 5, 5))]
         level_spectrum(levels(rooted_path(5)))
-        assert flags == [False, True]
+        assert calls == [("eigvalsh", (1, 5, 5)), ("eigh", (5, 5))]
+
+
+def oracle_data(profile, method):
+    """SpectralData of a profile from the in-repo solve of its quotient
+    (padded with exact zeros, clustered one block at a time) and from
+    Bareiss elimination of B."""
+    quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method,
+                                        vectors=False)
+    zeros = np.zeros(sum(profile) - len(profile))
+    values = np.sort(np.concatenate([quotient_values, zeros]))[::-1]
+    rho = float(np.abs(values).max())
+    spectrum = Spectrum(values, _cluster(values, DEFAULT_CLUSTER_TOL * max(1.0, rho)),
+                        rho, float(np.abs(values).sum()), None)
+    nullity = (exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
+               + sum(profile) - len(profile))
+    return SpectralData(profile, spectrum, nullity)
+
+
+@pytest.mark.parametrize("method", ["ql", "jacobi"])
+def test_engine_matches_in_repo_solvers(method):
+    engine = solve_profiles(ALL_PROFILES)
+    assert set(engine) == set(ALL_PROFILES)
+    for profile in ALL_PROFILES:
+        got, want = SpectralData(profile, *engine[profile]), oracle_data(profile, method)
+        scale = max(1.0, want.spectrum.rho)
+        assert np.abs(got.spectrum.values - want.spectrum.values).max() <= 1e-12 * scale
+        assert ([m for _, m in got.spectrum.clusters]
+                == [m for _, m in want.spectrum.clusters]), profile
+        assert got.nullity == want.nullity, profile
+        got_reports, want_reports = evaluate_checks(got), evaluate_checks(want)
+        assert [r.name for r in got_reports] == [r.name for r in want_reports]
+        for g, w in zip(got_reports, want_reports):
+            assert g.satisfied == w.satisfied, (profile, w.name)
+            rhs = w.rhs if isinstance(w.rhs, tuple) else (w.rhs,)
+            bound = 1e-12 * max(1.0, abs(w.lhs), *map(abs, rhs))
+            assert abs(g.slack - w.slack) <= bound, (profile, w.name)
+
+
+def test_batch_equals_batches_of_one():
+    spectra_mod.clear_profile_cache()
+    engine = solve_profiles(ALL_PROFILES)
+    for profile in ALL_PROFILES:
+        one = profile_spectrum(profile)
+        assert np.array_equal(engine[profile].spectrum.values, one.values)
+        assert engine[profile].spectrum.clusters == one.clusters
+        assert engine[profile].nullity == profile_nullity(profile)
 
 
 def profile_b(profile):
@@ -242,13 +293,20 @@ def profile_b(profile):
     return [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
 
 
+def stacked_full_rank(matrices) -> list[bool]:
+    """The stacked certificate on square integer matrices of one size."""
+    return _full_rank_mod_p(np.stack([_residues(rows) for rows in matrices])).tolist()
+
+
 class TestRankCertificate:
     def test_profile_nullity_equals_bareiss_on_b(self):
         spectra_mod.clear_profile_cache()
+        engine = solve_profiles(ALL_PROFILES)
         for profile in ALL_PROFILES:
             b = profile_b(profile)
             expected = exact_zero_multiplicity(np.array(b)) + sum(profile) - len(profile)
             assert profile_nullity(profile) == expected, profile
+            assert engine[profile].nullity == expected, profile
 
     def test_certificate_decides_every_deep_profile(self, monkeypatch):
         calls = []
@@ -270,7 +328,27 @@ class TestRankCertificate:
     def test_rank_lost_modulo_p_falls_back(self):
         m = [[RANK_PRIME, 0], [0, 1]]
         assert _rank_mod_p(m) == 1
+        assert stacked_full_rank([m]) == [False]
         assert _certified_nullity(m) == exact_zero_multiplicity(np.array(m)) == 0
+
+    def test_stacked_certificate_on_the_fixed_inputs(self):
+        # the inputs of the tests around this one, 2x2 ones in one stack
+        square = [
+            [[RANK_PRIME, 0], [0, 1]],
+            [[1, 2], [2, 4]],
+            [[0, 0], [0, 0]],
+            [[2**31, 2**40 + 1], [-(2**62), 2**70 + 3]],
+            [[2**40, 2**41], [2**45, 2**46]],
+            [[0, 1], [1, 0]],
+        ]
+        full = stacked_full_rank(square)
+        assert full == [_rank_mod_p(m) == 2 for m in square]
+        assert full == [False, False, False, True, False, True]
+        for m, ok in zip(square, full):
+            if ok:
+                assert exact_zero_multiplicity(np.array(m, dtype=object)) == 0
+        assert stacked_full_rank([[[0]]]) == [False]
+        assert stacked_full_rank([[[0] * 3] * 3]) == [False]
 
     def test_singular(self):
         assert _rank_mod_p([[1, 2], [2, 4]]) == 1
@@ -300,29 +378,27 @@ class TestRankCertificate:
     def test_random_integer_matrices(self, rows):
         exact = exact_zero_multiplicity(np.array(rows, dtype=object))
         assert _rank_mod_p(rows) <= len(rows) - exact
+        assert stacked_full_rank([rows]) == [_rank_mod_p(rows) == len(rows)]
         assert _certified_nullity(rows) == exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.lists(st.integers(min_value=-3, max_value=3)
+                         | st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME]),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n),
+            min_size=1, max_size=8)))
+    def test_random_stacks(self, matrices):
+        # members of one stack are eliminated in lock step but independently
+        assert stacked_full_rank(matrices) == [
+            _rank_mod_p(rows) == len(rows) for rows in matrices]
 
 
 # ---------------------------------------------------------------------------
 # SpectralData's profile aggregates against the n x n LevelMatrix oracle
 # ---------------------------------------------------------------------------
-
-def all_profiles(order: int):
-    """Every level profile of a rooted tree of this order: n_0 = 1, then a
-    composition of order - 1 (any positive counts are realised by a tree)."""
-    if order == 1:
-        yield (1,)
-        return
-    for cuts in range(2 ** (order - 2)):
-        parts, run = [1], 1
-        for bit in range(order - 2):
-            if cuts >> bit & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        yield tuple(parts + [run])
-
 
 def assert_aggregates_match_matrix(lev: np.ndarray) -> None:
     """Every profile aggregate equals the dense matrix's, as Python ints."""
@@ -340,14 +416,14 @@ def assert_aggregates_match_matrix(lev: np.ndarray) -> None:
 
 
 def test_all_profiles_enumerated():
-    profiles = [p for order in range(1, 13) for p in all_profiles(order)]
+    profiles = [p for order in range(1, 13) for p in level_profiles(order)]
     assert len(profiles) == len(set(profiles)) == 2048
-    assert {level_profile(seq) for seq in level_sequences(9)} == set(all_profiles(9))
+    assert {level_profile(seq) for seq in level_sequences(9)} == set(level_profiles(9))
 
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_profile_aggregates_equal_matrix_aggregates(order):
-    for profile in all_profiles(order):
+    for profile in level_profiles(order):
         assert_aggregates_match_matrix(np.repeat(np.arange(len(profile)), profile))
 
 

@@ -278,17 +278,20 @@ class TestInterlacing:
         outer = symmetric_eigenvalues(build_level_matrix(rooted_path(3))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_path(2))).values
         assert _interlace(outer, inner, slack=1e-8)
-        assert _interlacing(SpectralData.from_profile((1, 1, 1)), [(1, 1)], 1e-8)[0]
+        assert _interlacing(SpectralData.from_profile((1, 1, 1)),
+                            [SpectralData.from_profile((1, 1))], 1e-8)[0]
 
     def test_s4_to_s3(self):
         outer = symmetric_eigenvalues(build_level_matrix(rooted_star(4))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_star(3))).values
         assert _interlace(outer, inner, slack=1e-8)
-        assert _interlacing(SpectralData.from_profile((1, 3)), [(1, 2)], 1e-8)[0]
+        assert _interlacing(SpectralData.from_profile((1, 3)),
+                            [SpectralData.from_profile((1, 2))], 1e-8)[0]
 
     def test_violation_detected(self):
         # the star's top eigenvalue sqrt(3) lies below the path's 1 + sqrt(3)
-        ok, worst = _interlacing(SpectralData.from_profile((1, 3)), [(1, 1, 1)], 1e-8)
+        ok, worst = _interlacing(SpectralData.from_profile((1, 3)),
+                                 [SpectralData.from_profile((1, 1, 1))], 1e-8)
         assert not ok
         assert worst == pytest.approx(math.sqrt(3) - (1 + math.sqrt(3)))
 

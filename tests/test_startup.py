@@ -114,6 +114,12 @@ def test_extremal_and_analyze_do_not_import_the_pool(tmp_path):
 
 @pytest.mark.skipif(available_cpus() < 2, reason="a pool needs two CPUs")
 def test_verify_with_a_pool_imports_it():
-    out = run_python(_POOL_PROBE.format(argvs=[["verify", "--order", "8", "--jobs", "2",
-                                                "--format", "json"]]))
+    # order 8 is below the pool's cut-off, which the probe lowers to start one
+    probe = _POOL_PROBE.replace(
+        "from levelspectra.cli import main\n",
+        "from levelspectra.cli import main\n"
+        "import levelspectra.verify\n"
+        "levelspectra.verify.POOL_MIN_TREES = 0\n")
+    out = run_python(probe.format(argvs=[["verify", "--order", "8", "--jobs", "2",
+                                          "--format", "json"]]))
     assert out == {"codes": [0], "pool": True}

@@ -105,7 +105,8 @@ class TestVerifyOrder:
         with pytest.raises(InvalidOrder):
             verify_order(0)
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
         seq = verify_order(8, jobs=1)
         par = verify_order(8, jobs=2)
         assert json.dumps(seq.to_dict(), sort_keys=True) == \
@@ -323,7 +324,16 @@ class TestPoolWidth:
     def pool(self, monkeypatch):
         _RecordingPool.widths = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
         return _RecordingPool
+
+    def test_no_pool_below_the_cut_off(self, pool, monkeypatch):
+        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 116)
+        verify_order(8, jobs=2)  # 115 trees
+        assert pool.widths == []
+        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 115)
+        verify_order(8, jobs=2)
+        assert pool.widths == [2]
 
     @pytest.mark.parametrize("jobs", [None, 1000])
     def test_clamped_to_affinity(self, pool, monkeypatch, jobs):
