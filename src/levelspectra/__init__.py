@@ -36,8 +36,6 @@ _SUBMODULE_OF = {
         "level_profile",
         "level_spectrum",
         "perron_vector",
-        "profile_nullity",
-        "profile_spectrum",
         "quotient_matrix",
         "solve_profiles",
         "symmetric_eigenvalues",

@@ -20,8 +20,7 @@ from .spectra import (
     DEFAULT_CLUSTER_TOL,
     Spectrum,
     level_profile,
-    profile_nullity,
-    profile_spectrum,
+    solve_profiles,
 )
 from .trees import RootedTree, levels
 
@@ -98,9 +97,9 @@ class SpectralData:
     aggregate is an exact integer function of the profile, found without the
     n x n matrix: a vertex on level a has row sum L_a = sum_b n_b |a - b| and
     second-order row sum q_a = sum_b n_b |a - b| L_b. The spectrum and the
-    exact nullity come from the profile engine (``spectra.solve_profiles``),
-    so trees sharing a profile share one quotient solve. The spectrum
-    carries no Perron vector.
+    exact nullity come from one solve of the profile engine
+    (``spectra.solve_profiles``), which ``verify`` shares between the trees
+    of a profile. The spectrum carries no Perron vector.
     """
 
     profile: tuple[int, ...]
@@ -110,7 +109,7 @@ class SpectralData:
     @classmethod
     def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
         key = tuple(int(c) for c in profile)
-        return cls(key, profile_spectrum(key, tol=tol), profile_nullity(key))
+        return cls(key, *solve_profiles([key], tol)[key])
 
     @classmethod
     def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":

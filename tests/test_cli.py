@@ -66,6 +66,16 @@ class TestAnalyze:
         original = canonicalize(parse_tree(SAMPLE9_FILE))
         assert canonicalize(parse_tree(out)) == original
 
+    def test_treefile_of_a_deep_path(self, tmp_path, capsys):
+        # one level per vertex: the canonical encoding must not recurse
+        n = 5000
+        text = f"{n}\n" + " ".join(str(p) for p in range(n)) + "\n"
+        path = tmp_path / "path.tree"
+        path.write_text(text)
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "treefile")
+        assert code == 0
+        assert out == text
+
     def test_bounds_selection(self, tree_file, capsys):
         code, out, _ = run(capsys, "analyze", tree_file, "--format", "csv",
                            "--bounds", "trace-identity")

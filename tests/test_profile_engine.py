@@ -25,13 +25,13 @@ from levelspectra import (
     enumerate_rooted_trees,
     evaluate_checks,
     exact_zero_multiplicity,
+    is_rooted_path,
+    is_rooted_star,
     level_profile,
     level_profiles,
     level_sequences,
     level_spectrum,
     levels,
-    profile_nullity,
-    profile_spectrum,
     quotient_matrix,
     rooted_path,
     rooted_star,
@@ -44,7 +44,6 @@ from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
     RANK_PRIME,
     Spectrum,
-    _certified_nullity,
     _cluster,
     _full_rank_mod_p,
     _rank_mod_p,
@@ -65,7 +64,7 @@ def assert_matches_oracle(tree: RootedTree) -> None:
     assert abs(engine.rho - dense.rho) <= 1e-12 * scale
     assert abs(engine.energy - dense.energy) <= 1e-12 * scale * tree.n
     assert [m for _, m in engine.clusters] == [m for _, m in dense.clusters]
-    assert profile_nullity(level_profile(levels(tree))) == exact_zero_multiplicity(matrix)
+    assert SpectralData.from_tree(tree).nullity == exact_zero_multiplicity(matrix)
     if tree.n == 1:
         assert engine.perron is None
     else:
@@ -88,12 +87,12 @@ def test_random_trees_match_dense_oracle(tree):
 class TestProfiles:
     def test_sample9(self):
         assert level_profile(SAMPLE9_LEVELS) == (1, 2, 3, 3)
-        spectrum = profile_spectrum((1, 2, 3, 3))
-        assert np.allclose(spectrum.values, SAMPLE9_SPECTRUM, atol=1e-6)
-        assert profile_nullity((1, 2, 3, 3)) == 5
+        data = SpectralData.from_profile((1, 2, 3, 3))
+        assert np.allclose(data.spectrum.values, SAMPLE9_SPECTRUM, atol=1e-6)
+        assert data.nullity == 5
 
     def test_zeros_are_exact(self):
-        spectrum = profile_spectrum((1, 2, 3, 3))
+        spectrum = SpectralData.from_profile((1, 2, 3, 3)).spectrum
         assert np.count_nonzero(spectrum.values == 0.0) == 9 - 4
 
     def test_quotient_is_symmetric_blowup(self):
@@ -103,26 +102,28 @@ class TestProfiles:
     def test_single_vertex(self):
         spectrum = level_spectrum([0])
         assert spectrum.values.tolist() == [0.0] and spectrum.perron is None
-        assert profile_nullity((1,)) == 1
+        assert SpectralData.from_profile((1,)).nullity == 1
 
     def test_cached_once_per_profile(self):
-        first = profile_spectrum((1, 3, 2))
-        assert profile_spectrum((1, 3, 2)) is first
+        # Nothing is cached: a profile solved twice gives equal frozen values.
+        first = SpectralData.from_profile((1, 3, 2)).spectrum
+        assert np.array_equal(SpectralData.from_profile((1, 3, 2)).spectrum.values,
+                              first.values)
         assert not first.values.flags.writeable
         assert first.perron is None
 
     def test_trees_sharing_a_profile_share_values(self):
         a = level_spectrum([0, 1, 2, 1, 2])
         b = level_spectrum([0, 1, 1, 2, 2])
-        assert a.values is b.values
+        assert np.array_equal(a.values, b.values)
         assert np.allclose(a.perron[[0, 1, 3, 2, 4]], b.perron)
 
     @pytest.mark.parametrize("bad", [(), (1, 0, 2), (0,)])
     def test_rejects_bad_profiles(self, bad):
         with pytest.raises(ValueError):
-            profile_spectrum(bad)
+            solve_profiles([bad])
         with pytest.raises(ValueError):
-            profile_nullity(bad)
+            SpectralData.from_profile(bad)
 
     def test_rejects_gapped_levels(self):
         with pytest.raises(ValueError):
@@ -137,7 +138,7 @@ def test_non_finite_or_nonpositive_tol_rejected(tol):
     with pytest.raises(ValueError):
         clustered_multiplicity(symmetric_eigenvalues(matrix), 0.0, tol=tol)
     with pytest.raises(ValueError):
-        profile_spectrum((1, 2), tol=tol)
+        SpectralData.from_profile((1, 2), tol=tol)
     with pytest.raises(ValueError):
         level_spectrum([0, 1, 1], tol=tol)
 
@@ -146,7 +147,8 @@ def test_spectral_data_uses_engine():
     data = SpectralData.from_tree(rooted_path(6))
     assert data.profile == (1,) * 6
     assert data.nullity == 0
-    assert data.spectrum.values is profile_spectrum((1,) * 6).values
+    assert np.array_equal(data.spectrum.values,
+                          solve_profiles([(1,) * 6])[(1,) * 6].spectrum.values)
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -178,14 +180,13 @@ def record_lapack_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, recording(name))
     monkeypatch.setattr(spectra_mod, "symmetric_eigh", in_repo_solver)
-    spectra_mod.clear_profile_cache()
     return calls
 
 
 def test_extremal_sweep_solves_once_per_profile(monkeypatch):
     calls = record_lapack_calls(monkeypatch)
     sweep = extremal_sweep(8, "rho")
-    assert sweep.min_is_star and sweep.max_is_path
+    assert is_rooted_star(sweep.min_tree) and is_rooted_path(sweep.max_tree)
     # 115 trees but 2**6 profiles (compositions of 7 below the root), in one
     # stack per height h = 1..7
     assert {name for name, _ in calls} == {"eigvalsh"}
@@ -199,55 +200,38 @@ ALL_PROFILES = [p for order in range(1, 13) for p in level_profiles(order)]
 def test_profile_enumeration_is_complete():
     assert len(ALL_PROFILES) == len(set(ALL_PROFILES)) == 2048
     assert all(sum(p) <= 12 and p[0] == 1 for p in ALL_PROFILES)
+    assert {level_profile(seq) for seq in level_sequences(9)} == set(level_profiles(9))
 
 
 class TestValuesOnlySolve:
-    def test_bit_identical_on_every_quotient(self):
-        for profile in ALL_PROFILES:
-            s = quotient_matrix(profile)
-            values, vectors = symmetric_eigh(s, vectors=False)
-            assert vectors is None
-            assert np.array_equal(values, symmetric_eigh(s)[0]), profile
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=30).flatmap(
-        lambda n: st.lists(st.floats(min_value=-1e3, max_value=1e3),
-                           min_size=n * n, max_size=n * n)))
-    def test_bit_identical_on_random_symmetric(self, entries):
-        n = math.isqrt(len(entries))
-        a = np.array(entries).reshape(n, n)
-        a = a + a.T
-        values, vectors = symmetric_eigh(a, vectors=False)
-        assert vectors is None
-        assert np.array_equal(values, symmetric_eigh(a)[0])
-
-    def test_jacobi_values_only(self):
-        s = quotient_matrix((1, 2, 3))
-        values, vectors = symmetric_eigh(s, method="jacobi", vectors=False)
-        assert vectors is None
-        assert np.array_equal(values, symmetric_eigh(s, method="jacobi")[0])
+    """The engine solves for values only; only the Perron vector of
+    :func:`level_spectrum` needs an eigenvector solve."""
 
     @pytest.mark.parametrize("order", range(1, 9))
     def test_level_spectrum_values_equal_profile_values(self, order):
         for tree in enumerate_rooted_trees(order):
             lev = levels(tree)
-            assert np.array_equal(level_spectrum(lev).values,
-                                  profile_spectrum(level_profile(lev)).values)
+            assert np.array_equal(
+                level_spectrum(lev).values,
+                SpectralData.from_profile(level_profile(lev)).spectrum.values)
 
     def test_engine_solves_without_vectors(self, monkeypatch):
         calls = record_lapack_calls(monkeypatch)
         SpectralData.from_tree(rooted_path(5))
         assert calls == [("eigvalsh", (1, 5, 5))]
         level_spectrum(levels(rooted_path(5)))
-        assert calls == [("eigvalsh", (1, 5, 5)), ("eigh", (5, 5))]
+        assert calls[1:] == [("eigvalsh", (1, 5, 5)), ("eigh", (5, 5))]
+        # one solve whatever the tolerance: spectrum and nullity together
+        del calls[:]
+        SpectralData.from_tree(rooted_path(5), tol=1e-6)
+        assert calls == [("eigvalsh", (1, 5, 5))]
 
 
 def oracle_data(profile, method):
     """SpectralData of a profile from the in-repo solve of its quotient
     (padded with exact zeros, clustered one block at a time) and from
     Bareiss elimination of B."""
-    quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method,
-                                        vectors=False)
+    quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method)
     zeros = np.zeros(sum(profile) - len(profile))
     values = np.sort(np.concatenate([quotient_values, zeros]))[::-1]
     rho = float(np.abs(values).max())
@@ -279,13 +263,12 @@ def test_engine_matches_in_repo_solvers(method):
 
 
 def test_batch_equals_batches_of_one():
-    spectra_mod.clear_profile_cache()
     engine = solve_profiles(ALL_PROFILES)
     for profile in ALL_PROFILES:
-        one = profile_spectrum(profile)
-        assert np.array_equal(engine[profile].spectrum.values, one.values)
-        assert engine[profile].spectrum.clusters == one.clusters
-        assert engine[profile].nullity == profile_nullity(profile)
+        one = SpectralData.from_profile(profile)
+        assert np.array_equal(engine[profile].spectrum.values, one.spectrum.values)
+        assert engine[profile].spectrum.clusters == one.spectrum.clusters
+        assert engine[profile].nullity == one.nullity
 
 
 def profile_b(profile):
@@ -298,14 +281,19 @@ def stacked_full_rank(matrices) -> list[bool]:
     return _full_rank_mod_p(np.stack([_residues(rows) for rows in matrices])).tolist()
 
 
+def assert_certificate_sound(rows) -> None:
+    """Full rank modulo the prime must mean full rank over the rationals:
+    a certified matrix has exact nullity 0."""
+    if stacked_full_rank([rows]) == [True]:
+        assert exact_zero_multiplicity(np.array(rows, dtype=object)) == 0
+
+
 class TestRankCertificate:
     def test_profile_nullity_equals_bareiss_on_b(self):
-        spectra_mod.clear_profile_cache()
         engine = solve_profiles(ALL_PROFILES)
         for profile in ALL_PROFILES:
             b = profile_b(profile)
             expected = exact_zero_multiplicity(np.array(b)) + sum(profile) - len(profile)
-            assert profile_nullity(profile) == expected, profile
             assert engine[profile].nullity == expected, profile
 
     def test_certificate_decides_every_deep_profile(self, monkeypatch):
@@ -317,19 +305,18 @@ class TestRankCertificate:
             return real(matrix)
 
         monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
-        spectra_mod.clear_profile_cache()
-        for profile in ALL_PROFILES:
-            profile_nullity(profile)
+        solve_profiles(ALL_PROFILES)
         # only the one-level profile (1,), whose B = [[0]], falls back
         assert len(calls) == 1
-        assert profile_nullity((1,) * 200) == 0
+        assert solve_profiles([(1,) * 200])[(1,) * 200].nullity == 0
         assert len(calls) == 1
 
     def test_rank_lost_modulo_p_falls_back(self):
         m = [[RANK_PRIME, 0], [0, 1]]
         assert _rank_mod_p(m) == 1
         assert stacked_full_rank([m]) == [False]
-        assert _certified_nullity(m) == exact_zero_multiplicity(np.array(m)) == 0
+        # not certified, yet of full rank: the Bareiss fallback decides
+        assert exact_zero_multiplicity(np.array(m)) == 0
 
     def test_stacked_certificate_on_the_fixed_inputs(self):
         # the inputs of the tests around this one, 2x2 ones in one stack
@@ -352,21 +339,25 @@ class TestRankCertificate:
 
     def test_singular(self):
         assert _rank_mod_p([[1, 2], [2, 4]]) == 1
-        assert _certified_nullity([[1, 2], [2, 4]]) == 1
+        assert stacked_full_rank([[[1, 2], [2, 4]]]) == [False]
+        assert exact_zero_multiplicity(np.array([[1, 2], [2, 4]])) == 1
 
     def test_zero_matrices(self):
         assert _rank_mod_p([[0]]) == 0
-        assert _certified_nullity([[0]]) == 1
+        assert stacked_full_rank([[[0]]]) == [False]
+        assert exact_zero_multiplicity(np.array([[0]])) == 1
         assert _rank_mod_p([[0] * 3] * 3) == 0
-        assert _certified_nullity([[0] * 3] * 3) == 3
+        assert stacked_full_rank([[[0] * 3] * 3]) == [False]
+        assert exact_zero_multiplicity(np.array([[0] * 3] * 3)) == 3
 
     def test_entries_beyond_int32(self):
         big = [[2**31, 2**40 + 1], [-(2**62), 2**70 + 3]]
         assert _rank_mod_p(big) == 2
-        assert _certified_nullity(big) == exact_zero_multiplicity(
-            np.array(big, dtype=object)) == 0
+        assert stacked_full_rank([big]) == [True]
+        assert_certificate_sound(big)
         dependent = [[2**40, 2**41], [2**45, 2**46]]
-        assert _certified_nullity(dependent) == 1
+        assert stacked_full_rank([dependent]) == [False]
+        assert exact_zero_multiplicity(np.array(dependent, dtype=object)) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=6).flatmap(
@@ -379,7 +370,7 @@ class TestRankCertificate:
         exact = exact_zero_multiplicity(np.array(rows, dtype=object))
         assert _rank_mod_p(rows) <= len(rows) - exact
         assert stacked_full_rank([rows]) == [_rank_mod_p(rows) == len(rows)]
-        assert _certified_nullity(rows) == exact
+        assert_certificate_sound(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=5).flatmap(
@@ -413,12 +404,6 @@ def assert_aggregates_match_matrix(lev: np.ndarray) -> None:
                      sum(int(x) ** 2 for x in q))
     assert data.level_row_sums[lev].tolist() == matrix.row_sums.tolist()
     assert data.level_second_order_sums[lev].tolist() == q.tolist()
-
-
-def test_all_profiles_enumerated():
-    profiles = [p for order in range(1, 13) for p in level_profiles(order)]
-    assert len(profiles) == len(set(profiles)) == 2048
-    assert {level_profile(seq) for seq in level_sequences(9)} == set(level_profiles(9))
 
 
 @pytest.mark.parametrize("order", range(1, 13))

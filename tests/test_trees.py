@@ -62,6 +62,16 @@ class TestConstruction:
         with pytest.raises(CycleDetected):
             from_parent_list([0, 3, 2, 4, 3], one_based=True)
 
+    def test_cycle_error_names_a_vertex_on_the_cycle(self):
+        # vertex 1 hangs off the cycle 2 -> 3 -> 2 without being on it
+        with pytest.raises(CycleDetected, match=r"vertex [23]$"):
+            RootedTree([-1, 2, 3, 2])
+
+    def test_deep_path_builds(self):
+        n = 100_000
+        tree = RootedTree([-1] + list(range(n - 1)))
+        assert tree.n == n and tree.leaves() == [n - 1]
+
     def test_multiple_roots(self):
         with pytest.raises(MultipleRoots):
             from_parent_list([0, 0, 1])

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levelspectra import (
+    is_rooted_path,
+    is_rooted_star,
     level_profile,
     rooted_tree_count,
     verify_order,
@@ -141,8 +143,10 @@ class TestExtremalSweeps:
     def test_order3(self):
         sweep = extremal_sweep(3, "rho")
         assert sweep.tree_count == 2
-        assert sweep.min_is_star and sweep.min_value == pytest.approx(math.sqrt(2), abs=1e-10)
-        assert sweep.max_is_path and sweep.max_value == pytest.approx(1 + math.sqrt(3), abs=1e-9)
+        assert is_rooted_star(sweep.min_tree)
+        assert sweep.min_value == pytest.approx(math.sqrt(2), abs=1e-10)
+        assert is_rooted_path(sweep.max_tree)
+        assert sweep.max_value == pytest.approx(1 + math.sqrt(3), abs=1e-9)
 
     def test_order5_values(self):
         sweep = extremal_sweep(5, "rho")
@@ -153,7 +157,7 @@ class TestExtremalSweeps:
     def test_energy_matches_rho_argmax(self):
         rho_sweep = extremal_sweep(6, "rho")
         energy_sweep = extremal_sweep(6, "energy")
-        assert energy_sweep.max_is_path
+        assert is_rooted_path(energy_sweep.max_tree)
         assert energy_sweep.max_value == pytest.approx(2 * rho_sweep.max_value, rel=1e-8)
 
     def test_order2_degenerate(self):
