@@ -200,6 +200,11 @@ ALL_PROFILES = [p for order in range(1, 13) for p in level_profiles(order)]
 def test_profile_enumeration_is_complete():
     assert len(ALL_PROFILES) == len(set(ALL_PROFILES)) == 2048
     assert all(sum(p) <= 12 and p[0] == 1 for p in ALL_PROFILES)
+
+
+def test_all_profiles_enumerated():
+    profiles = [p for order in range(1, 13) for p in level_profiles(order)]
+    assert len(profiles) == len(set(profiles)) == 2048
     assert {level_profile(seq) for seq in level_sequences(9)} == set(level_profiles(9))
 
 
