@@ -62,7 +62,6 @@ _SUBMODULE_OF = {
         "to_dot",
     ], "trees"),
     **dict.fromkeys([
-        "ExtremalSweep",
         "VerificationLedger",
         "extremal_sweep",
         "verify_order",

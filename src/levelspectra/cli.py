@@ -37,12 +37,9 @@ from .spectra import (
 )
 from .trees import (
     RootedTree,
-    canonical_level_sequence,
     canonicalize,
     complete_dary,
     format_tree,
-    is_rooted_path,
-    is_rooted_star,
     levels,
     parse_tree,
     rooted_path,
@@ -409,17 +406,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    sweep = verify_mod.extremal_sweep(args.order, args.stat, tol=args.tol)
+    extreme = verify_mod.extremal_sweep(args.order, args.stat, tol=args.tol)
     if args.min:
-        tree, value, gap = sweep.min_tree, sweep.min_value, sweep.min_gap
+        seq, value, gap = extreme.min_seq, extreme.min_value, extreme.min_gap
     else:
-        tree, value, gap = sweep.max_tree, sweep.max_value, sweep.max_gap
-    matches = {"star": is_rooted_star(tree), "path": is_rooted_path(tree)}
-    seq = " ".join(str(v) for v in canonical_level_sequence(tree))
+        seq, value, gap = extreme.max_seq, extreme.max_value, extreme.max_gap
+    # a canonical level sequence is the star iff no vertex lies below level
+    # 1, and the path iff its last vertex is on level n - 1
+    matches = {"star": max(seq) <= 1, "path": seq[-1] == args.order - 1}
     direction = "min" if args.min else "max"
     sys.stdout.write(
         f"{direction} {args.stat} at order {args.order}: {_fmt(value)}\n"
-        f"tree (level sequence): {seq}\n"
+        f"tree (level sequence): {' '.join(map(str, seq))}\n"
         f"uniqueness gap: {_fmt(gap)}\n"
     )
     if args.expect is not None:

@@ -93,12 +93,13 @@ class Spectrum:
 
 
 def _cluster(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], ...]:
-    """Group the (descending) values whenever adjacent gaps stay within the
-    threshold."""
+    """Group the (descending) values: a value joins the current cluster iff
+    it lies within the threshold of the cluster's first (largest) value, so
+    no cluster spans more than the threshold."""
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i - 1] - values[i] > threshold:
+        if i == len(values) or values[start] - values[i] > threshold:
             block = values[start:i]
             clusters.append((float(block.mean()), len(block)))
             start = i
@@ -400,16 +401,29 @@ def _solve_stack(profiles: list[tuple[int, ...]], tol: float) -> list[ProfileSol
     values[np.arange(k)[:, None], cols] = desc
     _frozen(values)
 
-    # A cluster starts at each row's first value and wherever a gap exceeds
-    # the threshold; the padding of a row is a block of its own, dropped.
+    # As in _cluster, a cluster starts at each row's first value and at each
+    # value more than the threshold below the cluster's first value. A gap
+    # above the threshold starts one for certain; a block between such gaps
+    # that spans more than the threshold is split again value by value. The
+    # padding of a row is a block of its own, dropped.
     threshold = tol * np.maximum(1.0, rho)
     starts = np.zeros((k, width), dtype=bool)
     starts[:, 0] = True
     starts[:, 1:] = ((values[:, :-1] - values[:, 1:] > threshold[:, None])
                      | (np.arange(1, width) == n[:, None]))
+    flat, starts = values.ravel(), starts.ravel()
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], values.size) - 1
+    limit = threshold[first // width]
+    for b in np.flatnonzero(flat[first] - flat[last] > limit).tolist():
+        top = flat[first[b]]
+        for i in range(first[b] + 1, last[b] + 1):
+            if top - flat[i] > limit[b]:
+                starts[i] = True
+                top = flat[i]
     first = np.flatnonzero(starts)
     sizes = np.diff(first, append=values.size)
-    means = np.add.reduceat(values.ravel(), first) / sizes
+    means = np.add.reduceat(flat, first) / sizes
     row, col = np.divmod(first, width)
     real = col < n[row]
     per_row = np.bincount(row[real], minlength=k).tolist()

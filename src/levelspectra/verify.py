@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,20 +22,17 @@ from .errors import InvalidOrder
 from .levelmatrix import ordered_distance_matrix, row_sum_differences
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
-    STACK_SIZE,
     clustered_multiplicity,
     level_profile,
     positive_eigenvalue_count,
     solve_profiles,
 )
 from .trees import (
-    RootedTree,
     check_enumeration_cap,
     level_profiles,
     level_sequence_parents,
     level_sequences,
     rooted_tree_count,
-    tree_from_level_sequence,
 )
 
 #: Interlacing slack scale: eigenvalues of a leaf-deleted tree may leave the
@@ -59,6 +56,9 @@ MAX_OFFENDERS = 10
 #:
 #: Order 12 is the first at which two workers win at least 10 of 12 runs.
 POOL_MIN_TREES = 4766
+
+#: The statistics whose arg-extreme trees a ledger names.
+EXTREMAL_STATS = ("rho", "energy")
 
 
 def _bound_check_of_line() -> dict[str, str]:
@@ -97,6 +97,11 @@ def _resolve_selection(selection) -> tuple[dict[str, set[str]], list[str]]:
     return bound_lines, structural
 
 
+def _label(seq: tuple[int, ...]) -> str:
+    """A level sequence as the ledger prints it."""
+    return " ".join(map(str, seq))
+
+
 @dataclass
 class CheckStat:
     """Aggregate of one named check over many trees."""
@@ -105,16 +110,21 @@ class CheckStat:
     trees_checked: int = 0
     violations: int = 0
     worst_slack: float = math.inf
-    offenders: list[str] = field(default_factory=list)
+    offenders: list[tuple[int, ...]] = field(default_factory=list)
 
-    def record(self, ok: bool, slack: float, seq: str) -> None:
-        self.trees_checked += 1
+    def record(self, ok: bool, slack: float, trees: int = 1) -> None:
+        """Count ``trees`` trees that share one verdict and slack."""
+        self.trees_checked += trees
         if not math.isnan(slack):
             self.worst_slack = min(self.worst_slack, slack)
         if not ok:
-            self.violations += 1
-            if len(self.offenders) < MAX_OFFENDERS:
-                self.offenders.append(seq)
+            self.violations += trees
+
+    def offend(self, seq: tuple[int, ...]) -> None:
+        """Name an offending tree by its level sequence; the first
+        MAX_OFFENDERS named are kept."""
+        if len(self.offenders) < MAX_OFFENDERS:
+            self.offenders.append(seq)
 
     def merge(self, other: "CheckStat") -> None:
         """Fold in the aggregate of the trees enumerated after this one's."""
@@ -129,28 +139,24 @@ class CheckStat:
             "trees_checked": self.trees_checked,
             "violations": self.violations,
             "worst_slack": None if math.isinf(self.worst_slack) else self.worst_slack,
-            "offenders": list(self.offenders),
+            "offenders": [_label(seq) for seq in self.offenders],
         }
 
 
 @dataclass
 class ExtremalStat:
-    """Best/worst trees for one statistic, with runner-up values for
-    uniqueness gaps.
-
-    A tree is kept as the label it was recorded with: the ledger records
-    its level sequence as text, :func:`extremal_sweep` the sequence tuple.
-    """
+    """Best/worst trees for one statistic, each kept as its level sequence,
+    with runner-up values for uniqueness gaps."""
 
     stat: str
     min_value: float = math.inf
-    min_seq: str | tuple[int, ...] = ""
+    min_seq: tuple[int, ...] = ()
     runner_min: float = math.inf
     max_value: float = -math.inf
-    max_seq: str | tuple[int, ...] = ""
+    max_seq: tuple[int, ...] = ()
     runner_max: float = -math.inf
 
-    def record(self, value: float, seq: str | tuple[int, ...]) -> None:
+    def record(self, value: float, seq: tuple[int, ...]) -> None:
         if value < self.min_value:
             self.runner_min = self.min_value
             self.min_value, self.min_seq = value, seq
@@ -187,9 +193,9 @@ class ExtremalStat:
     def to_dict(self) -> dict:
         return {
             "stat": self.stat,
-            "min": {"value": self.min_value, "tree": self.min_seq,
+            "min": {"value": self.min_value, "tree": _label(self.min_seq),
                     "gap": None if math.isinf(self.runner_min) else self.min_gap},
-            "max": {"value": self.max_value, "tree": self.max_seq,
+            "max": {"value": self.max_value, "tree": _label(self.max_seq),
                     "gap": None if math.isinf(self.runner_max) else self.max_gap},
         }
 
@@ -224,12 +230,12 @@ class VerificationLedger:
             worst = "-" if math.isinf(c.worst_slack) else f"{c.worst_slack:.12g}"
             lines.append(f"{c.name:32s} {c.trees_checked:6d} {c.violations:10d} {worst:>17s}")
             for seq in c.offenders:
-                lines.append(f"    offender: {seq}")
+                lines.append(f"    offender: {_label(seq)}")
         for stat in sorted(self.extremal):
             ex = self.extremal[stat]
             lines.append(
-                f"extremal {stat}: min {ex.min_value:.12g} at {ex.min_seq}; "
-                f"max {ex.max_value:.12g} at {ex.max_seq}"
+                f"extremal {stat}: min {ex.min_value:.12g} at {_label(ex.min_seq)}; "
+                f"max {ex.max_value:.12g} at {_label(ex.max_seq)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -242,20 +248,15 @@ def _leaf_levels(seq) -> frozenset[int]:
     return frozenset(seq[i] for i in range(len(seq)) if i == last or seq[i + 1] <= seq[i])
 
 
-def _leaf_profiles(profile: tuple[int, ...], leaf_levels) -> list[tuple[int, ...]]:
-    """Distinct profiles of the leaf-deleted subtrees.
-
-    Deleting a leaf at level k takes one vertex from n_k, and the deepest
-    level drops when it empties; leaves on one level leave one profile.
-    """
-    out = []
-    for k in sorted(leaf_levels):
-        sub = list(profile)
-        sub[k] -= 1
-        if sub[-1] == 0:
-            sub.pop()
-        out.append(tuple(sub))
-    return out
+def _leaf_profile(profile: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Profile of the tree left by deleting a leaf at level k: one vertex
+    fewer on level k, and the deepest level dropped when it empties. All
+    leaves on one level leave this one profile."""
+    sub = list(profile)
+    sub[k] -= 1
+    if sub[-1] == 0:
+        sub.pop()
+    return tuple(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -307,34 +308,23 @@ def _row_sum_difference(data: SpectralData, tol: float):
     return ok, math.nan
 
 
-def _interlacing(data: SpectralData, subs: list[SpectralData], tol: float):
+def _interlacing(data: SpectralData, sub: SpectralData, tol: float):
     spectrum = data.spectrum
     eps = INTERLACING_TOL * max(1.0, spectrum.rho)
-    worst = math.inf
-    for sub in subs:
-        outer, inner = spectrum.values, sub.spectrum.values
-        worst = min(
-            worst,
-            float((outer[:-1] - inner).min()),
-            float((inner - outer[1:]).min()),
-        )
+    outer, inner = spectrum.values, sub.spectrum.values
+    worst = min(float((outer[:-1] - inner).min()), float((inner - outer[1:]).min()))
     return worst >= -eps, worst
 
 
-def _leaf_deletion_multiplicity(data: SpectralData, subs: list[SpectralData], tol: float):
+def _leaf_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: float):
     spectrum = data.spectrum
     threshold = tol * max(1.0, spectrum.rho)
-    ok = True
-    for sub in subs:
-        for value, mult in spectrum.clusters:
-            sub_mult = int((np.abs(sub.spectrum.values - value) <= threshold).sum())
-            if abs(mult - sub_mult) > 1:
-                ok = False
-    return ok, math.nan
+    return all(abs(mult - int((np.abs(sub.spectrum.values - value) <= threshold).sum())) <= 1
+               for value, mult in spectrum.clusters), math.nan
 
 
-def _zero_deletion_multiplicity(data: SpectralData, subs: list[SpectralData], tol: float):
-    return all(data.nullity - sub.nullity in (0, 1) for sub in subs), math.nan
+def _zero_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: float):
+    return data.nullity - sub.nullity in (0, 1), math.nan
 
 
 def _distance_domination(data: SpectralData, seq):
@@ -348,12 +338,14 @@ def _distance_domination(data: SpectralData, seq):
 
 #: What a structural verdict depends on. It fixes how often a batch
 #: evaluates the check and what the evaluator is given (``data`` is the
-#: SpectralData of the level profile, ``subs`` that of each distinct
-#: leaf-deleted profile, ``seq`` the canonical level sequence):
-#:   PROFILE      once per level profile             check(data, tol)
-#:   LEAF_LEVELS  once per (profile, leaf levels)    check(data, subs, tol)
-#:   TREE         once per tree                      check(data, seq)
-PROFILE, LEAF_LEVELS, TREE = "profile", "leaf levels", "tree"
+#: SpectralData of the level profile, ``sub`` that of the profile left by
+#: deleting a leaf at one level, ``seq`` the canonical level sequence):
+#:   PROFILE     once per level profile            check(data, tol)
+#:   LEAF_LEVEL  once per (profile, leaf level)    check(data, sub, tol)
+#:   TREE        once per tree                     check(data, seq)
+#: A tree's LEAF_LEVEL verdict is the AND of the verdicts at its leaf
+#: levels, and its slack their minimum.
+PROFILE, LEAF_LEVEL, TREE = "profile", "leaf level", "tree"
 
 #: Structural checks (beyond the bound reports): name -> (minimum order,
 #: dependency, evaluator). An evaluator returns (ok, slack); a nan slack
@@ -368,10 +360,20 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
     "zero-cluster-consistency": (1, PROFILE, _zero_cluster_consistency),
     "distance-domination": (1, TREE, _distance_domination),
     "row-sum-difference": (2, PROFILE, _row_sum_difference),
-    "interlacing": (2, LEAF_LEVELS, _interlacing),
-    "leaf-deletion-multiplicity": (2, LEAF_LEVELS, _leaf_deletion_multiplicity),
-    "zero-deletion-multiplicity": (3, LEAF_LEVELS, _zero_deletion_multiplicity),
+    "interlacing": (2, LEAF_LEVEL, _interlacing),
+    "leaf-deletion-multiplicity": (2, LEAF_LEVEL, _leaf_deletion_multiplicity),
+    "zero-deletion-multiplicity": (3, LEAF_LEVEL, _zero_deletion_multiplicity),
 }
+
+
+def _fold(results) -> list[tuple[str, bool, float]]:
+    """One (name, ok, slack) per name, in order of first appearance: the AND
+    of the name's verdicts and the minimum of its slacks."""
+    folded: dict[str, tuple[bool, float]] = {}
+    for name, ok, slack in results:
+        was_ok, worst = folded.get(name, (True, math.inf))
+        folded[name] = (was_ok and ok, min(worst, slack))
+    return [(name, ok, slack) for name, (ok, slack) in folded.items()]
 
 
 def _profile_results(data: SpectralData, bound_lines: dict[str, set[str]],
@@ -379,116 +381,123 @@ def _profile_results(data: SpectralData, bound_lines: dict[str, set[str]],
     """Verdicts fixed by the level profile, as (name, ok, slack): the bound
     reports folded into the selected ledger lines of their checks (see
     ``bounds.CHECKS``), then the profile-level structural checks."""
-    folded: dict[str, tuple[bool, float]] = {}
+    reports = []
     for check, keep in bound_lines.items():
         lines = bounds.CHECKS[check][2]
         for report in bounds.evaluate_checks(data, [check]):
             name = report.name if report.name in lines else check
-            if name not in keep:
-                continue
-            ok, slack = folded.get(name, (True, math.inf))
-            folded[name] = (ok and report.satisfied, min(slack, report.slack))
-    return ([(name, ok, slack) for name, (ok, slack) in folded.items()]
-            + [(name, *check(data, tol)) for name, check in checks])
+            if name in keep:
+                reports.append((name, report.satisfied, report.slack))
+    return _fold(reports) + [(name, *check(data, tol)) for name, check in checks]
 
 
-def _evaluate_batch(order: int, seqs: list[tuple[int, ...]],
+def _evaluate_batch(order: int, seqs: Iterable[tuple[int, ...]],
                     bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float, stats: tuple[str, ...]):
-    """Worker: evaluate all selected checks on a batch of canonical level
-    sequences; returns mergeable partial aggregates.
+    """Worker: walk canonical level sequences of one order once, evaluating
+    the selected checks; returns mergeable partial aggregates and the number
+    of trees walked.
 
-    The batch solves its profiles and leaf-deleted profiles in one call of
-    the profile engine and keeps the result as its memo. Each verdict is
-    computed once per level profile, once per (profile, leaf levels) or once
-    per tree, as STRUCTURAL_CHECKS says, and memoised for the rest of the
-    batch.
+    One call of the profile engine first solves every profile of the order,
+    and of order - 1 (which holds each leaf-deleted profile) when a leaf
+    check runs. A tree's key is its profile and, when a leaf check runs, its
+    leaf levels. Every verdict but a TREE check's is fixed by the key, so it
+    is computed on the key's first tree and recorded once with the key's
+    tree count; a failed one names its trees as offenders in walk order.
+    The extremal statistics see the first two trees of each key: the
+    arg-extreme tree and the runner-up value come from those.
     """
-    checks: dict[str, list] = {PROFILE: [], LEAF_LEVELS: [], TREE: []}
+    checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
         min_order, depends_on, check = STRUCTURAL_CHECKS[name]
         if order >= min_order:
             checks[depends_on].append((name, check))
-    profiles = [level_profile(seq) for seq in seqs]
-    leaf_keys = ([(profile, _leaf_levels(seq)) for profile, seq in zip(profiles, seqs)]
-                 if checks[LEAF_LEVELS] else [])
-    needed = set(profiles)
-    for key in set(leaf_keys):
-        needed.update(_leaf_profiles(*key))
+    leaf_checks = checks[LEAF_LEVEL]
+    space = chain(level_profiles(order), level_profiles(order - 1) if leaf_checks else ())
     memo = {profile: SpectralData(profile, *solution)
-            for profile, solution in solve_profiles(needed, tol).items()}
-    check_stats: dict[str, CheckStat] = {}
-    extremal = {stat: ExtremalStat(stat) for stat in stats}
+            for profile, solution in solve_profiles(space, tol).items()}
     per_profile: dict[tuple[int, ...], list] = {}
-    per_leaf_levels: dict[tuple, list] = {}
-    for i, seq in enumerate(seqs):
-        data = memo[profiles[i]]
-        if data.profile not in per_profile:
-            per_profile[data.profile] = _profile_results(
-                data, bound_lines, checks[PROFILE], tol)
-        results = per_profile[data.profile]
-        if leaf_keys:
-            key = leaf_keys[i]
-            if key not in per_leaf_levels:
-                subs = [memo[sub] for sub in _leaf_profiles(*key)]
-                per_leaf_levels[key] = [(name, *check(data, subs, tol))
-                                        for name, check in checks[LEAF_LEVELS]]
-            results = results + per_leaf_levels[key]
-        results = results + [(name, *check(data, seq)) for name, check in checks[TREE]]
-        label = " ".join(str(v) for v in seq)
+    per_leaf_level: dict[tuple[tuple[int, ...], int], list] = {}
+    verdicts: dict[tuple, list] = {}  # key -> [(name, ok, slack)]
+    failed: dict[tuple, list[str]] = {}  # key -> names of its failed verdicts
+    trees_of: dict[tuple, int] = {}  # key -> trees walked
+    check_stats = {name: CheckStat(name) for name, _ in checks[TREE]}
+    extremal = {name: ExtremalStat(name) for name in stats}
+    for seq in seqs:
+        profile = level_profile(seq)
+        data = memo[profile]
+        leaf_levels = _leaf_levels(seq) if leaf_checks else frozenset()
+        key = (profile, leaf_levels)
+        if key not in verdicts:
+            if profile not in per_profile:
+                per_profile[profile] = _profile_results(data, bound_lines, checks[PROFILE], tol)
+            for k in leaf_levels:
+                if (profile, k) not in per_leaf_level:
+                    sub = memo[_leaf_profile(profile, k)]
+                    per_leaf_level[profile, k] = [(name, *check(data, sub, tol))
+                                                  for name, check in leaf_checks]
+            results = per_profile[profile] + _fold(chain.from_iterable(
+                per_leaf_level[profile, k] for k in leaf_levels))
+            verdicts[key] = results
+            failed[key] = [name for name, ok, _ in results if not ok]
+            for name, _, _ in results:
+                check_stats.setdefault(name, CheckStat(name))
+        trees_of[key] = trees_of.get(key, 0) + 1
+        for name in failed[key]:
+            check_stats[name].offend(seq)
+        for name, check in checks[TREE]:
+            ok, slack = check(data, seq)
+            check_stats[name].record(ok, slack)
+            if not ok:
+                check_stats[name].offend(seq)
+        if trees_of[key] <= 2:
+            for name in stats:
+                extremal[name].record(getattr(data.spectrum, name), seq)
+    for key, results in verdicts.items():
         for name, ok, slack in results:
-            if name not in check_stats:
-                check_stats[name] = CheckStat(name)
-            check_stats[name].record(ok, slack, label)
-        for stat in stats:
-            extremal[stat].record(getattr(data.spectrum, stat), label)
-    return check_stats, extremal
+            check_stats[name].record(ok, slack, trees_of[key])
+    return check_stats, extremal, sum(trees_of.values())
 
 
 def verify_order(order: int, selection=None, jobs: int | None = None,
-                 tol: float = DEFAULT_CLUSTER_TOL, cap: int | None = None,
-                 stats: tuple[str, ...] = ("rho", "energy")) -> VerificationLedger:
+                 tol: float = DEFAULT_CLUSTER_TOL) -> VerificationLedger:
     """Run the selected checks over every rooted tree of the given order.
 
     ``selection`` lists names from :func:`available_checks` (``None``: all
     of them); an unknown name raises ``KeyError`` and an empty list
-    ``ValueError``. The trees are walked as canonical level sequences; no
-    tree object is built. ``jobs`` sets the worker-pool width (default: available
-    parallelism); it must be at least 1 and is clamped to the CPUs this
-    process may run on. Below POOL_MIN_TREES trees no pool is started. Batches
-    are contiguous runs of the enumeration merged in order, so the ledger
-    equals the sequential one.
+    ``ValueError``. An order above the enumeration cap raises
+    ``ResourceLimit`` before any work. The trees are walked as canonical
+    level sequences; no tree object is built. ``jobs`` sets the worker-pool
+    width (default: available parallelism); it must be at least 1 and is
+    clamped to the CPUs this process may run on. Below POOL_MIN_TREES trees
+    no pool is started and the enumeration is streamed. Batches are
+    contiguous runs of the enumeration merged in order, so the ledger equals
+    the sequential one.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     bound_lines, structural = _resolve_selection(selection)
-    seqs = list(level_sequences(order, cap=cap))
+    check_enumeration_cap(order)
     expected = rooted_tree_count(order)
-    if len(seqs) != expected:
-        raise AssertionError(
-            f"enumerator produced {len(seqs)} trees at order {order}, "
-            f"counting recurrence says {expected}"
-        )
     cpus = available_cpus()
-    jobs = max(1, min(cpus if jobs is None else jobs, cpus, len(seqs)))
-    if jobs == 1 or len(seqs) < POOL_MIN_TREES:
-        partials = [_evaluate_batch(order, seqs, bound_lines, structural, tol, stats)]
+    jobs = max(1, min(cpus if jobs is None else jobs, cpus, expected))
+    args = (bound_lines, structural, tol, EXTREMAL_STATS)
+    if jobs == 1 or expected < POOL_MIN_TREES:
+        partials = [_evaluate_batch(order, level_sequences(order), *args)]
     else:
+        seqs = list(level_sequences(order))
         chunk = (len(seqs) + jobs - 1) // jobs
         batches = [seqs[i:i + chunk] for i in range(0, len(seqs), chunk)]
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(
-                _batch_entry,
-                [(order, batch, bound_lines, structural, tol, stats)
-                 for batch in batches],
-            ))
+            partials = list(pool.map(_batch_entry, [(order, batch, *args) for batch in batches]))
     merged_checks: dict[str, CheckStat] = {}
-    merged_extremal = {stat: ExtremalStat(stat) for stat in stats}
-    for check_stats, extremal in partials:
+    merged_extremal = {stat: ExtremalStat(stat) for stat in EXTREMAL_STATS}
+    count = sum(trees for _, _, trees in partials)
+    for check_stats, extremal, _ in partials:
         for name, stat in check_stats.items():
             if name in merged_checks:
                 merged_checks[name].merge(stat)
@@ -496,9 +505,14 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
                 merged_checks[name] = stat
         for name, ex in extremal.items():
             merged_extremal[name].merge(ex)
+    if count != expected:
+        raise AssertionError(
+            f"enumerator produced {count} trees at order {order}, "
+            f"counting recurrence says {expected}"
+        )
     return VerificationLedger(
         order=order,
-        tree_count=len(seqs),
+        tree_count=count,
         checks=[merged_checks[k] for k in sorted(merged_checks)],
         extremal=merged_extremal,
     )
@@ -517,52 +531,16 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# ---------------------------------------------------------------------------
-# extremal sweeps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtremalSweep:
-    """Arg-extreme trees of one statistic over a full enumeration."""
-
-    order: int
-    stat: str
-    tree_count: int
-    min_tree: RootedTree
-    min_value: float
-    min_gap: float
-    max_tree: RootedTree
-    max_value: float
-    max_gap: float
-
-
-def extremal_sweep(order: int, stat: str = "rho", tol: float = DEFAULT_CLUSTER_TOL,
-                   cap: int | None = None) -> ExtremalSweep:
-    if stat not in ("rho", "energy"):
+def extremal_sweep(order: int, stat: str = "rho",
+                   tol: float = DEFAULT_CLUSTER_TOL) -> ExtremalStat:
+    """Arg-extreme trees of one statistic (one of EXTREMAL_STATS) over every
+    rooted tree of the order: the walk of :func:`verify_order` with no
+    check. The statistic depends on the level profile alone, so the walk
+    solves each profile once."""
+    if stat not in EXTREMAL_STATS:
         raise KeyError(f"unknown statistic {stat!r}; use 'rho' or 'energy'")
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
-    check_enumeration_cap(order, cap)
-    # The statistic depends on the level profile alone: solve every profile
-    # of the order in stacks, keep its value, then walk the trees.
-    value_of: dict[tuple[int, ...], float] = {}
-    profiles = level_profiles(order)
-    while chunk := list(islice(profiles, STACK_SIZE)):
-        for profile, solution in solve_profiles(chunk, tol).items():
-            value_of[profile] = getattr(solution.spectrum, stat)
-    tracker = ExtremalStat(stat)
-    count = 0
-    for seq in level_sequences(order, cap=cap):
-        count += 1
-        tracker.record(value_of[level_profile(seq)], seq)
-    return ExtremalSweep(
-        order=order,
-        stat=stat,
-        tree_count=count,
-        min_tree=tree_from_level_sequence(tracker.min_seq),
-        min_value=tracker.min_value,
-        min_gap=tracker.min_gap,
-        max_tree=tree_from_level_sequence(tracker.max_seq),
-        max_value=tracker.max_value,
-        max_gap=tracker.max_gap,
-    )
+    check_enumeration_cap(order)
+    _, extremal, _ = _evaluate_batch(order, level_sequences(order), {}, [], tol, (stat,))
+    return extremal[stat]

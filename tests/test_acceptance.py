@@ -123,8 +123,8 @@ def test_criterion_4_exhaustive_verification(full_sweep):
 def test_criterion_5_extremal_structures(full_sweep):
     ledgers, _ = full_sweep
     for n in range(3, 11):
-        star_seq = " ".join(["0"] + ["1"] * (n - 1))
-        path_seq = " ".join(str(i) for i in range(n))
+        star_seq = (0,) + (1,) * (n - 1)
+        path_seq = tuple(range(n))
         rho = ledgers[n].extremal["rho"]
         energy = ledgers[n].extremal["energy"]
         assert rho.min_seq == star_seq, f"rho argmin at n={n} is not the star"

@@ -132,6 +132,11 @@ class TestExitCodes:
         assert code == 4
         assert "cap" in err
 
+    def test_extremal_resource_limit_is_4(self, capsys):
+        code, _, err = run(capsys, "extremal", "--order", "30", "--stat", "rho", "--min")
+        assert code == 4
+        assert "cap" in err
+
     def test_usage_error_is_64(self, capsys):
         code, _, _ = run(capsys, "extremal", "--order", "7", "--stat", "unknown", "--min")
         assert code == 64

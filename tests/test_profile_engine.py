@@ -25,8 +25,6 @@ from levelspectra import (
     enumerate_rooted_trees,
     evaluate_checks,
     exact_zero_multiplicity,
-    is_rooted_path,
-    is_rooted_star,
     level_profile,
     level_profiles,
     level_sequences,
@@ -37,6 +35,7 @@ from levelspectra import (
     rooted_star,
     solve_profiles,
     symmetric_eigenvalues,
+    verify_order,
 )
 from levelspectra import spectra as spectra_mod
 from levelspectra.eigen import symmetric_eigh
@@ -49,7 +48,7 @@ from levelspectra.spectra import (
     _rank_mod_p,
     _residues,
 )
-from levelspectra.verify import _leaf_profiles, extremal_sweep
+from levelspectra.verify import _leaf_profile, extremal_sweep
 
 from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays
 
@@ -157,7 +156,8 @@ def test_leaf_profiles_match_deleted_trees(order):
         data = SpectralData.from_tree(tree)
         deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
         lev = levels(tree)
-        subs = _leaf_profiles(data.profile, {int(lev[leaf]) for leaf in tree.leaves()})
+        leaf_levels = {int(lev[leaf]) for leaf in tree.leaves()}
+        subs = [_leaf_profile(data.profile, k) for k in leaf_levels]
         assert len(subs) == len(set(subs)) and set(subs) == deleted
 
 
@@ -186,12 +186,23 @@ def record_lapack_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
 def test_extremal_sweep_solves_once_per_profile(monkeypatch):
     calls = record_lapack_calls(monkeypatch)
     sweep = extremal_sweep(8, "rho")
-    assert is_rooted_star(sweep.min_tree) and is_rooted_path(sweep.max_tree)
+    assert sweep.min_seq == (0,) + (1,) * 7 and sweep.max_seq == tuple(range(8))
     # 115 trees but 2**6 profiles (compositions of 7 below the root), in one
     # stack per height h = 1..7
     assert {name for name, _ in calls} == {"eigvalsh"}
     assert sorted(shape[1] for _, shape in calls) == list(range(2, 9))
     assert sum(shape[0] for _, shape in calls) == 2 ** 6
+
+
+@pytest.mark.parametrize("selection, solved", [
+    (None, 2 ** 6 + 2 ** 5),  # leaf checks add every profile of order 7
+    (["trace-identity"], 2 ** 6),
+])
+def test_verify_solves_the_profile_space_once(monkeypatch, selection, solved):
+    calls = record_lapack_calls(monkeypatch)
+    verify_order(8, selection=selection, jobs=1)
+    assert {name for name, _ in calls} == {"eigvalsh"}
+    assert sum(shape[0] for _, shape in calls) == solved
 
 
 ALL_PROFILES = [p for order in range(1, 13) for p in level_profiles(order)]
@@ -274,6 +285,27 @@ def test_batch_equals_batches_of_one():
         assert np.array_equal(engine[profile].spectrum.values, one.spectrum.values)
         assert engine[profile].spectrum.clusters == one.spectrum.clusters
         assert engine[profile].nullity == one.nullity
+
+
+@pytest.mark.parametrize("n", [300, 500])
+def test_clusters_of_long_paths_do_not_chain(n):
+    """The rooted path's eigenvalues are all simple but crowd near -1/2,
+    closer to each other than the threshold. A value joins a cluster only
+    within the threshold of the cluster's first value, so no cluster spans
+    more than the threshold."""
+    spectrum = solve_profiles([(1,) * n])[(1,) * n].spectrum
+    threshold = DEFAULT_CLUSTER_TOL * max(1.0, spectrum.rho)
+    sizes = [m for _, m in spectrum.clusters]
+    assert sum(sizes) == n
+    edges = np.cumsum([0] + sizes)
+    for lo, hi in zip(edges, edges[1:]):
+        assert spectrum.values[lo] - spectrum.values[hi - 1] <= threshold
+    oracle = _cluster(spectrum.values, threshold)
+    assert sizes == [m for _, m in oracle]
+    # the means may differ in the last bits: the engine and the oracle sum
+    # a cluster in different orders
+    assert np.allclose([v for v, _ in spectrum.clusters], [v for v, _ in oracle],
+                       rtol=1e-14, atol=0)
 
 
 def profile_b(profile):

@@ -27,7 +27,7 @@ from levelspectra.spectra import (
     CharPoly,
     positive_eigenvalue_count,
 )
-from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_levels, _leaf_profiles
+from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_levels, _leaf_profile
 
 from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
 
@@ -279,19 +279,19 @@ class TestInterlacing:
         inner = symmetric_eigenvalues(build_level_matrix(rooted_path(2))).values
         assert _interlace(outer, inner, slack=1e-8)
         assert _interlacing(SpectralData.from_profile((1, 1, 1)),
-                            [SpectralData.from_profile((1, 1))], 1e-8)[0]
+                            SpectralData.from_profile((1, 1)), 1e-8)[0]
 
     def test_s4_to_s3(self):
         outer = symmetric_eigenvalues(build_level_matrix(rooted_star(4))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_star(3))).values
         assert _interlace(outer, inner, slack=1e-8)
         assert _interlacing(SpectralData.from_profile((1, 3)),
-                            [SpectralData.from_profile((1, 2))], 1e-8)[0]
+                            SpectralData.from_profile((1, 2)), 1e-8)[0]
 
     def test_violation_detected(self):
         # the star's top eigenvalue sqrt(3) lies below the path's 1 + sqrt(3)
         ok, worst = _interlacing(SpectralData.from_profile((1, 3)),
-                                 [SpectralData.from_profile((1, 1, 1))], 1e-8)
+                                 SpectralData.from_profile((1, 1, 1)), 1e-8)
         assert not ok
         assert worst == pytest.approx(math.sqrt(3) - (1 + math.sqrt(3)))
 
@@ -301,7 +301,8 @@ class TestInterlacing:
         for n in range(2, 9):
             for seq in level_sequences(n):
                 profile = level_profile(seq)
-                for sub in _leaf_profiles(profile, _leaf_levels(seq)):
+                for k in _leaf_levels(seq):
+                    sub = _leaf_profile(profile, k)
                     assert sum(sub) == n - 1 and min(sub) >= 1
 
     def test_every_leaf_deletion(self):

@@ -8,14 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levelspectra import (
-    is_rooted_path,
-    is_rooted_star,
     level_profile,
     rooted_tree_count,
     verify_order,
 )
 from levelspectra.bounds import path_rho_closed_form
-from levelspectra.errors import InvalidOrder
+from levelspectra.errors import InvalidOrder, ResourceLimit
 from levelspectra import bounds as bounds_mod
 from levelspectra import levelmatrix as levelmatrix_mod
 from levelspectra import spectra as spectra_mod
@@ -135,17 +133,17 @@ class TestVerifyOrder:
         rho = ledger.extremal["rho"]
         assert rho.min_value == pytest.approx(2.0, abs=1e-10)  # star
         assert rho.max_value == pytest.approx(path_rho_closed_form(5), rel=1e-8)
-        assert rho.min_seq == "0 1 1 1 1"
-        assert rho.max_seq == "0 1 2 3 4"
+        assert rho.min_seq == (0, 1, 1, 1, 1)
+        assert rho.max_seq == (0, 1, 2, 3, 4)
+        assert ledger.to_dict()["extremal"]["rho"]["min"]["tree"] == "0 1 1 1 1"
 
 
 class TestExtremalSweeps:
     def test_order3(self):
         sweep = extremal_sweep(3, "rho")
-        assert sweep.tree_count == 2
-        assert is_rooted_star(sweep.min_tree)
+        assert sweep.min_seq == (0, 1, 1)  # the star
         assert sweep.min_value == pytest.approx(math.sqrt(2), abs=1e-10)
-        assert is_rooted_path(sweep.max_tree)
+        assert sweep.max_seq == (0, 1, 2)  # the path
         assert sweep.max_value == pytest.approx(1 + math.sqrt(3), abs=1e-9)
 
     def test_order5_values(self):
@@ -157,12 +155,12 @@ class TestExtremalSweeps:
     def test_energy_matches_rho_argmax(self):
         rho_sweep = extremal_sweep(6, "rho")
         energy_sweep = extremal_sweep(6, "energy")
-        assert is_rooted_path(energy_sweep.max_tree)
+        assert energy_sweep.max_seq == tuple(range(6))  # the path
         assert energy_sweep.max_value == pytest.approx(2 * rho_sweep.max_value, rel=1e-8)
 
     def test_order2_degenerate(self):
         sweep = extremal_sweep(2, "rho")
-        assert sweep.tree_count == 1
+        assert sweep.min_seq == sweep.max_seq == (0, 1)  # the one tree
         assert sweep.min_value == sweep.max_value == pytest.approx(1.0)
 
     def test_bad_stat(self):
@@ -201,21 +199,30 @@ class TestFocusedHarnesses:
 class TestAggregates:
     def test_check_stat_records_offenders(self):
         stat = CheckStat("demo")
-        stat.record(True, 0.5, "0 1")
-        stat.record(False, -0.25, "0 1 1")
+        stat.record(True, 0.5)
+        stat.record(False, -0.25)
+        stat.offend((0, 1, 1))
         assert stat.trees_checked == 2
         assert stat.violations == 1
         assert stat.worst_slack == -0.25
-        assert stat.offenders == ["0 1 1"]
+        assert stat.offenders == [(0, 1, 1)]
+        assert stat.to_dict()["offenders"] == ["0 1 1"]
+
+    def test_check_stat_records_many_trees(self):
+        stat = CheckStat("demo")
+        stat.record(True, 0.5, trees=3)
+        stat.record(False, -0.25, trees=4)
+        assert (stat.trees_checked, stat.violations, stat.worst_slack) == (7, 4, -0.25)
 
     def test_check_stat_merge(self):
         a = CheckStat("demo")
-        a.record(True, 1.0, "x")
+        a.record(True, 1.0)
         b = CheckStat("demo")
-        b.record(False, -1.0, "y")
+        b.record(False, -1.0)
+        b.offend((0, 1))
         a.merge(b)
         assert a.trees_checked == 2 and a.violations == 1
-        assert a.worst_slack == -1.0 and a.offenders == ["y"]
+        assert a.worst_slack == -1.0 and a.offenders == [(0, 1)]
 
     def test_extremal_stat_tracks_runner_up(self):
         stat = ExtremalStat("rho")
@@ -283,15 +290,21 @@ class TestMergeEqualsOnePass:
 
     @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
     def test_check_stat(self, entries, cuts):
-        labelled = [(ok, slack, f"t{i}") for i, (ok, slack) in enumerate(entries)]
+        labelled = [(ok, slack, (i,)) for i, (ok, slack) in enumerate(entries)]
+
+        def record(stat, ok, slack, label):
+            stat.record(ok, slack)
+            if not ok:
+                stat.offend(label)
+
         one_pass = CheckStat("demo")
         for ok, slack, label in labelled:
-            one_pass.record(ok, slack, label)
+            record(one_pass, ok, slack, label)
         merged = CheckStat("demo")
         for part in _split(labelled, cuts):
             batch = CheckStat("demo")
             for ok, slack, label in part:
-                batch.record(ok, slack, label)
+                record(batch, ok, slack, label)
             merged.merge(batch)
         assert merged == one_pass
         assert len(merged.offenders) <= MAX_OFFENDERS
@@ -299,10 +312,12 @@ class TestMergeEqualsOnePass:
     def test_offenders_keep_enumeration_order(self):
         first, second = CheckStat("demo"), CheckStat("demo")
         for i in range(MAX_OFFENDERS):
-            first.record(False, -1.0, f"z{i}")
-        second.record(False, -1.0, "a")
+            first.record(False, -1.0)
+            first.offend((1, i))
+        second.record(False, -1.0)
+        second.offend((0,))
         first.merge(second)
-        assert first.offenders == [f"z{i}" for i in range(MAX_OFFENDERS)]
+        assert first.offenders == [(1, i) for i in range(MAX_OFFENDERS)]
 
 
 class _RecordingPool:
@@ -358,6 +373,19 @@ class TestJobsValidation:
     def test_below_one_rejected(self, jobs):
         with pytest.raises(ValueError):
             verify_order(3, jobs=jobs)
+
+
+@pytest.mark.parametrize("run", [lambda: verify_order(30), lambda: extremal_sweep(30, "rho")],
+                         ids=["verify", "extremal"])
+def test_cap_refused_before_any_solve(monkeypatch, run):
+    """Both walks solve the whole profile space first (2**28 profiles at
+    order 30), so the enumeration cap must be checked before that."""
+    def solve_profiles(*args, **kwargs):
+        raise AssertionError("profiles solved before the cap was checked")
+
+    monkeypatch.setattr(verify_mod, "solve_profiles", solve_profiles)
+    with pytest.raises(ResourceLimit):
+        run()
 
 
 @pytest.mark.parametrize("order", range(1, 11))
@@ -444,7 +472,7 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
     extremal = {stat: ExtremalStat(stat) for stat in ("rho", "energy")}
     for tree in trees_mod.enumerate_rooted_trees(order):
         data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
-        label = " ".join(str(v) for v in trees_mod.canonical_level_sequence(tree))
+        label = trees_mod.canonical_level_sequence(tree)
         folded: dict[str, tuple[bool, float]] = {}
         for report in bounds_mod.evaluate_checks(data):
             name = report.name
@@ -454,7 +482,9 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
             folded[name] = (ok and report.satisfied, min(slack, report.slack))
         results = [(name, ok, slack) for name, (ok, slack) in folded.items()]
         for name, ok, slack in results + _oracle_structural(tree, data, tol):
-            checks.setdefault(name, CheckStat(name)).record(ok, slack, label)
+            checks.setdefault(name, CheckStat(name)).record(ok, slack)
+            if not ok:
+                checks[name].offend(label)
         extremal["rho"].record(data.spectrum.rho, label)
         extremal["energy"].record(data.spectrum.energy, label)
     return verify_mod.VerificationLedger(
@@ -465,6 +495,112 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
 @pytest.mark.parametrize("order", range(1, 9))
 def test_ledger_equals_tree_by_tree_oracle(order):
     assert verify_order(order, jobs=1).to_dict() == _oracle_ledger(order).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# a ledger with failures: one failing check of each dependency
+# ---------------------------------------------------------------------------
+
+_REAL_CHECKS = dict(verify_mod.STRUCTURAL_CHECKS)
+
+# The dependency kinds, read off real checks.
+_PROFILE_KIND = _REAL_CHECKS["bound-chain"][1]
+_LEAF_KIND = _REAL_CHECKS["interlacing"][1]
+_TREE_KIND = _REAL_CHECKS["distance-domination"][1]
+
+
+def _fails_short_and_narrow(data, tol):
+    """Fails where the height is at most 4 and the root has at most two
+    children; the slack is rho - 5."""
+    return not (data.l_max <= 4 and data.profile[1] <= 2), data.spectrum.rho - 5.0
+
+
+def _fails_on_lone_deepest_leaf(data, sub, tol):
+    """Fails where the root has at least three children and a leaf is
+    deleted that is alone on the deepest level. It runs the real
+    zero-deletion check on the tree's data with the nullity lowered by one,
+    so that deleting a leaf must lower the nullity, which only deleting
+    such a leaf does not. The slack is interlacing's."""
+    _, _, zero_deletion = _REAL_CHECKS["zero-deletion-multiplicity"]
+    _, _, interlacing = _REAL_CHECKS["interlacing"]
+    lowered = bounds_mod.SpectralData(data.profile, data.spectrum, data.nullity - 1)
+    ok, _ = zero_deletion(lowered, sub, tol)
+    _, slack = interlacing(data, sub, tol)
+    return ok or data.profile[1] < 3, slack
+
+
+def _fails_on_last_leaf_at_level_one(data, seq):
+    """Fails where the last vertex of the level sequence is on level 1."""
+    slack = float(seq[-1] - 2)
+    return slack >= 0, slack
+
+
+_FAILING_CHECKS = {
+    "fails-profile": (2, _PROFILE_KIND, _fails_short_and_narrow),
+    "fails-leaf-level": (2, _LEAF_KIND, _fails_on_lone_deepest_leaf),
+    "fails-tree": (2, _TREE_KIND, _fails_on_last_leaf_at_level_one),
+}
+
+
+def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
+    """The ledger lines of _FAILING_CHECKS, tree by tree from each tree's
+    own leaf deletions, with every offender in enumeration order."""
+    lines = {name: {"name": name, "trees_checked": 0, "violations": 0,
+                    "worst_slack": math.inf, "offenders": []} for name in _FAILING_CHECKS}
+    for seq in trees_mod.level_sequences(order):
+        tree = trees_mod.tree_from_level_sequence(seq)
+        data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
+        subs = [bounds_mod.SpectralData.from_tree(trees_mod.delete_leaf(tree, leaf), tol=tol)
+                for leaf in tree.leaves()]
+        values = data.spectrum.values
+        interlacing = min(min(float((values[:-1] - sub.spectrum.values).min()),
+                              float((sub.spectrum.values - values[1:]).min()))
+                          for sub in subs)
+        results = {
+            "fails-profile": (not (data.l_max <= 4 and data.profile[1] <= 2),
+                              data.spectrum.rho - 5.0),
+            "fails-leaf-level": (data.profile[1] < 3 or all(data.nullity - 1 - sub.nullity
+                                                            in (0, 1) for sub in subs),
+                                 interlacing),
+            "fails-tree": (seq[-1] >= 2, float(seq[-1] - 2)),
+        }
+        for name, (ok, slack) in results.items():
+            line = lines[name]
+            line["trees_checked"] += 1
+            line["worst_slack"] = min(line["worst_slack"], slack)
+            if not ok:
+                line["violations"] += 1
+                line["offenders"].append(seq)
+    return lines
+
+
+def _recurs(keys) -> bool:
+    """Whether some key comes back after a different one."""
+    runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    return len(runs) > len(set(keys))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
+    monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", _FAILING_CHECKS)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+    monkeypatch.setattr(verify_mod, "available_cpus", lambda: 2)
+    _RecordingPool.widths = []
+    oracle = _failing_oracle(8)
+    named = {name: line["offenders"][:MAX_OFFENDERS] for name, line in oracle.items()}
+    assert all(line["violations"] > MAX_OFFENDERS for line in oracle.values())
+    # verdicts are shared by the trees of a profile, or of a profile and
+    # leaf levels, yet the offenders named come in enumeration order
+    assert _recurs([level_profile(seq) for seq in named["fails-profile"]])
+    assert _recurs([(level_profile(seq), verify_mod._leaf_levels(seq))
+                    for seq in named["fails-leaf-level"]])
+    for name, line in oracle.items():
+        line["offenders"] = [" ".join(map(str, seq)) for seq in named[name]]
+    ledger = verify_order(8, selection=sorted(_FAILING_CHECKS), jobs=jobs)
+    assert _RecordingPool.widths == ([] if jobs == 1 else [2])
+    assert ledger.to_dict()["checks"] == [oracle[name] for name in sorted(oracle)]
+    assert ledger.violations == sum(line["violations"] for line in oracle.values())
 
 
 @pytest.mark.parametrize("n", [206, 600, 800])
