@@ -9,13 +9,15 @@ and its other n-h-1 eigenvalues are exactly zero. The profile engine,
 :func:`solve_profiles`, takes many profiles at once: it stacks the quotients
 of each height and solves every stack with one LAPACK ``eigvalsh`` call and
 one lock-step rank certificate. It is the only way a profile is solved,
-and it keeps no state between calls. :func:`level_spectrum` takes its
-values from it and also solves the quotient for eigenvectors (LAPACK
-``eigh``), to lift the Perron vector to the vertices. The exact nullity is
-n - rank(B) with the integer matrix B_ab = |a - b| n_b, which has the rank
-of S. Its rank is certified by elimination modulo a prime, which can only
-under-count the rank; when that count is short of full rank, the exact rank
-comes from Bareiss elimination of B.
+it keeps no state between calls, and it refuses a profile of more than
+MAX_LEVELS levels. :func:`level_spectrum` takes its values from it and
+also solves the quotient for eigenvectors (LAPACK ``eigh``), to lift the
+Perron vector to the vertices. The exact nullity is n - rank(B) with the
+integer matrix B_ab = |a - b| n_b, which has the rank of S. Its rank is
+certified by elimination modulo a prime, which can only under-count the
+rank; when that count is short of full rank, the exact rank comes from
+Bareiss elimination of B. A :class:`Spectrum` groups its values into
+clusters by :func:`_cluster`, the one clustering rule, on first read.
 
 Oracle paths, kept to test the engine against:
 :func:`symmetric_eigenvalues` and :func:`perron_vector` run the in-repo
@@ -32,6 +34,7 @@ or residues modulo a prime.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -66,7 +69,8 @@ def _as_array(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with clusters and Perron data.
+    """Eigenvalues sorted descending, with Perron data and the cluster
+    tolerance ``tol`` they were solved at.
 
     ``perron`` is the sign-normalised eigenvector of the top eigenvalue
     (``None`` for 1x1 input, where no Perron vector exists, and for a
@@ -74,7 +78,7 @@ class Spectrum:
     """
 
     values: np.ndarray
-    clusters: tuple[tuple[float, int], ...]
+    tol: float
     rho: float
     energy: float
     perron: np.ndarray | None
@@ -82,6 +86,11 @@ class Spectrum:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @functools.cached_property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        """(mean, multiplicity) per cluster at ``tol * max(1, rho)``."""
+        return _cluster(self.values, self.tol * max(1.0, self.rho))
 
     def to_dict(self) -> dict:
         return {
@@ -95,15 +104,20 @@ class Spectrum:
 def _cluster(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], ...]:
     """Group the (descending) values: a value joins the current cluster iff
     it lies within the threshold of the cluster's first (largest) value, so
-    no cluster spans more than the threshold."""
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[start] - values[i] > threshold:
-            block = values[start:i]
-            clusters.append((float(block.mean()), len(block)))
-            start = i
-    return tuple(clusters)
+    no cluster spans more than the threshold. Each mean is the cluster's
+    ``np.add.reduceat`` sum over its size: the last bits of a mean depend on
+    the order of summation, and ``block.mean()`` sums in another order."""
+    listed = values.tolist()
+    starts, top = [], math.inf
+    for i, value in enumerate(listed):
+        if top - value > threshold:
+            starts.append(i)
+            top = value
+    if not starts:
+        return ()
+    sizes = [stop - start for start, stop in zip(starts, starts[1:] + [len(listed)])]
+    sums = np.add.reduceat(values, starts).tolist()
+    return tuple((total / size, size) for total, size in zip(sums, sizes))
 
 
 def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
@@ -132,7 +146,7 @@ def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
         perron = top
     return Spectrum(
         values=values,
-        clusters=_cluster(values, tol * max(1.0, rho)),
+        tol=tol,
         rho=rho,
         energy=energy,
         perron=perron,
@@ -331,6 +345,11 @@ RANK_PRIME = (1 << 31) - 1
 #: working arrays to a few (STACK_SIZE, h+1, h+1) blocks.
 STACK_SIZE = 1024
 
+#: Most levels (h + 1) of a profile the engine solves. Its rank certificate
+#: is O(h^3): ``analyze`` of rooted paths of 500, 1,000 and 2,000 vertices
+#: took 0.8, 4.2 and 35.6 s on a 2-vCPU host, nearly all of it there.
+MAX_LEVELS = 1024
+
 
 class ProfileSolution(NamedTuple):
     """What the profile engine knows of one level profile: the spectrum of
@@ -381,7 +400,7 @@ def _profile_b(profile: tuple[int, ...]) -> list[list[int]]:
 
 def _solve_stack(profiles: list[tuple[int, ...]], tol: float) -> list[ProfileSolution]:
     """Solve profiles of one height: one stacked ``eigvalsh`` and one stacked
-    rank certificate, with the clusters found for all members at once."""
+    rank certificate. Each spectrum clusters its values when they are read."""
     counts = np.array(profiles, dtype=np.int64)
     k, s = counts.shape
     n = counts.sum(axis=1)
@@ -401,51 +420,21 @@ def _solve_stack(profiles: list[tuple[int, ...]], tol: float) -> list[ProfileSol
     values[np.arange(k)[:, None], cols] = desc
     _frozen(values)
 
-    # As in _cluster, a cluster starts at each row's first value and at each
-    # value more than the threshold below the cluster's first value. A gap
-    # above the threshold starts one for certain; a block between such gaps
-    # that spans more than the threshold is split again value by value. The
-    # padding of a row is a block of its own, dropped.
-    threshold = tol * np.maximum(1.0, rho)
-    starts = np.zeros((k, width), dtype=bool)
-    starts[:, 0] = True
-    starts[:, 1:] = ((values[:, :-1] - values[:, 1:] > threshold[:, None])
-                     | (np.arange(1, width) == n[:, None]))
-    flat, starts = values.ravel(), starts.ravel()
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], values.size) - 1
-    limit = threshold[first // width]
-    for b in np.flatnonzero(flat[first] - flat[last] > limit).tolist():
-        top = flat[first[b]]
-        for i in range(first[b] + 1, last[b] + 1):
-            if top - flat[i] > limit[b]:
-                starts[i] = True
-                top = flat[i]
-    first = np.flatnonzero(starts)
-    sizes = np.diff(first, append=values.size)
-    means = np.add.reduceat(flat, first) / sizes
-    row, col = np.divmod(first, width)
-    real = col < n[row]
-    per_row = np.bincount(row[real], minlength=k).tolist()
-    clusters = list(zip(means[real].tolist(), sizes[real].tolist()))
-
     b = np.abs(j[:, None] - j[None, :])[None] * (counts % RANK_PRIME)[:, None, :]
     full_rank = _full_rank_mod_p(b % RANK_PRIME).tolist()
 
     out = []
-    offset = 0
     for i, profile in enumerate(profiles):
         size = int(n[i])
         b_nullity = 0 if full_rank[i] else exact_zero_multiplicity(
             np.array(_profile_b(profile), dtype=object))
         spectrum = Spectrum(
             values=values[i, :size],
-            clusters=tuple(clusters[offset:offset + per_row[i]]),
+            tol=tol,
             rho=float(rho[i]),
             energy=float(energy[i]),
             perron=None,
         )
-        offset += per_row[i]
         out.append(ProfileSolution(spectrum, size - s + b_nullity))
     return out
 
@@ -461,10 +450,15 @@ def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
     nullity is n - rank(B) with B_ab = |a - b| n_b, which has the rank of
     the quotient. A full rank modulo RANK_PRIME proves full rank over the
     rationals; any other outcome is decided by Bareiss elimination of B.
+    A profile of more than MAX_LEVELS levels raises ``ResourceLimit``
+    before any stack is solved.
     """
     _check_tol(tol)
     by_height: dict[int, list[tuple[int, ...]]] = {}
     for key in dict.fromkeys(_profile_key(p) for p in profiles):
+        if len(key) > MAX_LEVELS:
+            raise ResourceLimit(f"a level profile of {len(key)} levels "
+                                f"exceeds the limit of {MAX_LEVELS}")
         by_height.setdefault(len(key), []).append(key)
     out = {}
     for group in by_height.values():
@@ -487,9 +481,9 @@ def _perron_levels(profile: tuple[int, ...]) -> np.ndarray:
 def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Spectrum of the level matrix of a tree with these vertex levels.
 
-    Values and clusters come from :func:`solve_profiles` of this profile
-    alone; the Perron vector is lifted to the vertices as
-    x_i = y_l / sqrt(n_l) at l = level of i, which has unit norm.
+    Values come from :func:`solve_profiles` of this profile alone; the
+    Perron vector is lifted to the vertices as x_i = y_l / sqrt(n_l) at
+    l = level of i, which has unit norm.
     """
     lev = np.asarray(vertex_levels, dtype=np.int64)
     profile = level_profile(lev)

@@ -1,9 +1,9 @@
 """Enumeration-driven theorem harness.
 
 Runs every bound, identity, and structural claim over all rooted trees of a
-given order (plus special families) and produces a pass/fail ledger with
-extremal statistics. Violations are collected rather than fail-fast, so a
-bad run reports every offending tree.
+given order and produces a pass/fail ledger with extremal statistics.
+Violations are collected rather than fail-fast, so a bad run reports every
+offending tree.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Iterable
+from itertools import chain, islice
+from typing import Callable
 
 import numpy as np
 
@@ -391,12 +391,13 @@ def _profile_results(data: SpectralData, bound_lines: dict[str, set[str]],
     return _fold(reports) + [(name, *check(data, tol)) for name, check in checks]
 
 
-def _evaluate_batch(order: int, seqs: Iterable[tuple[int, ...]],
+def _evaluate_batch(order: int, start: int, stop: int | None,
                     bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float, stats: tuple[str, ...]):
-    """Worker: walk canonical level sequences of one order once, evaluating
-    the selected checks; returns mergeable partial aggregates and the number
-    of trees walked.
+    """Worker: walk the canonical level sequences of one order from index
+    ``start`` up to ``stop`` (``None``: to the end) once, evaluating the
+    selected checks; returns mergeable partial aggregates and the number of
+    trees walked.
 
     One call of the profile engine first solves every profile of the order,
     and of order - 1 (which holds each leaf-deleted profile) when a leaf
@@ -423,7 +424,7 @@ def _evaluate_batch(order: int, seqs: Iterable[tuple[int, ...]],
     trees_of: dict[tuple, int] = {}  # key -> trees walked
     check_stats = {name: CheckStat(name) for name, _ in checks[TREE]}
     extremal = {name: ExtremalStat(name) for name in stats}
-    for seq in seqs:
+    for seq in islice(level_sequences(order), start, stop):
         profile = level_profile(seq)
         data = memo[profile]
         leaf_levels = _leaf_levels(seq) if leaf_checks else frozenset()
@@ -470,9 +471,9 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     level sequences; no tree object is built. ``jobs`` sets the worker-pool
     width (default: available parallelism); it must be at least 1 and is
     clamped to the CPUs this process may run on. Below POOL_MIN_TREES trees
-    no pool is started and the enumeration is streamed. Batches are
-    contiguous runs of the enumeration merged in order, so the ledger equals
-    the sequential one.
+    no pool is started. Each batch walks its own contiguous range of the
+    enumeration, the last one to its end, and the batches are merged in
+    order, so the ledger equals the sequential one.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
@@ -485,15 +486,14 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, expected))
     args = (bound_lines, structural, tol, EXTREMAL_STATS)
     if jobs == 1 or expected < POOL_MIN_TREES:
-        partials = [_evaluate_batch(order, level_sequences(order), *args)]
+        partials = [_evaluate_batch(order, 0, None, *args)]
     else:
-        seqs = list(level_sequences(order))
-        chunk = (len(seqs) + jobs - 1) // jobs
-        batches = [seqs[i:i + chunk] for i in range(0, len(seqs), chunk)]
+        cuts = [expected * i // jobs for i in range(jobs)] + [None]
+        batches = [(order, start, stop, *args) for start, stop in zip(cuts, cuts[1:])]
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_batch_entry, [(order, batch, *args) for batch in batches]))
+            partials = list(pool.map(_batch_entry, batches))
     merged_checks: dict[str, CheckStat] = {}
     merged_extremal = {stat: ExtremalStat(stat) for stat in EXTREMAL_STATS}
     count = sum(trees for _, _, trees in partials)
@@ -542,5 +542,5 @@ def extremal_sweep(order: int, stat: str = "rho",
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
     check_enumeration_cap(order)
-    _, extremal, _ = _evaluate_batch(order, level_sequences(order), {}, [], tol, (stat,))
+    _, extremal, _ = _evaluate_batch(order, 0, None, {}, [], tol, (stat,))
     return extremal[stat]

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import jsonschema
 import pytest
@@ -75,6 +76,21 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(path), "--format", "treefile")
         assert code == 0
         assert out == text
+
+    def test_tall_tree_is_a_resource_limit(self, tmp_path, capsys):
+        # 2,000 levels, past spectra.MAX_LEVELS: refused before the O(h^3)
+        # rank certificate, which would take about half a minute
+        n = 2000
+        path = tmp_path / "path.tree"
+        path.write_text(f"{n}\n" + " ".join(str(p) for p in range(n)) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (4, "")
+        assert err == "resource limit: a level profile of 2000 levels exceeds the limit of 1024\n"
+        for fmt in ("dot", "treefile"):
+            code, out, _ = run(capsys, "analyze", str(path), "--format", fmt)
+            assert code == 0 and out
 
     def test_bounds_selection(self, tree_file, capsys):
         code, out, _ = run(capsys, "analyze", tree_file, "--format", "csv",

@@ -39,8 +39,10 @@ from levelspectra import (
 )
 from levelspectra import spectra as spectra_mod
 from levelspectra.eigen import symmetric_eigh
+from levelspectra.errors import ResourceLimit
 from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
+    MAX_LEVELS,
     RANK_PRIME,
     Spectrum,
     _cluster,
@@ -245,14 +247,12 @@ class TestValuesOnlySolve:
 
 def oracle_data(profile, method):
     """SpectralData of a profile from the in-repo solve of its quotient
-    (padded with exact zeros, clustered one block at a time) and from
-    Bareiss elimination of B."""
+    (padded with exact zeros) and from Bareiss elimination of B."""
     quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method)
     zeros = np.zeros(sum(profile) - len(profile))
     values = np.sort(np.concatenate([quotient_values, zeros]))[::-1]
-    rho = float(np.abs(values).max())
-    spectrum = Spectrum(values, _cluster(values, DEFAULT_CLUSTER_TOL * max(1.0, rho)),
-                        rho, float(np.abs(values).sum()), None)
+    spectrum = Spectrum(values, DEFAULT_CLUSTER_TOL, float(np.abs(values).max()),
+                        float(np.abs(values).sum()), None)
     nullity = (exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
                + sum(profile) - len(profile))
     return SpectralData(profile, spectrum, nullity)
@@ -300,12 +300,84 @@ def test_clusters_of_long_paths_do_not_chain(n):
     edges = np.cumsum([0] + sizes)
     for lo, hi in zip(edges, edges[1:]):
         assert spectrum.values[lo] - spectrum.values[hi - 1] <= threshold
-    oracle = _cluster(spectrum.values, threshold)
-    assert sizes == [m for _, m in oracle]
-    # the means may differ in the last bits: the engine and the oracle sum
-    # a cluster in different orders
-    assert np.allclose([v for v, _ in spectrum.clusters], [v for v, _ in oracle],
-                       rtol=1e-14, atol=0)
+    # and each cluster starts at the first value beyond the threshold of the
+    # previous cluster's first value
+    for prev, lo in zip(edges, edges[1:-1]):
+        assert spectrum.values[prev] - spectrum.values[lo] > threshold
+
+
+@pytest.mark.parametrize("n, tol", [(500, 1e-8), (300, 1e-6), (300, 1e-3)])
+def test_cluster_means_are_summed_by_reduceat(n, tol):
+    """The last bits of ``analyze``'s cluster means depend on the order of
+    summation. Each mean is ``np.add.reduceat`` over the cluster starts,
+    divided by the size; ``block.mean()`` differs from it in the last bits
+    on some cluster of each of these paths."""
+    spectrum = solve_profiles([(1,) * n], tol)[(1,) * n].spectrum
+    values = spectrum.values
+    sizes = np.array([size for _, size in spectrum.clusters])
+    starts = np.cumsum(sizes) - sizes
+    means = [mean for mean, _ in spectrum.clusters]
+    assert means == (np.add.reduceat(values, starts) / sizes).tolist()
+    assert means != [float(values[lo:lo + size].mean()) for lo, size in zip(starts, sizes)]
+
+
+class TestLazyClusters:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(values, threshold):
+            calls.append(len(values))
+            return _cluster(values, threshold)
+
+        monkeypatch.setattr(spectra_mod, "_cluster", counting)
+        return calls
+
+    def test_formed_once_on_first_read(self, counted):
+        profile = level_profile(SAMPLE9_LEVELS)
+        spectrum = solve_profiles([profile])[profile].spectrum
+        first = spectrum.clusters
+        assert spectrum.clusters is first
+        assert counted == [9]
+        assert [m for _, m in first] == [1, 5, 1, 1, 1]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-1])
+    def test_uses_the_tolerance_solved_at(self, tol):
+        spectrum = solve_profiles([(1,) * 300], tol)[(1,) * 300].spectrum
+        assert spectrum.tol == tol
+        threshold = tol * max(1.0, spectrum.rho)
+        assert spectrum.clusters == _cluster(spectrum.values, threshold)
+
+    def test_oracle_clusters_by_the_same_rule(self, sample9):
+        dense = symmetric_eigenvalues(build_level_matrix(sample9), tol=1e-6)
+        assert dense.tol == 1e-6
+        assert dense.clusters == _cluster(dense.values, 1e-6 * max(1.0, dense.rho))
+
+    @pytest.mark.parametrize("run, formed", [
+        (lambda: extremal_sweep(10, "rho"), 0),
+        (lambda: verify_order(9, selection=["trace-identity"], jobs=1), 0),
+        # leaf-deletion-multiplicity reads them once per order-9 profile
+        (lambda: verify_order(9, jobs=1), 2 ** 7),
+    ], ids=["extremal", "verify-no-cluster-check", "verify-all"])
+    def test_walks_cluster_only_what_they_read(self, counted, run, formed):
+        run()
+        assert len(counted) == formed
+
+
+class TestHeightLimit:
+    def test_taller_profile_refused_before_any_solve(self, monkeypatch):
+        def eigvalsh(stack):
+            raise AssertionError("a stack was solved")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        with pytest.raises(ResourceLimit, match="1025 levels"):
+            solve_profiles([(1, 2), (1,) * (MAX_LEVELS + 1)])
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(spectra_mod, "MAX_LEVELS", 5)
+        assert solve_profiles([(1,) * 5])[(1,) * 5].nullity == 0
+        with pytest.raises(ResourceLimit):
+            solve_profiles([(1,) * 6])
 
 
 def profile_b(profile):

@@ -368,6 +368,49 @@ class TestPoolWidth:
         assert pool.widths == [2]
 
 
+class TestBatchRanges:
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        """The (start, stop) of every batch run, through the pool stand-in."""
+        seen = []
+        evaluate = verify_mod._evaluate_batch
+
+        def recording(order, start, stop, *args):
+            seen.append((start, stop))
+            return evaluate(order, start, stop, *args)
+
+        monkeypatch.setattr(verify_mod, "_evaluate_batch", recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+        monkeypatch.setattr(verify_mod, "available_cpus", lambda: 3)
+        return seen
+
+    @pytest.mark.parametrize("jobs, cut", [
+        (1, [(0, None)]),
+        (2, [(0, 57), (57, None)]),
+        (3, [(0, 38), (38, 76), (76, None)]),
+    ])
+    def test_cut_from_the_tree_count(self, ranges, jobs, cut):
+        ledger = verify_order(8, jobs=jobs)  # 115 trees
+        assert ranges == cut
+        assert ledger.tree_count == 115
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_extra_tree_is_caught(self, ranges, monkeypatch, jobs):
+        """The last batch runs to the end of the enumeration, so one tree
+        too many is counted."""
+        real = verify_mod.level_sequences
+
+        def one_too_many(order):
+            yield from real(order)
+            yield tuple(range(order))
+
+        monkeypatch.setattr(verify_mod, "level_sequences", one_too_many)
+        with pytest.raises(AssertionError, match="116 trees"):
+            verify_order(8, jobs=jobs)
+        assert ranges[-1][1] is None
+
+
 class TestJobsValidation:
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_below_one_rejected(self, jobs):
