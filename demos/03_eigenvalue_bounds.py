@@ -8,7 +8,7 @@ satisfied flag, so a harness (or a reader) can scan for the tight ones.
 from levelspectra import SpectralData, evaluate_checks, from_parent_list, rooted_star
 
 tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3], one_based=True)
-data = SpectralData.from_tree(tree)
+data = SpectralData.from_tree(tree)  # a stack of one level profile
 
 print(f"{'bound':26s} {'rel':3s} {'lhs':>12s} {'rhs':>26s} {'slack':>10s}  ok")
 for r in evaluate_checks(data):
@@ -26,19 +26,20 @@ for r in evaluate_checks(SpectralData.from_tree(rooted_star(2))):
 
 # The three lower bounds on rho form a chain, tightest first. Their
 # aggregates come from the level profile: a vertex on level a has row sum
-# L_a and second-order row sum q_a.
+# L_a and second-order row sum q_a. Every aggregate has one row per member
+# of the stack; this stack has one.
 import math
 
-print("\nlevel profile:", data.profile)
-print("row sum per level L_a:        ", data.level_row_sums.tolist())
-print("second-order sum per level q_a:", data.level_second_order_sums.tolist())
-sum_l2 = data.row_square_sum
+print("\nlevel profile:", data.counts[0].tolist())
+print("row sum per level L_a:        ", data.level_row_sums[0].tolist())
+print("second-order sum per level q_a:", data.level_second_order_sums[0].tolist())
+sum_l2 = int(data.row_square_sum[0])
 chain = [
-    ("second-order", math.sqrt(data.q_square_sum / sum_l2)),
+    ("second-order", math.sqrt(int(data.q_square_sum[0]) / sum_l2)),
     ("row-square", math.sqrt(sum_l2 / data.n)),
-    ("mean row sum", 2 * data.level_index / data.n),
+    ("mean row sum", 2 * int(data.level_index[0]) / data.n),
 ]
-print(f"\nrho = {data.spectrum.rho:.9f}; lower bounds, strongest first:")
+print(f"\nrho = {data.rho[0]:.9f}; lower bounds, strongest first:")
 for name, value in chain:
     print(f"  {name:14s} {value:.9f}")
 assert chain[0][1] >= chain[1][1] >= chain[2][1]

@@ -1,10 +1,9 @@
-"""Machine-checkable bound reports for level spectra.
+"""Machine-checkable bound reports for level spectra, on stacks of profiles.
 
-Every inequality, identity and closed form gets a named evaluator returning
-one or more :class:`BoundReport` records. Evaluators read cached aggregates
-(row sums, level index, H, second-order row sums) from a shared
-:class:`SpectralData` carrier, built from the level profile alone, so the
-verification harness never recomputes them per bound or per tree.
+Every inequality, identity and closed form has one evaluator: it takes a
+:class:`SpectralData` stack and returns :class:`Comparison` records, every
+member's verdict and slack from one stacked comparator.
+:func:`evaluate_checks` turns those of a stack of one into reports.
 """
 
 from __future__ import annotations
@@ -63,53 +62,76 @@ class BoundReport:
         }
 
 
-def _report(name: str, lhs: float, rhs, relation: str,
-            tol_scale: float = COMPARISON_TOL,
-            equality_expected: bool | None = None) -> BoundReport:
-    lhs = float(lhs)
+@dataclass(frozen=True, eq=False)
+class Comparison:
+    """A relation evaluated over a stack: the fields of :class:`BoundReport`
+    with one entry per member (``rhs`` is a (lo, hi) pair for "in")."""
+
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray | tuple[np.ndarray, np.ndarray]
+    relation: str
+    slack: np.ndarray
+    ok: np.ndarray
+    equality_expected: bool | None
+
+    def report(self, row: int = 0) -> BoundReport:
+        """The report of one member."""
+        rhs = ((float(self.rhs[0][row]), float(self.rhs[1][row])) if self.relation == "in"
+               else float(self.rhs[row]))
+        return BoundReport(self.name, float(self.lhs[row]), rhs, self.relation,
+                           float(self.slack[row]), bool(self.ok[row]), self.equality_expected)
+
+
+def _compare(name: str, lhs, rhs, relation: str, tol_scale: float = COMPARISON_TOL,
+             equality_expected: bool | None = None, ok=None) -> Comparison:
+    """The stacked comparator: lhs <relation> rhs within
+    ``tol_scale * max(1, |lhs|, |rhs|)``, member by member. ``ok``, when
+    given, holds verdicts an exact test decided instead."""
+    lhs = np.asarray(lhs, dtype=float)
+    ends = [np.broadcast_to(np.asarray(x, dtype=float), lhs.shape)
+            for x in (rhs if relation == "in" else [rhs])]
+    tol = tol_scale * np.maximum.reduce([np.maximum(1.0, np.abs(lhs)), *map(np.abs, ends)])
     if relation == "in":
-        lo, hi = float(rhs[0]), float(rhs[1])
-        tol = tol_scale * max(1.0, abs(lhs), abs(lo), abs(hi))
-        slack = min(lhs - lo, hi - lhs)
-        satisfied = slack >= -tol
-        rhs = (lo, hi)
+        lo, hi = rhs = tuple(ends)
+        slack = np.minimum(lhs - lo, hi - lhs)
+        test = slack >= -tol
     else:
-        rhs = float(rhs)
-        tol = tol_scale * max(1.0, abs(lhs), abs(rhs))
+        [rhs] = ends
         slack = rhs - lhs
-        if relation == "<=":
-            satisfied = lhs <= rhs + tol
-        elif relation == ">=":
-            satisfied = lhs >= rhs - tol
-        elif relation == "==":
-            satisfied = abs(lhs - rhs) <= tol
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
-    return BoundReport(name, lhs, rhs, relation, slack, satisfied, equality_expected)
+        test = {"<=": lambda: lhs <= rhs + tol, ">=": lambda: lhs >= rhs - tol,
+                "==": lambda: np.abs(lhs - rhs) <= tol}[relation]()
+    test = test if ok is None else np.asarray(ok, dtype=bool)
+    return Comparison(name, lhs, rhs, relation, slack, test, equality_expected)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
-    """A level profile and its spectrum, with the aggregates every bound
-    needs.
-
-    A level matrix depends only on its profile (n_0, ..., n_h), so every
-    aggregate is an exact integer function of the profile, found without the
-    n x n matrix: a vertex on level a has row sum L_a = sum_b n_b |a - b| and
-    second-order row sum q_a = sum_b n_b |a - b| L_b. The spectrum and the
-    exact nullity come from one solve of the profile engine
-    (``spectra.solve_profiles``), which ``verify`` shares between the trees
-    of a profile. The spectrum carries no Perron vector.
+    """A stack: level profiles (n_0, ..., n_h) of one order n and one
+    height h with their spectra (from ``spectra.solve_profiles``), exact
+    nullities and exact aggregates, one row per member. The aggregates need
+    no n x n matrix: a vertex on level a has row sum L_a = sum_b n_b |a - b|
+    and second-order row sum q_a = sum_b n_b |a - b| L_b. Every member has
+    exactly n values, so ``values`` stacks them unpadded.
     """
 
-    profile: tuple[int, ...]
-    spectrum: Spectrum
-    nullity: int  # exact multiplicity of the eigenvalue 0
+    counts: np.ndarray  # (k, h+1): one level profile per row
+    spectra: tuple[Spectrum, ...]
+    nullity: np.ndarray  # (k,): exact multiplicity of the eigenvalue 0
+
+    @classmethod
+    def from_solutions(cls, profiles, solutions) -> "SpectralData":
+        """The stack of a list of profiles (one order, one height) from the
+        engine's solutions, a mapping that holds each of them."""
+        return cls(np.array(profiles, dtype=np.int64),
+                   tuple(solutions[p].spectrum for p in profiles),
+                   np.array([solutions[p].nullity for p in profiles], dtype=np.int64))
 
     @classmethod
     def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
+        """The stack of one profile."""
         key = tuple(int(c) for c in profile)
-        return cls(key, *solve_profiles([key], tol)[key])
+        return cls.from_solutions([key], solve_profiles([key], tol))
 
     @classmethod
     def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
@@ -117,180 +139,186 @@ class SpectralData:
 
     @cached_property
     def n(self) -> int:
-        return sum(self.profile)
+        return int(self.counts[0].sum())
 
     @property
     def l_max(self) -> int:
         """The largest entry |a - b| of the matrix: the height h."""
-        return len(self.profile) - 1
+        return self.counts.shape[1] - 1
 
     @property
     def is_path(self) -> bool:
         """The rooted path is the one tree with a vertex on every level."""
-        return len(self.profile) == self.n
+        return self.l_max + 1 == self.n
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """(k, n): each member's eigenvalues, descending."""
+        return np.stack([s.values for s in self.spectra])
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return np.array([s.rho for s in self.spectra])
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        return np.array([s.energy for s in self.spectra])
+
+    @cached_property
+    def _exact_counts(self) -> np.ndarray:
+        """The counts in int64 while n**9 < 2**63 (n <= 127), else in Python
+        integers: no aggregate exceeds n**9, so none wraps."""
+        return self.counts.astype(np.int64 if self.n ** 9 < 2 ** 63 else object)
 
     @cached_property
     def _level_distances(self) -> np.ndarray:
-        """|a - b| over the levels a, b = 0..h, in int64."""
-        idx = np.arange(len(self.profile), dtype=np.int64)
-        return np.abs(idx[:, None] - idx[None, :])
+        """|a - b| over the levels a, b = 0..h, in the counts' type."""
+        idx = np.arange(self.l_max + 1)
+        return np.abs(idx[:, None] - idx[None, :]).astype(self._exact_counts.dtype)
 
-    def _level_sum(self, values: np.ndarray, power: int = 1) -> int:
-        """sum_a n_a * values[a]**power over the levels, in Python integers."""
-        return sum(c * v**power for c, v in zip(self.profile, values.tolist()))
+    def _weighted(self, per_level: np.ndarray, power: int = 1) -> np.ndarray:
+        """sum_a n_a * per_level[a]**power for every member."""
+        return (self._exact_counts * per_level**power).sum(axis=1)
 
     @cached_property
     def level_row_sums(self) -> np.ndarray:
-        """L_a = sum_b n_b |a - b|: the row sum of every vertex on level a."""
-        return self._level_distances @ np.array(self.profile)
+        """(k, h+1): L_a = sum_b n_b |a - b|, the row sum of every vertex on
+        level a."""
+        return self._exact_counts @ self._level_distances
 
     @cached_property
     def level_second_order_sums(self) -> np.ndarray:
-        """q_a = sum_b n_b |a - b| L_b: the row sum of the squared matrix at
-        every vertex on level a."""
-        return self._level_distances @ (np.array(self.profile) * self.level_row_sums)
+        """(k, h+1): q_a = sum_b n_b |a - b| L_b, the row sum of the squared
+        matrix at every vertex on level a."""
+        return (self._exact_counts * self.level_row_sums) @ self._level_distances
 
     @cached_property
-    def level_index(self) -> int:
+    def level_index(self) -> np.ndarray:
         """LI = half the sum of all entries = (1/2) sum_a n_a L_a."""
-        return self._level_sum(self.level_row_sums) // 2
+        return self._weighted(self.level_row_sums) // 2
 
     @cached_property
-    def h_value(self) -> int:
+    def h_value(self) -> np.ndarray:
         """H = trace of the squared matrix = sum_{a,b} n_a n_b (a - b)^2."""
-        counts = np.array(self.profile)
-        return int(counts @ self._level_distances**2 @ counts)
+        return self._weighted(self._exact_counts @ self._level_distances**2)
 
     @cached_property
-    def row_square_sum(self) -> int:
-        """sum_i L_i^2 = sum_a n_a L_a^2, exactly."""
-        return self._level_sum(self.level_row_sums, 2)
+    def row_square_sum(self) -> np.ndarray:
+        """sum_i L_i^2 = sum_a n_a L_a^2."""
+        return self._weighted(self.level_row_sums, 2)
 
     @cached_property
-    def q_square_sum(self) -> int:
-        """sum_i q_i^2 = sum_a n_a q_a^2, exactly; in int64 it would wrap
-        from the rooted path of 206 vertices on."""
-        return self._level_sum(self.level_second_order_sums, 2)
+    def q_square_sum(self) -> np.ndarray:
+        """sum_i q_i^2 = sum_a n_a q_a^2."""
+        return self._weighted(self.level_second_order_sums, 2)
 
 
 # ---------------------------------------------------------------------------
 # single-relation checks
 # ---------------------------------------------------------------------------
 
-def check_eigenvalue_cap(d: SpectralData) -> BoundReport:
+def check_eigenvalue_cap(d: SpectralData) -> list[Comparison]:
     """Every |eigenvalue| is at most (n-1) * l_max; equality only for n <= 2."""
-    lhs = float(np.abs(d.spectrum.values).max())
-    return _report("eigenvalue-cap", lhs, (d.n - 1) * d.l_max, "<=",
-                   equality_expected=d.n <= 2)
+    return [_compare("eigenvalue-cap", np.abs(d.values).max(axis=1),
+                     (d.n - 1) * d.l_max, "<=", equality_expected=d.n <= 2)]
 
 
-def check_trace_identity(d: SpectralData) -> BoundReport:
+def check_trace_identity(d: SpectralData) -> list[Comparison]:
     """Sum of squared eigenvalues equals H, the trace of the squared matrix."""
-    lhs = float((d.spectrum.values**2).sum())
-    return _report("trace-identity", lhs, d.h_value, "==",
-                   tol_scale=IDENTITY_TOL)
+    return [_compare("trace-identity", (d.values**2).sum(axis=1), d.h_value, "==",
+                     tol_scale=IDENTITY_TOL)]
 
 
-def check_rho_mean_square(d: SpectralData) -> BoundReport:
+def check_rho_mean_square(d: SpectralData) -> list[Comparison]:
     """rho^2 is at least the mean squared row of the matrix, H/n."""
-    return _report("rho-mean-square", d.spectrum.rho**2, d.h_value / d.n,
-                   ">=", equality_expected=d.n <= 2)
+    return [_compare("rho-mean-square", d.rho**2, d.h_value / d.n, ">=",
+                     equality_expected=d.n <= 2)]
 
 
-def check_rho_row_sum_bounds(d: SpectralData) -> list[BoundReport]:
+def check_rho_row_sum_bounds(d: SpectralData) -> list[Comparison]:
     """Average row sum (= 2*LI/n) <= rho <= maximum row sum; the lower bound
     is an equality only for n <= 2."""
-    rho = d.spectrum.rho
     return [
-        _report("rho-row-sum-lower", 2.0 * d.level_index / d.n, rho, "<=",
-                equality_expected=d.n <= 2),
-        _report("rho-row-sum-upper", rho, int(d.level_row_sums.max()), "<="),
+        _compare("rho-row-sum-lower", 2.0 * d.level_index.astype(float) / d.n, d.rho,
+                 "<=", equality_expected=d.n <= 2),
+        _compare("rho-row-sum-upper", d.rho, d.level_row_sums.max(axis=1), "<="),
     ]
 
 
-def check_rho_row_square(d: SpectralData) -> BoundReport:
+def check_rho_row_square(d: SpectralData) -> list[Comparison]:
     """rho >= sqrt(mean of squared row sums)."""
-    return _report("rho-row-square", d.spectrum.rho,
-                   math.sqrt(float(d.row_square_sum) / d.n), ">=")
+    return [_compare("rho-row-square", d.rho,
+                     np.sqrt(d.row_square_sum.astype(float) / d.n), ">=")]
 
 
-def check_rho_second_order(d: SpectralData) -> BoundReport:
+def check_rho_second_order(d: SpectralData) -> list[Comparison]:
     """rho >= sqrt(sum q_i^2 / sum L_j^2), the Rayleigh quotient of the
     row-sum vector."""
     denom = d.row_square_sum
-    if denom == 0:
+    if (denom == 0).any():
         raise DegenerateDenominator("all row sums vanish (single vertex)")
-    return _report("rho-second-order", d.spectrum.rho,
-                   math.sqrt(float(d.q_square_sum) / denom), ">=")
+    return [_compare("rho-second-order", d.rho,
+                     np.sqrt(d.q_square_sum.astype(float) / denom.astype(float)), ">=")]
 
 
-def check_second_order_identity(d: SpectralData) -> BoundReport:
+def check_second_order_identity(d: SpectralData) -> list[Comparison]:
     """sum_i q_i equals sum_j L_j^2 exactly (integers)."""
-    lhs = d._level_sum(d.level_second_order_sums)
-    rhs = d.row_square_sum
-    report = _report("second-order-identity", lhs, rhs, "==", tol_scale=0.0)
-    # integers: demand exact equality regardless of scale
-    return BoundReport(report.name, report.lhs, report.rhs, report.relation,
-                       report.slack, lhs == rhs, report.equality_expected)
+    lhs, rhs = d._weighted(d.level_second_order_sums), d.row_square_sum
+    return [_compare("second-order-identity", lhs, rhs, "==", tol_scale=0.0,
+                     ok=lhs == rhs)]
 
 
-def check_quotient_bound(d: SpectralData) -> BoundReport:
+def check_quotient_bound(d: SpectralData) -> list[Comparison]:
     """rho >= the largest eigenvalue of any 2x2 row-sum quotient matrix:
     max_i (LI - L_i + sqrt((LI - L_i)^2 + (n-1) L_i^2)) / (n-1)."""
     if d.n <= 1:
         raise TooSmall("quotient bound needs n > 1")
-    li = d.level_index
+    li = d.level_index.astype(float)[:, None]
     L = d.level_row_sums.astype(float)  # one entry per level: the same maximum
-    best = float(((li - L) + np.sqrt((li - L) ** 2 + (d.n - 1) * L**2)).max()) / (d.n - 1)
-    return _report("quotient-bound", d.spectrum.rho, best, ">=")
+    best = ((li - L) + np.sqrt((li - L) ** 2 + (d.n - 1) * L**2)).max(axis=1) / (d.n - 1)
+    return [_compare("quotient-bound", d.rho, best, ">=")]
 
 
-def check_eigenvalue_square(d: SpectralData) -> BoundReport:
+def check_eigenvalue_square(d: SpectralData) -> list[Comparison]:
     """Every eigenvalue satisfies lambda^2 <= (n-1)/n * H."""
-    lhs = float((d.spectrum.values**2).max())
-    return _report("eigenvalue-square", lhs, (d.n - 1) * d.h_value / d.n, "<=")
+    return [_compare("eigenvalue-square", (d.values**2).max(axis=1),
+                     (d.n - 1) * d.h_value / d.n, "<=")]
 
 
-def check_eigenvalue_intervals(d: SpectralData) -> list[BoundReport]:
+def check_eigenvalue_intervals(d: SpectralData) -> list[Comparison]:
     """Per-index eigenvalue intervals from the first two spectral moments
     (zero trace, squared sum H), valid for n > 2; plus the global interval
     that contains the whole spectrum."""
-    n, h = d.n, float(d.h_value)
+    n, h = d.n, d.h_value.astype(float)
     if n <= 2:
         raise TooSmall("interval bounds need n > 2")
-    lam = d.spectrum.values
-    outer = math.sqrt((n - 1) * h / n)
-    inner = math.sqrt(h / (n * (n - 1)))
-    reports = [
-        _report("eigenvalue-interval-1", float(lam[0]), (inner, outer), "in"),
-        _report(f"eigenvalue-interval-{n}", float(lam[-1]), (-outer, -inner), "in"),
+    lam = d.values
+    outer = np.sqrt((n - 1) * h / n)
+    inner = np.sqrt(h / (n * (n - 1)))
+    comparisons = [
+        _compare("eigenvalue-interval-1", lam[:, 0], (inner, outer), "in"),
+        _compare(f"eigenvalue-interval-{n}", lam[:, -1], (-outer, -inner), "in"),
     ]
     for j in range(2, n):
-        lo = -math.sqrt((j - 1) * h / (n * (n - j + 1)))
-        hi = math.sqrt((n - j) * h / (j * n))
-        reports.append(
-            _report(f"eigenvalue-interval-{j}", float(lam[j - 1]), (lo, hi), "in")
-        )
-    reports.append(
-        _report("spectrum-interval", float(np.abs(lam).max()), outer, "<=")
-    )
-    return reports
+        lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
+        hi = np.sqrt((n - j) * h / (j * n))
+        comparisons.append(_compare(f"eigenvalue-interval-{j}", lam[:, j - 1], (lo, hi), "in"))
+    comparisons.append(_compare("spectrum-interval", np.abs(lam).max(axis=1), outer, "<="))
+    return comparisons
 
 
-def check_energy_bounds(d: SpectralData) -> list[BoundReport]:
+def check_energy_bounds(d: SpectralData) -> list[Comparison]:
     """Energy bounds: E <= sqrt(n*H) always, E <= sqrt((n-1)*H) for every
     tree other than the rooted path, and the identity E = 2*rho."""
-    energy = d.spectrum.energy
-    h = float(d.h_value)
-    reports = [
-        _report("energy-upper", energy, math.sqrt(d.n * h), "<="),
-        _report("energy-identity", energy, 2.0 * d.spectrum.rho, "==",
-                tol_scale=IDENTITY_TOL),
+    h = d.h_value.astype(float)
+    comparisons = [
+        _compare("energy-upper", d.energy, np.sqrt(d.n * h), "<="),
+        _compare("energy-identity", d.energy, 2.0 * d.rho, "==", tol_scale=IDENTITY_TOL),
     ]
     if not d.is_path:
-        reports.insert(1, _report("energy-upper-improved", energy,
-                                  math.sqrt((d.n - 1) * h), "<="))
-    return reports
+        comparisons.insert(1, _compare("energy-upper-improved", d.energy,
+                                       np.sqrt((d.n - 1) * h), "<="))
+    return comparisons
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +390,12 @@ def leafstar_cubic_roots(n: int) -> np.ndarray:
 # registry
 # ---------------------------------------------------------------------------
 
-#: name -> (evaluator, minimum order, ledger lines). Evaluators return a
-#: BoundReport or a list of them; the minimum order gates trees the relation
-#: does not cover. A verification ledger records each report under its own
-#: name when that is one of the check's lines and under the check's name
-#: otherwise, so the per-index eigenvalue intervals share one line.
+#: name -> (evaluator, minimum order, ledger lines). An evaluator takes a
+#: stack and returns a list of comparisons; the minimum order gates trees
+#: the relation does not cover. A verification ledger records each
+#: comparison under its own name when that is one of the check's lines and
+#: under the check's name otherwise, so the per-index eigenvalue intervals
+#: share one line.
 CHECKS: dict[str, tuple] = {
     "eigenvalue-cap": (check_eigenvalue_cap, 1, ("eigenvalue-cap",)),
     "trace-identity": (check_trace_identity, 1, ("trace-identity",)),
@@ -387,16 +416,11 @@ CHECKS: dict[str, tuple] = {
 
 
 def evaluate_checks(d: SpectralData, names=None) -> list[BoundReport]:
-    """Run the named bound checks (all by default) that apply at this order."""
-    if names is None:
-        names = list(CHECKS)
-    reports: list[BoundReport] = []
+    """The reports of the named bound checks (all by default) that apply at
+    this order, on a stack of one profile."""
+    names = list(CHECKS) if names is None else list(names)
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        func, min_order, _ = CHECKS[name]
-        if d.n < min_order:
-            continue
-        result = func(d)
-        reports.extend(result if isinstance(result, list) else [result])
-    return reports
+    return [comparison.report() for name in names if d.n >= CHECKS[name][1]
+            for comparison in CHECKS[name][0](d)]

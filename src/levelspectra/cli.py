@@ -189,38 +189,38 @@ class AnalysisReport:
 
     def _row_sums(self) -> list[int]:
         """L_i per vertex: the row sum of the vertex's level."""
-        return self.data.level_row_sums[levels(self.tree)].tolist()
+        return self.data.level_row_sums[0][levels(self.tree)].tolist()
 
     def to_dict(self) -> dict:
-        d, sp = self.data, self.data.spectrum
+        d, sp = self.data, self.data.spectra[0]
         return {
             "n": self.tree.n,
             "levels": levels(self.tree).tolist(),
             "l_max": d.l_max,
-            "level_index": d.level_index,
-            "h_value": d.h_value,
+            "level_index": int(d.level_index[0]),
+            "h_value": int(d.h_value[0]),
             "row_sums": self._row_sums(),
             "spectrum": sp.to_dict(),
             "rho": float(sp.rho),
             "energy": float(sp.energy),
-            "mul_zero_exact": d.nullity,
+            "mul_zero_exact": int(d.nullity[0]),
             "charpoly": [str(c) for c in self.charpoly.coeffs] if self.charpoly else None,
             "bounds": [r.to_dict() for r in self.bounds],
             "extras": self.extras,
         }
 
     def to_text(self) -> str:
-        d, sp = self.data, self.data.spectrum
+        d, sp = self.data, self.data.spectra[0]
         lines = [
             f"vertices:      {self.tree.n}",
             f"levels:        {' '.join(str(v) for v in levels(self.tree).tolist())}",
             f"l_max:         {d.l_max}",
-            f"level index:   {d.level_index}",
-            f"H:             {d.h_value}",
+            f"level index:   {d.level_index[0]}",
+            f"H:             {d.h_value[0]}",
             f"row sums:      {' '.join(str(v) for v in self._row_sums())}",
             f"rho:           {_fmt(sp.rho)}",
             f"energy:        {_fmt(sp.energy)}",
-            f"mul(0) exact:  {d.nullity}",
+            f"mul(0) exact:  {d.nullity[0]}",
             "eigenvalues:   " + " ".join(_fmt(v) for v in sp.values),
             "clusters:      " + ", ".join(f"{_fmt(v)} (x{m})" for v, m in sp.clusters),
         ]
@@ -451,10 +451,10 @@ def _cmd_special(args) -> int:
     if args.family == "path":
         closed = path_rho_closed_form(tree.n)
         report.extras["closed_form_rho"] = _fmt(closed)
-        report.extras["closed_form_residual"] = _fmt(abs(closed - report.data.spectrum.rho))
+        report.extras["closed_form_residual"] = _fmt(abs(closed - report.data.spectra[0].rho))
     elif args.family == "leafstar":
         roots = leafstar_cubic_roots(tree.n)
-        values = report.data.spectrum.values
+        values = report.data.spectra[0].values
         nonzero = values[np.argsort(-np.abs(values))][:3]
         residual = float(np.abs(np.sort(roots) - np.sort(nonzero)).max())
         report.extras["cubic_roots"] = " ".join(_fmt(r) for r in sorted(roots, reverse=True))

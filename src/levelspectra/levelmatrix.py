@@ -130,20 +130,21 @@ def row_sum_difference(sorted_levels, i: int, k: int) -> int:
 
 
 def row_sum_differences(sorted_levels) -> np.ndarray:
-    """The closed form of :func:`row_sum_difference` for every pair at once.
+    """The closed form of :func:`row_sum_difference` for every pair at once,
+    of one level list or of a stack of them along the last axis.
 
-    Entry [i-1, k-1] is L_i - L_k for 1 <= i < k <= n; the entries on and
-    below the diagonal have no meaning.
+    Entry [..., i-1, k-1] is L_i - L_k for 1 <= i < k <= n; the entries on
+    and below the diagonal have no meaning.
     """
     lev = np.asarray(sorted_levels, dtype=np.int64)
-    if np.any(lev[:-1] < lev[1:]):
+    if np.any(lev[..., :-1] < lev[..., 1:]):
         raise IndexError("levels must be sorted non-increasing")
-    n = len(lev)
+    n = lev.shape[-1]
     pos = np.arange(1, n + 1)
-    prefix = np.concatenate(([0], np.cumsum(lev)))  # prefix[m]: first m levels
-    middle = prefix[None, :-1] - prefix[1:, None]   # levels strictly between i and k
-    return (((n - 2 * pos) * lev)[:, None] - 2 * middle
-            - ((n - 2 * pos + 2) * lev)[None, :])
+    prefix = np.cumsum(np.concatenate((0 * lev[..., :1], lev), axis=-1), axis=-1)  # first m levels
+    middle = prefix[..., None, :-1] - prefix[..., 1:, None]  # levels strictly between i and k
+    return (((n - 2 * pos) * lev)[..., :, None] - 2 * middle
+            - ((n - 2 * pos + 2) * lev)[..., None, :])
 
 
 def matrix_text(matrix: LevelMatrix) -> str:

@@ -38,7 +38,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def _as_array(matrix) -> np.ndarray:
     return np.asarray(matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues sorted descending, with Perron data and the cluster
     tolerance ``tol`` they were solved at.
@@ -296,13 +296,6 @@ def clustered_multiplicity(spectrum: Spectrum, value: float,
     return count
 
 
-def positive_eigenvalue_count(spectrum: Spectrum,
-                              tol: float = DEFAULT_CLUSTER_TOL) -> int:
-    """Eigenvalues exceeding ``tol * max(1, rho)``; one for every level
-    matrix of order >= 2."""
-    return int((spectrum.values > tol * max(1.0, spectrum.rho)).sum())
-
-
 # ---------------------------------------------------------------------------
 # profile engine
 # ---------------------------------------------------------------------------
@@ -342,13 +335,25 @@ RANK_PRIME = (1 << 31) - 1
 
 #: Profiles of one height solved together: one LAPACK call and one
 #: elimination per stack of at most this many, which bounds a batch's
-#: working arrays to a few (STACK_SIZE, h+1, h+1) blocks.
+#: working arrays to a few (STACK_SIZE, h+1, h+1) blocks. ``verify``
+#: checks stacks of the same size.
 STACK_SIZE = 1024
 
 #: Most levels (h + 1) of a profile the engine solves. Its rank certificate
 #: is O(h^3): ``analyze`` of rooted paths of 500, 1,000 and 2,000 vertices
 #: took 0.8, 4.2 and 35.6 s on a 2-vCPU host, nearly all of it there.
 MAX_LEVELS = 1024
+
+
+def height_stacks(items, height=len) -> Iterator[list]:
+    """``items`` grouped by ``height(item)``, in stacks of at most
+    STACK_SIZE, which bounds the working arrays of each stack."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(height(item), []).append(item)
+    for group in groups.values():
+        for start in range(0, len(group), STACK_SIZE):
+            yield group[start:start + STACK_SIZE]
 
 
 class ProfileSolution(NamedTuple):
@@ -454,17 +459,14 @@ def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
     before any stack is solved.
     """
     _check_tol(tol)
-    by_height: dict[int, list[tuple[int, ...]]] = {}
-    for key in dict.fromkeys(_profile_key(p) for p in profiles):
-        if len(key) > MAX_LEVELS:
-            raise ResourceLimit(f"a level profile of {len(key)} levels "
-                                f"exceeds the limit of {MAX_LEVELS}")
-        by_height.setdefault(len(key), []).append(key)
+    keys = list(dict.fromkeys(_profile_key(p) for p in profiles))
+    tallest = max(map(len, keys), default=0)
+    if tallest > MAX_LEVELS:
+        raise ResourceLimit(f"a level profile of {tallest} levels "
+                            f"exceeds the limit of {MAX_LEVELS}")
     out = {}
-    for group in by_height.values():
-        for start in range(0, len(group), STACK_SIZE):
-            chunk = group[start:start + STACK_SIZE]
-            out.update(zip(chunk, _solve_stack(chunk, float(tol))))
+    for stack in height_stacks(keys):
+        out.update(zip(stack, _solve_stack(stack, float(tol))))
     return out
 
 

@@ -2,8 +2,10 @@
 
 Runs every bound, identity, and structural claim over all rooted trees of a
 given order and produces a pass/fail ledger with extremal statistics.
-Violations are collected rather than fail-fast, so a bad run reports every
-offending tree.
+Every verdict but ``distance-domination`` depends only on a tree's level
+profile or on a (profile, leaf level) pair, so it is computed once, on
+stacks of those, and the walk over the trees looks it up. Violations are
+collected rather than fail-fast, so a bad run reports every offending tree.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .errors import InvalidOrder
 from .levelmatrix import ordered_distance_matrix, row_sum_differences
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
-    clustered_multiplicity,
+    height_stacks,
     level_profile,
-    positive_eigenvalue_count,
     solve_profiles,
 )
 from .trees import (
@@ -264,18 +265,18 @@ def _leaf_profile(profile: tuple[int, ...], k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _strict_row_sum_lower(data: SpectralData, tol: float):
-    rho = data.spectrum.rho
-    slack = rho - 2.0 * data.level_index / data.n
-    return slack > COMPARISON_TOL * max(1.0, rho), slack
+    rho = data.rho
+    slack = rho - 2.0 * data.level_index.astype(float) / data.n
+    return slack > COMPARISON_TOL * np.maximum(1.0, rho), slack
 
 
 def _bound_chain(data: SpectralData, tol: float):
-    n, sum_l2 = data.n, data.row_square_sum
-    a = math.sqrt(float(data.q_square_sum) / sum_l2)
-    b = math.sqrt(sum_l2 / n)
-    c = 2.0 * data.level_index / n
-    tol_abs = COMPARISON_TOL * max(1.0, a)
-    return a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)
+    sum_l2 = data.row_square_sum
+    a = np.sqrt(data.q_square_sum.astype(float) / sum_l2.astype(float))
+    b = np.sqrt((sum_l2 / data.n).astype(float))
+    c = 2.0 * data.level_index.astype(float) / data.n
+    tol_abs = COMPARISON_TOL * np.maximum(1.0, a)
+    return (a >= b - tol_abs) & (b >= c - tol_abs), np.minimum(a - b, b - c)
 
 
 def _zero_multiplicity(data: SpectralData, tol: float):
@@ -283,11 +284,12 @@ def _zero_multiplicity(data: SpectralData, tol: float):
 
 
 def _one_positive_eigenvalue(data: SpectralData, tol: float):
-    return positive_eigenvalue_count(data.spectrum, tol) == 1, math.nan
+    threshold = tol * np.maximum(1.0, data.rho)
+    return (data.values > threshold[:, None]).sum(axis=1) == 1, math.nan
 
 
 def _star_characterisation(data: SpectralData, tol: float):
-    star = len(data.profile) <= 2  # no vertex below level 1
+    star = data.l_max <= 1  # no vertex below level 1
     return (data.nullity == data.n - 2) == star, math.nan
 
 
@@ -296,60 +298,75 @@ def _path_characterisation(data: SpectralData, tol: float):
 
 
 def _zero_cluster_consistency(data: SpectralData, tol: float):
-    return clustered_multiplicity(data.spectrum, 0.0, tol) == data.nullity, math.nan
+    """``spectra.clustered_multiplicity`` of 0 equals the nullity; where it
+    would raise, the zero cluster is ambiguous and the member fails."""
+    values = data.values
+    threshold = (tol * np.maximum(1.0, data.rho))[:, None, None]
+    inside = np.abs(values) <= threshold[:, 0]
+    pairs = inside[:, :, None] & ~inside[:, None, :]
+    gaps = np.abs(values[:, :, None] - values[:, None, :])
+    ambiguous = (pairs & (gaps <= threshold)).any(axis=(1, 2))
+    return (inside.sum(axis=1) == data.nullity) & ~ambiguous, math.nan
 
 
 def _row_sum_difference(data: SpectralData, tol: float):
-    lev = np.repeat(np.arange(data.l_max + 1), data.profile)[::-1]  # non-increasing
-    sums = data.level_row_sums[lev]
-    pairs = np.triu_indices(data.n, 1)
-    ok = np.array_equal(row_sum_differences(lev)[pairs],
-                        (sums[:, None] - sums[None, :])[pairs])
-    return ok, math.nan
+    k, n = len(data.counts), data.n
+    ascending = np.repeat(np.tile(np.arange(data.l_max + 1), k), data.counts.ravel())
+    lev = ascending.reshape(k, n)[:, ::-1]
+    sums = np.take_along_axis(data.level_row_sums, lev, axis=1)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    agree = row_sum_differences(lev) == sums[:, :, None] - sums[:, None, :]
+    return (agree | ~upper).all(axis=(1, 2)), math.nan
 
 
 def _interlacing(data: SpectralData, sub: SpectralData, tol: float):
-    spectrum = data.spectrum
-    eps = INTERLACING_TOL * max(1.0, spectrum.rho)
-    outer, inner = spectrum.values, sub.spectrum.values
-    worst = min(float((outer[:-1] - inner).min()), float((inner - outer[1:]).min()))
+    eps = INTERLACING_TOL * np.maximum(1.0, data.rho)
+    outer, inner = data.values, sub.values
+    worst = np.minimum((outer[:, :-1] - inner).min(axis=1),
+                       (inner - outer[:, 1:]).min(axis=1))
     return worst >= -eps, worst
 
 
 def _leaf_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: float):
-    spectrum = data.spectrum
-    threshold = tol * max(1.0, spectrum.rho)
-    return all(abs(mult - int((np.abs(sub.spectrum.values - value) <= threshold).sum())) <= 1
-               for value, mult in spectrum.clusters), math.nan
+    clusters = np.array([c for spectrum in data.spectra for c in spectrum.clusters])
+    # each eigenvalue's cluster mean and multiplicity, as (k, n) tables
+    mults = clusters[:, 1].astype(np.int64)
+    means = np.repeat(clusters[:, 0], mults).reshape(len(data.spectra), -1)
+    mults = np.repeat(mults, mults).reshape(len(data.spectra), -1)
+    threshold = (tol * np.maximum(1.0, data.rho))[:, None, None]
+    near = (np.abs(sub.values[:, None, :] - means[:, :, None]) <= threshold).sum(axis=2)
+    return (np.abs(mults - near) <= 1).all(axis=1), math.nan
 
 
 def _zero_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: float):
-    return data.nullity - sub.nullity in (0, 1), math.nan
+    drop = data.nullity - sub.nullity
+    return (drop == 0) | (drop == 1), math.nan
 
 
-def _distance_domination(data: SpectralData, seq):
+def _distance_domination(seq):
     lev = np.asarray(seq, dtype=np.int64)
     entries = np.abs(lev[:, None] - lev[None, :])
     dist = ordered_distance_matrix(level_sequence_parents(seq))
     dominated = bool(np.all(entries <= dist))
     equal = bool(np.array_equal(entries, dist))
-    return dominated and equal == data.is_path, math.nan
+    is_path = max(seq) == len(seq) - 1
+    return dominated and equal == is_path, math.nan
 
 
 #: What a structural verdict depends on. It fixes how often a batch
-#: evaluates the check and what the evaluator is given (``data`` is the
-#: SpectralData of the level profile, ``sub`` that of the profile left by
-#: deleting a leaf at one level, ``seq`` the canonical level sequence):
+#: evaluates the check and what the evaluator is given (``data`` is a
+#: SpectralData stack, ``sub`` the stack of its members' profiles less a
+#: leaf at one level, ``seq`` a canonical level sequence):
 #:   PROFILE     once per level profile            check(data, tol)
 #:   LEAF_LEVEL  once per (profile, leaf level)    check(data, sub, tol)
-#:   TREE        once per tree                     check(data, seq)
+#:   TREE        once per tree                     check(seq)
 #: A tree's LEAF_LEVEL verdict is the AND of the verdicts at its leaf
 #: levels, and its slack their minimum.
 PROFILE, LEAF_LEVEL, TREE = "profile", "leaf level", "tree"
 
 #: Structural checks (beyond the bound reports): name -> (minimum order,
-#: dependency, evaluator). An evaluator returns (ok, slack); a nan slack
-#: means the check has none.
+#: dependency, evaluator). An evaluator returns (ok, slack), arrays over the
+#: members but a TREE check's; a nan slack means the check has none.
 STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
     "strict-row-sum-lower": (3, PROFILE, _strict_row_sum_lower),
     "bound-chain": (2, PROFILE, _bound_chain),
@@ -366,29 +383,27 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
 }
 
 
-def _fold(results) -> list[tuple[str, bool, float]]:
-    """One (name, ok, slack) per name, in order of first appearance: the AND
-    of the name's verdicts and the minimum of its slacks."""
-    folded: dict[str, tuple[bool, float]] = {}
-    for name, ok, slack in results:
-        was_ok, worst = folded.get(name, (True, math.inf))
-        folded[name] = (was_ok and ok, min(worst, slack))
-    return [(name, ok, slack) for name, (ok, slack) in folded.items()]
+def _realisable_leaf_levels(profile: tuple[int, ...]) -> list[int]:
+    """The levels of a profile that hold a leaf in some tree of it: the
+    deepest, and each other with two or more vertices (one has a child)."""
+    h = len(profile) - 1
+    return [k for k in range(h + 1) if k == h or profile[k] >= 2]
 
 
-def _profile_results(data: SpectralData, bound_lines: dict[str, set[str]],
-                     checks, tol: float):
-    """Verdicts fixed by the level profile, as (name, ok, slack): the bound
-    reports folded into the selected ledger lines of their checks (see
-    ``bounds.CHECKS``), then the profile-level structural checks."""
-    reports = []
+def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
+    """(line, ok, slack) of each selected bound line on a stack: the AND of
+    the verdicts and the minimum of the slacks of the line's comparisons."""
+    folded: dict[str, tuple] = {}
     for check, keep in bound_lines.items():
-        lines = bounds.CHECKS[check][2]
-        for report in bounds.evaluate_checks(data, [check]):
-            name = report.name if report.name in lines else check
+        func, min_order, lines = bounds.CHECKS[check]
+        if data.n < min_order:
+            continue
+        for c in func(data):
+            name = c.name if c.name in lines else check
             if name in keep:
-                reports.append((name, report.satisfied, report.slack))
-    return _fold(reports) + [(name, *check(data, tol)) for name, check in checks]
+                ok, slack = folded.get(name, (True, math.inf))
+                folded[name] = (c.ok & ok, np.minimum(c.slack, slack))
+    return [(name, ok, slack) for name, (ok, slack) in folded.items()]
 
 
 def _evaluate_batch(order: int, start: int, stop: int | None,
@@ -401,12 +416,13 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
 
     One call of the profile engine first solves every profile of the order,
     and of order - 1 (which holds each leaf-deleted profile) when a leaf
-    check runs. A tree's key is its profile and, when a leaf check runs, its
-    leaf levels. Every verdict but a TREE check's is fixed by the key, so it
-    is computed on the key's first tree and recorded once with the key's
-    tree count; a failed one names its trees as offenders in walk order.
-    The extremal statistics see the first two trees of each key: the
-    arg-extreme tree and the runner-up value come from those.
+    check runs. Every verdict but a TREE check's is then evaluated once, on
+    stacks of the order's profiles and of its realisable (profile, leaf
+    level) pairs. A tree's key is its profile and, when a leaf check runs,
+    its leaf levels. The walk looks a key's verdicts up on its first tree
+    and records them once with the key's tree count; a failed one names its
+    trees as offenders in walk order. The extremal statistics see the first
+    two trees of each key, which give the arg-extreme tree and runner-up.
     """
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
@@ -414,11 +430,26 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
         if order >= min_order:
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
-    space = chain(level_profiles(order), level_profiles(order - 1) if leaf_checks else ())
-    memo = {profile: SpectralData(profile, *solution)
-            for profile, solution in solve_profiles(space, tol).items()}
-    per_profile: dict[tuple[int, ...], list] = {}
-    per_leaf_level: dict[tuple[tuple[int, ...], int], list] = {}
+    profiles = list(level_profiles(order))
+    solutions = solve_profiles(chain(profiles, level_profiles(order - 1) if leaf_checks else ()),
+                               tol)
+    verdicts_of: dict[tuple, list] = {}  # profile or (profile, leaf level) -> [(name, ok, slack)]
+
+    def tabulate(stack, results):
+        columns = [(name, ok.tolist(), np.broadcast_to(slack, ok.shape).tolist())
+                   for name, ok, slack in results]
+        verdicts_of.update((unit, [(name, ok[i], slack[i]) for name, ok, slack in columns])
+                           for i, unit in enumerate(stack))
+
+    for stack in height_stacks(profiles):
+        data = SpectralData.from_solutions(stack, solutions)
+        tabulate(stack, _bound_verdicts(data, bound_lines)
+                + [(name, *check(data, tol)) for name, check in checks[PROFILE]])
+    pairs = [(p, k) for p in profiles for k in _realisable_leaf_levels(p)] if leaf_checks else []
+    for stack in height_stacks(pairs, lambda pair: (len(pair[0]), len(_leaf_profile(*pair)))):
+        data = SpectralData.from_solutions([p for p, _ in stack], solutions)
+        sub = SpectralData.from_solutions([_leaf_profile(*pair) for pair in stack], solutions)
+        tabulate(stack, [(name, *check(data, sub, tol)) for name, check in leaf_checks])
     verdicts: dict[tuple, list] = {}  # key -> [(name, ok, slack)]
     failed: dict[tuple, list[str]] = {}  # key -> names of its failed verdicts
     trees_of: dict[tuple, int] = {}  # key -> trees walked
@@ -426,19 +457,13 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
     extremal = {name: ExtremalStat(name) for name in stats}
     for seq in islice(level_sequences(order), start, stop):
         profile = level_profile(seq)
-        data = memo[profile]
         leaf_levels = _leaf_levels(seq) if leaf_checks else frozenset()
         key = (profile, leaf_levels)
         if key not in verdicts:
-            if profile not in per_profile:
-                per_profile[profile] = _profile_results(data, bound_lines, checks[PROFILE], tol)
-            for k in leaf_levels:
-                if (profile, k) not in per_leaf_level:
-                    sub = memo[_leaf_profile(profile, k)]
-                    per_leaf_level[profile, k] = [(name, *check(data, sub, tol))
-                                                  for name, check in leaf_checks]
-            results = per_profile[profile] + _fold(chain.from_iterable(
-                per_leaf_level[profile, k] for k in leaf_levels))
+            at_leaves = [verdicts_of[profile, k] for k in leaf_levels]
+            results = verdicts_of[profile] + [
+                (name, all(v[j][1] for v in at_leaves), min(v[j][2] for v in at_leaves))
+                for j, (name, _) in enumerate(leaf_checks)]
             verdicts[key] = results
             failed[key] = [name for name, ok, _ in results if not ok]
             for name, _, _ in results:
@@ -447,13 +472,13 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
         for name in failed[key]:
             check_stats[name].offend(seq)
         for name, check in checks[TREE]:
-            ok, slack = check(data, seq)
+            ok, slack = check(seq)
             check_stats[name].record(ok, slack)
             if not ok:
                 check_stats[name].offend(seq)
         if trees_of[key] <= 2:
             for name in stats:
-                extremal[name].record(getattr(data.spectrum, name), seq)
+                extremal[name].record(getattr(solutions[profile].spectrum, name), seq)
     for key, results in verdicts.items():
         for name, ok, slack in results:
             check_stats[name].record(ok, slack, trees_of[key])

@@ -10,14 +10,17 @@ from levelspectra import (
     evaluate_checks,
     leafstar_cubic_roots,
     level_profile,
+    level_profiles,
     levels,
     path_rho_closed_form,
     rooted_path,
     rooted_star,
+    solve_profiles,
     star_rooted_at_leaf,
     symmetric_eigenvalues,
 )
 from levelspectra.bounds import (
+    CHECKS,
     check_eigenvalue_cap,
     check_eigenvalue_intervals,
     check_eigenvalue_square,
@@ -37,6 +40,17 @@ def data_for(tree):
     return SpectralData.from_tree(tree)
 
 
+def every(check, data):
+    """The reports of a check on a stack of one."""
+    return [comparison.report() for comparison in check(data)]
+
+
+def one(check, data):
+    """The one report of a single-relation check on a stack of one."""
+    [report] = every(check, data)
+    return report
+
+
 @pytest.fixture
 def d9(sample9):
     return data_for(sample9)
@@ -44,67 +58,67 @@ def d9(sample9):
 
 class TestEigenvalueCap:
     def test_p2_equality(self):
-        r = check_eigenvalue_cap(data_for(rooted_path(2)))
+        r = one(check_eigenvalue_cap, data_for(rooted_path(2)))
         assert r.satisfied and r.equality_expected
         assert r.lhs == pytest.approx(1.0) and r.rhs == 1.0
 
     def test_sample9(self, d9):
-        r = check_eigenvalue_cap(d9)
+        r = one(check_eigenvalue_cap, d9)
         assert r.rhs == 24.0 and r.satisfied
         assert r.lhs == pytest.approx(10.4158127, abs=1e-6)
 
     def test_star10(self):
-        r = check_eigenvalue_cap(data_for(rooted_star(10)))
+        r = one(check_eigenvalue_cap, data_for(rooted_star(10)))
         assert r.lhs == pytest.approx(3.0, abs=1e-10) and r.rhs == 9.0
 
 
 class TestTraceIdentity:
     def test_sample9(self, d9):
-        r = check_trace_identity(d9)
+        r = one(check_trace_identity, d9)
         assert r.satisfied and r.rhs == 160.0
         assert r.lhs == pytest.approx(160.0, rel=1e-8)
 
     def test_star(self):
-        r = check_trace_identity(data_for(rooted_star(6)))
+        r = one(check_trace_identity, data_for(rooted_star(6)))
         assert r.satisfied and r.rhs == 10.0
 
     def test_single_vertex(self):
-        r = check_trace_identity(data_for(rooted_path(1)))
+        r = one(check_trace_identity, data_for(rooted_path(1)))
         assert r.satisfied and r.lhs == 0.0 and r.rhs == 0.0
 
 
 class TestRhoMeanSquare:
     def test_p2_equality(self):
-        r = check_rho_mean_square(data_for(rooted_path(2)))
+        r = one(check_rho_mean_square, data_for(rooted_path(2)))
         assert r.satisfied and r.equality_expected
         assert r.lhs == pytest.approx(1.0) and r.rhs == pytest.approx(1.0)
 
     def test_sample9(self, d9):
-        r = check_rho_mean_square(d9)
+        r = one(check_rho_mean_square, d9)
         assert r.rhs == pytest.approx(160 / 9)
         assert r.lhs == pytest.approx(10.4158127**2, rel=1e-6)
 
     def test_star5(self):
-        r = check_rho_mean_square(data_for(rooted_star(5)))
+        r = one(check_rho_mean_square, data_for(rooted_star(5)))
         assert r.lhs == pytest.approx(4.0, abs=1e-10) and r.rhs == pytest.approx(8 / 5)
 
 
 class TestRowSumBounds:
     def test_sample9(self, d9):
-        lower, upper = check_rho_row_sum_bounds(d9)
+        lower, upper = every(check_rho_row_sum_bounds, d9)
         assert lower.lhs == pytest.approx(2 * 44 / 9)
         assert upper.rhs == 17.0
         assert lower.satisfied and upper.satisfied
 
     def test_p2_all_equal(self):
-        lower, upper = check_rho_row_sum_bounds(data_for(rooted_path(2)))
+        lower, upper = every(check_rho_row_sum_bounds, data_for(rooted_path(2)))
         assert lower.equality_expected
         assert lower.lhs == pytest.approx(1.0) and upper.lhs == pytest.approx(1.0)
         assert upper.rhs == 1.0
 
     def test_star_strict_for_larger_orders(self):
         for n in (3, 6, 9):
-            lower, upper = check_rho_row_sum_bounds(data_for(rooted_star(n)))
+            lower, upper = every(check_rho_row_sum_bounds, data_for(rooted_star(n)))
             assert lower.lhs == pytest.approx(2 * (n - 1) / n)
             assert lower.rhs == pytest.approx(math.sqrt(n - 1), abs=1e-10)
             assert lower.slack > 1e-9
@@ -113,89 +127,89 @@ class TestRowSumBounds:
 
 class TestRhoRowSquare:
     def test_sample9(self, d9):
-        r = check_rho_row_square(d9)
+        r = one(check_rho_row_square, d9)
         assert r.rhs == pytest.approx(math.sqrt(936 / 9))
         assert r.satisfied
 
     def test_p2_equality(self):
-        r = check_rho_row_square(data_for(rooted_path(2)))
+        r = one(check_rho_row_square, data_for(rooted_path(2)))
         assert r.lhs == pytest.approx(1.0) and r.rhs == pytest.approx(1.0)
 
     def test_star3_equality(self):
-        r = check_rho_row_square(data_for(rooted_star(3)))
+        r = one(check_rho_row_square, data_for(rooted_star(3)))
         assert r.lhs == pytest.approx(math.sqrt(2), abs=1e-12)
         assert r.rhs == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 class TestRhoSecondOrder:
     def test_p2(self):
-        r = check_rho_second_order(data_for(rooted_path(2)))
+        r = one(check_rho_second_order, data_for(rooted_path(2)))
         assert r.rhs == pytest.approx(1.0)
 
     def test_star3_hand_computed(self):
         d = data_for(rooted_star(3))
-        assert d.level_second_order_sums[levels(rooted_star(3))].tolist() == [2, 2, 2]
-        r = check_rho_second_order(d)
+        assert d.level_second_order_sums[0][levels(rooted_star(3))].tolist() == [2, 2, 2]
+        r = one(check_rho_second_order, d)
         assert r.rhs == pytest.approx(math.sqrt(2))
 
     def test_sample9_positive_slack(self, d9):
-        r = check_rho_second_order(d9)
+        r = one(check_rho_second_order, d9)
         assert r.satisfied and r.lhs > r.rhs
 
     def test_single_vertex_degenerate(self):
         with pytest.raises(DegenerateDenominator):
-            check_rho_second_order(data_for(rooted_path(1)))
+            one(check_rho_second_order, data_for(rooted_path(1)))
 
 
 class TestSecondOrderIdentity:
     def test_star3(self):
-        r = check_second_order_identity(data_for(rooted_star(3)))
+        r = one(check_second_order_identity, data_for(rooted_star(3)))
         assert r.satisfied and r.lhs == 6 and r.rhs == 6
 
     def test_exhaustive(self):
         for n in range(1, 8):
             for tree in enumerate_rooted_trees(n):
-                assert check_second_order_identity(data_for(tree)).satisfied
+                assert one(check_second_order_identity, data_for(tree)).satisfied
 
 
 class TestQuotientBound:
     def test_p2_equality(self):
-        r = check_quotient_bound(data_for(rooted_path(2)))
+        r = one(check_quotient_bound, data_for(rooted_path(2)))
         assert r.rhs == pytest.approx(1.0) and r.lhs == pytest.approx(1.0)
 
     def test_star_below_rho(self):
         for n in (3, 5, 10):
-            r = check_quotient_bound(data_for(rooted_star(n)))
+            r = one(check_quotient_bound, data_for(rooted_star(n)))
             assert r.satisfied
             assert r.rhs <= math.sqrt(n - 1) + 1e-9
 
     def test_sample9(self, d9):
-        r = check_quotient_bound(d9)
+        r = one(check_quotient_bound, d9)
         assert r.satisfied and r.rhs <= r.lhs
 
     def test_single_vertex(self):
         with pytest.raises(TooSmall):
-            check_quotient_bound(data_for(rooted_path(1)))
+            one(check_quotient_bound, data_for(rooted_path(1)))
 
 
 class TestEigenvalueSquare:
     def test_sample9(self, d9):
-        r = check_eigenvalue_square(d9)
+        r = one(check_eigenvalue_square, d9)
         assert r.rhs == pytest.approx(8 * 160 / 9)
         assert r.lhs == pytest.approx(10.4158127**2, rel=1e-6)
 
     def test_p2_equality(self):
-        r = check_eigenvalue_square(data_for(rooted_path(2)))
+        r = one(check_eigenvalue_square, data_for(rooted_path(2)))
         assert r.lhs == pytest.approx(1.0) and r.rhs == pytest.approx(1.0)
 
     def test_star5(self):
-        r = check_eigenvalue_square(data_for(rooted_star(5)))
+        r = one(check_eigenvalue_square, data_for(rooted_star(5)))
         assert r.lhs == pytest.approx(4.0, abs=1e-9) and r.rhs == pytest.approx(6.4)
 
 
 class TestEigenvalueIntervals:
     def test_sample9_extreme_indices(self, d9):
-        reports = {r.name: r for r in check_eigenvalue_intervals(d9)}
+        reports = {r.name: r for r in every(check_eigenvalue_intervals, d9)}
         top = reports["eigenvalue-interval-1"]
         assert top.rhs[0] == pytest.approx(math.sqrt(160 / 72))
         assert top.rhs[1] == pytest.approx(math.sqrt(8 * 160 / 9))
@@ -205,7 +219,8 @@ class TestEigenvalueIntervals:
         assert all(r.satisfied for r in reports.values())
 
     def test_star4(self):
-        reports = {r.name: r for r in check_eigenvalue_intervals(data_for(rooted_star(4)))}
+        star4 = data_for(rooted_star(4))
+        reports = {r.name: r for r in every(check_eigenvalue_intervals, star4)}
         top = reports["eigenvalue-interval-1"]
         assert top.lhs == pytest.approx(math.sqrt(3), abs=1e-10)
         assert top.rhs[0] == pytest.approx(math.sqrt(6 / 12))
@@ -213,7 +228,7 @@ class TestEigenvalueIntervals:
 
     def test_needs_three_vertices(self):
         with pytest.raises(TooSmall):
-            check_eigenvalue_intervals(data_for(rooted_path(2)))
+            every(check_eigenvalue_intervals, data_for(rooted_path(2)))
 
     def test_gated_out_by_evaluate(self):
         names = {r.name for r in evaluate_checks(data_for(rooted_path(2)))}
@@ -222,28 +237,28 @@ class TestEigenvalueIntervals:
 
 class TestEnergyBounds:
     def test_sample9(self, d9):
-        reports = {r.name: r for r in check_energy_bounds(d9)}
+        reports = {r.name: r for r in every(check_energy_bounds, d9)}
         assert reports["energy-upper"].rhs == pytest.approx(math.sqrt(9 * 160))
         assert reports["energy-upper-improved"].rhs == pytest.approx(math.sqrt(8 * 160))
         assert reports["energy-identity"].satisfied
 
     def test_star(self):
         for n in (3, 8):
-            reports = {r.name: r for r in check_energy_bounds(data_for(rooted_star(n)))}
+            reports = {r.name: r for r in every(check_energy_bounds, data_for(rooted_star(n)))}
             assert reports["energy-upper-improved"].lhs == pytest.approx(
                 2 * math.sqrt(n - 1), abs=1e-9)
             assert reports["energy-upper-improved"].rhs == pytest.approx(
                 math.sqrt((n - 1) * 2 * (n - 1)))
 
     def test_path_excluded_from_improved(self):
-        names = {r.name for r in check_energy_bounds(data_for(rooted_path(6)))}
+        names = {r.name for r in every(check_energy_bounds, data_for(rooted_path(6)))}
         assert "energy-upper-improved" not in names
         assert "energy-upper" in names
 
     def test_improved_never_exceeds_original(self):
         for n in range(2, 8):
             for tree in enumerate_rooted_trees(n):
-                reports = {r.name: r for r in check_energy_bounds(data_for(tree))}
+                reports = {r.name: r for r in every(check_energy_bounds, data_for(tree))}
                 if "energy-upper-improved" in reports:
                     assert reports["energy-upper-improved"].rhs <= reports["energy-upper"].rhs
 
@@ -306,6 +321,24 @@ class TestEvaluateChecks:
     def test_unknown_name(self, d9):
         with pytest.raises(KeyError):
             evaluate_checks(d9, ["nonsense"])
+
+    @pytest.mark.parametrize("order", [3, 9])
+    def test_stack_rows_equal_stacks_of_one(self, order):
+        """Each member of a height stack gets, bit for bit, the reports it
+        gets in a stack of its own."""
+        solutions = solve_profiles(level_profiles(order))
+        for height in range(1, order):
+            profiles = [p for p in solutions if len(p) == height + 1]
+            stack = SpectralData.from_solutions(profiles, solutions)
+            assert stack.values.shape == (len(profiles), order)
+            for name, (check, min_order, _) in CHECKS.items():
+                if order < min_order:
+                    continue
+                comparisons = check(stack)
+                for i, profile in enumerate(profiles):
+                    alone = SpectralData.from_solutions([profile], solutions)
+                    got = [c.report(i) for c in comparisons]
+                    assert got == evaluate_checks(alone, [name]), (profile, name)
 
     def test_special_families_to_order_50(self):
         from levelspectra import complete_dary

@@ -196,6 +196,16 @@ class TestVerifyCommand:
         assert "energy-identity" in out
         assert "eigenvalue-cap" not in out
 
+    def test_ambiguous_zero_cluster_is_a_violation(self, capsys):
+        """A coarse tolerance merges the zero cluster with a nonzero value:
+        a failed verdict in the ledger (exit 1), not an abort (exit 64)."""
+        code, out, err = run(capsys, "verify", "--order", "7", "--tol", "0.05",
+                             "--jobs", "1", "--format", "json")
+        assert code == 1 and err == ""
+        lines = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert lines["zero-cluster-consistency"]["violations"] == 7
+        assert len(lines["zero-cluster-consistency"]["offenders"]) == 7
+
     def test_unknown_only_is_64(self, capsys):
         code, _, _ = run(capsys, "verify", "--order", "5", "--only", "bogus")
         assert code == 64

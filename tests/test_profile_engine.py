@@ -23,7 +23,6 @@ from levelspectra import (
     clustered_multiplicity,
     delete_leaf,
     enumerate_rooted_trees,
-    evaluate_checks,
     exact_zero_multiplicity,
     level_profile,
     level_profiles,
@@ -40,10 +39,12 @@ from levelspectra import (
 from levelspectra import spectra as spectra_mod
 from levelspectra.eigen import symmetric_eigh
 from levelspectra.errors import ResourceLimit
+from levelspectra.bounds import CHECKS
 from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
     MAX_LEVELS,
     RANK_PRIME,
+    ProfileSolution,
     Spectrum,
     _cluster,
     _full_rank_mod_p,
@@ -65,7 +66,7 @@ def assert_matches_oracle(tree: RootedTree) -> None:
     assert abs(engine.rho - dense.rho) <= 1e-12 * scale
     assert abs(engine.energy - dense.energy) <= 1e-12 * scale * tree.n
     assert [m for _, m in engine.clusters] == [m for _, m in dense.clusters]
-    assert SpectralData.from_tree(tree).nullity == exact_zero_multiplicity(matrix)
+    assert SpectralData.from_tree(tree).nullity.tolist() == [exact_zero_multiplicity(matrix)]
     if tree.n == 1:
         assert engine.perron is None
     else:
@@ -89,11 +90,11 @@ class TestProfiles:
     def test_sample9(self):
         assert level_profile(SAMPLE9_LEVELS) == (1, 2, 3, 3)
         data = SpectralData.from_profile((1, 2, 3, 3))
-        assert np.allclose(data.spectrum.values, SAMPLE9_SPECTRUM, atol=1e-6)
-        assert data.nullity == 5
+        assert np.allclose(data.values[0], SAMPLE9_SPECTRUM, atol=1e-6)
+        assert data.nullity.tolist() == [5]
 
     def test_zeros_are_exact(self):
-        spectrum = SpectralData.from_profile((1, 2, 3, 3)).spectrum
+        spectrum = SpectralData.from_profile((1, 2, 3, 3)).spectra[0]
         assert np.count_nonzero(spectrum.values == 0.0) == 9 - 4
 
     def test_quotient_is_symmetric_blowup(self):
@@ -103,12 +104,12 @@ class TestProfiles:
     def test_single_vertex(self):
         spectrum = level_spectrum([0])
         assert spectrum.values.tolist() == [0.0] and spectrum.perron is None
-        assert SpectralData.from_profile((1,)).nullity == 1
+        assert SpectralData.from_profile((1,)).nullity.tolist() == [1]
 
     def test_cached_once_per_profile(self):
         # Nothing is cached: a profile solved twice gives equal frozen values.
-        first = SpectralData.from_profile((1, 3, 2)).spectrum
-        assert np.array_equal(SpectralData.from_profile((1, 3, 2)).spectrum.values,
+        first = SpectralData.from_profile((1, 3, 2)).spectra[0]
+        assert np.array_equal(SpectralData.from_profile((1, 3, 2)).spectra[0].values,
                               first.values)
         assert not first.values.flags.writeable
         assert first.perron is None
@@ -146,20 +147,19 @@ def test_non_finite_or_nonpositive_tol_rejected(tol):
 
 def test_spectral_data_uses_engine():
     data = SpectralData.from_tree(rooted_path(6))
-    assert data.profile == (1,) * 6
-    assert data.nullity == 0
-    assert np.array_equal(data.spectrum.values,
+    assert data.counts.tolist() == [[1] * 6]
+    assert data.nullity.tolist() == [0]
+    assert np.array_equal(data.values[0],
                           solve_profiles([(1,) * 6])[(1,) * 6].spectrum.values)
 
 
 @pytest.mark.parametrize("order", range(2, 9))
 def test_leaf_profiles_match_deleted_trees(order):
     for tree in enumerate_rooted_trees(order):
-        data = SpectralData.from_tree(tree)
         deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
         lev = levels(tree)
         leaf_levels = {int(lev[leaf]) for leaf in tree.leaves()}
-        subs = [_leaf_profile(data.profile, k) for k in leaf_levels]
+        subs = [_leaf_profile(level_profile(lev), k) for k in leaf_levels]
         assert len(subs) == len(set(subs)) and set(subs) == deleted
 
 
@@ -231,7 +231,7 @@ class TestValuesOnlySolve:
             lev = levels(tree)
             assert np.array_equal(
                 level_spectrum(lev).values,
-                SpectralData.from_profile(level_profile(lev)).spectrum.values)
+                SpectralData.from_profile(level_profile(lev)).values[0])
 
     def test_engine_solves_without_vectors(self, monkeypatch):
         calls = record_lapack_calls(monkeypatch)
@@ -245,8 +245,8 @@ class TestValuesOnlySolve:
         assert calls == [("eigvalsh", (1, 5, 5))]
 
 
-def oracle_data(profile, method):
-    """SpectralData of a profile from the in-repo solve of its quotient
+def oracle_solution(profile, method):
+    """The solution of a profile from the in-repo solve of its quotient
     (padded with exact zeros) and from Bareiss elimination of B."""
     quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method)
     zeros = np.zeros(sum(profile) - len(profile))
@@ -255,33 +255,50 @@ def oracle_data(profile, method):
                         float(np.abs(values).sum()), None)
     nullity = (exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
                + sum(profile) - len(profile))
-    return SpectralData(profile, spectrum, nullity)
+    return ProfileSolution(spectrum, nullity)
+
+
+def height_stacks(profiles):
+    """The profiles grouped into stacks of one order and one height."""
+    stacks = {}
+    for profile in profiles:
+        stacks.setdefault((sum(profile), len(profile)), []).append(profile)
+    return list(stacks.values())
 
 
 @pytest.mark.parametrize("method", ["ql", "jacobi"])
 def test_engine_matches_in_repo_solvers(method):
     engine = solve_profiles(ALL_PROFILES)
     assert set(engine) == set(ALL_PROFILES)
+    oracle = {profile: oracle_solution(profile, method) for profile in ALL_PROFILES}
     for profile in ALL_PROFILES:
-        got, want = SpectralData(profile, *engine[profile]), oracle_data(profile, method)
+        got, want = engine[profile], oracle[profile]
         scale = max(1.0, want.spectrum.rho)
         assert np.abs(got.spectrum.values - want.spectrum.values).max() <= 1e-12 * scale
         assert ([m for _, m in got.spectrum.clusters]
                 == [m for _, m in want.spectrum.clusters]), profile
         assert got.nullity == want.nullity, profile
-        got_reports, want_reports = evaluate_checks(got), evaluate_checks(want)
-        assert [r.name for r in got_reports] == [r.name for r in want_reports]
-        for g, w in zip(got_reports, want_reports):
-            assert g.satisfied == w.satisfied, (profile, w.name)
-            rhs = w.rhs if isinstance(w.rhs, tuple) else (w.rhs,)
-            bound = 1e-12 * max(1.0, abs(w.lhs), *map(abs, rhs))
-            assert abs(g.slack - w.slack) <= bound, (profile, w.name)
+    # every bound check, one height stack at a time
+    for stack in height_stacks(ALL_PROFILES):
+        got = SpectralData.from_solutions(stack, engine)
+        want = SpectralData.from_solutions(stack, oracle)
+        for name, (check, min_order, _) in CHECKS.items():
+            if got.n < min_order:
+                continue
+            got_comparisons, want_comparisons = check(got), check(want)
+            assert [c.name for c in got_comparisons] == [c.name for c in want_comparisons]
+            for g, w in zip(got_comparisons, want_comparisons):
+                assert np.array_equal(g.ok, w.ok), (stack, w.name)
+                rhs = w.rhs if w.relation == "in" else (w.rhs,)
+                bound = 1e-12 * np.maximum(np.maximum(1.0, np.abs(w.lhs)),
+                                           np.max(np.abs(rhs), axis=0))
+                assert (np.abs(g.slack - w.slack) <= bound).all(), (stack, w.name)
 
 
 def test_batch_equals_batches_of_one():
     engine = solve_profiles(ALL_PROFILES)
     for profile in ALL_PROFILES:
-        one = SpectralData.from_profile(profile)
+        one = solve_profiles([profile])[profile]
         assert np.array_equal(engine[profile].spectrum.values, one.spectrum.values)
         assert engine[profile].spectrum.clusters == one.spectrum.clusters
         assert engine[profile].nullity == one.nullity
@@ -497,36 +514,74 @@ class TestRankCertificate:
 
 
 # ---------------------------------------------------------------------------
-# SpectralData's profile aggregates against the n x n LevelMatrix oracle
+# SpectralData's stacked aggregates against the n x n LevelMatrix oracle
 # ---------------------------------------------------------------------------
 
-def assert_aggregates_match_matrix(lev: np.ndarray) -> None:
-    """Every profile aggregate equals the dense matrix's, as Python ints."""
-    matrix = LevelMatrix.from_levels(lev)
-    data = SpectralData.from_profile(level_profile(lev))
-    q = matrix.entries @ matrix.row_sums
-    exact = (data.n, data.l_max, data.level_index, data.h_value,
-             data.row_square_sum, data.q_square_sum)
-    assert all(type(v) is int for v in exact)
-    assert exact == (matrix.n, matrix.l_max, matrix.level_index, matrix.h_value,
-                     sum(int(x) ** 2 for x in matrix.row_sums),
-                     sum(int(x) ** 2 for x in q))
-    assert data.level_row_sums[lev].tolist() == matrix.row_sums.tolist()
-    assert data.level_second_order_sums[lev].tolist() == q.tolist()
+def counts_only(profiles) -> SpectralData:
+    """A stack with its aggregates and no solve: they read the counts alone."""
+    return SpectralData(np.array(profiles, dtype=np.int64), (),
+                        np.zeros(len(profiles), dtype=np.int64))
+
+
+def assert_aggregates_match_matrices(profiles) -> None:
+    """Every aggregate of a stack equals each member's dense matrix's."""
+    data = counts_only(profiles)
+    exact = (data.level_index, data.h_value, data.row_square_sum, data.q_square_sum,
+             data.level_row_sums, data.level_second_order_sums)
+    # int64 holds every aggregate while n**9 < 2**63
+    assert {a.dtype for a in exact} == {np.dtype(np.int64 if data.n <= 127 else object)}
+    for i, profile in enumerate(profiles):
+        lev = np.repeat(np.arange(len(profile)), profile)
+        matrix = LevelMatrix.from_levels(lev)
+        q = matrix.entries @ matrix.row_sums
+        assert (data.n, data.l_max) == (matrix.n, matrix.l_max)
+        assert [int(a[i]) for a in exact[:4]] == [
+            matrix.level_index, matrix.h_value,
+            sum(int(x) ** 2 for x in matrix.row_sums), sum(int(x) ** 2 for x in q)]
+        assert data.level_row_sums[i][lev].tolist() == matrix.row_sums.tolist()
+        assert data.level_second_order_sums[i][lev].tolist() == q.tolist()
 
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_profile_aggregates_equal_matrix_aggregates(order):
-    for profile in level_profiles(order):
-        assert_aggregates_match_matrix(np.repeat(np.arange(len(profile)), profile))
+    for stack in height_stacks(level_profiles(order)):
+        assert_aggregates_match_matrices(stack)
 
 
 @settings(max_examples=60, deadline=None)
 @given(parent_arrays())
 def test_profile_aggregates_of_random_trees(tree):
-    assert_aggregates_match_matrix(levels(tree))
+    assert_aggregates_match_matrices([level_profile(levels(tree))])
 
 
-@pytest.mark.parametrize("n", [50, 250])
+@pytest.mark.parametrize("n", [50, 127, 128, 250])
 def test_profile_aggregates_of_rooted_paths(n):
-    assert_aggregates_match_matrix(np.arange(n))
+    assert_aggregates_match_matrices([(1,) * n])
+
+
+def test_aggregates_exact_beyond_int64():
+    """H of this profile is 18,253,705,502,996,480,000, beyond int64, whose
+    sum of products wrapped to a negative number; every aggregate equals a
+    Python-integer sum over the levels."""
+    profile = (1,) + (10_000,) * 1023  # 10,230,001 vertices
+    data = counts_only([profile])
+    h1 = range(len(profile))
+    row = [sum(profile[b] * abs(a - b) for b in h1) for a in h1]
+    q = [sum(profile[b] * abs(a - b) * row[b] for b in h1) for a in h1]
+    h_value = sum(profile[a] * profile[b] * (a - b) ** 2 for a in h1 for b in h1)
+    assert h_value == 18_253_705_502_996_480_000
+    assert int(data.h_value[0]) == h_value
+    assert data.level_row_sums[0].tolist() == row
+    assert data.level_second_order_sums[0].tolist() == q
+    assert int(data.level_index[0]) == sum(c * x for c, x in zip(profile, row)) // 2
+    assert int(data.row_square_sum[0]) == sum(c * x * x for c, x in zip(profile, row))
+    assert int(data.q_square_sum[0]) == sum(c * x * x for c, x in zip(profile, q))
+
+
+def test_spectra_compare_by_identity():
+    """Two spectra of one profile are equal only if they are one object, and
+    hash without error."""
+    first = solve_profiles([(1, 2)])[(1, 2)].spectrum
+    second = solve_profiles([(1, 2)])[(1, 2)].spectrum
+    assert first == first and first != second
+    assert len({first, second}) == 2

@@ -18,15 +18,13 @@ from levelspectra import (
     perron_vector,
     rooted_path,
     rooted_star,
+    solve_profiles,
     star_rooted_at_leaf,
     symmetric_eigenvalues,
 )
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
 from levelspectra.bounds import SpectralData
-from levelspectra.spectra import (
-    CharPoly,
-    positive_eigenvalue_count,
-)
+from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly
 from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_levels, _leaf_profile
 
 from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
@@ -251,6 +249,11 @@ class TestClusteredMultiplicity:
             clustered_multiplicity(sp, 0.0, tol=-1.0)
 
 
+def positive_eigenvalue_count(spectrum) -> int:
+    """Eigenvalues above the cluster threshold ``tol * max(1, rho)``."""
+    return int((spectrum.values > DEFAULT_CLUSTER_TOL * max(1.0, spectrum.rho)).sum())
+
+
 class TestPositiveCount:
     def test_exactly_one_for_trees(self):
         for n in range(2, 8):
@@ -269,6 +272,11 @@ def _interlace(outer, inner, slack) -> bool:
     return bool(np.all(inner <= outer[:-1] + slack) and np.all(inner >= outer[1:] - slack))
 
 
+def stack(profiles) -> SpectralData:
+    """The stack of these profiles (one order, one height)."""
+    return SpectralData.from_solutions(profiles, solve_profiles(profiles))
+
+
 class TestInterlacing:
     """The dense oracle spectra interlace under leaf deletion, and the
     ledger's ``interlacing`` check, which reads profile spectra, tells
@@ -278,22 +286,31 @@ class TestInterlacing:
         outer = symmetric_eigenvalues(build_level_matrix(rooted_path(3))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_path(2))).values
         assert _interlace(outer, inner, slack=1e-8)
-        assert _interlacing(SpectralData.from_profile((1, 1, 1)),
-                            SpectralData.from_profile((1, 1)), 1e-8)[0]
+        ok, _ = _interlacing(stack([(1, 1, 1)]), stack([(1, 1)]), 1e-8)
+        assert ok.tolist() == [True]
 
     def test_s4_to_s3(self):
         outer = symmetric_eigenvalues(build_level_matrix(rooted_star(4))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_star(3))).values
         assert _interlace(outer, inner, slack=1e-8)
-        assert _interlacing(SpectralData.from_profile((1, 3)),
-                            SpectralData.from_profile((1, 2)), 1e-8)[0]
+        ok, _ = _interlacing(stack([(1, 3)]), stack([(1, 2)]), 1e-8)
+        assert ok.tolist() == [True]
 
     def test_violation_detected(self):
         # the star's top eigenvalue sqrt(3) lies below the path's 1 + sqrt(3)
-        ok, worst = _interlacing(SpectralData.from_profile((1, 3)),
-                                 SpectralData.from_profile((1, 1, 1)), 1e-8)
-        assert not ok
-        assert worst == pytest.approx(math.sqrt(3) - (1 + math.sqrt(3)))
+        ok, worst = _interlacing(stack([(1, 3)]), stack([(1, 1, 1)]), 1e-8)
+        assert ok.tolist() == [False]
+        assert worst[0] == pytest.approx(math.sqrt(3) - (1 + math.sqrt(3)))
+
+    def test_stack_member_by_member(self):
+        # both members lose a leaf to the path (1, 1, 1); a member of a
+        # stack gets the verdict and slack it gets alone
+        data, sub = stack([(1, 1, 2), (1, 2, 1)]), stack([(1, 1, 1), (1, 1, 1)])
+        ok, worst = _interlacing(data, sub, 1e-8)
+        assert ok.tolist() == [True, True]
+        for i, profile in enumerate([(1, 1, 2), (1, 2, 1)]):
+            alone = _interlacing(stack([profile]), stack([(1, 1, 1)]), 1e-8)
+            assert (alone[0][0], alone[1][0]) == (ok[i], worst[i])
 
     def test_shape_check(self):
         # the check compares n values with n - 1: every leaf-deleted profile

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from levelspectra import (
     verify_order,
 )
 from levelspectra.bounds import path_rho_closed_form
-from levelspectra.errors import InvalidOrder, ResourceLimit
+from levelspectra.errors import AmbiguousCluster, InvalidOrder, ResourceLimit
 from levelspectra import bounds as bounds_mod
 from levelspectra import levelmatrix as levelmatrix_mod
 from levelspectra import spectra as spectra_mod
@@ -451,13 +452,19 @@ def test_sequence_facts_match_tree(order):
 # the ledger rebuilt tree by tree, with no profile memo, as an oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_structural(tree, data, tol):
+def _solve_tree(tree, tol):
+    """The engine's solution (spectrum, exact nullity) of one tree's profile."""
+    profile = level_profile(trees_mod.levels(tree))
+    return spectra_mod.solve_profiles([profile], tol)[profile]
+
+
+def _oracle_structural(tree, spectrum, nullity, tol):
     """(name, ok, slack) of every structural check on one tree, from the
     tree itself: leaf deletion, the LCA-walk distance matrix and the scalar
     row-sum closed form."""
-    n, spectrum = data.n, data.spectrum
+    n = tree.n
     matrix = levelmatrix_mod.LevelMatrix.from_levels(trees_mod.levels(tree))
-    sub_data = [bounds_mod.SpectralData.from_tree(trees_mod.delete_leaf(tree, leaf), tol=tol)
+    sub_data = [_solve_tree(trees_mod.delete_leaf(tree, leaf), tol)
                 for leaf in tree.leaves()] if n >= 2 else []
     out = []
     if n >= 3:
@@ -473,17 +480,17 @@ def _oracle_structural(tree, data, tol):
         tol_abs = bounds_mod.COMPARISON_TOL * max(1.0, a)
         out.append(("bound-chain", a >= b - tol_abs and b >= c - tol_abs, min(a - b, b - c)))
     if n >= 3:
-        out.append(("zero-multiplicity", data.nullity == n - 1 - matrix.l_max, math.nan))
+        out.append(("zero-multiplicity", nullity == n - 1 - matrix.l_max, math.nan))
     if n >= 2:
         out.append(("one-positive-eigenvalue",
-                    spectra_mod.positive_eigenvalue_count(spectrum, tol) == 1, math.nan))
+                    int((spectrum.values > tol * max(1.0, spectrum.rho)).sum()) == 1, math.nan))
     if n >= 3:
         out.append(("star-characterisation",
-                    (data.nullity == n - 2) == trees_mod.is_rooted_star(tree), math.nan))
+                    (nullity == n - 2) == trees_mod.is_rooted_star(tree), math.nan))
         out.append(("path-characterisation",
-                    (data.nullity == 0) == trees_mod.is_rooted_path(tree), math.nan))
+                    (nullity == 0) == trees_mod.is_rooted_path(tree), math.nan))
     out.append(("zero-cluster-consistency",
-                spectra_mod.clustered_multiplicity(spectrum, 0.0, tol) == data.nullity, math.nan))
+                spectra_mod.clustered_multiplicity(spectrum, 0.0, tol) == nullity, math.nan))
     dist = levelmatrix_mod.distance_matrix(tree)
     out.append(("distance-domination",
                 bool(np.all(matrix.entries <= dist))
@@ -506,7 +513,7 @@ def _oracle_structural(tree, data, tol):
         out.append(("leaf-deletion-multiplicity", ok, math.nan))
     if n >= 3:
         out.append(("zero-deletion-multiplicity",
-                    all(data.nullity - sub.nullity in (0, 1) for sub in sub_data), math.nan))
+                    all(nullity - sub.nullity in (0, 1) for sub in sub_data), math.nan))
     return out
 
 
@@ -515,6 +522,7 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
     extremal = {stat: ExtremalStat(stat) for stat in ("rho", "energy")}
     for tree in trees_mod.enumerate_rooted_trees(order):
         data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
+        spectrum, nullity = data.spectra[0], int(data.nullity[0])
         label = trees_mod.canonical_level_sequence(tree)
         folded: dict[str, tuple[bool, float]] = {}
         for report in bounds_mod.evaluate_checks(data):
@@ -524,12 +532,12 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
             ok, slack = folded.get(name, (True, math.inf))
             folded[name] = (ok and report.satisfied, min(slack, report.slack))
         results = [(name, ok, slack) for name, (ok, slack) in folded.items()]
-        for name, ok, slack in results + _oracle_structural(tree, data, tol):
+        for name, ok, slack in results + _oracle_structural(tree, spectrum, nullity, tol):
             checks.setdefault(name, CheckStat(name)).record(ok, slack)
             if not ok:
                 checks[name].offend(label)
-        extremal["rho"].record(data.spectrum.rho, label)
-        extremal["energy"].record(data.spectrum.energy, label)
+        extremal["rho"].record(spectrum.rho, label)
+        extremal["energy"].record(spectrum.energy, label)
     return verify_mod.VerificationLedger(
         order=order, tree_count=rooted_tree_count(order),
         checks=[checks[k] for k in sorted(checks)], extremal=extremal)
@@ -555,7 +563,7 @@ _TREE_KIND = _REAL_CHECKS["distance-domination"][1]
 def _fails_short_and_narrow(data, tol):
     """Fails where the height is at most 4 and the root has at most two
     children; the slack is rho - 5."""
-    return not (data.l_max <= 4 and data.profile[1] <= 2), data.spectrum.rho - 5.0
+    return ~((data.l_max <= 4) & (data.counts[:, 1] <= 2)), data.rho - 5.0
 
 
 def _fails_on_lone_deepest_leaf(data, sub, tol):
@@ -566,13 +574,13 @@ def _fails_on_lone_deepest_leaf(data, sub, tol):
     such a leaf does not. The slack is interlacing's."""
     _, _, zero_deletion = _REAL_CHECKS["zero-deletion-multiplicity"]
     _, _, interlacing = _REAL_CHECKS["interlacing"]
-    lowered = bounds_mod.SpectralData(data.profile, data.spectrum, data.nullity - 1)
+    lowered = dataclasses.replace(data, nullity=data.nullity - 1)
     ok, _ = zero_deletion(lowered, sub, tol)
     _, slack = interlacing(data, sub, tol)
-    return ok or data.profile[1] < 3, slack
+    return ok | (data.counts[:, 1] < 3), slack
 
 
-def _fails_on_last_leaf_at_level_one(data, seq):
+def _fails_on_last_leaf_at_level_one(seq):
     """Fails where the last vertex of the level sequence is on level 1."""
     slack = float(seq[-1] - 2)
     return slack >= 0, slack
@@ -592,18 +600,18 @@ def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
                     "worst_slack": math.inf, "offenders": []} for name in _FAILING_CHECKS}
     for seq in trees_mod.level_sequences(order):
         tree = trees_mod.tree_from_level_sequence(seq)
-        data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
-        subs = [bounds_mod.SpectralData.from_tree(trees_mod.delete_leaf(tree, leaf), tol=tol)
-                for leaf in tree.leaves()]
+        profile = level_profile(seq)
+        data = _solve_tree(tree, tol)
+        subs = [_solve_tree(trees_mod.delete_leaf(tree, leaf), tol) for leaf in tree.leaves()]
         values = data.spectrum.values
         interlacing = min(min(float((values[:-1] - sub.spectrum.values).min()),
                               float((sub.spectrum.values - values[1:]).min()))
                           for sub in subs)
         results = {
-            "fails-profile": (not (data.l_max <= 4 and data.profile[1] <= 2),
+            "fails-profile": (not (len(profile) <= 5 and profile[1] <= 2),
                               data.spectrum.rho - 5.0),
-            "fails-leaf-level": (data.profile[1] < 3 or all(data.nullity - 1 - sub.nullity
-                                                            in (0, 1) for sub in subs),
+            "fails-leaf-level": (profile[1] < 3 or all(data.nullity - 1 - sub.nullity
+                                                       in (0, 1) for sub in subs),
                                  interlacing),
             "fails-tree": (seq[-1] >= 2, float(seq[-1] - 2)),
         }
@@ -646,9 +654,10 @@ def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
     assert ledger.violations == sum(line["violations"] for line in oracle.values())
 
 
-@pytest.mark.parametrize("n", [206, 600, 800])
+@pytest.mark.parametrize("n", [127, 128, 206, 600, 800])
 def test_second_order_sums_are_exact(n):
-    """rho-second-order and bound-chain on rooted paths long enough for
+    """rho-second-order and bound-chain on rooted paths on both sides of
+    the int64 limit of the aggregates (n = 127) and long enough for
     sum q_i^2 to leave int64, against exact Python integers."""
     lev = range(n)
     row = [sum(abs(i - j) for j in lev) for i in lev]
@@ -658,10 +667,38 @@ def test_second_order_sums_are_exact(n):
     b = math.sqrt(sum_l2 / n)
     c = sum(row) / n
     data = bounds_mod.SpectralData.from_profile((1,) * n)
-    report = bounds_mod.check_rho_second_order(data)
+    [comparison] = bounds_mod.check_rho_second_order(data)
+    report = comparison.report()
     assert report.satisfied
     assert report.rhs == pytest.approx(a, rel=1e-12)
     _, _, bound_chain = verify_mod.STRUCTURAL_CHECKS["bound-chain"]
     ok, slack = bound_chain(data, spectra_mod.DEFAULT_CLUSTER_TOL)
-    assert ok
-    assert slack == pytest.approx(min(a - b, b - c), rel=1e-12)
+    assert ok.tolist() == [True]
+    assert slack[0] == pytest.approx(min(a - b, b - c), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_realisable_leaf_levels_are_those_walked(order):
+    """The (profile, leaf level) pairs the leaf checks are evaluated on are
+    exactly those of the trees walked."""
+    walked = {(level_profile(seq), k) for seq in trees_mod.level_sequences(order)
+              for k in verify_mod._leaf_levels(seq)}
+    assert walked == {(profile, k) for profile in trees_mod.level_profiles(order)
+                      for k in verify_mod._realisable_leaf_levels(profile)}
+
+
+def test_ambiguous_zero_cluster_is_a_violation():
+    """At tolerance 0.05 the zero cluster of some order-7 spectra is not
+    apart from a nonzero eigenvalue: each such tree fails
+    zero-cluster-consistency and is named, where the library call raises."""
+    ledger = verify_order(7, selection=["zero-cluster-consistency"], jobs=1, tol=0.05)
+    [line] = ledger.checks
+    ambiguous = []
+    for seq in trees_mod.level_sequences(7):
+        spectrum = _solve_tree(trees_mod.tree_from_level_sequence(seq), 0.05).spectrum
+        try:
+            spectra_mod.clustered_multiplicity(spectrum, 0.0, 0.05)
+        except AmbiguousCluster:
+            ambiguous.append(seq)
+    assert (line.trees_checked, line.violations) == (48, 7)
+    assert line.offenders == ambiguous
