@@ -17,6 +17,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -47,6 +48,15 @@ from .trees import (
     star_rooted_at_leaf,
     to_dot,
 )
+
+# Move everything imported so far out of the collector's reach. None of it is
+# garbage, yet the final collection at exit would walk numpy's whole import
+# heap: `python -c "import numpy"` takes 183.4 ms, 159.1 ms with gc.freeze()
+# and 151.2 ms with os._exit (medians of 21 interleaved runs, 2-vCPU host),
+# and `verify --order 9` and `--help` run 0.86x and 0.85x as long with it. As
+# with the BLAS default above, this is done here and not at package import,
+# so a program that imports the library keeps its collector.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trees import RootedTree, levels
+from .trees import NO_PARENT, RootedTree, levels
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,46 @@ def distance_matrix(tree: RootedTree) -> np.ndarray:
     return dist
 
 
+def sequence_parents(seqs) -> np.ndarray:
+    """Parent arrays of a (B, n) stack of DFS level sequences: the parent of
+    vertex v is the last vertex before it one level up, read from a running
+    table of the last index seen at each level. The root's entry is
+    NO_PARENT. One numpy step per vertex serves the whole stack;
+    ``trees.level_sequence_parents`` is the one-sequence form, which also
+    validates its input."""
+    lev = np.asarray(seqs, dtype=np.intp)
+    b, n = lev.shape
+    rows = np.arange(b)
+    last = np.zeros((b, n), dtype=np.intp)  # [tree, level] -> last index there
+    parent = np.full((b, n), NO_PARENT, dtype=np.intp)
+    for v in range(1, n):
+        parent[:, v] = last[rows, lev[:, v] - 1]
+        last[rows, lev[:, v]] = v
+    return parent
+
+
 def ordered_distance_matrix(parent) -> np.ndarray:
-    """Path distances of a tree rooted at vertex 0 whose parent array puts
-    every parent before its children, as a level sequence's does.
+    """Path distances of trees rooted at vertex 0 whose parent arrays put
+    every parent before its children, as a level sequence's do. ``parent``
+    is one array of n entries or a (B, n) stack of them; the result is
+    (n, n) or (B, n, n), of the smallest signed type from int16 up that
+    holds n.
 
     The vertices before v are outside v's subtree, so each one's path to v
-    runs through v's parent: d(v, u) = d(parent(v), u) + 1 for u < v.
-    :func:`distance_matrix` is the independent check on this recurrence.
+    runs through v's parent: d(v, u) = d(parent(v), u) + 1 for u < v, one
+    numpy step per vertex for the whole stack. :func:`distance_matrix` is
+    the independent check on this recurrence.
     """
-    n = len(parent)
-    dist = np.zeros((n, n), dtype=np.int64)
+    parent = np.asarray(parent, dtype=np.intp)
+    stack = parent.reshape(-1, parent.shape[-1])
+    b, n = stack.shape
+    rows = np.arange(b)
+    dist = np.zeros((b, n, n), dtype=np.promote_types(np.int16, np.min_scalar_type(n)))
     for v in range(1, n):
-        row = dist[parent[v], :v] + 1
-        dist[v, :v] = row
-        dist[:v, v] = row
-    return dist
+        row = dist[rows, stack[:, v], :v] + 1
+        dist[:, v, :v] = row
+        dist[:, :v, v] = row
+    return dist.reshape(parent.shape + (n,))
 
 
 def row_sum_difference(sorted_levels, i: int, k: int) -> int:

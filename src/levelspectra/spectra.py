@@ -336,7 +336,7 @@ RANK_PRIME = (1 << 31) - 1
 #: Profiles of one height solved together: one LAPACK call and one
 #: elimination per stack of at most this many, which bounds a batch's
 #: working arrays to a few (STACK_SIZE, h+1, h+1) blocks. ``verify``
-#: checks stacks of the same size.
+#: checks stacks of the same size and walks the trees in batches of it.
 STACK_SIZE = 1024
 
 #: Most levels (h + 1) of a profile the engine solves. Its rank certificate

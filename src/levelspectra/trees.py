@@ -267,20 +267,25 @@ def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
     rooted trees on ``n`` unlabeled vertices.
 
     The sequences come in decreasing lexicographic order, starting from the
-    rooted path and ending at the rooted star. The successor rule truncates
-    at the deepest vertex below level 1 and tiles the tail with copies of the
-    block between that vertex's parent and the cut.
+    rooted path and ending at the rooted star. The successor rule (T. Beyer
+    and S. M. Hedetniemi, "Constant time generation of rooted trees", SIAM
+    J. Comput. 9, 1980) cuts at the last vertex p below level 1 and tiles
+    the tail from p with copies of the block from p's parent q up to p. Both
+    are found by scanning back from the end, which mostly stops at once.
     """
     check_enumeration_cap(n, cap)
     seq = list(range(n))  # the rooted path
     while True:
         yield tuple(seq)
-        p = max((i for i in range(n) if seq[i] > 1), default=None)
-        if p is None:
+        p = n - 1
+        while p > 0 and seq[p] <= 1:
+            p -= 1
+        if p == 0:
             return
-        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
-        for i in range(p, n):
-            seq[i] = seq[i - (p - q)]
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[:n - p]
 
 
 def check_enumeration_cap(n: int, cap: int | None = None) -> None:

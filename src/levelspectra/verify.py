@@ -21,17 +21,16 @@ import numpy as np
 from . import bounds
 from .bounds import COMPARISON_TOL, SpectralData
 from .errors import InvalidOrder
-from .levelmatrix import ordered_distance_matrix, row_sum_differences
+from .levelmatrix import ordered_distance_matrix, row_sum_differences, sequence_parents
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
+    STACK_SIZE,
     height_stacks,
-    level_profile,
     solve_profiles,
 )
 from .trees import (
     check_enumeration_cap,
     level_profiles,
-    level_sequence_parents,
     level_sequences,
     rooted_tree_count,
 )
@@ -45,18 +44,25 @@ MAX_OFFENDERS = 10
 
 #: Fewest trees for which ``verify_order`` starts a worker pool. CLI wall
 #: time of ``verify --order N --format json``, ``--jobs 1`` against
-#: ``--jobs 2``, 12 interleaved runs per order on a 2-vCPU host (medians):
+#: ``--jobs 2`` with the pool started at every order, 12 interleaved runs per
+#: order on a 2-vCPU host (medians):
 #:
-#:   order  trees   --jobs 1  --jobs 2  --jobs 2 faster
-#:       8    115    0.250 s   0.338 s   1 of 12
-#:       9    286    0.293 s   0.390 s   0 of 12
-#:      10    719    0.419 s   0.500 s   0 of 12
-#:      11  1,842    0.782 s   0.873 s   0 of 12
-#:      12  4,766    1.508 s   1.158 s  11 of 12
-#:      13 12,486    3.230 s   2.461 s  12 of 12
+#:   order    trees   --jobs 1  --jobs 2  --jobs 2 faster
+#:       8      115    0.251 s   0.327 s   1 of 12
+#:       9      286    0.256 s   0.329 s   0 of 12
+#:      10      719    0.279 s   0.323 s   2 of 12
+#:      11    1,842    0.315 s   0.373 s   0 of 12
+#:      12    4,766    0.426 s   0.467 s   3 of 12
+#:      13   12,486    0.720 s   0.714 s   7 of 12
+#:      14   32,973    1.183 s   1.157 s   8 of 12
+#:      15   87,811    2.519 s   2.261 s  12 of 12
+#:      16  235,381    5.683 s   4.833 s  12 of 12
 #:
-#: Order 12 is the first at which two workers win at least 10 of 12 runs.
-POOL_MIN_TREES = 4766
+#: Order 15 is the first at which two workers win at least 10 of 12 runs (a
+#: second series gave 4 and 9 of 12 at orders 13 and 14). Each worker solves
+#: and checks the order's whole profile space before it walks its range, so
+#: below that the pool only adds that work a second time.
+POOL_MIN_TREES = 87811
 
 #: The statistics whose arg-extreme trees a ledger names.
 EXTREMAL_STATS = ("rho", "energy")
@@ -120,6 +126,16 @@ class CheckStat:
             self.worst_slack = min(self.worst_slack, slack)
         if not ok:
             self.violations += trees
+
+    def record_each(self, ok: np.ndarray, slack) -> None:
+        """Count one tree per entry of ``ok``, each with its own verdict and
+        slack (an array like ``ok``, or a nan for a check without one)."""
+        self.trees_checked += len(ok)
+        self.violations += int(np.count_nonzero(~ok))
+        slack = np.asarray(slack, dtype=float)
+        slack = slack[~np.isnan(slack)]
+        if slack.size:
+            self.worst_slack = min(self.worst_slack, float(slack.min()))
 
     def offend(self, seq: tuple[int, ...]) -> None:
         """Name an offending tree by its level sequence; the first
@@ -241,12 +257,25 @@ class VerificationLedger:
         return "\n".join(lines) + "\n"
 
 
-def _leaf_levels(seq) -> frozenset[int]:
-    """Levels that hold a leaf of the tree with canonical level sequence
-    ``seq``: vertex i is a leaf iff it is last or the next vertex is no
-    deeper."""
-    last = len(seq) - 1
-    return frozenset(seq[i] for i in range(len(seq)) if i == last or seq[i + 1] <= seq[i])
+def _level_counts(levels: np.ndarray) -> np.ndarray:
+    """(B, n) canonical level sequences -> (B, n) table whose row b is tree
+    b's level profile, padded with zeros past its height."""
+    b, n = levels.shape
+    offsets = (np.arange(b) * n)[:, None]
+    return np.bincount((levels + offsets).ravel(), minlength=b * n).reshape(b, n)
+
+
+def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
+    """(B, n) canonical level sequences -> (B, n) table whose [b, k] is 1
+    where level k holds a leaf of tree b: vertex i is a leaf iff it is last
+    or the next vertex is no deeper."""
+    b, n = levels.shape
+    leaf = np.ones((b, n), dtype=bool)
+    leaf[:, :-1] = levels[:, 1:] <= levels[:, :-1]
+    mask = np.zeros((b, n), dtype=levels.dtype)
+    tree, vertex = np.nonzero(leaf)
+    mask[tree, levels[tree, vertex]] = 1
+    return mask
 
 
 def _leaf_profile(profile: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -343,30 +372,32 @@ def _zero_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: floa
     return (drop == 0) | (drop == 1), math.nan
 
 
-def _distance_domination(seq):
-    lev = np.asarray(seq, dtype=np.int64)
-    entries = np.abs(lev[:, None] - lev[None, :])
-    dist = ordered_distance_matrix(level_sequence_parents(seq))
-    dominated = bool(np.all(entries <= dist))
-    equal = bool(np.array_equal(entries, dist))
-    is_path = max(seq) == len(seq) - 1
-    return dominated and equal == is_path, math.nan
+def _distance_domination(levels: np.ndarray):
+    """Level difference <= path distance for every pair, with equality
+    everywhere iff the tree is the rooted path."""
+    entries = np.abs(levels[:, :, None] - levels[:, None, :])
+    dist = ordered_distance_matrix(sequence_parents(levels))
+    dominated = (entries <= dist).all(axis=(1, 2))
+    equal = (entries == dist).all(axis=(1, 2))
+    is_path = levels.max(axis=1) == levels.shape[1] - 1
+    return dominated & (equal == is_path), math.nan
 
 
 #: What a structural verdict depends on. It fixes how often a batch
 #: evaluates the check and what the evaluator is given (``data`` is a
 #: SpectralData stack, ``sub`` the stack of its members' profiles less a
-#: leaf at one level, ``seq`` a canonical level sequence):
+#: leaf at one level, ``levels`` a (B, n) int array of canonical level
+#: sequences, B at most STACK_SIZE):
 #:   PROFILE     once per level profile            check(data, tol)
 #:   LEAF_LEVEL  once per (profile, leaf level)    check(data, sub, tol)
-#:   TREE        once per tree                     check(seq)
+#:   TREE        once per batch of trees walked    check(levels)
 #: A tree's LEAF_LEVEL verdict is the AND of the verdicts at its leaf
 #: levels, and its slack their minimum.
 PROFILE, LEAF_LEVEL, TREE = "profile", "leaf level", "tree"
 
 #: Structural checks (beyond the bound reports): name -> (minimum order,
 #: dependency, evaluator). An evaluator returns (ok, slack), arrays over the
-#: members but a TREE check's; a nan slack means the check has none.
+#: members or trees; a nan slack means the check has none.
 STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
     "strict-row-sum-lower": (3, PROFILE, _strict_row_sum_lower),
     "bound-chain": (2, PROFILE, _bound_chain),
@@ -419,10 +450,18 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
     check runs. Every verdict but a TREE check's is then evaluated once, on
     stacks of the order's profiles and of its realisable (profile, leaf
     level) pairs. A tree's key is its profile and, when a leaf check runs,
-    its leaf levels. The walk looks a key's verdicts up on its first tree
-    and records them once with the key's tree count; a failed one names its
-    trees as offenders in walk order. The extremal statistics see the first
-    two trees of each key, which give the arg-extreme tree and runner-up.
+    its leaf levels.
+
+    The walk takes the sequences STACK_SIZE at a time as a (B, n) array;
+    numpy gives each tree's key row (level counts, then leaf-level mask)
+    and groups the batch by key, and each TREE check runs on the whole
+    batch. Python then visits each distinct key of the batch once: it looks
+    a new key's verdicts up, adds the key's trees to its count, and names
+    the trees of a failed verdict as offenders in walk order until the
+    check holds MAX_OFFENDERS. At the end the profile verdicts are recorded
+    once per profile and the leaf verdicts once per key, each with its tree
+    count. The extremal statistics see the first two trees of each key, in
+    walk order, which give the arg-extreme tree and runner-up.
     """
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
@@ -450,38 +489,79 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
         data = SpectralData.from_solutions([p for p, _ in stack], solutions)
         sub = SpectralData.from_solutions([_leaf_profile(*pair) for pair in stack], solutions)
         tabulate(stack, [(name, *check(data, sub, tol)) for name, check in leaf_checks])
-    verdicts: dict[tuple, list] = {}  # key -> [(name, ok, slack)]
-    failed: dict[tuple, list[str]] = {}  # key -> names of its failed verdicts
-    trees_of: dict[tuple, int] = {}  # key -> trees walked
+    # key -> (profile, [(name, ok, slack)] of its leaf checks, names of its failed verdicts)
+    verdicts: dict[bytes, tuple] = {}
+    trees_of: dict[bytes, int] = {}  # key -> trees walked
     check_stats = {name: CheckStat(name) for name, _ in checks[TREE]}
     extremal = {name: ExtremalStat(name) for name in stats}
-    for seq in islice(level_sequences(order), start, stop):
-        profile = level_profile(seq)
-        leaf_levels = _leaf_levels(seq) if leaf_checks else frozenset()
-        key = (profile, leaf_levels)
-        if key not in verdicts:
-            at_leaves = [verdicts_of[profile, k] for k in leaf_levels]
-            results = verdicts_of[profile] + [
-                (name, all(v[j][1] for v in at_leaves), min(v[j][2] for v in at_leaves))
-                for j, (name, _) in enumerate(leaf_checks)]
-            verdicts[key] = results
-            failed[key] = [name for name, ok, _ in results if not ok]
-            for name, _, _ in results:
-                check_stats.setdefault(name, CheckStat(name))
-        trees_of[key] = trees_of.get(key, 0) + 1
-        for name in failed[key]:
-            check_stats[name].offend(seq)
+
+    def wanted(name):
+        return len(check_stats[name].offenders) < MAX_OFFENDERS
+
+    dtype = np.promote_types(np.int16, np.min_scalar_type(order))  # holds levels and counts
+    sequences = islice(level_sequences(order), start, stop)
+    while batch := list(islice(sequences, STACK_SIZE)):
+        levels = np.fromiter(chain.from_iterable(batch), dtype,
+                             len(batch) * order).reshape(-1, order)
+        # a tree's key row: its level counts, then its leaf-level mask
+        rows = np.zeros((len(batch), 2 * order), dtype)
+        rows[:, :order] = _level_counts(levels)
+        if leaf_checks:
+            rows[:, order:] = _leaf_level_mask(levels)
+        # np.unique of the rows, each viewed as one opaque item: the same
+        # grouping as axis=0, several times faster, and a 1-D inverse on
+        # every numpy (axis=0 gives a 2-D one under numpy 2.0.x)
+        items = rows.view(np.dtype((np.void, rows.itemsize * 2 * order))).ravel()
+        _, first, inverse, tally = np.unique(items, return_index=True,
+                                             return_inverse=True, return_counts=True)
+        by_key = np.argsort(inverse, kind="stable")  # each key's trees in walk order
+        group = np.cumsum(tally) - tally  # where each key's trees start in by_key
+        failing: dict[str, list[int]] = {}  # name -> keys of the batch that fail it
+        seen: list[tuple[int, tuple]] = []  # (position, profile) of trees the statistics see
+        by_first = np.argsort(first)  # the batch's keys in walk order
+        for u, key, count in zip(by_first.tolist(), items[first[by_first]].tolist(),
+                                 tally[by_first].tolist()):
+            earlier = trees_of.get(key, 0)
+            if not earlier:
+                row = rows[first[u]]
+                profile = tuple(c for c in row[:order].tolist() if c)
+                at_leaves = [verdicts_of[profile, k] for k in np.flatnonzero(row[order:]).tolist()]
+                results = [(name, all(v[j][1] for v in at_leaves), min(v[j][2] for v in at_leaves))
+                           for j, (name, _) in enumerate(leaf_checks)]
+                verdicts[key] = profile, results, [
+                    name for name, ok, _ in chain(verdicts_of[profile], results) if not ok]
+                for name, _, _ in chain(verdicts_of[profile], results):
+                    if name not in check_stats:
+                        check_stats[name] = CheckStat(name)
+            if earlier < 2:
+                seen.extend((pos, verdicts[key][0]) for pos in
+                            by_key[group[u]:group[u] + min(2 - earlier, count)].tolist())
+            trees_of[key] = earlier + count
+            for name in verdicts[key][2]:
+                if wanted(name):
+                    failing.setdefault(name, []).append(u)
+        offending = [(name, np.isin(inverse, keys)) for name, keys in failing.items()]
         for name, check in checks[TREE]:
-            ok, slack = check(seq)
-            check_stats[name].record(ok, slack)
-            if not ok:
-                check_stats[name].offend(seq)
-        if trees_of[key] <= 2:
+            ok, slack = check(levels)
+            check_stats[name].record_each(ok, slack)
+            if wanted(name):
+                offending.append((name, ~ok))
+        for name, mask in offending:
+            stat = check_stats[name]
+            for pos in np.flatnonzero(mask)[:MAX_OFFENDERS - len(stat.offenders)].tolist():
+                stat.offend(batch[pos])
+        for pos, profile in sorted(seen):
             for name in stats:
-                extremal[name].record(getattr(solutions[profile].spectrum, name), seq)
-    for key, results in verdicts.items():
+                extremal[name].record(getattr(solutions[profile].spectrum, name), batch[pos])
+    # profile verdicts once per profile, leaf verdicts once per key
+    trees_of_profile: dict[tuple, int] = {}
+    for key, (profile, results, _) in verdicts.items():
+        trees_of_profile[profile] = trees_of_profile.get(profile, 0) + trees_of[key]
         for name, ok, slack in results:
             check_stats[name].record(ok, slack, trees_of[key])
+    for profile, trees in trees_of_profile.items():
+        for name, ok, slack in verdicts_of[profile]:
+            check_stats[name].record(ok, slack, trees)
     return check_stats, extremal, sum(trees_of.values())
 
 

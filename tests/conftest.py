@@ -45,3 +45,11 @@ def parent_arrays(draw):
     for i, p in enumerate(attach):
         parent[perm[i]] = -1 if p == -1 else perm[p]
     return RootedTree(parent)
+
+
+def leaf_levels(seq) -> set[int]:
+    """The levels that hold a leaf of the tree with canonical level sequence
+    ``seq``, from the walk's batched leaf-level mask."""
+    from levelspectra.verify import _leaf_level_mask
+
+    return set(np.flatnonzero(_leaf_level_mask(np.array([seq]))[0]).tolist())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from levelspectra import (
     build_level_matrix,
@@ -16,7 +18,9 @@ from levelspectra import (
 from levelspectra.levelmatrix import (
     ordered_distance_matrix,
     row_sum_differences,
+    sequence_parents,
 )
+from levelspectra.trees import level_sequence_parents, level_sequences, tree_from_level_sequence
 
 from conftest import SAMPLE9_H, SAMPLE9_LI, SAMPLE9_MATRIX, SAMPLE9_ROW_SUMS
 
@@ -216,3 +220,28 @@ class TestOrderedDistanceMatrix:
         # parents precede children, but the order is not depth-first
         tree = from_parent_list([0, 1, 1, 2, 3, 2], one_based=True)
         assert np.array_equal(ordered_distance_matrix(tree.parent), distance_matrix(tree))
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_batch_matches_lca_walk(self, order):
+        """Every tree of the order as one (B, n) batch of level sequences."""
+        seqs = list(level_sequences(order))
+        parents = sequence_parents(np.array(seqs))
+        assert parents.tolist() == [level_sequence_parents(seq) for seq in seqs]
+        dist = ordered_distance_matrix(parents)
+        assert dist.shape == (len(seqs), order, order)
+        for seq, d in zip(seqs, dist):
+            assert np.array_equal(d, distance_matrix(tree_from_level_sequence(seq)))
+
+    @given(st.data())
+    def test_batch_of_random_sequences(self, data):
+        """DFS level sequences of one length up to 30, canonical or not."""
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        seqs = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            seq = [0]
+            for _ in range(n - 1):
+                seq.append(data.draw(st.integers(min_value=1, max_value=seq[-1] + 1)))
+            seqs.append(seq)
+        dist = ordered_distance_matrix(sequence_parents(np.array(seqs)))
+        for seq, d in zip(seqs, dist):
+            assert np.array_equal(d, distance_matrix(tree_from_level_sequence(seq)))

@@ -25,9 +25,9 @@ from levelspectra import (
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
 from levelspectra.bounds import SpectralData
 from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly
-from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_levels, _leaf_profile
+from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_profile
 
-from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
+from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM, leaf_levels
 
 
 class TestSpectrum:
@@ -318,7 +318,7 @@ class TestInterlacing:
         for n in range(2, 9):
             for seq in level_sequences(n):
                 profile = level_profile(seq)
-                for k in _leaf_levels(seq):
+                for k in leaf_levels(seq):
                     sub = _leaf_profile(profile, k)
                     assert sum(sub) == n - 1 and min(sub) >= 1
 

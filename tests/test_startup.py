@@ -93,6 +93,15 @@ def test_library_import_leaves_blas_setting_alone():
     assert out["var"] is None
 
 
+@pytest.mark.parametrize("module, frozen", [("levelspectra.cli", True),
+                                            ("levelspectra", False),
+                                            ("levelspectra.verify", False)])
+def test_only_the_cli_freezes_the_import_heap(module, frozen):
+    out = run_python(f"import gc, json\nimport {module}\n"
+                     "print(json.dumps({'frozen': gc.get_freeze_count()}))\n")
+    assert (out["frozen"] > 0) == frozen
+
+
 _POOL_PROBE = (
     "import json, sys\n"
     "from levelspectra.cli import main\n"

@@ -28,6 +28,8 @@ from levelspectra.verify import (
     extremal_sweep,
 )
 
+from conftest import leaf_levels
+
 
 class TestVerifyOrder:
     def test_levels_never_computed(self, monkeypatch):
@@ -444,8 +446,11 @@ def test_sequence_facts_match_tree(order):
         lev = trees_mod.levels(tree)
         assert lev.tolist() == list(seq)
         assert level_profile(seq) == level_profile(lev)
-        assert verify_mod._leaf_levels(seq) == {int(lev[leaf]) for leaf in tree.leaves()}
+        assert leaf_levels(seq) == {int(lev[leaf]) for leaf in tree.leaves()}
         assert trees_mod.level_sequence_parents(seq) == list(tree.parent)
+    counts = verify_mod._level_counts(np.array(seqs))
+    assert [tuple(c for c in row if c) for row in counts.tolist()] == \
+        [level_profile(seq) for seq in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +585,10 @@ def _fails_on_lone_deepest_leaf(data, sub, tol):
     return ok | (data.counts[:, 1] < 3), slack
 
 
-def _fails_on_last_leaf_at_level_one(seq):
-    """Fails where the last vertex of the level sequence is on level 1."""
-    slack = float(seq[-1] - 2)
+def _fails_on_last_leaf_at_level_one(levels):
+    """Fails where the last vertex of the level sequence is on level 1; the
+    slack is that vertex's level less 2, tree by tree."""
+    slack = (levels[:, -1] - 2).astype(float)
     return slack >= 0, slack
 
 
@@ -644,7 +650,7 @@ def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
     # verdicts are shared by the trees of a profile, or of a profile and
     # leaf levels, yet the offenders named come in enumeration order
     assert _recurs([level_profile(seq) for seq in named["fails-profile"]])
-    assert _recurs([(level_profile(seq), verify_mod._leaf_levels(seq))
+    assert _recurs([(level_profile(seq), frozenset(leaf_levels(seq)))
                     for seq in named["fails-leaf-level"]])
     for name, line in oracle.items():
         line["offenders"] = [" ".join(map(str, seq)) for seq in named[name]]
@@ -652,6 +658,38 @@ def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
     assert _RecordingPool.widths == ([] if jobs == 1 else [2])
     assert ledger.to_dict()["checks"] == [oracle[name] for name in sorted(oracle)]
     assert ledger.violations == sum(line["violations"] for line in oracle.values())
+
+
+@pytest.mark.parametrize("walk_size", [1, 7])
+def test_ledger_does_not_depend_on_the_walk_batches(monkeypatch, walk_size):
+    """Keys recur across batches, a key's first two trees (which the
+    extremal statistics see) and the offenders named straddle batch
+    boundaries, and naming stops at the cap in mid-batch."""
+    monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", _REAL_CHECKS | _FAILING_CHECKS)
+    runs = [lambda: verify_order(9, jobs=1),
+            lambda: verify_order(8, selection=sorted(_FAILING_CHECKS), jobs=1)]
+    default = [run().to_dict() for run in runs]
+    monkeypatch.setattr(verify_mod, "STACK_SIZE", walk_size)
+    assert [run().to_dict() for run in runs] == default
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_batched_distance_domination_equals_per_tree_form(order):
+    """The batched check gives each tree the verdict that the per-tree form,
+    on one distance matrix from the tree's parent array, gives it."""
+    _, _, check = _REAL_CHECKS["distance-domination"]
+    seqs = list(trees_mod.level_sequences(order))
+    ok, slack = check(np.array(seqs))
+    assert math.isnan(slack)
+    per_tree = []
+    for seq in seqs:
+        lev = np.array(seq)
+        entries = np.abs(lev[:, None] - lev[None, :])
+        dist = levelmatrix_mod.ordered_distance_matrix(trees_mod.level_sequence_parents(seq))
+        per_tree.append(bool(np.all(entries <= dist))
+                        and np.array_equal(entries, dist) == (max(seq) == order - 1))
+    assert ok.tolist() == per_tree
+    assert all(per_tree)
 
 
 @pytest.mark.parametrize("n", [127, 128, 206, 600, 800])
@@ -682,7 +720,7 @@ def test_realisable_leaf_levels_are_those_walked(order):
     """The (profile, leaf level) pairs the leaf checks are evaluated on are
     exactly those of the trees walked."""
     walked = {(level_profile(seq), k) for seq in trees_mod.level_sequences(order)
-              for k in verify_mod._leaf_levels(seq)}
+              for k in leaf_levels(seq)}
     assert walked == {(profile, k) for profile in trees_mod.level_profiles(order)
                       for k in verify_mod._realisable_leaf_levels(profile)}
 
