@@ -164,53 +164,75 @@ class SpectralData:
     def energy(self) -> np.ndarray:
         return np.array([s.energy for s in self.spectra])
 
-    @cached_property
-    def _exact_counts(self) -> np.ndarray:
-        """The counts in int64 while n**9 < 2**63 (n <= 127), else in Python
-        integers: no aggregate exceeds n**9, so none wraps."""
-        return self.counts.astype(np.int64 if self.n ** 9 < 2 ** 63 else object)
+    def _exact(self, array: np.ndarray, bound: int) -> np.ndarray:
+        """``array`` in int64 when ``bound``, a bound on every value computed
+        from it, is below 2**63, else in Python integers, so that no
+        aggregate wraps. Each aggregate passes its own bound, with N = n h:
+        N**2 for L_a, q_a, LI and H, n N**2 for sum_a n_a L_a**2 and
+        sum_a n_a q_a, and n N**4 for sum_a n_a q_a**2. Every stack of
+        n <= 128 computes in int64; the 200-vertex path takes Python
+        integers only for its O(h) sum of q_a**2."""
+        return array.astype(np.int64 if bound < 2 ** 63 else object)
 
     @cached_property
-    def _level_distances(self) -> np.ndarray:
-        """|a - b| over the levels a, b = 0..h, in the counts' type."""
+    def _nh_squared(self) -> int:
+        """(n h)**2, the bound of L_a, q_a, LI and H."""
+        return (self.n * self.l_max) ** 2
+
+    def _weighted(self, per_level: np.ndarray, bound: int, power: int = 1) -> np.ndarray:
+        """sum_a n_a * per_level[a]**power for every member, exact up to
+        ``bound``."""
+        return (self._exact(self.counts, bound) * self._exact(per_level, bound)**power).sum(axis=1)
+
+    def _level_sums(self, per_level=1, power: int = 1) -> np.ndarray:
+        """(k, h+1): sum_b n_b |a - b|**power per_level[b] at every level a,
+        exact up to (n h)**2."""
         idx = np.arange(self.l_max + 1)
-        return np.abs(idx[:, None] - idx[None, :]).astype(self._exact_counts.dtype)
-
-    def _weighted(self, per_level: np.ndarray, power: int = 1) -> np.ndarray:
-        """sum_a n_a * per_level[a]**power for every member."""
-        return (self._exact_counts * per_level**power).sum(axis=1)
+        distances = np.abs(idx[:, None] - idx[None, :]) ** power
+        return (self._exact(self.counts * per_level, self._nh_squared)
+                @ self._exact(distances, self._nh_squared))
 
     @cached_property
     def level_row_sums(self) -> np.ndarray:
         """(k, h+1): L_a = sum_b n_b |a - b|, the row sum of every vertex on
         level a."""
-        return self._exact_counts @ self._level_distances
+        return self._level_sums()
 
     @cached_property
     def level_second_order_sums(self) -> np.ndarray:
         """(k, h+1): q_a = sum_b n_b |a - b| L_b, the row sum of the squared
         matrix at every vertex on level a."""
-        return (self._exact_counts * self.level_row_sums) @ self._level_distances
+        return self._level_sums(self.level_row_sums)
 
     @cached_property
     def level_index(self) -> np.ndarray:
         """LI = half the sum of all entries = (1/2) sum_a n_a L_a."""
-        return self._weighted(self.level_row_sums) // 2
+        return self._weighted(self.level_row_sums, self._nh_squared) // 2
 
     @cached_property
     def h_value(self) -> np.ndarray:
         """H = trace of the squared matrix = sum_{a,b} n_a n_b (a - b)^2."""
-        return self._weighted(self._exact_counts @ self._level_distances**2)
+        return self._weighted(self._level_sums(power=2), self._nh_squared)
 
     @cached_property
     def row_square_sum(self) -> np.ndarray:
         """sum_i L_i^2 = sum_a n_a L_a^2."""
-        return self._weighted(self.level_row_sums, 2)
+        return self._weighted(self.level_row_sums, self.n * self._nh_squared, 2)
 
     @cached_property
     def q_square_sum(self) -> np.ndarray:
         """sum_i q_i^2 = sum_a n_a q_a^2."""
-        return self._weighted(self.level_second_order_sums, 2)
+        return self._weighted(self.level_second_order_sums, self.n * self._nh_squared**2, 2)
+
+
+def _ratio(numerators: np.ndarray, factor: int, n: int) -> np.ndarray:
+    """factor * x / n for every exact integer x >= 0 of ``numerators``, each
+    the correctly rounded quotient, as Python's int / int gives it. numpy's
+    float division rounds the same while the products are below 2**53,
+    where they convert to binary64 exactly."""
+    if numerators.dtype != object and int(numerators.max(initial=0)) * factor < 2 ** 53:
+        return factor * numerators / n
+    return np.array([factor * int(x) / n for x in numerators.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +253,7 @@ def check_trace_identity(d: SpectralData) -> list[Comparison]:
 
 def check_rho_mean_square(d: SpectralData) -> list[Comparison]:
     """rho^2 is at least the mean squared row of the matrix, H/n."""
-    return [_compare("rho-mean-square", d.rho**2, d.h_value / d.n, ">=",
+    return [_compare("rho-mean-square", d.rho**2, _ratio(d.h_value, 1, d.n), ">=",
                      equality_expected=d.n <= 2)]
 
 
@@ -263,7 +285,7 @@ def check_rho_second_order(d: SpectralData) -> list[Comparison]:
 
 def check_second_order_identity(d: SpectralData) -> list[Comparison]:
     """sum_i q_i equals sum_j L_j^2 exactly (integers)."""
-    lhs, rhs = d._weighted(d.level_second_order_sums), d.row_square_sum
+    lhs, rhs = d._weighted(d.level_second_order_sums, d.n * d._nh_squared), d.row_square_sum
     return [_compare("second-order-identity", lhs, rhs, "==", tol_scale=0.0,
                      ok=lhs == rhs)]
 
@@ -282,7 +304,7 @@ def check_quotient_bound(d: SpectralData) -> list[Comparison]:
 def check_eigenvalue_square(d: SpectralData) -> list[Comparison]:
     """Every eigenvalue satisfies lambda^2 <= (n-1)/n * H."""
     return [_compare("eigenvalue-square", (d.values**2).max(axis=1),
-                     (d.n - 1) * d.h_value / d.n, "<=")]
+                     _ratio(d.h_value, d.n - 1, d.n), "<=")]
 
 
 def check_eigenvalue_intervals(d: SpectralData) -> list[Comparison]:
@@ -299,10 +321,15 @@ def check_eigenvalue_intervals(d: SpectralData) -> list[Comparison]:
         _compare("eigenvalue-interval-1", lam[:, 0], (inner, outer), "in"),
         _compare(f"eigenvalue-interval-{n}", lam[:, -1], (-outer, -inner), "in"),
     ]
-    for j in range(2, n):
-        lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
-        hi = np.sqrt((n - j) * h / (j * n))
-        comparisons.append(_compare(f"eigenvalue-interval-{j}", lam[:, j - 1], (lo, hi), "in"))
+    # indices j = 2..n-1 in one comparison, row j - 2 for index j
+    j = np.arange(2, n)[:, None]
+    lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
+    hi = np.sqrt((n - j) * h / (j * n))
+    middle = _compare("eigenvalue-interval", lam[:, 1:-1].T, (lo, hi), "in")
+    comparisons += [Comparison(f"eigenvalue-interval-{i + 2}", middle.lhs[i],
+                               (middle.rhs[0][i], middle.rhs[1][i]), "in",
+                               middle.slack[i], middle.ok[i], None)
+                    for i in range(n - 2)]
     comparisons.append(_compare("spectrum-interval", np.abs(lam).max(axis=1), outer, "<="))
     return comparisons
 

@@ -371,8 +371,7 @@ def _cmd_analyze(args) -> int:
         tol=args.tol,
     )
     if args.format == "json":
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     elif args.format == "csv":
         sys.stdout.write(report.bounds_csv())
     else:
@@ -470,8 +469,7 @@ def _cmd_special(args) -> int:
         report.extras["cubic_roots"] = " ".join(_fmt(r) for r in sorted(roots, reverse=True))
         report.extras["cubic_residual"] = _fmt(residual)
     if args.format == "json":
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK

@@ -14,10 +14,11 @@ MAX_LEVELS levels. :func:`level_spectrum` takes its values from it and
 also solves the quotient for eigenvectors (LAPACK ``eigh``), to lift the
 Perron vector to the vertices. The exact nullity is n - rank(B) with the
 integer matrix B_ab = |a - b| n_b, which has the rank of S. Its rank is
-certified by elimination modulo a prime, which can only under-count the
-rank; when that count is short of full rank, the exact rank comes from
-Bareiss elimination of B. A :class:`Spectrum` groups its values into
-clusters by :func:`_cluster`, the one clustering rule, on first read.
+certified by elimination modulo a prime below 2**26, exact in binary64,
+which can only under-count the rank; when that count is short of full
+rank, the exact rank comes from Bareiss elimination of B. A
+:class:`Spectrum` groups its values into clusters by :func:`_cluster`, the
+one clustering rule, on first read.
 
 Oracle paths, kept to test the engine against:
 :func:`symmetric_eigenvalues` and :func:`perron_vector` run the in-repo
@@ -28,7 +29,8 @@ one-matrix rank modulo the prime.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
-or residues modulo a prime.
+or residues modulo a prime (held in binary64 by the stacked certificate,
+where every product of two is an exact integer).
 """
 
 from __future__ import annotations
@@ -329,9 +331,14 @@ def quotient_matrix(profile) -> np.ndarray:
     return _quotient_stack(np.array([_profile_key(profile)], dtype=np.int64))[0]
 
 
-#: Modulus of the rank certificate, the prime 2**31 - 1. Residues are below
-#: 2**31, so a product of two stays below 2**62 and fits in int64.
-RANK_PRIME = (1 << 31) - 1
+#: Modulus of the rank certificate: 67,108,859, the largest prime below
+#: 2**26. The certificate keeps residues in binary64, below p in magnitude,
+#: so a product of two is an integer below 2**52 and the difference of two
+#: such products is exact (the standard word-size prime-field technique;
+#: J.-G. Dumas, P. Giorgi and C. Pernet, "Dense linear algebra over
+#: word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+#: 2008).
+RANK_PRIME = 67_108_859
 
 #: Profiles of one height solved together: one LAPACK call and one
 #: elimination per stack of at most this many, which bounds a batch's
@@ -340,8 +347,9 @@ RANK_PRIME = (1 << 31) - 1
 STACK_SIZE = 1024
 
 #: Most levels (h + 1) of a profile the engine solves. Its rank certificate
-#: is O(h^3): ``analyze`` of rooted paths of 500, 1,000 and 2,000 vertices
-#: took 0.8, 4.2 and 35.6 s on a 2-vCPU host, nearly all of it there.
+#: is O(h^3): ``analyze`` of rooted paths of 500 and 1,000 vertices takes
+#: 0.49 and 2.4 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.21
+#: and 2.0 s, nearly all of it in the certificate.
 MAX_LEVELS = 1024
 
 
@@ -371,29 +379,38 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
-    """Whether each member of a (k, s, s) int64 stack of residues modulo
-    RANK_PRIME has full rank over GF(RANK_PRIME).
+    """Whether each member of a (k, s, s) stack of residues modulo
+    RANK_PRIME (integers in [0, p)) has full rank over GF(RANK_PRIME).
 
-    All members are eliminated in lock step, fraction-free: below the pivot
-    row, row <- row * pivot - head * top (mod p). Scaling a row by a nonzero
-    residue keeps the rank, and each product of two residues is below 2**62,
-    so no modular inverse is needed. A member without a pivot in some column
-    is singular modulo p, and the elimination zeroes the rows below it.
+    All members are eliminated in lock step, fraction-free, on the active
+    block: the pivot row moves to the top, and every row below it becomes
+    row * pivot - head * top, reduced modulo p. Scaling a row by a nonzero
+    residue keeps the rank, so no modular inverse is needed. A member
+    without a pivot in some column is singular modulo p.
+
+    The arithmetic is binary64. A product of two residues is an integer
+    below 2**52, so each update x is exact, and x - rint(x / p) * p is
+    exact too. The computed x / p is off by less than 2**-25, so the result
+    is a residue of x of magnitude at most p/2 + 1, zero iff p divides x:
+    residues stay below p in magnitude with no correction step.
     """
-    m = residues.copy()
-    k, s, _ = m.shape
+    m = residues.astype(np.float64)
+    k = len(m)
     members = np.arange(k)
     full = np.ones(k, dtype=bool)
-    for col in range(s):
-        nonzero = m[:, col:, col] != 0
+    while m.shape[1]:
+        nonzero = m[:, :, 0] != 0
         full &= nonzero.any(axis=1)
-        pivot_row = col + nonzero.argmax(axis=1)
-        top = m[members, pivot_row].copy()
-        m[members, pivot_row] = m[:, col]
-        m[:, col] = top
-        m[:, col + 1:, col:] = (m[:, col + 1:, col:] * top[:, None, col:col + 1]
-                                - m[:, col + 1:, col:col + 1] * top[:, None, col:]
-                                ) % RANK_PRIME
+        pivot_row = nonzero.argmax(axis=1)
+        top = m[members, pivot_row]
+        m[members, pivot_row] = m[:, 0]
+        rest = m[:, 1:, 1:] * top[:, None, :1]
+        rest -= m[:, 1:, :1] * top[:, None, 1:]
+        quotient = rest * (1.0 / RANK_PRIME)
+        np.rint(quotient, out=quotient)
+        quotient *= RANK_PRIME
+        rest -= quotient
+        m = rest
     return full
 
 

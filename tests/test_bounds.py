@@ -21,6 +21,8 @@ from levelspectra import (
 )
 from levelspectra.bounds import (
     CHECKS,
+    _compare,
+    _ratio,
     check_eigenvalue_cap,
     check_eigenvalue_intervals,
     check_eigenvalue_square,
@@ -349,3 +351,33 @@ class TestEvaluateChecks:
             reports = evaluate_checks(data_for(tree))
             bad = [r.name for r in reports if not r.satisfied]
             assert bad == []
+
+
+@pytest.mark.parametrize("profiles", [
+    [p for p in level_profiles(9) if len(p) == 4],
+    [(1,) * 200],
+])
+def test_stacked_intervals_equal_per_index_comparisons(profiles):
+    """The per-index intervals j = 2..n-1, compared in one stacked call,
+    equal bit for bit those compared one index at a time."""
+    d = SpectralData.from_solutions(profiles, solve_profiles(profiles))
+    n, h = d.n, d.h_value.astype(float)
+    comparisons = {c.name: c for c in check_eigenvalue_intervals(d)}
+    for j in range(2, n):
+        lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
+        hi = np.sqrt((n - j) * h / (j * n))
+        alone = _compare(f"eigenvalue-interval-{j}", d.values[:, j - 1], (lo, hi), "in")
+        stacked = comparisons[alone.name]
+        for got, want in [(stacked.lhs, alone.lhs), (stacked.rhs[0], lo), (stacked.rhs[1], hi),
+                          (stacked.slack, alone.slack), (stacked.ok, alone.ok)]:
+            assert got.tolist() == want.tolist(), (j, alone.name)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_ratio_rounds_like_python_integers(dtype):
+    """factor * x / n is the correctly rounded quotient of the integers, also
+    where x or the product is beyond 2**53 and the product beyond int64."""
+    xs = [0, 5, 2**53 - 1, 2**53 + 1, 2**62 + 12_345, 3 * 2**61 + 7]
+    for factor, n in [(1, 3), (6, 7), (10**6, 10**6 + 1)]:
+        got = _ratio(np.array(xs, dtype=dtype), factor, n)
+        assert got.tolist() == [factor * x / n for x in xs]

@@ -514,6 +514,82 @@ class TestRankCertificate:
 
 
 # ---------------------------------------------------------------------------
+# the binary64 certificate at the top of its range
+# ---------------------------------------------------------------------------
+
+def worst_case_matrices(s: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """s x s residue matrices whose first products are as large as the
+    certificate allows, (p - 1)**2 just below 2**52, with their rank modulo
+    the prime known:
+
+    - "all": p - 1 everywhere, rank 1;
+    - "alternating": 0 and p - 1 in a checkerboard, rank 2 from s = 2;
+    - "upper": p - 1 on and above the diagonal, full rank;
+    - "near": uniform in [p - 1025, p - 1], full rank for these seeds;
+    - "dependent": "near" with its last row the sum of the first two
+      modulo p, rank s - 1 from s = 3.
+    """
+    top = RANK_PRIME - 1
+    i, j = np.indices((s, s))
+    near = np.random.default_rng(seed).integers(top - 1024, top, size=(s, s), endpoint=True)
+    dependent = near.copy()
+    if s >= 3:
+        dependent[-1] = (near[0] + near[1]) % RANK_PRIME
+    return {"all": np.full((s, s), top), "alternating": (i + j) % 2 * top,
+            "upper": np.where(j >= i, top, 0), "near": near, "dependent": dependent}
+
+
+def worst_case_full_rank(s: int) -> dict[str, bool]:
+    return {"all": s == 1, "alternating": s == 2, "upper": True, "near": True,
+            "dependent": s < 3}
+
+
+class TestRankCertificateAtTheBound:
+    @pytest.mark.parametrize("s", [*range(1, 9), 64, 128, 200, 300])
+    def test_worst_case_residues(self, s):
+        for name, m in worst_case_matrices(s, seed=s).items():
+            rows = m.tolist()
+            expected = worst_case_full_rank(s)[name]
+            assert (_rank_mod_p(rows) == s) == expected, name
+            assert stacked_full_rank([rows]) == [expected], name
+
+    def test_mixed_stack(self):
+        """Every pattern in one stack, with the profile matrix B of
+        (1,) * 39 + (p,), which is singular modulo p (its last column
+        vanishes) and nonsingular over the rationals; the Bareiss
+        elimination, the engine's fallback, decides it."""
+        s = 40
+        patterns = worst_case_matrices(s)
+        b = profile_b((1,) * (s - 1) + (RANK_PRIME,))
+        members = [m.tolist() for m in patterns.values()] + [b]
+        assert stacked_full_rank(members) == [
+            _rank_mod_p(rows) == s for rows in members]
+        assert stacked_full_rank(members) == [
+            *worst_case_full_rank(s).values(), False]
+        assert exact_zero_multiplicity(np.array(b, dtype=object)) == 0
+
+    def test_engine_falls_back_where_the_prime_divides_a_count(self, monkeypatch):
+        """Modulo 7, the B of a profile with a count divisible by 7 is
+        singular; the engine then takes the nullity from the Bareiss
+        elimination, and it equals the nullity certified modulo the
+        default prime."""
+        profiles = [(1, 7), (1, 2, 3), (1, 14, 2), (1, 3, 4, 1)]
+        expected = {p: solution.nullity for p, solution in solve_profiles(profiles).items()}
+        calls = []
+        real = spectra_mod.exact_zero_multiplicity
+
+        def counting(matrix):
+            calls.append(matrix.shape[0])
+            return real(matrix)
+
+        monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
+        monkeypatch.setattr(spectra_mod, "RANK_PRIME", 7)
+        solved = solve_profiles(profiles)
+        assert {p: solution.nullity for p, solution in solved.items()} == expected
+        assert sorted(calls) == [2, 3]
+
+
+# ---------------------------------------------------------------------------
 # SpectralData's stacked aggregates against the n x n LevelMatrix oracle
 # ---------------------------------------------------------------------------
 
@@ -523,13 +599,28 @@ def counts_only(profiles) -> SpectralData:
                         np.zeros(len(profiles), dtype=np.int64))
 
 
-def assert_aggregates_match_matrices(profiles) -> None:
-    """Every aggregate of a stack equals each member's dense matrix's."""
+AGGREGATES = ("level_index", "h_value", "row_square_sum", "q_square_sum",
+              "level_row_sums", "level_second_order_sums")
+
+
+def aggregate_dtypes(data: SpectralData, python_ints=()) -> tuple[dict, dict]:
+    """Each aggregate's dtype, and the dtypes expected when the aggregates
+    named in ``python_ints`` are Python integers and the others int64."""
+    return ({name: getattr(data, name).dtype for name in AGGREGATES},
+            {name: np.dtype(object if name in python_ints else np.int64)
+             for name in AGGREGATES})
+
+
+def assert_aggregates_match_matrices(profiles, python_ints=()) -> None:
+    """Every aggregate of a stack equals each member's dense matrix's, in
+    Python integers for those named in ``python_ints`` and int64 for the
+    rest. Each aggregate takes int64 when its own bound is below 2**63:
+    with N = n h, N**2 for L_a, q_a, LI and H, n N**2 for the sum of L_a**2
+    and n N**4 for the sum of q_a**2."""
     data = counts_only(profiles)
-    exact = (data.level_index, data.h_value, data.row_square_sum, data.q_square_sum,
-             data.level_row_sums, data.level_second_order_sums)
-    # int64 holds every aggregate while n**9 < 2**63
-    assert {a.dtype for a in exact} == {np.dtype(np.int64 if data.n <= 127 else object)}
+    exact = tuple(getattr(data, name) for name in AGGREGATES)
+    actual, expected = aggregate_dtypes(data, python_ints)
+    assert actual == expected
     for i, profile in enumerate(profiles):
         lev = np.repeat(np.arange(len(profile)), profile)
         matrix = LevelMatrix.from_levels(lev)
@@ -554,9 +645,15 @@ def test_profile_aggregates_of_random_trees(tree):
     assert_aggregates_match_matrices([level_profile(levels(tree))])
 
 
-@pytest.mark.parametrize("n", [50, 127, 128, 250])
+#: The aggregates of the rooted path of n vertices in Python integers: none
+#: up to n = 128, where 128 * (128 * 127)**4 < 2**63, then the sum of q_a**2.
+PATH_PYTHON_INTS = {50: (), 127: (), 128: (), 129: ("q_square_sum",),
+                    250: ("q_square_sum",)}
+
+
+@pytest.mark.parametrize("n", list(PATH_PYTHON_INTS))
 def test_profile_aggregates_of_rooted_paths(n):
-    assert_aggregates_match_matrices([(1,) * n])
+    assert_aggregates_match_matrices([(1,) * n], PATH_PYTHON_INTS[n])
 
 
 def test_aggregates_exact_beyond_int64():
@@ -565,6 +662,8 @@ def test_aggregates_exact_beyond_int64():
     Python-integer sum over the levels."""
     profile = (1,) + (10_000,) * 1023  # 10,230,001 vertices
     data = counts_only([profile])
+    actual, expected = aggregate_dtypes(data, AGGREGATES)
+    assert actual == expected
     h1 = range(len(profile))
     row = [sum(profile[b] * abs(a - b) for b in h1) for a in h1]
     q = [sum(profile[b] * abs(a - b) * row[b] for b in h1) for a in h1]

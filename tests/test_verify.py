@@ -673,6 +673,28 @@ def test_ledger_does_not_depend_on_the_walk_batches(monkeypatch, walk_size):
     assert [run().to_dict() for run in runs] == default
 
 
+@pytest.mark.parametrize("walk_size", [1, verify_mod.STACK_SIZE])
+@pytest.mark.parametrize("order, start", [(5, 5), (7, 38)])
+def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, walk_size):
+    """From ``start`` to the end of the walk, the largest rho belongs to a
+    profile with two or more trees, so the runner-up is that key's second
+    tree (a gap of 0), which only a walk that records two trees of each key
+    finds. One tree per batch puts the second tree in a later batch."""
+    sequences = list(trees_mod.level_sequences(order))[start:]
+    profiles = [level_profile(seq) for seq in sequences]
+    solutions = spectra_mod.solve_profiles(profiles)
+    oracle = ExtremalStat("rho")
+    for seq, profile in zip(sequences, profiles):
+        oracle.record(solutions[profile].spectrum.rho, seq)
+    assert profiles.count(level_profile(oracle.max_seq)) >= 2
+    assert oracle.max_gap == 0.0
+    monkeypatch.setattr(verify_mod, "STACK_SIZE", walk_size)
+    _, extremal, trees = verify_mod._evaluate_batch(
+        order, start, None, {}, [], spectra_mod.DEFAULT_CLUSTER_TOL, ("rho",))
+    assert trees == len(sequences)
+    assert extremal["rho"] == oracle
+
+
 @pytest.mark.parametrize("order", range(1, 13))
 def test_batched_distance_domination_equals_per_tree_form(order):
     """The batched check gives each tree the verdict that the per-tree form,
