@@ -3,9 +3,13 @@
 Runs every bound, identity, and structural claim over all rooted trees of a
 given order and produces a pass/fail ledger with extremal statistics.
 Every verdict but ``distance-domination`` depends only on a tree's level
-profile or on a (profile, leaf level) pair, so it is computed once, on
-stacks of those, and the walk over the trees looks it up. Violations are
-collected rather than fail-fast, so a bad run reports every offending tree.
+profile or on a (profile, leaf level) pair. So the run has two steps: the
+calling process checks the order's profile space once, on stacks, into
+verdict tables indexed by profile; the walk over the trees (in the pool's
+workers, when there is a pool) reads each tree's profile index off its
+level sequence, looks its verdicts up in numpy and runs the one TREE check.
+Violations are collected rather than fail-fast, so a bad run reports every
+offending tree.
 """
 
 from __future__ import annotations
@@ -119,23 +123,28 @@ class CheckStat:
     worst_slack: float = math.inf
     offenders: list[tuple[int, ...]] = field(default_factory=list)
 
-    def record(self, ok: bool, slack: float, trees: int = 1) -> None:
-        """Count ``trees`` trees that share one verdict and slack."""
-        self.trees_checked += trees
+    def record(self, ok: bool, slack: float) -> None:
+        """Count one tree with its verdict and slack."""
+        self.trees_checked += 1
         if not math.isnan(slack):
             self.worst_slack = min(self.worst_slack, slack)
         if not ok:
-            self.violations += trees
+            self.violations += 1
 
-    def record_each(self, ok: np.ndarray, slack) -> None:
-        """Count one tree per entry of ``ok``, each with its own verdict and
-        slack (an array like ``ok``, or a nan for a check without one)."""
+    def record_each(self, ok: np.ndarray, slack: np.ndarray, seqs: np.ndarray) -> None:
+        """Count the trees of ``seqs``, a (B, n) array of level sequences in
+        walk order, each with its verdict in ``ok`` and its slack in
+        ``slack`` (an array like ``ok``, or a nan for a check without one),
+        and name the failing trees until the check holds MAX_OFFENDERS."""
         self.trees_checked += len(ok)
-        self.violations += int(np.count_nonzero(~ok))
+        failing = np.flatnonzero(~ok)
+        self.violations += len(failing)
         slack = np.asarray(slack, dtype=float)
         slack = slack[~np.isnan(slack)]
         if slack.size:
             self.worst_slack = min(self.worst_slack, float(slack.min()))
+        for pos in failing[:MAX_OFFENDERS - len(self.offenders)].tolist():
+            self.offend(tuple(seqs[pos].tolist()))
 
     def offend(self, seq: tuple[int, ...]) -> None:
         """Name an offending tree by its level sequence; the first
@@ -184,6 +193,20 @@ class ExtremalStat:
             self.max_value, self.max_seq = value, seq
         elif value > self.runner_max:
             self.runner_max = value
+
+    @classmethod
+    def of_batch(cls, stat: str, values: np.ndarray, seqs: np.ndarray) -> "ExtremalStat":
+        """The statistic over a batch of trees: ``values[i]`` of the level
+        sequence ``seqs[i]``, in walk order. Ties keep the earlier tree, as
+        :meth:`record` does, and each runner-up is the second value of the
+        batch from that end, a tie with the extreme included."""
+        lo, hi = int(values.argmin()), int(values.argmax())
+        out = cls(stat, float(values[lo]), tuple(seqs[lo].tolist()), math.inf,
+                  float(values[hi]), tuple(seqs[hi].tolist()), -math.inf)
+        if len(values) > 1:
+            out.runner_min = float(np.partition(values, 1)[1])
+            out.runner_max = float(np.partition(values, -2)[-2])
+        return out
 
     def merge(self, other: "ExtremalStat") -> None:
         """Fold in the aggregate of the trees enumerated after this one's;
@@ -257,24 +280,26 @@ class VerificationLedger:
         return "\n".join(lines) + "\n"
 
 
-def _level_counts(levels: np.ndarray) -> np.ndarray:
-    """(B, n) canonical level sequences -> (B, n) table whose row b is tree
-    b's level profile, padded with zeros past its height."""
-    b, n = levels.shape
-    offsets = (np.arange(b) * n)[:, None]
-    return np.bincount((levels + offsets).ravel(), minlength=b * n).reshape(b, n)
+def _profile_ids(levels: np.ndarray) -> np.ndarray:
+    """(B, n) canonical level sequences -> each tree's profile index, its
+    position in ``level_profiles(n)``. Below the root, the sorted levels
+    spell the composition of n - 1, and bit i of the index is set where the
+    (i+2)-th of them is deeper than the (i+1)-th."""
+    below = np.sort(levels[:, 1:], axis=1)
+    rises = below[:, 1:] > below[:, :-1]
+    return rises @ (1 << np.arange(rises.shape[1], dtype=np.int64))
 
 
 def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
-    """(B, n) canonical level sequences -> (B, n) table whose [b, k] is 1
-    where level k holds a leaf of tree b: vertex i is a leaf iff it is last
-    or the next vertex is no deeper."""
+    """(B, n) canonical level sequences -> (B, n) table whose [b, k] is
+    true where level k holds a leaf of tree b: vertex i is a leaf iff it is
+    last or the next vertex is no deeper."""
     b, n = levels.shape
     leaf = np.ones((b, n), dtype=bool)
     leaf[:, :-1] = levels[:, 1:] <= levels[:, :-1]
-    mask = np.zeros((b, n), dtype=levels.dtype)
+    mask = np.zeros((b, n), dtype=bool)
     tree, vertex = np.nonzero(leaf)
-    mask[tree, levels[tree, vertex]] = 1
+    mask[tree, levels[tree, vertex]] = True
     return mask
 
 
@@ -383,14 +408,14 @@ def _distance_domination(levels: np.ndarray):
     return dominated & (equal == is_path), math.nan
 
 
-#: What a structural verdict depends on. It fixes how often a batch
-#: evaluates the check and what the evaluator is given (``data`` is a
-#: SpectralData stack, ``sub`` the stack of its members' profiles less a
-#: leaf at one level, ``levels`` a (B, n) int array of canonical level
-#: sequences, B at most STACK_SIZE):
-#:   PROFILE     once per level profile            check(data, tol)
-#:   LEAF_LEVEL  once per (profile, leaf level)    check(data, sub, tol)
-#:   TREE        once per batch of trees walked    check(levels)
+#: What a structural verdict depends on. It fixes where the check is
+#: evaluated and what the evaluator is given (``data`` is a SpectralData
+#: stack, ``sub`` the stack of its members' profiles less a leaf at one
+#: level, ``levels`` a (B, n) int array of canonical level sequences, B at
+#: most STACK_SIZE):
+#:   PROFILE     once per level profile, into the tables   check(data, tol)
+#:   LEAF_LEVEL  once per (profile, leaf level), likewise  check(data, sub, tol)
+#:   TREE        once per batch of trees walked            check(levels)
 #: A tree's LEAF_LEVEL verdict is the AND of the verdicts at its leaf
 #: levels, and its slack their minimum.
 PROFILE, LEAF_LEVEL, TREE = "profile", "leaf level", "tree"
@@ -437,32 +462,33 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
     return [(name, ok, slack) for name, (ok, slack) in folded.items()]
 
 
-def _evaluate_batch(order: int, start: int, stop: int | None,
-                    bound_lines: dict[str, set[str]], structural: list[str],
-                    tol: float, stats: tuple[str, ...]):
-    """Worker: walk the canonical level sequences of one order from index
-    ``start`` up to ``stop`` (``None``: to the end) once, evaluating the
-    selected checks; returns mergeable partial aggregates and the number of
-    trees walked.
+@dataclass
+class VerdictTables:
+    """Every verdict of one order, for the walk to look up by a tree's
+    profile index (its position in ``level_profiles(order)``, P of them).
 
-    One call of the profile engine first solves every profile of the order,
-    and of order - 1 (which holds each leaf-deleted profile) when a leaf
-    check runs. Every verdict but a TREE check's is then evaluated once, on
-    stacks of the order's profiles and of its realisable (profile, leaf
-    level) pairs. A tree's key is its profile and, when a leaf check runs,
-    its leaf levels.
-
-    The walk takes the sequences STACK_SIZE at a time as a (B, n) array;
-    numpy gives each tree's key row (level counts, then leaf-level mask)
-    and groups the batch by key, and each TREE check runs on the whole
-    batch. Python then visits each distinct key of the batch once: it looks
-    a new key's verdicts up, adds the key's trees to its count, and names
-    the trees of a failed verdict as offenders in walk order until the
-    check holds MAX_OFFENDERS. At the end the profile verdicts are recorded
-    once per profile and the leaf verdicts once per key, each with its tree
-    count. The extremal statistics see the first two trees of each key, in
-    walk order, which give the arg-extreme tree and runner-up.
+    ``lines`` maps each bound line and PROFILE check to (ok, slack,
+    covered), (P,) arrays; ``covered`` is false where the line does not
+    apply (``energy-upper-improved`` skips the rooted path). ``leaf_lines``
+    maps each LEAF_LEVEL check to (ok, slack), (P, n) arrays indexed by
+    (profile, leaf level). ``tree_checks`` names the TREE checks, and
+    ``values`` maps each extremal statistic to its (P,) values.
     """
+
+    lines: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    leaf_lines: dict[str, tuple[np.ndarray, np.ndarray]]
+    tree_checks: list[str]
+    values: dict[str, np.ndarray]
+
+
+def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
+                    tol: float, stats: tuple[str, ...]) -> VerdictTables:
+    """Check the order's profile space once: one call of the profile engine
+    solves every profile of the order, and of order - 1 (which holds each
+    leaf-deleted profile) when a leaf check runs. The bound lines and
+    PROFILE checks are evaluated on each height stack of the profiles, the
+    LEAF_LEVEL checks on each stack of the realisable (profile, leaf level)
+    pairs."""
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
         min_order, depends_on, check = STRUCTURAL_CHECKS[name]
@@ -470,99 +496,73 @@ def _evaluate_batch(order: int, start: int, stop: int | None,
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
     profiles = list(level_profiles(order))
+    size = len(profiles)
     solutions = solve_profiles(chain(profiles, level_profiles(order - 1) if leaf_checks else ()),
                                tol)
-    verdicts_of: dict[tuple, list] = {}  # profile or (profile, leaf level) -> [(name, ok, slack)]
+    lines: dict[str, tuple] = {}
+    for rows in height_stacks(range(size), lambda i: len(profiles[i])):
+        data = SpectralData.from_solutions([profiles[i] for i in rows], solutions)
+        for name, ok, slack in (_bound_verdicts(data, bound_lines)
+                                + [(name, *check(data, tol)) for name, check in checks[PROFILE]]):
+            table_ok, table_slack, covered = lines.setdefault(
+                name, (np.ones(size, bool), np.full(size, np.nan), np.zeros(size, bool)))
+            table_ok[rows], table_slack[rows], covered[rows] = ok, slack, True
+    leaf_lines = {name: (np.ones((size, order), bool), np.full((size, order), np.nan))
+                  for name, _ in leaf_checks}
+    pairs = [(i, k) for i, p in enumerate(profiles) for k in _realisable_leaf_levels(p)]
+    for stack in height_stacks(pairs if leaf_checks else [], lambda pair: (
+            len(profiles[pair[0]]), len(_leaf_profile(profiles[pair[0]], pair[1])))):
+        data = SpectralData.from_solutions([profiles[i] for i, _ in stack], solutions)
+        sub = SpectralData.from_solutions([_leaf_profile(profiles[i], k) for i, k in stack],
+                                          solutions)
+        rows, levels = np.array(stack).T
+        for name, check in leaf_checks:
+            table_ok, table_slack = leaf_lines[name]
+            table_ok[rows, levels], table_slack[rows, levels] = check(data, sub, tol)
+    return VerdictTables(
+        lines, leaf_lines, [name for name, _ in checks[TREE]],
+        {stat: np.array([getattr(solutions[p].spectrum, stat) for p in profiles])
+         for stat in stats})
 
-    def tabulate(stack, results):
-        columns = [(name, ok.tolist(), np.broadcast_to(slack, ok.shape).tolist())
-                   for name, ok, slack in results]
-        verdicts_of.update((unit, [(name, ok[i], slack[i]) for name, ok, slack in columns])
-                           for i, unit in enumerate(stack))
 
-    for stack in height_stacks(profiles):
-        data = SpectralData.from_solutions(stack, solutions)
-        tabulate(stack, _bound_verdicts(data, bound_lines)
-                + [(name, *check(data, tol)) for name, check in checks[PROFILE]])
-    pairs = [(p, k) for p in profiles for k in _realisable_leaf_levels(p)] if leaf_checks else []
-    for stack in height_stacks(pairs, lambda pair: (len(pair[0]), len(_leaf_profile(*pair)))):
-        data = SpectralData.from_solutions([p for p, _ in stack], solutions)
-        sub = SpectralData.from_solutions([_leaf_profile(*pair) for pair in stack], solutions)
-        tabulate(stack, [(name, *check(data, sub, tol)) for name, check in leaf_checks])
-    # key -> (profile, [(name, ok, slack)] of its leaf checks, names of its failed verdicts)
-    verdicts: dict[bytes, tuple] = {}
-    trees_of: dict[bytes, int] = {}  # key -> trees walked
-    check_stats = {name: CheckStat(name) for name, _ in checks[TREE]}
-    extremal = {name: ExtremalStat(name) for name in stats}
+def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTables):
+    """Worker: walk the canonical level sequences of one order from index
+    ``start`` up to ``stop`` (``None``: to the end) once, recording every
+    line of ``tables`` tree by tree; returns mergeable partial aggregates
+    and the number of trees walked.
 
-    def wanted(name):
-        return len(check_stats[name].offenders) < MAX_OFFENDERS
-
-    dtype = np.promote_types(np.int16, np.min_scalar_type(order))  # holds levels and counts
-    sequences = islice(level_sequences(order), start, stop)
-    while batch := list(islice(sequences, STACK_SIZE)):
-        levels = np.fromiter(chain.from_iterable(batch), dtype,
-                             len(batch) * order).reshape(-1, order)
-        # a tree's key row: its level counts, then its leaf-level mask
-        rows = np.zeros((len(batch), 2 * order), dtype)
-        rows[:, :order] = _level_counts(levels)
-        if leaf_checks:
-            rows[:, order:] = _leaf_level_mask(levels)
-        # np.unique of the rows, each viewed as one opaque item: the same
-        # grouping as axis=0, several times faster, and a 1-D inverse on
-        # every numpy (axis=0 gives a 2-D one under numpy 2.0.x)
-        items = rows.view(np.dtype((np.void, rows.itemsize * 2 * order))).ravel()
-        _, first, inverse, tally = np.unique(items, return_index=True,
-                                             return_inverse=True, return_counts=True)
-        by_key = np.argsort(inverse, kind="stable")  # each key's trees in walk order
-        group = np.cumsum(tally) - tally  # where each key's trees start in by_key
-        failing: dict[str, list[int]] = {}  # name -> keys of the batch that fail it
-        seen: list[tuple[int, tuple]] = []  # (position, profile) of trees the statistics see
-        by_first = np.argsort(first)  # the batch's keys in walk order
-        for u, key, count in zip(by_first.tolist(), items[first[by_first]].tolist(),
-                                 tally[by_first].tolist()):
-            earlier = trees_of.get(key, 0)
-            if not earlier:
-                row = rows[first[u]]
-                profile = tuple(c for c in row[:order].tolist() if c)
-                at_leaves = [verdicts_of[profile, k] for k in np.flatnonzero(row[order:]).tolist()]
-                results = [(name, all(v[j][1] for v in at_leaves), min(v[j][2] for v in at_leaves))
-                           for j, (name, _) in enumerate(leaf_checks)]
-                verdicts[key] = profile, results, [
-                    name for name, ok, _ in chain(verdicts_of[profile], results) if not ok]
-                for name, _, _ in chain(verdicts_of[profile], results):
-                    if name not in check_stats:
-                        check_stats[name] = CheckStat(name)
-            if earlier < 2:
-                seen.extend((pos, verdicts[key][0]) for pos in
-                            by_key[group[u]:group[u] + min(2 - earlier, count)].tolist())
-            trees_of[key] = earlier + count
-            for name in verdicts[key][2]:
-                if wanted(name):
-                    failing.setdefault(name, []).append(u)
-        offending = [(name, np.isin(inverse, keys)) for name, keys in failing.items()]
-        for name, check in checks[TREE]:
-            ok, slack = check(levels)
-            check_stats[name].record_each(ok, slack)
-            if wanted(name):
-                offending.append((name, ~ok))
-        for name, mask in offending:
-            stat = check_stats[name]
-            for pos in np.flatnonzero(mask)[:MAX_OFFENDERS - len(stat.offenders)].tolist():
-                stat.offend(batch[pos])
-        for pos, profile in sorted(seen):
-            for name in stats:
-                extremal[name].record(getattr(solutions[profile].spectrum, name), batch[pos])
-    # profile verdicts once per profile, leaf verdicts once per key
-    trees_of_profile: dict[tuple, int] = {}
-    for key, (profile, results, _) in verdicts.items():
-        trees_of_profile[profile] = trees_of_profile.get(profile, 0) + trees_of[key]
-        for name, ok, slack in results:
-            check_stats[name].record(ok, slack, trees_of[key])
-    for profile, trees in trees_of_profile.items():
-        for name, ok, slack in verdicts_of[profile]:
-            check_stats[name].record(ok, slack, trees)
-    return check_stats, extremal, sum(trees_of.values())
+    The walk takes the sequences STACK_SIZE at a time as a (B, n) array.
+    numpy gives each tree's profile index and leaf-level mask and looks
+    every verdict and slack up per tree: a LEAF_LEVEL check's is the AND of
+    its table over the tree's leaf levels, and its slack their minimum.
+    Each TREE check runs on the whole batch. Each line then records the
+    batch at once and names its failing trees in walk order until it holds
+    MAX_OFFENDERS, and each extremal statistic folds in the batch's.
+    """
+    check_stats = {name: CheckStat(name)
+                   for name in chain(tables.lines, tables.leaf_lines, tables.tree_checks)}
+    extremal = {stat: ExtremalStat(stat) for stat in tables.values}
+    dtype = np.promote_types(np.int16, np.min_scalar_type(order))  # holds levels
+    flat = chain.from_iterable(islice(level_sequences(order), start, stop))
+    walked = 0
+    while (levels := np.fromiter(islice(flat, STACK_SIZE * order), dtype)).size:
+        levels = levels.reshape(-1, order)
+        ids = _profile_ids(levels)
+        for name, (ok, slack, covered) in tables.lines.items():
+            trees = covered[ids]
+            check_stats[name].record_each(ok[ids][trees], slack[ids][trees], levels[trees])
+        if tables.leaf_lines:
+            off_leaf = ~_leaf_level_mask(levels)
+        for name, (ok, slack) in tables.leaf_lines.items():
+            check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1),
+                                          np.where(off_leaf, np.inf, slack[ids]).min(axis=1),
+                                          levels)
+        for name in tables.tree_checks:
+            check_stats[name].record_each(*STRUCTURAL_CHECKS[name][2](levels), levels)
+        for stat, values in tables.values.items():
+            extremal[stat].merge(ExtremalStat.of_batch(stat, values[ids], levels))
+        walked += len(levels)
+    return check_stats, extremal, walked
 
 
 def verify_order(order: int, selection=None, jobs: int | None = None,
@@ -572,13 +572,14 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     ``selection`` lists names from :func:`available_checks` (``None``: all
     of them); an unknown name raises ``KeyError`` and an empty list
     ``ValueError``. An order above the enumeration cap raises
-    ``ResourceLimit`` before any work. The trees are walked as canonical
-    level sequences; no tree object is built. ``jobs`` sets the worker-pool
-    width (default: available parallelism); it must be at least 1 and is
-    clamped to the CPUs this process may run on. Below POOL_MIN_TREES trees
-    no pool is started. Each batch walks its own contiguous range of the
-    enumeration, the last one to its end, and the batches are merged in
-    order, so the ledger equals the sequential one.
+    ``ResourceLimit`` before any work. The verdict tables are built here,
+    once, before any pool starts; the trees are then walked as canonical
+    level sequences, and no tree object is built. ``jobs`` sets the
+    worker-pool width (default: available parallelism); it must be at least
+    1 and is clamped to the CPUs this process may run on. Below
+    POOL_MIN_TREES trees no pool is started. Each batch walks its own
+    contiguous range of the enumeration, the last one to its end, and the
+    batches are merged in order, so the ledger equals the sequential one.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
@@ -589,27 +590,23 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     expected = rooted_tree_count(order)
     cpus = available_cpus()
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, expected))
-    args = (bound_lines, structural, tol, EXTREMAL_STATS)
+    tables = _verdict_tables(order, bound_lines, structural, tol, EXTREMAL_STATS)
     if jobs == 1 or expected < POOL_MIN_TREES:
-        partials = [_evaluate_batch(order, 0, None, *args)]
+        partials = [_evaluate_batch(order, 0, None, tables)]
     else:
         cuts = [expected * i // jobs for i in range(jobs)] + [None]
-        batches = [(order, start, stop, *args) for start, stop in zip(cuts, cuts[1:])]
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_batch_entry, batches))
-    merged_checks: dict[str, CheckStat] = {}
-    merged_extremal = {stat: ExtremalStat(stat) for stat in EXTREMAL_STATS}
-    count = sum(trees for _, _, trees in partials)
-    for check_stats, extremal, _ in partials:
+            partials = list(pool.map(_evaluate_batch, [order] * jobs, cuts[:-1], cuts[1:],
+                                     [tables] * jobs))
+    (merged_checks, merged_extremal, count), *rest = partials
+    for check_stats, extremal, trees in rest:
         for name, stat in check_stats.items():
-            if name in merged_checks:
-                merged_checks[name].merge(stat)
-            else:
-                merged_checks[name] = stat
+            merged_checks[name].merge(stat)
         for name, ex in extremal.items():
             merged_extremal[name].merge(ex)
+        count += trees
     if count != expected:
         raise AssertionError(
             f"enumerator produced {count} trees at order {order}, "
@@ -621,10 +618,6 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         checks=[merged_checks[k] for k in sorted(merged_checks)],
         extremal=merged_extremal,
     )
-
-
-def _batch_entry(args):
-    return _evaluate_batch(*args)
 
 
 def available_cpus() -> int:
@@ -640,12 +633,12 @@ def extremal_sweep(order: int, stat: str = "rho",
                    tol: float = DEFAULT_CLUSTER_TOL) -> ExtremalStat:
     """Arg-extreme trees of one statistic (one of EXTREMAL_STATS) over every
     rooted tree of the order: the walk of :func:`verify_order` with no
-    check. The statistic depends on the level profile alone, so the walk
-    solves each profile once."""
+    check. The statistic depends on the level profile alone, so each
+    profile is solved once and the walk looks its value up."""
     if stat not in EXTREMAL_STATS:
         raise KeyError(f"unknown statistic {stat!r}; use 'rho' or 'energy'")
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
     check_enumeration_cap(order)
-    _, extremal, _ = _evaluate_batch(order, 0, None, {}, [], tol, (stat,))
+    _, extremal, _ = _evaluate_batch(order, 0, None, _verdict_tables(order, {}, [], tol, (stat,)))
     return extremal[stat]

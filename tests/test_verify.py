@@ -213,9 +213,12 @@ class TestAggregates:
 
     def test_check_stat_records_many_trees(self):
         stat = CheckStat("demo")
-        stat.record(True, 0.5, trees=3)
-        stat.record(False, -0.25, trees=4)
-        assert (stat.trees_checked, stat.violations, stat.worst_slack) == (7, 4, -0.25)
+        seqs = np.array([(0, 1, 1), (0, 1, 2), (0, 1, 1), (0, 1, 2)])
+        stat.record_each(np.array([True, False, True, False]),
+                         np.array([0.5, -0.25, np.nan, 0.0]), seqs)
+        stat.record_each(np.array([False]), math.nan, seqs[:1])
+        assert (stat.trees_checked, stat.violations, stat.worst_slack) == (5, 3, -0.25)
+        assert stat.offenders == [(0, 1, 2), (0, 1, 2), (0, 1, 1)]
 
     def test_check_stat_merge(self):
         a = CheckStat("demo")
@@ -312,6 +315,28 @@ class TestMergeEqualsOnePass:
         assert merged == one_pass
         assert len(merged.offenders) <= MAX_OFFENDERS
 
+    @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
+    def test_batch_forms_equal_one_pass(self, entries, cuts):
+        """record_each and ExtremalStat.of_batch, batch by batch, equal
+        record of one tree at a time."""
+        one_check, one_extremal = CheckStat("demo"), ExtremalStat("rho")
+        for i, (ok, value) in enumerate(entries):
+            one_check.record(ok, value)
+            if not ok:
+                one_check.offend((i,))
+            one_extremal.record(value, (i,))
+        check, extremal = CheckStat("demo"), ExtremalStat("rho")
+        for part in _split(list(enumerate(entries)), cuts):
+            if not part:
+                continue
+            seqs = np.array([(i,) for i, _ in part])
+            ok = np.array([ok for _, (ok, _) in part])
+            values = np.array([value for _, (_, value) in part])
+            check.record_each(ok, values, seqs)
+            extremal.merge(ExtremalStat.of_batch("rho", values, seqs))
+        assert check == one_check
+        assert extremal == one_extremal
+
     def test_offenders_keep_enumeration_order(self):
         first, second = CheckStat("demo"), CheckStat("demo")
         for i in range(MAX_OFFENDERS):
@@ -337,8 +362,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, func, items):
-        return [func(item) for item in items]
+    def map(self, func, *iterables):
+        return list(map(func, *iterables))
 
 
 class TestPoolWidth:
@@ -448,9 +473,18 @@ def test_sequence_facts_match_tree(order):
         assert level_profile(seq) == level_profile(lev)
         assert leaf_levels(seq) == {int(lev[leaf]) for leaf in tree.leaves()}
         assert trees_mod.level_sequence_parents(seq) == list(tree.parent)
-    counts = verify_mod._level_counts(np.array(seqs))
-    assert [tuple(c for c in row if c) for row in counts.tolist()] == \
+    profiles = list(trees_mod.level_profiles(order))
+    assert [profiles[i] for i in verify_mod._profile_ids(np.array(seqs)).tolist()] == \
         [level_profile(seq) for seq in seqs]
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_profile_ids_index_level_profiles(order):
+    """A tree's profile index is its profile's position in level_profiles."""
+    index = {profile: i for i, profile in enumerate(trees_mod.level_profiles(order))}
+    seqs = list(trees_mod.level_sequences(order))
+    assert verify_mod._profile_ids(np.array(seqs)).tolist() == \
+        [index[level_profile(seq)] for seq in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +711,10 @@ def test_ledger_does_not_depend_on_the_walk_batches(monkeypatch, walk_size):
 @pytest.mark.parametrize("order, start", [(5, 5), (7, 38)])
 def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, walk_size):
     """From ``start`` to the end of the walk, the largest rho belongs to a
-    profile with two or more trees, so the runner-up is that key's second
-    tree (a gap of 0), which only a walk that records two trees of each key
-    finds. One tree per batch puts the second tree in a later batch."""
+    profile with two or more trees, so the runner-up is that profile's
+    second tree (a gap of 0), which a walk that records one tree per
+    profile misses. One tree per batch puts the second tree in a later
+    batch."""
     sequences = list(trees_mod.level_sequences(order))[start:]
     profiles = [level_profile(seq) for seq in sequences]
     solutions = spectra_mod.solve_profiles(profiles)
@@ -689,10 +724,52 @@ def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, w
     assert profiles.count(level_profile(oracle.max_seq)) >= 2
     assert oracle.max_gap == 0.0
     monkeypatch.setattr(verify_mod, "STACK_SIZE", walk_size)
-    _, extremal, trees = verify_mod._evaluate_batch(
-        order, start, None, {}, [], spectra_mod.DEFAULT_CLUSTER_TOL, ("rho",))
+    tables = verify_mod._verdict_tables(order, {}, [], spectra_mod.DEFAULT_CLUSTER_TOL, ("rho",))
+    _, extremal, trees = verify_mod._evaluate_batch(order, start, None, tables)
     assert trees == len(sequences)
     assert extremal["rho"] == oracle
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
+    """verify solves and checks the order's profile space once, in the
+    calling process, however many workers walk the trees: one solve of the
+    2**6 + 2**5 profiles of orders 8 and 7, each bound and PROFILE check on
+    every profile once, and each LEAF_LEVEL check on every realisable
+    (profile, leaf level) pair once."""
+    solved, members = [], {}
+    solve = verify_mod.solve_profiles
+
+    def counting_solve(profiles, tol):
+        profiles = list(profiles)
+        solved.append(len(profiles))
+        return solve(profiles, tol)
+
+    def counting(name, check):
+        def evaluate(data, *rest):
+            members[name] = members.get(name, 0) + len(data.counts)
+            return check(data, *rest)
+        return evaluate
+
+    monkeypatch.setattr(verify_mod, "solve_profiles", counting_solve)
+    monkeypatch.setattr(verify_mod, "_bound_verdicts",
+                        counting("bounds", verify_mod._bound_verdicts))
+    monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", {
+        name: (min_order, kind, check if kind == _TREE_KIND else counting(name, check))
+        for name, (min_order, kind, check) in _REAL_CHECKS.items()})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+    monkeypatch.setattr(verify_mod, "available_cpus", lambda: 2)
+    _RecordingPool.widths = []
+    ledger = verify_order(8, jobs=jobs)
+    assert _RecordingPool.widths == ([] if jobs == 1 else [2])
+    assert ledger.violations == 0
+    assert solved == [2 ** 6 + 2 ** 5]
+    pairs = sum(len(verify_mod._realisable_leaf_levels(profile))
+                for profile in trees_mod.level_profiles(8))
+    assert members == {"bounds": 2 ** 6} | {
+        name: 2 ** 6 if kind == _PROFILE_KIND else pairs
+        for name, (_, kind, _) in _REAL_CHECKS.items() if kind != _TREE_KIND}
 
 
 @pytest.mark.parametrize("order", range(1, 13))
