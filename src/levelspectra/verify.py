@@ -382,13 +382,20 @@ def _interlacing(data: SpectralData, sub: SpectralData, tol: float):
 
 
 def _leaf_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: float):
-    clusters = np.array([c for spectrum in data.spectra for c in spectrum.clusters])
-    # each eigenvalue's cluster mean and multiplicity, as (k, n) tables
-    mults = clusters[:, 1].astype(np.int64)
-    means = np.repeat(clusters[:, 0], mults).reshape(len(data.spectra), -1)
-    mults = np.repeat(mults, mults).reshape(len(data.spectra), -1)
-    threshold = (tol * np.maximum(1.0, data.rho))[:, None, None]
-    near = (np.abs(sub.values[:, None, :] - means[:, :, None]) <= threshold).sum(axis=2)
+    """Each cluster of m eigenvalues holds m - 1 to m + 1 leaf-deleted values
+    within its own span [last - eps, first + eps], eps the interlacing
+    slack. Cauchy interlacing gives this for any run of consecutive values,
+    so it does not depend on how the tolerance groups them."""
+    k, n = data.values.shape
+    sizes = np.array([m for spectrum in data.spectra for _, m in spectrum.clusters])
+    starts = np.cumsum(sizes) - sizes  # in the members' values laid end to end
+    values = data.values.ravel()
+    # each eigenvalue's cluster: first and last value and multiplicity, as (k, n) tables
+    first, last, mults = np.repeat([values[starts], values[starts + sizes - 1], sizes],
+                                   sizes, axis=1).reshape(3, k, n)
+    eps = (INTERLACING_TOL * np.maximum(1.0, data.rho))[:, None, None]
+    inner = sub.values[:, None, :]
+    near = ((inner >= last[:, :, None] - eps) & (inner <= first[:, :, None] + eps)).sum(axis=2)
     return (np.abs(mults - near) <= 1).all(axis=1), math.nan
 
 

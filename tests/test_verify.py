@@ -546,9 +546,14 @@ def _oracle_structural(tree, spectrum, nullity, tol):
                         float((sub.spectrum.values - spectrum.values[1:]).min()))
                     for sub in sub_data)
         out.append(("interlacing", worst >= -eps, worst))
-        threshold = tol * max(1.0, spectrum.rho)
-        ok = all(abs(mult - int((np.abs(sub.spectrum.values - value) <= threshold).sum())) <= 1
-                 for sub in sub_data for value, mult in spectrum.clusters)
+        spans, first = [], 0  # each cluster's [last - eps, first + eps]
+        for _, mult in spectrum.clusters:
+            spans.append((spectrum.values[first + mult - 1] - eps,
+                          spectrum.values[first] + eps, mult))
+            first += mult
+        ok = all(abs(mult - int(((sub.spectrum.values >= lo)
+                                 & (sub.spectrum.values <= hi)).sum())) <= 1
+                 for sub in sub_data for lo, hi, mult in spans)
         out.append(("leaf-deletion-multiplicity", ok, math.nan))
     if n >= 3:
         out.append(("zero-deletion-multiplicity",
@@ -822,6 +827,18 @@ def test_realisable_leaf_levels_are_those_walked(order):
               for k in leaf_levels(seq)}
     assert walked == {(profile, k) for profile in trees_mod.level_profiles(order)
                       for k in verify_mod._realisable_leaf_levels(profile)}
+
+
+@pytest.mark.parametrize("order", [7, 10])
+def test_leaf_multiplicity_holds_at_a_coarse_tol(order):
+    """At tolerance 0.05 the clusters are wide. A window of the whole
+    threshold around each cluster's mean also counted leaf-deleted values of
+    neighbouring clusters (1 and 151 false violations at orders 7 and 10);
+    counted within each cluster's own span, the claim holds for every
+    tree."""
+    ledger = verify_order(order, selection=["leaf-deletion-multiplicity"], jobs=1, tol=0.05)
+    [line] = ledger.checks
+    assert (line.trees_checked, line.violations) == (rooted_tree_count(order), 0)
 
 
 def test_ambiguous_zero_cluster_is_a_violation():
