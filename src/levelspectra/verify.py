@@ -52,21 +52,23 @@ MAX_OFFENDERS = 10
 #: order on a 2-vCPU host (medians):
 #:
 #:   order    trees   --jobs 1  --jobs 2  --jobs 2 faster
-#:       8      115    0.251 s   0.327 s   1 of 12
-#:       9      286    0.256 s   0.329 s   0 of 12
-#:      10      719    0.279 s   0.323 s   2 of 12
-#:      11    1,842    0.315 s   0.373 s   0 of 12
-#:      12    4,766    0.426 s   0.467 s   3 of 12
-#:      13   12,486    0.720 s   0.714 s   7 of 12
-#:      14   32,973    1.183 s   1.157 s   8 of 12
-#:      15   87,811    2.519 s   2.261 s  12 of 12
-#:      16  235,381    5.683 s   4.833 s  12 of 12
+#:       8      115    0.193 s   0.255 s   1 of 12
+#:       9      286    0.213 s   0.268 s   0 of 12
+#:      10      719    0.226 s   0.284 s   1 of 12
+#:      11    1,842    0.285 s   0.327 s   1 of 12
+#:      12    4,766    0.342 s   0.415 s   2 of 12
+#:      13   12,486    0.466 s   0.574 s   0 of 12
+#:      14   32,973    0.919 s   1.086 s   0 of 12
+#:      15   87,811    1.694 s   1.709 s   6 of 12
+#:      16  235,381    3.729 s   3.387 s  11 of 12
 #:
-#: Order 15 is the first at which two workers win at least 10 of 12 runs (a
-#: second series gave 4 and 9 of 12 at orders 13 and 14). Each worker solves
-#: and checks the order's whole profile space before it walks its range, so
-#: below that the pool only adds that work a second time.
-POOL_MIN_TREES = 87811
+#: Order 16 is the first at which two workers win at least 10 of 12 runs in
+#: two series (a second gave 1, 10 and 10 of 12 at orders 14, 15 and 16).
+#: The calling process builds the verdict tables before any pool starts
+#: (about 2.3 of the 4 s of ``verify_order(16, jobs=1)``), so a pool only
+#: splits the walk, and below that it costs more to start and to hand each
+#: worker the tables than it saves.
+POOL_MIN_TREES = 235381
 
 #: The statistics whose arg-extreme trees a ledger names.
 EXTREMAL_STATS = ("rho", "energy")
