@@ -3,13 +3,10 @@
 Runs every bound, identity, and structural claim over all rooted trees of a
 given order and produces a pass/fail ledger with extremal statistics.
 Every verdict but ``distance-domination`` depends only on a tree's level
-profile or on a (profile, leaf level) pair. So the run has two steps: the
-calling process checks the order's profile space once, on stacks, into
-verdict tables indexed by profile; the walk over the trees (in the pool's
-workers, when there is a pool) reads each tree's profile index off its
-level sequence, looks its verdicts up in numpy and runs the one TREE check.
-Violations are collected rather than fail-fast, so a bad run reports every
-offending tree.
+profile or on a (profile, leaf level) pair, so the calling process computes
+it once, on stacks of those, into tables indexed by profile, and the walk
+over the trees looks it up tree by tree. Violations are collected rather
+than fail-fast, so a bad run reports every offending tree.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ MAX_OFFENDERS = 10
 #: Order 16 is the first at which two workers win at least 10 of 12 runs in
 #: two series (a second gave 1, 10 and 10 of 12 at orders 14, 15 and 16).
 #: The calling process builds the verdict tables before any pool starts
-#: (about 2.3 of the 4 s of ``verify_order(16, jobs=1)``), so a pool only
+#: (about 2 of the 4 s of ``verify_order(16, jobs=1)``), so a pool only
 #: splits the walk, and below that it costs more to start and to hand each
 #: worker the tables than it saves.
 POOL_MIN_TREES = 235381
@@ -133,7 +130,7 @@ class CheckStat:
         if not ok:
             self.violations += 1
 
-    def record_each(self, ok: np.ndarray, slack: np.ndarray, seqs: np.ndarray) -> None:
+    def record_each(self, ok: np.ndarray, slack, seqs: np.ndarray) -> None:
         """Count the trees of ``seqs``, a (B, n) array of level sequences in
         walk order, each with its verdict in ``ok`` and its slack in
         ``slack`` (an array like ``ok``, or a nan for a check without one),
@@ -524,10 +521,10 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
         data = SpectralData.from_solutions([profiles[i] for i, _ in stack], solutions)
         sub = SpectralData.from_solutions([_leaf_profile(profiles[i], k) for i, k in stack],
                                           solutions)
-        rows, levels = np.array(stack).T
+        rows, ks = np.array(stack).T
         for name, check in leaf_checks:
             table_ok, table_slack = leaf_lines[name]
-            table_ok[rows, levels], table_slack[rows, levels] = check(data, sub, tol)
+            table_ok[rows, ks], table_slack[rows, ks] = check(data, sub, tol)
     return VerdictTables(
         lines, leaf_lines, [name for name, _ in checks[TREE]],
         {stat: np.array([getattr(solutions[p].spectrum, stat) for p in profiles])
@@ -560,8 +557,7 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
         for name, (ok, slack, covered) in tables.lines.items():
             trees = covered[ids]
             check_stats[name].record_each(ok[ids][trees], slack[ids][trees], levels[trees])
-        if tables.leaf_lines:
-            off_leaf = ~_leaf_level_mask(levels)
+        off_leaf = ~_leaf_level_mask(levels)
         for name, (ok, slack) in tables.leaf_lines.items():
             check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1),
                                           np.where(off_leaf, np.inf, slack[ids]).min(axis=1),
