@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _SUBMODULE_OF = {
     **dict.fromkeys([
         "BoundReport",
-        "SpectralData",
         "evaluate_checks",
         "leafstar_cubic_roots",
         "path_rho_closed_form",
@@ -28,13 +27,13 @@ _SUBMODULE_OF = {
     ], "levelmatrix"),
     **dict.fromkeys([
         "CharPoly",
+        "SpectralData",
         "Spectrum",
         "characteristic_polynomial",
         "charpoly_roots",
         "clustered_multiplicity",
         "exact_zero_multiplicity",
         "level_profile",
-        "level_spectrum",
         "perron_vector",
         "quotient_matrix",
         "solve_profiles",

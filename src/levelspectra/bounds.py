@@ -1,27 +1,21 @@
 """Machine-checkable bound reports for level spectra, on stacks of profiles.
 
 Every inequality, identity and closed form has one evaluator: it takes a
-:class:`SpectralData` stack and returns :class:`Comparison` records, every
-member's verdict and slack from one stacked comparator.
-:func:`evaluate_checks` turns those of a stack of one into reports.
+:class:`~levelspectra.spectra.SpectralData` stack, as the profile engine
+returns it, and returns :class:`Comparison` records, every member's verdict
+and slack from one stacked comparator. :func:`evaluate_checks` turns those
+of a stack of one into reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidOrder, NoBracket, TooSmall
-from .spectra import (
-    DEFAULT_CLUSTER_TOL,
-    Spectrum,
-    level_profile,
-    solve_profiles,
-)
-from .trees import RootedTree, levels
+from .spectra import SpectralData
 
 #: Uniform comparison tolerance scale: a relation is satisfied within
 #: ``COMPARISON_TOL * max(1, |lhs|, |rhs|)``.
@@ -103,126 +97,6 @@ def _compare(name: str, lhs, rhs, relation: str, tol_scale: float = COMPARISON_T
                 "==": lambda: np.abs(lhs - rhs) <= tol}[relation]()
     test = test if ok is None else np.asarray(ok, dtype=bool)
     return Comparison(name, lhs, rhs, relation, slack, test, equality_expected)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """A stack: level profiles (n_0, ..., n_h) of one order n and one
-    height h with their spectra (from ``spectra.solve_profiles``), exact
-    nullities and exact aggregates, one row per member. The aggregates need
-    no n x n matrix: a vertex on level a has row sum L_a = sum_b n_b |a - b|
-    and second-order row sum q_a = sum_b n_b |a - b| L_b. Every member has
-    exactly n values, so ``values`` stacks them unpadded.
-    """
-
-    counts: np.ndarray  # (k, h+1): one level profile per row
-    spectra: tuple[Spectrum, ...]
-    nullity: np.ndarray  # (k,): exact multiplicity of the eigenvalue 0
-
-    @classmethod
-    def from_solutions(cls, profiles, solutions) -> "SpectralData":
-        """The stack of a list of profiles (one order, one height) from the
-        engine's solutions, a mapping that holds each of them."""
-        return cls(np.array(profiles, dtype=np.int64),
-                   tuple(solutions[p].spectrum for p in profiles),
-                   np.array([solutions[p].nullity for p in profiles], dtype=np.int64))
-
-    @classmethod
-    def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
-        """The stack of one profile."""
-        key = tuple(int(c) for c in profile)
-        return cls.from_solutions([key], solve_profiles([key], tol))
-
-    @classmethod
-    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
-        return cls.from_profile(level_profile(levels(tree)), tol=tol)
-
-    @cached_property
-    def n(self) -> int:
-        return int(self.counts[0].sum())
-
-    @property
-    def l_max(self) -> int:
-        """The largest entry |a - b| of the matrix: the height h."""
-        return self.counts.shape[1] - 1
-
-    @property
-    def is_path(self) -> bool:
-        """The rooted path is the one tree with a vertex on every level."""
-        return self.l_max + 1 == self.n
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """(k, n): each member's eigenvalues, descending."""
-        return np.stack([s.values for s in self.spectra])
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return np.array([s.rho for s in self.spectra])
-
-    @cached_property
-    def energy(self) -> np.ndarray:
-        return np.array([s.energy for s in self.spectra])
-
-    def _exact(self, array: np.ndarray, bound: int) -> np.ndarray:
-        """``array`` in int64 when ``bound``, a bound on every value computed
-        from it, is below 2**63, else in Python integers, so that no
-        aggregate wraps. Each aggregate passes its own bound, with N = n h:
-        N**2 for L_a, q_a, LI and H, n N**2 for sum_a n_a L_a**2 and
-        sum_a n_a q_a, and n N**4 for sum_a n_a q_a**2. Every stack of
-        n <= 128 computes in int64; the 200-vertex path takes Python
-        integers only for its O(h) sum of q_a**2."""
-        return array.astype(np.int64 if bound < 2 ** 63 else object)
-
-    @cached_property
-    def _nh_squared(self) -> int:
-        """(n h)**2, the bound of L_a, q_a, LI and H."""
-        return (self.n * self.l_max) ** 2
-
-    def _weighted(self, per_level: np.ndarray, bound: int, power: int = 1) -> np.ndarray:
-        """sum_a n_a * per_level[a]**power for every member, exact up to
-        ``bound``."""
-        return (self._exact(self.counts, bound) * self._exact(per_level, bound)**power).sum(axis=1)
-
-    def _level_sums(self, per_level=1, power: int = 1) -> np.ndarray:
-        """(k, h+1): sum_b n_b |a - b|**power per_level[b] at every level a,
-        exact up to (n h)**2."""
-        idx = np.arange(self.l_max + 1)
-        distances = np.abs(idx[:, None] - idx[None, :]) ** power
-        return (self._exact(self.counts * per_level, self._nh_squared)
-                @ self._exact(distances, self._nh_squared))
-
-    @cached_property
-    def level_row_sums(self) -> np.ndarray:
-        """(k, h+1): L_a = sum_b n_b |a - b|, the row sum of every vertex on
-        level a."""
-        return self._level_sums()
-
-    @cached_property
-    def level_second_order_sums(self) -> np.ndarray:
-        """(k, h+1): q_a = sum_b n_b |a - b| L_b, the row sum of the squared
-        matrix at every vertex on level a."""
-        return self._level_sums(self.level_row_sums)
-
-    @cached_property
-    def level_index(self) -> np.ndarray:
-        """LI = half the sum of all entries = (1/2) sum_a n_a L_a."""
-        return self._weighted(self.level_row_sums, self._nh_squared) // 2
-
-    @cached_property
-    def h_value(self) -> np.ndarray:
-        """H = trace of the squared matrix = sum_{a,b} n_a n_b (a - b)^2."""
-        return self._weighted(self._level_sums(power=2), self._nh_squared)
-
-    @cached_property
-    def row_square_sum(self) -> np.ndarray:
-        """sum_i L_i^2 = sum_a n_a L_a^2."""
-        return self._weighted(self.level_row_sums, self.n * self._nh_squared, 2)
-
-    @cached_property
-    def q_square_sum(self) -> np.ndarray:
-        """sum_i q_i^2 = sum_a n_a q_a^2."""
-        return self._weighted(self.level_second_order_sums, self.n * self._nh_squared**2, 2)
 
 
 def _ratio(numerators: np.ndarray, factor: int, n: int) -> np.ndarray:

@@ -174,7 +174,8 @@ def row_sum_differences(sorted_levels) -> np.ndarray:
 
 def matrix_text(matrix: LevelMatrix) -> str:
     """Text export: n on the first line, then one whitespace-separated row
-    per line."""
+    per line. A library entry point (the first demo prints with it); no
+    command or check uses it."""
     lines = [str(matrix.n)]
     for row in matrix.entries:
         lines.append(" ".join(str(int(x)) for x in row))

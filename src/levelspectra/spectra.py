@@ -6,26 +6,28 @@ The level matrix depends only on the level profile (n_0, ..., n_h), the
 number of vertices at each level. Its nonzero spectrum is the spectrum of
 the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine,
-:func:`solve_profiles`, takes many profiles at once: it stacks the quotients
-of each height and solves every stack with one LAPACK ``eigvalsh`` call and
-one lock-step rank certificate. It is the only way a profile is solved,
-it keeps no state between calls, and it refuses a profile of more than
-MAX_LEVELS levels. :func:`level_spectrum` takes its values from it and
-also solves the quotient for eigenvectors (LAPACK ``eigh``), to lift the
-Perron vector to the vertices. The exact nullity is n - rank(B) with the
-integer matrix B_ab = |a - b| n_b, which has the rank of S. Its rank is
-certified by elimination modulo a prime below 2**26, exact in binary64,
-which can only under-count the rank; when that count is short of full
-rank, the exact rank comes from Bareiss elimination of B. A
-:class:`Spectrum` groups its values into clusters by :func:`_cluster`, the
-one clustering rule, on first read.
+:func:`solve_profiles`, groups many profiles into stacks of one order and
+one height, solves each with one LAPACK ``eigvalsh`` call and one lock-step
+rank certificate, and returns the stacks themselves: each a
+:class:`SpectralData` of (k, n) values and (k,) rho, energy and nullity
+arrays, which every check reads. It is the only way a profile is solved,
+it keeps no state, and it refuses a profile of more than MAX_LEVELS
+levels. The exact nullity is n - rank(B) with the integer matrix
+B_ab = |a - b| n_b, which has the rank of S. Its rank is certified by
+elimination modulo a prime below 2**26, exact in binary64, which can only
+under-count the rank; when that count is short of full rank, the exact
+rank comes from Bareiss elimination of B. :func:`_cluster`, the one
+clustering rule, groups a whole stack's values at once. A
+:class:`Spectrum` is the one-spectrum view that ``analyze`` and
+``special`` print and that the dense oracle returns.
 
 Oracle paths, kept to test the engine against:
-:func:`symmetric_eigenvalues` and :func:`perron_vector` run the in-repo
-QL or Jacobi solver (:mod:`levelspectra.eigen`), on the full n x n matrix or
-on a quotient; :func:`exact_zero_multiplicity` is the n x n Bareiss
-elimination (also the engine's fallback); :func:`_rank_mod_p` is the
-one-matrix rank modulo the prime.
+:func:`symmetric_eigenvalues` runs the in-repo QL or Jacobi solver
+(:mod:`levelspectra.eigen`), on the full n x n matrix or on a quotient
+(:func:`quotient_matrix`); :func:`exact_zero_multiplicity` is the n x n
+Bareiss elimination (also the engine's fallback); :func:`_rank_mod_p` is
+the one-matrix rank modulo the prime; :func:`charpoly_roots` takes the
+spectrum from the exact characteristic polynomial.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
@@ -35,18 +37,18 @@ where every product of two is an exact integer).
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .eigen import symmetric_eigh
 from .errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
 from .levelmatrix import LevelMatrix
+from .trees import RootedTree, levels
 
 #: Eigenvalues closer than ``DEFAULT_CLUSTER_TOL * max(1, rho)`` are treated
 #: as one cluster. Integer matrices at desk scale separate far better than
@@ -71,12 +73,13 @@ def _as_array(matrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues sorted descending, with Perron data and the cluster
-    tolerance ``tol`` they were solved at.
+    """One spectrum, from the dense oracle or of one member of a stack
+    (:meth:`SpectralData.spectrum`): eigenvalues sorted descending, with
+    Perron data and the cluster tolerance ``tol`` they were solved at.
 
     ``perron`` is the sign-normalised eigenvector of the top eigenvalue
     (``None`` for 1x1 input, where no Perron vector exists, and for a
-    spectrum from :func:`solve_profiles`, which fixes no vertex order).
+    member of a stack, which fixes no vertex order).
     """
 
     values: np.ndarray
@@ -89,10 +92,17 @@ class Spectrum:
     def n(self) -> int:
         return len(self.values)
 
-    @functools.cached_property
+    @cached_property
     def clusters(self) -> tuple[tuple[float, int], ...]:
-        """(mean, multiplicity) per cluster at ``tol * max(1, rho)``."""
-        return _cluster(self.values, self.tol * max(1.0, self.rho))
+        """(mean, multiplicity) per cluster at ``tol * max(1, rho)``, by
+        :func:`_cluster`. Each mean is the ``np.add.reduceat`` sum over the
+        size: the last bits of a mean depend on the order of summation, and
+        ``block.mean()`` sums in another order."""
+        threshold = np.array([self.tol * max(1.0, self.rho)])
+        starts = np.flatnonzero(_cluster(self.values[None], threshold)[0])
+        sizes = np.diff(starts, append=self.n).tolist()
+        sums = np.add.reduceat(self.values, starts).tolist()
+        return tuple((total / size, size) for total, size in zip(sums, sizes))
 
     def to_dict(self) -> dict:
         return {
@@ -103,23 +113,19 @@ class Spectrum:
         }
 
 
-def _cluster(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], ...]:
-    """Group the (descending) values: a value joins the current cluster iff
-    it lies within the threshold of the cluster's first (largest) value, so
-    no cluster spans more than the threshold. Each mean is the cluster's
-    ``np.add.reduceat`` sum over its size: the last bits of a mean depend on
-    the order of summation, and ``block.mean()`` sums in another order."""
-    listed = values.tolist()
-    starts, top = [], math.inf
-    for i, value in enumerate(listed):
-        if top - value > threshold:
-            starts.append(i)
-            top = value
-    if not starts:
-        return ()
-    sizes = [stop - start for start, stop in zip(starts, starts[1:] + [len(listed)])]
-    sums = np.add.reduceat(values, starts).tolist()
-    return tuple((total / size, size) for total, size in zip(sums, sizes))
+def _cluster(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """The one clustering rule, on a (k, n) stack of descending rows with
+    one threshold per row: (k, n), true where a value starts a cluster. A
+    value joins the current cluster iff it lies within the threshold of the
+    cluster's first (largest) value, so no cluster spans more than the
+    threshold. The rule runs column by column, over every row at once."""
+    starts = np.zeros(values.shape, dtype=bool)
+    top = np.full(len(values), math.inf)
+    for j in range(values.shape[1]):
+        column = values[:, j]
+        starts[:, j] = new = top - column > threshold
+        top = np.where(new, column, top)
+    return starts
 
 
 def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
@@ -161,7 +167,8 @@ def perron_vector(matrix, tol: float = DEFAULT_CLUSTER_TOL,
 
     Valid for irreducible non-negative matrices of order >= 2, where the top
     eigenvalue is simple and its eigenvector can be taken entrywise positive.
-    Oracle path for :func:`level_spectrum`'s Perron vector.
+    A library entry point (the spectra demo calls it), on the dense oracle
+    solve; no command or check uses it.
     """
     a = _as_array(matrix)
     if a.shape[0] < 2:
@@ -234,6 +241,7 @@ def charpoly_roots(charpoly: CharPoly) -> np.ndarray:
     Uses the companion-matrix eigenproblem (numpy.roots) as a pipeline fully
     independent of the dense symmetric solver. All roots of a symmetric
     matrix's polynomial are real; a noticeable imaginary part flags a bug.
+    Oracle path: the acceptance tests replay spectra through it.
     """
     roots = np.roots([float(c) for c in charpoly.coeffs])
     scale = max(1.0, float(np.abs(roots).max())) if len(roots) else 1.0
@@ -326,7 +334,9 @@ def quotient_matrix(profile) -> np.ndarray:
     """The symmetric quotient S_ab = sqrt(n_a n_b)|a - b| of a level profile.
 
     Each entry takes one rounding (the square root of the exact product),
-    and is exact where n_a n_b is a square.
+    and is exact where n_a n_b is a square. Oracle path: the tests solve it
+    with the in-repo solvers to check the engine, which builds its stacks
+    of quotients itself.
     """
     return _quotient_stack(np.array([_profile_key(profile)], dtype=np.int64))[0]
 
@@ -340,10 +350,11 @@ def quotient_matrix(profile) -> np.ndarray:
 #: 2008).
 RANK_PRIME = 67_108_859
 
-#: Profiles of one height solved together: one LAPACK call and one
-#: elimination per stack of at most this many, which bounds a batch's
-#: working arrays to a few (STACK_SIZE, h+1, h+1) blocks. ``verify``
-#: checks stacks of the same size and walks the trees in batches of it.
+#: Profiles of one order and one height solved together: one LAPACK call
+#: and one elimination per stack of at most this many, which bounds a
+#: batch's working arrays to a few (STACK_SIZE, h+1, h+1) blocks. ``verify``
+#: checks the stacks as the engine returns them, with the (profile, leaf
+#: level) pairs of each, and walks the trees in batches of the same size.
 STACK_SIZE = 1024
 
 #: Most levels (h + 1) of a profile the engine solves. Its rank certificate
@@ -353,29 +364,116 @@ STACK_SIZE = 1024
 MAX_LEVELS = 1024
 
 
-def height_stacks(items, height=len) -> Iterator[list]:
-    """``items`` grouped by ``height(item)``, in stacks of at most
-    STACK_SIZE, which bounds the working arrays of each stack."""
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(height(item), []).append(item)
-    for group in groups.values():
-        for start in range(0, len(group), STACK_SIZE):
-            yield group[start:start + STACK_SIZE]
+@dataclass(frozen=True, eq=False)
+class SpectralData:
+    """A stack, as the profile engine returns it: level profiles
+    (n_0, ..., n_h) of one order n and one height h, one row per member,
+    with their spectra, exact nullities and the cluster tolerance ``tol``
+    they were solved at. Its exact aggregates need no n x n matrix: a vertex
+    on level a has row sum L_a = sum_b n_b |a - b| and second-order row sum
+    q_a = sum_b n_b |a - b| L_b.
+    """
 
+    counts: np.ndarray  # (k, h+1): one level profile per row
+    values: np.ndarray  # (k, n): each member's eigenvalues, descending
+    rho: np.ndarray  # (k,)
+    energy: np.ndarray  # (k,)
+    nullity: np.ndarray  # (k,): exact multiplicity of the eigenvalue 0
+    tol: float
 
-class ProfileSolution(NamedTuple):
-    """What the profile engine knows of one level profile: the spectrum of
-    its level matrices (``perron`` is ``None``) and the exact multiplicity
-    of their eigenvalue 0."""
+    @classmethod
+    def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
+        """The stack of one profile."""
+        [(_, data)] = solve_profiles([profile], tol)
+        return data
 
-    spectrum: Spectrum
-    nullity: int
+    @classmethod
+    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
+        return cls.from_profile(level_profile(levels(tree)), tol=tol)
 
+    def take(self, rows) -> "SpectralData":
+        """The stack of the members at ``rows``, in that order."""
+        return SpectralData(self.counts[rows], self.values[rows], self.rho[rows],
+                            self.energy[rows], self.nullity[rows], self.tol)
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+    def spectrum(self, row: int = 0) -> Spectrum:
+        """One member's spectrum."""
+        return Spectrum(self.values[row], self.tol, float(self.rho[row]),
+                        float(self.energy[row]), None)
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.counts[0].sum())
+
+    @property
+    def l_max(self) -> int:
+        """The largest entry |a - b| of the matrix: the height h."""
+        return self.counts.shape[1] - 1
+
+    @property
+    def is_path(self) -> bool:
+        """The rooted path is the one tree with a vertex on every level."""
+        return self.l_max + 1 == self.n
+
+    def _exact(self, array: np.ndarray, bound: int) -> np.ndarray:
+        """``array`` in int64 when ``bound``, a bound on every value computed
+        from it, is below 2**63, else in Python integers, so that no
+        aggregate wraps. Each aggregate passes its own bound, with N = n h:
+        N**2 for L_a, q_a, LI and H, n N**2 for sum_a n_a L_a**2 and
+        sum_a n_a q_a, and n N**4 for sum_a n_a q_a**2. Every stack of
+        n <= 128 computes in int64; the 200-vertex path takes Python
+        integers only for its O(h) sum of q_a**2."""
+        return array.astype(np.int64 if bound < 2 ** 63 else object)
+
+    @cached_property
+    def _nh_squared(self) -> int:
+        """(n h)**2, the bound of L_a, q_a, LI and H."""
+        return (self.n * self.l_max) ** 2
+
+    def _weighted(self, per_level: np.ndarray, bound: int, power: int = 1) -> np.ndarray:
+        """sum_a n_a * per_level[a]**power for every member, exact up to
+        ``bound``."""
+        return (self._exact(self.counts, bound) * self._exact(per_level, bound)**power).sum(axis=1)
+
+    def _level_sums(self, per_level=1, power: int = 1) -> np.ndarray:
+        """(k, h+1): sum_b n_b |a - b|**power per_level[b] at every level a,
+        exact up to (n h)**2."""
+        idx = np.arange(self.l_max + 1)
+        distances = np.abs(idx[:, None] - idx[None, :]) ** power
+        return (self._exact(self.counts * per_level, self._nh_squared)
+                @ self._exact(distances, self._nh_squared))
+
+    @cached_property
+    def level_row_sums(self) -> np.ndarray:
+        """(k, h+1): L_a = sum_b n_b |a - b|, the row sum of every vertex on
+        level a."""
+        return self._level_sums()
+
+    @cached_property
+    def level_second_order_sums(self) -> np.ndarray:
+        """(k, h+1): q_a = sum_b n_b |a - b| L_b, the row sum of the squared
+        matrix at every vertex on level a."""
+        return self._level_sums(self.level_row_sums)
+
+    @cached_property
+    def level_index(self) -> np.ndarray:
+        """LI = half the sum of all entries = (1/2) sum_a n_a L_a."""
+        return self._weighted(self.level_row_sums, self._nh_squared) // 2
+
+    @cached_property
+    def h_value(self) -> np.ndarray:
+        """H = trace of the squared matrix = sum_{a,b} n_a n_b (a - b)^2."""
+        return self._weighted(self._level_sums(power=2), self._nh_squared)
+
+    @cached_property
+    def row_square_sum(self) -> np.ndarray:
+        """sum_i L_i^2 = sum_a n_a L_a^2."""
+        return self._weighted(self.level_row_sums, self.n * self._nh_squared, 2)
+
+    @cached_property
+    def q_square_sum(self) -> np.ndarray:
+        """sum_i q_i^2 = sum_a n_a q_a^2."""
+        return self._weighted(self.level_second_order_sums, self.n * self._nh_squared**2, 2)
 
 
 def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
@@ -414,102 +512,62 @@ def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
     return full
 
 
-def _profile_b(profile: tuple[int, ...]) -> list[list[int]]:
-    """B_ab = |a - b| n_b in Python integers."""
-    h1 = len(profile)
-    return [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
-
-
-def _solve_stack(profiles: list[tuple[int, ...]], tol: float) -> list[ProfileSolution]:
-    """Solve profiles of one height: one stacked ``eigvalsh`` and one stacked
-    rank certificate. Each spectrum clusters its values when they are read."""
-    counts = np.array(profiles, dtype=np.int64)
+def _solve_stack(counts: np.ndarray, tol: float) -> SpectralData:
+    """Solve a (k, h+1) array of level counts of one order: one stacked
+    ``eigvalsh`` and one stacked rank certificate."""
     k, s = counts.shape
-    n = counts.sum(axis=1)
+    n = int(counts[0].sum())
     quotient_values = np.linalg.eigvalsh(_quotient_stack(counts))  # ascending
     rho = np.abs(quotient_values).max(axis=1)
     energy = np.abs(quotient_values).sum(axis=1)
 
-    # Each member's n values, descending, in a row of a (k, max n) array:
-    # the positive quotient values, then n - h - 1 exact zeros, then the
-    # rest. Columns from n on are zero padding.
-    width = int(n.max())
+    # Each member's n values, descending, in a row of a (k, n) array: the
+    # positive quotient values, then n - h - 1 exact zeros, then the rest.
     desc = quotient_values[:, ::-1]
     positive = (desc > 0).sum(axis=1)
     j = np.arange(s)
-    cols = j + np.where(j < positive[:, None], 0, (n - s)[:, None])
-    values = np.zeros((k, width))
+    cols = j + np.where(j < positive[:, None], 0, n - s)
+    values = np.zeros((k, n))
     values[np.arange(k)[:, None], cols] = desc
-    _frozen(values)
+    values.setflags(write=False)
 
-    b = np.abs(j[:, None] - j[None, :])[None] * (counts % RANK_PRIME)[:, None, :]
-    full_rank = _full_rank_mod_p(b % RANK_PRIME).tolist()
-
-    out = []
-    for i, profile in enumerate(profiles):
-        size = int(n[i])
-        b_nullity = 0 if full_rank[i] else exact_zero_multiplicity(
-            np.array(_profile_b(profile), dtype=object))
-        spectrum = Spectrum(
-            values=values[i, :size],
-            tol=tol,
-            rho=float(rho[i]),
-            energy=float(energy[i]),
-            perron=None,
-        )
-        out.append(ProfileSolution(spectrum, size - s + b_nullity))
-    return out
+    distances = np.abs(j[:, None] - j[None, :])
+    b = distances[None] * (counts % RANK_PRIME)[:, None, :]
+    nullity = np.full(k, n - s, dtype=np.int64)
+    for i in np.flatnonzero(~_full_rank_mod_p(b % RANK_PRIME)).tolist():
+        # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
+        nullity[i] += exact_zero_multiplicity(distances * counts[i].astype(object))
+    return SpectralData(counts, values, rho, energy, nullity, tol)
 
 
 def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
-                   ) -> dict[tuple[int, ...], ProfileSolution]:
-    """The profile engine: spectrum and exact nullity of every distinct
-    profile given, keyed by the profile as a tuple.
+                   ) -> Iterator[tuple[np.ndarray, SpectralData]]:
+    """The profile engine: the profiles given, grouped by order and height
+    in stacks of up to STACK_SIZE, each solved when it is reached and
+    yielded with ``rows``, the positions of its members in ``profiles``.
 
-    Profiles are grouped by height and solved in stacks of up to
-    STACK_SIZE. The values come from one LAPACK ``eigvalsh`` call per stack
-    on the (h+1)x(h+1) quotients, padded with n - h - 1 exact zeros. The
-    nullity is n - rank(B) with B_ab = |a - b| n_b, which has the rank of
-    the quotient. A full rank modulo RANK_PRIME proves full rank over the
-    rationals; any other outcome is decided by Bareiss elimination of B.
-    A profile of more than MAX_LEVELS levels raises ``ResourceLimit``
-    before any stack is solved.
+    The values come from one LAPACK ``eigvalsh`` call per stack on the
+    (h+1)x(h+1) quotients, padded with n - h - 1 exact zeros. The nullity is n - rank(B) with
+    B_ab = |a - b| n_b, which has the rank of the quotient. A full rank
+    modulo RANK_PRIME proves full rank over the rationals; any other
+    outcome is decided by Bareiss elimination of B. A malformed profile
+    raises ``ValueError``, and one of more than MAX_LEVELS levels
+    ``ResourceLimit``, before any stack is solved.
     """
     _check_tol(tol)
-    keys = list(dict.fromkeys(_profile_key(p) for p in profiles))
+    keys = [_profile_key(p) for p in profiles]
     tallest = max(map(len, keys), default=0)
     if tallest > MAX_LEVELS:
         raise ResourceLimit(f"a level profile of {tallest} levels "
                             f"exceeds the limit of {MAX_LEVELS}")
-    out = {}
-    for stack in height_stacks(keys):
-        out.update(zip(stack, _solve_stack(stack, float(tol))))
-    return out
-
-
-def _perron_levels(profile: tuple[int, ...]) -> np.ndarray:
-    """The Perron vector per level, w_a = y_a / sqrt(n_a) for the unit top
-    eigenvector y of S (n >= 2)."""
-    _, vectors = np.linalg.eigh(quotient_matrix(profile))  # ascending
-    w = vectors[:, -1] / np.linalg.norm(vectors[:, -1]) / np.sqrt(profile)
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
-    return w
-
-
-def level_spectrum(vertex_levels, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
-    """Spectrum of the level matrix of a tree with these vertex levels.
-
-    Values come from :func:`solve_profiles` of this profile alone; the
-    Perron vector is lifted to the vertices as x_i = y_l / sqrt(n_l) at
-    l = level of i, which has unit norm.
-    """
-    lev = np.asarray(vertex_levels, dtype=np.int64)
-    profile = level_profile(lev)
-    spectrum = solve_profiles([profile], tol)[profile].spectrum
-    if len(lev) < 2:
-        return spectrum
-    return dataclasses.replace(spectrum, perron=_perron_levels(profile)[lev])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault((sum(key), len(key)), []).append(i)
+    stacks = [group[start:start + STACK_SIZE]
+              for group in groups.values() for start in range(0, len(group), STACK_SIZE)]
+    return ((np.array(rows), _solve_stack(np.array([keys[i] for i in rows], dtype=np.int64),
+                                          float(tol)))
+            for rows in stacks)
 
 
 def _residues(rows) -> np.ndarray:

@@ -4,9 +4,10 @@ Runs every bound, identity, and structural claim over all rooted trees of a
 given order and produces a pass/fail ledger with extremal statistics.
 Every verdict but ``distance-domination`` depends only on a tree's level
 profile or on a (profile, leaf level) pair, so the calling process computes
-it once, on stacks of those, into tables indexed by profile, and the walk
-over the trees looks it up tree by tree. Violations are collected rather
-than fail-fast, so a bad run reports every offending tree.
+it once, on the stacks the profile engine returns, into tables indexed by
+profile, and the walk over the trees looks it up tree by tree. Violations
+are collected rather than fail-fast, so a bad run reports every offending
+tree.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from typing import Callable
 import numpy as np
 
 from . import bounds
-from .bounds import COMPARISON_TOL, SpectralData
+from .bounds import COMPARISON_TOL
 from .errors import InvalidOrder
 from .levelmatrix import ordered_distance_matrix, row_sum_differences, sequence_parents
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     STACK_SIZE,
-    height_stacks,
+    SpectralData,
+    _cluster,
     solve_profiles,
 )
 from .trees import (
@@ -62,7 +64,8 @@ MAX_OFFENDERS = 10
 #: Order 16 is the first at which two workers win at least 10 of 12 runs in
 #: two series (a second gave 1, 10 and 10 of 12 at orders 14, 15 and 16).
 #: The calling process builds the verdict tables before any pool starts
-#: (about 2 of the 4 s of ``verify_order(16, jobs=1)``), so a pool only
+#: (2 of the 4 s of ``verify_order(16, jobs=1)`` when the table was
+#: measured; 0.9 of 2.0 s since the engine returns stacks), so a pool only
 #: splits the walk, and below that it costs more to start and to hand each
 #: worker the tables than it saves.
 POOL_MIN_TREES = 235381
@@ -302,15 +305,35 @@ def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _leaf_profile(profile: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Profile of the tree left by deleting a leaf at level k: one vertex
-    fewer on level k, and the deepest level dropped when it empties. All
-    leaves on one level leave this one profile."""
-    sub = list(profile)
-    sub[k] -= 1
-    if sub[-1] == 0:
-        sub.pop()
-    return tuple(sub)
+def _leaf_pairs(counts: np.ndarray):
+    """The realisable (member, leaf level) pairs of a (k, h+1) stack of
+    level counts of order n: the deepest level, and each other with two or
+    more vertices (one has a child). With each, the counts of the tree less
+    a leaf there (its deepest level may be left empty) and their index in
+    ``level_profiles(n - 1)``: bit c - 1 is set for each cumulative count
+    c = n_1 + ... + n_a below n - 2, a cut of the composition of n - 2."""
+    h = counts.shape[1] - 1
+    members, levels = np.nonzero((counts >= 2) | (np.arange(h + 1) == h))
+    sub = counts[members]
+    sub[np.arange(len(members)), levels] -= 1
+    cuts = np.cumsum(sub[:, 1:-1], axis=1)
+    bits = np.where(cuts < counts[0].sum() - 2, np.left_shift(1, cuts - 1), 0)
+    return members, levels, sub, bits.sum(axis=1, dtype=np.int64)
+
+
+def _leaf_stacks(data: SpectralData, below: tuple[np.ndarray, ...]):
+    """(members, leaf levels, parent stack, leaf-deleted stack) of a stack's
+    realisable pairs, gathered by index from ``data`` and from ``below``
+    (order n - 1's values, rho, energy and nullity). The pairs that empty
+    the deepest level have one level fewer, so they stack apart."""
+    h = data.l_max
+    members, levels, counts, ids = _leaf_pairs(data.counts)
+    for kept in (True, False):
+        pairs = np.flatnonzero((counts[:, h] > 0) == kept)
+        if len(pairs):
+            sub = SpectralData(counts[pairs, :h + 1 if kept else h],
+                               *(column[ids[pairs]] for column in below), data.tol)
+            yield members[pairs], levels[pairs], data.take(members[pairs]), sub
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +408,20 @@ def _leaf_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: floa
     within its own span [last - eps, first + eps], eps the interlacing
     slack. Cauchy interlacing gives this for any run of consecutive values,
     so it does not depend on how the tolerance groups them."""
-    k, n = data.values.shape
-    sizes = np.array([m for spectrum in data.spectra for _, m in spectrum.clusters])
-    starts = np.cumsum(sizes) - sizes  # in the members' values laid end to end
-    values = data.values.ravel()
-    # each eigenvalue's cluster: first and last value and multiplicity, as (k, n) tables
-    first, last, mults = np.repeat([values[starts], values[starts + sizes - 1], sizes],
-                                   sizes, axis=1).reshape(3, k, n)
+    values = data.values
+    k, n = values.shape
+    starts = _cluster(values, tol * np.maximum(1.0, data.rho))
+    ends = np.concatenate([starts[:, 1:], np.ones((k, 1), dtype=bool)], axis=1)
+    # each eigenvalue's cluster: the column of its first and of its last value
+    col = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, col, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, col, n)[:, ::-1], axis=1)[:, ::-1]
+    top = np.take_along_axis(values, first, axis=1)[:, :, None]
+    bottom = np.take_along_axis(values, last, axis=1)[:, :, None]
     eps = (INTERLACING_TOL * np.maximum(1.0, data.rho))[:, None, None]
     inner = sub.values[:, None, :]
-    near = ((inner >= last[:, :, None] - eps) & (inner <= first[:, :, None] + eps)).sum(axis=2)
-    return (np.abs(mults - near) <= 1).all(axis=1), math.nan
+    near = ((inner >= bottom - eps) & (inner <= top + eps)).sum(axis=2)
+    return (np.abs(last - first + 1 - near) <= 1).all(axis=1), math.nan
 
 
 def _zero_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: float):
@@ -445,13 +471,6 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
 }
 
 
-def _realisable_leaf_levels(profile: tuple[int, ...]) -> list[int]:
-    """The levels of a profile that hold a leaf in some tree of it: the
-    deepest, and each other with two or more vertices (one has a child)."""
-    h = len(profile) - 1
-    return [k for k in range(h + 1) if k == h or profile[k] >= 2]
-
-
 def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
     """(line, ok, slack) of each selected bound line on a stack: the AND of
     the verdicts and the minimum of the slacks of the line's comparisons."""
@@ -473,62 +492,80 @@ class VerdictTables:
     """Every verdict of one order, for the walk to look up by a tree's
     profile index (its position in ``level_profiles(order)``, P of them).
 
-    ``lines`` maps each bound line and PROFILE check to (ok, slack,
-    covered), (P,) arrays; ``covered`` is false where the line does not
-    apply (``energy-upper-improved`` skips the rooted path). ``leaf_lines``
-    maps each LEAF_LEVEL check to (ok, slack), (P, n) arrays indexed by
-    (profile, leaf level). ``tree_checks`` names the TREE checks, and
-    ``values`` maps each extremal statistic to its (P,) values.
+    ``lines`` maps each bound line and PROFILE check to (ok, slack), (P,)
+    arrays, and ``leaf_lines`` each LEAF_LEVEL check to (ok, slack), (P, n)
+    arrays by (profile, leaf level); the slack is ``None`` for a check that
+    has none. ``covered`` holds the (P,) mask of each line that skips some
+    profiles (``energy-upper-improved`` skips the rooted path).
+    ``tree_checks`` names the TREE checks, and ``values`` maps each
+    extremal statistic to its (P,) values.
     """
 
-    lines: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    leaf_lines: dict[str, tuple[np.ndarray, np.ndarray]]
+    lines: dict[str, tuple[np.ndarray, np.ndarray | None]]
+    leaf_lines: dict[str, tuple[np.ndarray, np.ndarray | None]]
+    covered: dict[str, np.ndarray]
     tree_checks: list[str]
     values: dict[str, np.ndarray]
 
 
+def _store(tables: dict, name: str, shape: tuple[int, ...], at, ok, slack) -> None:
+    """Write one stack's verdicts, and slacks where the check has them, at
+    ``at`` of the named line's tables, made on first use: a slack table
+    only for a check that returns an array of slacks."""
+    table_ok, table_slack = tables.setdefault(
+        name, (np.ones(shape, bool), np.full(shape, np.nan) if np.ndim(slack) else None))
+    table_ok[at] = ok
+    if table_slack is not None:
+        table_slack[at] = slack
+
+
+def _solved_space(order: int, tol: float) -> tuple[np.ndarray, ...]:
+    """The values (P, order) and the rho, energy and nullity (P,) of every
+    profile of the order, at its profile index."""
+    size = 1 << max(order - 2, 0)
+    space = (np.empty((size, order)), np.empty(size), np.empty(size),
+             np.empty(size, dtype=np.int64))
+    for rows, data in solve_profiles(level_profiles(order), tol):
+        for table, column in zip(space, (data.values, data.rho, data.energy, data.nullity)):
+            table[rows] = column
+    return space
+
+
 def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float, stats: tuple[str, ...]) -> VerdictTables:
-    """Check the order's profile space once: one call of the profile engine
-    solves every profile of the order, and of order - 1 (which holds each
-    leaf-deleted profile) when a leaf check runs. The bound lines and
-    PROFILE checks are evaluated on each height stack of the profiles, the
-    LEAF_LEVEL checks on each stack of the realisable (profile, leaf level)
-    pairs."""
+    """Check the order's profile space once. The profile engine solves the
+    order's profiles, and each stack it returns is checked as it comes: the
+    bound lines and PROFILE checks on the stack, the LEAF_LEVEL checks on
+    its realisable (profile, leaf level) pairs, each written at the
+    members' profile indices. When a leaf check runs, the profiles one
+    order down, which hold every leaf-deleted profile, are solved first
+    into arrays by profile index."""
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
         min_order, depends_on, check = STRUCTURAL_CHECKS[name]
         if order >= min_order:
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
-    profiles = list(level_profiles(order))
-    size = len(profiles)
-    solutions = solve_profiles(chain(profiles, level_profiles(order - 1) if leaf_checks else ()),
-                               tol)
+    below = _solved_space(order - 1, tol) if leaf_checks else ()
+    size = 1 << max(order - 2, 0)
     lines: dict[str, tuple] = {}
-    for rows in height_stacks(range(size), lambda i: len(profiles[i])):
-        data = SpectralData.from_solutions([profiles[i] for i in rows], solutions)
+    leaf_lines: dict[str, tuple] = {}
+    covered: dict[str, np.ndarray] = {}
+    values = {stat: np.empty(size) for stat in stats}
+    for rows, data in solve_profiles(level_profiles(order), tol):
+        for stat, table in values.items():
+            table[rows] = getattr(data, stat)
         for name, ok, slack in (_bound_verdicts(data, bound_lines)
                                 + [(name, *check(data, tol)) for name, check in checks[PROFILE]]):
-            table_ok, table_slack, covered = lines.setdefault(
-                name, (np.ones(size, bool), np.full(size, np.nan), np.zeros(size, bool)))
-            table_ok[rows], table_slack[rows], covered[rows] = ok, slack, True
-    leaf_lines = {name: (np.ones((size, order), bool), np.full((size, order), np.nan))
-                  for name, _ in leaf_checks}
-    pairs = [(i, k) for i, p in enumerate(profiles) for k in _realisable_leaf_levels(p)]
-    for stack in height_stacks(pairs if leaf_checks else [], lambda pair: (
-            len(profiles[pair[0]]), len(_leaf_profile(profiles[pair[0]], pair[1])))):
-        data = SpectralData.from_solutions([profiles[i] for i, _ in stack], solutions)
-        sub = SpectralData.from_solutions([_leaf_profile(profiles[i], k) for i, k in stack],
-                                          solutions)
-        rows, ks = np.array(stack).T
-        for name, check in leaf_checks:
-            table_ok, table_slack = leaf_lines[name]
-            table_ok[rows, ks], table_slack[rows, ks] = check(data, sub, tol)
-    return VerdictTables(
-        lines, leaf_lines, [name for name, _ in checks[TREE]],
-        {stat: np.array([getattr(solutions[p].spectrum, stat) for p in profiles])
-         for stat in stats})
+            _store(lines, name, (size,), rows, ok, slack)
+            covered.setdefault(name, np.zeros(size, bool))[rows] = True
+        for members, levels, parent, sub in _leaf_stacks(data, below) if leaf_checks else ():
+            for name, check in leaf_checks:
+                _store(leaf_lines, name, (size, order), (rows[members], levels),
+                       *check(parent, sub, tol))
+    return VerdictTables(lines, leaf_lines,
+                         {name: mask for name, mask in covered.items() if not mask.all()},
+                         [name for name, _ in checks[TREE]], values)
 
 
 def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTables):
@@ -554,14 +591,17 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
     while (levels := np.fromiter(islice(flat, STACK_SIZE * order), dtype)).size:
         levels = levels.reshape(-1, order)
         ids = _profile_ids(levels)
-        for name, (ok, slack, covered) in tables.lines.items():
-            trees = covered[ids]
-            check_stats[name].record_each(ok[ids][trees], slack[ids][trees], levels[trees])
+        for name, (ok, slack) in tables.lines.items():
+            trees = tables.covered[name][ids] if name in tables.covered else slice(None)
+            check_stats[name].record_each(ok[ids][trees],
+                                          math.nan if slack is None else slack[ids][trees],
+                                          levels[trees])
         off_leaf = ~_leaf_level_mask(levels)
         for name, (ok, slack) in tables.leaf_lines.items():
-            check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1),
-                                          np.where(off_leaf, np.inf, slack[ids]).min(axis=1),
-                                          levels)
+            check_stats[name].record_each(
+                (ok[ids] | off_leaf).all(axis=1),
+                math.nan if slack is None else np.where(off_leaf, np.inf, slack[ids]).min(axis=1),
+                levels)
         for name in tables.tree_checks:
             check_stats[name].record_each(*STRUCTURAL_CHECKS[name][2](levels), levels)
         for stat, values in tables.values.items():

@@ -328,19 +328,17 @@ class TestEvaluateChecks:
     def test_stack_rows_equal_stacks_of_one(self, order):
         """Each member of a height stack gets, bit for bit, the reports it
         gets in a stack of its own."""
-        solutions = solve_profiles(level_profiles(order))
-        for height in range(1, order):
-            profiles = [p for p in solutions if len(p) == height + 1]
-            stack = SpectralData.from_solutions(profiles, solutions)
-            assert stack.values.shape == (len(profiles), order)
+        profiles = list(level_profiles(order))
+        for rows, stack in solve_profiles(profiles):
+            assert stack.values.shape == (len(rows), order)
             for name, (check, min_order, _) in CHECKS.items():
                 if order < min_order:
                     continue
                 comparisons = check(stack)
-                for i, profile in enumerate(profiles):
-                    alone = SpectralData.from_solutions([profile], solutions)
+                for i, row in enumerate(rows.tolist()):
+                    alone = SpectralData.from_profile(profiles[row])
                     got = [c.report(i) for c in comparisons]
-                    assert got == evaluate_checks(alone, [name]), (profile, name)
+                    assert got == evaluate_checks(alone, [name]), (profiles[row], name)
 
     def test_special_families_to_order_50(self):
         from levelspectra import complete_dary
@@ -360,7 +358,7 @@ class TestEvaluateChecks:
 def test_stacked_intervals_equal_per_index_comparisons(profiles):
     """The per-index intervals j = 2..n-1, compared in one stacked call,
     equal bit for bit those compared one index at a time."""
-    d = SpectralData.from_solutions(profiles, solve_profiles(profiles))
+    [(_, d)] = solve_profiles(profiles)
     n, h = d.n, d.h_value.astype(float)
     comparisons = {c.name: c for c in check_eigenvalue_intervals(d)}
     for j in range(2, n):

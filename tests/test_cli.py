@@ -288,6 +288,32 @@ class TestSpecialCommand:
         code, _, _ = run(capsys, "special", "star")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["star", "--order", "100000000"],
+        ["dary", "--arity", "10", "--height", "9"],  # 1,111,111,111 vertices
+        ["dary", "--arity", "1", "--height", "1000000"],  # a path of 1,000,001
+    ])
+    def test_too_large_refused_before_any_tree_is_built(self, argv, monkeypatch, capsys):
+        def build(*args):
+            raise AssertionError("a family member was built")
+
+        for name in ("complete_dary", "rooted_star", "rooted_path", "star_rooted_at_leaf"):
+            monkeypatch.setattr(cli_mod, name, build)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "special", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == ""
+        assert err == f"resource limit: the {argv[0]} asked for has more than 1000000 vertices\n"
+
+    def test_size_limit_is_inclusive(self):
+        """A member of exactly SPECIAL_MAX_VERTICES is counted, not refused."""
+        parser = cli_mod._build_parser()
+        for argv in (["star", "--order", "1000000"],
+                     ["dary", "--arity", "1", "--height", "999999"],
+                     ["dary", "--arity", "999999", "--height", "1"]):
+            size = cli_mod._family_size(parser.parse_args(["special", *argv]))
+            assert size == cli_mod.SPECIAL_MAX_VERTICES == 1_000_000
+
 
 class TestCharpolyCommand:
     def test_text(self, tree_file, capsys):

@@ -27,7 +27,6 @@ from levelspectra import (
     level_profile,
     level_profiles,
     level_sequences,
-    level_spectrum,
     levels,
     quotient_matrix,
     rooted_path,
@@ -44,34 +43,40 @@ from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
     MAX_LEVELS,
     RANK_PRIME,
-    ProfileSolution,
-    Spectrum,
     _cluster,
     _full_rank_mod_p,
     _rank_mod_p,
     _residues,
 )
-from levelspectra.verify import _leaf_profile, extremal_sweep
+from levelspectra import verify as verify_mod
+from levelspectra.verify import _leaf_pairs, extremal_sweep
 
 from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays
+
+
+def solved_rows(profiles, tol=DEFAULT_CLUSTER_TOL) -> list[tuple[SpectralData, int]]:
+    """(stack, row) of each profile, in the order given: the engine's stack
+    that holds it and its row there."""
+    out = [None] * len(profiles)
+    for rows, data in solve_profiles(profiles, tol):
+        for i, row in enumerate(rows.tolist()):
+            out[row] = (data, i)
+    return out
 
 
 def assert_matches_oracle(tree: RootedTree) -> None:
     matrix = build_level_matrix(tree)
     dense = symmetric_eigenvalues(matrix)
-    engine = level_spectrum(levels(tree))
+    data = SpectralData.from_tree(tree)
+    engine = data.spectrum()
     scale = max(1.0, dense.rho)
     assert engine.n == tree.n
     assert np.abs(engine.values - dense.values).max() <= 1e-12 * scale
     assert abs(engine.rho - dense.rho) <= 1e-12 * scale
     assert abs(engine.energy - dense.energy) <= 1e-12 * scale * tree.n
     assert [m for _, m in engine.clusters] == [m for _, m in dense.clusters]
-    assert SpectralData.from_tree(tree).nullity.tolist() == [exact_zero_multiplicity(matrix)]
-    if tree.n == 1:
-        assert engine.perron is None
-    else:
-        assert np.abs(engine.perron - dense.perron).max() <= 1e-10
-        assert abs(np.linalg.norm(engine.perron) - 1.0) <= 1e-12
+    assert data.nullity.tolist() == [exact_zero_multiplicity(matrix)]
+    assert engine.perron is None
 
 
 @pytest.mark.parametrize("order", range(1, 10))
@@ -94,31 +99,30 @@ class TestProfiles:
         assert data.nullity.tolist() == [5]
 
     def test_zeros_are_exact(self):
-        spectrum = SpectralData.from_profile((1, 2, 3, 3)).spectra[0]
-        assert np.count_nonzero(spectrum.values == 0.0) == 9 - 4
+        values = SpectralData.from_profile((1, 2, 3, 3)).values[0]
+        assert np.count_nonzero(values == 0.0) == 9 - 4
 
     def test_quotient_is_symmetric_blowup(self):
         s = quotient_matrix((1, 4))
         assert np.array_equal(s, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_single_vertex(self):
-        spectrum = level_spectrum([0])
-        assert spectrum.values.tolist() == [0.0] and spectrum.perron is None
-        assert SpectralData.from_profile((1,)).nullity.tolist() == [1]
+        data = SpectralData.from_tree(rooted_path(1))
+        assert data.values.tolist() == [[0.0]] and data.spectrum().perron is None
+        assert data.nullity.tolist() == [1]
 
     def test_cached_once_per_profile(self):
         # Nothing is cached: a profile solved twice gives equal frozen values.
-        first = SpectralData.from_profile((1, 3, 2)).spectra[0]
-        assert np.array_equal(SpectralData.from_profile((1, 3, 2)).spectra[0].values,
-                              first.values)
+        first = SpectralData.from_profile((1, 3, 2))
+        assert np.array_equal(SpectralData.from_profile((1, 3, 2)).values, first.values)
         assert not first.values.flags.writeable
-        assert first.perron is None
+        assert first.spectrum().perron is None
 
     def test_trees_sharing_a_profile_share_values(self):
-        a = level_spectrum([0, 1, 2, 1, 2])
-        b = level_spectrum([0, 1, 1, 2, 2])
+        a = SpectralData.from_tree(RootedTree([-1, 0, 1, 0, 3]))  # levels 0 1 2 1 2
+        b = SpectralData.from_tree(RootedTree([-1, 0, 0, 1, 2]))  # levels 0 1 1 2 2
+        assert a.counts.tolist() == b.counts.tolist() == [[1, 2, 2]]
         assert np.array_equal(a.values, b.values)
-        assert np.allclose(a.perron[[0, 1, 3, 2, 4]], b.perron)
 
     @pytest.mark.parametrize("bad", [(), (1, 0, 2), (0,)])
     def test_rejects_bad_profiles(self, bad):
@@ -129,7 +133,7 @@ class TestProfiles:
 
     def test_rejects_gapped_levels(self):
         with pytest.raises(ValueError):
-            level_spectrum([0, 2])
+            SpectralData.from_profile(level_profile([0, 2]))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
@@ -142,25 +146,34 @@ def test_non_finite_or_nonpositive_tol_rejected(tol):
     with pytest.raises(ValueError):
         SpectralData.from_profile((1, 2), tol=tol)
     with pytest.raises(ValueError):
-        level_spectrum([0, 1, 1], tol=tol)
+        solve_profiles([(1, 2)], tol)
 
 
 def test_spectral_data_uses_engine():
     data = SpectralData.from_tree(rooted_path(6))
     assert data.counts.tolist() == [[1] * 6]
     assert data.nullity.tolist() == [0]
-    assert np.array_equal(data.values[0],
-                          solve_profiles([(1,) * 6])[(1,) * 6].spectrum.values)
+    [(rows, engine)] = solve_profiles([(1,) * 6])
+    assert rows.tolist() == [0]
+    assert np.array_equal(data.values, engine.values)
 
 
-@pytest.mark.parametrize("order", range(2, 9))
+@pytest.mark.parametrize("order", range(2, 11))
 def test_leaf_profiles_match_deleted_trees(order):
+    """The leaf-deleted counts and profile index read off a profile's
+    counts: at each leaf level of a tree, the profile of the tree less a
+    leaf there, whose index is its position in level_profiles(order - 1)."""
+    below = {profile: i for i, profile in enumerate(level_profiles(order - 1))}
     for tree in enumerate_rooted_trees(order):
         deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
         lev = levels(tree)
         leaf_levels = {int(lev[leaf]) for leaf in tree.leaves()}
-        subs = [_leaf_profile(level_profile(lev), k) for k in leaf_levels]
+        _, ks, counts, ids = _leaf_pairs(np.array([level_profile(lev)]))
+        assert leaf_levels <= set(ks.tolist())
+        subs = [tuple(c for c in row if c) for row, k in zip(counts.tolist(), ks.tolist())
+                if k in leaf_levels]
         assert len(subs) == len(set(subs)) and set(subs) == deleted
+        assert ids.tolist() == [below[tuple(c for c in row if c)] for row in counts.tolist()]
 
 
 def record_lapack_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
@@ -222,40 +235,34 @@ def test_all_profiles_enumerated():
 
 
 class TestValuesOnlySolve:
-    """The engine solves for values only; only the Perron vector of
-    :func:`level_spectrum` needs an eigenvector solve."""
-
-    @pytest.mark.parametrize("order", range(1, 9))
-    def test_level_spectrum_values_equal_profile_values(self, order):
-        for tree in enumerate_rooted_trees(order):
-            lev = levels(tree)
-            assert np.array_equal(
-                level_spectrum(lev).values,
-                SpectralData.from_profile(level_profile(lev)).values[0])
+    """The engine solves for values only, once per stack whatever the
+    tolerance."""
 
     def test_engine_solves_without_vectors(self, monkeypatch):
         calls = record_lapack_calls(monkeypatch)
         SpectralData.from_tree(rooted_path(5))
         assert calls == [("eigvalsh", (1, 5, 5))]
-        level_spectrum(levels(rooted_path(5)))
-        assert calls[1:] == [("eigvalsh", (1, 5, 5)), ("eigh", (5, 5))]
         # one solve whatever the tolerance: spectrum and nullity together
         del calls[:]
         SpectralData.from_tree(rooted_path(5), tol=1e-6)
         assert calls == [("eigvalsh", (1, 5, 5))]
 
 
-def oracle_solution(profile, method):
-    """The solution of a profile from the in-repo solve of its quotient
-    (padded with exact zeros) and from Bareiss elimination of B."""
-    quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method)
-    zeros = np.zeros(sum(profile) - len(profile))
-    values = np.sort(np.concatenate([quotient_values, zeros]))[::-1]
-    spectrum = Spectrum(values, DEFAULT_CLUSTER_TOL, float(np.abs(values).max()),
-                        float(np.abs(values).sum()), None)
-    nullity = (exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
-               + sum(profile) - len(profile))
-    return ProfileSolution(spectrum, nullity)
+def oracle_stack(profiles, method) -> SpectralData:
+    """The stack of profiles of one order and one height from the in-repo
+    solve of each quotient (padded with exact zeros) and from Bareiss
+    elimination of each B."""
+    values = []
+    for profile in profiles:
+        quotient_values, _ = symmetric_eigh(quotient_matrix(profile), method=method)
+        zeros = np.zeros(sum(profile) - len(profile))
+        values.append(np.sort(np.concatenate([quotient_values, zeros]))[::-1])
+    values = np.array(values)
+    nullity = [exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
+               + sum(profile) - len(profile) for profile in profiles]
+    return SpectralData(np.array(profiles, dtype=np.int64), values, np.abs(values).max(axis=1),
+                        np.abs(values).sum(axis=1), np.array(nullity, dtype=np.int64),
+                        DEFAULT_CLUSTER_TOL)
 
 
 def height_stacks(profiles):
@@ -266,22 +273,33 @@ def height_stacks(profiles):
     return list(stacks.values())
 
 
+def test_every_profile_solved_once_in_its_stack():
+    """The engine's stacks cover the profiles given exactly once, each stack
+    of one order and one height, at most STACK_SIZE, and its counts are
+    the profiles at its rows."""
+    seen = []
+    for rows, data in solve_profiles(ALL_PROFILES):
+        assert 1 <= len(rows) <= spectra_mod.STACK_SIZE
+        assert data.counts.tolist() == [list(ALL_PROFILES[i]) for i in rows.tolist()]
+        assert (data.counts.sum(axis=1) == data.n).all()
+        assert data.values.shape == (len(rows), data.n)
+        assert data.rho.shape == data.energy.shape == data.nullity.shape == (len(rows),)
+        seen += rows.tolist()
+    assert sorted(seen) == list(range(len(ALL_PROFILES)))
+
+
 @pytest.mark.parametrize("method", ["ql", "jacobi"])
 def test_engine_matches_in_repo_solvers(method):
-    engine = solve_profiles(ALL_PROFILES)
-    assert set(engine) == set(ALL_PROFILES)
-    oracle = {profile: oracle_solution(profile, method) for profile in ALL_PROFILES}
-    for profile in ALL_PROFILES:
-        got, want = engine[profile], oracle[profile]
-        scale = max(1.0, want.spectrum.rho)
-        assert np.abs(got.spectrum.values - want.spectrum.values).max() <= 1e-12 * scale
-        assert ([m for _, m in got.spectrum.clusters]
-                == [m for _, m in want.spectrum.clusters]), profile
-        assert got.nullity == want.nullity, profile
-    # every bound check, one height stack at a time
-    for stack in height_stacks(ALL_PROFILES):
-        got = SpectralData.from_solutions(stack, engine)
-        want = SpectralData.from_solutions(stack, oracle)
+    for rows, got in solve_profiles(ALL_PROFILES):
+        stack = [ALL_PROFILES[i] for i in rows.tolist()]
+        want = oracle_stack(stack, method)
+        scale = np.maximum(1.0, want.rho)[:, None]
+        assert (np.abs(got.values - want.values) <= 1e-12 * scale).all(), stack
+        for i, profile in enumerate(stack):
+            assert ([m for _, m in got.spectrum(i).clusters]
+                    == [m for _, m in want.spectrum(i).clusters]), profile
+        assert got.nullity.tolist() == want.nullity.tolist(), stack
+        # every bound check on the stack
         for name, (check, min_order, _) in CHECKS.items():
             if got.n < min_order:
                 continue
@@ -296,12 +314,13 @@ def test_engine_matches_in_repo_solvers(method):
 
 
 def test_batch_equals_batches_of_one():
-    engine = solve_profiles(ALL_PROFILES)
-    for profile in ALL_PROFILES:
-        one = solve_profiles([profile])[profile]
-        assert np.array_equal(engine[profile].spectrum.values, one.spectrum.values)
-        assert engine[profile].spectrum.clusters == one.spectrum.clusters
-        assert engine[profile].nullity == one.nullity
+    for rows, data in solve_profiles(ALL_PROFILES):
+        for i, row in enumerate(rows.tolist()):
+            one = SpectralData.from_profile(ALL_PROFILES[row])
+            assert np.array_equal(data.values[i], one.values[0])
+            assert (data.rho[i], data.energy[i]) == (one.rho[0], one.energy[0])
+            assert data.spectrum(i).clusters == one.spectrum().clusters
+            assert data.nullity[i] == one.nullity[0]
 
 
 @pytest.mark.parametrize("n", [300, 500])
@@ -310,7 +329,7 @@ def test_clusters_of_long_paths_do_not_chain(n):
     closer to each other than the threshold. A value joins a cluster only
     within the threshold of the cluster's first value, so no cluster spans
     more than the threshold."""
-    spectrum = solve_profiles([(1,) * n])[(1,) * n].spectrum
+    spectrum = SpectralData.from_profile((1,) * n).spectrum()
     threshold = DEFAULT_CLUSTER_TOL * max(1.0, spectrum.rho)
     sizes = [m for _, m in spectrum.clusters]
     assert sum(sizes) == n
@@ -329,7 +348,7 @@ def test_cluster_means_are_summed_by_reduceat(n, tol):
     summation. Each mean is ``np.add.reduceat`` over the cluster starts,
     divided by the size; ``block.mean()`` differs from it in the last bits
     on some cluster of each of these paths."""
-    spectrum = solve_profiles([(1,) * n], tol)[(1,) * n].spectrum
+    spectrum = SpectralData.from_profile((1,) * n, tol).spectrum()
     values = spectrum.values
     sizes = np.array([size for _, size in spectrum.clusters])
     starts = np.cumsum(sizes) - sizes
@@ -338,9 +357,83 @@ def test_cluster_means_are_summed_by_reduceat(n, tol):
     assert means != [float(values[lo:lo + size].mean()) for lo, size in zip(starts, sizes)]
 
 
+def scalar_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], ...]:
+    """The clustering rule one value at a time, the oracle of the stacked
+    :func:`_cluster`: a value joins the current cluster iff it lies within
+    the threshold of the cluster's first (largest) value. Each mean is the
+    cluster's ``np.add.reduceat`` sum over its size."""
+    listed = values.tolist()
+    starts, top = [], math.inf
+    for i, value in enumerate(listed):
+        if top - value > threshold:
+            starts.append(i)
+            top = value
+    if not starts:
+        return ()
+    sizes = [stop - start for start, stop in zip(starts, starts[1:] + [len(listed)])]
+    sums = np.add.reduceat(values, starts).tolist()
+    return tuple((total / size, size) for total, size in zip(sums, sizes))
+
+
+def scalar_starts(values: np.ndarray, threshold: float) -> list[bool]:
+    """Where each cluster of :func:`scalar_clusters` starts."""
+    starts = [False] * len(values)
+    first = 0
+    for _, size in scalar_clusters(values, threshold):
+        starts[first] = True
+        first += size
+    return starts
+
+
+#: Tolerance and rhos whose thresholds tol * max(1, rho), 1/8 to 1/2, and
+#: the values below, multiples of 1/16, are exact in binary64: differences
+#: land exactly on a threshold.
+DYADIC_TOL = 0.125
+DYADIC_RHOS = [0.25, 1.0, 2.0, 4.0]
+
+
+@st.composite
+def dyadic_stacks(draw):
+    """(values, rho): k descending rows of n multiples of 1/16, many of
+    them exactly one threshold apart, with a rho per row."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12))
+    rows = [sorted(draw(st.lists(st.integers(min_value=-24, max_value=24),
+                                 min_size=n, max_size=n)), reverse=True)
+            for _ in range(k)]
+    rho = draw(st.lists(st.sampled_from(DYADIC_RHOS), min_size=k, max_size=k))
+    return np.array(rows) / 16.0, np.array(rho)
+
+
+class TestStackedClusters:
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_stacks())
+    def test_stacked_rule_equals_scalar_loop(self, stack):
+        values, rho = stack
+        threshold = DYADIC_TOL * np.maximum(1.0, rho)
+        starts = _cluster(values, threshold)
+        assert starts.tolist() == [scalar_starts(row, t)
+                                   for row, t in zip(values, threshold.tolist())]
+        for row, r in zip(values, rho.tolist()):
+            view = SpectralData(np.ones((1, 1), dtype=np.int64), row[None], np.array([r]),
+                                np.zeros(1), np.zeros(1, dtype=np.int64), DYADIC_TOL).spectrum()
+            assert view.clusters == scalar_clusters(row, DYADIC_TOL * max(1.0, r))
+
+    def test_values_exactly_at_the_threshold_join(self):
+        # 1/8 apart joins at threshold 1/8 (rho <= 1) but a value 3/16 below
+        # the first starts a cluster; at threshold 1/4 (rho = 2) all join
+        values = np.array([[1.0, 0.875, 0.8125], [1.0, 0.875, 0.8125]])
+        starts = _cluster(values, DYADIC_TOL * np.maximum(1.0, np.array([1.0, 2.0])))
+        assert starts.tolist() == [[True, False, True], [True, False, False]]
+
+    def test_empty_rows(self):
+        assert _cluster(np.zeros((3, 0)), np.ones(3)).shape == (3, 0)
+
+
 class TestLazyClusters:
     @pytest.fixture
     def counted(self, monkeypatch):
+        """The rows every call of the clustering rule groups."""
         calls = []
 
         def counting(values, threshold):
@@ -348,37 +441,39 @@ class TestLazyClusters:
             return _cluster(values, threshold)
 
         monkeypatch.setattr(spectra_mod, "_cluster", counting)
+        monkeypatch.setattr(verify_mod, "_cluster", counting)
         return calls
 
     def test_formed_once_on_first_read(self, counted):
-        profile = level_profile(SAMPLE9_LEVELS)
-        spectrum = solve_profiles([profile])[profile].spectrum
+        spectrum = SpectralData.from_profile(level_profile(SAMPLE9_LEVELS)).spectrum()
         first = spectrum.clusters
         assert spectrum.clusters is first
-        assert counted == [9]
+        assert counted == [1]
         assert [m for _, m in first] == [1, 5, 1, 1, 1]
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-1])
     def test_uses_the_tolerance_solved_at(self, tol):
-        spectrum = solve_profiles([(1,) * 300], tol)[(1,) * 300].spectrum
+        spectrum = SpectralData.from_profile((1,) * 300, tol).spectrum()
         assert spectrum.tol == tol
         threshold = tol * max(1.0, spectrum.rho)
-        assert spectrum.clusters == _cluster(spectrum.values, threshold)
+        assert spectrum.clusters == scalar_clusters(spectrum.values, threshold)
 
     def test_oracle_clusters_by_the_same_rule(self, sample9):
         dense = symmetric_eigenvalues(build_level_matrix(sample9), tol=1e-6)
         assert dense.tol == 1e-6
-        assert dense.clusters == _cluster(dense.values, 1e-6 * max(1.0, dense.rho))
+        assert dense.clusters == scalar_clusters(dense.values, 1e-6 * max(1.0, dense.rho))
 
     @pytest.mark.parametrize("run, formed", [
         (lambda: extremal_sweep(10, "rho"), 0),
         (lambda: verify_order(9, selection=["trace-identity"], jobs=1), 0),
-        # leaf-deletion-multiplicity reads them once per order-9 profile
-        (lambda: verify_order(9, jobs=1), 2 ** 7),
+        # leaf-deletion-multiplicity groups each realisable (profile, leaf
+        # level) pair of order 9 once
+        (lambda: verify_order(9, jobs=1),
+         sum(len(_leaf_pairs(np.array([p]))[0]) for p in level_profiles(9))),
     ], ids=["extremal", "verify-no-cluster-check", "verify-all"])
     def test_walks_cluster_only_what_they_read(self, counted, run, formed):
         run()
-        assert len(counted) == formed
+        assert sum(counted) == formed
 
 
 class TestHeightLimit:
@@ -392,7 +487,7 @@ class TestHeightLimit:
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(spectra_mod, "MAX_LEVELS", 5)
-        assert solve_profiles([(1,) * 5])[(1,) * 5].nullity == 0
+        assert SpectralData.from_profile((1,) * 5).nullity.tolist() == [0]
         with pytest.raises(ResourceLimit):
             solve_profiles([(1,) * 6])
 
@@ -416,11 +511,10 @@ def assert_certificate_sound(rows) -> None:
 
 class TestRankCertificate:
     def test_profile_nullity_equals_bareiss_on_b(self):
-        engine = solve_profiles(ALL_PROFILES)
-        for profile in ALL_PROFILES:
+        for profile, (data, row) in zip(ALL_PROFILES, solved_rows(ALL_PROFILES)):
             b = profile_b(profile)
             expected = exact_zero_multiplicity(np.array(b)) + sum(profile) - len(profile)
-            assert engine[profile].nullity == expected, profile
+            assert data.nullity[row] == expected, profile
 
     def test_certificate_decides_every_deep_profile(self, monkeypatch):
         calls = []
@@ -431,10 +525,10 @@ class TestRankCertificate:
             return real(matrix)
 
         monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
-        solve_profiles(ALL_PROFILES)
+        solved_rows(ALL_PROFILES)
         # only the one-level profile (1,), whose B = [[0]], falls back
         assert len(calls) == 1
-        assert solve_profiles([(1,) * 200])[(1,) * 200].nullity == 0
+        assert SpectralData.from_profile((1,) * 200).nullity.tolist() == [0]
         assert len(calls) == 1
 
     def test_rank_lost_modulo_p_falls_back(self):
@@ -574,7 +668,7 @@ class TestRankCertificateAtTheBound:
         elimination, and it equals the nullity certified modulo the
         default prime."""
         profiles = [(1, 7), (1, 2, 3), (1, 14, 2), (1, 3, 4, 1)]
-        expected = {p: solution.nullity for p, solution in solve_profiles(profiles).items()}
+        expected = [int(data.nullity[row]) for data, row in solved_rows(profiles)]
         calls = []
         real = spectra_mod.exact_zero_multiplicity
 
@@ -584,8 +678,7 @@ class TestRankCertificateAtTheBound:
 
         monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
         monkeypatch.setattr(spectra_mod, "RANK_PRIME", 7)
-        solved = solve_profiles(profiles)
-        assert {p: solution.nullity for p, solution in solved.items()} == expected
+        assert [int(data.nullity[row]) for data, row in solved_rows(profiles)] == expected
         assert sorted(calls) == [2, 3]
 
 
@@ -595,8 +688,9 @@ class TestRankCertificateAtTheBound:
 
 def counts_only(profiles) -> SpectralData:
     """A stack with its aggregates and no solve: they read the counts alone."""
-    return SpectralData(np.array(profiles, dtype=np.int64), (),
-                        np.zeros(len(profiles), dtype=np.int64))
+    k = len(profiles)
+    return SpectralData(np.array(profiles, dtype=np.int64), np.zeros((k, 0)), np.zeros(k),
+                        np.zeros(k), np.zeros(k, dtype=np.int64), DEFAULT_CLUSTER_TOL)
 
 
 AGGREGATES = ("level_index", "h_value", "row_square_sum", "q_square_sum",
@@ -678,9 +772,9 @@ def test_aggregates_exact_beyond_int64():
 
 
 def test_spectra_compare_by_identity():
-    """Two spectra of one profile are equal only if they are one object, and
+    """Two views of one member are equal only if they are one object, and
     hash without error."""
-    first = solve_profiles([(1, 2)])[(1, 2)].spectrum
-    second = solve_profiles([(1, 2)])[(1, 2)].spectrum
+    data = SpectralData.from_profile((1, 2))
+    first, second = data.spectrum(), data.spectrum()
     assert first == first and first != second
     assert len({first, second}) == 2

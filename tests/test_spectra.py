@@ -12,8 +12,7 @@ from levelspectra import (
     delete_leaf,
     enumerate_rooted_trees,
     exact_zero_multiplicity,
-    level_profile,
-    level_sequences,
+    level_profiles,
     levels,
     perron_vector,
     rooted_path,
@@ -25,9 +24,9 @@ from levelspectra import (
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
 from levelspectra.bounds import SpectralData
 from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly
-from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_profile
+from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_stacks, _solved_space
 
-from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM, leaf_levels
+from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
 
 
 class TestSpectrum:
@@ -274,7 +273,9 @@ def _interlace(outer, inner, slack) -> bool:
 
 def stack(profiles) -> SpectralData:
     """The stack of these profiles (one order, one height)."""
-    return SpectralData.from_solutions(profiles, solve_profiles(profiles))
+    [(rows, data)] = solve_profiles(profiles)
+    assert rows.tolist() == list(range(len(profiles)))
+    return data
 
 
 class TestInterlacing:
@@ -313,14 +314,20 @@ class TestInterlacing:
             assert (alone[0][0], alone[1][0]) == (ok[i], worst[i])
 
     def test_shape_check(self):
-        # the check compares n values with n - 1: every leaf-deleted profile
-        # it is handed has one vertex fewer
+        # the check compares n values with n - 1: every leaf-deleted stack
+        # it is handed has one vertex fewer, and each row is the engine's
+        # solution of that profile
         for n in range(2, 9):
-            for seq in level_sequences(n):
-                profile = level_profile(seq)
-                for k in leaf_levels(seq):
-                    sub = _leaf_profile(profile, k)
-                    assert sum(sub) == n - 1 and min(sub) >= 1
+            below = _solved_space(n - 1, DEFAULT_CLUSTER_TOL)
+            for _, data in solve_profiles(level_profiles(n)):
+                for members, _, parent, sub in _leaf_stacks(data, below):
+                    assert np.array_equal(parent.values, data.values[members])
+                    assert sub.n == n - 1 and sub.counts.min() >= 1
+                    assert sub.values.shape == (len(members), n - 1)
+                    for i, counts in enumerate(sub.counts):
+                        alone = SpectralData.from_profile(counts)
+                        assert np.array_equal(sub.values[i], alone.values[0])
+                        assert sub.nullity[i] == alone.nullity[0]
 
     def test_every_leaf_deletion(self):
         for n in range(2, 7):

@@ -492,9 +492,8 @@ def test_profile_ids_index_level_profiles(order):
 # ---------------------------------------------------------------------------
 
 def _solve_tree(tree, tol):
-    """The engine's solution (spectrum, exact nullity) of one tree's profile."""
-    profile = level_profile(trees_mod.levels(tree))
-    return spectra_mod.solve_profiles([profile], tol)[profile]
+    """The engine's stack of one tree's profile."""
+    return bounds_mod.SpectralData.from_tree(tree, tol)
 
 
 def _oracle_structural(tree, spectrum, nullity, tol):
@@ -542,8 +541,8 @@ def _oracle_structural(tree, spectrum, nullity, tol):
                  for i in range(1, n + 1) for k in range(i + 1, n + 1))
         out.append(("row-sum-difference", ok, math.nan))
         eps = verify_mod.INTERLACING_TOL * max(1.0, spectrum.rho)
-        worst = min(min(float((spectrum.values[:-1] - sub.spectrum.values).min()),
-                        float((sub.spectrum.values - spectrum.values[1:]).min()))
+        worst = min(min(float((spectrum.values[:-1] - sub.values[0]).min()),
+                        float((sub.values[0] - spectrum.values[1:]).min()))
                     for sub in sub_data)
         out.append(("interlacing", worst >= -eps, worst))
         spans, first = [], 0  # each cluster's [last - eps, first + eps]
@@ -551,13 +550,12 @@ def _oracle_structural(tree, spectrum, nullity, tol):
             spans.append((spectrum.values[first + mult - 1] - eps,
                           spectrum.values[first] + eps, mult))
             first += mult
-        ok = all(abs(mult - int(((sub.spectrum.values >= lo)
-                                 & (sub.spectrum.values <= hi)).sum())) <= 1
+        ok = all(abs(mult - int(((sub.values[0] >= lo) & (sub.values[0] <= hi)).sum())) <= 1
                  for sub in sub_data for lo, hi, mult in spans)
         out.append(("leaf-deletion-multiplicity", ok, math.nan))
     if n >= 3:
         out.append(("zero-deletion-multiplicity",
-                    all(nullity - sub.nullity in (0, 1) for sub in sub_data), math.nan))
+                    all(nullity - int(sub.nullity[0]) in (0, 1) for sub in sub_data), math.nan))
     return out
 
 
@@ -566,7 +564,7 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
     extremal = {stat: ExtremalStat(stat) for stat in ("rho", "energy")}
     for tree in trees_mod.enumerate_rooted_trees(order):
         data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
-        spectrum, nullity = data.spectra[0], int(data.nullity[0])
+        spectrum, nullity = data.spectrum(), int(data.nullity[0])
         label = trees_mod.canonical_level_sequence(tree)
         folded: dict[str, tuple[bool, float]] = {}
         for report in bounds_mod.evaluate_checks(data):
@@ -648,14 +646,14 @@ def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
         profile = level_profile(seq)
         data = _solve_tree(tree, tol)
         subs = [_solve_tree(trees_mod.delete_leaf(tree, leaf), tol) for leaf in tree.leaves()]
-        values = data.spectrum.values
-        interlacing = min(min(float((values[:-1] - sub.spectrum.values).min()),
-                              float((sub.spectrum.values - values[1:]).min()))
+        values = data.values[0]
+        interlacing = min(min(float((values[:-1] - sub.values[0]).min()),
+                              float((sub.values[0] - values[1:]).min()))
                           for sub in subs)
         results = {
             "fails-profile": (not (len(profile) <= 5 and profile[1] <= 2),
-                              data.spectrum.rho - 5.0),
-            "fails-leaf-level": (profile[1] < 3 or all(data.nullity - 1 - sub.nullity
+                              float(data.rho[0]) - 5.0),
+            "fails-leaf-level": (profile[1] < 3 or all(data.nullity[0] - 1 - sub.nullity[0]
                                                        in (0, 1) for sub in subs),
                                  interlacing),
             "fails-tree": (seq[-1] >= 2, float(seq[-1] - 2)),
@@ -722,10 +720,9 @@ def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, w
     batch."""
     sequences = list(trees_mod.level_sequences(order))[start:]
     profiles = [level_profile(seq) for seq in sequences]
-    solutions = spectra_mod.solve_profiles(profiles)
     oracle = ExtremalStat("rho")
     for seq, profile in zip(sequences, profiles):
-        oracle.record(solutions[profile].spectrum.rho, seq)
+        oracle.record(float(bounds_mod.SpectralData.from_profile(profile).rho[0]), seq)
     assert profiles.count(level_profile(oracle.max_seq)) >= 2
     assert oracle.max_gap == 0.0
     monkeypatch.setattr(verify_mod, "STACK_SIZE", walk_size)
@@ -739,9 +736,9 @@ def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, w
 def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
     """verify solves and checks the order's profile space once, in the
     calling process, however many workers walk the trees: one solve of the
-    2**6 + 2**5 profiles of orders 8 and 7, each bound and PROFILE check on
-    every profile once, and each LEAF_LEVEL check on every realisable
-    (profile, leaf level) pair once."""
+    2**5 profiles of order 7 and one of the 2**6 of order 8, each bound and
+    PROFILE check on every profile once, and each LEAF_LEVEL check on every
+    realisable (profile, leaf level) pair once."""
     solved, members = [], {}
     solve = verify_mod.solve_profiles
 
@@ -769,12 +766,40 @@ def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
     ledger = verify_order(8, jobs=jobs)
     assert _RecordingPool.widths == ([] if jobs == 1 else [2])
     assert ledger.violations == 0
-    assert solved == [2 ** 6 + 2 ** 5]
-    pairs = sum(len(verify_mod._realisable_leaf_levels(profile))
+    assert solved == [2 ** 5, 2 ** 6]
+    pairs = sum(len(verify_mod._leaf_pairs(np.array([profile]))[0])
                 for profile in trees_mod.level_profiles(8))
     assert members == {"bounds": 2 ** 6} | {
         name: 2 ** 6 if kind == _PROFILE_KIND else pairs
         for name, (_, kind, _) in _REAL_CHECKS.items() if kind != _TREE_KIND}
+
+
+#: The checks whose evaluators return no slack.
+_NO_SLACK = {"leaf-deletion-multiplicity", "zero-deletion-multiplicity", "zero-multiplicity",
+             "one-positive-eigenvalue", "star-characterisation", "path-characterisation",
+             "zero-cluster-consistency", "row-sum-difference"}
+
+
+@pytest.mark.parametrize("order", [3, 8])
+def test_tables_hold_only_what_carries_information(order):
+    """A check without a slack gets no slack table, and only a line that
+    skips some profiles (energy-upper-improved skips the rooted path) gets
+    a covered mask; every other table has a row per profile."""
+    bound_lines, structural = verify_mod._resolve_selection(None)
+    tables = verify_mod._verdict_tables(order, bound_lines, structural,
+                                        spectra_mod.DEFAULT_CLUSTER_TOL, verify_mod.EXTREMAL_STATS)
+    size = 2 ** (order - 2)
+    assert {name for name, (_, slack) in (tables.lines | tables.leaf_lines).items()
+            if slack is None} == _NO_SLACK
+    assert set(tables.leaf_lines) == {"interlacing", "leaf-deletion-multiplicity",
+                                      "zero-deletion-multiplicity"}
+    for ok, slack in tables.lines.values():
+        assert ok.shape == (size,) and (slack is None or slack.shape == (size,))
+    for ok, slack in tables.leaf_lines.values():
+        assert ok.shape == (size, order) and (slack is None or slack.shape == (size, order))
+    [(name, covered)] = tables.covered.items()
+    assert name == "energy-upper-improved"
+    assert np.flatnonzero(~covered).tolist() == [size - 1]  # (1,) * order, the last profile
 
 
 @pytest.mark.parametrize("order", range(1, 13))
@@ -826,7 +851,7 @@ def test_realisable_leaf_levels_are_those_walked(order):
     walked = {(level_profile(seq), k) for seq in trees_mod.level_sequences(order)
               for k in leaf_levels(seq)}
     assert walked == {(profile, k) for profile in trees_mod.level_profiles(order)
-                      for k in verify_mod._realisable_leaf_levels(profile)}
+                      for k in verify_mod._leaf_pairs(np.array([profile]))[1].tolist()}
 
 
 @pytest.mark.parametrize("order", [7, 10])
@@ -849,7 +874,7 @@ def test_ambiguous_zero_cluster_is_a_violation():
     [line] = ledger.checks
     ambiguous = []
     for seq in trees_mod.level_sequences(7):
-        spectrum = _solve_tree(trees_mod.tree_from_level_sequence(seq), 0.05).spectrum
+        spectrum = _solve_tree(trees_mod.tree_from_level_sequence(seq), 0.05).spectrum()
         try:
             spectra_mod.clustered_multiplicity(spectrum, 0.0, 0.05)
         except AmbiguousCluster:
