@@ -547,12 +547,12 @@ def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
     yielded with ``rows``, the positions of its members in ``profiles``.
 
     The values come from one LAPACK ``eigvalsh`` call per stack on the
-    (h+1)x(h+1) quotients, padded with n - h - 1 exact zeros. The nullity is n - rank(B) with
-    B_ab = |a - b| n_b, which has the rank of the quotient. A full rank
-    modulo RANK_PRIME proves full rank over the rationals; any other
-    outcome is decided by Bareiss elimination of B. A malformed profile
-    raises ``ValueError``, and one of more than MAX_LEVELS levels
-    ``ResourceLimit``, before any stack is solved.
+    (h+1)x(h+1) quotients, padded with n - h - 1 exact zeros. The nullity
+    is n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
+    quotient. A full rank modulo RANK_PRIME proves full rank over the
+    rationals; any other outcome is decided by Bareiss elimination of B.
+    A malformed profile raises ``ValueError``, and one of more than
+    MAX_LEVELS levels ``ResourceLimit``, before any stack is solved.
     """
     _check_tol(tol)
     keys = [_profile_key(p) for p in profiles]
