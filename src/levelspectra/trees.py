@@ -9,7 +9,6 @@ containing ``3`` / ``0 1 1`` is the 3-vertex star rooted at its centre.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -345,13 +344,13 @@ def rooted_tree_count(n: int) -> int:
     if n == 1:
         return 1
     m = n - 1
-    total = Fraction(0)
+    total = 0
     for k in range(1, m + 1):
         divsum = sum(d * rooted_tree_count(d) for d in range(1, k + 1) if k % d == 0)
-        total += Fraction(divsum * rooted_tree_count(m - k + 1))
-    count = total / m
-    assert count.denominator == 1
-    return int(count)
+        total += divsum * rooted_tree_count(m - k + 1)
+    count, remainder = divmod(total, m)
+    assert remainder == 0
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ given order and produces a pass/fail ledger with extremal statistics.
 Every verdict but ``distance-domination`` depends only on a tree's level
 profile or on a (profile, leaf level) pair, so the calling process computes
 it once, on the stacks the profile engine returns, into tables indexed by
-profile, and the walk over the trees looks it up tree by tree. Violations
-are collected rather than fail-fast, so a bad run reports every offending
-tree.
+profile, and the walk over the trees looks it up tree by tree; each such
+line's worst slack is folded there, stack by stack. Violations are
+collected rather than fail-fast, so a bad run reports every offending tree.
 """
 
 from __future__ import annotations
@@ -48,27 +48,20 @@ MAX_OFFENDERS = 10
 #: Fewest trees for which ``verify_order`` starts a worker pool. CLI wall
 #: time of ``verify --order N --format json``, ``--jobs 1`` against
 #: ``--jobs 2`` with the pool started at every order, 12 interleaved runs per
-#: order on a 2-vCPU host (medians):
+#: order on a 2-vCPU host (medians; ``LEVEL_SPECTRA_CAP=17``):
 #:
 #:   order    trees   --jobs 1  --jobs 2  --jobs 2 faster
-#:       8      115    0.193 s   0.255 s   1 of 12
-#:       9      286    0.213 s   0.268 s   0 of 12
-#:      10      719    0.226 s   0.284 s   1 of 12
-#:      11    1,842    0.285 s   0.327 s   1 of 12
-#:      12    4,766    0.342 s   0.415 s   2 of 12
-#:      13   12,486    0.466 s   0.574 s   0 of 12
-#:      14   32,973    0.919 s   1.086 s   0 of 12
-#:      15   87,811    1.694 s   1.709 s   6 of 12
-#:      16  235,381    3.729 s   3.387 s  11 of 12
+#:      15   87,811    0.958 s   0.984 s   8 of 12
+#:      16  235,381    2.252 s   1.851 s   9 of 12
+#:      17  634,847    5.328 s   4.255 s  12 of 12
 #:
-#: Order 16 is the first at which two workers win at least 10 of 12 runs in
-#: two series (a second gave 1, 10 and 10 of 12 at orders 14, 15 and 16).
-#: The calling process builds the verdict tables before any pool starts
-#: (2 of the 4 s of ``verify_order(16, jobs=1)`` when the table was
-#: measured; 0.9 of 2.0 s since the engine returns stacks), so a pool only
-#: splits the walk, and below that it costs more to start and to hand each
-#: worker the tables than it saves.
-POOL_MIN_TREES = 235381
+#: Order 17 is the first at which two workers win at least 10 of 12 runs (a
+#: second series gave 8 and 12 of 12 at orders 16 and 17; the smaller orders
+#: below 15 were not re-timed). The calling process builds the verdict
+#: tables before any pool starts, so a pool only splits the walk, and below
+#: that it costs more to start and to hand each worker the tables than it
+#: saves.
+POOL_MIN_TREES = 634847
 
 #: The statistics whose arg-extreme trees a ledger names.
 EXTREMAL_STATS = ("rho", "energy")
@@ -449,7 +442,7 @@ def _distance_domination(levels: np.ndarray):
 #:   LEAF_LEVEL  once per (profile, leaf level), likewise  check(data, sub, tol)
 #:   TREE        once per batch of trees walked            check(levels)
 #: A tree's LEAF_LEVEL verdict is the AND of the verdicts at its leaf
-#: levels, and its slack their minimum.
+#: levels, and each line's worst slack is folded where its verdicts are.
 PROFILE, LEAF_LEVEL, TREE = "profile", "leaf level", "tree"
 
 #: Structural checks (beyond the bound reports): name -> (minimum order,
@@ -492,31 +485,31 @@ class VerdictTables:
     """Every verdict of one order, for the walk to look up by a tree's
     profile index (its position in ``level_profiles(order)``, P of them).
 
-    ``lines`` maps each bound line and PROFILE check to (ok, slack), (P,)
-    arrays, and ``leaf_lines`` each LEAF_LEVEL check to (ok, slack), (P, n)
-    arrays by (profile, leaf level); the slack is ``None`` for a check that
-    has none. ``covered`` holds the (P,) mask of each line that skips some
-    profiles (``energy-upper-improved`` skips the rooted path).
-    ``tree_checks`` names the TREE checks, and ``values`` maps each
-    extremal statistic to its (P,) values.
+    ``lines`` maps each bound line and PROFILE check to its (P,) verdicts,
+    and ``leaf_lines`` each LEAF_LEVEL check to its (P, n) verdicts by
+    (profile, leaf level). ``covered`` holds the (P,) mask of each line
+    that skips some profiles (``energy-upper-improved`` skips the rooted
+    path). ``worst`` maps each line to its least slack over the stacks (inf
+    if none), the walk's minimum, as every profile and realisable pair is
+    some tree's. ``tree_checks`` names the TREE checks, and ``values`` maps
+    each extremal statistic to its (P,) values.
     """
 
-    lines: dict[str, tuple[np.ndarray, np.ndarray | None]]
-    leaf_lines: dict[str, tuple[np.ndarray, np.ndarray | None]]
+    lines: dict[str, np.ndarray]
+    leaf_lines: dict[str, np.ndarray]
     covered: dict[str, np.ndarray]
+    worst: dict[str, float]
     tree_checks: list[str]
     values: dict[str, np.ndarray]
 
 
-def _store(tables: dict, name: str, shape: tuple[int, ...], at, ok, slack) -> None:
-    """Write one stack's verdicts, and slacks where the check has them, at
-    ``at`` of the named line's tables, made on first use: a slack table
-    only for a check that returns an array of slacks."""
-    table_ok, table_slack = tables.setdefault(
-        name, (np.ones(shape, bool), np.full(shape, np.nan) if np.ndim(slack) else None))
-    table_ok[at] = ok
-    if table_slack is not None:
-        table_slack[at] = slack
+def _store(tables: dict, worst: dict, name: str, shape: tuple[int, ...], at, ok, slack) -> None:
+    """Write one stack's verdicts at ``at`` of the named line's table, made
+    on first use, and fold its slacks, nan ignored as ``CheckStat`` does,
+    into the line's worst."""
+    tables.setdefault(name, np.ones(shape, bool))[at] = ok
+    worst[name] = min(worst.get(name, math.inf),
+                      float(np.fmin.reduce(np.ravel(slack), initial=math.inf)))
 
 
 def _solved_space(order: int, tol: float) -> tuple[np.ndarray, ...]:
@@ -548,24 +541,25 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
     leaf_checks = checks[LEAF_LEVEL]
     below = _solved_space(order - 1, tol) if leaf_checks else ()
     size = 1 << max(order - 2, 0)
-    lines: dict[str, tuple] = {}
-    leaf_lines: dict[str, tuple] = {}
+    lines: dict[str, np.ndarray] = {}
+    leaf_lines: dict[str, np.ndarray] = {}
     covered: dict[str, np.ndarray] = {}
+    worst: dict[str, float] = {}
     values = {stat: np.empty(size) for stat in stats}
     for rows, data in solve_profiles(level_profiles(order), tol):
         for stat, table in values.items():
             table[rows] = getattr(data, stat)
         for name, ok, slack in (_bound_verdicts(data, bound_lines)
                                 + [(name, *check(data, tol)) for name, check in checks[PROFILE]]):
-            _store(lines, name, (size,), rows, ok, slack)
+            _store(lines, worst, name, (size,), rows, ok, slack)
             covered.setdefault(name, np.zeros(size, bool))[rows] = True
         for members, levels, parent, sub in _leaf_stacks(data, below) if leaf_checks else ():
             for name, check in leaf_checks:
-                _store(leaf_lines, name, (size, order), (rows[members], levels),
+                _store(leaf_lines, worst, name, (size, order), (rows[members], levels),
                        *check(parent, sub, tol))
     return VerdictTables(lines, leaf_lines,
                          {name: mask for name, mask in covered.items() if not mask.all()},
-                         [name for name, _ in checks[TREE]], values)
+                         worst, [name for name, _ in checks[TREE]], values)
 
 
 def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTables):
@@ -576,10 +570,10 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
 
     The walk takes the sequences STACK_SIZE at a time as a (B, n) array.
     numpy gives each tree's profile index and leaf-level mask and looks
-    every verdict and slack up per tree: a LEAF_LEVEL check's is the AND of
-    its table over the tree's leaf levels, and its slack their minimum.
-    Each TREE check runs on the whole batch. Each line then records the
-    batch at once and names its failing trees in walk order until it holds
+    every verdict up per tree: a LEAF_LEVEL check's is the AND of its table
+    over the tree's leaf levels. Each TREE check runs on the whole batch
+    and gives the only slacks read here. Each line then records the batch
+    at once and names its failing trees in walk order until it holds
     MAX_OFFENDERS, and each extremal statistic folds in the batch's.
     """
     check_stats = {name: CheckStat(name)
@@ -591,17 +585,12 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
     while (levels := np.fromiter(islice(flat, STACK_SIZE * order), dtype)).size:
         levels = levels.reshape(-1, order)
         ids = _profile_ids(levels)
-        for name, (ok, slack) in tables.lines.items():
+        for name, ok in tables.lines.items():
             trees = tables.covered[name][ids] if name in tables.covered else slice(None)
-            check_stats[name].record_each(ok[ids][trees],
-                                          math.nan if slack is None else slack[ids][trees],
-                                          levels[trees])
+            check_stats[name].record_each(ok[ids][trees], math.nan, levels[trees])
         off_leaf = ~_leaf_level_mask(levels)
-        for name, (ok, slack) in tables.leaf_lines.items():
-            check_stats[name].record_each(
-                (ok[ids] | off_leaf).all(axis=1),
-                math.nan if slack is None else np.where(off_leaf, np.inf, slack[ids]).min(axis=1),
-                levels)
+        for name, ok in tables.leaf_lines.items():
+            check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1), math.nan, levels)
         for name in tables.tree_checks:
             check_stats[name].record_each(*STRUCTURAL_CHECKS[name][2](levels), levels)
         for stat, values in tables.values.items():
@@ -652,6 +641,8 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         for name, ex in extremal.items():
             merged_extremal[name].merge(ex)
         count += trees
+    for name, slack in tables.worst.items():
+        merged_checks[name].worst_slack = slack
     if count != expected:
         raise AssertionError(
             f"enumerator produced {count} trees at order {order}, "

@@ -7,6 +7,7 @@ import pytest
 
 from levelspectra import canonicalize, parse_tree
 from levelspectra import cli as cli_mod
+from levelspectra import verify as verify_mod
 from levelspectra.cli import ANALYSIS_REPORT_SCHEMA, main, polynomial_text
 from levelspectra.spectra import CharPoly
 
@@ -152,6 +153,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "extremal", "--order", "30", "--stat", "rho", "--min")
         assert code == 4
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv, target", [
+        (["verify", "--order", "9"], "verify_order"),
+        (["extremal", "--order", "9", "--stat", "rho", "--min"], "extremal_sweep"),
+    ])
+    def test_memory_error_is_4(self, monkeypatch, capsys, argv, target):
+        """Running out of memory is a resource limit, not a violation (1)
+        or a traceback. The error is raised in place of the allocation: a
+        host that overcommits memory may grant even a 39 TiB array."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 39.0 TiB for an array")
+
+        monkeypatch.setattr(verify_mod, target, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == "resource limit: Unable to allocate 39.0 TiB for an array\n"
 
     def test_usage_error_is_64(self, capsys):
         code, _, _ = run(capsys, "extremal", "--order", "7", "--stat", "unknown", "--min")

@@ -111,6 +111,19 @@ _POOL_PROBE = (
 )
 
 
+def test_cli_counts_trees_without_fractions():
+    """The tree count is summed in integers, so no command loads
+    ``fractions``, nor the ``decimal`` that it imports."""
+    out = run_python(
+        "import json, sys\n"
+        "from levelspectra.cli import main\n"
+        "codes = [main(['verify', '--order', '8', '--jobs', '1', '--format', 'json'])]\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'loaded': sorted({'fractions', 'decimal'} & set(sys.modules))}))\n"
+    )
+    assert out == {"codes": [0], "loaded": []}
+
+
 def test_extremal_and_analyze_do_not_import_the_pool(tmp_path):
     tree = tmp_path / "path.tree"
     tree.write_text("5\n0 1 2 3 4\n")

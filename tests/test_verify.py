@@ -527,8 +527,11 @@ def _oracle_structural(tree, spectrum, nullity, tol):
                     (nullity == n - 2) == trees_mod.is_rooted_star(tree), math.nan))
         out.append(("path-characterisation",
                     (nullity == 0) == trees_mod.is_rooted_path(tree), math.nan))
-    out.append(("zero-cluster-consistency",
-                spectra_mod.clustered_multiplicity(spectrum, 0.0, tol) == nullity, math.nan))
+    try:  # an ambiguous zero cluster fails the check, as verify reports it
+        zero_ok = spectra_mod.clustered_multiplicity(spectrum, 0.0, tol) == nullity
+    except AmbiguousCluster:
+        zero_ok = False
+    out.append(("zero-cluster-consistency", zero_ok, math.nan))
     dist = levelmatrix_mod.distance_matrix(tree)
     out.append(("distance-domination",
                 bool(np.all(matrix.entries <= dist))
@@ -585,9 +588,13 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
         checks=[checks[k] for k in sorted(checks)], extremal=extremal)
 
 
-@pytest.mark.parametrize("order", range(1, 9))
-def test_ledger_equals_tree_by_tree_oracle(order):
-    assert verify_order(order, jobs=1).to_dict() == _oracle_ledger(order).to_dict()
+@pytest.mark.parametrize("order, tol", [
+    *(pytest.param(n, spectra_mod.DEFAULT_CLUSTER_TOL, id=str(n)) for n in range(1, 9)),
+    # coarse: orders 6-9 name offenders (1, 7, 33 and 108 violations)
+    *(pytest.param(n, 0.05, id=f"{n}-tol0.05") for n in range(1, 10)),
+])
+def test_ledger_equals_tree_by_tree_oracle(order, tol):
+    assert verify_order(order, jobs=1, tol=tol).to_dict() == _oracle_ledger(order, tol).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -782,21 +789,22 @@ _NO_SLACK = {"leaf-deletion-multiplicity", "zero-deletion-multiplicity", "zero-m
 
 @pytest.mark.parametrize("order", [3, 8])
 def test_tables_hold_only_what_carries_information(order):
-    """A check without a slack gets no slack table, and only a line that
-    skips some profiles (energy-upper-improved skips the rooted path) gets
-    a covered mask; every other table has a row per profile."""
+    """The tables hold verdicts only, beside one worst slack per line (inf
+    for a check without a slack), and only a line that skips some profiles
+    (energy-upper-improved skips the rooted path) gets a covered mask;
+    every other table has a row per profile."""
     bound_lines, structural = verify_mod._resolve_selection(None)
     tables = verify_mod._verdict_tables(order, bound_lines, structural,
                                         spectra_mod.DEFAULT_CLUSTER_TOL, verify_mod.EXTREMAL_STATS)
     size = 2 ** (order - 2)
-    assert {name for name, (_, slack) in (tables.lines | tables.leaf_lines).items()
-            if slack is None} == _NO_SLACK
+    assert set(tables.worst) == set(tables.lines) | set(tables.leaf_lines)
+    assert {name for name, slack in tables.worst.items() if math.isinf(slack)} == _NO_SLACK
     assert set(tables.leaf_lines) == {"interlacing", "leaf-deletion-multiplicity",
                                       "zero-deletion-multiplicity"}
-    for ok, slack in tables.lines.values():
-        assert ok.shape == (size,) and (slack is None or slack.shape == (size,))
-    for ok, slack in tables.leaf_lines.values():
-        assert ok.shape == (size, order) and (slack is None or slack.shape == (size, order))
+    for ok in tables.lines.values():
+        assert ok.dtype == bool and ok.shape == (size,)
+    for ok in tables.leaf_lines.values():
+        assert ok.dtype == bool and ok.shape == (size, order)
     [(name, covered)] = tables.covered.items()
     assert name == "energy-upper-improved"
     assert np.flatnonzero(~covered).tolist() == [size - 1]  # (1,) * order, the last profile
