@@ -51,8 +51,9 @@ _SUBMODULE_OF = {
         "is_rooted_path",
         "is_rooted_star",
         "level_sequences",
-        "level_profiles",
         "levels",
+        "profile_index",
+        "profile_stacks",
         "parse_tree",
         "rooted_path",
         "rooted_star",

@@ -312,7 +312,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--only", default=None, metavar="NAMES",
                           help="comma-separated subset of checks")
     p_verify.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: available parallelism)")
+                          help="worker processes (default: available parallelism); "
+                               f"a pool starts only from {verify_mod.POOL_MIN_TREES:,} "
+                               "trees (order 17, above the default cap)")
     p_verify.add_argument("--out", default=None, help="write the ledger to a file")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     add_tol(p_verify)
@@ -386,6 +388,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
+    if args.cap < 1:
+        raise _UsageError(f"--cap must be at least 1, got {args.cap}")
     tree = _read_tree(args.path)
     poly = _level_charpoly(tree, cap=args.cap)
     if args.format == "json":

@@ -6,17 +6,18 @@ The level matrix depends only on the level profile (n_0, ..., n_h), the
 number of vertices at each level. Its nonzero spectrum is the spectrum of
 the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine,
-:func:`solve_profiles`, groups many profiles into stacks of one order and
-one height, solves each with one LAPACK ``eigvalsh`` call and one lock-step
-rank certificate, and returns the stacks themselves: each a
-:class:`SpectralData` of (k, n) values and (k,) rho, energy and nullity
-arrays, which every check reads. It is the only way a profile is solved,
-it keeps no state, and it refuses a profile of more than MAX_LEVELS
-levels. The exact nullity is n - rank(B) with the integer matrix
-B_ab = |a - b| n_b, which has the rank of S. Its rank is certified by
-elimination modulo a prime below 2**26, exact in binary64, which can only
-under-count the rank; when that count is short of full rank, the exact
-rank comes from Bareiss elimination of B. :func:`_cluster`, the one
+:func:`solve_profiles`, solves a (k, h+1) array of profiles of one order
+and one height, such as each stack ``trees.profile_stacks`` yields, with
+one LAPACK ``eigvalsh`` call and one lock-step rank certificate, and
+returns the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
+energy and nullity arrays, which every check reads. It is the only way a
+profile is solved, it keeps no state, and it refuses counts that are not
+positive integers, an array of more than one order, and a profile of more
+than MAX_LEVELS levels. The exact nullity is n - rank(B) with the integer
+matrix B_ab = |a - b| n_b, which has the rank of S. Its rank is certified
+by elimination modulo a prime below 2**26, exact in binary64, which can
+only under-count the rank; when that count is short of full rank, the
+exact rank comes from Bareiss elimination of B. :func:`_cluster`, the one
 clustering rule, groups a whole stack's values at once. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
 ``special`` print and that the dense oracle returns.
@@ -41,7 +42,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -315,11 +315,20 @@ def level_profile(vertex_levels) -> tuple[int, ...]:
     return tuple(int(c) for c in np.bincount(np.asarray(vertex_levels, dtype=np.int64)))
 
 
-def _profile_key(profile) -> tuple[int, ...]:
-    key = tuple(map(int, profile))
-    if not key or min(key) < 1:
-        raise ValueError(f"a level profile needs positive counts, got {key}")
-    return key
+def _profile_counts(counts) -> np.ndarray:
+    """``counts`` as a (k, h+1) int64 array of level profiles, the one check
+    of a profile: ``ValueError`` unless every count is a positive integer
+    and every row of one order."""
+    array = np.asarray(counts)
+    if array.dtype.kind not in "iu" or array.ndim != 2 or not array.size:
+        raise ValueError(f"level profiles need a (k, h+1) array of integers, got {counts!r}")
+    array = array.astype(np.int64)
+    orders = array.sum(axis=1)
+    bad = np.flatnonzero((array < 1).any(axis=1) | (orders != orders[0]))
+    if len(bad):
+        raise ValueError("level profiles need positive counts of one order, "
+                         f"got {array[bad[0]].tolist()} in row {bad[0]}")
+    return array
 
 
 def _quotient_stack(counts: np.ndarray) -> np.ndarray:
@@ -338,7 +347,7 @@ def quotient_matrix(profile) -> np.ndarray:
     with the in-repo solvers to check the engine, which builds its stacks
     of quotients itself.
     """
-    return _quotient_stack(np.array([_profile_key(profile)], dtype=np.int64))[0]
+    return _quotient_stack(_profile_counts([profile]))[0]
 
 
 #: Modulus of the rank certificate: 67,108,859, the largest prime below
@@ -349,13 +358,6 @@ def quotient_matrix(profile) -> np.ndarray:
 #: word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
 #: 2008).
 RANK_PRIME = 67_108_859
-
-#: Profiles of one order and one height solved together: one LAPACK call
-#: and one elimination per stack of at most this many, which bounds a
-#: batch's working arrays to a few (STACK_SIZE, h+1, h+1) blocks. ``verify``
-#: checks the stacks as the engine returns them, with the (profile, leaf
-#: level) pairs of each, and walks the trees in batches of the same size.
-STACK_SIZE = 1024
 
 #: Most levels (h + 1) of a profile the engine solves. Its rank certificate
 #: is O(h^3): ``analyze`` of rooted paths of 500 and 1,000 vertices takes
@@ -384,8 +386,7 @@ class SpectralData:
     @classmethod
     def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
         """The stack of one profile."""
-        [(_, data)] = solve_profiles([profile], tol)
-        return data
+        return solve_profiles([profile], tol)
 
     @classmethod
     def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
@@ -512,10 +513,25 @@ def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
     return full
 
 
-def _solve_stack(counts: np.ndarray, tol: float) -> SpectralData:
-    """Solve a (k, h+1) array of level counts of one order: one stacked
-    ``eigvalsh`` and one stacked rank certificate."""
+def solve_profiles(counts, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
+    """The profile engine: the stack of a (k, h+1) array of level profiles
+    of one order, such as ``trees.profile_stacks`` yields.
+
+    The values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
+    quotients, padded with n - h - 1 exact zeros. The nullity is
+    n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
+    quotient. A full rank modulo RANK_PRIME proves full rank over the
+    rationals; any other outcome is decided by Bareiss elimination of B.
+    Counts that are not positive integers, or rows of more than one
+    order, raise ``ValueError``, and more than MAX_LEVELS levels
+    ``ResourceLimit``, before anything is solved.
+    """
+    _check_tol(tol)
+    counts = _profile_counts(counts)
     k, s = counts.shape
+    if s > MAX_LEVELS:
+        raise ResourceLimit(f"a level profile of {s} levels "
+                            f"exceeds the limit of {MAX_LEVELS}")
     n = int(counts[0].sum())
     quotient_values = np.linalg.eigvalsh(_quotient_stack(counts))  # ascending
     rho = np.abs(quotient_values).max(axis=1)
@@ -537,37 +553,7 @@ def _solve_stack(counts: np.ndarray, tol: float) -> SpectralData:
     for i in np.flatnonzero(~_full_rank_mod_p(b % RANK_PRIME)).tolist():
         # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
         nullity[i] += exact_zero_multiplicity(distances * counts[i].astype(object))
-    return SpectralData(counts, values, rho, energy, nullity, tol)
-
-
-def solve_profiles(profiles, tol: float = DEFAULT_CLUSTER_TOL
-                   ) -> Iterator[tuple[np.ndarray, SpectralData]]:
-    """The profile engine: the profiles given, grouped by order and height
-    in stacks of up to STACK_SIZE, each solved when it is reached and
-    yielded with ``rows``, the positions of its members in ``profiles``.
-
-    The values come from one LAPACK ``eigvalsh`` call per stack on the
-    (h+1)x(h+1) quotients, padded with n - h - 1 exact zeros. The nullity
-    is n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
-    quotient. A full rank modulo RANK_PRIME proves full rank over the
-    rationals; any other outcome is decided by Bareiss elimination of B.
-    A malformed profile raises ``ValueError``, and one of more than
-    MAX_LEVELS levels ``ResourceLimit``, before any stack is solved.
-    """
-    _check_tol(tol)
-    keys = [_profile_key(p) for p in profiles]
-    tallest = max(map(len, keys), default=0)
-    if tallest > MAX_LEVELS:
-        raise ResourceLimit(f"a level profile of {tallest} levels "
-                            f"exceeds the limit of {MAX_LEVELS}")
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault((sum(key), len(key)), []).append(i)
-    stacks = [group[start:start + STACK_SIZE]
-              for group in groups.values() for start in range(0, len(group), STACK_SIZE)]
-    return ((np.array(rows), _solve_stack(np.array([keys[i] for i in rows], dtype=np.int64),
-                                          float(tol)))
-            for rows in stacks)
+    return SpectralData(counts, values, rho, energy, nullity, float(tol))
 
 
 def _residues(rows) -> np.ndarray:

@@ -301,27 +301,47 @@ def check_enumeration_cap(n: int, cap: int | None = None) -> None:
         )
 
 
-def level_profiles(n: int) -> Iterator[tuple[int, ...]]:
+#: Level profiles of one order and one height per stack: at most this many,
+#: which bounds a stack's working arrays in the profile engine to a few
+#: (STACK_SIZE, h+1, h+1) blocks. ``verify`` walks the trees in batches of
+#: the same size.
+STACK_SIZE = 1024
+
+
+def profile_stacks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield every level profile (n_0, ..., n_h) of a rooted tree on ``n``
     vertices: n_0 = 1 followed by a composition of n - 1, which some tree
-    realises for any positive counts. There are 2**(n - 2) of them for
-    n >= 2; bit i of the counter cuts the composition after its (i+1)-th
-    unit."""
+    realises for any positive counts. Its profile index has bit i set where
+    the composition is cut after its (i+1)-th unit, so there are 2**(n - 2)
+    for n >= 2. They come as (index, counts) stacks of one height, heights
+    ascending: the (k,) indices, ascending, and the (k, h+1) int64 counts,
+    k at most STACK_SIZE. :func:`profile_index` is the inverse."""
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
-    if n == 1:
-        yield (1,)
-        return
-    for cuts in range(1 << (n - 2)):
-        parts, run = [1], 1
-        for bit in range(n - 2):
-            if cuts >> bit & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        yield tuple(parts)
+    height = np.full(1, min(n - 1, 1), dtype=np.int8)  # of each index, by doubling
+    for _ in range(n - 2):
+        height = np.concatenate([height, height + 1])
+    for h in range(n):
+        group = np.flatnonzero(height == h)
+        for start in range(0, len(group), STACK_SIZE):
+            index = group[start:start + STACK_SIZE]
+            ends = np.full((len(index), h), n - 1)  # the cuts, lowest bit first, then n - 1
+            rest = index.copy()
+            for j in range(h - 1):
+                low = rest & -rest
+                ends[:, j] = np.frexp(low)[1]  # frexp(2**i) has exponent i + 1
+                rest ^= low
+            counts = np.ones((len(index), h + 1), dtype=np.int64)
+            counts[:, 1:] = np.diff(ends, axis=1, prepend=0)
+            yield index, counts
+
+
+def profile_index(counts) -> np.ndarray:
+    """The profile index of each row of a (k, h+1) array of level counts,
+    the inverse of :func:`profile_stacks`: bit c - 1 is set for each
+    cumulative count c = n_1 + ... + n_a, a < h."""
+    cuts = np.cumsum(np.asarray(counts, dtype=np.int64)[:, 1:-1], axis=1)
+    return np.left_shift(1, cuts - 1).sum(axis=1, dtype=np.int64)
 
 
 def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTree]:

@@ -4,9 +4,9 @@ Runs every bound, identity, and structural claim over all rooted trees of a
 given order and produces a pass/fail ledger with extremal statistics.
 Every verdict but ``distance-domination`` depends only on a tree's level
 profile or on a (profile, leaf level) pair, so the calling process computes
-it once, on the stacks the profile engine returns, into tables indexed by
-profile, and the walk over the trees looks it up tree by tree; each such
-line's worst slack is folded there, stack by stack. Violations are
+it once, on each height stack of ``trees.profile_stacks``, into tables by
+profile index, and the walk over the trees looks it up tree by tree; each
+such line's worst slack is folded there, stack by stack. Violations are
 collected rather than fail-fast, so a bad run reports every offending tree.
 """
 
@@ -24,19 +24,9 @@ from . import bounds
 from .bounds import COMPARISON_TOL
 from .errors import InvalidOrder
 from .levelmatrix import ordered_distance_matrix, row_sum_differences, sequence_parents
-from .spectra import (
-    DEFAULT_CLUSTER_TOL,
-    STACK_SIZE,
-    SpectralData,
-    _cluster,
-    solve_profiles,
-)
-from .trees import (
-    check_enumeration_cap,
-    level_profiles,
-    level_sequences,
-    rooted_tree_count,
-)
+from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _cluster, solve_profiles
+from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_index,
+                    profile_stacks, rooted_tree_count)
 
 #: Interlacing slack scale: eigenvalues of a leaf-deleted tree may leave the
 #: bracketing interval by at most ``1e-8 * max(1, rho)``.
@@ -276,10 +266,10 @@ class VerificationLedger:
 
 
 def _profile_ids(levels: np.ndarray) -> np.ndarray:
-    """(B, n) canonical level sequences -> each tree's profile index, its
-    position in ``level_profiles(n)``. Below the root, the sorted levels
-    spell the composition of n - 1, and bit i of the index is set where the
-    (i+2)-th of them is deeper than the (i+1)-th."""
+    """(B, n) canonical level sequences -> each tree's profile index (see
+    ``trees.profile_stacks``). Below the root, the sorted levels spell the
+    composition of n - 1, and bit i of the index is set where the (i+2)-th
+    of them is deeper than the (i+1)-th."""
     below = np.sort(levels[:, 1:], axis=1)
     rises = below[:, 1:] > below[:, :-1]
     return rises @ (1 << np.arange(rises.shape[1], dtype=np.int64))
@@ -300,33 +290,31 @@ def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
 
 def _leaf_pairs(counts: np.ndarray):
     """The realisable (member, leaf level) pairs of a (k, h+1) stack of
-    level counts of order n: the deepest level, and each other with two or
-    more vertices (one has a child). With each, the counts of the tree less
-    a leaf there (its deepest level may be left empty) and their index in
-    ``level_profiles(n - 1)``: bit c - 1 is set for each cumulative count
-    c = n_1 + ... + n_a below n - 2, a cut of the composition of n - 2."""
+    level counts: the deepest level, and each other with two or more
+    vertices (one has a child). With each, the counts of the tree less a
+    leaf there (its deepest level may be left empty)."""
     h = counts.shape[1] - 1
     members, levels = np.nonzero((counts >= 2) | (np.arange(h + 1) == h))
     sub = counts[members]
     sub[np.arange(len(members)), levels] -= 1
-    cuts = np.cumsum(sub[:, 1:-1], axis=1)
-    bits = np.where(cuts < counts[0].sum() - 2, np.left_shift(1, cuts - 1), 0)
-    return members, levels, sub, bits.sum(axis=1, dtype=np.int64)
+    return members, levels, sub
 
 
 def _leaf_stacks(data: SpectralData, below: tuple[np.ndarray, ...]):
     """(members, leaf levels, parent stack, leaf-deleted stack) of a stack's
-    realisable pairs, gathered by index from ``data`` and from ``below``
-    (order n - 1's values, rho, energy and nullity). The pairs that empty
-    the deepest level have one level fewer, so they stack apart."""
+    realisable pairs, gathered from ``data`` and, by profile index, from
+    ``below`` (order n - 1's values, rho, energy and nullity). The pairs
+    that empty the deepest level have one level fewer, so they stack
+    apart."""
     h = data.l_max
-    members, levels, counts, ids = _leaf_pairs(data.counts)
+    members, levels, counts = _leaf_pairs(data.counts)
     for kept in (True, False):
         pairs = np.flatnonzero((counts[:, h] > 0) == kept)
         if len(pairs):
-            sub = SpectralData(counts[pairs, :h + 1 if kept else h],
-                               *(column[ids[pairs]] for column in below), data.tol)
-            yield members[pairs], levels[pairs], data.take(members[pairs]), sub
+            sub = counts[pairs, :h + 1 if kept else h]
+            yield (members[pairs], levels[pairs], data.take(members[pairs]),
+                   SpectralData(sub, *(column[profile_index(sub)] for column in below),
+                                data.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +471,7 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
 @dataclass
 class VerdictTables:
     """Every verdict of one order, for the walk to look up by a tree's
-    profile index (its position in ``level_profiles(order)``, P of them).
+    profile index (see ``trees.profile_stacks``; P of them).
 
     ``lines`` maps each bound line and PROFILE check to its (P,) verdicts,
     and ``leaf_lines`` each LEAF_LEVEL check to its (P, n) verdicts by
@@ -518,7 +506,8 @@ def _solved_space(order: int, tol: float) -> tuple[np.ndarray, ...]:
     size = 1 << max(order - 2, 0)
     space = (np.empty((size, order)), np.empty(size), np.empty(size),
              np.empty(size, dtype=np.int64))
-    for rows, data in solve_profiles(level_profiles(order), tol):
+    for rows, counts in profile_stacks(order):
+        data = solve_profiles(counts, tol)
         for table, column in zip(space, (data.values, data.rho, data.energy, data.nullity)):
             table[rows] = column
     return space
@@ -526,11 +515,11 @@ def _solved_space(order: int, tol: float) -> tuple[np.ndarray, ...]:
 
 def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float, stats: tuple[str, ...]) -> VerdictTables:
-    """Check the order's profile space once. The profile engine solves the
-    order's profiles, and each stack it returns is checked as it comes: the
-    bound lines and PROFILE checks on the stack, the LEAF_LEVEL checks on
-    its realisable (profile, leaf level) pairs, each written at the
-    members' profile indices. When a leaf check runs, the profiles one
+    """Check the order's profile space once. The profile engine solves each
+    stack of ``profile_stacks``, which is checked as it comes: the bound
+    lines and PROFILE checks on the stack, the LEAF_LEVEL checks on its
+    realisable (profile, leaf level) pairs, each written at the members'
+    profile indices. When a leaf check runs, the profiles one
     order down, which hold every leaf-deleted profile, are solved first
     into arrays by profile index."""
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
@@ -546,7 +535,8 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
     covered: dict[str, np.ndarray] = {}
     worst: dict[str, float] = {}
     values = {stat: np.empty(size) for stat in stats}
-    for rows, data in solve_profiles(level_profiles(order), tol):
+    for rows, counts in profile_stacks(order):
+        data = solve_profiles(counts, tol)
         for stat, table in values.items():
             table[rows] = getattr(data, stat)
         for name, ok, slack in (_bound_verdicts(data, bound_lines)

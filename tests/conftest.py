@@ -47,6 +47,25 @@ def parent_arrays(draw):
     return RootedTree(parent)
 
 
+def profiles_by_index(n: int) -> list[tuple[int, ...]]:
+    """Every level profile of order ``n`` as a tuple at its profile index,
+    one bit at a time, the oracle of ``trees.profile_stacks``: bit i of the
+    index cuts the composition of n - 1 after its (i+1)-th unit."""
+    if n == 1:
+        return [(1,)]
+    out = []
+    for cuts in range(1 << (n - 2)):
+        parts, run = [1], 1
+        for bit in range(n - 2):
+            if cuts >> bit & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        out.append((*parts, run))
+    return out
+
+
 def leaf_levels(seq) -> set[int]:
     """The levels that hold a leaf of the tree with canonical level sequence
     ``seq``, from the walk's batched leaf-level mask."""

@@ -10,11 +10,11 @@ from levelspectra import (
     evaluate_checks,
     leafstar_cubic_roots,
     level_profile,
-    level_profiles,
     levels,
     path_rho_closed_form,
     rooted_path,
     rooted_star,
+    profile_stacks,
     solve_profiles,
     star_rooted_at_leaf,
     symmetric_eigenvalues,
@@ -36,6 +36,8 @@ from levelspectra.bounds import (
     check_trace_identity,
 )
 from levelspectra.errors import DegenerateDenominator, InvalidOrder, TooSmall
+
+from conftest import profiles_by_index
 
 
 def data_for(tree):
@@ -328,17 +330,17 @@ class TestEvaluateChecks:
     def test_stack_rows_equal_stacks_of_one(self, order):
         """Each member of a height stack gets, bit for bit, the reports it
         gets in a stack of its own."""
-        profiles = list(level_profiles(order))
-        for rows, stack in solve_profiles(profiles):
-            assert stack.values.shape == (len(rows), order)
+        for _, counts in profile_stacks(order):
+            stack = solve_profiles(counts)
+            assert stack.values.shape == (len(counts), order)
             for name, (check, min_order, _) in CHECKS.items():
                 if order < min_order:
                     continue
                 comparisons = check(stack)
-                for i, row in enumerate(rows.tolist()):
-                    alone = SpectralData.from_profile(profiles[row])
+                for i, profile in enumerate(counts):
+                    alone = SpectralData.from_profile(profile)
                     got = [c.report(i) for c in comparisons]
-                    assert got == evaluate_checks(alone, [name]), (profiles[row], name)
+                    assert got == evaluate_checks(alone, [name]), (profile, name)
 
     def test_special_families_to_order_50(self):
         from levelspectra import complete_dary
@@ -352,13 +354,13 @@ class TestEvaluateChecks:
 
 
 @pytest.mark.parametrize("profiles", [
-    [p for p in level_profiles(9) if len(p) == 4],
+    [p for p in profiles_by_index(9) if len(p) == 4],
     [(1,) * 200],
 ])
 def test_stacked_intervals_equal_per_index_comparisons(profiles):
     """The per-index intervals j = 2..n-1, compared in one stacked call,
     equal bit for bit those compared one index at a time."""
-    [(_, d)] = solve_profiles(profiles)
+    d = solve_profiles(profiles)
     n, h = d.n, d.h_value.astype(float)
     comparisons = {c.name: c for c in check_eigenvalue_intervals(d)}
     for j in range(2, n):

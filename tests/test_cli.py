@@ -349,6 +349,12 @@ class TestCharpolyCommand:
         code, _, _ = run(capsys, "charpoly", tree_file, "--cap", "5")
         assert code == 4
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_64(self, tree_file, capsys, cap):
+        code, out, err = run(capsys, "charpoly", tree_file, "--cap", cap)
+        assert code == 64 and out == ""
+        assert f"--cap must be at least 1, got {cap}" in err
+
     @pytest.mark.parametrize("argv", [["charpoly"], ["analyze", "--charpoly"]])
     def test_cap_checked_before_the_matrix_is_built(self, argv, tmp_path,
                                                     monkeypatch, capsys):

@@ -25,9 +25,10 @@ from levelspectra import (
     enumerate_rooted_trees,
     exact_zero_multiplicity,
     level_profile,
-    level_profiles,
     level_sequences,
     levels,
+    profile_index,
+    profile_stacks,
     quotient_matrix,
     rooted_path,
     rooted_star,
@@ -38,6 +39,7 @@ from levelspectra import (
 from levelspectra import spectra as spectra_mod
 from levelspectra.eigen import symmetric_eigh
 from levelspectra.errors import ResourceLimit
+from levelspectra.trees import STACK_SIZE
 from levelspectra.bounds import CHECKS
 from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
@@ -51,17 +53,25 @@ from levelspectra.spectra import (
 from levelspectra import verify as verify_mod
 from levelspectra.verify import _leaf_pairs, extremal_sweep
 
-from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays
+from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays, profiles_by_index
+
+
+def height_stacks(profiles):
+    """The profiles grouped into stacks of one order and one height."""
+    stacks = {}
+    for profile in profiles:
+        stacks.setdefault((sum(profile), len(profile)), []).append(profile)
+    return list(stacks.values())
 
 
 def solved_rows(profiles, tol=DEFAULT_CLUSTER_TOL) -> list[tuple[SpectralData, int]]:
-    """(stack, row) of each profile, in the order given: the engine's stack
-    that holds it and its row there."""
-    out = [None] * len(profiles)
-    for rows, data in solve_profiles(profiles, tol):
-        for i, row in enumerate(rows.tolist()):
-            out[row] = (data, i)
-    return out
+    """(stack, row) of each profile, in the order given: the engine's solve
+    of its stack of one order and one height, and its row there."""
+    out = {}
+    for stack in height_stacks(profiles):
+        data = solve_profiles(stack, tol)
+        out.update((profile, (data, i)) for i, profile in enumerate(stack))
+    return [out[profile] for profile in profiles]
 
 
 def assert_matches_oracle(tree: RootedTree) -> None:
@@ -124,7 +134,8 @@ class TestProfiles:
         assert a.counts.tolist() == b.counts.tolist() == [[1, 2, 2]]
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("bad", [(), (1, 0, 2), (0,)])
+    @pytest.mark.parametrize("bad", [(), (1, 0, 2), (0,), (1, 2.7), ("1", "2"),
+                                     np.array([1.0, 2.0])])
     def test_rejects_bad_profiles(self, bad):
         with pytest.raises(ValueError):
             solve_profiles([bad])
@@ -134,6 +145,13 @@ class TestProfiles:
     def test_rejects_gapped_levels(self):
         with pytest.raises(ValueError):
             SpectralData.from_profile(level_profile([0, 2]))
+
+    def test_rejects_mixed_orders_and_shapes(self):
+        with pytest.raises(ValueError, match="one order"):
+            solve_profiles([(1, 2), (1, 3)])
+        for bad in ([], (1, 2), [[[1, 2]]], [(1, 2), (1, 1, 1)]):
+            with pytest.raises(ValueError):
+                solve_profiles(bad)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
@@ -153,27 +171,27 @@ def test_spectral_data_uses_engine():
     data = SpectralData.from_tree(rooted_path(6))
     assert data.counts.tolist() == [[1] * 6]
     assert data.nullity.tolist() == [0]
-    [(rows, engine)] = solve_profiles([(1,) * 6])
-    assert rows.tolist() == [0]
-    assert np.array_equal(data.values, engine.values)
+    assert np.array_equal(data.values, solve_profiles([(1,) * 6]).values)
 
 
 @pytest.mark.parametrize("order", range(2, 11))
 def test_leaf_profiles_match_deleted_trees(order):
-    """The leaf-deleted counts and profile index read off a profile's
-    counts: at each leaf level of a tree, the profile of the tree less a
-    leaf there, whose index is its position in level_profiles(order - 1)."""
-    below = {profile: i for i, profile in enumerate(level_profiles(order - 1))}
+    """The leaf-deleted counts read off a profile's counts: at each leaf
+    level of a tree, the profile of the tree less a leaf there, whose
+    profile index is its position among the profiles of order - 1."""
+    below = {profile: i for i, profile in enumerate(profiles_by_index(order - 1))}
     for tree in enumerate_rooted_trees(order):
         deleted = {level_profile(levels(delete_leaf(tree, leaf))) for leaf in tree.leaves()}
         lev = levels(tree)
         leaf_levels = {int(lev[leaf]) for leaf in tree.leaves()}
-        _, ks, counts, ids = _leaf_pairs(np.array([level_profile(lev)]))
+        _, ks, counts = _leaf_pairs(np.array([level_profile(lev)]))
         assert leaf_levels <= set(ks.tolist())
         subs = [tuple(c for c in row if c) for row, k in zip(counts.tolist(), ks.tolist())
                 if k in leaf_levels]
         assert len(subs) == len(set(subs)) and set(subs) == deleted
-        assert ids.tolist() == [below[tuple(c for c in row if c)] for row in counts.tolist()]
+        for row in counts.tolist():
+            sub = [c for c in row if c]
+            assert profile_index([sub]).tolist() == [below[tuple(sub)]]
 
 
 def record_lapack_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
@@ -220,7 +238,12 @@ def test_verify_solves_the_profile_space_once(monkeypatch, selection, solved):
     assert sum(shape[0] for _, shape in calls) == solved
 
 
-ALL_PROFILES = [p for order in range(1, 13) for p in level_profiles(order)]
+ALL_PROFILES = [p for order in range(1, 13) for p in profiles_by_index(order)]
+
+#: The engine's stack of each height stack of orders 1..12, with its
+#: profile indices.
+ALL_STACKS = [(order, index, solve_profiles(counts))
+              for order in range(1, 13) for index, counts in profile_stacks(order)]
 
 
 def test_profile_enumeration_is_complete():
@@ -229,9 +252,7 @@ def test_profile_enumeration_is_complete():
 
 
 def test_all_profiles_enumerated():
-    profiles = [p for order in range(1, 13) for p in level_profiles(order)]
-    assert len(profiles) == len(set(profiles)) == 2048
-    assert {level_profile(seq) for seq in level_sequences(9)} == set(level_profiles(9))
+    assert {level_profile(seq) for seq in level_sequences(9)} == set(profiles_by_index(9))
 
 
 class TestValuesOnlySolve:
@@ -265,33 +286,27 @@ def oracle_stack(profiles, method) -> SpectralData:
                         DEFAULT_CLUSTER_TOL)
 
 
-def height_stacks(profiles):
-    """The profiles grouped into stacks of one order and one height."""
-    stacks = {}
-    for profile in profiles:
-        stacks.setdefault((sum(profile), len(profile)), []).append(profile)
-    return list(stacks.values())
-
-
 def test_every_profile_solved_once_in_its_stack():
-    """The engine's stacks cover the profiles given exactly once, each stack
-    of one order and one height, at most STACK_SIZE, and its counts are
-    the profiles at its rows."""
-    seen = []
-    for rows, data in solve_profiles(ALL_PROFILES):
-        assert 1 <= len(rows) <= spectra_mod.STACK_SIZE
-        assert data.counts.tolist() == [list(ALL_PROFILES[i]) for i in rows.tolist()]
-        assert (data.counts.sum(axis=1) == data.n).all()
-        assert data.values.shape == (len(rows), data.n)
-        assert data.rho.shape == data.energy.shape == data.nullity.shape == (len(rows),)
-        seen += rows.tolist()
-    assert sorted(seen) == list(range(len(ALL_PROFILES)))
+    """The height stacks cover the profiles of each order exactly once, at
+    most STACK_SIZE each, and the engine's stack of one has its counts and
+    a row of values, rho, energy and nullity per member."""
+    profiles = {order: profiles_by_index(order) for order in range(1, 13)}
+    seen = {order: [] for order in profiles}
+    for order, index, data in ALL_STACKS:
+        assert 1 <= len(index) <= STACK_SIZE
+        assert data.counts.tolist() == [list(profiles[order][i]) for i in index.tolist()]
+        assert (data.counts.sum(axis=1) == data.n).all() and data.n == order
+        assert data.values.shape == (len(index), data.n)
+        assert data.rho.shape == data.energy.shape == data.nullity.shape == (len(index),)
+        seen[order] += index.tolist()
+    assert {order: sorted(ids) for order, ids in seen.items()} == {
+        order: list(range(len(p))) for order, p in profiles.items()}
 
 
 @pytest.mark.parametrize("method", ["ql", "jacobi"])
 def test_engine_matches_in_repo_solvers(method):
-    for rows, got in solve_profiles(ALL_PROFILES):
-        stack = [ALL_PROFILES[i] for i in rows.tolist()]
+    for _, _, got in ALL_STACKS:
+        stack = [tuple(row) for row in got.counts.tolist()]
         want = oracle_stack(stack, method)
         scale = np.maximum(1.0, want.rho)[:, None]
         assert (np.abs(got.values - want.values) <= 1e-12 * scale).all(), stack
@@ -314,9 +329,9 @@ def test_engine_matches_in_repo_solvers(method):
 
 
 def test_batch_equals_batches_of_one():
-    for rows, data in solve_profiles(ALL_PROFILES):
-        for i, row in enumerate(rows.tolist()):
-            one = SpectralData.from_profile(ALL_PROFILES[row])
+    for _, _, data in ALL_STACKS:
+        for i, profile in enumerate(data.counts):
+            one = SpectralData.from_profile(profile)
             assert np.array_equal(data.values[i], one.values[0])
             assert (data.rho[i], data.energy[i]) == (one.rho[0], one.energy[0])
             assert data.spectrum(i).clusters == one.spectrum().clusters
@@ -469,7 +484,7 @@ class TestLazyClusters:
         # leaf-deletion-multiplicity groups each realisable (profile, leaf
         # level) pair of order 9 once
         (lambda: verify_order(9, jobs=1),
-         sum(len(_leaf_pairs(np.array([p]))[0]) for p in level_profiles(9))),
+         sum(len(_leaf_pairs(counts)[0]) for _, counts in profile_stacks(9))),
     ], ids=["extremal", "verify-no-cluster-check", "verify-all"])
     def test_walks_cluster_only_what_they_read(self, counted, run, formed):
         run()
@@ -483,7 +498,7 @@ class TestHeightLimit:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         with pytest.raises(ResourceLimit, match="1025 levels"):
-            solve_profiles([(1, 2), (1,) * (MAX_LEVELS + 1)])
+            solve_profiles([(1,) * (MAX_LEVELS + 1)])
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(spectra_mod, "MAX_LEVELS", 5)
@@ -729,8 +744,8 @@ def assert_aggregates_match_matrices(profiles, python_ints=()) -> None:
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_profile_aggregates_equal_matrix_aggregates(order):
-    for stack in height_stacks(level_profiles(order)):
-        assert_aggregates_match_matrices(stack)
+    for _, counts in profile_stacks(order):
+        assert_aggregates_match_matrices(counts.tolist())
 
 
 @settings(max_examples=60, deadline=None)

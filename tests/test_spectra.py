@@ -12,9 +12,9 @@ from levelspectra import (
     delete_leaf,
     enumerate_rooted_trees,
     exact_zero_multiplicity,
-    level_profiles,
     levels,
     perron_vector,
+    profile_stacks,
     rooted_path,
     rooted_star,
     solve_profiles,
@@ -271,13 +271,6 @@ def _interlace(outer, inner, slack) -> bool:
     return bool(np.all(inner <= outer[:-1] + slack) and np.all(inner >= outer[1:] - slack))
 
 
-def stack(profiles) -> SpectralData:
-    """The stack of these profiles (one order, one height)."""
-    [(rows, data)] = solve_profiles(profiles)
-    assert rows.tolist() == list(range(len(profiles)))
-    return data
-
-
 class TestInterlacing:
     """The dense oracle spectra interlace under leaf deletion, and the
     ledger's ``interlacing`` check, which reads profile spectra, tells
@@ -287,30 +280,30 @@ class TestInterlacing:
         outer = symmetric_eigenvalues(build_level_matrix(rooted_path(3))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_path(2))).values
         assert _interlace(outer, inner, slack=1e-8)
-        ok, _ = _interlacing(stack([(1, 1, 1)]), stack([(1, 1)]), 1e-8)
+        ok, _ = _interlacing(solve_profiles([(1, 1, 1)]), solve_profiles([(1, 1)]), 1e-8)
         assert ok.tolist() == [True]
 
     def test_s4_to_s3(self):
         outer = symmetric_eigenvalues(build_level_matrix(rooted_star(4))).values
         inner = symmetric_eigenvalues(build_level_matrix(rooted_star(3))).values
         assert _interlace(outer, inner, slack=1e-8)
-        ok, _ = _interlacing(stack([(1, 3)]), stack([(1, 2)]), 1e-8)
+        ok, _ = _interlacing(solve_profiles([(1, 3)]), solve_profiles([(1, 2)]), 1e-8)
         assert ok.tolist() == [True]
 
     def test_violation_detected(self):
         # the star's top eigenvalue sqrt(3) lies below the path's 1 + sqrt(3)
-        ok, worst = _interlacing(stack([(1, 3)]), stack([(1, 1, 1)]), 1e-8)
+        ok, worst = _interlacing(solve_profiles([(1, 3)]), solve_profiles([(1, 1, 1)]), 1e-8)
         assert ok.tolist() == [False]
         assert worst[0] == pytest.approx(math.sqrt(3) - (1 + math.sqrt(3)))
 
     def test_stack_member_by_member(self):
         # both members lose a leaf to the path (1, 1, 1); a member of a
         # stack gets the verdict and slack it gets alone
-        data, sub = stack([(1, 1, 2), (1, 2, 1)]), stack([(1, 1, 1), (1, 1, 1)])
+        data, sub = solve_profiles([(1, 1, 2), (1, 2, 1)]), solve_profiles([(1, 1, 1), (1, 1, 1)])
         ok, worst = _interlacing(data, sub, 1e-8)
         assert ok.tolist() == [True, True]
         for i, profile in enumerate([(1, 1, 2), (1, 2, 1)]):
-            alone = _interlacing(stack([profile]), stack([(1, 1, 1)]), 1e-8)
+            alone = _interlacing(solve_profiles([profile]), solve_profiles([(1, 1, 1)]), 1e-8)
             assert (alone[0][0], alone[1][0]) == (ok[i], worst[i])
 
     def test_shape_check(self):
@@ -319,7 +312,8 @@ class TestInterlacing:
         # solution of that profile
         for n in range(2, 9):
             below = _solved_space(n - 1, DEFAULT_CLUSTER_TOL)
-            for _, data in solve_profiles(level_profiles(n)):
+            for _, counts in profile_stacks(n):
+                data = solve_profiles(counts)
                 for members, _, parent, sub in _leaf_stacks(data, below):
                     assert np.array_equal(parent.values, data.values[members])
                     assert sub.n == n - 1 and sub.counts.min() >= 1

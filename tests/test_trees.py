@@ -17,6 +17,8 @@ from levelspectra import (
     is_rooted_star,
     levels,
     parse_tree,
+    profile_index,
+    profile_stacks,
     rooted_path,
     rooted_star,
     rooted_tree_count,
@@ -34,9 +36,10 @@ from levelspectra.errors import (
     ParseError,
     ResourceLimit,
 )
+from levelspectra import trees as trees_mod
 from levelspectra.trees import tree_from_level_sequence
 
-from conftest import parent_arrays
+from conftest import parent_arrays, profiles_by_index
 
 # counts of non-isomorphic rooted trees per order, frozen from the
 # divisor-sum recurrence (independently implemented in rooted_tree_count)
@@ -214,6 +217,30 @@ class TestEnumeration:
             tree_from_level_sequence([1, 2])
         with pytest.raises(InvalidOrder):
             tree_from_level_sequence([0, 2])
+
+
+class TestProfileStacks:
+    @pytest.mark.parametrize("stack_size", [3, trees_mod.STACK_SIZE])
+    def test_stacks_enumerate_the_bit_loop(self, monkeypatch, stack_size):
+        """Each profile of the bit loop once, at its index, in stacks of one
+        height, heights ascending and indices ascending, at most STACK_SIZE
+        rows; profile_index takes each stack back to its indices."""
+        monkeypatch.setattr(trees_mod, "STACK_SIZE", stack_size)
+        for n in range(1, 15):
+            got, last = {}, (-1, -1)
+            for index, counts in profile_stacks(n):
+                assert index.dtype == counts.dtype == np.int64
+                assert 1 <= len(index) <= stack_size and counts.shape[0] == len(index)
+                assert (counts.shape[1] - 1, int(index[0])) > last
+                assert (np.diff(index) > 0).all()
+                last = (counts.shape[1] - 1, int(index[-1]))
+                assert profile_index(counts).tolist() == index.tolist()
+                got.update(zip(index.tolist(), map(tuple, counts.tolist())))
+            assert [got[i] for i in range(len(got))] == profiles_by_index(n), n
+
+    def test_order_below_one(self):
+        with pytest.raises(InvalidOrder):
+            next(profile_stacks(0))
 
 
 class TestStructuralPredicates:

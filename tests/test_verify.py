@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from levelspectra.verify import (
     extremal_sweep,
 )
 
-from conftest import leaf_levels
+from conftest import leaf_levels, profiles_by_index
 
 
 class TestVerifyOrder:
@@ -473,18 +474,18 @@ def test_sequence_facts_match_tree(order):
         assert level_profile(seq) == level_profile(lev)
         assert leaf_levels(seq) == {int(lev[leaf]) for leaf in tree.leaves()}
         assert trees_mod.level_sequence_parents(seq) == list(tree.parent)
-    profiles = list(trees_mod.level_profiles(order))
+    profiles = profiles_by_index(order)
     assert [profiles[i] for i in verify_mod._profile_ids(np.array(seqs)).tolist()] == \
         [level_profile(seq) for seq in seqs]
 
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_profile_ids_index_level_profiles(order):
-    """A tree's profile index is its profile's position in level_profiles."""
-    index = {profile: i for i, profile in enumerate(trees_mod.level_profiles(order))}
+    """The walk's profile index of every tree, from its sorted levels, is
+    ``trees.profile_index`` of its level profile."""
     seqs = list(trees_mod.level_sequences(order))
     assert verify_mod._profile_ids(np.array(seqs)).tolist() == \
-        [index[level_profile(seq)] for seq in seqs]
+        [int(trees_mod.profile_index([level_profile(seq)])[0]) for seq in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -742,17 +743,17 @@ def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, w
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
     """verify solves and checks the order's profile space once, in the
-    calling process, however many workers walk the trees: one solve of the
-    2**5 profiles of order 7 and one of the 2**6 of order 8, each bound and
-    PROFILE check on every profile once, and each LEAF_LEVEL check on every
-    realisable (profile, leaf level) pair once."""
-    solved, members = [], {}
+    calling process, however many workers walk the trees: the 2**5
+    profiles of order 7 solved once, then the 2**6 of order 8, each bound
+    and PROFILE check on every profile once, and each LEAF_LEVEL check on
+    every realisable (profile, leaf level) pair once."""
+    solved, members = {}, {}
     solve = verify_mod.solve_profiles
 
-    def counting_solve(profiles, tol):
-        profiles = list(profiles)
-        solved.append(len(profiles))
-        return solve(profiles, tol)
+    def counting_solve(counts, tol):
+        order = int(counts[0].sum())
+        solved[order] = solved.get(order, 0) + len(counts)
+        return solve(counts, tol)
 
     def counting(name, check):
         def evaluate(data, *rest):
@@ -773,9 +774,9 @@ def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
     ledger = verify_order(8, jobs=jobs)
     assert _RecordingPool.widths == ([] if jobs == 1 else [2])
     assert ledger.violations == 0
-    assert solved == [2 ** 5, 2 ** 6]
-    pairs = sum(len(verify_mod._leaf_pairs(np.array([profile]))[0])
-                for profile in trees_mod.level_profiles(8))
+    assert list(solved.items()) == [(7, 2 ** 5), (8, 2 ** 6)]
+    pairs = sum(len(verify_mod._leaf_pairs(counts)[0])
+                for _, counts in trees_mod.profile_stacks(8))
     assert members == {"bounds": 2 ** 6} | {
         name: 2 ** 6 if kind == _PROFILE_KIND else pairs
         for name, (_, kind, _) in _REAL_CHECKS.items() if kind != _TREE_KIND}
@@ -808,6 +809,23 @@ def test_tables_hold_only_what_carries_information(order):
     [(name, covered)] = tables.covered.items()
     assert name == "energy-upper-improved"
     assert np.flatnonzero(~covered).tolist() == [size - 1]  # (1,) * order, the last profile
+
+
+def test_profile_space_holds_no_per_profile_objects():
+    """The solved profile space of order 18 keeps 10.5 MiB of arrays for
+    its 65,536 profiles. Beside them only one stack's working arrays are
+    held: 9.1 MiB more at the tracemalloc peak, against 19.1 MiB when each
+    profile passed through a Python tuple, a key and a dict on its way to
+    the engine."""
+    tol = spectra_mod.DEFAULT_CLUSTER_TOL
+    verify_mod._solved_space(6, tol)  # numpy's lazy set-up is not the space's
+    tracemalloc.start()
+    try:
+        space = verify_mod._solved_space(18, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(table.nbytes for table in space) < 14 * 2 ** 20
 
 
 @pytest.mark.parametrize("order", range(1, 13))
@@ -858,7 +876,7 @@ def test_realisable_leaf_levels_are_those_walked(order):
     exactly those of the trees walked."""
     walked = {(level_profile(seq), k) for seq in trees_mod.level_sequences(order)
               for k in leaf_levels(seq)}
-    assert walked == {(profile, k) for profile in trees_mod.level_profiles(order)
+    assert walked == {(profile, k) for profile in profiles_by_index(order)
                       for k in verify_mod._leaf_pairs(np.array([profile]))[1].tolist()}
 
 
