@@ -348,6 +348,8 @@ def _parse_bound_selection(spec: str):
     if spec == "none":
         return []
     names = [s.strip() for s in spec.split(",") if s.strip()]
+    if not names:
+        raise _UsageError(f"--bounds names no check: {spec!r}")
     for name in names:
         if name not in bounds_mod.CHECKS:
             raise _UsageError(
@@ -357,7 +359,11 @@ def _parse_bound_selection(spec: str):
 
 def _read_tree(path: str) -> RootedTree:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    return parse_tree(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ sum to zero. Cached alongside: the row sums L_i, the level index
 LI = (1/2) * sum of all entries, and H = trace of the squared matrix.
 
 The bounds and the verifier take these aggregates from the level profile
-(``bounds.SpectralData``); the n x n matrix is kept for ``analyze``'s
+(``spectra.SpectralData``); the n x n matrix is kept for ``analyze``'s
 characteristic polynomial, the exports, and as the oracle those profile
 aggregates are tested against.
 """
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trees import NO_PARENT, RootedTree, levels
+from .trees import RootedTree, levels
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class LevelMatrix:
     """Symmetric integer matrix of pairwise level differences.
 
     Its cached aggregates are computed from the entries, independently of
-    the profile formulas in ``bounds.SpectralData``: the oracle for them.
+    the profile formulas in ``spectra.SpectralData``: the oracle for them.
     """
 
     entries: np.ndarray
@@ -95,46 +95,28 @@ def distance_matrix(tree: RootedTree) -> np.ndarray:
     return dist
 
 
-def sequence_parents(seqs) -> np.ndarray:
-    """Parent arrays of a (B, n) stack of DFS level sequences: the parent of
-    vertex v is the last vertex before it one level up, read from a running
-    table of the last index seen at each level. The root's entry is
-    NO_PARENT. One numpy step per vertex serves the whole stack;
-    ``trees.level_sequence_parents`` is the one-sequence form, which also
-    validates its input."""
-    lev = np.asarray(seqs, dtype=np.intp)
-    b, n = lev.shape
-    rows = np.arange(b)
-    last = np.zeros((b, n), dtype=np.intp)  # [tree, level] -> last index there
-    parent = np.full((b, n), NO_PARENT, dtype=np.intp)
-    for v in range(1, n):
-        parent[:, v] = last[rows, lev[:, v] - 1]
-        last[rows, lev[:, v]] = v
-    return parent
-
-
-def ordered_distance_matrix(parent) -> np.ndarray:
-    """Path distances of trees rooted at vertex 0 whose parent arrays put
-    every parent before its children, as a level sequence's do. ``parent``
-    is one array of n entries or a (B, n) stack of them; the result is
-    (n, n) or (B, n, n), of the smallest signed type from int16 up that
+def sequence_distances(levels) -> np.ndarray:
+    """Path distances of each tree of a (B, n) stack of DFS level
+    sequences, as (B, n, n) of the smallest signed type from int16 up that
     holds n.
 
-    The vertices before v are outside v's subtree, so each one's path to v
-    runs through v's parent: d(v, u) = d(parent(v), u) + 1 for u < v, one
-    numpy step per vertex for the whole stack. :func:`distance_matrix` is
-    the independent check on this recurrence.
+    In preorder the vertices u+1..v, for u < v, lie below lca(u, v), and
+    the shallowest of them is one level under it: lca(u, v) is on level
+    low - 1, low their least level. Column v keeps that minimum for every
+    u < v, one numpy step per vertex for the whole stack.
+    :func:`distance_matrix` is the independent check on it.
     """
-    parent = np.asarray(parent, dtype=np.intp)
-    stack = parent.reshape(-1, parent.shape[-1])
-    b, n = stack.shape
-    rows = np.arange(b)
-    dist = np.zeros((b, n, n), dtype=np.promote_types(np.int16, np.min_scalar_type(n)))
+    lev = np.asarray(levels)
+    b, n = lev.shape
+    lev = lev.astype(np.promote_types(np.int16, np.min_scalar_type(n)))
+    dist = np.zeros((b, n, n), dtype=lev.dtype)
+    low = np.empty_like(lev)  # [:, u] = least level at positions u+1..v
     for v in range(1, n):
-        row = dist[rows, stack[:, v], :v] + 1
-        dist[:, v, :v] = row
-        dist[:, :v, v] = row
-    return dist.reshape(parent.shape + (n,))
+        np.minimum(low[:, :v - 1], lev[:, v, None], out=low[:, :v - 1])
+        low[:, v - 1] = lev[:, v]
+        up = low[:, :v] - 1  # level of lca(u, v)
+        dist[:, v, :v] = dist[:, :v, v] = (lev[:, :v] - up) + (lev[:, v, None] - up)
+    return dist
 
 
 def row_sum_difference(sorted_levels, i: int, k: int) -> int:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import bounds
 from .bounds import COMPARISON_TOL
-from .errors import InvalidOrder
-from .levelmatrix import ordered_distance_matrix, row_sum_differences, sequence_parents
+from .errors import InvalidOrder, ResourceLimit
+from .levelmatrix import row_sum_differences, sequence_distances
 from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _cluster, solve_profiles
 from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_index,
                     profile_stacks, rooted_tree_count)
@@ -116,18 +116,14 @@ class CheckStat:
         if not ok:
             self.violations += 1
 
-    def record_each(self, ok: np.ndarray, slack, seqs: np.ndarray) -> None:
+    def record_each(self, ok: np.ndarray, seqs: np.ndarray) -> None:
         """Count the trees of ``seqs``, a (B, n) array of level sequences in
-        walk order, each with its verdict in ``ok`` and its slack in
-        ``slack`` (an array like ``ok``, or a nan for a check without one),
-        and name the failing trees until the check holds MAX_OFFENDERS."""
+        walk order, each with its verdict in ``ok``, and name the failing
+        trees until the check holds MAX_OFFENDERS. The worst slack is not
+        the walk's: ``verify_order`` sets it from the verdict tables."""
         self.trees_checked += len(ok)
         failing = np.flatnonzero(~ok)
         self.violations += len(failing)
-        slack = np.asarray(slack, dtype=float)
-        slack = slack[~np.isnan(slack)]
-        if slack.size:
-            self.worst_slack = min(self.worst_slack, float(slack.min()))
         for pos in failing[:MAX_OFFENDERS - len(self.offenders)].tolist():
             self.offend(tuple(seqs[pos].tolist()))
 
@@ -414,11 +410,11 @@ def _distance_domination(levels: np.ndarray):
     """Level difference <= path distance for every pair, with equality
     everywhere iff the tree is the rooted path."""
     entries = np.abs(levels[:, :, None] - levels[:, None, :])
-    dist = ordered_distance_matrix(sequence_parents(levels))
+    dist = sequence_distances(levels)
     dominated = (entries <= dist).all(axis=(1, 2))
     equal = (entries == dist).all(axis=(1, 2))
     is_path = levels.max(axis=1) == levels.shape[1] - 1
-    return dominated & (equal == is_path), math.nan
+    return dominated & (equal == is_path)
 
 
 #: What a structural verdict depends on. It fixes where the check is
@@ -430,12 +426,14 @@ def _distance_domination(levels: np.ndarray):
 #:   LEAF_LEVEL  once per (profile, leaf level), likewise  check(data, sub, tol)
 #:   TREE        once per batch of trees walked            check(levels)
 #: A tree's LEAF_LEVEL verdict is the AND of the verdicts at its leaf
-#: levels, and each line's worst slack is folded where its verdicts are.
+#: levels, and each line's worst slack is folded where its verdicts are
+#: made, into the tables; the walk folds no slack.
 PROFILE, LEAF_LEVEL, TREE = "profile", "leaf level", "tree"
 
 #: Structural checks (beyond the bound reports): name -> (minimum order,
-#: dependency, evaluator). An evaluator returns (ok, slack), arrays over the
-#: members or trees; a nan slack means the check has none.
+#: dependency, evaluator). A PROFILE or LEAF_LEVEL evaluator returns (ok,
+#: slack), arrays over the members; a nan slack means the check has none. A
+#: TREE evaluator returns the trees' verdicts only.
 STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
     "strict-row-sum-lower": (3, PROFILE, _strict_row_sum_lower),
     "bound-chain": (2, PROFILE, _bound_chain),
@@ -500,10 +498,22 @@ def _store(tables: dict, worst: dict, name: str, shape: tuple[int, ...], at, ok,
                       float(np.fmin.reduce(np.ravel(slack), initial=math.inf)))
 
 
+def _profile_count(order: int) -> int:
+    """P, the number of profiles of the order: 2**(order - 2), or 1 below
+    order 2. An order whose (P, order) table of values numpy could not
+    address raises ``ResourceLimit`` before anything is allocated; this
+    also keeps every profile index within int64."""
+    size = 1 << max(order - 2, 0)
+    if size * order * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ResourceLimit(f"order {order} has 2**{order - 2} level profiles, "
+                            f"more than numpy can address")
+    return size
+
+
 def _solved_space(order: int, tol: float) -> tuple[np.ndarray, ...]:
     """The values (P, order) and the rho, energy and nullity (P,) of every
     profile of the order, at its profile index."""
-    size = 1 << max(order - 2, 0)
+    size = _profile_count(order)
     space = (np.empty((size, order)), np.empty(size), np.empty(size),
              np.empty(size, dtype=np.int64))
     for rows, counts in profile_stacks(order):
@@ -522,6 +532,7 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
     profile indices. When a leaf check runs, the profiles one
     order down, which hold every leaf-deleted profile, are solved first
     into arrays by profile index."""
+    size = _profile_count(order)
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
         min_order, depends_on, check = STRUCTURAL_CHECKS[name]
@@ -529,7 +540,6 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
     below = _solved_space(order - 1, tol) if leaf_checks else ()
-    size = 1 << max(order - 2, 0)
     lines: dict[str, np.ndarray] = {}
     leaf_lines: dict[str, np.ndarray] = {}
     covered: dict[str, np.ndarray] = {}
@@ -561,10 +571,10 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
     The walk takes the sequences STACK_SIZE at a time as a (B, n) array.
     numpy gives each tree's profile index and leaf-level mask and looks
     every verdict up per tree: a LEAF_LEVEL check's is the AND of its table
-    over the tree's leaf levels. Each TREE check runs on the whole batch
-    and gives the only slacks read here. Each line then records the batch
-    at once and names its failing trees in walk order until it holds
-    MAX_OFFENDERS, and each extremal statistic folds in the batch's.
+    over the tree's leaf levels. Each TREE check runs on the whole batch.
+    Each line then counts the batch's trees and violations at once and
+    names its failing trees in walk order until it holds MAX_OFFENDERS,
+    and each extremal statistic folds in the batch's.
     """
     check_stats = {name: CheckStat(name)
                    for name in chain(tables.lines, tables.leaf_lines, tables.tree_checks)}
@@ -577,12 +587,12 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
         ids = _profile_ids(levels)
         for name, ok in tables.lines.items():
             trees = tables.covered[name][ids] if name in tables.covered else slice(None)
-            check_stats[name].record_each(ok[ids][trees], math.nan, levels[trees])
+            check_stats[name].record_each(ok[ids][trees], levels[trees])
         off_leaf = ~_leaf_level_mask(levels)
         for name, ok in tables.leaf_lines.items():
-            check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1), math.nan, levels)
+            check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1), levels)
         for name in tables.tree_checks:
-            check_stats[name].record_each(*STRUCTURAL_CHECKS[name][2](levels), levels)
+            check_stats[name].record_each(STRUCTURAL_CHECKS[name][2](levels), levels)
         for stat, values in tables.values.items():
             extremal[stat].merge(ExtremalStat.of_batch(stat, values[ids], levels))
         walked += len(levels)

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -134,6 +135,15 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "charpoly"])
+    def test_file_not_utf8_is_parse_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bom.tree"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and "UTF-8" in err
+        assert len(err.splitlines()) == 1
+
     def test_cycle_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "cycle.tree"
         bad.write_text("5\n0 1 3 3 1\n")
@@ -170,6 +180,28 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err == "resource limit: Unable to allocate 39.0 TiB for an array\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--order", "{order}"],
+        ["extremal", "--order", "{order}", "--stat", "rho", "--min"],
+    ])
+    @pytest.mark.parametrize("order", [64, 100])
+    def test_profile_space_numpy_cannot_address_is_4(self, monkeypatch, capsys, argv, order):
+        """Under a raised cap, an order with more profiles than numpy can
+        hold in one table is refused before any of them is allocated."""
+        monkeypatch.setenv("LEVEL_SPECTRA_CAP", "200")
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, *[arg.format(order=order) for arg in argv])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err == (f"resource limit: order {order} has 2**{order - 2} level profiles, "
+                       f"more than numpy can address\n")
+        assert peak < 2 ** 20
+
     def test_usage_error_is_64(self, capsys):
         code, _, _ = run(capsys, "extremal", "--order", "7", "--stat", "unknown", "--min")
         assert code == 64
@@ -181,6 +213,14 @@ class TestExitCodes:
     def test_unknown_bound_name_is_64(self, tree_file, capsys):
         code, _, _ = run(capsys, "analyze", tree_file, "--bounds", "bogus")
         assert code == 64
+
+    @pytest.mark.parametrize("command", ["analyze", "special"])
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_bounds_naming_no_check_is_64(self, tree_file, capsys, command, spec):
+        target = [tree_file] if command == "analyze" else ["star", "--order", "5"]
+        code, out, err = run(capsys, command, *target, "--bounds", spec)
+        assert code == 64 and out == ""
+        assert err == f"usage error: --bounds names no check: {spec!r}\n"
 
     def test_nonpositive_tol_is_64(self, tree_file, capsys):
         code, _, err = run(capsys, "analyze", tree_file, "--tol", "-1e-8")

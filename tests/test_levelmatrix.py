@@ -7,7 +7,6 @@ from levelspectra import (
     build_level_matrix,
     distance_matrix,
     enumerate_rooted_trees,
-    from_parent_list,
     is_rooted_path,
     levels,
     matrix_text,
@@ -15,12 +14,8 @@ from levelspectra import (
     rooted_star,
     row_sum_difference,
 )
-from levelspectra.levelmatrix import (
-    ordered_distance_matrix,
-    row_sum_differences,
-    sequence_parents,
-)
-from levelspectra.trees import level_sequence_parents, level_sequences, tree_from_level_sequence
+from levelspectra.levelmatrix import row_sum_differences, sequence_distances
+from levelspectra.trees import level_sequences, tree_from_level_sequence
 
 from conftest import SAMPLE9_H, SAMPLE9_LI, SAMPLE9_MATRIX, SAMPLE9_ROW_SUMS
 
@@ -210,24 +205,21 @@ class TestRowSumDifferences:
 
 
 class TestOrderedDistanceMatrix:
+    """``sequence_distances``: the path distances of trees numbered in
+    preorder, read off their level sequences."""
+
     @pytest.mark.parametrize("order", range(1, 10))
     def test_matches_lca_walk(self, order):
+        """One tree at a time, a stack of one."""
         for tree in enumerate_rooted_trees(order):
-            assert np.array_equal(ordered_distance_matrix(tree.parent),
+            assert np.array_equal(sequence_distances(levels(tree)[None])[0],
                                   distance_matrix(tree))
-
-    def test_breadth_first_order(self):
-        # parents precede children, but the order is not depth-first
-        tree = from_parent_list([0, 1, 1, 2, 3, 2], one_based=True)
-        assert np.array_equal(ordered_distance_matrix(tree.parent), distance_matrix(tree))
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_batch_matches_lca_walk(self, order):
         """Every tree of the order as one (B, n) batch of level sequences."""
         seqs = list(level_sequences(order))
-        parents = sequence_parents(np.array(seqs))
-        assert parents.tolist() == [level_sequence_parents(seq) for seq in seqs]
-        dist = ordered_distance_matrix(parents)
+        dist = sequence_distances(np.array(seqs))
         assert dist.shape == (len(seqs), order, order)
         for seq, d in zip(seqs, dist):
             assert np.array_equal(d, distance_matrix(tree_from_level_sequence(seq)))
@@ -242,6 +234,6 @@ class TestOrderedDistanceMatrix:
             for _ in range(n - 1):
                 seq.append(data.draw(st.integers(min_value=1, max_value=seq[-1] + 1)))
             seqs.append(seq)
-        dist = ordered_distance_matrix(sequence_parents(np.array(seqs)))
+        dist = sequence_distances(np.array(seqs))
         for seq, d in zip(seqs, dist):
             assert np.array_equal(d, distance_matrix(tree_from_level_sequence(seq)))

@@ -215,10 +215,10 @@ class TestAggregates:
     def test_check_stat_records_many_trees(self):
         stat = CheckStat("demo")
         seqs = np.array([(0, 1, 1), (0, 1, 2), (0, 1, 1), (0, 1, 2)])
-        stat.record_each(np.array([True, False, True, False]),
-                         np.array([0.5, -0.25, np.nan, 0.0]), seqs)
-        stat.record_each(np.array([False]), math.nan, seqs[:1])
-        assert (stat.trees_checked, stat.violations, stat.worst_slack) == (5, 3, -0.25)
+        stat.record_each(np.array([True, False, True, False]), seqs)
+        stat.record_each(np.array([False]), seqs[:1])
+        # the walk folds no slack: verify_order sets it from the tables
+        assert (stat.trees_checked, stat.violations, stat.worst_slack) == (5, 3, math.inf)
         assert stat.offenders == [(0, 1, 2), (0, 1, 2), (0, 1, 1)]
 
     def test_check_stat_merge(self):
@@ -319,10 +319,11 @@ class TestMergeEqualsOnePass:
     @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
     def test_batch_forms_equal_one_pass(self, entries, cuts):
         """record_each and ExtremalStat.of_batch, batch by batch, equal
-        record of one tree at a time."""
+        record of one tree at a time, which for the check is given no slack
+        (a nan), as the walk folds none."""
         one_check, one_extremal = CheckStat("demo"), ExtremalStat("rho")
         for i, (ok, value) in enumerate(entries):
-            one_check.record(ok, value)
+            one_check.record(ok, math.nan)
             if not ok:
                 one_check.offend((i,))
             one_extremal.record(value, (i,))
@@ -333,7 +334,7 @@ class TestMergeEqualsOnePass:
             seqs = np.array([(i,) for i, _ in part])
             ok = np.array([ok for _, (ok, _) in part])
             values = np.array([value for _, (_, value) in part])
-            check.record_each(ok, values, seqs)
+            check.record_each(ok, seqs)
             extremal.merge(ExtremalStat.of_batch("rho", values, seqs))
         assert check == one_check
         assert extremal == one_extremal
@@ -631,10 +632,8 @@ def _fails_on_lone_deepest_leaf(data, sub, tol):
 
 
 def _fails_on_last_leaf_at_level_one(levels):
-    """Fails where the last vertex of the level sequence is on level 1; the
-    slack is that vertex's level less 2, tree by tree."""
-    slack = (levels[:, -1] - 2).astype(float)
-    return slack >= 0, slack
+    """Fails where the last vertex of the level sequence is on level 1."""
+    return levels[:, -1] >= 2
 
 
 _FAILING_CHECKS = {
@@ -664,7 +663,7 @@ def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
             "fails-leaf-level": (profile[1] < 3 or all(data.nullity[0] - 1 - sub.nullity[0]
                                                        in (0, 1) for sub in subs),
                                  interlacing),
-            "fails-tree": (seq[-1] >= 2, float(seq[-1] - 2)),
+            "fails-tree": (seq[-1] >= 2, math.inf),  # a TREE check has no slack
         }
         for name, (ok, slack) in results.items():
             line = lines[name]
@@ -673,6 +672,8 @@ def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
             if not ok:
                 line["violations"] += 1
                 line["offenders"].append(seq)
+    for line in lines.values():  # as the ledger prints a line without a slack
+        line["worst_slack"] = None if math.isinf(line["worst_slack"]) else line["worst_slack"]
     return lines
 
 
@@ -811,6 +812,15 @@ def test_tables_hold_only_what_carries_information(order):
     assert np.flatnonzero(~covered).tolist() == [size - 1]  # (1,) * order, the last profile
 
 
+def test_profile_count_stops_where_numpy_cannot_address_the_values():
+    """Order 56's (2**54, 56) float table is the largest numpy can address;
+    order 57 is refused before anything is allocated."""
+    assert verify_mod._profile_count(1) == verify_mod._profile_count(2) == 1
+    assert verify_mod._profile_count(56) == 2 ** 54
+    with pytest.raises(ResourceLimit, match="order 57 has 2\\*\\*55 level profiles"):
+        verify_mod._profile_count(57)
+
+
 def test_profile_space_holds_no_per_profile_objects():
     """The solved profile space of order 18 keeps 10.5 MiB of arrays for
     its 65,536 profiles. Beside them only one stack's working arrays are
@@ -831,16 +841,15 @@ def test_profile_space_holds_no_per_profile_objects():
 @pytest.mark.parametrize("order", range(1, 13))
 def test_batched_distance_domination_equals_per_tree_form(order):
     """The batched check gives each tree the verdict that the per-tree form,
-    on one distance matrix from the tree's parent array, gives it."""
+    on the tree's own distance matrix from the LCA walk, gives it."""
     _, _, check = _REAL_CHECKS["distance-domination"]
     seqs = list(trees_mod.level_sequences(order))
-    ok, slack = check(np.array(seqs))
-    assert math.isnan(slack)
+    ok = check(np.array(seqs))
     per_tree = []
     for seq in seqs:
         lev = np.array(seq)
         entries = np.abs(lev[:, None] - lev[None, :])
-        dist = levelmatrix_mod.ordered_distance_matrix(trees_mod.level_sequence_parents(seq))
+        dist = levelmatrix_mod.distance_matrix(trees_mod.tree_from_level_sequence(seq))
         per_tree.append(bool(np.all(entries <= dist))
                         and np.array_equal(entries, dist) == (max(seq) == order - 1))
     assert ok.tolist() == per_tree
