@@ -35,6 +35,7 @@ from .spectra import (
     DEFAULT_CLUSTER_TOL,
     CharPoly,
     SpectralData,
+    Spectrum,
     characteristic_polynomial,
 )
 from .trees import (
@@ -185,6 +186,7 @@ class AnalysisReport:
 
     tree: RootedTree
     data: SpectralData
+    spectrum: Spectrum  # of ``data``, clustered at the report's tolerance
     charpoly: CharPoly | None
     bounds: list[BoundReport]
     extras: dict
@@ -193,11 +195,12 @@ class AnalysisReport:
     def build(cls, tree: RootedTree, include_charpoly: bool = False,
               bound_names=None, tol: float = DEFAULT_CLUSTER_TOL,
               extras: dict | None = None) -> "AnalysisReport":
-        data = SpectralData.from_tree(tree, tol=tol)
+        data = SpectralData.from_tree(tree)
         reports = [] if bound_names == [] else bounds_mod.evaluate_checks(data, bound_names)
         return cls(
             tree=tree,
             data=data,
+            spectrum=data.spectrum(tol=tol),
             charpoly=_level_charpoly(tree) if include_charpoly else None,
             bounds=reports,
             extras=extras or {},
@@ -208,7 +211,7 @@ class AnalysisReport:
         return self.data.level_row_sums[0][levels(self.tree)].tolist()
 
     def to_dict(self) -> dict:
-        d, sp = self.data, self.data.spectrum()
+        d, sp = self.data, self.spectrum
         return {
             "n": self.tree.n,
             "levels": levels(self.tree).tolist(),
@@ -226,7 +229,7 @@ class AnalysisReport:
         }
 
     def to_text(self) -> str:
-        d, sp = self.data, self.data.spectrum()
+        d, sp = self.data, self.spectrum
         lines = [
             f"vertices:      {self.tree.n}",
             f"levels:        {' '.join(str(v) for v in levels(self.tree).tolist())}",
@@ -327,7 +330,6 @@ def _build_parser() -> _Parser:
     direction.add_argument("--max", action="store_true")
     p_extremal.add_argument("--expect", choices=["star", "path"], default=None,
                             help="assert the extreme tree is this family")
-    add_tol(p_extremal)
 
     p_special = sub.add_parser("special", help="analyze a named family member")
     p_special.add_argument("family", choices=["star", "path", "leafstar", "dary"])
@@ -358,7 +360,7 @@ def _parse_bound_selection(spec: str):
 
 
 def _read_tree(path: str) -> RootedTree:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a UTF-8 byte-order mark is skipped
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -431,7 +433,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    extreme = verify_mod.extremal_sweep(args.order, args.stat, tol=args.tol)
+    extreme = verify_mod.extremal_sweep(args.order, args.stat)
     if args.min:
         seq, value, gap = extreme.min_seq, extreme.min_value, extreme.min_gap
     else:

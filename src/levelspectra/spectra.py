@@ -10,17 +10,19 @@ and its other n-h-1 eigenvalues are exactly zero. The profile engine,
 and one height, such as each stack ``trees.profile_stacks`` yields, with
 one LAPACK ``eigvalsh`` call and one lock-step rank certificate, and
 returns the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
-energy and nullity arrays, which every check reads. It is the only way a
-profile is solved, it keeps no state, and it refuses counts that are not
-positive integers, an array of more than one order, and a profile of more
-than MAX_LEVELS levels. The exact nullity is n - rank(B) with the integer
-matrix B_ab = |a - b| n_b, which has the rank of S. Its rank is certified
-by elimination modulo a prime below 2**26, exact in binary64, which can
-only under-count the rank; when that count is short of full rank, the
-exact rank comes from Bareiss elimination of B. :func:`_cluster`, the one
-clustering rule, groups a whole stack's values at once. A
+energy and nullity arrays, which every check reads. It takes the counts
+alone, no tolerance; it is the only way a profile is solved, it keeps no
+state, and it refuses counts that are not positive integers, an array of
+more than one order, and a profile of more than MAX_LEVELS levels. The
+exact nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b,
+which has the rank of S. Its rank is certified by elimination modulo a
+prime below 2**26, exact in binary64, which can only under-count the rank;
+when that count is short of full rank, the exact rank comes from Bareiss
+elimination of B. :func:`_cluster`, the one clustering rule, groups a
+whole stack's values at once, at the tolerance a check passes. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
-``special`` print and that the dense oracle returns.
+``special`` print and that the dense oracle returns;
+:meth:`SpectralData.spectrum` is where a member meets a tolerance.
 
 Oracle paths, kept to test the engine against:
 :func:`symmetric_eigenvalues` runs the in-repo QL or Jacobi solver
@@ -75,7 +77,7 @@ def _as_array(matrix) -> np.ndarray:
 class Spectrum:
     """One spectrum, from the dense oracle or of one member of a stack
     (:meth:`SpectralData.spectrum`): eigenvalues sorted descending, with
-    Perron data and the cluster tolerance ``tol`` they were solved at.
+    Perron data and the cluster tolerance ``tol`` they are grouped at.
 
     ``perron`` is the sign-normalised eigenvector of the top eigenvalue
     (``None`` for 1x1 input, where no Perron vector exists, and for a
@@ -370,10 +372,9 @@ MAX_LEVELS = 1024
 class SpectralData:
     """A stack, as the profile engine returns it: level profiles
     (n_0, ..., n_h) of one order n and one height h, one row per member,
-    with their spectra, exact nullities and the cluster tolerance ``tol``
-    they were solved at. Its exact aggregates need no n x n matrix: a vertex
-    on level a has row sum L_a = sum_b n_b |a - b| and second-order row sum
-    q_a = sum_b n_b |a - b| L_b.
+    with their spectra and exact nullities, and no tolerance. Its exact
+    aggregates need no n x n matrix: a vertex on level a has row sum
+    L_a = sum_b n_b |a - b| and second-order row sum q_a = sum_b n_b |a - b| L_b.
     """
 
     counts: np.ndarray  # (k, h+1): one level profile per row
@@ -381,25 +382,21 @@ class SpectralData:
     rho: np.ndarray  # (k,)
     energy: np.ndarray  # (k,)
     nullity: np.ndarray  # (k,): exact multiplicity of the eigenvalue 0
-    tol: float
 
     @classmethod
-    def from_profile(cls, profile, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
-        """The stack of one profile."""
-        return solve_profiles([profile], tol)
-
-    @classmethod
-    def from_tree(cls, tree: RootedTree, tol: float = DEFAULT_CLUSTER_TOL) -> "SpectralData":
-        return cls.from_profile(level_profile(levels(tree)), tol=tol)
+    def from_tree(cls, tree: RootedTree) -> "SpectralData":
+        """The stack of one tree's level profile."""
+        return solve_profiles([level_profile(levels(tree))])
 
     def take(self, rows) -> "SpectralData":
         """The stack of the members at ``rows``, in that order."""
         return SpectralData(self.counts[rows], self.values[rows], self.rho[rows],
-                            self.energy[rows], self.nullity[rows], self.tol)
+                            self.energy[rows], self.nullity[rows])
 
-    def spectrum(self, row: int = 0) -> Spectrum:
-        """One member's spectrum."""
-        return Spectrum(self.values[row], self.tol, float(self.rho[row]),
+    def spectrum(self, row: int = 0, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+        """One member's spectrum, clustered at ``tol``."""
+        _check_tol(tol)
+        return Spectrum(self.values[row], tol, float(self.rho[row]),
                         float(self.energy[row]), None)
 
     @cached_property
@@ -513,7 +510,7 @@ def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
     return full
 
 
-def solve_profiles(counts, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
+def solve_profiles(counts) -> SpectralData:
     """The profile engine: the stack of a (k, h+1) array of level profiles
     of one order, such as ``trees.profile_stacks`` yields.
 
@@ -526,7 +523,6 @@ def solve_profiles(counts, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
     order, raise ``ValueError``, and more than MAX_LEVELS levels
     ``ResourceLimit``, before anything is solved.
     """
-    _check_tol(tol)
     counts = _profile_counts(counts)
     k, s = counts.shape
     if s > MAX_LEVELS:
@@ -553,7 +549,7 @@ def solve_profiles(counts, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
     for i in np.flatnonzero(~_full_rank_mod_p(b % RANK_PRIME)).tolist():
         # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
         nullity[i] += exact_zero_multiplicity(distances * counts[i].astype(object))
-    return SpectralData(counts, values, rho, energy, nullity, float(tol))
+    return SpectralData(counts, values, rho, energy, nullity)
 
 
 def _residues(rows) -> np.ndarray:

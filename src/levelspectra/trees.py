@@ -344,6 +344,16 @@ def profile_index(counts) -> np.ndarray:
     return np.left_shift(1, cuts - 1).sum(axis=1, dtype=np.int64)
 
 
+def profile_ids(seqs: np.ndarray) -> np.ndarray:
+    """(B, n) canonical level sequences -> each tree's profile index (see
+    :func:`profile_stacks`). Below the root, the sorted levels spell the
+    composition of n - 1, and bit i of the index is set where the (i+2)-th
+    of them is deeper than the (i+1)-th."""
+    below = np.sort(seqs[:, 1:], axis=1)
+    rises = below[:, 1:] > below[:, :-1]
+    return rises @ (1 << np.arange(rises.shape[1], dtype=np.int64))
+
+
 def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTree]:
     """Yield one canonical representative per isomorphism class of rooted
     trees on ``n`` unlabeled vertices: the trees of :func:`level_sequences`,

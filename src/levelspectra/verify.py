@@ -24,9 +24,9 @@ from . import bounds
 from .bounds import COMPARISON_TOL
 from .errors import InvalidOrder, ResourceLimit
 from .levelmatrix import row_sum_differences, sequence_distances
-from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _cluster, solve_profiles
-from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_index,
-                    profile_stacks, rooted_tree_count)
+from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _check_tol, _cluster, solve_profiles
+from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_ids,
+                    profile_index, profile_stacks, rooted_tree_count)
 
 #: Interlacing slack scale: eigenvalues of a leaf-deleted tree may leave the
 #: bracketing interval by at most ``1e-8 * max(1, rho)``.
@@ -261,16 +261,6 @@ class VerificationLedger:
         return "\n".join(lines) + "\n"
 
 
-def _profile_ids(levels: np.ndarray) -> np.ndarray:
-    """(B, n) canonical level sequences -> each tree's profile index (see
-    ``trees.profile_stacks``). Below the root, the sorted levels spell the
-    composition of n - 1, and bit i of the index is set where the (i+2)-th
-    of them is deeper than the (i+1)-th."""
-    below = np.sort(levels[:, 1:], axis=1)
-    rises = below[:, 1:] > below[:, :-1]
-    return rises @ (1 << np.arange(rises.shape[1], dtype=np.int64))
-
-
 def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
     """(B, n) canonical level sequences -> (B, n) table whose [b, k] is
     true where level k holds a leaf of tree b: vertex i is a leaf iff it is
@@ -309,8 +299,7 @@ def _leaf_stacks(data: SpectralData, below: tuple[np.ndarray, ...]):
         if len(pairs):
             sub = counts[pairs, :h + 1 if kept else h]
             yield (members[pairs], levels[pairs], data.take(members[pairs]),
-                   SpectralData(sub, *(column[profile_index(sub)] for column in below),
-                                data.tol))
+                   SpectralData(sub, *(column[profile_index(sub)] for column in below)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +499,14 @@ def _profile_count(order: int) -> int:
     return size
 
 
-def _solved_space(order: int, tol: float) -> tuple[np.ndarray, ...]:
+def _solved_space(order: int) -> tuple[np.ndarray, ...]:
     """The values (P, order) and the rho, energy and nullity (P,) of every
     profile of the order, at its profile index."""
     size = _profile_count(order)
     space = (np.empty((size, order)), np.empty(size), np.empty(size),
              np.empty(size, dtype=np.int64))
     for rows, counts in profile_stacks(order):
-        data = solve_profiles(counts, tol)
+        data = solve_profiles(counts)
         for table, column in zip(space, (data.values, data.rho, data.energy, data.nullity)):
             table[rows] = column
     return space
@@ -539,14 +528,14 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
         if order >= min_order:
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
-    below = _solved_space(order - 1, tol) if leaf_checks else ()
+    below = _solved_space(order - 1) if leaf_checks else ()
     lines: dict[str, np.ndarray] = {}
     leaf_lines: dict[str, np.ndarray] = {}
     covered: dict[str, np.ndarray] = {}
     worst: dict[str, float] = {}
     values = {stat: np.empty(size) for stat in stats}
     for rows, counts in profile_stacks(order):
-        data = solve_profiles(counts, tol)
+        data = solve_profiles(counts)
         for stat, table in values.items():
             table[rows] = getattr(data, stat)
         for name, ok, slack in (_bound_verdicts(data, bound_lines)
@@ -584,7 +573,7 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
     walked = 0
     while (levels := np.fromiter(islice(flat, STACK_SIZE * order), dtype)).size:
         levels = levels.reshape(-1, order)
-        ids = _profile_ids(levels)
+        ids = profile_ids(levels)
         for name, ok in tables.lines.items():
             trees = tables.covered[name][ids] if name in tables.covered else slice(None)
             check_stats[name].record_each(ok[ids][trees], levels[trees])
@@ -610,15 +599,18 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     once, before any pool starts; the trees are then walked as canonical
     level sequences, and no tree object is built. ``jobs`` sets the
     worker-pool width (default: available parallelism); it must be at least
-    1 and is clamped to the CPUs this process may run on. Below
-    POOL_MIN_TREES trees no pool is started. Each batch walks its own
-    contiguous range of the enumeration, the last one to its end, and the
-    batches are merged in order, so the ledger equals the sequential one.
+    1 and is clamped to the CPUs this process may run on. A ``tol`` (the
+    checks' cluster tolerance) that is not positive and finite raises
+    ``ValueError`` before the cap or any solve. Below POOL_MIN_TREES trees
+    no pool is started. Each batch walks its own contiguous range of the
+    enumeration, the last one to its end, and the batches are merged in
+    order, so the ledger equals the sequential one.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_tol(tol)
     bound_lines, structural = _resolve_selection(selection)
     check_enumeration_cap(order)
     expected = rooted_tree_count(order)
@@ -665,8 +657,7 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def extremal_sweep(order: int, stat: str = "rho",
-                   tol: float = DEFAULT_CLUSTER_TOL) -> ExtremalStat:
+def extremal_sweep(order: int, stat: str = "rho") -> ExtremalStat:
     """Arg-extreme trees of one statistic (one of EXTREMAL_STATS) over every
     rooted tree of the order: the walk of :func:`verify_order` with no
     check. The statistic depends on the level profile alone, so each
@@ -676,5 +667,6 @@ def extremal_sweep(order: int, stat: str = "rho",
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
     check_enumeration_cap(order)
-    _, extremal, _ = _evaluate_batch(order, 0, None, _verdict_tables(order, {}, [], tol, (stat,)))
+    tables = _verdict_tables(order, {}, [], DEFAULT_CLUSTER_TOL, (stat,))
+    _, extremal, _ = _evaluate_batch(order, 0, None, tables)
     return extremal[stat]

@@ -314,8 +314,8 @@ class TestEvaluateChecks:
                 assert all(r.satisfied for r in evaluate_checks(data_for(tree)))
 
     def test_tree_and_profile_give_same_reports(self, sample9, d9):
-        from_profile = SpectralData.from_profile(level_profile(levels(sample9)))
-        assert evaluate_checks(d9) == evaluate_checks(from_profile)
+        of_profile = solve_profiles([level_profile(levels(sample9))])
+        assert evaluate_checks(d9) == evaluate_checks(of_profile)
         assert evaluate_checks(d9)
 
     def test_selection(self, d9):
@@ -338,7 +338,7 @@ class TestEvaluateChecks:
                     continue
                 comparisons = check(stack)
                 for i, profile in enumerate(counts):
-                    alone = SpectralData.from_profile(profile)
+                    alone = solve_profiles([profile])
                     got = [c.report(i) for c in comparisons]
                     assert got == evaluate_checks(alone, [name]), (profile, name)
 

@@ -144,6 +144,16 @@ class TestExitCodes:
         assert err.startswith("parse error: ") and "UTF-8" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "charpoly"])
+    def test_utf8_byte_order_mark_is_skipped(self, tree_file, tmp_path, capsys, command):
+        """A tree file saved with a UTF-8 byte-order mark is the same tree:
+        the command prints what it prints for the file without the mark."""
+        marked = tmp_path / "marked.tree"
+        marked.write_bytes(b"\xef\xbb\xbf" + SAMPLE9_FILE.encode())
+        code, out, err = run(capsys, command, str(marked))
+        assert (code, out, err) == run(capsys, command, tree_file)
+        assert (code, err) == (0, "") and out
+
     def test_cycle_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "cycle.tree"
         bad.write_text("5\n0 1 3 3 1\n")
@@ -205,6 +215,14 @@ class TestExitCodes:
     def test_usage_error_is_64(self, capsys):
         code, _, _ = run(capsys, "extremal", "--order", "7", "--stat", "unknown", "--min")
         assert code == 64
+
+    def test_extremal_tol_is_64(self, capsys):
+        """The extreme rho and energy depend on the level profile alone, so
+        ``extremal`` has no tolerance to set."""
+        code, out, err = run(capsys, "extremal", "--order", "7", "--stat", "energy", "--max",
+                             "--tol", "0.05")
+        assert (code, out) == (64, "")
+        assert "--tol" in err
 
     def test_missing_required_flag_is_64(self, capsys):
         code, _, _ = run(capsys, "verify")

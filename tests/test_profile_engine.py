@@ -64,12 +64,12 @@ def height_stacks(profiles):
     return list(stacks.values())
 
 
-def solved_rows(profiles, tol=DEFAULT_CLUSTER_TOL) -> list[tuple[SpectralData, int]]:
+def solved_rows(profiles) -> list[tuple[SpectralData, int]]:
     """(stack, row) of each profile, in the order given: the engine's solve
     of its stack of one order and one height, and its row there."""
     out = {}
     for stack in height_stacks(profiles):
-        data = solve_profiles(stack, tol)
+        data = solve_profiles(stack)
         out.update((profile, (data, i)) for i, profile in enumerate(stack))
     return [out[profile] for profile in profiles]
 
@@ -104,12 +104,12 @@ def test_random_trees_match_dense_oracle(tree):
 class TestProfiles:
     def test_sample9(self):
         assert level_profile(SAMPLE9_LEVELS) == (1, 2, 3, 3)
-        data = SpectralData.from_profile((1, 2, 3, 3))
+        data = solve_profiles([(1, 2, 3, 3)])
         assert np.allclose(data.values[0], SAMPLE9_SPECTRUM, atol=1e-6)
         assert data.nullity.tolist() == [5]
 
     def test_zeros_are_exact(self):
-        values = SpectralData.from_profile((1, 2, 3, 3)).values[0]
+        values = solve_profiles([(1, 2, 3, 3)]).values[0]
         assert np.count_nonzero(values == 0.0) == 9 - 4
 
     def test_quotient_is_symmetric_blowup(self):
@@ -123,8 +123,8 @@ class TestProfiles:
 
     def test_cached_once_per_profile(self):
         # Nothing is cached: a profile solved twice gives equal frozen values.
-        first = SpectralData.from_profile((1, 3, 2))
-        assert np.array_equal(SpectralData.from_profile((1, 3, 2)).values, first.values)
+        first = solve_profiles([(1, 3, 2)])
+        assert np.array_equal(solve_profiles([(1, 3, 2)]).values, first.values)
         assert not first.values.flags.writeable
         assert first.spectrum().perron is None
 
@@ -139,12 +139,10 @@ class TestProfiles:
     def test_rejects_bad_profiles(self, bad):
         with pytest.raises(ValueError):
             solve_profiles([bad])
-        with pytest.raises(ValueError):
-            SpectralData.from_profile(bad)
 
     def test_rejects_gapped_levels(self):
         with pytest.raises(ValueError):
-            SpectralData.from_profile(level_profile([0, 2]))
+            solve_profiles([level_profile([0, 2])])
 
     def test_rejects_mixed_orders_and_shapes(self):
         with pytest.raises(ValueError, match="one order"):
@@ -162,9 +160,7 @@ def test_non_finite_or_nonpositive_tol_rejected(tol):
     with pytest.raises(ValueError):
         clustered_multiplicity(symmetric_eigenvalues(matrix), 0.0, tol=tol)
     with pytest.raises(ValueError):
-        SpectralData.from_profile((1, 2), tol=tol)
-    with pytest.raises(ValueError):
-        solve_profiles([(1, 2)], tol)
+        solve_profiles([(1, 2)]).spectrum(0, tol=tol)
 
 
 def test_spectral_data_uses_engine():
@@ -256,16 +252,11 @@ def test_all_profiles_enumerated():
 
 
 class TestValuesOnlySolve:
-    """The engine solves for values only, once per stack whatever the
-    tolerance."""
+    """The engine solves for values only, once per stack."""
 
     def test_engine_solves_without_vectors(self, monkeypatch):
         calls = record_lapack_calls(monkeypatch)
         SpectralData.from_tree(rooted_path(5))
-        assert calls == [("eigvalsh", (1, 5, 5))]
-        # one solve whatever the tolerance: spectrum and nullity together
-        del calls[:]
-        SpectralData.from_tree(rooted_path(5), tol=1e-6)
         assert calls == [("eigvalsh", (1, 5, 5))]
 
 
@@ -282,8 +273,7 @@ def oracle_stack(profiles, method) -> SpectralData:
     nullity = [exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
                + sum(profile) - len(profile) for profile in profiles]
     return SpectralData(np.array(profiles, dtype=np.int64), values, np.abs(values).max(axis=1),
-                        np.abs(values).sum(axis=1), np.array(nullity, dtype=np.int64),
-                        DEFAULT_CLUSTER_TOL)
+                        np.abs(values).sum(axis=1), np.array(nullity, dtype=np.int64))
 
 
 def test_every_profile_solved_once_in_its_stack():
@@ -331,7 +321,7 @@ def test_engine_matches_in_repo_solvers(method):
 def test_batch_equals_batches_of_one():
     for _, _, data in ALL_STACKS:
         for i, profile in enumerate(data.counts):
-            one = SpectralData.from_profile(profile)
+            one = solve_profiles([profile])
             assert np.array_equal(data.values[i], one.values[0])
             assert (data.rho[i], data.energy[i]) == (one.rho[0], one.energy[0])
             assert data.spectrum(i).clusters == one.spectrum().clusters
@@ -344,7 +334,7 @@ def test_clusters_of_long_paths_do_not_chain(n):
     closer to each other than the threshold. A value joins a cluster only
     within the threshold of the cluster's first value, so no cluster spans
     more than the threshold."""
-    spectrum = SpectralData.from_profile((1,) * n).spectrum()
+    spectrum = solve_profiles([(1,) * n]).spectrum()
     threshold = DEFAULT_CLUSTER_TOL * max(1.0, spectrum.rho)
     sizes = [m for _, m in spectrum.clusters]
     assert sum(sizes) == n
@@ -363,7 +353,7 @@ def test_cluster_means_are_summed_by_reduceat(n, tol):
     summation. Each mean is ``np.add.reduceat`` over the cluster starts,
     divided by the size; ``block.mean()`` differs from it in the last bits
     on some cluster of each of these paths."""
-    spectrum = SpectralData.from_profile((1,) * n, tol).spectrum()
+    spectrum = solve_profiles([(1,) * n]).spectrum(tol=tol)
     values = spectrum.values
     sizes = np.array([size for _, size in spectrum.clusters])
     starts = np.cumsum(sizes) - sizes
@@ -431,7 +421,7 @@ class TestStackedClusters:
                                    for row, t in zip(values, threshold.tolist())]
         for row, r in zip(values, rho.tolist()):
             view = SpectralData(np.ones((1, 1), dtype=np.int64), row[None], np.array([r]),
-                                np.zeros(1), np.zeros(1, dtype=np.int64), DYADIC_TOL).spectrum()
+                                np.zeros(1), np.zeros(1, dtype=np.int64)).spectrum(tol=DYADIC_TOL)
             assert view.clusters == scalar_clusters(row, DYADIC_TOL * max(1.0, r))
 
     def test_values_exactly_at_the_threshold_join(self):
@@ -460,7 +450,7 @@ class TestLazyClusters:
         return calls
 
     def test_formed_once_on_first_read(self, counted):
-        spectrum = SpectralData.from_profile(level_profile(SAMPLE9_LEVELS)).spectrum()
+        spectrum = solve_profiles([level_profile(SAMPLE9_LEVELS)]).spectrum()
         first = spectrum.clusters
         assert spectrum.clusters is first
         assert counted == [1]
@@ -468,7 +458,7 @@ class TestLazyClusters:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-1])
     def test_uses_the_tolerance_solved_at(self, tol):
-        spectrum = SpectralData.from_profile((1,) * 300, tol).spectrum()
+        spectrum = solve_profiles([(1,) * 300]).spectrum(tol=tol)
         assert spectrum.tol == tol
         threshold = tol * max(1.0, spectrum.rho)
         assert spectrum.clusters == scalar_clusters(spectrum.values, threshold)
@@ -502,7 +492,7 @@ class TestHeightLimit:
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(spectra_mod, "MAX_LEVELS", 5)
-        assert SpectralData.from_profile((1,) * 5).nullity.tolist() == [0]
+        assert solve_profiles([(1,) * 5]).nullity.tolist() == [0]
         with pytest.raises(ResourceLimit):
             solve_profiles([(1,) * 6])
 
@@ -543,7 +533,7 @@ class TestRankCertificate:
         solved_rows(ALL_PROFILES)
         # only the one-level profile (1,), whose B = [[0]], falls back
         assert len(calls) == 1
-        assert SpectralData.from_profile((1,) * 200).nullity.tolist() == [0]
+        assert solve_profiles([(1,) * 200]).nullity.tolist() == [0]
         assert len(calls) == 1
 
     def test_rank_lost_modulo_p_falls_back(self):
@@ -705,7 +695,7 @@ def counts_only(profiles) -> SpectralData:
     """A stack with its aggregates and no solve: they read the counts alone."""
     k = len(profiles)
     return SpectralData(np.array(profiles, dtype=np.int64), np.zeros((k, 0)), np.zeros(k),
-                        np.zeros(k), np.zeros(k, dtype=np.int64), DEFAULT_CLUSTER_TOL)
+                        np.zeros(k), np.zeros(k, dtype=np.int64))
 
 
 AGGREGATES = ("level_index", "h_value", "row_square_sum", "q_square_sum",
@@ -789,7 +779,7 @@ def test_aggregates_exact_beyond_int64():
 def test_spectra_compare_by_identity():
     """Two views of one member are equal only if they are one object, and
     hash without error."""
-    data = SpectralData.from_profile((1, 2))
+    data = solve_profiles([(1, 2)])
     first, second = data.spectrum(), data.spectrum()
     assert first == first and first != second
     assert len({first, second}) == 2

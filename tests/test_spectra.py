@@ -311,7 +311,7 @@ class TestInterlacing:
         # it is handed has one vertex fewer, and each row is the engine's
         # solution of that profile
         for n in range(2, 9):
-            below = _solved_space(n - 1, DEFAULT_CLUSTER_TOL)
+            below = _solved_space(n - 1)
             for _, counts in profile_stacks(n):
                 data = solve_profiles(counts)
                 for members, _, parent, sub in _leaf_stacks(data, below):
@@ -319,7 +319,7 @@ class TestInterlacing:
                     assert sub.n == n - 1 and sub.counts.min() >= 1
                     assert sub.values.shape == (len(members), n - 1)
                     for i, counts in enumerate(sub.counts):
-                        alone = SpectralData.from_profile(counts)
+                        alone = solve_profiles([counts])
                         assert np.array_equal(sub.values[i], alone.values[0])
                         assert sub.nullity[i] == alone.nullity[0]
 

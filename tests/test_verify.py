@@ -461,6 +461,19 @@ def test_cap_refused_before_any_solve(monkeypatch, run):
         run()
 
 
+@pytest.mark.parametrize("order", [5, 30])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_bad_tol_refused_before_any_solve(monkeypatch, tol, order):
+    """verify_order checks its tolerance at entry, before the enumeration
+    cap (order 30 is above it) and before any profile is solved."""
+    def solve_profiles(*args, **kwargs):
+        raise AssertionError("profiles solved before the tolerance was checked")
+
+    monkeypatch.setattr(verify_mod, "solve_profiles", solve_profiles)
+    with pytest.raises(ValueError, match="tol"):
+        verify_order(order, tol=tol)
+
+
 @pytest.mark.parametrize("order", range(1, 11))
 def test_sequence_facts_match_tree(order):
     """Profile, leaf levels and parents read off a canonical level sequence
@@ -476,7 +489,7 @@ def test_sequence_facts_match_tree(order):
         assert leaf_levels(seq) == {int(lev[leaf]) for leaf in tree.leaves()}
         assert trees_mod.level_sequence_parents(seq) == list(tree.parent)
     profiles = profiles_by_index(order)
-    assert [profiles[i] for i in verify_mod._profile_ids(np.array(seqs)).tolist()] == \
+    assert [profiles[i] for i in trees_mod.profile_ids(np.array(seqs)).tolist()] == \
         [level_profile(seq) for seq in seqs]
 
 
@@ -485,7 +498,7 @@ def test_profile_ids_index_level_profiles(order):
     """The walk's profile index of every tree, from its sorted levels, is
     ``trees.profile_index`` of its level profile."""
     seqs = list(trees_mod.level_sequences(order))
-    assert verify_mod._profile_ids(np.array(seqs)).tolist() == \
+    assert trees_mod.profile_ids(np.array(seqs)).tolist() == \
         [int(trees_mod.profile_index([level_profile(seq)])[0]) for seq in seqs]
 
 
@@ -493,9 +506,9 @@ def test_profile_ids_index_level_profiles(order):
 # the ledger rebuilt tree by tree, with no profile memo, as an oracle
 # ---------------------------------------------------------------------------
 
-def _solve_tree(tree, tol):
+def _solve_tree(tree):
     """The engine's stack of one tree's profile."""
-    return bounds_mod.SpectralData.from_tree(tree, tol)
+    return bounds_mod.SpectralData.from_tree(tree)
 
 
 def _oracle_structural(tree, spectrum, nullity, tol):
@@ -504,7 +517,7 @@ def _oracle_structural(tree, spectrum, nullity, tol):
     row-sum closed form."""
     n = tree.n
     matrix = levelmatrix_mod.LevelMatrix.from_levels(trees_mod.levels(tree))
-    sub_data = [_solve_tree(trees_mod.delete_leaf(tree, leaf), tol)
+    sub_data = [_solve_tree(trees_mod.delete_leaf(tree, leaf))
                 for leaf in tree.leaves()] if n >= 2 else []
     out = []
     if n >= 3:
@@ -568,8 +581,8 @@ def _oracle_ledger(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
     checks: dict[str, CheckStat] = {}
     extremal = {stat: ExtremalStat(stat) for stat in ("rho", "energy")}
     for tree in trees_mod.enumerate_rooted_trees(order):
-        data = bounds_mod.SpectralData.from_tree(tree, tol=tol)
-        spectrum, nullity = data.spectrum(), int(data.nullity[0])
+        data = bounds_mod.SpectralData.from_tree(tree)
+        spectrum, nullity = data.spectrum(tol=tol), int(data.nullity[0])
         label = trees_mod.canonical_level_sequence(tree)
         folded: dict[str, tuple[bool, float]] = {}
         for report in bounds_mod.evaluate_checks(data):
@@ -643,7 +656,7 @@ _FAILING_CHECKS = {
 }
 
 
-def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
+def _failing_oracle(order):
     """The ledger lines of _FAILING_CHECKS, tree by tree from each tree's
     own leaf deletions, with every offender in enumeration order."""
     lines = {name: {"name": name, "trees_checked": 0, "violations": 0,
@@ -651,8 +664,8 @@ def _failing_oracle(order, tol=spectra_mod.DEFAULT_CLUSTER_TOL):
     for seq in trees_mod.level_sequences(order):
         tree = trees_mod.tree_from_level_sequence(seq)
         profile = level_profile(seq)
-        data = _solve_tree(tree, tol)
-        subs = [_solve_tree(trees_mod.delete_leaf(tree, leaf), tol) for leaf in tree.leaves()]
+        data = _solve_tree(tree)
+        subs = [_solve_tree(trees_mod.delete_leaf(tree, leaf)) for leaf in tree.leaves()]
         values = data.values[0]
         interlacing = min(min(float((values[:-1] - sub.values[0]).min()),
                               float((sub.values[0] - values[1:]).min()))
@@ -731,7 +744,7 @@ def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, w
     profiles = [level_profile(seq) for seq in sequences]
     oracle = ExtremalStat("rho")
     for seq, profile in zip(sequences, profiles):
-        oracle.record(float(bounds_mod.SpectralData.from_profile(profile).rho[0]), seq)
+        oracle.record(float(spectra_mod.solve_profiles([profile]).rho[0]), seq)
     assert profiles.count(level_profile(oracle.max_seq)) >= 2
     assert oracle.max_gap == 0.0
     monkeypatch.setattr(verify_mod, "STACK_SIZE", walk_size)
@@ -751,10 +764,10 @@ def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
     solved, members = {}, {}
     solve = verify_mod.solve_profiles
 
-    def counting_solve(counts, tol):
+    def counting_solve(counts):
         order = int(counts[0].sum())
         solved[order] = solved.get(order, 0) + len(counts)
-        return solve(counts, tol)
+        return solve(counts)
 
     def counting(name, check):
         def evaluate(data, *rest):
@@ -827,11 +840,10 @@ def test_profile_space_holds_no_per_profile_objects():
     held: 9.1 MiB more at the tracemalloc peak, against 19.1 MiB when each
     profile passed through a Python tuple, a key and a dict on its way to
     the engine."""
-    tol = spectra_mod.DEFAULT_CLUSTER_TOL
-    verify_mod._solved_space(6, tol)  # numpy's lazy set-up is not the space's
+    verify_mod._solved_space(6)  # numpy's lazy set-up is not the space's
     tracemalloc.start()
     try:
-        space = verify_mod._solved_space(18, tol)
+        space = verify_mod._solved_space(18)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -868,7 +880,7 @@ def test_second_order_sums_are_exact(n):
     a = math.sqrt(sum(x * x for x in q) / sum_l2)
     b = math.sqrt(sum_l2 / n)
     c = sum(row) / n
-    data = bounds_mod.SpectralData.from_profile((1,) * n)
+    data = spectra_mod.solve_profiles([(1,) * n])
     [comparison] = bounds_mod.check_rho_second_order(data)
     report = comparison.report()
     assert report.satisfied
@@ -909,7 +921,7 @@ def test_ambiguous_zero_cluster_is_a_violation():
     [line] = ledger.checks
     ambiguous = []
     for seq in trees_mod.level_sequences(7):
-        spectrum = _solve_tree(trees_mod.tree_from_level_sequence(seq), 0.05).spectrum()
+        spectrum = _solve_tree(trees_mod.tree_from_level_sequence(seq)).spectrum(tol=0.05)
         try:
             spectra_mod.clustered_multiplicity(spectrum, 0.0, 0.05)
         except AmbiguousCluster:
