@@ -195,13 +195,15 @@ class AnalysisReport:
     def build(cls, tree: RootedTree, include_charpoly: bool = False,
               bound_names=None, tol: float = DEFAULT_CLUSTER_TOL,
               extras: dict | None = None) -> "AnalysisReport":
+        # the charpoly's cap is checked before the profile is solved
+        charpoly = _level_charpoly(tree) if include_charpoly else None
         data = SpectralData.from_tree(tree)
         reports = [] if bound_names == [] else bounds_mod.evaluate_checks(data, bound_names)
         return cls(
             tree=tree,
             data=data,
             spectrum=data.spectrum(tol=tol),
-            charpoly=_level_charpoly(tree) if include_charpoly else None,
+            charpoly=charpoly,
             bounds=reports,
             extras=extras or {},
         )

@@ -8,18 +8,19 @@ the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine,
 :func:`solve_profiles`, solves a (k, h+1) array of profiles of one order
 and one height, such as each stack ``trees.profile_stacks`` yields, with
-one LAPACK ``eigvalsh`` call and one lock-step rank certificate, and
+one LAPACK ``eigvalsh`` call and one O(k h^2) rank certificate, and
 returns the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
 energy and nullity arrays, which every check reads. It takes the counts
 alone, no tolerance; it is the only way a profile is solved, it keeps no
 state, and it refuses counts that are not positive integers, an array of
 more than one order, and a profile of more than MAX_LEVELS levels. The
 exact nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b,
-which has the rank of S. Its rank is certified by elimination modulo a
-prime below 2**26, exact in binary64, which can only under-count the rank;
-when that count is short of full rank, the exact rank comes from Bareiss
-elimination of B. :func:`_cluster`, the one clustering rule, groups a
-whole stack's values at once, at the tolerance a check passes. A
+which has the rank of S. Its full rank is certified modulo a prime below
+2**26 from the second differences of B's rows, which are single entries;
+a member the certificate does not decide (in practice only the one-level
+profile) takes its exact rank from Bareiss elimination of B.
+:func:`_cluster`, the one clustering rule, groups a whole stack's values
+at once, at the tolerance a check passes. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
 ``special`` print and that the dense oracle returns;
 :meth:`SpectralData.spectrum` is where a member meets a tolerance.
@@ -34,8 +35,8 @@ spectrum from the exact characteristic polynomial.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
-or residues modulo a prime (held in binary64 by the stacked certificate,
-where every product of two is an exact integer).
+or residues modulo a prime below 2**26 (int64 in the stacked certificate,
+where every product of two is below 2**52).
 """
 
 from __future__ import annotations
@@ -353,18 +354,15 @@ def quotient_matrix(profile) -> np.ndarray:
 
 
 #: Modulus of the rank certificate: 67,108,859, the largest prime below
-#: 2**26. The certificate keeps residues in binary64, below p in magnitude,
-#: so a product of two is an integer below 2**52 and the difference of two
-#: such products is exact (the standard word-size prime-field technique;
-#: J.-G. Dumas, P. Giorgi and C. Pernet, "Dense linear algebra over
-#: word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
-#: 2008).
+#: 2**26, so a product of two residues, and the difference of two such
+#: products, is an exact int64 below 2**53.
 RANK_PRIME = 67_108_859
 
-#: Most levels (h + 1) of a profile the engine solves. Its rank certificate
-#: is O(h^3): ``analyze`` of rooted paths of 500 and 1,000 vertices takes
-#: 0.49 and 2.4 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.21
-#: and 2.0 s, nearly all of it in the certificate.
+#: Most levels (h + 1) of a profile the engine solves. A deep profile costs
+#: O(h^3) in LAPACK's ``eigvalsh`` and O(h^2) in the rank certificate:
+#: ``analyze`` of rooted paths of 500 and 1,000 vertices takes 0.17 and
+#: 0.32 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.02 and
+#: 0.08 s.
 MAX_LEVELS = 1024
 
 
@@ -474,40 +472,35 @@ class SpectralData:
         return self._weighted(self.level_second_order_sums, self.n * self._nh_squared**2, 2)
 
 
-def _full_rank_mod_p(residues: np.ndarray) -> np.ndarray:
-    """Whether each member of a (k, s, s) stack of residues modulo
-    RANK_PRIME (integers in [0, p)) has full rank over GF(RANK_PRIME).
+def _rank_certificate(residues: np.ndarray) -> np.ndarray:
+    """The rank certificate of a (k, s, s) stack of residues modulo
+    RANK_PRIME (integers in [0, p)), in O(k s^2): (k, max(s - 1, 1))
+    residues. A member is certified of full rank over GF(RANK_PRIME) iff
+    its row has no zero, and then the row's product is +-det modulo p.
 
-    All members are eliminated in lock step, fraction-free, on the active
-    block: the pivot row moves to the top, and every row below it becomes
-    row * pivot - head * top, reduced modulo p. Scaling a row by a nonzero
-    residue keeps the rank, so no modular inverse is needed. A member
-    without a pivot in some column is singular modulo p.
-
-    The arithmetic is binary64. A product of two residues is an integer
-    below 2**52, so each update x is exact, and x - rint(x / p) * p is
-    exact too. The computed x / p is off by less than 2**-25, so the result
-    is a residue of x of magnitude at most p/2 + 1, zero iff p divides x:
-    residues stay below p in magnitude with no correction step.
+    The unimodular second-difference matrix T replaces row a < s - 2 by
+    B_a - 2 B_{a+1} + B_{a+2} and keeps the last two rows. Each of those
+    first s - 2 rows of TB gives its entry in column a + 1, its pivot, or
+    0 when any other entry of the row is nonzero. The last entry is the
+    2x2 minor of B's last two rows on columns 0 and s - 1 (the 1x1 entry
+    when s = 1): eliminating the single-entry pivot rows from the last two
+    rows leaves only that minor. Both are read off the computed residues,
+    so a certified member has full rank whatever its entries. A profile
+    matrix B_ab = |a - b| n_b passes unless p divides h or a count: the
+    second difference of |a - b| is 2 at b = a + 1 and 0 elsewhere. Every
+    value is an int64 below 2**53.
     """
-    m = residues.astype(np.float64)
-    k = len(m)
-    members = np.arange(k)
-    full = np.ones(k, dtype=bool)
-    while m.shape[1]:
-        nonzero = m[:, :, 0] != 0
-        full &= nonzero.any(axis=1)
-        pivot_row = nonzero.argmax(axis=1)
-        top = m[members, pivot_row]
-        m[members, pivot_row] = m[:, 0]
-        rest = m[:, 1:, 1:] * top[:, None, :1]
-        rest -= m[:, 1:, :1] * top[:, None, 1:]
-        quotient = rest * (1.0 / RANK_PRIME)
-        np.rint(quotient, out=quotient)
-        quotient *= RANK_PRIME
-        rest -= quotient
-        m = rest
-    return full
+    m = residues.astype(np.int64)
+    rows = (m[:, :-2] - 2 * m[:, 1:-1] + m[:, 2:]) % RANK_PRIME
+    a = np.arange(rows.shape[1])
+    pivots = rows[:, a, a + 1]
+    rows[:, a, a + 1] = 0
+    pivots[rows.any(axis=2)] = 0
+    if m.shape[1] == 1:
+        minor = m[:, 0, 0]
+    else:
+        minor = (m[:, -2, 0] * m[:, -1, -1] - m[:, -2, -1] * m[:, -1, 0]) % RANK_PRIME
+    return np.column_stack([pivots, minor])
 
 
 def solve_profiles(counts) -> SpectralData:
@@ -517,8 +510,9 @@ def solve_profiles(counts) -> SpectralData:
     The values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
     quotients, padded with n - h - 1 exact zeros. The nullity is
     n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
-    quotient. A full rank modulo RANK_PRIME proves full rank over the
-    rationals; any other outcome is decided by Bareiss elimination of B.
+    quotient. A full rank modulo RANK_PRIME, certified by
+    :func:`_rank_certificate`, proves full rank over the rationals; any
+    member it does not certify is decided by Bareiss elimination of B.
     Counts that are not positive integers, or rows of more than one
     order, raise ``ValueError``, and more than MAX_LEVELS levels
     ``ResourceLimit``, before anything is solved.
@@ -546,7 +540,7 @@ def solve_profiles(counts) -> SpectralData:
     distances = np.abs(j[:, None] - j[None, :])
     b = distances[None] * (counts % RANK_PRIME)[:, None, :]
     nullity = np.full(k, n - s, dtype=np.int64)
-    for i in np.flatnonzero(~_full_rank_mod_p(b % RANK_PRIME)).tolist():
+    for i in np.flatnonzero(~_rank_certificate(b % RANK_PRIME).all(axis=1)).tolist():
         # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
         nullity[i] += exact_zero_multiplicity(distances * counts[i].astype(object))
     return SpectralData(counts, values, rho, energy, nullity)
@@ -562,8 +556,8 @@ def _rank_mod_p(rows) -> int:
     """Rank over GF(RANK_PRIME) of an integer matrix, a lower bound on its
     rank over the rationals.
 
-    Oracle for the stacked certificate :func:`_full_rank_mod_p`: one matrix
-    at a time, with a modular inverse per pivot.
+    Oracle for the stacked certificate :func:`_rank_certificate`: a general
+    O(n^3) elimination of one matrix, with a modular inverse per pivot.
     """
     m = _residues(rows)
     n_rows, n_cols = m.shape

@@ -8,6 +8,7 @@ import pytest
 
 from levelspectra import canonicalize, parse_tree
 from levelspectra import cli as cli_mod
+from levelspectra import spectra as spectra_mod
 from levelspectra import verify as verify_mod
 from levelspectra.cli import ANALYSIS_REPORT_SCHEMA, main, polynomial_text
 from levelspectra.spectra import CharPoly
@@ -80,8 +81,8 @@ class TestAnalyze:
         assert out == text
 
     def test_tall_tree_is_a_resource_limit(self, tmp_path, capsys):
-        # 2,000 levels, past spectra.MAX_LEVELS: refused before the O(h^3)
-        # rank certificate, which would take about half a minute
+        # 2,000 levels, past spectra.MAX_LEVELS: refused before the profile
+        # is solved, whose O(h^3) eigensolve is LAPACK's eigvalsh
         n = 2000
         path = tmp_path / "path.tree"
         path.write_text(f"{n}\n" + " ".join(str(p) for p in range(n)) + "\n")
@@ -423,6 +424,25 @@ class TestCharpolyCommand:
         code, out, err = run(capsys, argv[0], str(star), *argv[1:])
         assert code == 4 and out == "" and "exceeds the cap of 24" in err
         assert built == []
+
+    @pytest.mark.parametrize("command", ["analyze", "special"])
+    def test_cap_checked_before_the_profile_is_solved(self, command, tmp_path,
+                                                      monkeypatch, capsys):
+        # a 1,024-vertex path: no solve or bound precedes the refusal
+        n = 1024
+        path = tmp_path / "path.tree"
+        path.write_text(f"{n}\n" + " ".join(str(p) for p in range(n)) + "\n")
+
+        def solve(counts):
+            raise AssertionError("a profile was solved")
+
+        monkeypatch.setattr(spectra_mod, "solve_profiles", solve)
+        argv = ([str(path)] if command == "analyze"
+                else ["path", "--order", str(n)])
+        code, out, err = run(capsys, command, *argv, "--charpoly")
+        assert code == 4 and out == ""
+        assert err == ("resource limit: characteristic polynomial of order 1024 "
+                       "exceeds the cap of 24\n")
 
 
 class TestPolynomialText:

@@ -46,7 +46,7 @@ from levelspectra.spectra import (
     MAX_LEVELS,
     RANK_PRIME,
     _cluster,
-    _full_rank_mod_p,
+    _rank_certificate,
     _rank_mod_p,
     _residues,
 )
@@ -502,16 +502,58 @@ def profile_b(profile):
     return [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
 
 
+def certificate(matrices) -> np.ndarray:
+    """The certificate's pivots and minor for square integer matrices of
+    one size."""
+    return _rank_certificate(np.stack([_residues(rows) for rows in matrices]))
+
+
 def stacked_full_rank(matrices) -> list[bool]:
     """The stacked certificate on square integer matrices of one size."""
-    return _full_rank_mod_p(np.stack([_residues(rows) for rows in matrices])).tolist()
+    return certificate(matrices).all(axis=1).tolist()
 
 
 def assert_certificate_sound(rows) -> None:
-    """Full rank modulo the prime must mean full rank over the rationals:
-    a certified matrix has exact nullity 0."""
-    if stacked_full_rank([rows]) == [True]:
+    """A certificate must mean full rank modulo the prime, which means full
+    rank over the rationals: a certified matrix has exact nullity 0. Below
+    order 3 the certificate is the determinant modulo p, so it is also
+    complete there."""
+    certified = stacked_full_rank([rows]) == [True]
+    full_mod_p = _rank_mod_p(rows) == len(rows)
+    if certified:
+        assert full_mod_p
         assert exact_zero_multiplicity(np.array(rows, dtype=object)) == 0
+    elif len(rows) <= 2:
+        assert not full_mod_p
+
+
+def deep_profiles(seed: int = 0) -> list[tuple[int, ...]]:
+    """Seeded random profiles of 2 to 400 levels, counts up to 50."""
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.integers(1, 50, size=s, endpoint=True).tolist())
+            for s in (2, 3, 5, 17, 64, 129, 400)]
+
+
+def graham_pollak(profile) -> int:
+    """det B modulo p for B_ab = |a - b| n_b: the distance matrix of a path
+    on h + 1 vertices has determinant (-1)^h h 2^(h-1) (R. L. Graham and
+    H. O. Pollak, Bell Syst. Tech. J. 50, 1971), and B is that matrix
+    times diag(n_b)."""
+    h = len(profile) - 1
+    return (-1) ** h * h * 2 ** (h - 1) * math.prod(profile) % RANK_PRIME
+
+
+def changed(rows, entry):
+    """``rows`` with ``entry`` = (row, column, value) written in, if any."""
+    if entry is not None:
+        rows[entry[0]][entry[1]] = entry[2]
+    return rows
+
+
+#: Whole-order profiles, the rooted paths of 200 and MAX_LEVELS levels and
+#: random deep profiles, each with at least two levels.
+CERTIFIED_PROFILES = ([p for p in ALL_PROFILES if len(p) >= 2]
+                      + [(1,) * 200, (1,) * MAX_LEVELS] + deep_profiles())
 
 
 class TestRankCertificate:
@@ -533,8 +575,43 @@ class TestRankCertificate:
         solved_rows(ALL_PROFILES)
         # only the one-level profile (1,), whose B = [[0]], falls back
         assert len(calls) == 1
-        assert solve_profiles([(1,) * 200]).nullity.tolist() == [0]
+        solved_rows([(1,) * 200, (1,) * MAX_LEVELS, *deep_profiles()])
         assert len(calls) == 1
+
+    def test_certificate_equals_rank_mod_p_on_profiles(self):
+        for profile in [(1,), *CERTIFIED_PROFILES]:
+            b = profile_b(profile)
+            assert stacked_full_rank([b]) == [_rank_mod_p(b) == len(profile)], profile
+
+    def test_pivots_and_minor_give_the_graham_pollak_determinant(self):
+        """The certificate's entries multiply to det(TB) = det(B) up to the
+        sign of the permutation that takes each row to its column: the
+        pivot rows a < s - 2 to columns a + 1 and the last two rows to
+        columns 0 and s - 1, a cycle of length s - 1 = h."""
+        for profile in CERTIFIED_PROFILES:
+            h = len(profile) - 1
+            product = 1
+            for entry in certificate([profile_b(profile)])[0].tolist():
+                product = product * entry % RANK_PRIME
+            assert (-1) ** (h - 1) * product % RANK_PRIME == graham_pollak(profile), profile
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 9])
+    def test_count_divisible_by_p_is_not_certified(self, s):
+        """B's residues lose a pivot or the minor when p divides a count,
+        though B stays nonsingular over the rationals."""
+        for level in range(s):
+            for count in (RANK_PRIME, 2 * RANK_PRIME):
+                profile = tuple(count if b == level else b + 1 for b in range(s))
+                b = profile_b(profile)
+                assert stacked_full_rank([b]) == [False], profile
+                assert _rank_mod_p(b) < s
+                assert exact_zero_multiplicity(np.array(b, dtype=object)) == 0
+
+    def test_height_divisible_by_p_is_not_certified(self, monkeypatch):
+        monkeypatch.setattr(spectra_mod, "RANK_PRIME", 7)
+        # the rooted paths of 7 and 8 levels, heights 6 and 7, modulo 7
+        assert stacked_full_rank([profile_b((1,) * 7)]) == [True]
+        assert stacked_full_rank([profile_b((1,) * 8)]) == [False]
 
     def test_rank_lost_modulo_p_falls_back(self):
         m = [[RANK_PRIME, 0], [0, 1]]
@@ -590,11 +667,18 @@ class TestRankCertificate:
             st.lists(st.integers(min_value=-4, max_value=4)
                      | st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME]),
                      min_size=n, max_size=n),
-            min_size=n, max_size=n)))
+            min_size=n, max_size=n)
+        # profile matrices, some with one entry changed: certified members
+        # and near misses
+        | st.tuples(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n),
+                    st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                          st.integers(min_value=-4, max_value=4))
+                    ).map(lambda drawn: changed(profile_b(drawn[0]), drawn[1]))))
     def test_random_integer_matrices(self, rows):
         exact = exact_zero_multiplicity(np.array(rows, dtype=object))
         assert _rank_mod_p(rows) <= len(rows) - exact
-        assert stacked_full_rank([rows]) == [_rank_mod_p(rows) == len(rows)]
+        # the certificate is sound on every matrix, and complete below
+        # order 3
         assert_certificate_sound(rows)
 
     @settings(max_examples=100, deadline=None)
@@ -604,43 +688,52 @@ class TestRankCertificate:
                 st.lists(st.integers(min_value=-3, max_value=3)
                          | st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME]),
                          min_size=n, max_size=n),
-                min_size=n, max_size=n),
+                min_size=n, max_size=n)
+            | st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n
+                       ).map(profile_b),
             min_size=1, max_size=8)))
     def test_random_stacks(self, matrices):
-        # members of one stack are eliminated in lock step but independently
+        # members of one stack are certified independently
         assert stacked_full_rank(matrices) == [
-            _rank_mod_p(rows) == len(rows) for rows in matrices]
+            stacked_full_rank([rows])[0] for rows in matrices]
+        for rows in matrices:
+            assert_certificate_sound(rows)
 
 
 # ---------------------------------------------------------------------------
-# the binary64 certificate at the top of its range
+# the certificate at the top of the residue range
 # ---------------------------------------------------------------------------
 
 def worst_case_matrices(s: int, seed: int = 0) -> dict[str, np.ndarray]:
-    """s x s residue matrices whose first products are as large as the
-    certificate allows, (p - 1)**2 just below 2**52, with their rank modulo
-    the prime known:
+    """s x s residue matrices as large as residues go, p - 1 or near it,
+    with their rank modulo the prime known:
 
     - "all": p - 1 everywhere, rank 1;
     - "alternating": 0 and p - 1 in a checkerboard, rank 2 from s = 2;
     - "upper": p - 1 on and above the diagonal, full rank;
     - "near": uniform in [p - 1025, p - 1], full rank for these seeds;
     - "dependent": "near" with its last row the sum of the first two
-      modulo p, rank s - 1 from s = 3.
+      modulo p, rank s - 1 from s = 3;
+    - "profile": B of counts in [p - 1025, p - 1], whose residues near p
+      or 0 make the minor's products as large as the certificate allows,
+      (p - 1)**2 just below 2**52; full rank, and certified.
     """
     top = RANK_PRIME - 1
     i, j = np.indices((s, s))
-    near = np.random.default_rng(seed).integers(top - 1024, top, size=(s, s), endpoint=True)
+    rng = np.random.default_rng(seed)
+    near = rng.integers(top - 1024, top, size=(s, s), endpoint=True)
     dependent = near.copy()
     if s >= 3:
         dependent[-1] = (near[0] + near[1]) % RANK_PRIME
+    counts = rng.integers(top - 1024, top, size=s, endpoint=True).tolist()
     return {"all": np.full((s, s), top), "alternating": (i + j) % 2 * top,
-            "upper": np.where(j >= i, top, 0), "near": near, "dependent": dependent}
+            "upper": np.where(j >= i, top, 0), "near": near, "dependent": dependent,
+            "profile": np.array(profile_b(counts), dtype=object) % RANK_PRIME}
 
 
 def worst_case_full_rank(s: int) -> dict[str, bool]:
     return {"all": s == 1, "alternating": s == 2, "upper": True, "near": True,
-            "dependent": s < 3}
+            "dependent": s < 3, "profile": s >= 2}
 
 
 class TestRankCertificateAtTheBound:
@@ -650,21 +743,28 @@ class TestRankCertificateAtTheBound:
             rows = m.tolist()
             expected = worst_case_full_rank(s)[name]
             assert (_rank_mod_p(rows) == s) == expected, name
-            assert stacked_full_rank([rows]) == [expected], name
+            # a certificate means full rank modulo p; it is complete on
+            # profile matrices and below order 3
+            certified = stacked_full_rank([rows]) == [True]
+            assert expected or not certified, name
+            if name == "profile" or s <= 2:
+                assert certified == expected, name
 
     def test_mixed_stack(self):
         """Every pattern in one stack, with the profile matrix B of
         (1,) * 39 + (p,), which is singular modulo p (its last column
         vanishes) and nonsingular over the rationals; the Bareiss
-        elimination, the engine's fallback, decides it."""
+        elimination, the engine's fallback, decides it. Each member is
+        certified as it is alone."""
         s = 40
         patterns = worst_case_matrices(s)
         b = profile_b((1,) * (s - 1) + (RANK_PRIME,))
         members = [m.tolist() for m in patterns.values()] + [b]
         assert stacked_full_rank(members) == [
-            _rank_mod_p(rows) == s for rows in members]
-        assert stacked_full_rank(members) == [
-            *worst_case_full_rank(s).values(), False]
+            stacked_full_rank([rows])[0] for rows in members]
+        assert stacked_full_rank(members)[-2:] == [True, False]
+        for rows in members:
+            assert_certificate_sound(rows)
         assert exact_zero_multiplicity(np.array(b, dtype=object)) == 0
 
     def test_engine_falls_back_where_the_prime_divides_a_count(self, monkeypatch):
