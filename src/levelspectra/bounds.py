@@ -10,11 +10,10 @@ of a stack of one into reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidOrder, NoBracket, TooSmall
+from .errors import DegenerateDenominator, Frozen, InvalidOrder, NoBracket, TooSmall
 from .spectra import SpectralData
 
 #: Uniform comparison tolerance scale: a relation is satisfied within
@@ -25,23 +24,39 @@ COMPARISON_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """One evaluated relation: lhs <relation> rhs, with signed slack.
 
-    ``slack`` is ``rhs - lhs`` for one-sided relations and the distance to
-    the nearest endpoint for interval membership (negative when violated).
-    ``equality_expected`` is set when the source theorem states an equality
-    condition that applies to this input.
+    ``slack`` is ``rhs - lhs`` for "<=", ">=" and "==", and for "in" the
+    distance ``min(lhs - lo, hi - lhs)`` to the nearer endpoint. Up to the
+    comparison tolerance, a "<=" or "in" relation holds when its slack is
+    >= 0, a ">=" relation when its slack is <= 0, and an "==" identity when
+    its slack is 0: a violated ">=" has a positive slack. ``equality_expected``
+    is set when the source theorem states an equality condition that applies
+    to this input.
     """
 
-    name: str
-    lhs: float
-    rhs: float | tuple[float, float]
-    relation: str  # "<=", ">=", "==", "in"
-    slack: float
-    satisfied: bool
-    equality_expected: bool | None = None
+    __slots__ = ("name", "lhs", "rhs", "relation", "slack", "satisfied", "equality_expected")
+
+    def __init__(self, name: str, lhs: float, rhs: float | tuple[float, float], relation: str,
+                 slack: float, satisfied: bool, equality_expected: bool | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "relation", relation)  # "<=", ">=", "==", "in"
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "equality_expected", equality_expected)
+
+    def _fields(self) -> tuple:
+        return (self.name, self.lhs, self.rhs, self.relation, self.slack, self.satisfied,
+                self.equality_expected)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BoundReport) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def to_dict(self) -> dict:
         rhs = list(self.rhs) if isinstance(self.rhs, tuple) else self.rhs
@@ -56,18 +71,22 @@ class BoundReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class Comparison:
+class Comparison(Frozen):
     """A relation evaluated over a stack: the fields of :class:`BoundReport`
     with one entry per member (``rhs`` is a (lo, hi) pair for "in")."""
 
-    name: str
-    lhs: np.ndarray
-    rhs: np.ndarray | tuple[np.ndarray, np.ndarray]
-    relation: str
-    slack: np.ndarray
-    ok: np.ndarray
-    equality_expected: bool | None
+    __slots__ = ("name", "lhs", "rhs", "relation", "slack", "ok", "equality_expected")
+
+    def __init__(self, name: str, lhs: np.ndarray,
+                 rhs: np.ndarray | tuple[np.ndarray, np.ndarray], relation: str,
+                 slack: np.ndarray, ok: np.ndarray, equality_expected: bool | None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "equality_expected", equality_expected)
 
     def report(self, row: int = 0) -> BoundReport:
         """The report of one member."""

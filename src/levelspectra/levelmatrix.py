@@ -13,26 +13,24 @@ aggregates are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import Frozen
 from .trees import RootedTree, levels
 
 
-@dataclass(frozen=True)
-class LevelMatrix:
+class LevelMatrix(Frozen):
     """Symmetric integer matrix of pairwise level differences.
 
     Its cached aggregates are computed from the entries, independently of
     the profile formulas in ``spectra.SpectralData``: the oracle for them.
     """
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+    def __init__(self, entries: np.ndarray):
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_levels(cls, vertex_levels) -> "LevelMatrix":

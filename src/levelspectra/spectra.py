@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .eigen import symmetric_eigh
-from .errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
+from .errors import AmbiguousCluster, Frozen, LevelSpectraError, ResourceLimit, TooSmall
 from .levelmatrix import LevelMatrix
 from .trees import RootedTree, levels
 
@@ -74,8 +73,7 @@ def _as_array(matrix) -> np.ndarray:
     return np.asarray(matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Frozen):
     """One spectrum, from the dense oracle or of one member of a stack
     (:meth:`SpectralData.spectrum`): eigenvalues sorted descending, with
     Perron data and the cluster tolerance ``tol`` they are grouped at.
@@ -85,11 +83,13 @@ class Spectrum:
     member of a stack, which fixes no vertex order).
     """
 
-    values: np.ndarray
-    tol: float
-    rho: float
-    energy: float
-    perron: np.ndarray | None
+    def __init__(self, values: np.ndarray, tol: float, rho: float, energy: float,
+                 perron: np.ndarray | None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "perron", perron)
 
     @property
     def n(self) -> int:
@@ -186,12 +186,20 @@ def perron_vector(matrix, tol: float = DEFAULT_CLUSTER_TOL,
     return spectrum.rho, v
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Frozen):
     """Exact monic characteristic polynomial det(xI - M), degree-descending
     integer coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CharPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -366,8 +374,7 @@ RANK_PRIME = 67_108_859
 MAX_LEVELS = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
+class SpectralData(Frozen):
     """A stack, as the profile engine returns it: level profiles
     (n_0, ..., n_h) of one order n and one height h, one row per member,
     with their spectra and exact nullities, and no tolerance. Its exact
@@ -375,11 +382,15 @@ class SpectralData:
     L_a = sum_b n_b |a - b| and second-order row sum q_a = sum_b n_b |a - b| L_b.
     """
 
-    counts: np.ndarray  # (k, h+1): one level profile per row
-    values: np.ndarray  # (k, n): each member's eigenvalues, descending
-    rho: np.ndarray  # (k,)
-    energy: np.ndarray  # (k,)
-    nullity: np.ndarray  # (k,): exact multiplicity of the eigenvalue 0
+    def __init__(self, counts: np.ndarray,  # (k, h+1): one level profile per row
+                 values: np.ndarray,  # (k, n): each member's eigenvalues, descending
+                 rho: np.ndarray, energy: np.ndarray,  # (k,) each
+                 nullity: np.ndarray):  # (k,): exact multiplicity of the eigenvalue 0
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "nullity", nullity)
 
     @classmethod
     def from_tree(cls, tree: RootedTree) -> "SpectralData":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable
 
@@ -98,15 +97,25 @@ def _label(seq: tuple[int, ...]) -> str:
     return " ".join(map(str, seq))
 
 
-@dataclass
 class CheckStat:
     """Aggregate of one named check over many trees."""
 
-    name: str
-    trees_checked: int = 0
-    violations: int = 0
-    worst_slack: float = math.inf
-    offenders: list[tuple[int, ...]] = field(default_factory=list)
+    __slots__ = ("name", "trees_checked", "violations", "worst_slack", "offenders")
+
+    def __init__(self, name: str, trees_checked: int = 0, violations: int = 0,
+                 worst_slack: float = math.inf,
+                 offenders: list[tuple[int, ...]] | None = None):
+        self.name = name
+        self.trees_checked = trees_checked
+        self.violations = violations
+        self.worst_slack = worst_slack
+        self.offenders = [] if offenders is None else offenders
+
+    def _fields(self) -> tuple:
+        return self.name, self.trees_checked, self.violations, self.worst_slack, self.offenders
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CheckStat) and self._fields() == other._fields()
 
     def record(self, ok: bool, slack: float) -> None:
         """Count one tree with its verdict and slack."""
@@ -150,18 +159,30 @@ class CheckStat:
         }
 
 
-@dataclass
 class ExtremalStat:
     """Best/worst trees for one statistic, each kept as its level sequence,
     with runner-up values for uniqueness gaps."""
 
-    stat: str
-    min_value: float = math.inf
-    min_seq: tuple[int, ...] = ()
-    runner_min: float = math.inf
-    max_value: float = -math.inf
-    max_seq: tuple[int, ...] = ()
-    runner_max: float = -math.inf
+    __slots__ = ("stat", "min_value", "min_seq", "runner_min", "max_value", "max_seq",
+                 "runner_max")
+
+    def __init__(self, stat: str, min_value: float = math.inf, min_seq: tuple[int, ...] = (),
+                 runner_min: float = math.inf, max_value: float = -math.inf,
+                 max_seq: tuple[int, ...] = (), runner_max: float = -math.inf):
+        self.stat = stat
+        self.min_value = min_value
+        self.min_seq = min_seq
+        self.runner_min = runner_min
+        self.max_value = max_value
+        self.max_seq = max_seq
+        self.runner_max = runner_max
+
+    def _fields(self) -> tuple:
+        return (self.stat, self.min_value, self.min_seq, self.runner_min, self.max_value,
+                self.max_seq, self.runner_max)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExtremalStat) and self._fields() == other._fields()
 
     def record(self, value: float, seq: tuple[int, ...]) -> None:
         if value < self.min_value:
@@ -221,12 +242,15 @@ class ExtremalStat:
         }
 
 
-@dataclass
 class VerificationLedger:
-    order: int
-    tree_count: int
-    checks: list[CheckStat]
-    extremal: dict[str, ExtremalStat]
+    __slots__ = ("order", "tree_count", "checks", "extremal")
+
+    def __init__(self, order: int, tree_count: int, checks: list[CheckStat],
+                 extremal: dict[str, ExtremalStat]):
+        self.order = order
+        self.tree_count = tree_count
+        self.checks = checks
+        self.extremal = extremal
 
     @property
     def violations(self) -> int:
@@ -455,7 +479,6 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
     return [(name, ok, slack) for name, (ok, slack) in folded.items()]
 
 
-@dataclass
 class VerdictTables:
     """Every verdict of one order, for the walk to look up by a tree's
     profile index (see ``trees.profile_stacks``; P of them).
@@ -470,12 +493,17 @@ class VerdictTables:
     each extremal statistic to its (P,) values.
     """
 
-    lines: dict[str, np.ndarray]
-    leaf_lines: dict[str, np.ndarray]
-    covered: dict[str, np.ndarray]
-    worst: dict[str, float]
-    tree_checks: list[str]
-    values: dict[str, np.ndarray]
+    __slots__ = ("lines", "leaf_lines", "covered", "worst", "tree_checks", "values")
+
+    def __init__(self, lines: dict[str, np.ndarray], leaf_lines: dict[str, np.ndarray],
+                 covered: dict[str, np.ndarray], worst: dict[str, float],
+                 tree_checks: list[str], values: dict[str, np.ndarray]):
+        self.lines = lines
+        self.leaf_lines = leaf_lines
+        self.covered = covered
+        self.worst = worst
+        self.tree_checks = tree_checks
+        self.values = values
 
 
 def _store(tables: dict, worst: dict, name: str, shape: tuple[int, ...], at, ok, slack) -> None:

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from levelspectra import (
     symmetric_eigenvalues,
 )
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
-from levelspectra.bounds import SpectralData
-from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly
+from levelspectra.bounds import BoundReport, Comparison, SpectralData
+from levelspectra.levelmatrix import LevelMatrix
+from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly, Spectrum
 from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_stacks, _solved_space
 
 from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
@@ -331,3 +334,49 @@ class TestInterlacing:
                 for leaf in tree.leaves():
                     sub = symmetric_eigenvalues(build_level_matrix(delete_leaf(tree, leaf)))
                     assert _interlace(sp.values, sub.values, slack=eps)
+
+
+# ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+_FROZEN_RECORDS = {
+    BoundReport: lambda: BoundReport("cap", 1.0, 2.0, "<=", 1.0, True),
+    Comparison: lambda: Comparison("cap", np.ones(2), np.full(2, 2.0), "<=", np.ones(2),
+                                   np.ones(2, bool), None),
+    LevelMatrix: lambda: build_level_matrix(rooted_star(4)),
+    Spectrum: lambda: symmetric_eigenvalues(build_level_matrix(rooted_star(4))),
+    CharPoly: lambda: characteristic_polynomial(build_level_matrix(rooted_star(4))),
+    SpectralData: lambda: solve_profiles([(1, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("record_type", _FROZEN_RECORDS, ids=lambda t: t.__name__)
+def test_records_are_frozen(record_type):
+    """Assigning or deleting a field raises AttributeError and changes
+    nothing; so does adding an attribute. A pickled or copied record is
+    rebuilt with the same fields, and is frozen too."""
+    record = _FROZEN_RECORDS[record_type]()
+    assert type(record) is record_type
+    field = {BoundReport: "slack", Comparison: "ok", LevelMatrix: "entries",
+             Spectrum: "values", CharPoly: "coeffs", SpectralData: "nullity"}[record_type]
+    before = getattr(record, field)
+    for change in (lambda r: setattr(r, field, None), lambda r: delattr(r, field),
+                   lambda r: setattr(r, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change(record)
+    assert getattr(record, field) is before
+    for rebuilt in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(rebuilt) is record_type
+        assert np.array_equal(getattr(rebuilt, field), before)
+        with pytest.raises(AttributeError):
+            setattr(rebuilt, field, None)
+
+
+def test_value_records_compare_and_hash_by_fields():
+    report = BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True)
+    assert report == BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True, None)
+    assert report != BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True, False)
+    assert CharPoly((1, 0, -1)) == CharPoly((1, 0, -1)) != CharPoly((1, 0, 1))
+    assert len({report, BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True),
+                CharPoly((1, 0, -1)), CharPoly((1, 0, -1))}) == 2

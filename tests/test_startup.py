@@ -97,9 +97,37 @@ def test_library_import_leaves_blas_setting_alone():
                                             ("levelspectra", False),
                                             ("levelspectra.verify", False)])
 def test_only_the_cli_freezes_the_import_heap(module, frozen):
+    """The command line freezes its import heap, and gives the collector
+    back on; importing the library leaves the collector alone."""
     out = run_python(f"import gc, json\nimport {module}\n"
-                     "print(json.dumps({'frozen': gc.get_freeze_count()}))\n")
+                     "print(json.dumps({'frozen': gc.get_freeze_count(),\n"
+                     "                  'enabled': gc.isenabled()}))\n")
     assert (out["frozen"] > 0) == frozen
+    assert out["enabled"]
+
+
+def test_cli_imports_without_a_collection(tmp_path):
+    """No collection runs while the command line imports numpy and the
+    package. Compiling a source may collect, so the probe runs twice over
+    a bytecode cache of its own and the second run, which compiles
+    nothing, counts."""
+    probe = ("import gc, json\n"
+             "starts = []\n"
+             "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))\n"
+             "import levelspectra.cli\n"
+             "print(json.dumps({'collections': sum(starts)}))\n")
+    for _ in range(2):
+        out = run_python(probe, PYTHONPYCACHEPREFIX=str(tmp_path), PYTHONDONTWRITEBYTECODE=None)
+    assert out == {"collections": 0}
+
+
+def test_cli_keeps_the_callers_collector_off():
+    out = run_python("import gc, json\n"
+                     "gc.disable()\n"
+                     "import levelspectra.cli\n"
+                     "print(json.dumps({'frozen': gc.get_freeze_count() > 0,\n"
+                     "                  'enabled': gc.isenabled()}))\n")
+    assert out == {"frozen": True, "enabled": False}
 
 
 _POOL_PROBE = (
@@ -111,17 +139,26 @@ _POOL_PROBE = (
 )
 
 
-def test_cli_counts_trees_without_fractions():
+def test_cli_counts_trees_without_fractions(tmp_path):
     """The tree count is summed in integers, so no command loads
-    ``fractions``, nor the ``decimal`` that it imports."""
+    ``fractions``, nor the ``decimal`` that it imports. The records are
+    plain classes, so no command loads ``dataclasses`` either, unless
+    importing numpy alone does."""
+    tree = tmp_path / "path.tree"
+    tree.write_text("5\n0 1 2 3 4\n")
+    argvs = [["verify", "--order", "8", "--jobs", "1", "--format", "json"],
+             ["extremal", "--order", "7", "--stat", "rho", "--min", "--expect", "star"],
+             ["analyze", str(tree), "--format", "json"]]
     out = run_python(
         "import json, sys\n"
         "from levelspectra.cli import main\n"
-        "codes = [main(['verify', '--order', '8', '--jobs', '1', '--format', 'json'])]\n"
-        "print(json.dumps({'codes': codes,\n"
-        "                  'loaded': sorted({'fractions', 'decimal'} & set(sys.modules))}))\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps({'codes': codes, 'loaded': sorted(\n"
+        "    {'fractions', 'decimal', 'dataclasses'} & set(sys.modules))}))\n"
     )
-    assert out == {"codes": [0], "loaded": []}
+    numpy_loads_it = run_python("import json, sys\nimport numpy\n"
+                                "print(json.dumps('dataclasses' in sys.modules))\n")
+    assert out == {"codes": [0, 0, 0], "loaded": ["dataclasses"] if numpy_loads_it else []}
 
 
 def test_extremal_and_analyze_do_not_import_the_pool(tmp_path):

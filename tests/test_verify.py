@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -230,6 +229,11 @@ class TestAggregates:
         a.merge(b)
         assert a.trees_checked == 2 and a.violations == 1
         assert a.worst_slack == -1.0 and a.offenders == [(0, 1)]
+
+    def test_check_stats_do_not_share_offenders(self):
+        a, b = CheckStat("x"), CheckStat("x")
+        a.offend((0, 1))
+        assert a.offenders == [(0, 1)] and b.offenders == []
 
     def test_extremal_stat_tracks_runner_up(self):
         stat = ExtremalStat("rho")
@@ -638,7 +642,8 @@ def _fails_on_lone_deepest_leaf(data, sub, tol):
     such a leaf does not. The slack is interlacing's."""
     _, _, zero_deletion = _REAL_CHECKS["zero-deletion-multiplicity"]
     _, _, interlacing = _REAL_CHECKS["interlacing"]
-    lowered = dataclasses.replace(data, nullity=data.nullity - 1)
+    lowered = spectra_mod.SpectralData(data.counts, data.values, data.rho, data.energy,
+                                       data.nullity - 1)
     ok, _ = zero_deletion(lowered, sub, tol)
     _, slack = interlacing(data, sub, tol)
     return ok | (data.counts[:, 1] < 3), slack
