@@ -22,7 +22,7 @@ from levelspectra import (
 
 # A tree is a parent array: 1-based vertex labels, 0 marks the root.
 # Vertex 4 hangs under vertex 7, which hangs under vertex 6, and so on.
-tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3], one_based=True)
+tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3])
 print("levels per vertex:", levels(tree).tolist())
 
 m = build_level_matrix(tree)

@@ -21,7 +21,7 @@ from levelspectra import (
 )
 from levelspectra.cli import polynomial_text
 
-tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3], one_based=True)
+tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3])
 m = build_level_matrix(tree)
 
 spectrum = symmetric_eigenvalues(m)

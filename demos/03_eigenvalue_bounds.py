@@ -7,7 +7,7 @@ satisfied flag, so a harness (or a reader) can scan for the tight ones.
 
 from levelspectra import SpectralData, evaluate_checks, from_parent_list, rooted_star
 
-tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3], one_based=True)
+tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3])
 data = SpectralData.from_tree(tree)  # a stack of one level profile
 
 print(f"{'bound':26s} {'rel':3s} {'lhs':>12s} {'rhs':>26s} {'slack':>10s}  ok")

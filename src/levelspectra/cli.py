@@ -509,7 +509,7 @@ def _cmd_special(args) -> int:
         tol=args.tol,
         extras=extras,
     )
-    if args.family == "path":
+    if args.family == "path" and tree.n >= 2:  # the closed form needs n >= 2
         closed = path_rho_closed_form(tree.n)
         report.extras["closed_form_rho"] = _fmt(closed)
         report.extras["closed_form_residual"] = _fmt(abs(closed - report.data.rho[0]))

@@ -1,18 +1,15 @@
-"""Dense symmetric eigensolver, self-contained: an oracle only.
+"""Dense symmetric eigensolver, self-contained: the one dense eigen-oracle.
 
 The program's eigenvalues come from LAPACK through numpy (the profile
 engine, ``spectra.solve_profiles``). This module is the independent solver
-the engine is tested against, run on a quotient or on a full n x n level
-matrix through ``spectra.symmetric_eigenvalues``; no production path calls
-it.
+the engine's values are tested against, run through
+``spectra.symmetric_eigenvalues`` on a profile's quotient or on a tree's
+full n x n level matrix; no production path calls it.
 
-Primary path: Householder reduction to tridiagonal form followed by the
-implicit-shift QL iteration (the classic tred2/imtql2 pair, ported to numpy).
-A cyclic Jacobi solver is kept as a second, independent path, selectable via
-``method="jacobi"``.
-
-Both paths return all eigenvalues sorted descending together with an
-orthonormal matrix of eigenvectors (as columns, matching the value order).
+Householder reduction to tridiagonal form followed by the implicit-shift QL
+iteration (the classic tred2/imtql2 pair, ported to numpy). It returns all
+eigenvalues sorted descending together with an orthonormal matrix of
+eigenvectors (as columns, matching the value order).
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 
-#: Iteration budget multiplier; exceeding ``30 * n`` QL steps (or Jacobi
-#: sweeps) signals a bug rather than hard input.
+#: Iteration budget multiplier; exceeding ``30 * n`` QL steps signals a bug
+#: rather than hard input.
 ITERATION_FACTOR = 30
 
 
@@ -76,8 +73,7 @@ def householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return d, e, A
 
 
-def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
-                      iteration_cap: int | None = None) -> None:
+def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
     """Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 
     ``d`` (diagonal) and ``e`` (subdiagonal, ``e[n-1]`` scratch) are reduced
@@ -88,8 +84,7 @@ def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
     n = len(d)
     if n <= 1:
         return
-    if iteration_cap is None:
-        iteration_cap = ITERATION_FACTOR * n
+    max_steps = ITERATION_FACTOR * n
     eps = float(np.finfo(float).eps)
     # The scalar recurrences run on Python floats: the same IEEE binary64
     # operations as on numpy scalars, without their per-operation overhead.
@@ -105,9 +100,9 @@ def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
             if m == l:
                 break
             steps += 1
-            if steps > iteration_cap:
+            if steps > max_steps:
                 raise ConvergenceFailure(
-                    f"QL iteration exceeded {iteration_cap} steps on an "
+                    f"QL iteration exceeded {max_steps} steps on an "
                     f"order-{n} tridiagonal matrix"
                 )
             # Wilkinson-style shift from the leading 2x2 block.
@@ -145,83 +140,16 @@ def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray,
     e[:] = el
 
 
-def jacobi_eigh(a: np.ndarray, iteration_cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations; independent of the QL path.
-
-    Classic sweep schedule: a rotation threshold for the first sweeps, then
-    explicit zeroing of entries too small to matter, so the off-diagonal sum
-    reaches exactly zero.
-    """
-    A = np.array(a, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return np.array([A[0, 0]]), V
-    if iteration_cap is None:
-        iteration_cap = ITERATION_FACTOR * n
-    eps = np.finfo(float).eps
-    for sweep in range(1, iteration_cap + 1):
-        off_sum = float(np.abs(np.triu(A, 1)).sum())
-        if off_sum == 0.0:
-            return np.diag(A).copy(), V
-        thresh = 0.2 * off_sum / (n * n) if sweep < 4 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                small = 100.0 * abs(apq) <= eps * (abs(A[p, p]) + abs(A[q, q]))
-                if sweep > 4 and small:
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                if abs(apq) <= thresh:
-                    continue
-                app, aqq = A[p, p], A[q, q]
-                diff = aqq - app
-                if 100.0 * abs(apq) <= eps * abs(diff):
-                    t = apq / diff
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                new_p = c * colp - s * colq
-                new_q = c * colq + s * colp
-                A[:, p] = new_p
-                A[p, :] = new_p
-                A[:, q] = new_q
-                A[q, :] = new_q
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = c * V[:, q] + s * vp
-    raise ConvergenceFailure(
-        f"Jacobi iteration exceeded {iteration_cap} sweeps on an order-{n} matrix"
-    )
-
-
-def symmetric_eigh(a, method: str = "ql", iteration_cap: int | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (descending) and eigenvectors of a symmetric matrix.
-
-    ``method`` is ``"ql"`` (Householder + implicit-shift QL, the default) or
-    ``"jacobi"`` (cross-validation path).
-    """
+def symmetric_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues (descending) and eigenvectors of a symmetric matrix,
+    by Householder tridiagonalization and implicit-shift QL."""
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n == 1:
         return np.array([float(A[0, 0])]), np.eye(1)
-    if method == "ql":
-        d, e, z = householder_tridiagonalize(A)
-        ql_implicit_shift(d, e, z, iteration_cap)
-        values = d
-    elif method == "jacobi":
-        values, z = jacobi_eigh(A, iteration_cap)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'ql' or 'jacobi'")
-    order = np.argsort(values, kind="stable")[::-1]
-    return values[order], z[:, order]
+    d, e, z = householder_tridiagonalize(A)
+    ql_implicit_shift(d, e, z)
+    order = np.argsort(d, kind="stable")[::-1]
+    return d[order], z[:, order]

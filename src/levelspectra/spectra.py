@@ -26,12 +26,14 @@ at once, at the tolerance a check passes. A
 :meth:`SpectralData.spectrum` is where a member meets a tolerance.
 
 Oracle paths, kept to test the engine against:
-:func:`symmetric_eigenvalues` runs the in-repo QL or Jacobi solver
-(:mod:`levelspectra.eigen`), on the full n x n matrix or on a quotient
-(:func:`quotient_matrix`); :func:`exact_zero_multiplicity` is the n x n
-Bareiss elimination (also the engine's fallback); :func:`_rank_mod_p` is
-the one-matrix rank modulo the prime; :func:`charpoly_roots` takes the
-spectrum from the exact characteristic polynomial.
+:func:`symmetric_eigenvalues` runs the one dense oracle, the in-repo QL
+solver (:mod:`levelspectra.eigen`), on the full n x n matrix or on a
+quotient (:func:`quotient_matrix`), against the engine's ``eigvalsh``
+values; :func:`exact_zero_multiplicity` is the n x n Bareiss elimination
+(also the engine's fallback), against its nullity; :func:`_rank_mod_p` is
+the one-matrix rank modulo the prime, against the stacked certificate;
+:func:`charpoly_roots` takes the spectrum from the exact characteristic
+polynomial.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
@@ -131,10 +133,8 @@ def _cluster(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return starts
 
 
-def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
-                          method: str = "ql") -> Spectrum:
-    """Full spectrum of a symmetric matrix by a dense in-repo solve
-    (``method`` is ``"ql"`` or ``"jacobi"``).
+def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+    """Full spectrum of a symmetric matrix by the dense in-repo QL solve.
 
     ``tol`` controls the cluster grouping (scaled by ``max(1, rho)``), not
     the solver itself, which iterates to machine precision.
@@ -145,7 +145,7 @@ def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
     """
     _check_tol(tol)
     a = _as_array(matrix)
-    values, vectors = symmetric_eigh(a, method=method)
+    values, vectors = symmetric_eigh(a)
     rho = float(np.abs(values).max()) if len(values) else 0.0
     energy = float(np.abs(values).sum())
     perron = None
@@ -164,8 +164,7 @@ def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL,
     )
 
 
-def perron_vector(matrix, tol: float = DEFAULT_CLUSTER_TOL,
-                  method: str = "ql") -> tuple[float, np.ndarray]:
+def perron_vector(matrix) -> tuple[float, np.ndarray]:
     """Spectral radius and its strictly positive unit eigenvector.
 
     Valid for irreducible non-negative matrices of order >= 2, where the top
@@ -176,7 +175,7 @@ def perron_vector(matrix, tol: float = DEFAULT_CLUSTER_TOL,
     a = _as_array(matrix)
     if a.shape[0] < 2:
         raise TooSmall("Perron vector needs a matrix of order >= 2")
-    spectrum = symmetric_eigenvalues(a, tol=tol, method=method)
+    spectrum = symmetric_eigenvalues(a)
     v = spectrum.perron
     if np.any(v <= 0.0):
         raise LevelSpectraError(

@@ -29,7 +29,8 @@ from .errors import (
 
 NO_PARENT = -1
 
-#: Enumerating beyond this order is refused unless the caller raises the cap.
+#: Enumerating beyond this order is refused unless ``LEVEL_SPECTRA_CAP`` raises
+#: the cap.
 DEFAULT_ENUMERATION_CAP = 16
 CAP_ENV_VAR = "LEVEL_SPECTRA_CAP"
 
@@ -129,17 +130,11 @@ class RootedTree:
         return f"RootedTree(parent={list(self._parent)})"
 
 
-def from_parent_list(parents, one_based: bool = True) -> RootedTree:
-    """Build a validated tree from an external parent array.
-
-    With ``one_based=True`` (the file format), vertices are numbered 1..n and
-    the root's entry is 0. With ``one_based=False`` the array is taken as the
-    internal convention (0-based, root entry ``NO_PARENT``).
-    """
-    parents = list(parents)
-    if one_based:
-        parents = [int(p) - 1 for p in parents]
-    return RootedTree(parents)
+def from_parent_list(parents) -> RootedTree:
+    """Build a validated tree from an external parent array, numbered as in
+    the file format: vertices 1..n, and 0 for the root's entry. (A 0-based
+    array with ``NO_PARENT`` at the root is ``RootedTree(parents)``.)"""
+    return RootedTree([int(p) - 1 for p in parents])
 
 
 def levels(tree: RootedTree) -> np.ndarray:
@@ -261,7 +256,7 @@ def canonicalize(tree: RootedTree) -> RootedTree:
     return tree_from_level_sequence(canonical_level_sequence(tree))
 
 
-def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the canonical level sequence of every isomorphism class of
     rooted trees on ``n`` unlabeled vertices.
 
@@ -272,7 +267,7 @@ def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
     the tail from p with copies of the block from p's parent q up to p. Both
     are found by scanning back from the end, which mostly stops at once.
     """
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     seq = list(range(n))  # the rooted path
     while True:
         yield tuple(seq)
@@ -287,17 +282,16 @@ def level_sequences(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
         seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[:n - p]
 
 
-def check_enumeration_cap(n: int, cap: int | None = None) -> None:
-    """Refuse an order below 1, or above ``cap`` (default: the
-    :func:`enumeration_cap`), before any tree of it is enumerated."""
+def check_enumeration_cap(n: int) -> None:
+    """Refuse an order below 1, or above the :func:`enumeration_cap`,
+    before any tree of it is enumerated."""
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
-    if cap is None:
-        cap = enumeration_cap()
+    cap = enumeration_cap()
     if n > cap:
         raise ResourceLimit(
             f"enumeration of order {n} exceeds the cap of {cap}; "
-            f"raise it via {CAP_ENV_VAR} or the cap argument"
+            f"raise it via {CAP_ENV_VAR}"
         )
 
 
@@ -354,11 +348,11 @@ def profile_ids(seqs: np.ndarray) -> np.ndarray:
     return rises @ (1 << np.arange(rises.shape[1], dtype=np.int64))
 
 
-def enumerate_rooted_trees(n: int, cap: int | None = None) -> Iterator[RootedTree]:
+def enumerate_rooted_trees(n: int) -> Iterator[RootedTree]:
     """Yield one canonical representative per isomorphism class of rooted
     trees on ``n`` unlabeled vertices: the trees of :func:`level_sequences`,
     in its order."""
-    for seq in level_sequences(n, cap=cap):
+    for seq in level_sequences(n):
         yield tree_from_level_sequence(seq)
 
 
@@ -443,7 +437,7 @@ def parse_tree(text: str) -> RootedTree:
         except ValueError:
             raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
     try:
-        return from_parent_list(parents, one_based=True)
+        return from_parent_list(parents)
     except (CycleDetected, MultipleRoots, NoRoot, IndexOutOfRange) as exc:
         raise ParseError(str(exc), line=2) from exc
 

@@ -365,13 +365,18 @@ def _path_characterisation(data: SpectralData, tol: float):
 
 def _zero_cluster_consistency(data: SpectralData, tol: float):
     """``spectra.clustered_multiplicity`` of 0 equals the nullity; where it
-    would raise, the zero cluster is ambiguous and the member fails."""
+    would raise, the zero cluster is ambiguous and the member fails.
+
+    It is ambiguous when a value outside the threshold lies within the
+    threshold of one inside. In a descending row the inside values are one
+    contiguous run, and float subtraction is monotone, so the closest such
+    pair is the two neighbours at an end of the run: only the gaps where
+    ``inside`` changes need comparing."""
     values = data.values
-    threshold = (tol * np.maximum(1.0, data.rho))[:, None, None]
-    inside = np.abs(values) <= threshold[:, 0]
-    pairs = inside[:, :, None] & ~inside[:, None, :]
-    gaps = np.abs(values[:, :, None] - values[:, None, :])
-    ambiguous = (pairs & (gaps <= threshold)).any(axis=(1, 2))
+    threshold = (tol * np.maximum(1.0, data.rho))[:, None]
+    inside = np.abs(values) <= threshold
+    edge = inside[:, 1:] != inside[:, :-1]
+    ambiguous = (edge & (values[:, :-1] - values[:, 1:] <= threshold)).any(axis=1)
     return (inside.sum(axis=1) == data.nullity) & ~ambiguous, math.nan
 
 

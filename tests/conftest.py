@@ -30,7 +30,7 @@ SAMPLE9_ROW_SUMS = [17, 10, 7, 10, 7, 10, 7, 10, 10]
 
 @pytest.fixture
 def sample9():
-    return from_parent_list(SAMPLE9_PARENTS, one_based=True)
+    return from_parent_list(SAMPLE9_PARENTS)
 
 
 @st.composite

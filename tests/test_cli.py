@@ -107,8 +107,9 @@ class TestAnalyze:
         assert "bound" not in out
 
     def test_method_option_removed(self, tree_file, capsys):
-        # the quotient is solved by LAPACK; the in-repo QL and Jacobi
-        # solvers are test oracles and no option selects them
+        # the quotient is solved by LAPACK; the in-repo QL solver is the
+        # one dense test oracle (it checks the engine's values per profile
+        # and per tree), and no option selects a solver
         code, out, err = run(capsys, "analyze", tree_file, "--method", "jacobi")
         assert code == 64
         assert out == "" and "--method" in err
@@ -335,6 +336,18 @@ class TestSpecialCommand:
         assert code == 0
         line = next(l for l in out.splitlines() if "closed_form_residual" in l)
         assert float(line.split(":")[1]) < 1e-8
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_vertex_path(self, fmt, capsys):
+        """The path of order 1 is the one-vertex star: the same report and
+        exit 0, with no closed form, which needs n >= 2."""
+        code, out, err = run(capsys, "special", "path", "--order", "1", "--bounds", "all",
+                             "--charpoly", "--format", fmt)
+        assert code == 0 and err == ""
+        _, star, _ = run(capsys, "special", "star", "--order", "1", "--bounds", "all",
+                         "--charpoly", "--format", fmt)
+        assert out == star.replace("star of order 1", "path of order 1")
+        assert "closed_form" not in out
 
     def test_leafstar_cubic(self, capsys):
         code, out, _ = run(capsys, "special", "leafstar", "--order", "6", "--charpoly")

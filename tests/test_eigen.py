@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from levelspectra import build_level_matrix, enumerate_rooted_trees
-from levelspectra.eigen import jacobi_eigh, symmetric_eigh
+from levelspectra import eigen
+from levelspectra.eigen import symmetric_eigh
 from levelspectra.errors import ConvergenceFailure
 
 
@@ -69,31 +70,13 @@ class TestAgainstNumpy:
         assert vectors.tolist() == [[1.0]]
 
 
-class TestJacobi:
-    @pytest.mark.parametrize("n", [2, 3, 6, 15, 30])
-    def test_agrees_with_ql(self, n):
-        rng = np.random.default_rng(100 + n)
-        a = random_symmetric(n, rng)
-        ql_values, _ = symmetric_eigh(a, method="ql")
-        jac_values, jac_vectors = symmetric_eigh(a, method="jacobi")
-        assert np.allclose(ql_values, jac_values, atol=1e-9 * max(1, np.abs(ql_values).max()))
-        assert_valid_decomposition(a, jac_values, jac_vectors, tol=1e-9)
-
-    def test_zero_matrix(self):
-        values, _ = jacobi_eigh(np.zeros((3, 3)))
-        assert np.allclose(values, 0)
-
-
 class TestFailureModes:
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(eigen, "ITERATION_FACTOR", 0)
         a = random_symmetric(6, np.random.default_rng(0))
         with pytest.raises(ConvergenceFailure):
-            symmetric_eigh(a, iteration_cap=0)
+            symmetric_eigh(a)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
             symmetric_eigh(np.zeros((2, 3)))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            symmetric_eigh(np.eye(2), method="qr")

@@ -16,6 +16,7 @@ import pytest
 from levelspectra.verify import available_cpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 
 def run_python(code: str, **env_overrides) -> dict:
@@ -73,6 +74,28 @@ _BLAS_PROBE = (
     "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
     "print(json.dumps({{'var': os.environ.get('OPENBLAS_NUM_THREADS'), 'threads': threads}}))\n"
 )
+
+
+def test_tracer_names_resolve_after_the_cli_import():
+    """``bench/run.py --trace 1`` wraps every function ``bench/tracer.py``
+    names in ``LAYERS``, looked up in the modules the command line imported,
+    and sums the n**3 work of each ``N3_WORK`` name among them; a rename
+    that would break the traced run fails here."""
+    out = run_python(
+        "import json, sys\n"
+        "import levelspectra.cli\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "from tracer import LAYERS, N3_WORK\n"
+        "traced = [f'{layer}.{name}' for layer, names in LAYERS.items() for name in names]\n"
+        "def resolves(dotted):\n"
+        "    layer, name = dotted.split('.')\n"
+        "    return callable(getattr(sys.modules.get('levelspectra.' + layer), name, None))\n"
+        "print(json.dumps({'traced': len(traced),\n"
+        "                  'missing': [n for n in traced + list(N3_WORK) if not resolves(n)],\n"
+        "                  'untraced_n3': sorted(set(N3_WORK) - set(traced))}))\n"
+    )
+    assert out["traced"] > 0
+    assert out["missing"] == [] and out["untraced_n3"] == []
 
 
 def test_cli_defaults_to_one_blas_thread():

@@ -63,7 +63,7 @@ class TestConstruction:
 
     def test_longer_cycle(self):
         with pytest.raises(CycleDetected):
-            from_parent_list([0, 3, 2, 4, 3], one_based=True)
+            from_parent_list([0, 3, 2, 4, 3])
 
     def test_cycle_error_names_a_vertex_on_the_cycle(self):
         # vertex 1 hangs off the cycle 2 -> 3 -> 2 without being on it
@@ -90,7 +90,7 @@ class TestConstruction:
             from_parent_list([0, 5, 1])
 
     def test_zero_based_input(self):
-        t = from_parent_list([-1, 0, 0], one_based=False)
+        t = RootedTree([-1, 0, 0])
         assert levels(t).tolist() == [0, 1, 1]
 
 
@@ -199,11 +199,13 @@ class TestEnumeration:
             assert seqs[-1] == (0,) + (1,) * (n - 1)
             assert seqs == sorted(seqs, reverse=True)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.delenv("LEVEL_SPECTRA_CAP", raising=False)
         with pytest.raises(ResourceLimit):
             list(enumerate_rooted_trees(17))
-        # explicit cap argument overrides the default
-        gen = enumerate_rooted_trees(17, cap=17)
+        # LEVEL_SPECTRA_CAP raises the default
+        monkeypatch.setenv("LEVEL_SPECTRA_CAP", "17")
+        gen = enumerate_rooted_trees(17)
         assert next(gen) is not None
 
     def test_cap_env_override(self, monkeypatch):
