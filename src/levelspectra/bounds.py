@@ -73,13 +73,17 @@ class BoundReport(Frozen):
 
 class Comparison(Frozen):
     """A relation evaluated over a stack: the fields of :class:`BoundReport`
-    with one entry per member (``rhs`` is a (lo, hi) pair for "in")."""
+    with one entry per member (``rhs`` is a (lo, hi) pair for "in"), and
+    ``covered``, the (k,) mask of the members the relation applies to
+    (``None``: every member)."""
 
-    __slots__ = ("name", "lhs", "rhs", "relation", "slack", "ok", "equality_expected")
+    __slots__ = ("name", "lhs", "rhs", "relation", "slack", "ok", "equality_expected",
+                 "covered")
 
     def __init__(self, name: str, lhs: np.ndarray,
                  rhs: np.ndarray | tuple[np.ndarray, np.ndarray], relation: str,
-                 slack: np.ndarray, ok: np.ndarray, equality_expected: bool | None):
+                 slack: np.ndarray, ok: np.ndarray, equality_expected: bool | None,
+                 covered: np.ndarray | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
@@ -87,6 +91,7 @@ class Comparison(Frozen):
         object.__setattr__(self, "slack", slack)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "equality_expected", equality_expected)
+        object.__setattr__(self, "covered", covered)
 
     def report(self, row: int = 0) -> BoundReport:
         """The report of one member."""
@@ -97,10 +102,11 @@ class Comparison(Frozen):
 
 
 def _compare(name: str, lhs, rhs, relation: str, tol_scale: float = COMPARISON_TOL,
-             equality_expected: bool | None = None, ok=None) -> Comparison:
+             equality_expected: bool | None = None, ok=None, covered=None) -> Comparison:
     """The stacked comparator: lhs <relation> rhs within
     ``tol_scale * max(1, |lhs|, |rhs|)``, member by member. ``ok``, when
-    given, holds verdicts an exact test decided instead."""
+    given, holds verdicts an exact test decided instead; ``covered``, when
+    given, masks the members the relation applies to."""
     lhs = np.asarray(lhs, dtype=float)
     ends = [np.broadcast_to(np.asarray(x, dtype=float), lhs.shape)
             for x in (rhs if relation == "in" else [rhs])]
@@ -115,7 +121,7 @@ def _compare(name: str, lhs, rhs, relation: str, tol_scale: float = COMPARISON_T
         test = {"<=": lambda: lhs <= rhs + tol, ">=": lambda: lhs >= rhs - tol,
                 "==": lambda: np.abs(lhs - rhs) <= tol}[relation]()
     test = test if ok is None else np.asarray(ok, dtype=bool)
-    return Comparison(name, lhs, rhs, relation, slack, test, equality_expected)
+    return Comparison(name, lhs, rhs, relation, slack, test, equality_expected, covered)
 
 
 def _ratio(numerators: np.ndarray, factor: int, n: int) -> np.ndarray:
@@ -133,9 +139,10 @@ def _ratio(numerators: np.ndarray, factor: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_eigenvalue_cap(d: SpectralData) -> list[Comparison]:
-    """Every |eigenvalue| is at most (n-1) * l_max; equality only for n <= 2."""
+    """Every |eigenvalue| is at most (n-1) * h, h the height (the largest
+    entry); equality only for n <= 2."""
     return [_compare("eigenvalue-cap", np.abs(d.values).max(axis=1),
-                     (d.n - 1) * d.l_max, "<=", equality_expected=d.n <= 2)]
+                     (d.n - 1) * d.heights, "<=", equality_expected=d.n <= 2)]
 
 
 def check_trace_identity(d: SpectralData) -> list[Comparison]:
@@ -156,7 +163,7 @@ def check_rho_row_sum_bounds(d: SpectralData) -> list[Comparison]:
     return [
         _compare("rho-row-sum-lower", 2.0 * d.level_index.astype(float) / d.n, d.rho,
                  "<=", equality_expected=d.n <= 2),
-        _compare("rho-row-sum-upper", d.rho, d.level_row_sums.max(axis=1), "<="),
+        _compare("rho-row-sum-upper", d.rho, d.level_max(d.level_row_sums), "<="),
     ]
 
 
@@ -190,7 +197,7 @@ def check_quotient_bound(d: SpectralData) -> list[Comparison]:
         raise TooSmall("quotient bound needs n > 1")
     li = d.level_index.astype(float)[:, None]
     L = d.level_row_sums.astype(float)  # one entry per level: the same maximum
-    best = ((li - L) + np.sqrt((li - L) ** 2 + (d.n - 1) * L**2)).max(axis=1) / (d.n - 1)
+    best = d.level_max((li - L) + np.sqrt((li - L) ** 2 + (d.n - 1) * L**2)) / (d.n - 1)
     return [_compare("quotient-bound", d.rho, best, ">=")]
 
 
@@ -231,14 +238,12 @@ def check_energy_bounds(d: SpectralData) -> list[Comparison]:
     """Energy bounds: E <= sqrt(n*H) always, E <= sqrt((n-1)*H) for every
     tree other than the rooted path, and the identity E = 2*rho."""
     h = d.h_value.astype(float)
-    comparisons = [
+    return [
         _compare("energy-upper", d.energy, np.sqrt(d.n * h), "<="),
+        _compare("energy-upper-improved", d.energy, np.sqrt((d.n - 1) * h), "<=",
+                 covered=~d.is_path),
         _compare("energy-identity", d.energy, 2.0 * d.rho, "==", tol_scale=IDENTITY_TOL),
     ]
-    if not d.is_path:
-        comparisons.insert(1, _compare("energy-upper-improved", d.energy,
-                                       np.sqrt((d.n - 1) * h), "<="))
-    return comparisons
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +342,11 @@ CHECKS: dict[str, tuple] = {
 
 def evaluate_checks(d: SpectralData, names=None) -> list[BoundReport]:
     """The reports of the named bound checks (all by default) that apply at
-    this order, on a stack of one profile."""
+    this order and to this tree, on a stack of one profile."""
     names = list(CHECKS) if names is None else list(names)
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
     return [comparison.report() for name in names if d.n >= CHECKS[name][1]
-            for comparison in CHECKS[name][0](d)]
+            for comparison in CHECKS[name][0](d)
+            if comparison.covered is None or comparison.covered[0]]

@@ -229,7 +229,7 @@ class AnalysisReport:
         return {
             "n": self.tree.n,
             "levels": levels(self.tree).tolist(),
-            "l_max": d.l_max,
+            "l_max": int(d.heights[0]),
             "level_index": int(d.level_index[0]),
             "h_value": int(d.h_value[0]),
             "row_sums": self._row_sums(),
@@ -247,7 +247,7 @@ class AnalysisReport:
         lines = [
             f"vertices:      {self.tree.n}",
             f"levels:        {' '.join(str(v) for v in levels(self.tree).tolist())}",
-            f"l_max:         {d.l_max}",
+            f"l_max:         {d.heights[0]}",
             f"level index:   {d.level_index[0]}",
             f"H:             {d.h_value[0]}",
             f"row sums:      {' '.join(str(v) for v in self._row_sums())}",
@@ -373,6 +373,17 @@ def _parse_bound_selection(spec: str):
     return names
 
 
+def _write(text: str) -> None:
+    """Write to stdout. A reader that closed the pipe ends the output, not
+    the command: stdout then goes to the null device, so the command still
+    returns its own exit code and nothing is reported, at exit either."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _read_tree(path: str) -> RootedTree:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a UTF-8 byte-order mark is skipped
         try:
@@ -389,10 +400,10 @@ def _read_tree(path: str) -> RootedTree:
 def _cmd_analyze(args) -> int:
     tree = _read_tree(args.path)
     if args.format == "dot":
-        sys.stdout.write(to_dot(tree))
+        _write(to_dot(tree))
         return EXIT_OK
     if args.format == "treefile":
-        sys.stdout.write(format_tree(canonicalize(tree)))
+        _write(format_tree(canonicalize(tree)))
         return EXIT_OK
     report = AnalysisReport.build(
         tree,
@@ -401,11 +412,11 @@ def _cmd_analyze(args) -> int:
         tol=args.tol,
     )
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        _write(json.dumps(report.to_dict(), indent=2) + "\n")
     elif args.format == "csv":
-        sys.stdout.write(report.bounds_csv())
+        _write(report.bounds_csv())
     else:
-        sys.stdout.write(report.to_text())
+        _write(report.to_text())
     return EXIT_OK
 
 
@@ -415,10 +426,10 @@ def _cmd_charpoly(args) -> int:
     tree = _read_tree(args.path)
     poly = _level_charpoly(tree, cap=args.cap)
     if args.format == "json":
-        sys.stdout.write(poly.to_json() + "\n")
+        _write(poly.to_json() + "\n")
     else:
-        sys.stdout.write(polynomial_text(poly) + "\n")
-        sys.stdout.write("coefficients: " + " ".join(str(c) for c in poly.coeffs) + "\n")
+        _write(polynomial_text(poly) + "\n")
+        _write("coefficients: " + " ".join(str(c) for c in poly.coeffs) + "\n")
     return EXIT_OK
 
 
@@ -442,7 +453,7 @@ def _cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload)
+        _write(payload)
     return EXIT_OK if ledger.violations == 0 else EXIT_VIOLATIONS
 
 
@@ -456,16 +467,16 @@ def _cmd_extremal(args) -> int:
     # 1, and the path iff its last vertex is on level n - 1
     matches = {"star": max(seq) <= 1, "path": seq[-1] == args.order - 1}
     direction = "min" if args.min else "max"
-    sys.stdout.write(
+    _write(
         f"{direction} {args.stat} at order {args.order}: {_fmt(value)}\n"
         f"tree (level sequence): {' '.join(map(str, seq))}\n"
         f"uniqueness gap: {_fmt(gap)}\n"
     )
     if args.expect is not None:
         if not matches[args.expect]:
-            sys.stdout.write(f"expectation FAILED: extreme tree is not the {args.expect}\n")
+            _write(f"expectation FAILED: extreme tree is not the {args.expect}\n")
             return EXIT_VIOLATIONS
-        sys.stdout.write(f"expectation holds: extreme tree is the {args.expect}\n")
+        _write(f"expectation holds: extreme tree is the {args.expect}\n")
     return EXIT_OK
 
 
@@ -521,9 +532,9 @@ def _cmd_special(args) -> int:
         report.extras["cubic_roots"] = " ".join(_fmt(r) for r in sorted(roots, reverse=True))
         report.extras["cubic_residual"] = _fmt(residual)
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        _write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
-        sys.stdout.write(report.to_text())
+        _write(report.to_text())
     return EXIT_OK
 
 

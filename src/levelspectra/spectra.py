@@ -6,14 +6,16 @@ The level matrix depends only on the level profile (n_0, ..., n_h), the
 number of vertices at each level. Its nonzero spectrum is the spectrum of
 the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine,
-:func:`solve_profiles`, solves a (k, h+1) array of profiles of one order
-and one height, such as each stack ``trees.profile_stacks`` yields, with
-one LAPACK ``eigvalsh`` call and one O(k h^2) rank certificate, and
-returns the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
+:func:`solve_profiles`, solves a (k, H+1) array of profiles of one order,
+each row zero after its deepest level, such as each stack
+``trees.profile_stacks`` yields, with one LAPACK ``eigvalsh`` call and one
+O(k h^2) rank certificate per run of rows of one height h, and returns
+the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
 energy and nullity arrays, which every check reads. It takes the counts
 alone, no tolerance; it is the only way a profile is solved, it keeps no
-state, and it refuses counts that are not positive integers, an array of
-more than one order, and a profile of more than MAX_LEVELS levels. The
+state, and it refuses counts that are not positive integers up to a
+row's deepest level and zero after it, an array of more than one order,
+and a profile of more than MAX_LEVELS levels. The
 exact nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b,
 which has the rank of S. Its full rank is certified modulo a prime below
 2**26 from the second differences of B's rows, which are single entries;
@@ -327,17 +329,20 @@ def level_profile(vertex_levels) -> tuple[int, ...]:
 
 def _profile_counts(counts) -> np.ndarray:
     """``counts`` as a (k, h+1) int64 array of level profiles, the one check
-    of a profile: ``ValueError`` unless every count is a positive integer
-    and every row of one order."""
+    of a profile: ``ValueError`` unless every count is an integer, positive
+    up to the row's deepest level and zero after it, and every row of one
+    order. So a row may be padded with zeros to the stack's width."""
     array = np.asarray(counts)
     if array.dtype.kind not in "iu" or array.ndim != 2 or not array.size:
         raise ValueError(f"level profiles need a (k, h+1) array of integers, got {counts!r}")
     array = array.astype(np.int64)
     orders = array.sum(axis=1)
-    bad = np.flatnonzero((array < 1).any(axis=1) | (orders != orders[0]))
+    level = array > 0
+    bad = np.flatnonzero((array < 0).any(axis=1) | ~level[:, 0]
+                         | (level[:, 1:] & ~level[:, :-1]).any(axis=1) | (orders != orders[0]))
     if len(bad):
-        raise ValueError("level profiles need positive counts of one order, "
-                         f"got {array[bad[0]].tolist()} in row {bad[0]}")
+        raise ValueError("level profiles need positive counts, zero only after the deepest "
+                         f"level, of one order, got {array[bad[0]].tolist()} in row {bad[0]}")
     return array
 
 
@@ -375,13 +380,16 @@ MAX_LEVELS = 1024
 
 class SpectralData(Frozen):
     """A stack, as the profile engine returns it: level profiles
-    (n_0, ..., n_h) of one order n and one height h, one row per member,
-    with their spectra and exact nullities, and no tolerance. Its exact
-    aggregates need no n x n matrix: a vertex on level a has row sum
-    L_a = sum_b n_b |a - b| and second-order row sum q_a = sum_b n_b |a - b| L_b.
+    (n_0, ..., n_h) of one order n, one row per member, each zero after its
+    own deepest level up to the stack's width, with their spectra and exact
+    nullities, and no tolerance. Its exact aggregates need no n x n matrix:
+    a vertex on level a has row sum L_a = sum_b n_b |a - b| and second-order
+    row sum q_a = sum_b n_b |a - b| L_b. A padded level has n_a = 0, so the
+    sums over levels stay exact; a per-level array also holds values at the
+    padded levels, which no vertex has, and :meth:`level_max` skips them.
     """
 
-    def __init__(self, counts: np.ndarray,  # (k, h+1): one level profile per row
+    def __init__(self, counts: np.ndarray,  # (k, H+1): one level profile per row
                  values: np.ndarray,  # (k, n): each member's eigenvalues, descending
                  rho: np.ndarray, energy: np.ndarray,  # (k,) each
                  nullity: np.ndarray):  # (k,): exact multiplicity of the eigenvalue 0
@@ -411,15 +419,22 @@ class SpectralData(Frozen):
     def n(self) -> int:
         return int(self.counts[0].sum())
 
-    @property
-    def l_max(self) -> int:
-        """The largest entry |a - b| of the matrix: the height h."""
-        return self.counts.shape[1] - 1
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """(k,): each member's height h, the largest entry |a - b| of its
+        matrix."""
+        return (self.counts > 0).sum(axis=1) - 1
 
     @property
-    def is_path(self) -> bool:
-        """The rooted path is the one tree with a vertex on every level."""
-        return self.l_max + 1 == self.n
+    def is_path(self) -> np.ndarray:
+        """(k,): the rooted path is the one tree with a vertex on every
+        level."""
+        return self.heights + 1 == self.n
+
+    def level_max(self, per_level: np.ndarray) -> np.ndarray:
+        """(k,): the maximum of a (k, H+1) per-level array over each
+        member's own levels, the padded ones skipped."""
+        return np.where(self.counts > 0, per_level, per_level[:, :1]).max(axis=1)
 
     def _exact(self, array: np.ndarray, bound: int) -> np.ndarray:
         """``array`` in int64 when ``bound``, a bound on every value computed
@@ -433,8 +448,9 @@ class SpectralData(Frozen):
 
     @cached_property
     def _nh_squared(self) -> int:
-        """(n h)**2, the bound of L_a, q_a, LI and H."""
-        return (self.n * self.l_max) ** 2
+        """(n H)**2, H the stack's width less one, the bound of L_a, q_a, LI
+        and H at every level, padded ones included."""
+        return (self.n * (self.counts.shape[1] - 1)) ** 2
 
     def _weighted(self, per_level: np.ndarray, bound: int, power: int = 1) -> np.ndarray:
         """sum_a n_a * per_level[a]**power for every member, exact up to
@@ -444,7 +460,7 @@ class SpectralData(Frozen):
     def _level_sums(self, per_level=1, power: int = 1) -> np.ndarray:
         """(k, h+1): sum_b n_b |a - b|**power per_level[b] at every level a,
         exact up to (n h)**2."""
-        idx = np.arange(self.l_max + 1)
+        idx = np.arange(self.counts.shape[1])
         distances = np.abs(idx[:, None] - idx[None, :]) ** power
         return (self._exact(self.counts * per_level, self._nh_squared)
                 @ self._exact(distances, self._nh_squared))
@@ -514,45 +530,56 @@ def _rank_certificate(residues: np.ndarray) -> np.ndarray:
 
 
 def solve_profiles(counts) -> SpectralData:
-    """The profile engine: the stack of a (k, h+1) array of level profiles
-    of one order, such as ``trees.profile_stacks`` yields.
+    """The profile engine: the stack of a (k, H+1) array of level profiles
+    of one order, each row zero after its deepest level, such as
+    ``trees.profile_stacks`` yields.
 
-    The values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
+    Each run of consecutive rows of one height h is solved as a slice of
+    its (h+1) columns, so a padded row solves exactly as the unpadded one.
+    Its values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
     quotients, padded with n - h - 1 exact zeros. The nullity is
     n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
     quotient. A full rank modulo RANK_PRIME, certified by
     :func:`_rank_certificate`, proves full rank over the rationals; any
     member it does not certify is decided by Bareiss elimination of B.
-    Counts that are not positive integers, or rows of more than one
-    order, raise ``ValueError``, and more than MAX_LEVELS levels
-    ``ResourceLimit``, before anything is solved.
+    Counts that are negative or not integers, a zero root count or a zero
+    before a row's deepest level, or rows of more than one order, raise
+    ``ValueError``, and more than MAX_LEVELS levels ``ResourceLimit``,
+    before anything is solved.
     """
     counts = _profile_counts(counts)
-    k, s = counts.shape
-    if s > MAX_LEVELS:
-        raise ResourceLimit(f"a level profile of {s} levels "
+    k, width = counts.shape
+    if width > MAX_LEVELS:
+        raise ResourceLimit(f"a level profile of {width} levels "
                             f"exceeds the limit of {MAX_LEVELS}")
     n = int(counts[0].sum())
-    quotient_values = np.linalg.eigvalsh(_quotient_stack(counts))  # ascending
-    rho = np.abs(quotient_values).max(axis=1)
-    energy = np.abs(quotient_values).sum(axis=1)
-
-    # Each member's n values, descending, in a row of a (k, n) array: the
-    # positive quotient values, then n - h - 1 exact zeros, then the rest.
-    desc = quotient_values[:, ::-1]
-    positive = (desc > 0).sum(axis=1)
-    j = np.arange(s)
-    cols = j + np.where(j < positive[:, None], 0, n - s)
+    heights = (counts > 0).sum(axis=1) - 1
     values = np.zeros((k, n))
-    values[np.arange(k)[:, None], cols] = desc
-    values.setflags(write=False)
+    rho, energy = np.empty(k), np.empty(k)
+    nullity = np.empty(k, dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(heights)) + 1).tolist(), k]
+    for lo, hi in zip(cuts, cuts[1:]):
+        s = int(heights[lo]) + 1
+        run = counts[lo:hi, :s]
+        quotient_values = np.linalg.eigvalsh(_quotient_stack(run))  # ascending
+        rho[lo:hi] = np.abs(quotient_values).max(axis=1)
+        energy[lo:hi] = np.abs(quotient_values).sum(axis=1)
 
-    distances = np.abs(j[:, None] - j[None, :])
-    b = distances[None] * (counts % RANK_PRIME)[:, None, :]
-    nullity = np.full(k, n - s, dtype=np.int64)
-    for i in np.flatnonzero(~_rank_certificate(b % RANK_PRIME).all(axis=1)).tolist():
-        # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
-        nullity[i] += exact_zero_multiplicity(distances * counts[i].astype(object))
+        # Each member's n values, descending, in a row of a (k, n) array: the
+        # positive quotient values, then n - h - 1 exact zeros, then the rest.
+        desc = quotient_values[:, ::-1]
+        positive = (desc > 0).sum(axis=1)
+        j = np.arange(s)
+        cols = j + np.where(j < positive[:, None], 0, n - s)
+        values[lo + np.arange(hi - lo)[:, None], cols] = desc
+
+        distances = np.abs(j[:, None] - j[None, :])
+        b = distances[None] * (run % RANK_PRIME)[:, None, :]
+        nullity[lo:hi] = n - s
+        for i in np.flatnonzero(~_rank_certificate(b % RANK_PRIME).all(axis=1)).tolist():
+            # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
+            nullity[lo + i] += exact_zero_multiplicity(distances * run[i].astype(object))
+    values.setflags(write=False)
     return SpectralData(counts, values, rho, energy, nullity)
 
 

@@ -295,10 +295,10 @@ def check_enumeration_cap(n: int) -> None:
         )
 
 
-#: Level profiles of one order and one height per stack: at most this many,
-#: which bounds a stack's working arrays in the profile engine to a few
-#: (STACK_SIZE, h+1, h+1) blocks. ``verify`` walks the trees in batches of
-#: the same size.
+#: Level profiles of one order per stack: at most this many, whatever their
+#: heights, which bounds a stack's working arrays in the profile engine to a
+#: few (STACK_SIZE, h+1, h+1) blocks. ``verify`` walks the trees in batches
+#: of the same size.
 STACK_SIZE = 1024
 
 
@@ -307,35 +307,40 @@ def profile_stacks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     vertices: n_0 = 1 followed by a composition of n - 1, which some tree
     realises for any positive counts. Its profile index has bit i set where
     the composition is cut after its (i+1)-th unit, so there are 2**(n - 2)
-    for n >= 2. They come as (index, counts) stacks of one height, heights
-    ascending: the (k,) indices, ascending, and the (k, h+1) int64 counts,
-    k at most STACK_SIZE. :func:`profile_index` is the inverse."""
+    for n >= 2. They come in one sequence, heights ascending and indices
+    ascending within a height, cut into (index, counts) stacks of STACK_SIZE
+    rows (the last may be shorter): the (k,) indices and the (k, H+1) int64
+    counts, H the stack's greatest height, each row zero after its deepest
+    level. :func:`profile_index` is the inverse."""
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
     height = np.full(1, min(n - 1, 1), dtype=np.int8)  # of each index, by doubling
     for _ in range(n - 2):
         height = np.concatenate([height, height + 1])
-    for h in range(n):
-        group = np.flatnonzero(height == h)
-        for start in range(0, len(group), STACK_SIZE):
-            index = group[start:start + STACK_SIZE]
-            ends = np.full((len(index), h), n - 1)  # the cuts, lowest bit first, then n - 1
-            rest = index.copy()
-            for j in range(h - 1):
-                low = rest & -rest
-                ends[:, j] = np.frexp(low)[1]  # frexp(2**i) has exponent i + 1
-                rest ^= low
-            counts = np.ones((len(index), h + 1), dtype=np.int64)
-            counts[:, 1:] = np.diff(ends, axis=1, prepend=0)
-            yield index, counts
+    by_height = np.argsort(height, kind="stable")
+    for start in range(0, len(by_height), STACK_SIZE):
+        index = by_height[start:start + STACK_SIZE].astype(np.int64)
+        h = int(height[index[-1]])
+        ends = np.full((len(index), h), n - 1)  # the cuts, lowest bit first, then n - 1
+        rest = index.copy()
+        for j in range(h - 1):
+            low = rest & -rest
+            ends[:, j] = np.where(low > 0, np.frexp(low)[1], n - 1)  # frexp(2**i): i + 1
+            rest ^= low
+        counts = np.ones((len(index), h + 1), dtype=np.int64)
+        counts[:, 1:] = np.diff(ends, axis=1, prepend=0)
+        yield index, counts
 
 
 def profile_index(counts) -> np.ndarray:
     """The profile index of each row of a (k, h+1) array of level counts,
-    the inverse of :func:`profile_stacks`: bit c - 1 is set for each
-    cumulative count c = n_1 + ... + n_a, a < h."""
-    cuts = np.cumsum(np.asarray(counts, dtype=np.int64)[:, 1:-1], axis=1)
-    return np.left_shift(1, cuts - 1).sum(axis=1, dtype=np.int64)
+    the inverse of :func:`profile_stacks`, trailing zeros ignored: bit c - 1
+    is set for each cumulative count c = n_1 + ... + n_a where level a + 1
+    is not empty."""
+    counts = np.asarray(counts, dtype=np.int64)
+    cuts = np.cumsum(counts[:, 1:-1], axis=1)
+    bits = np.where(counts[:, 2:] > 0, np.left_shift(1, cuts - 1), 0)
+    return bits.sum(axis=1, dtype=np.int64)
 
 
 def profile_ids(seqs: np.ndarray) -> np.ndarray:

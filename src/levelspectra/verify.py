@@ -4,10 +4,11 @@ Runs every bound, identity, and structural claim over all rooted trees of a
 given order and produces a pass/fail ledger with extremal statistics.
 Every verdict but ``distance-domination`` depends only on a tree's level
 profile or on a (profile, leaf level) pair, so the calling process computes
-it once, on each height stack of ``trees.profile_stacks``, into tables by
-profile index, and the walk over the trees looks it up tree by tree; each
-such line's worst slack is folded there, stack by stack. Violations are
-collected rather than fail-fast, so a bad run reports every offending tree.
+it once, on each stack of ``trees.profile_stacks`` (up to STACK_SIZE
+profiles, whatever their heights), into tables by profile index, and the
+walk over the trees looks it up tree by tree; each such line's worst slack
+is folded there, stack by stack. Violations are collected rather than
+fail-fast, so a bad run reports every offending tree.
 """
 
 from __future__ import annotations
@@ -299,31 +300,25 @@ def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
 
 
 def _leaf_pairs(counts: np.ndarray):
-    """The realisable (member, leaf level) pairs of a (k, h+1) stack of
-    level counts: the deepest level, and each other with two or more
-    vertices (one has a child). With each, the counts of the tree less a
-    leaf there (its deepest level may be left empty)."""
-    h = counts.shape[1] - 1
-    members, levels = np.nonzero((counts >= 2) | (np.arange(h + 1) == h))
+    """The realisable (member, leaf level) pairs of a (k, H+1) stack of
+    level counts, each row zero after its deepest level: that level, and
+    each other with two or more vertices (one has a child). With each, the
+    counts of the tree less a leaf there (a deepest level it empties is
+    left as a trailing zero)."""
+    deepest = (counts > 0).sum(axis=1, keepdims=True) - 1
+    members, levels = np.nonzero((counts >= 2) | (np.arange(counts.shape[1]) == deepest))
     sub = counts[members]
     sub[np.arange(len(members)), levels] -= 1
     return members, levels, sub
 
 
-def _leaf_stacks(data: SpectralData, below: tuple[np.ndarray, ...]):
+def _leaf_stack(data: SpectralData, below: tuple[np.ndarray, ...]):
     """(members, leaf levels, parent stack, leaf-deleted stack) of a stack's
     realisable pairs, gathered from ``data`` and, by profile index, from
-    ``below`` (order n - 1's values, rho, energy and nullity). The pairs
-    that empty the deepest level have one level fewer, so they stack
-    apart."""
-    h = data.l_max
-    members, levels, counts = _leaf_pairs(data.counts)
-    for kept in (True, False):
-        pairs = np.flatnonzero((counts[:, h] > 0) == kept)
-        if len(pairs):
-            sub = counts[pairs, :h + 1 if kept else h]
-            yield (members[pairs], levels[pairs], data.take(members[pairs]),
-                   SpectralData(sub, *(column[profile_index(sub)] for column in below)))
+    ``below`` (order n - 1's values, rho, energy and nullity)."""
+    members, levels, sub = _leaf_pairs(data.counts)
+    return (members, levels, data.take(members),
+            SpectralData(sub, *(column[profile_index(sub)] for column in below)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,7 @@ def _bound_chain(data: SpectralData, tol: float):
 
 
 def _zero_multiplicity(data: SpectralData, tol: float):
-    return data.nullity == data.n - 1 - data.l_max, math.nan
+    return data.nullity == data.n - 1 - data.heights, math.nan
 
 
 def _one_positive_eigenvalue(data: SpectralData, tol: float):
@@ -355,7 +350,7 @@ def _one_positive_eigenvalue(data: SpectralData, tol: float):
 
 
 def _star_characterisation(data: SpectralData, tol: float):
-    star = data.l_max <= 1  # no vertex below level 1
+    star = data.heights <= 1  # no vertex below level 1
     return (data.nullity == data.n - 2) == star, math.nan
 
 
@@ -382,7 +377,7 @@ def _zero_cluster_consistency(data: SpectralData, tol: float):
 
 def _row_sum_difference(data: SpectralData, tol: float):
     k, n = len(data.counts), data.n
-    ascending = np.repeat(np.tile(np.arange(data.l_max + 1), k), data.counts.ravel())
+    ascending = np.repeat(np.tile(np.arange(data.counts.shape[1]), k), data.counts.ravel())
     lev = ascending.reshape(k, n)[:, ::-1]
     sums = np.take_along_axis(data.level_row_sums, lev, axis=1)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -469,8 +464,11 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
 
 
 def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
-    """(line, ok, slack) of each selected bound line on a stack: the AND of
-    the verdicts and the minimum of the slacks of the line's comparisons."""
+    """(line, ok, slack, covered) of each selected bound line on a stack:
+    the AND of the verdicts and the minimum of the slacks of the line's
+    comparisons, a slack nan where a comparison does not cover the member,
+    and the covered members' mask (True: all). A line that covers no member
+    of the stack is left out."""
     folded: dict[str, tuple] = {}
     for check, keep in bound_lines.items():
         func, min_order, lines = bounds.CHECKS[check]
@@ -478,10 +476,12 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
             continue
         for c in func(data):
             name = c.name if c.name in lines else check
-            if name in keep:
-                ok, slack = folded.get(name, (True, math.inf))
-                folded[name] = (c.ok & ok, np.minimum(c.slack, slack))
-    return [(name, ok, slack) for name, (ok, slack) in folded.items()]
+            covered = True if c.covered is None else c.covered
+            if name in keep and np.any(covered):
+                slack = c.slack if c.covered is None else np.where(covered, c.slack, math.nan)
+                ok, worst, _ = folded.get(name, (True, math.inf, True))
+                folded[name] = (c.ok & ok, np.minimum(slack, worst), covered)
+    return [(name, *verdicts) for name, verdicts in folded.items()]
 
 
 class VerdictTables:
@@ -515,7 +515,9 @@ def _store(tables: dict, worst: dict, name: str, shape: tuple[int, ...], at, ok,
     """Write one stack's verdicts at ``at`` of the named line's table, made
     on first use, and fold its slacks, nan ignored as ``CheckStat`` does,
     into the line's worst."""
-    tables.setdefault(name, np.ones(shape, bool))[at] = ok
+    if name not in tables:
+        tables[name] = np.ones(shape, bool)
+    tables[name][at] = ok
     worst[name] = min(worst.get(name, math.inf),
                       float(np.fmin.reduce(np.ravel(slack), initial=math.inf)))
 
@@ -571,11 +573,15 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
         data = solve_profiles(counts)
         for stat, table in values.items():
             table[rows] = getattr(data, stat)
-        for name, ok, slack in (_bound_verdicts(data, bound_lines)
-                                + [(name, *check(data, tol)) for name, check in checks[PROFILE]]):
+        for name, ok, slack, member in (
+                _bound_verdicts(data, bound_lines)
+                + [(name, *check(data, tol), True) for name, check in checks[PROFILE]]):
             _store(lines, worst, name, (size,), rows, ok, slack)
-            covered.setdefault(name, np.zeros(size, bool))[rows] = True
-        for members, levels, parent, sub in _leaf_stacks(data, below) if leaf_checks else ():
+            if name not in covered:
+                covered[name] = np.zeros(size, bool)
+            covered[name][rows] = member
+        if leaf_checks:
+            members, levels, parent, sub = _leaf_stack(data, below)
             for name, check in leaf_checks:
                 _store(leaf_lines, worst, name, (size, order), (rows[members], levels),
                        *check(parent, sub, tol))

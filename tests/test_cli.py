@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -165,6 +169,44 @@ class TestExitCodes:
     def test_missing_file_is_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "analyze", str(tmp_path / "absent.tree"))
         assert code == 3
+
+    @staticmethod
+    def run_into_closed_pipe(*argv, out_to_pipe=False) -> subprocess.CompletedProcess:
+        """Run the command line in a new interpreter with the pipe's read end
+        closed before it starts: on stdout, or with ``out_to_pipe`` as the
+        ``--out`` file."""
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        if out_to_pipe:
+            argv = (*argv, "--out", f"/dev/fd/{write}")
+        try:
+            return subprocess.run([sys.executable, "-m", "levelspectra.cli", *argv],
+                                  stdout=subprocess.DEVNULL if out_to_pipe else write,
+                                  stderr=subprocess.PIPE, pass_fds=(write,), env=env,
+                                  timeout=120)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--order", "10", "--format", "json"), 0),
+        (("verify", "--order", "7", "--tol", "0.05"), 1),
+        (("extremal", "--order", "6", "--stat", "rho", "--max", "--expect", "path"), 0),
+    ])
+    def test_closed_stdout_ends_quietly(self, argv, code):
+        """A reader that closed the pipe (``| head -c 0``) ends the output,
+        not the command: the command's own exit code, and nothing on stderr,
+        not even at interpreter exit."""
+        done = self.run_into_closed_pipe(*argv)
+        assert (done.returncode, done.stderr) == (code, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_out_file_into_a_closed_pipe_is_3(self):
+        done = self.run_into_closed_pipe("verify", "--order", "5", out_to_pipe=True)
+        assert done.returncode == 3
+        assert done.stderr.decode().startswith("i/o error: ")
 
     def test_resource_limit_is_4(self, capsys):
         code, _, err = run(capsys, "verify", "--order", "30")

@@ -2,8 +2,8 @@
 
 The engine solves the (h+1)x(h+1) quotients of many level profiles at once,
 with LAPACK and a stacked rank certificate modulo a prime. The in-repo QL
-and Jacobi solvers, the n x n Bareiss elimination and the one-matrix rank
-modulo the prime stay as independent oracles: every tree of orders 1..9
+solver, the n x n Bareiss elimination and the one-matrix rank modulo the
+prime stay as independent oracles: every tree of orders 1..9
 (plus random larger trees) and every profile of orders 1..12 must agree
 with them.
 """
@@ -236,8 +236,8 @@ def test_verify_solves_the_profile_space_once(monkeypatch, selection, solved):
 
 ALL_PROFILES = [p for order in range(1, 13) for p in profiles_by_index(order)]
 
-#: The engine's stack of each height stack of orders 1..12, with its
-#: profile indices.
+#: The engine's stack of each stack of orders 1..12 (one each: at most
+#: 2**10 profiles), with its profile indices.
 ALL_STACKS = [(order, index, solve_profiles(counts))
               for order in range(1, 13) for index, counts in profile_stacks(order)]
 
@@ -260,11 +260,17 @@ class TestValuesOnlySolve:
         assert calls == [("eigvalsh", (1, 5, 5))]
 
 
+def unpadded(profile) -> tuple[int, ...]:
+    """A row of a stack without the zeros after its deepest level."""
+    return tuple(int(c) for c in profile if c)
+
+
 def oracle_stack(profiles) -> SpectralData:
-    """The stack of profiles of one order and one height from the in-repo
-    solve of each quotient (padded with exact zeros) and from Bareiss
-    elimination of each B."""
+    """The stack of profiles of one order, each zero after its deepest
+    level, from the in-repo solve of each unpadded quotient (padded with
+    exact zeros) and from Bareiss elimination of each unpadded B."""
     values = []
+    counts, profiles = np.array(profiles, dtype=np.int64), list(map(unpadded, profiles))
     for profile in profiles:
         quotient_values, _ = symmetric_eigh(quotient_matrix(profile))
         zeros = np.zeros(sum(profile) - len(profile))
@@ -272,19 +278,26 @@ def oracle_stack(profiles) -> SpectralData:
     values = np.array(values)
     nullity = [exact_zero_multiplicity(np.array(profile_b(profile), dtype=object))
                + sum(profile) - len(profile) for profile in profiles]
-    return SpectralData(np.array(profiles, dtype=np.int64), values, np.abs(values).max(axis=1),
+    return SpectralData(counts, values, np.abs(values).max(axis=1),
                         np.abs(values).sum(axis=1), np.array(nullity, dtype=np.int64))
 
 
 def test_every_profile_solved_once_in_its_stack():
-    """The height stacks cover the profiles of each order exactly once, at
-    most STACK_SIZE each, and the engine's stack of one has its counts and
-    a row of values, rho, energy and nullity per member."""
+    """The stacks cover the profiles of each order exactly once, at most
+    STACK_SIZE each and all heights together (one stack per order up to
+    12), and the engine's stack has their counts, zero-padded to its
+    tallest, its heights, and a row of values, rho, energy and nullity per
+    member."""
     profiles = {order: profiles_by_index(order) for order in range(1, 13)}
     seen = {order: [] for order in profiles}
     for order, index, data in ALL_STACKS:
         assert 1 <= len(index) <= STACK_SIZE
-        assert data.counts.tolist() == [list(profiles[order][i]) for i in index.tolist()]
+        assert len(index) == len(profiles[order])
+        want = [profiles[order][i] for i in index.tolist()]
+        assert [unpadded(row) for row in data.counts.tolist()] == want
+        assert data.counts.shape[1] == max(map(len, want))
+        assert data.heights.tolist() == [len(p) - 1 for p in want]
+        assert data.is_path.tolist() == [len(p) == order for p in want]
         assert (data.counts.sum(axis=1) == data.n).all() and data.n == order
         assert data.values.shape == (len(index), data.n)
         assert data.rho.shape == data.energy.shape == data.nullity.shape == (len(index),)
@@ -325,6 +338,73 @@ def test_batch_equals_batches_of_one():
             assert (data.rho[i], data.energy[i]) == (one.rho[0], one.energy[0])
             assert data.spectrum(i).clusters == one.spectrum().clusters
             assert data.nullity[i] == one.nullity[0]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: 0.0 and -0.0 differ, nan equals nan."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_solved_space_equals_height_classes_solved_apart(n):
+    """The profile space, solved in stacks across heights, equals bit for
+    bit each height class solved as its own unpadded stack."""
+    space = verify_mod._solved_space(n)
+    profiles = profiles_by_index(n)
+    classes = {}
+    for i, profile in enumerate(profiles):
+        classes.setdefault(len(profile), []).append(i)
+    for levels_, rows in classes.items():
+        data = solve_profiles([profiles[i] for i in rows])
+        assert data.counts.shape[1] == levels_
+        for got, want in zip(space, (data.values, data.rho, data.energy, data.nullity)):
+            assert same_bits(got[rows], want), (n, levels_)
+
+
+class TestPaddedRows:
+    """A stack's rows are zero after their deepest level; the padding
+    changes no bit of a member's solve or aggregates."""
+
+    FIELDS = ("values", "rho", "energy", "nullity", "heights", "is_path", "level_index",
+              "h_value", "row_square_sum", "q_square_sum")
+
+    @pytest.mark.parametrize("padded, plain", [
+        ([(1, 2, 0)], [(1, 2)]),
+        ([(1, 0, 0, 0)], [(1,)]),
+        ([(1, 1, 1, 1, 1, 0, 0)], [(1,) * 5]),
+    ])
+    def test_padded_row_solves_as_unpadded(self, padded, plain):
+        got, want = solve_profiles(padded), solve_profiles(plain)
+        for field in self.FIELDS:
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        width = want.counts.shape[1]
+        assert same_bits(got.level_row_sums[:, :width], want.level_row_sums)
+        assert same_bits(got.level_second_order_sums[:, :width], want.level_second_order_sums)
+
+    def test_mixed_heights_in_any_row_order(self):
+        # runs of one height need not be sorted: each is solved as a slice
+        rows = [(1, 1, 1, 1, 1, 1), (1, 5, 0, 0, 0, 0), (1, 1, 4, 0, 0, 0), (1, 1, 1, 1, 2, 0)]
+        stack = solve_profiles(rows)
+        assert stack.heights.tolist() == [5, 1, 2, 4]
+        assert stack.is_path.tolist() == [True, False, False, False]
+        for i, row in enumerate(rows):
+            alone = solve_profiles([unpadded(row)])
+            for field in ("values", "rho", "energy", "nullity", "level_index", "h_value"):
+                assert same_bits(getattr(stack, field)[i:i + 1], getattr(alone, field)), field
+
+    @pytest.mark.parametrize("bad", [(1, 0, 2), (0, 1, 2), (0, 0, 3), (1, 2, 0, 1),
+                                     (1, 3, -1)])
+    def test_interior_or_root_zero_rejected(self, bad):
+        with pytest.raises(ValueError):
+            solve_profiles([bad])
+        with pytest.raises(ValueError):
+            solve_profiles([(1, 2, 0), bad])
+
+    def test_profile_index_ignores_trailing_zeros(self):
+        for n in range(1, 10):
+            for i, profile in enumerate(profiles_by_index(n)):
+                for pad in range(3):
+                    assert profile_index([profile + (0,) * pad]).tolist() == [i]
 
 
 @pytest.mark.parametrize("n", [300, 500])
@@ -823,7 +903,7 @@ def assert_aggregates_match_matrices(profiles, python_ints=()) -> None:
         lev = np.repeat(np.arange(len(profile)), profile)
         matrix = LevelMatrix.from_levels(lev)
         q = matrix.entries @ matrix.row_sums
-        assert (data.n, data.l_max) == (matrix.n, matrix.l_max)
+        assert (data.n, int(data.heights[i])) == (matrix.n, matrix.l_max)
         assert [int(a[i]) for a in exact[:4]] == [
             matrix.level_index, matrix.h_value,
             sum(int(x) ** 2 for x in matrix.row_sums), sum(int(x) ** 2 for x in q)]

@@ -27,7 +27,7 @@ from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLim
 from levelspectra.bounds import BoundReport, Comparison, SpectralData
 from levelspectra.levelmatrix import LevelMatrix
 from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly, Spectrum
-from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_stacks, _solved_space
+from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_stack, _solved_space
 
 from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
 
@@ -317,14 +317,14 @@ class TestInterlacing:
             below = _solved_space(n - 1)
             for _, counts in profile_stacks(n):
                 data = solve_profiles(counts)
-                for members, _, parent, sub in _leaf_stacks(data, below):
-                    assert np.array_equal(parent.values, data.values[members])
-                    assert sub.n == n - 1 and sub.counts.min() >= 1
-                    assert sub.values.shape == (len(members), n - 1)
-                    for i, counts in enumerate(sub.counts):
-                        alone = solve_profiles([counts])
-                        assert np.array_equal(sub.values[i], alone.values[0])
-                        assert sub.nullity[i] == alone.nullity[0]
+                members, _, parent, sub = _leaf_stack(data, below)
+                assert np.array_equal(parent.values, data.values[members])
+                assert sub.n == n - 1 and (sub.counts.sum(axis=1) == n - 1).all()
+                assert sub.values.shape == (len(members), n - 1)
+                for i, counts in enumerate(sub.counts):
+                    alone = solve_profiles([counts])
+                    assert np.array_equal(sub.values[i], alone.values[0])
+                    assert sub.nullity[i] == alone.nullity[0]
 
     def test_every_leaf_deletion(self):
         for n in range(2, 7):

@@ -224,21 +224,34 @@ class TestEnumeration:
 class TestProfileStacks:
     @pytest.mark.parametrize("stack_size", [3, trees_mod.STACK_SIZE])
     def test_stacks_enumerate_the_bit_loop(self, monkeypatch, stack_size):
-        """Each profile of the bit loop once, at its index, in stacks of one
-        height, heights ascending and indices ascending, at most STACK_SIZE
-        rows; profile_index takes each stack back to its indices."""
+        """Each profile of the bit loop once, at its index, in one sequence
+        of heights ascending and indices ascending within a height, cut
+        into full stacks of STACK_SIZE rows across heights (the last may
+        be shorter), each row zero-padded to its stack's tallest;
+        profile_index takes each stack back to its indices."""
         monkeypatch.setattr(trees_mod, "STACK_SIZE", stack_size)
         for n in range(1, 15):
-            got, last = {}, (-1, -1)
+            got, keys, sizes = {}, [], []
             for index, counts in profile_stacks(n):
                 assert index.dtype == counts.dtype == np.int64
-                assert 1 <= len(index) <= stack_size and counts.shape[0] == len(index)
-                assert (counts.shape[1] - 1, int(index[0])) > last
-                assert (np.diff(index) > 0).all()
-                last = (counts.shape[1] - 1, int(index[-1]))
+                assert counts.shape[0] == len(index)
+                heights = (counts > 0).sum(axis=1) - 1
+                assert counts.shape[1] == heights.max() + 1
+                assert (counts[np.arange(counts.shape[1]) > heights[:, None]] == 0).all()
                 assert profile_index(counts).tolist() == index.tolist()
-                got.update(zip(index.tolist(), map(tuple, counts.tolist())))
+                keys += zip(heights.tolist(), index.tolist())
+                sizes.append(len(index))
+                got.update((i, tuple(row[:h + 1]))
+                           for i, row, h in zip(index.tolist(), counts.tolist(), heights))
+            assert keys == sorted(keys)
+            assert sizes[:-1] == [stack_size] * (len(sizes) - 1)
+            assert 1 <= sizes[-1] <= stack_size
             assert [got[i] for i in range(len(got))] == profiles_by_index(n), n
+
+    def test_stack_counts(self):
+        """Order 9's 128 profiles and order 12's 2**10 come in one stack
+        each, and order 16's 2**14 in 16."""
+        assert [sum(1 for _ in profile_stacks(n)) for n in (9, 12, 16)] == [1, 1, 16]
 
     def test_order_below_one(self):
         with pytest.raises(InvalidOrder):

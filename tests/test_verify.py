@@ -631,7 +631,7 @@ _TREE_KIND = _REAL_CHECKS["distance-domination"][1]
 def _fails_short_and_narrow(data, tol):
     """Fails where the height is at most 4 and the root has at most two
     children; the slack is rho - 5."""
-    return ~((data.l_max <= 4) & (data.counts[:, 1] <= 2)), data.rho - 5.0
+    return ~((data.heights <= 4) & (data.counts[:, 1] <= 2)), data.rho - 5.0
 
 
 def _fails_on_lone_deepest_leaf(data, sub, tol):
@@ -799,6 +799,56 @@ def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
     assert members == {"bounds": 2 ** 6} | {
         name: 2 ** 6 if kind == _PROFILE_KIND else pairs
         for name, (_, kind, _) in _REAL_CHECKS.items() if kind != _TREE_KIND}
+
+
+def test_verdict_tables_check_each_stack_once(monkeypatch):
+    """Order 9's 128 profiles, and order 8's 64 below them, are one stack
+    each across heights: one solve of each order, each PROFILE evaluator
+    and the bound lines called once, and one leaf stack."""
+    calls = []
+
+    def counting(name, func):
+        def call(*args):
+            calls.append(name if name != "solve" else int(args[0][0].sum()))
+            return func(*args)
+        return call
+
+    monkeypatch.setattr(verify_mod, "solve_profiles", counting("solve", verify_mod.solve_profiles))
+    monkeypatch.setattr(verify_mod, "_bound_verdicts",
+                        counting("bounds", verify_mod._bound_verdicts))
+    monkeypatch.setattr(verify_mod, "_leaf_stack", counting("leaf stack", verify_mod._leaf_stack))
+    monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", {
+        name: (min_order, kind, counting(name, check) if kind == _PROFILE_KIND else check)
+        for name, (min_order, kind, check) in _REAL_CHECKS.items()})
+    bound_lines, structural = verify_mod._resolve_selection(None)
+    verify_mod._verdict_tables(9, bound_lines, structural, spectra_mod.DEFAULT_CLUSTER_TOL,
+                               ("rho",))
+    profile_checks = [name for name, (_, kind, _) in _REAL_CHECKS.items()
+                      if kind == _PROFILE_KIND]
+    assert sorted(map(str, calls)) == sorted(["8", "9", "bounds", "leaf stack", *profile_checks])
+
+
+@pytest.mark.parametrize("order", [3, 6, 12])
+def test_padded_levels_never_reach_a_line(order):
+    """A stack of the rooted star, zero-padded to the height of the rooted
+    path, and the path: each member gets, for every bound line, the verdict
+    and slack of its own stack of one, and the path no energy-upper-improved.
+    The star's padded levels hold row sums above its real ones, so a
+    maximum over the padding would loosen rho-row-sum-upper and
+    quotient-bound."""
+    star, path = (1, order - 1) + (0,) * (order - 2), (1,) * order
+    stack = spectra_mod.solve_profiles([star, path])
+    assert stack.level_row_sums[0].max() > stack.level_max(stack.level_row_sums)[0]
+    bound_lines, _ = verify_mod._resolve_selection(None)
+    lines = {name: (ok, slack, np.broadcast_to(covered, ok.shape))
+             for name, ok, slack, covered in verify_mod._bound_verdicts(stack, bound_lines)}
+    for i, profile in enumerate([star[:2], path]):
+        alone = {name: (ok[0], slack[0]) for name, ok, slack, _ in
+                 verify_mod._bound_verdicts(spectra_mod.solve_profiles([profile]), bound_lines)}
+        assert {name for name, (_, _, covered) in lines.items() if covered[i]} == set(alone)
+        for name, (ok, slack) in alone.items():
+            assert (lines[name][0][i], lines[name][1][i]) == (ok, slack), (profile, name)
+    assert lines["energy-upper-improved"][2].tolist() == [True, False]
 
 
 #: The checks whose evaluators return no slack.
