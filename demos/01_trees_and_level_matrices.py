@@ -8,12 +8,10 @@ the matrix and its aggregates, and compares against the distance matrix.
 
 import numpy as np
 
-from levelspectra import (
-    build_level_matrix,
-    distance_matrix,
+from levelspectra.levelmatrix import build_level_matrix, distance_matrix, matrix_text
+from levelspectra.trees import (
     from_parent_list,
     levels,
-    matrix_text,
     parse_tree,
     rooted_path,
     rooted_star,

@@ -4,22 +4,25 @@
 Two independent pipelines look at the same matrix: the in-repo dense
 symmetric eigensolver (Householder + implicit-shift QL), and the exact
 characteristic polynomial whose roots come from a companion eigenproblem.
-A third, fully exact route (fraction-free elimination) pins down the
+The polynomial comes from the level profile alone, and the n x n route
+checks it. A fully exact route (fraction-free elimination) pins down the
 multiplicity of the zero eigenvalue.
 """
 
 import numpy as np
 
-from levelspectra import (
-    build_level_matrix,
+from levelspectra.levelmatrix import build_level_matrix
+from levelspectra.cli import polynomial_text
+from levelspectra.spectra import (
     characteristic_polynomial,
     charpoly_roots,
     exact_zero_multiplicity,
-    from_parent_list,
+    level_profile,
     perron_vector,
+    profile_charpoly,
     symmetric_eigenvalues,
 )
-from levelspectra.cli import polynomial_text
+from levelspectra.trees import from_parent_list, levels
 
 tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3])
 m = build_level_matrix(tree)
@@ -38,9 +41,13 @@ rho, v = perron_vector(m)
 print("\nPerron residual |Lv - rho v|:", float(np.linalg.norm(m.entries @ v - rho * v)))
 print("all entries positive:", bool(np.all(v > 0)))
 
-# Exact integer characteristic polynomial via Faddeev-LeVerrier.
-poly = characteristic_polynomial(m)
-print("\ncharacteristic polynomial:", polynomial_text(poly))
+# Exact integer characteristic polynomial: Faddeev-LeVerrier on the
+# (h+1)x(h+1) profile matrix B_ab = |a - b| n_b, times x^(n-h-1).
+profile = level_profile(levels(tree))
+poly = profile_charpoly(profile)
+print("\nlevel profile:", profile)
+print("characteristic polynomial:", polynomial_text(poly))
+print("equals the n x n Faddeev-LeVerrier:", poly == characteristic_polynomial(m))
 print("coefficient of x^(n-2) is -H/2:", poly.coeffs[2] == -m.h_value // 2)
 
 # Its roots, found through the companion problem, replay the spectrum.

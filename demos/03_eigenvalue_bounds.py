@@ -5,7 +5,9 @@ Each relation comes back as a named record with lhs, rhs, signed slack and a
 satisfied flag, so a harness (or a reader) can scan for the tight ones.
 """
 
-from levelspectra import SpectralData, evaluate_checks, from_parent_list, rooted_star
+from levelspectra.bounds import evaluate_checks
+from levelspectra.spectra import SpectralData
+from levelspectra.trees import from_parent_list, rooted_star
 
 tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3])
 data = SpectralData.from_tree(tree)  # a stack of one level profile

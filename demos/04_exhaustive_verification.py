@@ -6,7 +6,8 @@ The enumerator yields exactly one representative per isomorphism class
 on every tree, and the ledger reports violations with offending trees.
 """
 
-from levelspectra import rooted_tree_count, verify_order
+from levelspectra.trees import rooted_tree_count
+from levelspectra.verify import verify_order
 
 print("rooted trees per order:",
       {n: rooted_tree_count(n) for n in range(1, 11)})

@@ -10,17 +10,10 @@ import math
 
 import numpy as np
 
-from levelspectra import (
-    build_level_matrix,
-    complete_dary,
-    exact_zero_multiplicity,
-    leafstar_cubic_roots,
-    path_rho_closed_form,
-    rooted_path,
-    rooted_star,
-    star_rooted_at_leaf,
-    symmetric_eigenvalues,
-)
+from levelspectra.bounds import leafstar_cubic_roots, path_rho_closed_form
+from levelspectra.levelmatrix import build_level_matrix
+from levelspectra.spectra import exact_zero_multiplicity, symmetric_eigenvalues
+from levelspectra.trees import complete_dary, rooted_path, rooted_star, star_rooted_at_leaf
 
 # Rooted star: the level matrix IS the adjacency matrix, so rho = sqrt(n-1)
 # and zero fills the rest of the spectrum (multiplicity n-2).

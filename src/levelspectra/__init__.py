@@ -1,7 +1,25 @@
 """Level matrices of rooted trees: construction, exact and numerical spectral
 data, eigenvalue bounds, and exhaustive verification at small orders.
 
-Importing the package loads no submodule and not numpy: each public name is
+The package exports its entry points:
+
+- the profile engine: ``solve_profiles`` solves level profiles into a
+  ``SpectralData`` stack, and ``profile_stacks`` yields every profile of an
+  order (from ``levelspectra.spectra`` and ``levelspectra.trees``);
+- the exhaustive runs: ``verify_order`` and ``extremal_sweep``
+  (``levelspectra.verify``);
+- trees: ``parse_tree`` reads the tree file format, ``from_parent_list``
+  takes its 1-based parent array, and ``rooted_star``, ``rooted_path``,
+  ``star_rooted_at_leaf`` and ``complete_dary`` build the special families
+  (``levelspectra.trees``).
+
+Every other name is imported from the module that defines it: the bound
+checks and closed forms from ``bounds``, the n x n level matrix and the
+distance oracles from ``levelmatrix``, the exact polynomial and the dense
+oracles from ``spectra``, the dense QL solver from ``eigen``, and the tree
+enumeration, canonical forms and leaf deletion from ``trees``.
+
+Importing the package loads no submodule and not numpy: each entry point is
 imported from its submodule on first access (PEP 562). The command line
 relies on this to set its BLAS thread count before numpy starts.
 """
@@ -10,62 +28,12 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: Public name -> submodule that defines it.
+#: Entry point -> submodule that defines it.
 _SUBMODULE_OF = {
-    **dict.fromkeys([
-        "BoundReport",
-        "evaluate_checks",
-        "leafstar_cubic_roots",
-        "path_rho_closed_form",
-    ], "bounds"),
-    **dict.fromkeys([
-        "LevelMatrix",
-        "build_level_matrix",
-        "distance_matrix",
-        "matrix_text",
-        "row_sum_difference",
-    ], "levelmatrix"),
-    **dict.fromkeys([
-        "CharPoly",
-        "SpectralData",
-        "Spectrum",
-        "characteristic_polynomial",
-        "charpoly_roots",
-        "clustered_multiplicity",
-        "exact_zero_multiplicity",
-        "level_profile",
-        "perron_vector",
-        "quotient_matrix",
-        "solve_profiles",
-        "symmetric_eigenvalues",
-    ], "spectra"),
-    **dict.fromkeys([
-        "RootedTree",
-        "canonical_level_sequence",
-        "canonicalize",
-        "complete_dary",
-        "delete_leaf",
-        "enumerate_rooted_trees",
-        "format_tree",
-        "from_parent_list",
-        "is_rooted_path",
-        "is_rooted_star",
-        "level_sequences",
-        "levels",
-        "profile_index",
-        "profile_stacks",
-        "parse_tree",
-        "rooted_path",
-        "rooted_star",
-        "rooted_tree_count",
-        "star_rooted_at_leaf",
-        "to_dot",
-    ], "trees"),
-    **dict.fromkeys([
-        "VerificationLedger",
-        "extremal_sweep",
-        "verify_order",
-    ], "verify"),
+    **dict.fromkeys(["SpectralData", "solve_profiles"], "spectra"),
+    **dict.fromkeys(["complete_dary", "from_parent_list", "parse_tree", "profile_stacks",
+                     "rooted_path", "rooted_star", "star_rooted_at_leaf"], "trees"),
+    **dict.fromkeys(["extremal_sweep", "verify_order"], "verify"),
 }
 
 __all__ = sorted(_SUBMODULE_OF)

@@ -250,7 +250,7 @@ def check_energy_bounds(d: SpectralData) -> list[Comparison]:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _bisect(f, lo: float, hi: float, xtol: float, max_iter: int = 200) -> float:
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -258,7 +258,7 @@ def _bisect(f, lo: float, hi: float, xtol: float, max_iter: int = 200) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise NoBracket(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):  # the closed forms' brackets reach xtol in under 60 halvings
         mid = 0.5 * (lo + hi)
         if hi - lo <= xtol or mid in (lo, hi):
             return mid

@@ -34,14 +34,15 @@ from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .bounds import BoundReport, leafstar_cubic_roots, path_rho_closed_form
 from .errors import LevelSpectraError, ParseError, ResourceLimit
-from .levelmatrix import build_level_matrix
 from .spectra import (
     DEFAULT_CHARPOLY_CAP,
     DEFAULT_CLUSTER_TOL,
     CharPoly,
     SpectralData,
     Spectrum,
-    characteristic_polynomial,
+    level_profile,
+    profile_charpoly,
+    solve_profiles,
 )
 from .trees import (
     RootedTree,
@@ -105,16 +106,6 @@ def polynomial_text(charpoly: CharPoly) -> str:
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts) if parts else "0"
-
-
-def _level_charpoly(tree: RootedTree, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPoly:
-    """Exact characteristic polynomial of the tree's level matrix. An order
-    above ``cap`` is refused before the O(n^2) matrix is built."""
-    if tree.n > cap:
-        raise ResourceLimit(
-            f"characteristic polynomial of order {tree.n} exceeds the cap of {cap}"
-        )
-    return characteristic_polynomial(build_level_matrix(tree), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +198,10 @@ class AnalysisReport:
     def build(cls, tree: RootedTree, include_charpoly: bool = False,
               bound_names=None, tol: float = DEFAULT_CLUSTER_TOL,
               extras: dict | None = None) -> "AnalysisReport":
+        profile = level_profile(levels(tree))
         # the charpoly's cap is checked before the profile is solved
-        charpoly = _level_charpoly(tree) if include_charpoly else None
-        data = SpectralData.from_tree(tree)
+        charpoly = profile_charpoly(profile) if include_charpoly else None
+        data = solve_profiles([profile])
         reports = [] if bound_names == [] else bounds_mod.evaluate_checks(data, bound_names)
         return cls(
             tree=tree,
@@ -261,7 +253,7 @@ class AnalysisReport:
             lines.append(f"charpoly:      {polynomial_text(self.charpoly)}")
         for key, value in self.extras.items():
             shown = _fmt(value) if isinstance(value, float) else str(value)
-            lines.append(f"{key + ':':15s}{shown}")
+            lines.append(f"{key + ':':14s} {shown}")
         if self.bounds:
             lines.append("")
             lines.append(f"{'bound':26s} {'rel':3s} {'lhs':>15s} "
@@ -424,7 +416,7 @@ def _cmd_charpoly(args) -> int:
     if args.cap < 1:
         raise _UsageError(f"--cap must be at least 1, got {args.cap}")
     tree = _read_tree(args.path)
-    poly = _level_charpoly(tree, cap=args.cap)
+    poly = profile_charpoly(level_profile(levels(tree)), cap=args.cap)
     if args.format == "json":
         _write(poly.to_json() + "\n")
     else:

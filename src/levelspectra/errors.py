@@ -35,7 +35,11 @@ class TreeError(LevelSpectraError, ValueError):
 
 
 class CycleDetected(TreeError):
-    pass
+    """Parent pointers lead around a cycle; ``vertex`` (0-based) is on it."""
+
+    def __init__(self, message, vertex):
+        self.vertex = vertex
+        super().__init__(message)
 
 
 class MultipleRoots(TreeError):

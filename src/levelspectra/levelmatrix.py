@@ -5,10 +5,12 @@ The matrix is symmetric with zero diagonal, so its eigenvalues are real and
 sum to zero. Cached alongside: the row sums L_i, the level index
 LI = (1/2) * sum of all entries, and H = trace of the squared matrix.
 
-The bounds and the verifier take these aggregates from the level profile
-(``spectra.SpectralData``); the n x n matrix is kept for ``analyze``'s
-characteristic polynomial, the exports, and as the oracle those profile
-aggregates are tested against.
+No command builds the n x n matrix: the bounds and the verifier take these
+aggregates from the level profile (``spectra.SpectralData``), and the
+characteristic polynomial comes from the profile matrix
+(``spectra.profile_charpoly``). :class:`LevelMatrix` and
+:func:`build_level_matrix` are kept for the exports and as the oracle that
+the profile aggregates and polynomial are tested against.
 """
 
 from __future__ import annotations

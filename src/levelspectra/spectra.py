@@ -20,7 +20,9 @@ exact nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b,
 which has the rank of S. Its full rank is certified modulo a prime below
 2**26 from the second differences of B's rows, which are single entries;
 a member the certificate does not decide (in practice only the one-level
-profile) takes its exact rank from Bareiss elimination of B.
+profile) takes its exact rank from Bareiss elimination of B. The exact
+characteristic polynomial, :func:`profile_charpoly`, is x^(n-h-1) times
+that of B, by Sylvester's determinant identity.
 :func:`_cluster`, the one clustering rule, groups a whole stack's values
 at once, at the tolerance a check passes. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
@@ -34,8 +36,9 @@ quotient (:func:`quotient_matrix`), against the engine's ``eigvalsh``
 values; :func:`exact_zero_multiplicity` is the n x n Bareiss elimination
 (also the engine's fallback), against its nullity; :func:`_rank_mod_p` is
 the one-matrix rank modulo the prime, against the stacked certificate;
-:func:`charpoly_roots` takes the spectrum from the exact characteristic
-polynomial.
+:func:`characteristic_polynomial` of the n x n matrix, against
+:func:`profile_charpoly`; :func:`charpoly_roots` takes the spectrum from
+the exact characteristic polynomial.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
@@ -80,20 +83,14 @@ def _as_array(matrix) -> np.ndarray:
 class Spectrum(Frozen):
     """One spectrum, from the dense oracle or of one member of a stack
     (:meth:`SpectralData.spectrum`): eigenvalues sorted descending, with
-    Perron data and the cluster tolerance ``tol`` they are grouped at.
-
-    ``perron`` is the sign-normalised eigenvector of the top eigenvalue
-    (``None`` for 1x1 input, where no Perron vector exists, and for a
-    member of a stack, which fixes no vertex order).
+    rho, energy and the cluster tolerance ``tol`` they are grouped at.
     """
 
-    def __init__(self, values: np.ndarray, tol: float, rho: float, energy: float,
-                 perron: np.ndarray | None):
+    def __init__(self, values: np.ndarray, tol: float, rho: float, energy: float):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "perron", perron)
 
     @property
     def n(self) -> int:
@@ -146,24 +143,9 @@ def symmetric_eigenvalues(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     a quotient, is the independent check it is tested against.
     """
     _check_tol(tol)
-    a = _as_array(matrix)
-    values, vectors = symmetric_eigh(a)
+    values, _ = symmetric_eigh(_as_array(matrix))
     rho = float(np.abs(values).max()) if len(values) else 0.0
-    energy = float(np.abs(values).sum())
-    perron = None
-    if len(values) >= 2:
-        top = vectors[:, 0].copy()
-        top /= np.linalg.norm(top)
-        if top[np.argmax(np.abs(top))] < 0:
-            top = -top
-        perron = top
-    return Spectrum(
-        values=values,
-        tol=tol,
-        rho=rho,
-        energy=energy,
-        perron=perron,
-    )
+    return Spectrum(values, tol, rho, float(np.abs(values).sum()))
 
 
 def perron_vector(matrix) -> tuple[float, np.ndarray]:
@@ -177,14 +159,16 @@ def perron_vector(matrix) -> tuple[float, np.ndarray]:
     a = _as_array(matrix)
     if a.shape[0] < 2:
         raise TooSmall("Perron vector needs a matrix of order >= 2")
-    spectrum = symmetric_eigenvalues(a)
-    v = spectrum.perron
+    values, vectors = symmetric_eigh(a)
+    v = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
     if np.any(v <= 0.0):
         raise LevelSpectraError(
             "top eigenvector is not strictly positive; input is not an "
             "irreducible non-negative matrix"
         )
-    return spectrum.rho, v
+    return float(np.abs(values).max()), v
 
 
 class CharPoly(Frozen):
@@ -216,18 +200,24 @@ class CharPoly(Frozen):
         return json.dumps([str(c) for c in self.coeffs])
 
 
+def _check_charpoly_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise ResourceLimit(f"characteristic polynomial of order {n} exceeds the cap of {cap}")
+
+
 def characteristic_polynomial(matrix, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPoly:
     """Exact integer coefficients via the Faddeev-LeVerrier recurrence.
 
     M_1 = I, c_k = -tr(A M_k)/k, M_{k+1} = A M_k + c_k I; every division is
     exact for integer input.
+
+    :func:`profile_charpoly` runs it on the (h+1)x(h+1) profile matrix B.
+    Oracle path: on a tree's n x n level matrix, it is the check of
+    :func:`profile_charpoly`.
     """
     a = _as_array(matrix)
     n = a.shape[0]
-    if n > cap:
-        raise ResourceLimit(
-            f"characteristic polynomial of order {n} exceeds the cap of {cap}"
-        )
+    _check_charpoly_cap(n, cap)
     A = [[int(a[i, j]) for j in range(n)] for i in range(n)]
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
@@ -245,6 +235,23 @@ def characteristic_polynomial(matrix, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPo
             for i in range(n):
                 M[i][i] += c
     return CharPoly(tuple(coeffs))
+
+
+def profile_charpoly(profile, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPoly:
+    """Exact characteristic polynomial det(xI - L) of the level matrix of a
+    level profile (n_0, ..., n_h) of order n, refused above ``cap``.
+
+    L = E D E^T, with E the n x (h+1) level indicator and D_ab = |a - b|, and
+    E^T E = diag(n_b), so by Sylvester's determinant identity
+    det(xI - L) = x^(n-h-1) det(xI - B) with B = D diag(n_b), the profile
+    matrix B_ab = |a - b| n_b: :func:`characteristic_polynomial` of B in
+    Python integers, followed by n - h - 1 zero coefficients.
+    """
+    counts = _profile_counts([profile])[0]
+    n = int(counts.sum())
+    _check_charpoly_cap(n, cap)
+    coeffs = characteristic_polynomial(_profile_matrix(counts.astype(object)), cap=cap).coeffs
+    return CharPoly(coeffs + (0,) * (n - len(counts)))
 
 
 def charpoly_roots(charpoly: CharPoly) -> np.ndarray:
@@ -354,6 +361,13 @@ def _quotient_stack(counts: np.ndarray) -> np.ndarray:
     return np.abs(idx[:, None] - idx[None, :]) * np.sqrt(c[:, :, None] * c[:, None, :])
 
 
+def _profile_matrix(counts: np.ndarray) -> np.ndarray:
+    """The profile matrices B_ab = |a - b| n_b of a (..., h+1) array of
+    level counts, as (..., h+1, h+1) in the counts' dtype."""
+    idx = np.arange(counts.shape[-1])
+    return np.abs(idx[:, None] - idx[None, :]) * counts[..., None, :]
+
+
 def quotient_matrix(profile) -> np.ndarray:
     """The symmetric quotient S_ab = sqrt(n_a n_b)|a - b| of a level profile.
 
@@ -412,8 +426,7 @@ class SpectralData(Frozen):
     def spectrum(self, row: int = 0, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
         """One member's spectrum, clustered at ``tol``."""
         _check_tol(tol)
-        return Spectrum(self.values[row], tol, float(self.rho[row]),
-                        float(self.energy[row]), None)
+        return Spectrum(self.values[row], tol, float(self.rho[row]), float(self.energy[row]))
 
     @cached_property
     def n(self) -> int:
@@ -573,12 +586,11 @@ def solve_profiles(counts) -> SpectralData:
         cols = j + np.where(j < positive[:, None], 0, n - s)
         values[lo + np.arange(hi - lo)[:, None], cols] = desc
 
-        distances = np.abs(j[:, None] - j[None, :])
-        b = distances[None] * (run % RANK_PRIME)[:, None, :]
         nullity[lo:hi] = n - s
-        for i in np.flatnonzero(~_rank_certificate(b % RANK_PRIME).all(axis=1)).tolist():
-            # B_ab = |a - b| n_b in Python integers, for Bareiss elimination
-            nullity[lo + i] += exact_zero_multiplicity(distances * run[i].astype(object))
+        residues = _profile_matrix(run % RANK_PRIME) % RANK_PRIME
+        for i in np.flatnonzero(~_rank_certificate(residues).all(axis=1)).tolist():
+            # B in Python integers, for Bareiss elimination
+            nullity[lo + i] += exact_zero_multiplicity(_profile_matrix(run[i].astype(object)))
     values.setflags(write=False)
     return SpectralData(counts, values, rho, energy, nullity)
 

@@ -89,7 +89,7 @@ class RootedTree:
             v = next(i for i in range(n) if i not in seen)
             for _ in range(n):
                 v = parent[v]
-            raise CycleDetected(f"parent pointers cycle through vertex {v}")
+            raise CycleDetected(f"parent pointers cycle through vertex {v}", v)
         self._parent = parent
         self._root = root
 
@@ -420,7 +420,9 @@ def is_rooted_star(tree: RootedTree) -> bool:
 
 def parse_tree(text: str) -> RootedTree:
     """Parse the tree file format: line 1 is n, line 2 the 1-based parent
-    array with 0 marking the root."""
+    array with 0 marking the root. Errors name vertices 1..n, as the file
+    does, quote entries as written, and give the column of an entry that is
+    at fault by itself."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty input, expected vertex count", line=1)
@@ -441,10 +443,23 @@ def parse_tree(text: str) -> RootedTree:
             parents.append(int(field))
         except ValueError:
             raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
+    roots = [v for v, p in enumerate(parents, start=1) if p == 0]
+    if len(roots) != 1:
+        named = f"vertices {', '.join(map(str, roots))} all have" if roots else "no vertex has"
+        raise ParseError(f"{named} parent 0; a tree has one root", line=2)
+    for v, (p, field) in enumerate(zip(parents, fields), start=1):
+        if not 0 <= p <= n:
+            raise ParseError(f"parent entry {field!r} of vertex {v} is not a vertex 1..{n}",
+                             line=2, column=v)
     try:
         return from_parent_list(parents)
-    except (CycleDetected, MultipleRoots, NoRoot, IndexOutOfRange) as exc:
-        raise ParseError(str(exc), line=2) from exc
+    except CycleDetected as exc:
+        cycle = [exc.vertex + 1]
+        while (v := parents[cycle[-1] - 1]) != cycle[0]:
+            cycle.append(v)
+        raise ParseError("parent entries form a cycle: "
+                         + " -> ".join(map(str, [*cycle, cycle[0]])),
+                         line=2, column=cycle[0] if len(cycle) == 1 else None) from exc
 
 
 def format_tree(tree: RootedTree) -> str:

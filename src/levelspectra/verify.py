@@ -103,14 +103,12 @@ class CheckStat:
 
     __slots__ = ("name", "trees_checked", "violations", "worst_slack", "offenders")
 
-    def __init__(self, name: str, trees_checked: int = 0, violations: int = 0,
-                 worst_slack: float = math.inf,
-                 offenders: list[tuple[int, ...]] | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.trees_checked = trees_checked
-        self.violations = violations
-        self.worst_slack = worst_slack
-        self.offenders = [] if offenders is None else offenders
+        self.trees_checked = 0
+        self.violations = 0
+        self.worst_slack = math.inf
+        self.offenders: list[tuple[int, ...]] = []
 
     def _fields(self) -> tuple:
         return self.name, self.trees_checked, self.violations, self.worst_slack, self.offenders

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from levelspectra import RootedTree, from_parent_list
+from levelspectra.trees import RootedTree, from_parent_list
 
 # A 9-vertex tree whose level matrix, characteristic polynomial and spectrum
 # are known exactly; used as the golden example throughout the suite.

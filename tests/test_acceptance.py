@@ -11,22 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from levelspectra import (
-    build_level_matrix,
+from levelspectra.bounds import leafstar_cubic_roots, path_rho_closed_form
+from levelspectra.levelmatrix import build_level_matrix
+from levelspectra.spectra import (
     characteristic_polynomial,
     charpoly_roots,
-    enumerate_rooted_trees,
     exact_zero_multiplicity,
-    leafstar_cubic_roots,
+    symmetric_eigenvalues,
+)
+from levelspectra.trees import (
+    enumerate_rooted_trees,
     levels,
-    path_rho_closed_form,
     rooted_path,
     rooted_star,
     rooted_tree_count,
     star_rooted_at_leaf,
-    symmetric_eigenvalues,
-    verify_order,
 )
+from levelspectra.verify import verify_order
 
 from conftest import (
     SAMPLE9_CHARPOLY,

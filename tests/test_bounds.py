@@ -3,22 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from levelspectra import (
-    SpectralData,
-    build_level_matrix,
-    enumerate_rooted_trees,
-    evaluate_checks,
-    leafstar_cubic_roots,
-    level_profile,
-    levels,
-    path_rho_closed_form,
-    rooted_path,
-    rooted_star,
-    profile_stacks,
-    solve_profiles,
-    star_rooted_at_leaf,
-    symmetric_eigenvalues,
-)
 from levelspectra.bounds import (
     CHECKS,
     _compare,
@@ -34,8 +18,21 @@ from levelspectra.bounds import (
     check_rho_second_order,
     check_second_order_identity,
     check_trace_identity,
+    evaluate_checks,
+    leafstar_cubic_roots,
+    path_rho_closed_form,
 )
 from levelspectra.errors import DegenerateDenominator, InvalidOrder, TooSmall
+from levelspectra.levelmatrix import build_level_matrix
+from levelspectra.spectra import SpectralData, level_profile, solve_profiles, symmetric_eigenvalues
+from levelspectra.trees import (
+    enumerate_rooted_trees,
+    levels,
+    profile_stacks,
+    rooted_path,
+    rooted_star,
+    star_rooted_at_leaf,
+)
 
 from conftest import profiles_by_index
 
@@ -347,7 +344,7 @@ class TestEvaluateChecks:
                     assert got == evaluate_checks(alone, [name]), (profile, name)
 
     def test_special_families_to_order_50(self):
-        from levelspectra import complete_dary
+        from levelspectra.trees import complete_dary
 
         members = [rooted_star(50), rooted_path(50), star_rooted_at_leaf(50),
                    complete_dary(2, 5), complete_dary(3, 3)]

@@ -10,12 +10,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from levelspectra import canonicalize, parse_tree
 from levelspectra import cli as cli_mod
 from levelspectra import spectra as spectra_mod
 from levelspectra import verify as verify_mod
 from levelspectra.cli import ANALYSIS_REPORT_SCHEMA, main, polynomial_text
+from levelspectra.levelmatrix import LevelMatrix
 from levelspectra.spectra import CharPoly
+from levelspectra.trees import canonicalize, parse_tree
 
 from conftest import SAMPLE9_PARENTS
 
@@ -140,6 +141,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n0 1 5\n", "parent entry '5' of vertex 3 is not a vertex 1..3 (line 2, column 3)"),
+        ("3\n0 -1 1\n", "parent entry '-1' of vertex 2 is not a vertex 1..3 (line 2, column 2)"),
+        ("3\n0 1 +4\n", "parent entry '+4' of vertex 3 is not a vertex 1..3 (line 2, column 3)"),
+        ("2\n0 0\n", "vertices 1, 2 all have parent 0; a tree has one root (line 2)"),
+        ("2\n2 1\n", "no vertex has parent 0; a tree has one root (line 2)"),
+        ("3\n0 3 2\n", "parent entries form a cycle: 3 -> 2 -> 3 (line 2)"),
+        ("5\n0 4 2 3 1\n", "parent entries form a cycle: 3 -> 2 -> 4 -> 3 (line 2)"),
+        ("2\n0 2\n", "parent entries form a cycle: 2 -> 2 (line 2, column 2)"),
+    ], ids=["past-n", "negative", "signed", "two-roots", "no-root", "cycle", "long-cycle",
+            "own-parent"])
+    def test_parse_errors_number_vertices_as_the_file_does(self, text, message, tmp_path,
+                                                          capsys):
+        """The file numbers vertices 1..n, so its errors do too; an entry is
+        quoted as written, with its column where it alone is at fault."""
+        bad = tmp_path / "bad.tree"
+        bad.write_text(text)
+        assert run(capsys, "analyze", str(bad)) == (2, "", f"parse error: {message}\n")
 
     @pytest.mark.parametrize("command", ["analyze", "charpoly"])
     def test_file_not_utf8_is_parse_error(self, tmp_path, capsys, command):
@@ -391,6 +411,15 @@ class TestSpecialCommand:
         assert out == star.replace("star of order 1", "path of order 1")
         assert "closed_form" not in out
 
+    def test_extras_labels_are_apart_from_their_values(self, capsys):
+        """A label too long for the 15-column field still gets a space; a
+        shorter one keeps its value in column 16, as the fixed lines do."""
+        _, path, _ = run(capsys, "special", "path", "--order", "2")
+        assert ("\nfamily:        path of order 2\nclosed_form_rho: 1\n"
+                "closed_form_residual: 2.22044604925e-15\n") in path
+        _, leafstar, _ = run(capsys, "special", "leafstar", "--order", "6")
+        assert "\ncubic_roots:   " in leafstar and "\ncubic_residual: " in leafstar
+
     def test_leafstar_cubic(self, capsys):
         code, out, _ = run(capsys, "special", "leafstar", "--order", "6", "--charpoly")
         assert code == 0
@@ -472,10 +501,12 @@ class TestCharpolyCommand:
     @pytest.mark.parametrize("argv", [["charpoly"], ["analyze", "--charpoly"]])
     def test_cap_checked_before_the_matrix_is_built(self, argv, tmp_path,
                                                     monkeypatch, capsys):
+        # neither the profile matrix B nor an n x n level matrix is built
         star = tmp_path / "star.tree"
         star.write_text("30\n0" + " 1" * 29 + "\n")
         built = []
-        monkeypatch.setattr(cli_mod, "build_level_matrix", built.append)
+        monkeypatch.setattr(spectra_mod, "_profile_matrix", built.append)
+        monkeypatch.setattr(LevelMatrix, "from_levels", built.append)
         code, out, err = run(capsys, argv[0], str(star), *argv[1:])
         assert code == 4 and out == "" and "exceeds the cap of 24" in err
         assert built == []
@@ -491,13 +522,34 @@ class TestCharpolyCommand:
         def solve(counts):
             raise AssertionError("a profile was solved")
 
-        monkeypatch.setattr(spectra_mod, "solve_profiles", solve)
+        monkeypatch.setattr(cli_mod, "solve_profiles", solve)
         argv = ([str(path)] if command == "analyze"
                 else ["path", "--order", str(n)])
         code, out, err = run(capsys, command, *argv, "--charpoly")
         assert code == 4 and out == ""
         assert err == ("resource limit: characteristic polynomial of order 1024 "
                        "exceeds the cap of 24\n")
+
+
+def test_no_command_builds_a_level_matrix(tree_file, monkeypatch, capsys):
+    """Every command runs on the level profile: with the n x n level matrix
+    made unbuildable, each one still succeeds."""
+    def refuse(vertex_levels):
+        raise AssertionError("an n x n level matrix was built")
+
+    monkeypatch.setattr(LevelMatrix, "from_levels", refuse)
+    argvs = [["analyze", tree_file, "--charpoly", "--format", fmt]
+             for fmt in ("text", "json", "csv")]
+    argvs += [["charpoly", tree_file], ["charpoly", tree_file, "--format", "json"]]
+    argvs += [["special", family, "--order", "7", "--charpoly", "--bounds", "all"]
+              for family in ("star", "path", "leafstar")]
+    argvs += [["special", "dary", "--arity", "2", "--height", "2", "--charpoly",
+               "--format", "json"],
+              ["verify", "--order", "7"],
+              ["extremal", "--order", "7", "--stat", "energy", "--max"]]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 class TestPolynomialText:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from levelspectra import build_level_matrix, enumerate_rooted_trees
 from levelspectra import eigen
 from levelspectra.eigen import symmetric_eigh
 from levelspectra.errors import ConvergenceFailure
+from levelspectra.levelmatrix import build_level_matrix
+from levelspectra.trees import enumerate_rooted_trees
 
 
 def random_symmetric(n, rng):

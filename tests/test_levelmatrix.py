@@ -3,19 +3,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levelspectra import (
+from levelspectra.levelmatrix import (
     build_level_matrix,
     distance_matrix,
+    matrix_text,
+    row_sum_difference,
+    row_sum_differences,
+    sequence_distances,
+)
+from levelspectra.trees import (
     enumerate_rooted_trees,
     is_rooted_path,
+    level_sequences,
     levels,
-    matrix_text,
     rooted_path,
     rooted_star,
-    row_sum_difference,
+    tree_from_level_sequence,
 )
-from levelspectra.levelmatrix import row_sum_differences, sequence_distances
-from levelspectra.trees import level_sequences, tree_from_level_sequence
 
 from conftest import SAMPLE9_H, SAMPLE9_LI, SAMPLE9_MATRIX, SAMPLE9_ROW_SUMS
 

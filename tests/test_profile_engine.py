@@ -15,43 +15,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelspectra import (
-    LevelMatrix,
-    RootedTree,
-    SpectralData,
-    build_level_matrix,
-    clustered_multiplicity,
-    delete_leaf,
-    enumerate_rooted_trees,
-    exact_zero_multiplicity,
-    level_profile,
-    level_sequences,
-    levels,
-    profile_index,
-    profile_stacks,
-    quotient_matrix,
-    rooted_path,
-    rooted_star,
-    solve_profiles,
-    symmetric_eigenvalues,
-    verify_order,
-)
 from levelspectra import spectra as spectra_mod
+from levelspectra import verify as verify_mod
+from levelspectra.bounds import CHECKS
 from levelspectra.eigen import symmetric_eigh
 from levelspectra.errors import ResourceLimit
-from levelspectra.trees import STACK_SIZE
-from levelspectra.bounds import CHECKS
+from levelspectra.levelmatrix import LevelMatrix, build_level_matrix
 from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
     MAX_LEVELS,
     RANK_PRIME,
+    SpectralData,
     _cluster,
     _rank_certificate,
     _rank_mod_p,
     _residues,
+    clustered_multiplicity,
+    exact_zero_multiplicity,
+    level_profile,
+    quotient_matrix,
+    solve_profiles,
+    symmetric_eigenvalues,
 )
-from levelspectra import verify as verify_mod
-from levelspectra.verify import _leaf_pairs, extremal_sweep
+from levelspectra.trees import (
+    STACK_SIZE,
+    RootedTree,
+    delete_leaf,
+    enumerate_rooted_trees,
+    level_sequences,
+    levels,
+    profile_index,
+    profile_stacks,
+    rooted_path,
+    rooted_star,
+)
+from levelspectra.verify import _leaf_pairs, extremal_sweep, verify_order
 
 from conftest import SAMPLE9_LEVELS, SAMPLE9_SPECTRUM, parent_arrays, profiles_by_index
 
@@ -86,7 +84,6 @@ def assert_matches_oracle(tree: RootedTree) -> None:
     assert abs(engine.energy - dense.energy) <= 1e-12 * scale * tree.n
     assert [m for _, m in engine.clusters] == [m for _, m in dense.clusters]
     assert data.nullity.tolist() == [exact_zero_multiplicity(matrix)]
-    assert engine.perron is None
 
 
 @pytest.mark.parametrize("order", range(1, 10))
@@ -118,7 +115,7 @@ class TestProfiles:
 
     def test_single_vertex(self):
         data = SpectralData.from_tree(rooted_path(1))
-        assert data.values.tolist() == [[0.0]] and data.spectrum().perron is None
+        assert data.values.tolist() == [[0.0]]
         assert data.nullity.tolist() == [1]
 
     def test_cached_once_per_profile(self):
@@ -126,7 +123,6 @@ class TestProfiles:
         first = solve_profiles([(1, 3, 2)])
         assert np.array_equal(solve_profiles([(1, 3, 2)]).values, first.values)
         assert not first.values.flags.writeable
-        assert first.spectrum().perron is None
 
     def test_trees_sharing_a_profile_share_values(self):
         a = SpectralData.from_tree(RootedTree([-1, 0, 1, 0, 3]))  # levels 0 1 2 1 2

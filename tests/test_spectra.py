@@ -6,30 +6,35 @@ import pickle
 import numpy as np
 import pytest
 
-from levelspectra import (
-    build_level_matrix,
+from levelspectra.bounds import BoundReport, Comparison, SpectralData
+from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
+from levelspectra.levelmatrix import LevelMatrix, build_level_matrix
+from levelspectra.spectra import (
+    DEFAULT_CLUSTER_TOL,
+    CharPoly,
+    Spectrum,
     characteristic_polynomial,
     charpoly_roots,
     clustered_multiplicity,
+    exact_zero_multiplicity,
+    level_profile,
+    perron_vector,
+    profile_charpoly,
+    solve_profiles,
+    symmetric_eigenvalues,
+)
+from levelspectra.trees import (
     delete_leaf,
     enumerate_rooted_trees,
-    exact_zero_multiplicity,
     levels,
-    perron_vector,
     profile_stacks,
     rooted_path,
     rooted_star,
-    solve_profiles,
     star_rooted_at_leaf,
-    symmetric_eigenvalues,
 )
-from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
-from levelspectra.bounds import BoundReport, Comparison, SpectralData
-from levelspectra.levelmatrix import LevelMatrix
-from levelspectra.spectra import DEFAULT_CLUSTER_TOL, CharPoly, Spectrum
 from levelspectra.verify import INTERLACING_TOL, _interlacing, _leaf_stack, _solved_space
 
-from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM
+from conftest import SAMPLE9_CHARPOLY, SAMPLE9_RHO, SAMPLE9_SPECTRUM, profiles_by_index
 
 
 class TestSpectrum:
@@ -53,7 +58,6 @@ class TestSpectrum:
         assert sp.values.tolist() == [0.0]
         assert sp.rho == 0.0
         assert sp.energy == 0.0
-        assert sp.perron is None
 
     def test_trace_invariants(self):
         for n in range(1, 8):
@@ -167,6 +171,35 @@ class TestCharPoly:
     def test_cap(self, sample9):
         with pytest.raises(ResourceLimit):
             characteristic_polynomial(build_level_matrix(sample9), cap=8)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_profile_charpoly_is_the_dense_one(self, n):
+        """det(xI - L) = x^(n-h-1) det(xI - B) by Sylvester's identity: on
+        every level profile of the order, against Faddeev-LeVerrier on its
+        n x n level matrix. The trees of one profile have that level matrix
+        up to a relabelling of their vertices; through order 10 each tree's
+        own matrix is checked as well."""
+        for profile in profiles_by_index(n):
+            sorted_levels = np.repeat(np.arange(len(profile)), profile)
+            dense = characteristic_polynomial(LevelMatrix.from_levels(sorted_levels))
+            assert profile_charpoly(profile) == dense
+        if n <= 10:
+            for tree in enumerate_rooted_trees(n):
+                assert (profile_charpoly(level_profile(levels(tree)))
+                        == characteristic_polynomial(build_level_matrix(tree)))
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_profile_charpoly_of_stars_and_paths(self, n):
+        for tree in (rooted_star(n), rooted_path(n)):
+            assert (profile_charpoly(level_profile(levels(tree)))
+                    == characteristic_polynomial(build_level_matrix(tree)))
+
+    def test_profile_charpoly_cap(self):
+        """The cap is on the order n, not on B's h + 1 rows."""
+        assert profile_charpoly((1, 23)).coeffs[:3] == (1, 0, -23)
+        with pytest.raises(ResourceLimit, match="order 25 exceeds the cap of 24"):
+            profile_charpoly((1, 23, 1))
+        assert profile_charpoly((1, 23, 1), cap=25).degree == 25
 
     def test_evaluation_and_json(self):
         cp = CharPoly((1, 0, -1))

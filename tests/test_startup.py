@@ -18,6 +18,12 @@ from levelspectra.verify import available_cpus
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
 
+#: What ``levelspectra`` exports: the engine, the exhaustive runs, the tree
+#: parser and the special families.
+ENTRY_POINTS = sorted(["solve_profiles", "SpectralData", "profile_stacks", "verify_order",
+                       "extremal_sweep", "parse_tree", "from_parent_list", "rooted_star",
+                       "rooted_path", "star_rooted_at_leaf", "complete_dary"])
+
 
 def run_python(code: str, **env_overrides) -> dict:
     """Run ``code`` in a new interpreter with this checkout's package first
@@ -43,11 +49,11 @@ def test_package_import_loads_no_numpy_and_every_name_resolves():
         "numpy_loaded = 'numpy' in sys.modules\n"
         "missing = [n for n in levelspectra.__all__ if not hasattr(levelspectra, n)]\n"
         "print(json.dumps({'numpy_loaded': numpy_loaded, 'missing': missing,\n"
-        "                  'names': len(levelspectra.__all__)}))\n"
+        "                  'names': levelspectra.__all__}))\n"
     )
     assert not out["numpy_loaded"]
     assert out["missing"] == []
-    assert out["names"] > 0
+    assert out["names"] == ENTRY_POINTS
 
 
 def test_star_import_and_unknown_name():
@@ -56,16 +62,18 @@ def test_star_import_and_unknown_name():
         "import levelspectra\n"
         "ns = {}\n"
         "exec('from levelspectra import *', ns)\n"
-        "try:\n"
-        "    levelspectra.no_such_name\n"
-        "    raised = False\n"
-        "except AttributeError:\n"
-        "    raised = True\n"
+        "raised = []\n"
+        "for name in ('no_such_name', 'build_level_matrix'):\n"
+        "    try:\n"
+        "        getattr(levelspectra, name)\n"
+        "    except AttributeError:\n"
+        "        raised.append(name)\n"
         "print(json.dumps({'star': sorted(k for k in ns if k != '__builtins__'),\n"
         "                  'all': sorted(levelspectra.__all__), 'raised': raised}))\n"
     )
-    assert out["star"] == out["all"]
-    assert out["raised"]
+    assert out["star"] == out["all"] == ENTRY_POINTS
+    # a name that is not an entry point is imported from its module
+    assert out["raised"] == ["no_such_name", "build_level_matrix"]
 
 
 _BLAS_PROBE = (

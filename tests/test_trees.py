@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from levelspectra import (
+from levelspectra.trees import (
     RootedTree,
     canonical_level_sequence,
     canonicalize,

@@ -8,24 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levelspectra import (
-    level_profile,
-    rooted_tree_count,
-    verify_order,
-)
-from levelspectra.bounds import path_rho_closed_form
-from levelspectra.errors import AmbiguousCluster, InvalidOrder, ResourceLimit
 from levelspectra import bounds as bounds_mod
 from levelspectra import levelmatrix as levelmatrix_mod
 from levelspectra import spectra as spectra_mod
 from levelspectra import trees as trees_mod
 from levelspectra import verify as verify_mod
+from levelspectra.bounds import path_rho_closed_form
+from levelspectra.errors import AmbiguousCluster, InvalidOrder, ResourceLimit
+from levelspectra.spectra import level_profile
+from levelspectra.trees import rooted_tree_count
 from levelspectra.verify import (
     MAX_OFFENDERS,
     CheckStat,
     ExtremalStat,
     available_checks,
     extremal_sweep,
+    verify_order,
 )
 
 from conftest import leaf_levels, profiles_by_index
