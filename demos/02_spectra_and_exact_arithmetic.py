@@ -41,8 +41,8 @@ rho, v = perron_vector(m)
 print("\nPerron residual |Lv - rho v|:", float(np.linalg.norm(m.entries @ v - rho * v)))
 print("all entries positive:", bool(np.all(v > 0)))
 
-# Exact integer characteristic polynomial: Faddeev-LeVerrier on the
-# (h+1)x(h+1) profile matrix B_ab = |a - b| n_b, times x^(n-h-1).
+# Exact integer characteristic polynomial: that of the (h+1)x(h+1) profile
+# matrix B_ab = |a - b| n_b, by a three-term recurrence, times x^(n-h-1).
 profile = level_profile(levels(tree))
 poly = profile_charpoly(profile)
 print("\nlevel profile:", profile)

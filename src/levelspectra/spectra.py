@@ -22,7 +22,9 @@ which has the rank of S. Its full rank is certified modulo a prime below
 a member the certificate does not decide (in practice only the one-level
 profile) takes its exact rank from Bareiss elimination of B. The exact
 characteristic polynomial, :func:`profile_charpoly`, is x^(n-h-1) times
-that of B, by Sylvester's determinant identity.
+that of B, by Sylvester's determinant identity, and that of B is a
+three-term recurrence in O(h^2) integer operations, under the same
+MAX_LEVELS.
 :func:`_cluster`, the one clustering rule, groups a whole stack's values
 at once, at the tolerance a check passes. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
@@ -36,9 +38,9 @@ quotient (:func:`quotient_matrix`), against the engine's ``eigvalsh``
 values; :func:`exact_zero_multiplicity` is the n x n Bareiss elimination
 (also the engine's fallback), against its nullity; :func:`_rank_mod_p` is
 the one-matrix rank modulo the prime, against the stacked certificate;
-:func:`characteristic_polynomial` of the n x n matrix, against
-:func:`profile_charpoly`; :func:`charpoly_roots` takes the spectrum from
-the exact characteristic polynomial.
+:func:`characteristic_polynomial`, Faddeev-LeVerrier on the n x n matrix
+or on B, against :func:`profile_charpoly`; :func:`charpoly_roots` takes
+the spectrum from the exact characteristic polynomial.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
@@ -63,10 +65,6 @@ from .trees import RootedTree, levels
 #: as one cluster. Integer matrices at desk scale separate far better than
 #: this; exact rank is the authority for the zero cluster.
 DEFAULT_CLUSTER_TOL = 1e-8
-
-#: Characteristic polynomials beyond this order are refused by default; the
-#: coefficients grow combinatorially.
-DEFAULT_CHARPOLY_CAP = 24
 
 
 def _check_tol(tol: float) -> None:
@@ -200,24 +198,17 @@ class CharPoly(Frozen):
         return json.dumps([str(c) for c in self.coeffs])
 
 
-def _check_charpoly_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ResourceLimit(f"characteristic polynomial of order {n} exceeds the cap of {cap}")
-
-
-def characteristic_polynomial(matrix, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPoly:
+def characteristic_polynomial(matrix) -> CharPoly:
     """Exact integer coefficients via the Faddeev-LeVerrier recurrence.
 
     M_1 = I, c_k = -tr(A M_k)/k, M_{k+1} = A M_k + c_k I; every division is
-    exact for integer input.
+    exact for integer input. O(n^4) integer operations and no size limit.
 
-    :func:`profile_charpoly` runs it on the (h+1)x(h+1) profile matrix B.
-    Oracle path: on a tree's n x n level matrix, it is the check of
-    :func:`profile_charpoly`.
+    Oracle path: no command calls it. On a tree's n x n level matrix or on
+    the profile matrix B, it is the check of :func:`profile_charpoly`.
     """
     a = _as_array(matrix)
     n = a.shape[0]
-    _check_charpoly_cap(n, cap)
     A = [[int(a[i, j]) for j in range(n)] for i in range(n)]
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
@@ -237,21 +228,52 @@ def characteristic_polynomial(matrix, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPo
     return CharPoly(tuple(coeffs))
 
 
-def profile_charpoly(profile, cap: int = DEFAULT_CHARPOLY_CAP) -> CharPoly:
+def _continuant(counts: list[int]) -> tuple[list[int], list[int]]:
+    """The last two leading principal minors D_(s-1) and D_s of the
+    tridiagonal A(x) = x L_P + 2 diag(n) of a profile of s levels, as
+    ascending integer coefficient lists of lengths s and s + 1. Row a of
+    A(x) has diagonal x deg_a + 2 n_a, deg_a the degree of level a on the
+    path of levels, and -x on each side, so D_k = (x deg_(k-1) +
+    2 n_(k-1)) D_(k-1) - x^2 D_(k-2), from D_0 = 1 and D_(-1) = 0. At
+    s = 1 only D_0 is read."""
+    s = len(counts)
+    before, last = [], [1]
+    for k, count in enumerate(counts):
+        twice, degree = 2 * count, 1 if k in (0, s - 1) else 2
+        before, last = last, [twice * d + degree * e - f for d, e, f in
+                              zip([*last, 0], [0, *last], [0, 0, *before])]
+    return before, last
+
+
+def profile_charpoly(profile) -> CharPoly:
     """Exact characteristic polynomial det(xI - L) of the level matrix of a
-    level profile (n_0, ..., n_h) of order n, refused above ``cap``.
+    level profile (n_0, ..., n_h) of order n, in O(h^2) integer operations.
 
     L = E D E^T, with E the n x (h+1) level indicator and D_ab = |a - b|, and
     E^T E = diag(n_b), so by Sylvester's determinant identity
     det(xI - L) = x^(n-h-1) det(xI - B) with B = D diag(n_b), the profile
-    matrix B_ab = |a - b| n_b: :func:`characteristic_polynomial` of B in
-    Python integers, followed by n - h - 1 zero coefficients.
+    matrix B_ab = |a - b| n_b. D is the distance matrix of a path of
+    s = h + 1 vertices, whose inverse (Graham and Lovasz, 1978) is
+    -L_P / 2 + t t^T / (2h), with L_P the path's Laplacian and t = (1, 0,
+    ..., 0, 1), and det D = (-1)^h h 2^(h-1). The matrix determinant lemma
+    on xD^-1 - diag(n_b) = -(A(x) - x t t^T / h) / 2 then gives
+
+        det(xI - B) = -[h D_s - x (D_(s-1) + E_(s-1) + 2 x^h)] / 4,
+
+    with D_k the leading k x k minors of A(x) (:func:`_continuant`) and
+    E_(s-1) the trailing one, the same recurrence on the reversed profile.
+    At s = 1, where h D_s = 0 and D_0 = E_0 = 1, it gives x. Refused, as
+    by :func:`solve_profiles`, above MAX_LEVELS levels.
     """
-    counts = _profile_counts([profile])[0]
-    n = int(counts.sum())
-    _check_charpoly_cap(n, cap)
-    coeffs = characteristic_polynomial(_profile_matrix(counts.astype(object)), cap=cap).coeffs
-    return CharPoly(coeffs + (0,) * (n - len(counts)))
+    counts = _profile_counts([profile])[0].tolist()
+    s, n = len(counts), sum(counts)
+    before, last = _continuant(counts)
+    trailing, _ = _continuant(counts[::-1])
+    bracket = [(s - 1) * d - e - f for d, e, f in zip(last, [0, *before], [0, *trailing])]
+    bracket[s] -= 2  # x times 2 x^h
+    quarters = [divmod(-c, 4) for c in reversed(bracket)]
+    assert all(r == 0 for _, r in quarters), "the division by 4 must be exact on integers"
+    return CharPoly(tuple(q for q, _ in quarters) + (0,) * (n - s))
 
 
 def charpoly_roots(charpoly: CharPoly) -> np.ndarray:
@@ -334,11 +356,22 @@ def level_profile(vertex_levels) -> tuple[int, ...]:
     return tuple(int(c) for c in np.bincount(np.asarray(vertex_levels, dtype=np.int64)))
 
 
+#: Most levels (h + 1) of a profile that is solved or whose polynomial is
+#: taken. A deep profile costs O(h^3) in LAPACK's ``eigvalsh``, and O(h^2)
+#: in the rank certificate and in the recurrence of :func:`profile_charpoly`
+#: (integer operations on coefficients of up to about 14,300 bits at 1,024
+#: levels): ``analyze`` of rooted paths of 500 and 1,000 vertices takes 0.17
+#: and 0.32 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.02 and
+#: 0.08 s, and ``profile_charpoly`` of the 1,024-level path 0.3-0.54 s.
+MAX_LEVELS = 1024
+
+
 def _profile_counts(counts) -> np.ndarray:
     """``counts`` as a (k, h+1) int64 array of level profiles, the one check
     of a profile: ``ValueError`` unless every count is an integer, positive
     up to the row's deepest level and zero after it, and every row of one
-    order. So a row may be padded with zeros to the stack's width."""
+    order, then ``ResourceLimit`` for more than MAX_LEVELS levels. So a row
+    may be padded with zeros to the stack's width."""
     array = np.asarray(counts)
     if array.dtype.kind not in "iu" or array.ndim != 2 or not array.size:
         raise ValueError(f"level profiles need a (k, h+1) array of integers, got {counts!r}")
@@ -350,6 +383,9 @@ def _profile_counts(counts) -> np.ndarray:
     if len(bad):
         raise ValueError("level profiles need positive counts, zero only after the deepest "
                          f"level, of one order, got {array[bad[0]].tolist()} in row {bad[0]}")
+    if array.shape[1] > MAX_LEVELS:
+        raise ResourceLimit(f"a level profile of {array.shape[1]} levels "
+                            f"exceeds the limit of {MAX_LEVELS}")
     return array
 
 
@@ -374,7 +410,8 @@ def quotient_matrix(profile) -> np.ndarray:
     Each entry takes one rounding (the square root of the exact product),
     and is exact where n_a n_b is a square. Oracle path: the tests solve it
     with the in-repo solvers to check the engine, which builds its stacks
-    of quotients itself.
+    of quotients itself. Refused, as by :func:`solve_profiles`, above
+    MAX_LEVELS levels.
     """
     return _quotient_stack(_profile_counts([profile]))[0]
 
@@ -383,13 +420,6 @@ def quotient_matrix(profile) -> np.ndarray:
 #: 2**26, so a product of two residues, and the difference of two such
 #: products, is an exact int64 below 2**53.
 RANK_PRIME = 67_108_859
-
-#: Most levels (h + 1) of a profile the engine solves. A deep profile costs
-#: O(h^3) in LAPACK's ``eigvalsh`` and O(h^2) in the rank certificate:
-#: ``analyze`` of rooted paths of 500 and 1,000 vertices takes 0.17 and
-#: 0.32 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.02 and
-#: 0.08 s.
-MAX_LEVELS = 1024
 
 
 class SpectralData(Frozen):
@@ -561,10 +591,7 @@ def solve_profiles(counts) -> SpectralData:
     before anything is solved.
     """
     counts = _profile_counts(counts)
-    k, width = counts.shape
-    if width > MAX_LEVELS:
-        raise ResourceLimit(f"a level profile of {width} levels "
-                            f"exceeds the limit of {MAX_LEVELS}")
+    k = len(counts)
     n = int(counts[0].sum())
     heights = (counts > 0).sum(axis=1) - 1
     values = np.zeros((k, n))

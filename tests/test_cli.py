@@ -489,46 +489,80 @@ class TestCharpolyCommand:
                                    "0", "0", "0", "0", "0"]
 
     def test_cap_is_4(self, tree_file, capsys):
-        code, _, _ = run(capsys, "charpoly", tree_file, "--cap", "5")
-        assert code == 4
+        # there is no --cap: the polynomial's one size limit is MAX_LEVELS
+        code, out, err = run(capsys, "charpoly", tree_file, "--cap", "5")
+        assert code == 64 and out == ""
+        assert "unrecognized arguments: --cap 5" in err
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_is_64(self, tree_file, capsys, cap):
         code, out, err = run(capsys, "charpoly", tree_file, "--cap", cap)
         assert code == 64 and out == ""
-        assert f"--cap must be at least 1, got {cap}" in err
+        assert f"unrecognized arguments: --cap {cap}" in err
 
     @pytest.mark.parametrize("argv", [["charpoly"], ["analyze", "--charpoly"]])
     def test_cap_checked_before_the_matrix_is_built(self, argv, tmp_path,
                                                     monkeypatch, capsys):
-        # neither the profile matrix B nor an n x n level matrix is built
+        # the 30-vertex star's polynomial comes from the recurrence: no n x n
+        # level matrix is built, and no profile matrix B but the one that
+        # analyze's rank certificate reduces
         star = tmp_path / "star.tree"
         star.write_text("30\n0" + " 1" * 29 + "\n")
         built = []
-        monkeypatch.setattr(spectra_mod, "_profile_matrix", built.append)
+        if argv[0] == "charpoly":
+            monkeypatch.setattr(spectra_mod, "_profile_matrix", built.append)
         monkeypatch.setattr(LevelMatrix, "from_levels", built.append)
         code, out, err = run(capsys, argv[0], str(star), *argv[1:])
-        assert code == 4 and out == "" and "exceeds the cap of 24" in err
+        assert (code, err) == (0, "") and "x^30 - 29*x^28\n" in out
         assert built == []
 
-    @pytest.mark.parametrize("command", ["analyze", "special"])
+    @pytest.mark.parametrize("command", ["analyze", "special", "charpoly"])
     def test_cap_checked_before_the_profile_is_solved(self, command, tmp_path,
                                                       monkeypatch, capsys):
-        # a 1,024-vertex path: no solve or bound precedes the refusal
-        n = 1024
+        # a 1,025-vertex path: the level limit refuses it before any
+        # polynomial or solve work
+        n = 1025
         path = tmp_path / "path.tree"
         path.write_text(f"{n}\n" + " ".join(str(p) for p in range(n)) + "\n")
 
-        def solve(counts):
-            raise AssertionError("a profile was solved")
+        def work(*args):
+            raise AssertionError("a profile was solved or its polynomial taken")
 
-        monkeypatch.setattr(cli_mod, "solve_profiles", solve)
-        argv = ([str(path)] if command == "analyze"
-                else ["path", "--order", str(n)])
-        code, out, err = run(capsys, command, *argv, "--charpoly")
+        for name in ("_continuant", "_quotient_stack", "_profile_matrix"):
+            monkeypatch.setattr(spectra_mod, name, work)
+        monkeypatch.setattr(cli_mod, "solve_profiles", work)
+        argv = {"analyze": [str(path), "--charpoly"], "charpoly": [str(path)],
+                "special": ["path", "--order", str(n), "--charpoly"]}[command]
+        code, out, err = run(capsys, command, *argv)
         assert code == 4 and out == ""
-        assert err == ("resource limit: characteristic polynomial of order 1024 "
-                       "exceeds the cap of 24\n")
+        assert err == ("resource limit: a level profile of 1025 levels "
+                       "exceeds the limit of 1024\n")
+
+
+def test_exact_coefficients_print_at_any_size(tmp_path):
+    """The profile (1, 3 x 1,023) of 3,070 vertices has a coefficient of 919
+    digits. Under an int-to-str limit below that, each command still prints
+    every coefficient exactly."""
+    profile = (1,) + (3,) * 1023
+    parents = [0] + [1] * 3 + [p for level in range(1, 1023)
+                               for p in [3 * level - 1] * 3]
+    tree = tmp_path / "deep.tree"
+    tree.write_text(f"{len(parents)}\n" + " ".join(map(str, parents)) + "\n")
+    expected = [str(c) for c in spectra_mod.profile_charpoly(profile).coeffs]
+    assert max(map(len, expected)) == 920  # 919 digits and a sign
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, read in (
+            (["charpoly"], lambda out: out.splitlines()[1].split()[1:]),
+            (["charpoly", "--format", "json"], json.loads),
+            (["analyze", "--charpoly", "--bounds", "none", "--format", "json"],
+             lambda out: json.loads(out)["charpoly"])):
+        done = subprocess.run([sys.executable, "-m", "levelspectra.cli", argv[0], str(tree),
+                               *argv[1:]], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert read(done.stdout) == expected, argv
 
 
 def test_no_command_builds_a_level_matrix(tree_file, monkeypatch, capsys):

@@ -6,13 +6,16 @@ import pickle
 import numpy as np
 import pytest
 
+from levelspectra import spectra as spectra_mod
 from levelspectra.bounds import BoundReport, Comparison, SpectralData
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
 from levelspectra.levelmatrix import LevelMatrix, build_level_matrix
 from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
+    MAX_LEVELS,
     CharPoly,
     Spectrum,
+    _profile_matrix,
     characteristic_polynomial,
     charpoly_roots,
     clustered_multiplicity,
@@ -20,6 +23,7 @@ from levelspectra.spectra import (
     level_profile,
     perron_vector,
     profile_charpoly,
+    quotient_matrix,
     solve_profiles,
     symmetric_eigenvalues,
 )
@@ -138,6 +142,13 @@ class TestEnergy:
                 assert sp.energy == pytest.approx(2 * sp.rho, rel=1e-8)
 
 
+def random_profiles(count: int) -> list[tuple[int, ...]]:
+    """Seeded level profiles of a tree (one root) of 2 to 100 levels, with
+    1 to 9 vertices on each level below the root."""
+    rng = np.random.default_rng(26)
+    return [(1, *rng.integers(1, 10, size).tolist()) for size in rng.integers(1, 100, count)]
+
+
 class TestCharPoly:
     def test_sample9_exact(self, sample9):
         cp = characteristic_polynomial(build_level_matrix(sample9))
@@ -168,10 +179,6 @@ class TestCharPoly:
                     lmax = int(levels(tree).max())
                     assert (cp.coeffs[-1] == 0) == (lmax != n - 1)
 
-    def test_cap(self, sample9):
-        with pytest.raises(ResourceLimit):
-            characteristic_polynomial(build_level_matrix(sample9), cap=8)
-
     @pytest.mark.parametrize("n", range(1, 13))
     def test_profile_charpoly_is_the_dense_one(self, n):
         """det(xI - L) = x^(n-h-1) det(xI - B) by Sylvester's identity: on
@@ -194,12 +201,58 @@ class TestCharPoly:
             assert (profile_charpoly(level_profile(levels(tree)))
                     == characteristic_polynomial(build_level_matrix(tree)))
 
-    def test_profile_charpoly_cap(self):
-        """The cap is on the order n, not on B's h + 1 rows."""
+    def test_profile_charpoly_cap(self, monkeypatch):
+        """The one size limit is MAX_LEVELS, on B's h + 1 rows, not on the
+        order n; a taller profile is refused before any work, as by the
+        engine and the quotient."""
         assert profile_charpoly((1, 23)).coeffs[:3] == (1, 0, -23)
-        with pytest.raises(ResourceLimit, match="order 25 exceeds the cap of 24"):
-            profile_charpoly((1, 23, 1))
-        assert profile_charpoly((1, 23, 1), cap=25).degree == 25
+        assert profile_charpoly((1, 23, 1)).degree == 25
+
+        def work(*args):
+            raise AssertionError("work done on a profile past the limit")
+
+        too_tall = (1,) * (MAX_LEVELS + 1)
+        monkeypatch.setattr(spectra_mod, "_continuant", work)
+        monkeypatch.setattr(np.linalg, "eigvalsh", work)
+        for refuses in (profile_charpoly, quotient_matrix, lambda p: solve_profiles([p])):
+            with pytest.raises(ResourceLimit, match="^a level profile of 1025 levels "
+                                                    "exceeds the limit of 1024$"):
+                refuses(too_tall)
+        monkeypatch.undo()
+        monkeypatch.setattr(spectra_mod, "MAX_LEVELS", 5)
+        assert profile_charpoly((1,) * 5).degree == 5
+        with pytest.raises(ResourceLimit, match="6 levels exceeds the limit of 5"):
+            profile_charpoly((1,) * 6)
+
+    @pytest.mark.parametrize("s", range(25, 41))
+    def test_profile_charpoly_of_paths_is_faddeev_leverrier_on_b(self, s):
+        """The paths of up to 24 levels, whose B is their level matrix, are
+        in the test above."""
+        b = _profile_matrix(np.ones(s, dtype=object))
+        assert profile_charpoly((1,) * s) == characteristic_polynomial(b)
+
+    @pytest.mark.parametrize("profile", [(1,) * s for s in range(1, 61)]
+                             + [(1,) * 200, (1,) * MAX_LEVELS] + random_profiles(40),
+                             ids=lambda p: f"{len(p)}-levels-{sum(p)}")
+    def test_profile_charpoly_invariants(self, profile):
+        """Where Faddeev-LeVerrier is too slow: c_1 = 0, c_2 = -H/2, and the
+        constant term of det(xI - B) is det(-B) = -h 2^(h-1) prod n_b, by the
+        Graham-Pollak determinant of the path's distance matrix (0 at h = 0)."""
+        coeffs = profile_charpoly(profile).coeffs
+        s, n = len(profile), sum(profile)
+        assert len(coeffs) == n + 1 and coeffs[:2] == (1, 0)
+        if n >= 2:
+            assert 2 * coeffs[2] == -int(solve_profiles([profile]).h_value[0])
+        h = s - 1
+        assert coeffs[s] == (-h * 2 ** (h - 1) * math.prod(profile) if h else 0)
+        assert not any(coeffs[s + 1:])
+
+    def test_profile_charpoly_of_the_leaf_rooted_star(self):
+        """x^(n-3) (x^3 + (9 - 5n) x + (8 - 4n)), the cubic of
+        ``leafstar_cubic_roots``."""
+        for n in range(3, 201):
+            assert profile_charpoly((1, 1, n - 2)).coeffs == (
+                1, 0, 9 - 5 * n, 8 - 4 * n, *[0] * (n - 3))
 
     def test_evaluation_and_json(self):
         cp = CharPoly((1, 0, -1))
