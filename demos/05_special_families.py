@@ -10,9 +10,15 @@ import math
 
 import numpy as np
 
-from levelspectra.bounds import leafstar_cubic_roots, path_rho_closed_form
+from levelspectra.bounds import path_rho_closed_form
 from levelspectra.levelmatrix import build_level_matrix
-from levelspectra.spectra import exact_zero_multiplicity, symmetric_eigenvalues
+from levelspectra.spectra import (
+    CharPoly,
+    charpoly_roots,
+    exact_zero_multiplicity,
+    profile_charpoly,
+    symmetric_eigenvalues,
+)
 from levelspectra.trees import complete_dary, rooted_path, rooted_star, star_rooted_at_leaf
 
 # Rooted star: the level matrix IS the adjacency matrix, so rho = sqrt(n-1)
@@ -31,14 +37,17 @@ for n in (3, 10, 50):
     print(f"  n={n:3d}  solver={sp.rho:.12f}  closed form={closed:.12f}  "
           f"|diff|={abs(sp.rho - closed):.2e}")
 
-# Star rooted at a leaf: exactly three nonzero eigenvalues, the roots of
-# x^3 + (9-5n)x + (8-4n); everything else is zero.
+# Star rooted at a leaf: levels (1, 1, n-2), and the characteristic
+# polynomial is exactly x^(n-3) (x^3 + (9-5n)x + (8-4n)), so there are three
+# nonzero eigenvalues, the cubic's roots; everything else is zero.
 print("\nstars rooted at a leaf:")
 for n in (3, 6, 20):
+    cubic = CharPoly((1, 0, 9 - 5 * n, 8 - 4 * n))
+    exact = profile_charpoly((1, 1, n - 2)).coeffs == cubic.coeffs + (0,) * (n - 3)
     sp = symmetric_eigenvalues(build_level_matrix(star_rooted_at_leaf(n)))
     nonzero = np.sort(sp.values[np.abs(sp.values) > 1e-8 * max(1, sp.rho)])[::-1]
-    roots = leafstar_cubic_roots(n)
-    print(f"  n={n:3d}  cubic roots {np.round(roots, 6)}  "
+    roots = charpoly_roots(cubic)
+    print(f"  n={n:3d}  x^(n-3) times the cubic: {exact}  cubic roots {np.round(roots, 6)}  "
           f"max residual {np.abs(roots - nonzero).max():.2e}")
 
 # Complete d-ary trees: many vertices share levels, so the zero eigenvalue

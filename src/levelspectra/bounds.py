@@ -258,7 +258,7 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise NoBracket(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):  # the closed forms' brackets reach xtol in under 60 halvings
+    for _ in range(200):  # the path closed form's bracket reaches xtol in under 60 halvings
         mid = 0.5 * (lo + hi)
         if hi - lo <= xtol or mid in (lo, hi):
             return mid
@@ -287,28 +287,6 @@ def path_rho_closed_form(n: int) -> float:
 
     t = _bisect(f, 1e-9, 50.0, xtol=1e-14)
     return 1.0 / (math.cosh(t) - 1.0)
-
-
-def leafstar_cubic_roots(n: int) -> np.ndarray:
-    """The three real roots (descending) of x^3 + (9-5n)x + (8-4n): the
-    nonzero level eigenvalues of the star rooted at a non-central vertex."""
-    if n < 3:
-        raise InvalidOrder(f"need n >= 3, got {n}")
-    b = 9 - 5 * n
-    c = 8 - 4 * n
-
-    def f(x: float) -> float:
-        return (x * x + b) * x + c
-
-    s = math.sqrt(-b / 3.0)  # critical points at +-s; three real roots
-    bound = 1.0 + max(abs(b), abs(c))
-    xtol = 1e-13 * bound
-    roots = [
-        _bisect(f, s, bound, xtol),
-        _bisect(f, -s, s, xtol),
-        _bisect(f, -bound, -s, xtol),
-    ]
-    return np.array(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line surface: per-tree analysis, enumeration verification,
 extremal search, special families, and exact characteristic polynomials.
 
-Exit codes: 0 ok, 1 verification violations or failed expectation, 2 parse
-error, 3 I/O error, 4 resource limit, 64 usage error.
+Exit codes: 0 ok, 1 violations or a failed expectation or exact identity,
+2 parse error, 3 I/O error, 4 resource limit, 64 usage error.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
-from .bounds import BoundReport, leafstar_cubic_roots, path_rho_closed_form
+from .bounds import BoundReport, path_rho_closed_form
 from .errors import LevelSpectraError, ParseError, ResourceLimit
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     CharPoly,
     SpectralData,
     Spectrum,
+    charpoly_roots,
     level_profile,
     profile_charpoly,
     solve_profiles,
@@ -189,12 +190,12 @@ ANALYSIS_REPORT_SCHEMA = {
 class AnalysisReport:
     """Everything the analyzer knows about one tree."""
 
-    __slots__ = ("tree", "data", "spectrum", "charpoly", "bounds", "extras")
+    __slots__ = ("vertex_levels", "data", "spectrum", "charpoly", "bounds", "extras")
 
-    def __init__(self, tree: RootedTree, data: SpectralData,
+    def __init__(self, vertex_levels: np.ndarray, data: SpectralData,
                  spectrum: Spectrum,  # of ``data``, clustered at the report's tolerance
                  charpoly: CharPoly | None, bounds: list[BoundReport], extras: dict):
-        self.tree = tree
+        self.vertex_levels = vertex_levels
         self.data = data
         self.spectrum = spectrum
         self.charpoly = charpoly
@@ -205,12 +206,13 @@ class AnalysisReport:
     def build(cls, tree: RootedTree, include_charpoly: bool = False,
               bound_names=None, tol: float = DEFAULT_CLUSTER_TOL,
               extras: dict | None = None) -> "AnalysisReport":
-        profile = level_profile(levels(tree))
+        vertex_levels = levels(tree)
+        profile = level_profile(vertex_levels)
         charpoly = profile_charpoly(profile) if include_charpoly else None
         data = solve_profiles([profile])
         reports = [] if bound_names == [] else bounds_mod.evaluate_checks(data, bound_names)
         return cls(
-            tree=tree,
+            vertex_levels=vertex_levels,
             data=data,
             spectrum=data.spectrum(tol=tol),
             charpoly=charpoly,
@@ -220,13 +222,13 @@ class AnalysisReport:
 
     def _row_sums(self) -> list[int]:
         """L_i per vertex: the row sum of the vertex's level."""
-        return self.data.level_row_sums[0][levels(self.tree)].tolist()
+        return self.data.level_row_sums[0][self.vertex_levels].tolist()
 
     def to_dict(self) -> dict:
         d, sp = self.data, self.spectrum
         return {
-            "n": self.tree.n,
-            "levels": levels(self.tree).tolist(),
+            "n": len(self.vertex_levels),
+            "levels": self.vertex_levels.tolist(),
             "l_max": int(d.heights[0]),
             "level_index": int(d.level_index[0]),
             "h_value": int(d.h_value[0]),
@@ -243,8 +245,8 @@ class AnalysisReport:
     def to_text(self) -> str:
         d, sp = self.data, self.spectrum
         lines = [
-            f"vertices:      {self.tree.n}",
-            f"levels:        {' '.join(str(v) for v in levels(self.tree).tolist())}",
+            f"vertices:      {len(self.vertex_levels)}",
+            f"levels:        {' '.join(str(v) for v in self.vertex_levels.tolist())}",
             f"l_max:         {d.heights[0]}",
             f"level index:   {d.level_index[0]}",
             f"H:             {d.h_value[0]}",
@@ -344,7 +346,7 @@ def _build_parser() -> _Parser:
 
     p_special = sub.add_parser("special", help="analyze a named family member")
     p_special.add_argument("family", choices=["star", "path", "leafstar", "dary"])
-    p_special.add_argument("--order", type=int, default=None)
+    p_special.add_argument("--order", type=int, default=None, help="star, path, leafstar only")
     p_special.add_argument("--arity", type=int, default=None, help="dary only")
     p_special.add_argument("--height", type=int, default=None, help="dary only")
     p_special.add_argument("--format", choices=["text", "json"], default="text")
@@ -492,11 +494,13 @@ def _family_size(args) -> int:
 
 
 def _cmd_special(args) -> int:
-    if args.family == "dary":
-        if args.arity is None or args.height is None:
-            raise _UsageError("dary needs --arity and --height")
-    elif args.order is None:
-        raise _UsageError(f"{args.family} needs --order")
+    own = ("--arity", "--height") if args.family == "dary" else ("--order",)
+    given = {"--order": args.order, "--arity": args.arity, "--height": args.height}
+    if any(given[option] is None for option in own):
+        raise _UsageError(f"{args.family} needs {' and '.join(own)}")
+    stray = [option for option, value in given.items() if value is not None and option not in own]
+    if stray:
+        raise _UsageError(f"{args.family} takes no {' or '.join(stray)}")
     if _family_size(args) > SPECIAL_MAX_VERTICES:
         raise ResourceLimit(f"the {args.family} asked for has more than "
                             f"{SPECIAL_MAX_VERTICES} vertices")
@@ -520,17 +524,21 @@ def _cmd_special(args) -> int:
         report.extras["closed_form_rho"] = _fmt(closed)
         report.extras["closed_form_residual"] = _fmt(abs(closed - report.data.rho[0]))
     elif args.family == "leafstar":
-        roots = leafstar_cubic_roots(tree.n)
+        n = tree.n
+        cubic = CharPoly((1, 0, 9 - 5 * n, 8 - 4 * n))
+        exact = profile_charpoly((1, 1, n - 2)).coeffs == cubic.coeffs + (0,) * (n - 3)
+        roots = charpoly_roots(cubic)  # numpy's companion matrix, not the engine's eigvalsh
         values = report.data.values[0]
         nonzero = values[np.argsort(-np.abs(values))][:3]
         residual = float(np.abs(np.sort(roots) - np.sort(nonzero)).max())
-        report.extras["cubic_roots"] = " ".join(_fmt(r) for r in sorted(roots, reverse=True))
-        report.extras["cubic_residual"] = _fmt(residual)
+        report.extras.update(cubic=polynomial_text(cubic), cubic_exact=exact,
+                             cubic_roots=" ".join(_fmt(r) for r in roots),
+                             cubic_residual=_fmt(residual))
     if args.format == "json":
         _write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         _write(report.to_text())
-    return EXIT_OK
+    return EXIT_OK if report.extras.get("cubic_exact", True) else EXIT_VIOLATIONS
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,9 @@ def row_sum_difference(sorted_levels, i: int, k: int) -> int:
     """Closed form for L_i - L_k when levels are sorted non-increasing.
 
     ``sorted_levels`` lists the vertex levels in non-increasing order; i and k
-    are 1-based positions with 1 <= i < k <= n. Kept as the scalar oracle of
-    :func:`row_sum_differences`.
+    are 1-based positions with 1 <= i < k <= n. The ``row-sum-difference``
+    check of ``verify`` applies it on consecutive pairs, where it telescopes
+    to all pairs; this is the scalar oracle it is tested against.
     """
     lev = list(sorted_levels)
     n = len(lev)
@@ -134,24 +135,6 @@ def row_sum_difference(sorted_levels, i: int, k: int) -> int:
         raise IndexError("levels must be sorted non-increasing")
     middle = sum(lev[j - 1] for j in range(i + 1, k))
     return (n - 2 * i) * lev[i - 1] - 2 * middle - (n - 2 * k + 2) * lev[k - 1]
-
-
-def row_sum_differences(sorted_levels) -> np.ndarray:
-    """The closed form of :func:`row_sum_difference` for every pair at once,
-    of one level list or of a stack of them along the last axis.
-
-    Entry [..., i-1, k-1] is L_i - L_k for 1 <= i < k <= n; the entries on
-    and below the diagonal have no meaning.
-    """
-    lev = np.asarray(sorted_levels, dtype=np.int64)
-    if np.any(lev[..., :-1] < lev[..., 1:]):
-        raise IndexError("levels must be sorted non-increasing")
-    n = lev.shape[-1]
-    pos = np.arange(1, n + 1)
-    prefix = np.cumsum(np.concatenate((0 * lev[..., :1], lev), axis=-1), axis=-1)  # first m levels
-    middle = prefix[..., None, :-1] - prefix[..., 1:, None]  # levels strictly between i and k
-    return (((n - 2 * pos) * lev)[..., :, None] - 2 * middle
-            - ((n - 2 * pos + 2) * lev)[..., None, :])
 
 
 def matrix_text(matrix: LevelMatrix) -> str:

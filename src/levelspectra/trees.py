@@ -418,29 +418,42 @@ def is_rooted_star(tree: RootedTree) -> bool:
 # text formats
 # ---------------------------------------------------------------------------
 
+def _decimal(field: str) -> int:
+    """``field`` as an ASCII decimal integer, "-" the only sign: not "+3",
+    "1_0" or other scripts' digits, which ``int`` also takes."""
+    digits = field.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(field)
+    raise ValueError(f"not a decimal integer: {field!r}")
+
+
 def parse_tree(text: str) -> RootedTree:
     """Parse the tree file format: line 1 is n, line 2 the 1-based parent
-    array with 0 marking the root. Errors name vertices 1..n, as the file
+    array with 0 marking the root, each entry an ASCII decimal integer;
+    only blank lines may follow. Errors name vertices 1..n, as the file
     does, quote entries as written, and give the column of an entry that is
     at fault by itself."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty input, expected vertex count", line=1)
     try:
-        n = int(lines[0].strip())
+        n = _decimal(lines[0].strip())
     except ValueError:
         raise ParseError(f"expected vertex count, got {lines[0].strip()!r}", line=1) from None
     if n < 1:
         raise ParseError(f"vertex count must be positive, got {n}", line=1)
     if len(lines) < 2 or not lines[1].strip():
         raise ParseError("missing parent array", line=2)
+    after = next((i for i in range(2, len(lines)) if lines[i].strip()), None)
+    if after is not None:
+        raise ParseError("unexpected content after the parent array", line=after + 1)
     fields = lines[1].split()
     if len(fields) != n:
         raise ParseError(f"expected {n} parent entries, got {len(fields)}", line=2)
     parents = []
     for col, field in enumerate(fields, start=1):
         try:
-            parents.append(int(field))
+            parents.append(_decimal(field))
         except ValueError:
             raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
     roots = [v for v, p in enumerate(parents, start=1) if p == 0]

@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds
 from .bounds import COMPARISON_TOL
 from .errors import InvalidOrder, ResourceLimit
-from .levelmatrix import row_sum_differences, sequence_distances
+from .levelmatrix import sequence_distances
 from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _check_tol, _cluster, solve_profiles
 from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_ids,
                     profile_index, profile_stacks, rooted_tree_count)
@@ -374,13 +374,19 @@ def _zero_cluster_consistency(data: SpectralData, tol: float):
 
 
 def _row_sum_difference(data: SpectralData, tol: float):
+    """The closed form f(i, k) of ``levelmatrix.row_sum_difference`` equals
+    L_i - L_k for every pair i < k of the levels l_1 >= ... >= l_n, checked
+    on the consecutive pairs alone, (k, n - 1) arrays, in integers. That is
+    the all-pairs verdict: f telescopes, f(i, k) = sum over i <= j < k of
+    f(j, j+1) = (n - 2j)(l_j - l_(j+1)) (each l_j strictly between i and k
+    gets (n - 2j) - (n - 2j + 2) = -2, as in f), and so does L_i - L_k, the
+    sum of L_j - L_(j+1). So all pairs agree iff the consecutive ones do."""
     k, n = len(data.counts), data.n
     ascending = np.repeat(np.tile(np.arange(data.counts.shape[1]), k), data.counts.ravel())
     lev = ascending.reshape(k, n)[:, ::-1]
     sums = np.take_along_axis(data.level_row_sums, lev, axis=1)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    agree = row_sum_differences(lev) == sums[:, :, None] - sums[:, None, :]
-    return (agree | ~upper).all(axis=(1, 2)), math.nan
+    closed = (n - 2 * np.arange(1, n)) * (lev[:, :-1] - lev[:, 1:])
+    return (closed == sums[:, :-1] - sums[:, 1:]).all(axis=1), math.nan
 
 
 def _interlacing(data: SpectralData, sub: SpectralData, tol: float):

@@ -11,12 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from levelspectra.bounds import leafstar_cubic_roots, path_rho_closed_form
+from levelspectra.bounds import path_rho_closed_form
 from levelspectra.levelmatrix import build_level_matrix
 from levelspectra.spectra import (
+    CharPoly,
     characteristic_polynomial,
     charpoly_roots,
     exact_zero_multiplicity,
+    level_profile,
+    profile_charpoly,
     symmetric_eigenvalues,
 )
 from levelspectra.trees import (
@@ -143,18 +146,24 @@ def test_criterion_5_extremal_structures(full_sweep):
 
 def test_criterion_6_leaf_rooted_star_cubic():
     for n in range(3, 31):
-        matrix = build_level_matrix(star_rooted_at_leaf(n))
+        tree = star_rooted_at_leaf(n)
+        cubic = CharPoly((1, 0, 9 - 5 * n, 8 - 4 * n))
+        exact = profile_charpoly(level_profile(levels(tree))).coeffs
+        assert exact == cubic.coeffs + (0,) * (n - 3), \
+            f"polynomial is not x^(n-3) times the cubic at n={n}"
+        matrix = build_level_matrix(tree)
         spectrum = symmetric_eigenvalues(matrix)
         threshold = 1e-8 * max(1.0, spectrum.rho)
         nonzero = np.sort(spectrum.values[np.abs(spectrum.values) > threshold])[::-1]
         zeros = spectrum.values[np.abs(spectrum.values) <= threshold]
         assert len(nonzero) == 3 and len(zeros) == n - 3, f"wrong split at n={n}"
         assert np.abs(zeros).max(initial=0.0) <= threshold
-        roots = leafstar_cubic_roots(n)
+        roots = charpoly_roots(cubic)
         assert np.abs(roots - nonzero).max() <= 1e-8, f"cubic mismatch at n={n}"
-    assert abs(leafstar_cubic_roots(3)[0] - (1 + math.sqrt(3))) <= 1e-10
+    assert abs(charpoly_roots(CharPoly((1, 0, -6, -4)))[0] - (1 + math.sqrt(3))) <= 1e-10
     announce("6 (leaf-rooted star cubic)",
-             "cubic roots match the nonzero spectrum within 1e-8 for n in 3..30")
+             "the polynomial is exactly x^(n-3) times the cubic, and the cubic's roots "
+             "match the nonzero spectrum within 1e-8, for n in 3..30")
 
 
 def test_criterion_7_dual_pipeline_consistency():

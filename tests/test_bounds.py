@@ -19,12 +19,19 @@ from levelspectra.bounds import (
     check_second_order_identity,
     check_trace_identity,
     evaluate_checks,
-    leafstar_cubic_roots,
     path_rho_closed_form,
 )
 from levelspectra.errors import DegenerateDenominator, InvalidOrder, TooSmall
 from levelspectra.levelmatrix import build_level_matrix
-from levelspectra.spectra import SpectralData, level_profile, solve_profiles, symmetric_eigenvalues
+from levelspectra.spectra import (
+    CharPoly,
+    SpectralData,
+    charpoly_roots,
+    level_profile,
+    profile_charpoly,
+    solve_profiles,
+    symmetric_eigenvalues,
+)
 from levelspectra.trees import (
     enumerate_rooted_trees,
     levels,
@@ -283,27 +290,43 @@ class TestPathClosedForm:
             path_rho_closed_form(1)
 
 
+def leafstar_cubic(n: int) -> CharPoly:
+    """x^3 + (9 - 5n) x + (8 - 4n): the level polynomial of the star of n
+    vertices rooted at a leaf, less its factor x^(n-3)."""
+    return CharPoly((1, 0, 9 - 5 * n, 8 - 4 * n))
+
+
 class TestLeafstarCubic:
+    """The leaf-rooted star's nonzero level spectrum: its polynomial is
+    exactly x^(n-3) times the cubic, and the cubic's roots, by numpy's
+    companion-matrix solve, are the dense oracle's nonzero eigenvalues."""
+
     def test_n3_exact_roots(self):
-        roots = leafstar_cubic_roots(3)
+        assert profile_charpoly((1, 1, 1)) == leafstar_cubic(3)
+        roots = charpoly_roots(leafstar_cubic(3))
         assert roots[0] == pytest.approx(1 + math.sqrt(3), abs=1e-10)
         assert roots[1] == pytest.approx(1 - math.sqrt(3), abs=1e-10)
         assert roots[2] == pytest.approx(-2.0, abs=1e-10)
 
     def test_vieta_sum(self):
         for n in (3, 4, 9, 30):
-            assert abs(leafstar_cubic_roots(n).sum()) < 1e-9
+            assert profile_charpoly((1, 1, n - 2)).coeffs[1] == 0  # exact: the trace
+            assert abs(charpoly_roots(leafstar_cubic(n)).sum()) < 1e-9
 
     def test_matches_nonzero_spectrum(self):
         for n in (3, 4, 6, 12):
+            assert profile_charpoly((1, 1, n - 2)).coeffs == (
+                leafstar_cubic(n).coeffs + (0,) * (n - 3))
             sp = symmetric_eigenvalues(build_level_matrix(star_rooted_at_leaf(n)))
             nonzero = np.sort(sp.values[np.abs(sp.values) > 1e-8 * max(1, sp.rho)])[::-1]
             assert len(nonzero) == 3
-            assert np.allclose(leafstar_cubic_roots(n), nonzero, atol=1e-8)
+            assert np.allclose(charpoly_roots(leafstar_cubic(n)), nonzero, atol=1e-8)
 
     def test_invalid_order(self):
+        """The family, and so the cubic, starts at n = 3, the first order
+        with a vertex on level 2."""
         with pytest.raises(InvalidOrder):
-            leafstar_cubic_roots(2)
+            star_rooted_at_leaf(2)
 
 
 class TestEvaluateChecks:

@@ -12,6 +12,7 @@ import pytest
 
 from levelspectra import cli as cli_mod
 from levelspectra import spectra as spectra_mod
+from levelspectra import trees as trees_mod
 from levelspectra import verify as verify_mod
 from levelspectra.cli import ANALYSIS_REPORT_SCHEMA, main, polynomial_text
 from levelspectra.levelmatrix import LevelMatrix
@@ -63,6 +64,21 @@ class TestAnalyze:
         assert lines[0] == "name,relation,lhs,rhs,slack,satisfied,equality_expected"
         assert any(line.startswith("trace-identity,==,160,160,") for line in lines)
         assert all(",true," in line or ",false," in line for line in lines[1:])
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_levels_taken_once(self, fmt, tree_file, monkeypatch, capsys):
+        """The report keeps the vertex levels that building it computed:
+        one ``levels`` pass per run, whatever the format prints."""
+        calls = []
+
+        def counted(tree):
+            calls.append(tree)
+            return trees_mod.levels(tree)
+
+        monkeypatch.setattr(cli_mod, "levels", counted)
+        code, out, _ = run(capsys, "analyze", tree_file, "--charpoly", "--format", fmt)
+        assert code == 0 and out
+        assert len(calls) == 1
 
     def test_dot(self, tree_file, capsys):
         code, out, _ = run(capsys, "analyze", tree_file, "--format", "dot")
@@ -145,21 +161,40 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, message", [
         ("3\n0 1 5\n", "parent entry '5' of vertex 3 is not a vertex 1..3 (line 2, column 3)"),
         ("3\n0 -1 1\n", "parent entry '-1' of vertex 2 is not a vertex 1..3 (line 2, column 2)"),
-        ("3\n0 1 +4\n", "parent entry '+4' of vertex 3 is not a vertex 1..3 (line 2, column 3)"),
+        ("3\n0 1 +4\n", "bad parent entry '+4' (line 2, column 3)"),
         ("2\n0 0\n", "vertices 1, 2 all have parent 0; a tree has one root (line 2)"),
         ("2\n2 1\n", "no vertex has parent 0; a tree has one root (line 2)"),
         ("3\n0 3 2\n", "parent entries form a cycle: 3 -> 2 -> 3 (line 2)"),
         ("5\n0 4 2 3 1\n", "parent entries form a cycle: 3 -> 2 -> 4 -> 3 (line 2)"),
         ("2\n0 2\n", "parent entries form a cycle: 2 -> 2 (line 2, column 2)"),
+        ("3\n0 1 1\ngarbage\n", "unexpected content after the parent array (line 3)"),
+        ("1_0\n0 1 1 1 1 1 1 1 1 1\n", "expected vertex count, got '1_0' (line 1)"),
+        ("\uff13\n0 1 1\n", "expected vertex count, got '\uff13' (line 1)"),
+        ("+3\n0 1 1\n", "expected vertex count, got '+3' (line 1)"),
+        ("3\n0 \uff11 1\n", "bad parent entry '\uff11' (line 2, column 2)"),
+        ("3\n0 +1 1\n", "bad parent entry '+1' (line 2, column 2)"),
     ], ids=["past-n", "negative", "signed", "two-roots", "no-root", "cycle", "long-cycle",
-            "own-parent"])
+            "own-parent", "trailing-content", "underscore", "fullwidth", "plus",
+            "fullwidth-entry", "plus-entry"])
     def test_parse_errors_number_vertices_as_the_file_does(self, text, message, tmp_path,
                                                           capsys):
         """The file numbers vertices 1..n, so its errors do too; an entry is
-        quoted as written, with its column where it alone is at fault."""
+        quoted as written, with its column where it alone is at fault. Every
+        number is an ASCII decimal integer, "-" the only sign, and only blank
+        lines follow the parent array: the other spellings Python's int()
+        takes are parse errors, not trees."""
         bad = tmp_path / "bad.tree"
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         assert run(capsys, "analyze", str(bad)) == (2, "", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["3\n0 1 1\n\n  \n\t\n", "3\n0 1 1"],
+                             ids=["blank-lines", "no-final-newline"])
+    def test_blank_trailing_lines_and_no_final_newline_are_valid(self, text, tmp_path, capsys):
+        good = tmp_path / "good.tree"
+        good.write_text(text)
+        plain = tmp_path / "plain.tree"
+        plain.write_text("3\n0 1 1\n")
+        assert run(capsys, "analyze", str(good)) == run(capsys, "analyze", str(plain))
 
     @pytest.mark.parametrize("command", ["analyze", "charpoly"])
     def test_file_not_utf8_is_parse_error(self, tmp_path, capsys, command):
@@ -424,8 +459,44 @@ class TestSpecialCommand:
         code, out, _ = run(capsys, "special", "leafstar", "--order", "6", "--charpoly")
         assert code == 0
         assert "x^6 - 21*x^4 - 16*x^3" in out
+        assert "\ncubic:         x^3 - 21*x - 16\ncubic_exact:   True\n" in out
         line = next(l for l in out.splitlines() if "cubic_residual" in l)
         assert float(line.split(":")[1]) < 1e-8
+
+    def test_leafstar_cubic_json(self, capsys):
+        code, out, _ = run(capsys, "special", "leafstar", "--order", "200", "--format", "json")
+        extras = json.loads(out)["extras"]
+        assert code == 0
+        assert extras["cubic"] == "x^3 - 991*x - 792" and extras["cubic_exact"] is True
+        roots = [float(r) for r in extras["cubic_roots"].split()]
+        assert roots == sorted(roots, reverse=True) and abs(sum(roots)) < 1e-9
+        assert float(extras["cubic_residual"]) < 1e-8
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_leafstar_identity_failure_is_1(self, fmt, monkeypatch, capsys):
+        """A polynomial that is not x^(n-3) times the cubic is a violation:
+        the report says so and the exit code is 1."""
+        def off_by_one(profile):
+            coeffs = spectra_mod.profile_charpoly(profile).coeffs
+            return CharPoly(coeffs[:-1] + (coeffs[-1] + 1,))
+
+        monkeypatch.setattr(cli_mod, "profile_charpoly", off_by_one)
+        code, out, err = run(capsys, "special", "leafstar", "--order", "6", "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["extras"]["cubic_exact"] is False
+        else:
+            assert "\ncubic_exact:   False\n" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dary", "--arity", "3", "--height", "5", "--order", "4"], "dary takes no --order"),
+        (["star", "--order", "4", "--arity", "2"], "star takes no --arity"),
+        (["leafstar", "--order", "5", "--height", "2"], "leafstar takes no --height"),
+        (["path", "--order", "5", "--arity", "2", "--height", "1"],
+         "path takes no --arity or --height"),
+    ], ids=["dary-order", "star-arity", "leafstar-height", "path-both"])
+    def test_option_of_another_family_is_64(self, argv, message, capsys):
+        assert run(capsys, "special", *argv) == (64, "", f"usage error: {message}\n")
 
     def test_dary(self, capsys):
         code, out, _ = run(capsys, "special", "dary", "--arity", "2", "--height", "3")

@@ -8,18 +8,20 @@ from levelspectra.levelmatrix import (
     distance_matrix,
     matrix_text,
     row_sum_difference,
-    row_sum_differences,
     sequence_distances,
 )
+from levelspectra.spectra import SpectralData, solve_profiles
 from levelspectra.trees import (
     enumerate_rooted_trees,
     is_rooted_path,
     level_sequences,
     levels,
+    profile_stacks,
     rooted_path,
     rooted_star,
     tree_from_level_sequence,
 )
+from levelspectra.verify import _row_sum_difference
 
 from conftest import SAMPLE9_H, SAMPLE9_LI, SAMPLE9_MATRIX, SAMPLE9_ROW_SUMS
 
@@ -185,27 +187,52 @@ class TestExport:
         assert np.array_equal(parsed, SAMPLE9_MATRIX)
 
 
-def _sorted_levels(order):
-    """Every non-increasing level list of a rooted tree of this order."""
-    seen = set()
-    for tree in enumerate_rooted_trees(order):
-        seen.add(tuple(sorted((int(v) for v in levels(tree)), reverse=True)))
-    return sorted(seen)
+def _all_pairs_verdicts(data: SpectralData) -> list[bool]:
+    """Each member's ``row-sum-difference`` verdict by the scalar closed
+    form on every pair i < k of its non-increasing levels, against the
+    stack's ``level_row_sums``."""
+    verdicts = []
+    for counts, row_sums in zip(data.counts.tolist(), data.level_row_sums.tolist()):
+        lev = [a for a in reversed(range(len(counts))) for _ in range(counts[a])]
+        sums = [row_sums[a] for a in lev]
+        verdicts.append(all(row_sum_difference(lev, i, k) == sums[i - 1] - sums[k - 1]
+                            for i in range(1, len(lev) + 1) for k in range(i + 1, len(lev) + 1)))
+    return verdicts
 
 
 class TestRowSumDifferences:
-    @pytest.mark.parametrize("order", range(1, 10))
-    def test_matches_scalar_closed_form(self, order):
-        for lev in _sorted_levels(order):
-            table = row_sum_differences(lev)
-            assert table.shape == (order, order)
-            for i in range(1, order + 1):
-                for k in range(i + 1, order + 1):
-                    assert table[i - 1, k - 1] == row_sum_difference(lev, i, k)
+    """The ``row-sum-difference`` check reads only consecutive pairs, where
+    the closed form telescopes to all pairs: its verdicts must be those of
+    the scalar closed form on every pair."""
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(IndexError):
-            row_sum_differences([0, 1, 2])
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_matches_scalar_closed_form(self, order):
+        """Every profile of the order (order 1 has no pair), as solved and
+        with its row sums perturbed: one level's shifted in some members,
+        every level's by the same amount, which keeps every difference, in
+        others."""
+        rng = np.random.default_rng(order)
+        failing = 0
+        for _, counts in profile_stacks(order):
+            data = solve_profiles(counts)
+            ok, _ = _row_sum_difference(data, 1e-8)
+            assert ok.tolist() == _all_pairs_verdicts(data) == [True] * len(counts)
+
+            sums = data.level_row_sums.copy()
+            k, width = sums.shape
+            shift = rng.choice([-2, -1, 1, 2], k)
+            one_level = rng.random(k) < 0.6
+            level = rng.integers(0, data.heights + 1)
+            sums[one_level, level[one_level]] += shift[one_level]
+            every_level = ~one_level & (rng.random(k) < 0.5)
+            sums[every_level] += shift[every_level, None]
+            perturbed = SpectralData(data.counts, data.values, data.rho, data.energy,
+                                     data.nullity)
+            perturbed.__dict__["level_row_sums"] = sums  # seed the cached property
+            ok, _ = _row_sum_difference(perturbed, 1e-8)
+            assert ok.tolist() == _all_pairs_verdicts(perturbed)
+            failing += int((~ok).sum())
+        assert failing > 0 if order >= 2 else failing == 0
 
 
 class TestOrderedDistanceMatrix:

@@ -248,8 +248,8 @@ class TestCharPoly:
         assert not any(coeffs[s + 1:])
 
     def test_profile_charpoly_of_the_leaf_rooted_star(self):
-        """x^(n-3) (x^3 + (9 - 5n) x + (8 - 4n)), the cubic of
-        ``leafstar_cubic_roots``."""
+        """x^(n-3) (x^3 + (9 - 5n) x + (8 - 4n)), the cubic that
+        ``special leafstar`` states."""
         for n in range(3, 201):
             assert profile_charpoly((1, 1, n - 2)).coeffs == (
                 1, 0, 9 - 5 * n, 8 - 4 * n, *[0] * (n - 3))
