@@ -15,7 +15,7 @@ The package exports its entry points:
 
 Every other name is imported from the module that defines it: the bound
 checks and closed forms from ``bounds``, the n x n level matrix and the
-distance oracles from ``levelmatrix``, the exact polynomial and the dense
+its oracles from ``levelmatrix``, the exact polynomial and the dense
 oracles from ``spectra``, the dense QL solver from ``eigen``, and the tree
 enumeration, canonical forms and leaf deletion from ``trees``.
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDenominator, Frozen, InvalidOrder, NoBracket, TooSmall
+from .errors import Frozen, InvalidOrder, NoBracket
 from .spectra import SpectralData
 
 #: Uniform comparison tolerance scale: a relation is satisfied within
@@ -175,12 +175,12 @@ def check_rho_row_square(d: SpectralData) -> list[Comparison]:
 
 def check_rho_second_order(d: SpectralData) -> list[Comparison]:
     """rho >= sqrt(sum q_i^2 / sum L_j^2), the Rayleigh quotient of the
-    row-sum vector."""
-    denom = d.row_square_sum
-    if (denom == 0).any():
-        raise DegenerateDenominator("all row sums vanish (single vertex)")
+    row-sum vector; none below order 2, where every row sum vanishes."""
+    if d.n < 2:
+        return []
     return [_compare("rho-second-order", d.rho,
-                     np.sqrt(d.q_square_sum.astype(float) / denom.astype(float)), ">=")]
+                     np.sqrt(d.q_square_sum.astype(float) / d.row_square_sum.astype(float)),
+                     ">=")]
 
 
 def check_second_order_identity(d: SpectralData) -> list[Comparison]:
@@ -192,9 +192,10 @@ def check_second_order_identity(d: SpectralData) -> list[Comparison]:
 
 def check_quotient_bound(d: SpectralData) -> list[Comparison]:
     """rho >= the largest eigenvalue of any 2x2 row-sum quotient matrix:
-    max_i (LI - L_i + sqrt((LI - L_i)^2 + (n-1) L_i^2)) / (n-1)."""
-    if d.n <= 1:
-        raise TooSmall("quotient bound needs n > 1")
+    max_i (LI - L_i + sqrt((LI - L_i)^2 + (n-1) L_i^2)) / (n-1); none below
+    order 2."""
+    if d.n < 2:
+        return []
     li = d.level_index.astype(float)[:, None]
     L = d.level_row_sums.astype(float)  # one entry per level: the same maximum
     best = d.level_max((li - L) + np.sqrt((li - L) ** 2 + (d.n - 1) * L**2)) / (d.n - 1)
@@ -210,10 +211,10 @@ def check_eigenvalue_square(d: SpectralData) -> list[Comparison]:
 def check_eigenvalue_intervals(d: SpectralData) -> list[Comparison]:
     """Per-index eigenvalue intervals from the first two spectral moments
     (zero trace, squared sum H), valid for n > 2; plus the global interval
-    that contains the whole spectrum."""
+    that contains the whole spectrum. None below order 3."""
     n, h = d.n, d.h_value.astype(float)
-    if n <= 2:
-        raise TooSmall("interval bounds need n > 2")
+    if n < 3:
+        return []
     lam = d.values
     outer = np.sqrt((n - 1) * h / n)
     inner = np.sqrt(h / (n * (n - 1)))
@@ -293,27 +294,25 @@ def path_rho_closed_form(n: int) -> float:
 # registry
 # ---------------------------------------------------------------------------
 
-#: name -> (evaluator, minimum order, ledger lines). An evaluator takes a
-#: stack and returns a list of comparisons; the minimum order gates trees
-#: the relation does not cover. A verification ledger records each
+#: name -> (evaluator, ledger lines). An evaluator takes a stack and
+#: returns a list of comparisons, none below the order its relations start
+#: at. A verification ledger records each
 #: comparison under its own name when that is one of the check's lines and
 #: under the check's name otherwise, so the per-index eigenvalue intervals
 #: share one line.
 CHECKS: dict[str, tuple] = {
-    "eigenvalue-cap": (check_eigenvalue_cap, 1, ("eigenvalue-cap",)),
-    "trace-identity": (check_trace_identity, 1, ("trace-identity",)),
-    "rho-mean-square": (check_rho_mean_square, 1, ("rho-mean-square",)),
-    "rho-row-sums": (check_rho_row_sum_bounds, 1,
-                     ("rho-row-sum-lower", "rho-row-sum-upper")),
-    "rho-row-square": (check_rho_row_square, 1, ("rho-row-square",)),
-    "rho-second-order": (check_rho_second_order, 2, ("rho-second-order",)),
-    "second-order-identity": (check_second_order_identity, 1,
-                              ("second-order-identity",)),
-    "quotient-bound": (check_quotient_bound, 2, ("quotient-bound",)),
-    "eigenvalue-square": (check_eigenvalue_square, 1, ("eigenvalue-square",)),
-    "eigenvalue-intervals": (check_eigenvalue_intervals, 3,
+    "eigenvalue-cap": (check_eigenvalue_cap, ("eigenvalue-cap",)),
+    "trace-identity": (check_trace_identity, ("trace-identity",)),
+    "rho-mean-square": (check_rho_mean_square, ("rho-mean-square",)),
+    "rho-row-sums": (check_rho_row_sum_bounds, ("rho-row-sum-lower", "rho-row-sum-upper")),
+    "rho-row-square": (check_rho_row_square, ("rho-row-square",)),
+    "rho-second-order": (check_rho_second_order, ("rho-second-order",)),
+    "second-order-identity": (check_second_order_identity, ("second-order-identity",)),
+    "quotient-bound": (check_quotient_bound, ("quotient-bound",)),
+    "eigenvalue-square": (check_eigenvalue_square, ("eigenvalue-square",)),
+    "eigenvalue-intervals": (check_eigenvalue_intervals,
                              ("eigenvalue-intervals", "spectrum-interval")),
-    "energy-bounds": (check_energy_bounds, 1,
+    "energy-bounds": (check_energy_bounds,
                       ("energy-upper", "energy-upper-improved", "energy-identity")),
 }
 
@@ -325,6 +324,5 @@ def evaluate_checks(d: SpectralData, names=None) -> list[BoundReport]:
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    return [comparison.report() for name in names if d.n >= CHECKS[name][1]
-            for comparison in CHECKS[name][0](d)
+    return [comparison.report() for name in names for comparison in CHECKS[name][0](d)
             if comparison.covered is None or comparison.covered[0]]

@@ -330,7 +330,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--jobs", type=int, default=None,
                           help="worker processes (default: available parallelism); "
                                f"a pool starts only from {verify_mod.POOL_MIN_TREES:,} "
-                               "trees (order 17, above the default cap)")
+                               "trees (order 18, above the default cap)")
     p_verify.add_argument("--out", default=None, help="write the ledger to a file")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     add_tol(p_verify)

@@ -94,10 +94,6 @@ class AmbiguousCluster(LevelSpectraError, ArithmeticError):
     """Eigenvalue clusters overlap at the requested tolerance."""
 
 
-class DegenerateDenominator(LevelSpectraError, ZeroDivisionError):
-    pass
-
-
 class NoBracket(LevelSpectraError, ArithmeticError):
     """A bisection solve found no sign change; indicates a numerical bug."""
 

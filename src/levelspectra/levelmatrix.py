@@ -1,16 +1,19 @@
-"""Level matrix of a rooted tree and its companion aggregates.
+"""The n x n oracles: the level matrix of a rooted tree, and its path distances.
 
 Entry (i, j) is the absolute difference of the levels of vertices i and j.
 The matrix is symmetric with zero diagonal, so its eigenvalues are real and
 sum to zero. Cached alongside: the row sums L_i, the level index
 LI = (1/2) * sum of all entries, and H = trace of the squared matrix.
 
-No command builds the n x n matrix: the bounds and the verifier take these
-aggregates from the level profile (``spectra.SpectralData``), and the
+No command builds an n x n matrix: the bounds and the verifier take these
+aggregates from the level profile (``spectra.SpectralData``), the
 characteristic polynomial comes from the profile matrix
-(``spectra.profile_charpoly``). :class:`LevelMatrix` and
-:func:`build_level_matrix` are kept for the exports and as the oracle that
-the profile aggregates and polynomial are tested against.
+(``spectra.profile_charpoly``), and ``verify`` reads distance-domination and
+row-sum-difference off consecutive pairs. This module holds the independent
+oracles they are tested against: :class:`LevelMatrix` with its aggregates,
+the path distances of :func:`distance_matrix`, and the scalar closed form
+:func:`row_sum_difference`; and :func:`matrix_text`, the text export the
+first demo prints with.
 """
 
 from __future__ import annotations
@@ -92,30 +95,6 @@ def distance_matrix(tree: RootedTree) -> np.ndarray:
                     b = parent[b]
             d = lev[i] + lev[j] - 2 * lev[a]
             dist[i, j] = dist[j, i] = d
-    return dist
-
-
-def sequence_distances(levels) -> np.ndarray:
-    """Path distances of each tree of a (B, n) stack of DFS level
-    sequences, as (B, n, n) of the smallest signed type from int16 up that
-    holds n.
-
-    In preorder the vertices u+1..v, for u < v, lie below lca(u, v), and
-    the shallowest of them is one level under it: lca(u, v) is on level
-    low - 1, low their least level. Column v keeps that minimum for every
-    u < v, one numpy step per vertex for the whole stack.
-    :func:`distance_matrix` is the independent check on it.
-    """
-    lev = np.asarray(levels)
-    b, n = lev.shape
-    lev = lev.astype(np.promote_types(np.int16, np.min_scalar_type(n)))
-    dist = np.zeros((b, n, n), dtype=lev.dtype)
-    low = np.empty_like(lev)  # [:, u] = least level at positions u+1..v
-    for v in range(1, n):
-        np.minimum(low[:, :v - 1], lev[:, v, None], out=low[:, :v - 1])
-        low[:, v - 1] = lev[:, v]
-        up = low[:, :v] - 1  # level of lca(u, v)
-        dist[:, v, :v] = dist[:, :v, v] = (lev[:, :v] - up) + (lev[:, v, None] - up)
     return dist
 
 

@@ -430,24 +430,28 @@ def _decimal(field: str) -> int:
 def parse_tree(text: str) -> RootedTree:
     """Parse the tree file format: line 1 is n, line 2 the 1-based parent
     array with 0 marking the root, each entry an ASCII decimal integer;
-    only blank lines may follow. Errors name vertices 1..n, as the file
-    does, quote entries as written, and give the column of an entry that is
-    at fault by itself."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    only blank lines may follow. Lines break only at "\\n", "\\r\\n" or
+    "\\r", and fields are separated by spaces and tabs, which are all a
+    blank line may hold: ``str.splitlines`` and ``str.split`` would also
+    take form feeds and Unicode spaces. Errors name vertices 1..n, as the
+    file does, quote entries as written, and give the column of an entry
+    that is at fault by itself."""
+    lines = [line.strip(" \t") for line in
+             text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    if not lines[0]:
         raise ParseError("empty input, expected vertex count", line=1)
     try:
-        n = _decimal(lines[0].strip())
+        n = _decimal(lines[0])
     except ValueError:
-        raise ParseError(f"expected vertex count, got {lines[0].strip()!r}", line=1) from None
+        raise ParseError(f"expected vertex count, got {lines[0]!r}", line=1) from None
     if n < 1:
         raise ParseError(f"vertex count must be positive, got {n}", line=1)
-    if len(lines) < 2 or not lines[1].strip():
+    if len(lines) < 2 or not lines[1]:
         raise ParseError("missing parent array", line=2)
-    after = next((i for i in range(2, len(lines)) if lines[i].strip()), None)
+    after = next((i for i in range(2, len(lines)) if lines[i]), None)
     if after is not None:
         raise ParseError("unexpected content after the parent array", line=after + 1)
-    fields = lines[1].split()
+    fields = [field for field in lines[1].replace("\t", " ").split(" ") if field]
     if len(fields) != n:
         raise ParseError(f"expected {n} parent entries, got {len(fields)}", line=2)
     parents = []

@@ -23,7 +23,6 @@ import numpy as np
 from . import bounds
 from .bounds import COMPARISON_TOL
 from .errors import InvalidOrder, ResourceLimit
-from .levelmatrix import sequence_distances
 from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _check_tol, _cluster, solve_profiles
 from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_ids,
                     profile_index, profile_stacks, rooted_tree_count)
@@ -37,21 +36,19 @@ MAX_OFFENDERS = 10
 
 #: Fewest trees for which ``verify_order`` starts a worker pool. CLI wall
 #: time of ``verify --order N --format json``, ``--jobs 1`` against
-#: ``--jobs 2`` with the pool started at every order, 12 interleaved runs per
-#: order on a 2-vCPU host (medians; ``LEVEL_SPECTRA_CAP=17``):
+#: ``--jobs 2`` with the pool started at each order, 12 interleaved runs per
+#: order on a 2-vCPU host (medians; ``LEVEL_SPECTRA_CAP=18``):
 #:
-#:   order    trees   --jobs 1  --jobs 2  --jobs 2 faster
-#:      15   87,811    0.958 s   0.984 s   8 of 12
-#:      16  235,381    2.252 s   1.851 s   9 of 12
-#:      17  634,847    5.328 s   4.255 s  12 of 12
+#:   order      trees   --jobs 1  --jobs 2  --jobs 2 faster
+#:      17    634,847    2.564 s   2.475 s   8 of 12
+#:      18  1,721,159    6.103 s   5.281 s  12 of 12
 #:
-#: Order 17 is the first at which two workers win at least 10 of 12 runs (a
-#: second series gave 8 and 12 of 12 at orders 16 and 17; the smaller orders
-#: below 15 were not re-timed). The calling process builds the verdict
-#: tables before any pool starts, so a pool only splits the walk, and below
-#: that it costs more to start and to hand each worker the tables than it
-#: saves.
-POOL_MIN_TREES = 634847
+#: Order 18 is the first at which two workers win at least 10 of 12 runs (a
+#: second series gave 8 and 9 of 12 at orders 17 and 18). The calling
+#: process builds the verdict tables before any pool starts, so a pool only
+#: splits the walk, and below that it costs more to start and to hand each
+#: worker the tables than it saves.
+POOL_MIN_TREES = 1721159
 
 #: The statistics whose arg-extreme trees a ledger names.
 EXTREMAL_STATS = ("rho", "energy")
@@ -59,7 +56,7 @@ EXTREMAL_STATS = ("rho", "energy")
 
 def _bound_check_of_line() -> dict[str, str]:
     """Ledger line -> the bound check that reports under it."""
-    return {line: name for name, (_, _, lines) in bounds.CHECKS.items() for line in lines}
+    return {line: name for name, (_, lines) in bounds.CHECKS.items() for line in lines}
 
 
 def available_checks() -> list[str]:
@@ -73,7 +70,7 @@ def _resolve_selection(selection) -> tuple[dict[str, set[str]], list[str]]:
     lines to record, and the structural checks. A bound check's name selects
     all its lines; a line's name selects that line of its check."""
     if selection is None:
-        return ({name: set(lines) for name, (_, _, lines) in bounds.CHECKS.items()},
+        return ({name: set(lines) for name, (_, lines) in bounds.CHECKS.items()},
                 list(STRUCTURAL_CHECKS))
     if not selection:
         raise ValueError("selection names no check; pass None to run them all")
@@ -82,7 +79,7 @@ def _resolve_selection(selection) -> tuple[dict[str, set[str]], list[str]]:
     structural: list[str] = []
     for name in selection:
         if name in bounds.CHECKS:
-            bound_lines.setdefault(name, set()).update(bounds.CHECKS[name][2])
+            bound_lines.setdefault(name, set()).update(bounds.CHECKS[name][1])
         elif name in check_of_line:
             bound_lines.setdefault(check_of_line[name], set()).add(name)
         elif name in STRUCTURAL_CHECKS:
@@ -425,11 +422,22 @@ def _zero_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: floa
 
 def _distance_domination(levels: np.ndarray):
     """Level difference <= path distance for every pair, with equality
-    everywhere iff the tree is the rooted path."""
-    entries = np.abs(levels[:, :, None] - levels[:, None, :])
-    dist = sequence_distances(levels)
-    dominated = (entries <= dist).all(axis=(1, 2))
-    equal = (entries == dist).all(axis=(1, 2))
+    everywhere iff the tree is the rooted path, checked on the n - 1
+    consecutive pairs of the preorder alone, (B, n - 1) arrays. That is the
+    all-pairs verdict, for any integer array. For u < v, lca(u, v) is one
+    level above the shallowest of the vertices u+1..v, on level low - 1 with
+    low = min(l_(u+1), ..., l_v), so d(u, v) = l_u + l_v - 2(low - 1):
+    domination at (u, v) means low - 1 <= min(l_u, l_v), and equality
+    low - 1 = min(l_u, l_v). For v = u + 1, low = l_(u+1) and
+    d = l_u - l_(u+1) + 2: domination means l_(u+1) <= l_u + 1, and equality
+    l_(u+1) = l_u + 1. If every consecutive pair is dominated, then
+    low <= l_(u+1) <= l_u + 1 and low <= l_v for every pair; if every step
+    is +1, then low = l_u + 1 for every pair, so equality holds everywhere.
+    The diagonal and the mirrored pairs agree trivially."""
+    step = levels[:, :-1] - levels[:, 1:]
+    entries, dist = np.abs(step), step + 2
+    dominated = (entries <= dist).all(axis=1)
+    equal = (entries == dist).all(axis=1)
     is_path = levels.max(axis=1) == levels.shape[1] - 1
     return dominated & (equal == is_path)
 
@@ -475,9 +483,7 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
     of the stack is left out."""
     folded: dict[str, tuple] = {}
     for check, keep in bound_lines.items():
-        func, min_order, lines = bounds.CHECKS[check]
-        if data.n < min_order:
-            continue
+        func, lines = bounds.CHECKS[check]
         for c in func(data):
             name = c.name if c.name in lines else check
             covered = True if c.covered is None else c.covered

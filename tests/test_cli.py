@@ -173,22 +173,26 @@ class TestExitCodes:
         ("+3\n0 1 1\n", "expected vertex count, got '+3' (line 1)"),
         ("3\n0 \uff11 1\n", "bad parent entry '\uff11' (line 2, column 2)"),
         ("3\n0 +1 1\n", "bad parent entry '+1' (line 2, column 2)"),
+        ("3\n0 1\f1\n", "expected 3 parent entries, got 2 (line 2)"),
+        ("3\n0\u20031 1\n", "expected 3 parent entries, got 2 (line 2)"),
     ], ids=["past-n", "negative", "signed", "two-roots", "no-root", "cycle", "long-cycle",
             "own-parent", "trailing-content", "underscore", "fullwidth", "plus",
-            "fullwidth-entry", "plus-entry"])
+            "fullwidth-entry", "plus-entry", "form-feed", "em-space"])
     def test_parse_errors_number_vertices_as_the_file_does(self, text, message, tmp_path,
                                                           capsys):
         """The file numbers vertices 1..n, so its errors do too; an entry is
         quoted as written, with its column where it alone is at fault. Every
         number is an ASCII decimal integer, "-" the only sign, and only blank
         lines follow the parent array: the other spellings Python's int()
-        takes are parse errors, not trees."""
+        takes are parse errors, not trees. Lines break at newlines alone and
+        fields part at spaces and tabs alone: a form feed or an em space
+        inside the parent array leaves it one entry short."""
         bad = tmp_path / "bad.tree"
         bad.write_text(text, encoding="utf-8")
         assert run(capsys, "analyze", str(bad)) == (2, "", f"parse error: {message}\n")
 
-    @pytest.mark.parametrize("text", ["3\n0 1 1\n\n  \n\t\n", "3\n0 1 1"],
-                             ids=["blank-lines", "no-final-newline"])
+    @pytest.mark.parametrize("text", ["3\n0 1 1\n\n  \n\t\n", "3\n0 1 1", "3\r\n0 1 1\r\n"],
+                             ids=["blank-lines", "no-final-newline", "crlf"])
     def test_blank_trailing_lines_and_no_final_newline_are_valid(self, text, tmp_path, capsys):
         good = tmp_path / "good.tree"
         good.write_text(text)

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from levelspectra.levelmatrix import (
     build_level_matrix,
     distance_matrix,
     matrix_text,
     row_sum_difference,
-    sequence_distances,
 )
 from levelspectra.spectra import SpectralData, solve_profiles
 from levelspectra.trees import (
@@ -21,7 +23,7 @@ from levelspectra.trees import (
     rooted_star,
     tree_from_level_sequence,
 )
-from levelspectra.verify import _row_sum_difference
+from levelspectra.verify import _distance_domination, _row_sum_difference
 
 from conftest import SAMPLE9_H, SAMPLE9_LI, SAMPLE9_MATRIX, SAMPLE9_ROW_SUMS
 
@@ -235,29 +237,75 @@ class TestRowSumDifferences:
         assert failing > 0 if order >= 2 else failing == 0
 
 
+def _lca_rule_distances(row) -> list[list[int]]:
+    """The path distances that the lca rule gives any integer row: for
+    u < v, d(u, v) = l_u + l_v - 2 * (low - 1), low the least of
+    l_(u+1), ..., l_v (lca(u, v) is one level above it in preorder)."""
+    n = len(row)
+    dist = [[0] * n for _ in range(n)]
+    for u in range(n):
+        low = math.inf
+        for v in range(u + 1, n):
+            low = min(low, row[v])
+            dist[u][v] = dist[v][u] = row[u] + row[v] - 2 * (low - 1)
+    return dist
+
+
+def _all_pairs_domination(levels) -> list[bool]:
+    """Each row's ``distance-domination`` verdict on every pair, with the
+    distances of the lca rule: |l_u - l_v| <= d(u, v) everywhere, and
+    equality everywhere iff the row's largest level is n - 1."""
+    verdicts = []
+    for row in np.asarray(levels).tolist():
+        n = len(row)
+        pairs = [(abs(row[u] - row[v]), d) for u, dists in enumerate(_lca_rule_distances(row))
+                 for v, d in enumerate(dists)]
+        verdicts.append(all(entry <= d for entry, d in pairs)
+                        and all(entry == d for entry, d in pairs) == (max(row) == n - 1))
+    return verdicts
+
+
+def _per_tree_verdict(seq) -> bool:
+    """The verdict on the tree's own distance matrix from the LCA walk."""
+    tree = tree_from_level_sequence(seq)
+    entries = build_level_matrix(tree).entries
+    dist = distance_matrix(tree)
+    return bool((entries <= dist).all()) and np.array_equal(entries, dist) == is_rooted_path(tree)
+
+
 class TestOrderedDistanceMatrix:
-    """``sequence_distances``: the path distances of trees numbered in
-    preorder, read off their level sequences."""
+    """``distance-domination`` reads only the consecutive pairs of a level
+    sequence: its verdicts must be those of every pair, with the distances
+    of the lca rule on any integer rows and of the LCA walk on trees."""
 
     @pytest.mark.parametrize("order", range(1, 10))
     def test_matches_lca_walk(self, order):
-        """One tree at a time, a stack of one."""
+        """The lca rule, the reference of the all-pairs verdict, gives every
+        tree of the order its distance matrix."""
         for tree in enumerate_rooted_trees(order):
-            assert np.array_equal(sequence_distances(levels(tree)[None])[0],
+            assert np.array_equal(_lca_rule_distances(levels(tree).tolist()),
                                   distance_matrix(tree))
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_batch_matches_lca_walk(self, order):
-        """Every tree of the order as one (B, n) batch of level sequences."""
-        seqs = list(level_sequences(order))
-        dist = sequence_distances(np.array(seqs))
-        assert dist.shape == (len(seqs), order, order)
-        for seq, d in zip(seqs, dist):
-            assert np.array_equal(d, distance_matrix(tree_from_level_sequence(seq)))
+        """Every tree of the order as one (B, n) batch, and every sequence
+        with one level moved up or down by one, most of which are no tree."""
+        seqs = np.array(list(level_sequences(order)))
+        moved = [seqs]
+        for position in range(order):
+            for shift in (-1, 1):
+                rows = seqs.copy()
+                rows[:, position] += shift
+                moved.append(rows)
+        batch = np.concatenate(moved)
+        ok = _distance_domination(batch)
+        assert ok.tolist() == _all_pairs_domination(batch)
+        assert ok[:len(seqs)].all() and not ok.all()
 
     @given(st.data())
     def test_batch_of_random_sequences(self, data):
-        """DFS level sequences of one length up to 30, canonical or not."""
+        """DFS level sequences of one length up to 30, canonical or not:
+        each tree's verdict on its own distance matrix."""
         n = data.draw(st.integers(min_value=1, max_value=30))
         seqs = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
@@ -265,6 +313,13 @@ class TestOrderedDistanceMatrix:
             for _ in range(n - 1):
                 seq.append(data.draw(st.integers(min_value=1, max_value=seq[-1] + 1)))
             seqs.append(seq)
-        dist = sequence_distances(np.array(seqs))
-        for seq, d in zip(seqs, dist):
-            assert np.array_equal(d, distance_matrix(tree_from_level_sequence(seq)))
+        assert _distance_domination(np.array(seqs)).tolist() == list(map(_per_tree_verdict, seqs))
+
+    @example(np.array([[0, 2]]))  # fails on its last pair only
+    @example(np.array([[3, 1, 2, 3]]))  # dominated, largest level n - 1, not a path
+    @example(np.array([[5, 6, 7], [0, 1, 2]]))  # steps of +1: only the second is a path
+    @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.integers(-4, 14)))
+    def test_any_integer_rows(self, rows):
+        """Any integer (B, n) array, level sequence or not."""
+        assert _distance_domination(rows).tolist() == _all_pairs_domination(rows)

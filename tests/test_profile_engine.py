@@ -313,9 +313,7 @@ def test_engine_matches_in_repo_solvers():
                     == [m for _, m in want.spectrum(i).clusters]), profile
         assert got.nullity.tolist() == want.nullity.tolist(), stack
         # every bound check on the stack
-        for name, (check, min_order, _) in CHECKS.items():
-            if got.n < min_order:
-                continue
+        for name, (check, _) in CHECKS.items():
             got_comparisons, want_comparisons = check(got), check(want)
             assert [c.name for c in got_comparisons] == [c.name for c in want_comparisons]
             for g, w in zip(got_comparisons, want_comparisons):

@@ -341,6 +341,18 @@ class TestTextFormats:
             err = exc
         assert err is not None and err.line == 2 and err.column == 3
 
+    def test_lines_break_at_newlines_and_fields_part_at_blanks(self):
+        """"\\r\\n" and "\\r" end a line as "\\n" does; the other breaks of
+        ``str.splitlines`` and the other blanks of ``str.split`` are no
+        separators, so they leave line 2 one entry short."""
+        star = parse_tree("3\n0 1 1\n")
+        for text in ("3\r\n0 1 1\r\n", "3\r0 1 1\r", "3\n\t0 1\t1 \n \n\n"):
+            assert parse_tree(text) == star
+        for blank in ("\f", "\v", "\x1c", "\x85", "\u2028", "\xa0", "\u2003"):
+            with pytest.raises(ParseError) as caught:
+                parse_tree(f"3\n0 1{blank}1\n")
+            assert caught.value.line == 2
+
     def test_parse_rejects_cycles(self):
         with pytest.raises(ParseError):
             parse_tree("3\n0 3 2\n")
