@@ -185,7 +185,7 @@ def check_rho_second_order(d: SpectralData) -> list[Comparison]:
 
 def check_second_order_identity(d: SpectralData) -> list[Comparison]:
     """sum_i q_i equals sum_j L_j^2 exactly (integers)."""
-    lhs, rhs = d._weighted(d.level_second_order_sums, d.n * d._nh_squared), d.row_square_sum
+    lhs, rhs = d.second_order_sum, d.row_square_sum
     return [_compare("second-order-identity", lhs, rhs, "==", tol_scale=0.0,
                      ok=lhs == rhs)]
 

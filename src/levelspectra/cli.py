@@ -61,6 +61,7 @@ from .trees import (
     parse_tree,
     rooted_path,
     rooted_star,
+    rooted_tree_count,
     star_rooted_at_leaf,
     to_dot,
 )
@@ -329,8 +330,9 @@ def _build_parser() -> _Parser:
                           help="comma-separated subset of checks")
     p_verify.add_argument("--jobs", type=int, default=None,
                           help="worker processes (default: available parallelism); "
-                               f"a pool starts only from {verify_mod.POOL_MIN_TREES:,} "
-                               "trees (order 18, above the default cap)")
+                               "a pool starts only from "
+                               f"{rooted_tree_count(verify_mod.POOL_MIN_ORDER):,} trees "
+                               f"(order {verify_mod.POOL_MIN_ORDER}, above the default cap)")
     p_verify.add_argument("--out", default=None, help="write the ledger to a file")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     add_tol(p_verify)

@@ -536,6 +536,11 @@ class SpectralData(Frozen):
         return self._weighted(self.level_row_sums, self.n * self._nh_squared, 2)
 
     @cached_property
+    def second_order_sum(self) -> np.ndarray:
+        """sum_i q_i = sum_a n_a q_a, which equals sum_i L_i^2."""
+        return self._weighted(self.level_second_order_sums, self.n * self._nh_squared)
+
+    @cached_property
     def q_square_sum(self) -> np.ndarray:
         """sum_i q_i^2 = sum_a n_a q_a^2."""
         return self._weighted(self.level_second_order_sums, self.n * self._nh_squared**2, 2)

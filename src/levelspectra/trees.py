@@ -1,5 +1,5 @@
-"""Rooted trees: parent-array representation, special families, canonical
-enumeration of non-isomorphic rooted trees, and leaf deletion.
+"""Rooted trees: parent arrays that keep their levels, special families,
+the canonical form in O(n log n), canonical enumeration, leaf deletion.
 
 Vertices are indexed 0..n-1 internally; the root's parent is ``NO_PARENT``.
 The external text format is 1-based with 0 marking the root, so a file
@@ -54,10 +54,10 @@ class RootedTree:
 
     ``parent[i]`` is the parent index of vertex ``i``; exactly one vertex,
     the root, carries ``NO_PARENT``. Construction validates the whole
-    structure, so every instance is a genuine rooted tree.
+    structure, so every instance is a genuine rooted tree, and keeps its levels.
     """
 
-    __slots__ = ("_parent", "_root")
+    __slots__ = ("_parent", "_root", "_level")
 
     def __init__(self, parent):
         parent = tuple(int(p) for p in parent)
@@ -90,8 +90,12 @@ class RootedTree:
             for _ in range(n):
                 v = parent[v]
             raise CycleDetected(f"parent pointers cycle through vertex {v}", v)
+        level = [0] * n
+        for v in reached[1:]:  # parent before child
+            level[v] = level[parent[v]] + 1
         self._parent = parent
         self._root = root
+        self._level = np.array(level, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -138,17 +142,8 @@ def from_parent_list(parents) -> RootedTree:
 
 
 def levels(tree: RootedTree) -> np.ndarray:
-    """Distance from the root to each vertex, in one parent-before-child pass."""
-    n = tree.n
-    lev = np.zeros(n, dtype=np.int64)
-    kids = tree.children()
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        for c in kids[v]:
-            lev[c] = lev[v] + 1
-            stack.append(c)
-    return lev
+    """Distance from the root to each vertex, recorded when the tree was built."""
+    return tree._level.copy()
 
 
 def max_level(tree: RootedTree) -> int:
@@ -189,16 +184,8 @@ def complete_dary(d: int, height: int) -> RootedTree:
         raise InvalidOrder(f"need d >= 1, got {d}")
     if height < 0:
         raise InvalidOrder(f"need height >= 0, got {height}")
-    parent = [NO_PARENT]
-    frontier = [0]
-    for _ in range(height):
-        nxt = []
-        for v in frontier:
-            for _ in range(d):
-                parent.append(v)
-                nxt.append(len(parent) - 1)
-        frontier = nxt
-    return RootedTree(parent)
+    n = sum(d ** k for k in range(height + 1))
+    return RootedTree([NO_PARENT] + [(i - 1) // d for i in range(1, n)])  # breadth-first labels
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +193,39 @@ def complete_dary(d: int, height: int) -> RootedTree:
 # ---------------------------------------------------------------------------
 
 def canonical_level_sequence(tree: RootedTree) -> tuple[int, ...]:
-    """Canonical encoding: the lexicographically largest DFS level sequence.
+    """Canonical encoding: the lexicographically largest DFS level sequence,
+    every vertex's subtrees visited in non-increasing order of their own
+    canonical sequences, so invariant under root-preserving isomorphism.
 
-    Subtrees of every vertex are visited in non-increasing order of their own
-    canonical sequences, which makes the result invariant under
-    root-preserving isomorphism.
+    In O(n log n), as in Aho, Hopcroft and Ullman (*The Design and Analysis
+    of Computer Algorithms*, 1974, section 3.2): each level, deepest first,
+    ranks its vertices by key, the tuple of their children's ranks in
+    descending order; one DFS then emits the levels, children in descending
+    rank. Keys order sequences: by induction the ranks of level d + 1 do,
+    and a level-d vertex's sequence is d, then its children's in descending
+    order. At the first child where two keys differ, with sequences s < t,
+    either s and t differ within, or s is a proper prefix of t and is
+    followed by d + 1 (the next sibling) or by nothing, where t goes on with
+    at least d + 2. A key that is a proper prefix of another is likewise a
+    proper prefix of the other's sequence, and lower.
     """
+    lev = tree._level
     kids = tree.children()
-    order = [tree.root]  # breadth first: every parent before its children
-    depth = [0] * tree.n
-    for v in order:
-        for c in kids[v]:
-            depth[c] = depth[v] + 1
-            order.append(c)
-    # Encode the deepest vertices first, so that every subtree's code is
-    # ready before its parent's; no recursion, whatever the height.
-    code: dict[int, tuple[int, ...]] = {}
-    for v in reversed(order):
-        out = (depth[v],)
-        for part in sorted((code.pop(c) for c in kids[v]), reverse=True):
-            out += part
-        code[v] = out
-    return code[tree.root]
+    by_level = np.argsort(lev, kind="stable")
+    starts = [0, *np.cumsum(np.bincount(lev)).tolist()]
+    rank = [0] * tree.n
+    for d in range(len(starts) - 2, -1, -1):
+        here = by_level[starts[d]:starts[d + 1]].tolist()
+        keys = [tuple(sorted(map(rank.__getitem__, kids[v]), reverse=True)) for v in here]
+        index = {key: i for i, key in enumerate(sorted(set(keys)))}
+        for v, key in zip(here, keys):
+            rank[v] = index[key]
+    order, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(sorted(kids[v], key=rank.__getitem__))  # the highest rank pops first
+    return tuple(lev[order].tolist())
 
 
 def level_sequence_parents(seq) -> list[int]:

@@ -34,7 +34,7 @@ INTERLACING_TOL = 1e-8
 #: How many offending trees to record per check before truncating.
 MAX_OFFENDERS = 10
 
-#: Fewest trees for which ``verify_order`` starts a worker pool. CLI wall
+#: Lowest order at which ``verify_order`` starts a worker pool. CLI wall
 #: time of ``verify --order N --format json``, ``--jobs 1`` against
 #: ``--jobs 2`` with the pool started at each order, 12 interleaved runs per
 #: order on a 2-vCPU host (medians; ``LEVEL_SPECTRA_CAP=18``):
@@ -48,7 +48,7 @@ MAX_OFFENDERS = 10
 #: process builds the verdict tables before any pool starts, so a pool only
 #: splits the walk, and below that it costs more to start and to hand each
 #: worker the tables than it saves.
-POOL_MIN_TREES = 1721159
+POOL_MIN_ORDER = 18
 
 #: The statistics whose arg-extreme trees a ledger names.
 EXTREMAL_STATS = ("rho", "energy")
@@ -650,7 +650,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     worker-pool width (default: available parallelism); it must be at least
     1 and is clamped to the CPUs this process may run on. A ``tol`` (the
     checks' cluster tolerance) that is not positive and finite raises
-    ``ValueError`` before the cap or any solve. Below POOL_MIN_TREES trees
+    ``ValueError`` before the cap or any solve. Below order POOL_MIN_ORDER
     no pool is started. Each batch walks its own contiguous range of the
     enumeration, the last one to its end, and the batches are merged in
     order, so the ledger equals the sequential one.
@@ -666,7 +666,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     cpus = available_cpus()
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, expected))
     tables = _verdict_tables(order, bound_lines, structural, tol, EXTREMAL_STATS)
-    if jobs == 1 or expected < POOL_MIN_TREES:
+    if jobs == 1 or order < POOL_MIN_ORDER:
         partials = [_evaluate_batch(order, 0, None, tables)]
     else:
         cuts = [expected * i // jobs for i in range(jobs)] + [None]

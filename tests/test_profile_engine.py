@@ -360,7 +360,7 @@ class TestPaddedRows:
     changes no bit of a member's solve or aggregates."""
 
     FIELDS = ("values", "rho", "energy", "nullity", "heights", "is_path", "level_index",
-              "h_value", "row_square_sum", "q_square_sum")
+              "h_value", "row_square_sum", "second_order_sum", "q_square_sum")
 
     @pytest.mark.parametrize("padded, plain", [
         ([(1, 2, 0)], [(1, 2)]),
@@ -871,8 +871,8 @@ def counts_only(profiles) -> SpectralData:
                         np.zeros(k), np.zeros(k, dtype=np.int64))
 
 
-AGGREGATES = ("level_index", "h_value", "row_square_sum", "q_square_sum",
-              "level_row_sums", "level_second_order_sums")
+AGGREGATES = ("level_index", "h_value", "row_square_sum", "second_order_sum",
+              "q_square_sum", "level_row_sums", "level_second_order_sums")
 
 
 def aggregate_dtypes(data: SpectralData, python_ints=()) -> tuple[dict, dict]:
@@ -887,8 +887,8 @@ def assert_aggregates_match_matrices(profiles, python_ints=()) -> None:
     """Every aggregate of a stack equals each member's dense matrix's, in
     Python integers for those named in ``python_ints`` and int64 for the
     rest. Each aggregate takes int64 when its own bound is below 2**63:
-    with N = n h, N**2 for L_a, q_a, LI and H, n N**2 for the sum of L_a**2
-    and n N**4 for the sum of q_a**2."""
+    with N = n h, N**2 for L_a, q_a, LI and H, n N**2 for the sums of L_a**2
+    and of q_a, and n N**4 for the sum of q_a**2."""
     data = counts_only(profiles)
     exact = tuple(getattr(data, name) for name in AGGREGATES)
     actual, expected = aggregate_dtypes(data, python_ints)
@@ -898,9 +898,9 @@ def assert_aggregates_match_matrices(profiles, python_ints=()) -> None:
         matrix = LevelMatrix.from_levels(lev)
         q = matrix.entries @ matrix.row_sums
         assert (data.n, int(data.heights[i])) == (matrix.n, matrix.l_max)
-        assert [int(a[i]) for a in exact[:4]] == [
-            matrix.level_index, matrix.h_value,
-            sum(int(x) ** 2 for x in matrix.row_sums), sum(int(x) ** 2 for x in q)]
+        assert [int(a[i]) for a in exact[:5]] == [
+            matrix.level_index, matrix.h_value, sum(int(x) ** 2 for x in matrix.row_sums),
+            sum(int(x) for x in q), sum(int(x) ** 2 for x in q)]
         assert data.level_row_sums[i][lev].tolist() == matrix.row_sums.tolist()
         assert data.level_second_order_sums[i][lev].tolist() == q.tolist()
 
@@ -919,8 +919,9 @@ def test_profile_aggregates_of_random_trees(tree):
 
 #: The aggregates of the rooted path of n vertices in Python integers: none
 #: up to n = 128, where 128 * (128 * 127)**4 < 2**63, then the sum of q_a**2.
+#: The 1,024-vertex path is the longest that is solved (spectra.MAX_LEVELS).
 PATH_PYTHON_INTS = {50: (), 127: (), 128: (), 129: ("q_square_sum",),
-                    250: ("q_square_sum",)}
+                    250: ("q_square_sum",), 1024: ("q_square_sum",)}
 
 
 @pytest.mark.parametrize("n", list(PATH_PYTHON_INTS))
@@ -946,6 +947,7 @@ def test_aggregates_exact_beyond_int64():
     assert data.level_second_order_sums[0].tolist() == q
     assert int(data.level_index[0]) == sum(c * x for c, x in zip(profile, row)) // 2
     assert int(data.row_square_sum[0]) == sum(c * x * x for c, x in zip(profile, row))
+    assert int(data.second_order_sum[0]) == sum(c * x for c, x in zip(profile, q))
     assert int(data.q_square_sum[0]) == sum(c * x * x for c, x in zip(profile, q))
 
 

@@ -209,7 +209,7 @@ def test_verify_with_a_pool_imports_it():
         "from levelspectra.cli import main\n",
         "from levelspectra.cli import main\n"
         "import levelspectra.verify\n"
-        "levelspectra.verify.POOL_MIN_TREES = 0\n")
+        "levelspectra.verify.POOL_MIN_ORDER = 1\n")
     out = run_python(probe.format(argvs=[["verify", "--order", "8", "--jobs", "2",
                                           "--format", "json"]]))
     assert out == {"codes": [0], "pool": True}

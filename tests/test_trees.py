@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from levelspectra.trees import (
     from_parent_list,
     is_rooted_path,
     is_rooted_star,
+    level_sequences,
     levels,
     parse_tree,
     profile_index,
@@ -219,6 +221,68 @@ class TestEnumeration:
             tree_from_level_sequence([1, 2])
         with pytest.raises(InvalidOrder):
             tree_from_level_sequence([0, 2])
+
+
+def _relabelled(parent, rng) -> RootedTree:
+    """The tree of a 0-based parent array with its vertices renamed by a
+    random permutation, so the root may be any vertex."""
+    perm = list(range(len(parent)))
+    rng.shuffle(perm)
+    out = [0] * len(parent)
+    for i, p in enumerate(parent):
+        out[perm[i]] = -1 if p == -1 else perm[p]
+    return RootedTree(out)
+
+
+def _random_parent_array(n, rng) -> list[int]:
+    """Each vertex attached to an earlier one: anywhere (shallow trees) or
+    among the last few (deep ones)."""
+    reach = rng.choice([None, 3])
+    return [-1] + [rng.randrange(i) if reach is None else max(0, i - rng.randint(1, reach))
+                   for i in range(1, n)]
+
+
+def _bfs_levels(tree) -> list[int]:
+    """Levels from a breadth-first search over child lists built here."""
+    kids = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parent):
+        if p != -1:
+            kids[p].append(v)
+    lev = [0] * tree.n
+    queue = [tree.root]
+    for v in queue:
+        for c in kids[v]:
+            lev[c] = lev[v] + 1
+            queue.append(c)
+    return lev
+
+
+class TestCanonicalForm:
+    """The canonical form of relabelled and large trees; the labelled
+    oracle above reaches order 7 only."""
+
+    def test_relabelled_trees_give_their_sequence_back(self):
+        rng = random.Random(29)
+        for n in range(1, 12):
+            for seq in level_sequences(n):
+                tree = _relabelled(tree_from_level_sequence(seq).parent, rng)
+                assert canonical_level_sequence(tree) == seq
+
+    def test_random_trees(self):
+        rng = random.Random(2000)
+        for _ in range(60):
+            parent = _random_parent_array(rng.randint(1, 2000), rng)
+            tree, twin = _relabelled(parent, rng), _relabelled(parent, rng)
+            assert canonical_level_sequence(tree) == canonical_level_sequence(twin)
+            canon = canonicalize(tree)
+            assert canonicalize(canon) == canon == canonicalize(twin)
+            assert levels(tree).tolist() == _bfs_levels(tree)
+            assert levels(twin).tolist() == _bfs_levels(twin)
+
+    def test_large_path_and_star(self):
+        n = 200_000
+        assert canonical_level_sequence(rooted_path(n)) == tuple(range(n))
+        assert canonical_level_sequence(rooted_star(n)) == (0,) + (1,) * (n - 1)
 
 
 class TestProfileStacks:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levelspectra import bounds as bounds_mod
+from levelspectra import cli as cli_mod
 from levelspectra import levelmatrix as levelmatrix_mod
 from levelspectra import spectra as spectra_mod
 from levelspectra import trees as trees_mod
@@ -107,7 +108,7 @@ class TestVerifyOrder:
             verify_order(0)
 
     def test_parallel_matches_sequential(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+        monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
         seq = verify_order(8, jobs=1)
         par = verify_order(8, jobs=2)
         assert json.dumps(seq.to_dict(), sort_keys=True) == \
@@ -375,16 +376,26 @@ class TestPoolWidth:
     def pool(self, monkeypatch):
         _RecordingPool.widths = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+        monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
         return _RecordingPool
 
     def test_no_pool_below_the_cut_off(self, pool, monkeypatch):
-        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 116)
-        verify_order(8, jobs=2)  # 115 trees
+        monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 9)
+        verify_order(8, jobs=2)
         assert pool.widths == []
-        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 115)
+        monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 8)
         verify_order(8, jobs=2)
         assert pool.widths == [2]
+
+    def test_cut_off_in_orders_is_one_in_trees(self, capsys):
+        """Tree counts rise strictly from order 2, so an order cut-off is
+        the tree-count cut-off of its order, which the --jobs help names."""
+        counts = [rooted_tree_count(n) for n in range(2, verify_mod.POOL_MIN_ORDER + 3)]
+        assert counts == sorted(set(counts))
+        with pytest.raises(SystemExit):
+            cli_mod.main(["verify", "--help"])
+        assert ("a pool starts only from 1,721,159 trees (order 18, above the default cap)"
+                in " ".join(capsys.readouterr().out.split()))
 
     @pytest.mark.parametrize("jobs", [None, 1000])
     def test_clamped_to_affinity(self, pool, monkeypatch, jobs):
@@ -413,7 +424,7 @@ class TestBatchRanges:
 
         monkeypatch.setattr(verify_mod, "_evaluate_batch", recording)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+        monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
         monkeypatch.setattr(verify_mod, "available_cpus", lambda: 3)
         return seen
 
@@ -703,7 +714,7 @@ def _recurs(keys) -> bool:
 def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
     monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", _FAILING_CHECKS)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+    monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
     monkeypatch.setattr(verify_mod, "available_cpus", lambda: 2)
     _RecordingPool.widths = []
     oracle = _failing_oracle(8)
@@ -785,7 +796,7 @@ def test_profile_space_checked_once_whatever_jobs(monkeypatch, jobs):
         name: (min_order, kind, check if kind == _TREE_KIND else counting(name, check))
         for name, (min_order, kind, check) in _REAL_CHECKS.items()})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(verify_mod, "POOL_MIN_TREES", 0)  # pool from order 8
+    monkeypatch.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
     monkeypatch.setattr(verify_mod, "available_cpus", lambda: 2)
     _RecordingPool.widths = []
     ledger = verify_order(8, jobs=jobs)
