@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Evaluate every eigenvalue bound as a machine-checkable report.
+"""Evaluate every eigenvalue bound as a machine-checkable row.
 
-Each relation comes back as a named record with lhs, rhs, signed slack and a
-satisfied flag, so a harness (or a reader) can scan for the tight ones.
+Each relation comes back as a row of plain values (name, lhs, rhs, relation,
+signed slack, satisfied flag, equality flag), so a harness (or a reader) can
+scan for the tight ones.
 """
 
 from levelspectra.bounds import evaluate_checks
@@ -13,18 +14,18 @@ tree = from_parent_list([0, 1, 2, 7, 6, 1, 6, 3, 3])
 data = SpectralData.from_tree(tree)  # a stack of one level profile
 
 print(f"{'bound':26s} {'rel':3s} {'lhs':>12s} {'rhs':>26s} {'slack':>10s}  ok")
-for r in evaluate_checks(data):
-    rhs = (f"[{r.rhs[0]:.4g}, {r.rhs[1]:.4g}]" if isinstance(r.rhs, tuple)
-           else f"{r.rhs:.6g}")
-    print(f"{r.name:26s} {r.relation:3s} {r.lhs:12.6g} {rhs:>26s} "
-          f"{r.slack:10.4g}  {'yes' if r.satisfied else 'NO'}")
+for name, lhs, rhs, relation, slack, satisfied, _ in evaluate_checks(data):
+    rhs = f"[{rhs[0]:.4g}, {rhs[1]:.4g}]" if isinstance(rhs, tuple) else f"{rhs:.6g}"
+    print(f"{name:26s} {relation:3s} {lhs:12.6g} {rhs:>26s} "
+          f"{slack:10.4g}  {'yes' if satisfied else 'NO'}")
 
-# Several bounds collapse to equalities on the 2-vertex tree; the reports
-# carry an equality_expected flag when the theorem says so.
-print("\nreports on the 2-vertex tree (equality cases):")
-for r in evaluate_checks(SpectralData.from_tree(rooted_star(2))):
-    marker = "  <- equality expected" if r.equality_expected else ""
-    print(f"  {r.name:26s} slack {r.slack: .3g}{marker}")
+# Several bounds collapse to equalities on the 2-vertex tree; a row's last
+# field, equality_expected, is set when the theorem says so.
+print("\nrows on the 2-vertex tree (equality cases):")
+for name, _, _, _, slack, _, equality_expected in evaluate_checks(
+        SpectralData.from_tree(rooted_star(2))):
+    marker = "  <- equality expected" if equality_expected else ""
+    print(f"  {name:26s} slack {slack: .3g}{marker}")
 
 # The three lower bounds on rho form a chain, tightest first. Their
 # aggregates come from the level profile: a vertex on level a has row sum

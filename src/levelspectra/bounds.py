@@ -1,10 +1,11 @@
-"""Machine-checkable bound reports for level spectra, on stacks of profiles.
+"""Machine-checkable bound relations for level spectra, on stacks of profiles.
 
 Every inequality, identity and closed form has one evaluator: it takes a
 :class:`~levelspectra.spectra.SpectralData` stack, as the profile engine
 returns it, and returns :class:`Comparison` records, every member's verdict
-and slack from one stacked comparator. :func:`evaluate_checks` turns those
-of a stack of one into reports.
+and slack from one stacked comparator. The relations stay arrays until
+:meth:`Comparison.rows` turns one member's into Python values;
+:func:`evaluate_checks` returns those rows of a stack of one.
 """
 
 from __future__ import annotations
@@ -23,59 +24,26 @@ COMPARISON_TOL = 1e-9
 #: Identities tied to the eigensolver (trace, energy) use a looser scale.
 IDENTITY_TOL = 1e-8
 
+#: The fields of a row of :meth:`Comparison.rows`, in order.
+ROW_FIELDS = ("name", "lhs", "rhs", "relation", "slack", "satisfied", "equality_expected")
 
-class BoundReport(Frozen):
-    """One evaluated relation: lhs <relation> rhs, with signed slack.
 
+class Comparison(Frozen):
+    """One relation, lhs <relation> rhs, evaluated over a stack.
+
+    ``lhs``, ``slack`` and the verdicts ``ok`` have one entry per member,
+    or one row per member when the relation has an index axis: a (k, m)
+    relation stands for m relations named ``name-1`` .. ``name-m``. ``rhs``
+    is an array of the same shape, or a (lo, hi) pair of them for "in".
     ``slack`` is ``rhs - lhs`` for "<=", ">=" and "==", and for "in" the
     distance ``min(lhs - lo, hi - lhs)`` to the nearer endpoint. Up to the
     comparison tolerance, a "<=" or "in" relation holds when its slack is
     >= 0, a ">=" relation when its slack is <= 0, and an "==" identity when
-    its slack is 0: a violated ">=" has a positive slack. ``equality_expected``
-    is set when the source theorem states an equality condition that applies
-    to this input.
+    its slack is 0: a violated ">=" has a positive slack.
+    ``equality_expected`` is set when the source theorem states an equality
+    condition that applies to the stack's order. ``covered`` is the (k,)
+    mask of the members the relation applies to (``None``: every member).
     """
-
-    __slots__ = ("name", "lhs", "rhs", "relation", "slack", "satisfied", "equality_expected")
-
-    def __init__(self, name: str, lhs: float, rhs: float | tuple[float, float], relation: str,
-                 slack: float, satisfied: bool, equality_expected: bool | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "relation", relation)  # "<=", ">=", "==", "in"
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "satisfied", satisfied)
-        object.__setattr__(self, "equality_expected", equality_expected)
-
-    def _fields(self) -> tuple:
-        return (self.name, self.lhs, self.rhs, self.relation, self.slack, self.satisfied,
-                self.equality_expected)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoundReport) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def to_dict(self) -> dict:
-        rhs = list(self.rhs) if isinstance(self.rhs, tuple) else self.rhs
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": rhs,
-            "relation": self.relation,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "equality_expected": self.equality_expected,
-        }
-
-
-class Comparison(Frozen):
-    """A relation evaluated over a stack: the fields of :class:`BoundReport`
-    with one entry per member (``rhs`` is a (lo, hi) pair for "in"), and
-    ``covered``, the (k,) mask of the members the relation applies to
-    (``None``: every member)."""
 
     __slots__ = ("name", "lhs", "rhs", "relation", "slack", "ok", "equality_expected",
                  "covered")
@@ -87,18 +55,27 @@ class Comparison(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "relation", relation)  # "<=", ">=", "==", "in"
         object.__setattr__(self, "slack", slack)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "equality_expected", equality_expected)
         object.__setattr__(self, "covered", covered)
 
-    def report(self, row: int = 0) -> BoundReport:
-        """The report of one member."""
-        rhs = ((float(self.rhs[0][row]), float(self.rhs[1][row])) if self.relation == "in"
-               else float(self.rhs[row]))
-        return BoundReport(self.name, float(self.lhs[row]), rhs, self.relation,
-                           float(self.slack[row]), bool(self.ok[row]), self.equality_expected)
+    def rows(self, member: int = 0) -> list[tuple]:
+        """One member's relations as tuples of Python values, one field each
+        of :data:`ROW_FIELDS`, ``rhs`` a (lo, hi) tuple for "in" and
+        ``satisfied`` the verdict; none where the relation does not cover
+        the member."""
+        if self.covered is not None and not self.covered[member]:
+            return []
+        ends = self.rhs if self.relation == "in" else (self.rhs,)
+        lhs, slack, ok, *ends = (np.atleast_1d(a[member]).tolist()
+                                 for a in (self.lhs, self.slack, self.ok, *ends))
+        rhs = list(zip(*ends)) if self.relation == "in" else ends[0]
+        names = ([self.name] if self.lhs.ndim == 1
+                 else [f"{self.name}-{j}" for j in range(1, len(lhs) + 1)])
+        return [(name, left, right, self.relation, gap, holds, self.equality_expected)
+                for name, left, right, gap, holds in zip(names, lhs, rhs, slack, ok)]
 
 
 def _compare(name: str, lhs, rhs, relation: str, tol_scale: float = COMPARISON_TOL,
@@ -209,8 +186,9 @@ def check_eigenvalue_square(d: SpectralData) -> list[Comparison]:
 
 
 def check_eigenvalue_intervals(d: SpectralData) -> list[Comparison]:
-    """Per-index eigenvalue intervals from the first two spectral moments
-    (zero trace, squared sum H), valid for n > 2; plus the global interval
+    """The interval of each eigenvalue lambda_j, j = 1..n, from the first two
+    spectral moments (zero trace, squared sum H; Wolkowicz and Styan), one
+    relation with an index axis, valid for n > 2; plus the global interval
     that contains the whole spectrum. None below order 3."""
     n, h = d.n, d.h_value.astype(float)
     if n < 3:
@@ -218,21 +196,13 @@ def check_eigenvalue_intervals(d: SpectralData) -> list[Comparison]:
     lam = d.values
     outer = np.sqrt((n - 1) * h / n)
     inner = np.sqrt(h / (n * (n - 1)))
-    comparisons = [
-        _compare("eigenvalue-interval-1", lam[:, 0], (inner, outer), "in"),
-        _compare(f"eigenvalue-interval-{n}", lam[:, -1], (-outer, -inner), "in"),
-    ]
-    # indices j = 2..n-1 in one comparison, row j - 2 for index j
-    j = np.arange(2, n)[:, None]
+    j, h = np.arange(1, n + 1), h[:, None]
     lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
-    hi = np.sqrt((n - j) * h / (j * n))
-    middle = _compare("eigenvalue-interval", lam[:, 1:-1].T, (lo, hi), "in")
-    comparisons += [Comparison(f"eigenvalue-interval-{i + 2}", middle.lhs[i],
-                               (middle.rhs[0][i], middle.rhs[1][i]), "in",
-                               middle.slack[i], middle.ok[i], None)
-                    for i in range(n - 2)]
-    comparisons.append(_compare("spectrum-interval", np.abs(lam).max(axis=1), outer, "<="))
-    return comparisons
+    hi = np.sqrt((n - j) * h / (j * n))  # outer at j = 1, and -lo at j = n
+    # the trace is zero, so lambda_1 > 0 > lambda_n, each at least inner away
+    lo[:, 0], hi[:, -1] = inner, -inner
+    return [_compare("eigenvalue-interval", lam, (lo, hi), "in"),
+            _compare("spectrum-interval", np.abs(lam).max(axis=1), outer, "<=")]
 
 
 def check_energy_bounds(d: SpectralData) -> list[Comparison]:
@@ -298,8 +268,8 @@ def path_rho_closed_form(n: int) -> float:
 #: returns a list of comparisons, none below the order its relations start
 #: at. A verification ledger records each
 #: comparison under its own name when that is one of the check's lines and
-#: under the check's name otherwise, so the per-index eigenvalue intervals
-#: share one line.
+#: under the check's name otherwise, so the per-index eigenvalue intervals,
+#: one comparison with an index axis, share one line.
 CHECKS: dict[str, tuple] = {
     "eigenvalue-cap": (check_eigenvalue_cap, ("eigenvalue-cap",)),
     "trace-identity": (check_trace_identity, ("trace-identity",)),
@@ -317,12 +287,13 @@ CHECKS: dict[str, tuple] = {
 }
 
 
-def evaluate_checks(d: SpectralData, names=None) -> list[BoundReport]:
-    """The reports of the named bound checks (all by default) that apply at
-    this order and to this tree, on a stack of one profile."""
+def evaluate_checks(d: SpectralData, names=None) -> list[tuple]:
+    """The rows (see :meth:`Comparison.rows`) of the named bound checks (all
+    by default) that apply at this order and to this tree, on a stack of one
+    profile."""
     names = list(CHECKS) if names is None else list(names)
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    return [comparison.report() for name in names for comparison in CHECKS[name][0](d)
-            if comparison.covered is None or comparison.covered[0]]
+    return [row for name in names for comparison in CHECKS[name][0](d)
+            for row in comparison.rows()]

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
-from .bounds import BoundReport, path_rho_closed_form
+from .bounds import path_rho_closed_form
 from .errors import LevelSpectraError, ParseError, ResourceLimit
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
@@ -195,7 +195,7 @@ class AnalysisReport:
 
     def __init__(self, vertex_levels: np.ndarray, data: SpectralData,
                  spectrum: Spectrum,  # of ``data``, clustered at the report's tolerance
-                 charpoly: CharPoly | None, bounds: list[BoundReport], extras: dict):
+                 charpoly: CharPoly | None, bounds: list[tuple], extras: dict):
         self.vertex_levels = vertex_levels
         self.data = data
         self.spectrum = spectrum
@@ -239,7 +239,7 @@ class AnalysisReport:
             "energy": float(sp.energy),
             "mul_zero_exact": int(d.nullity[0]),
             "charpoly": [str(c) for c in self.charpoly.coeffs] if self.charpoly else None,
-            "bounds": [r.to_dict() for r in self.bounds],
+            "bounds": [dict(zip(bounds_mod.ROW_FIELDS, row)) for row in self.bounds],
             "extras": self.extras,
         }
 
@@ -267,24 +267,23 @@ class AnalysisReport:
             lines.append("")
             lines.append(f"{'bound':26s} {'rel':3s} {'lhs':>15s} "
                          f"{'rhs':>28s} {'slack':>12s}  ok")
-            for r in self.bounds:
-                rhs = (f"[{_fmt(r.rhs[0])}, {_fmt(r.rhs[1])}]"
-                       if isinstance(r.rhs, tuple) else _fmt(r.rhs))
-                flag = "yes" if r.satisfied else "NO"
-                if r.equality_expected:
+            for name, lhs, rhs, relation, slack, satisfied, eq in self.bounds:
+                rhs = (f"[{_fmt(rhs[0])}, {_fmt(rhs[1])}]"
+                       if isinstance(rhs, tuple) else _fmt(rhs))
+                flag = "yes" if satisfied else "NO"
+                if eq:
                     flag += " (=)"
-                lines.append(f"{r.name:26s} {r.relation:3s} {_fmt(r.lhs):>15s} "
-                             f"{rhs:>28s} {_fmt(r.slack):>12s}  {flag}")
+                lines.append(f"{name:26s} {relation:3s} {_fmt(lhs):>15s} "
+                             f"{rhs:>28s} {_fmt(slack):>12s}  {flag}")
         return "\n".join(lines) + "\n"
 
     def bounds_csv(self) -> str:
         lines = ["name,relation,lhs,rhs,slack,satisfied,equality_expected"]
-        for r in self.bounds:
-            rhs = (f"{_fmt(r.rhs[0])}..{_fmt(r.rhs[1])}"
-                   if isinstance(r.rhs, tuple) else _fmt(r.rhs))
-            eq = "" if r.equality_expected is None else str(r.equality_expected).lower()
-            lines.append(f"{r.name},{r.relation},{_fmt(r.lhs)},{rhs},"
-                         f"{_fmt(r.slack)},{str(r.satisfied).lower()},{eq}")
+        for name, lhs, rhs, relation, slack, satisfied, eq in self.bounds:
+            rhs = f"{_fmt(rhs[0])}..{_fmt(rhs[1])}" if isinstance(rhs, tuple) else _fmt(rhs)
+            eq = "" if eq is None else str(eq).lower()
+            lines.append(f"{name},{relation},{_fmt(lhs)},{rhs},"
+                         f"{_fmt(slack)},{str(satisfied).lower()},{eq}")
         return "\n".join(lines) + "\n"
 
 

@@ -43,7 +43,11 @@ class CycleDetected(TreeError):
 
 
 class MultipleRoots(TreeError):
-    pass
+    """More than one vertex has no parent; ``vertices`` (0-based) lists them."""
+
+    def __init__(self, message, vertices):
+        self.vertices = vertices
+        super().__init__(message)
 
 
 class NoRoot(TreeError):
@@ -51,7 +55,12 @@ class NoRoot(TreeError):
 
 
 class IndexOutOfRange(TreeError):
-    pass
+    """A vertex index is out of range; ``vertex`` (0-based) is the vertex
+    whose parent entry is, or the one asked for."""
+
+    def __init__(self, message, vertex):
+        self.vertex = vertex
+        super().__init__(message)
 
 
 class NotALeaf(TreeError):

@@ -68,14 +68,14 @@ class RootedTree:
         if not roots:
             raise NoRoot("no root sentinel in parent array")
         if len(roots) > 1:
-            raise MultipleRoots(f"vertices {roots} all have no parent")
+            raise MultipleRoots(f"vertices {roots} all have no parent", roots)
         root = roots[0]
         kids: list[list[int]] = [[] for _ in range(n)]
         for i, p in enumerate(parent):
             if i == root:
                 continue
             if not 0 <= p < n:
-                raise IndexOutOfRange(f"parent[{i}] = {p} is not a vertex index")
+                raise IndexOutOfRange(f"parent[{i}] = {p} is not a vertex index", i)
             kids[p].append(i)
         # With one root and in-range parents, the array is a tree iff every
         # vertex is reachable from the root.
@@ -387,7 +387,7 @@ def rooted_tree_count(n: int) -> int:
 def delete_leaf(tree: RootedTree, v: int) -> RootedTree:
     """Remove leaf ``v``; surviving vertices keep their levels exactly."""
     if not 0 <= v < tree.n:
-        raise IndexOutOfRange(f"vertex {v} out of range for n={tree.n}")
+        raise IndexOutOfRange(f"vertex {v} out of range for n={tree.n}", v)
     if v == tree.root:
         raise CannotDeleteRoot("refusing to delete the root")
     if any(p == v for p in tree.parent):
@@ -458,16 +458,18 @@ def parse_tree(text: str) -> RootedTree:
             parents.append(_decimal(field))
         except ValueError:
             raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
-    roots = [v for v, p in enumerate(parents, start=1) if p == 0]
-    if len(roots) != 1:
-        named = f"vertices {', '.join(map(str, roots))} all have" if roots else "no vertex has"
-        raise ParseError(f"{named} parent 0; a tree has one root", line=2)
-    for v, (p, field) in enumerate(zip(parents, fields), start=1):
-        if not 0 <= p <= n:
-            raise ParseError(f"parent entry {field!r} of vertex {v} is not a vertex 1..{n}",
-                             line=2, column=v)
     try:
         return from_parent_list(parents)
+    except NoRoot as exc:
+        raise ParseError("no vertex has parent 0; a tree has one root", line=2) from exc
+    except MultipleRoots as exc:
+        roots = ", ".join(str(v + 1) for v in exc.vertices)
+        raise ParseError(f"vertices {roots} all have parent 0; a tree has one root",
+                         line=2) from exc
+    except IndexOutOfRange as exc:
+        v = exc.vertex
+        raise ParseError(f"parent entry {fields[v]!r} of vertex {v + 1} is not a vertex 1..{n}",
+                         line=2, column=v + 1) from exc
     except CycleDetected as exc:
         cycle = [exc.vertex + 1]
         while (v := parents[cycle[-1] - 1]) != cycle[0]:

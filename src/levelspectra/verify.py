@@ -478,9 +478,10 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
 def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
     """(line, ok, slack, covered) of each selected bound line on a stack:
     the AND of the verdicts and the minimum of the slacks of the line's
-    comparisons, a slack nan where a comparison does not cover the member,
-    and the covered members' mask (True: all). A line that covers no member
-    of the stack is left out."""
+    comparisons, each comparison's index axis, if it has one, folded first;
+    a slack nan where a comparison does not cover the member, and the
+    covered members' mask (True: all). A line that covers no member of the
+    stack is left out."""
     folded: dict[str, tuple] = {}
     for check, keep in bound_lines.items():
         func, lines = bounds.CHECKS[check]
@@ -488,9 +489,12 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
             name = c.name if c.name in lines else check
             covered = True if c.covered is None else c.covered
             if name in keep and np.any(covered):
-                slack = c.slack if c.covered is None else np.where(covered, c.slack, math.nan)
-                ok, worst, _ = folded.get(name, (True, math.inf, True))
-                folded[name] = (c.ok & ok, np.minimum(slack, worst), covered)
+                ok, slack = c.ok, c.slack
+                if slack.ndim == 2:
+                    ok, slack = ok.all(axis=1), slack.min(axis=1)
+                slack = slack if c.covered is None else np.where(covered, slack, math.nan)
+                ok_before, worst, _ = folded.get(name, (True, math.inf, True))
+                folded[name] = (ok & ok_before, np.minimum(slack, worst), covered)
     return [(name, *verdicts) for name, verdicts in folded.items()]
 
 

@@ -1,10 +1,13 @@
+import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from levelspectra.bounds import (
     CHECKS,
+    ROW_FIELDS,
     _compare,
     _ratio,
     check_eigenvalue_cap,
@@ -21,6 +24,7 @@ from levelspectra.bounds import (
     evaluate_checks,
     path_rho_closed_form,
 )
+from levelspectra.cli import main
 from levelspectra.errors import InvalidOrder
 from levelspectra.levelmatrix import build_level_matrix
 from levelspectra.spectra import (
@@ -34,6 +38,7 @@ from levelspectra.spectra import (
 )
 from levelspectra.trees import (
     enumerate_rooted_trees,
+    format_tree,
     levels,
     profile_stacks,
     rooted_path,
@@ -48,17 +53,24 @@ def data_for(tree):
     return SpectralData.from_tree(tree)
 
 
+Row = namedtuple("Row", ROW_FIELDS)
+
+
+def named(rows):
+    """Bound rows with their fields named, for the tests to read."""
+    return [Row(*row) for row in rows]
+
+
 def every(check, data):
-    """The reports of a check on a stack of one, those of a comparison that
-    does not cover the member left out."""
-    return [comparison.report() for comparison in check(data)
-            if comparison.covered is None or comparison.covered[0]]
+    """The rows of a check on a stack of one, none of a comparison that does
+    not cover the member."""
+    return named(row for comparison in check(data) for row in comparison.rows())
 
 
 def one(check, data):
-    """The one report of a single-relation check on a stack of one."""
-    [report] = every(check, data)
-    return report
+    """The one row of a single-relation check on a stack of one."""
+    [row] = every(check, data)
+    return row
 
 
 @pytest.fixture
@@ -239,7 +251,7 @@ class TestEigenvalueIntervals:
         assert check_eigenvalue_intervals(data_for(rooted_path(2))) == []
 
     def test_gated_out_by_evaluate(self):
-        names = {r.name for r in evaluate_checks(data_for(rooted_path(2)))}
+        names = {r.name for r in named(evaluate_checks(data_for(rooted_path(2))))}
         assert not any(n.startswith("eigenvalue-interval") for n in names)
 
 
@@ -331,7 +343,7 @@ class TestEvaluateChecks:
     def test_all_pass_small_orders(self):
         for n in range(1, 7):
             for tree in enumerate_rooted_trees(n):
-                assert all(r.satisfied for r in evaluate_checks(data_for(tree)))
+                assert all(r.satisfied for r in named(evaluate_checks(data_for(tree))))
 
     def test_tree_and_profile_give_same_reports(self, sample9, d9):
         of_profile = solve_profiles([level_profile(levels(sample9))])
@@ -339,8 +351,8 @@ class TestEvaluateChecks:
         assert evaluate_checks(d9)
 
     def test_selection(self, d9):
-        reports = evaluate_checks(d9, ["trace-identity"])
-        assert [r.name for r in reports] == ["trace-identity"]
+        rows = named(evaluate_checks(d9, ["trace-identity"]))
+        assert [r.name for r in rows] == ["trace-identity"]
 
     def test_unknown_name(self, d9):
         with pytest.raises(KeyError):
@@ -349,8 +361,8 @@ class TestEvaluateChecks:
     @pytest.mark.parametrize("order", [3, 9])
     def test_stack_rows_equal_stacks_of_one(self, order):
         """Each member of a stack of every height gets, bit for bit, the
-        reports of the comparisons that cover it that its unpadded profile
-        gets in a stack of its own."""
+        rows of the comparisons that cover it that its unpadded profile gets
+        in a stack of its own."""
         for _, counts in profile_stacks(order):
             stack = solve_profiles(counts)
             assert stack.values.shape == (len(counts), order)
@@ -358,8 +370,7 @@ class TestEvaluateChecks:
                 comparisons = check(stack)
                 for i, profile in enumerate(counts):
                     alone = solve_profiles([profile[profile > 0]])
-                    got = [c.report(i) for c in comparisons
-                           if c.covered is None or c.covered[i]]
+                    got = [row for c in comparisons for row in c.rows(i)]
                     assert got == evaluate_checks(alone, [name]), (profile, name)
 
     def test_special_families_to_order_50(self):
@@ -368,29 +379,45 @@ class TestEvaluateChecks:
         members = [rooted_star(50), rooted_path(50), star_rooted_at_leaf(50),
                    complete_dary(2, 5), complete_dary(3, 3)]
         for tree in members:
-            reports = evaluate_checks(data_for(tree))
-            bad = [r.name for r in reports if not r.satisfied]
+            rows = named(evaluate_checks(data_for(tree)))
+            bad = [r.name for r in rows if not r.satisfied]
             assert bad == []
 
 
 @pytest.mark.parametrize("profiles", [
     [p for p in profiles_by_index(9) if len(p) == 4],
     [(1,) * 200],
+    *[pytest.param(counts, id=f"order-{order}")
+      for order in range(3, 13) for _, counts in profile_stacks(order)],
 ])
 def test_stacked_intervals_equal_per_index_comparisons(profiles):
-    """The per-index intervals j = 2..n-1, compared in one stacked call,
-    equal bit for bit those compared one index at a time."""
+    """The per-index intervals, compared in one relation with an index axis,
+    give every member's rows bit for bit as the intervals compared one index
+    at a time: the moment bounds at 1 < j < n, and at j = 1 and j = n the
+    sharper ones of a zero trace."""
     d = solve_profiles(profiles)
     n, h = d.n, d.h_value.astype(float)
-    comparisons = {c.name: c for c in check_eigenvalue_intervals(d)}
-    for j in range(2, n):
+    [stacked, spectrum] = check_eigenvalue_intervals(d)
+    assert (stacked.name, spectrum.name) == ("eigenvalue-interval", "spectrum-interval")
+    outer, inner = np.sqrt((n - 1) * h / n), np.sqrt(h / (n * (n - 1)))
+    rows = [stacked.rows(i) for i in range(len(d.values))]
+    for j in range(1, n + 1):
         lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
         hi = np.sqrt((n - j) * h / (j * n))
+        lo, hi = {1: (inner, outer), n: (-outer, -inner)}.get(j, (lo, hi))
         alone = _compare(f"eigenvalue-interval-{j}", d.values[:, j - 1], (lo, hi), "in")
-        stacked = comparisons[alone.name]
-        for got, want in [(stacked.lhs, alone.lhs), (stacked.rhs[0], lo), (stacked.rhs[1], hi),
-                          (stacked.slack, alone.slack), (stacked.ok, alone.ok)]:
-            assert got.tolist() == want.tolist(), (j, alone.name)
+        for i, member in enumerate(rows):
+            assert member[j - 1] == alone.rows(i)[0], (j, i)
+
+
+def test_analyze_lists_interval_rows_in_index_order(sample9, tmp_path, capsys):
+    path = tmp_path / "sample9.tree"
+    path.write_text(format_tree(sample9))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)["bounds"]]
+    first = names.index("eigenvalue-interval-1")
+    assert names[first:first + 10] == [
+        *(f"eigenvalue-interval-{j}" for j in range(1, 10)), "spectrum-interval"]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])

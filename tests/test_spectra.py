@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levelspectra import spectra as spectra_mod
-from levelspectra.bounds import BoundReport, Comparison, SpectralData
+from levelspectra.bounds import Comparison, SpectralData
 from levelspectra.errors import AmbiguousCluster, LevelSpectraError, ResourceLimit, TooSmall
 from levelspectra.levelmatrix import LevelMatrix, build_level_matrix
 from levelspectra.spectra import (
@@ -427,7 +427,6 @@ class TestInterlacing:
 # ---------------------------------------------------------------------------
 
 _FROZEN_RECORDS = {
-    BoundReport: lambda: BoundReport("cap", 1.0, 2.0, "<=", 1.0, True),
     Comparison: lambda: Comparison("cap", np.ones(2), np.full(2, 2.0), "<=", np.ones(2),
                                    np.ones(2, bool), None),
     LevelMatrix: lambda: build_level_matrix(rooted_star(4)),
@@ -444,7 +443,7 @@ def test_records_are_frozen(record_type):
     rebuilt with the same fields, and is frozen too."""
     record = _FROZEN_RECORDS[record_type]()
     assert type(record) is record_type
-    field = {BoundReport: "slack", Comparison: "ok", LevelMatrix: "entries",
+    field = {Comparison: "ok", LevelMatrix: "entries",
              Spectrum: "values", CharPoly: "coeffs", SpectralData: "nullity"}[record_type]
     before = getattr(record, field)
     for change in (lambda r: setattr(r, field, None), lambda r: delattr(r, field),
@@ -460,9 +459,5 @@ def test_records_are_frozen(record_type):
 
 
 def test_value_records_compare_and_hash_by_fields():
-    report = BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True)
-    assert report == BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True, None)
-    assert report != BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True, False)
     assert CharPoly((1, 0, -1)) == CharPoly((1, 0, -1)) != CharPoly((1, 0, 1))
-    assert len({report, BoundReport("cap", 1.0, (0.0, 2.0), "in", 1.0, True),
-                CharPoly((1, 0, -1)), CharPoly((1, 0, -1))}) == 2
+    assert len({CharPoly((1, 0, -1)), CharPoly((1, 0, -1))}) == 1

@@ -78,8 +78,9 @@ class TestConstruction:
         assert tree.n == n and tree.leaves() == [n - 1]
 
     def test_multiple_roots(self):
-        with pytest.raises(MultipleRoots):
+        with pytest.raises(MultipleRoots) as exc:
             from_parent_list([0, 0, 1])
+        assert exc.value.vertices == [0, 1]
 
     def test_no_root(self):
         with pytest.raises(NoRoot):
@@ -88,8 +89,9 @@ class TestConstruction:
             from_parent_list([])
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange) as exc:
             from_parent_list([0, 5, 1])
+        assert exc.value.vertex == 1
 
     def test_zero_based_input(self):
         t = RootedTree([-1, 0, 0])
