@@ -341,6 +341,32 @@ def profile_index(counts) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.int64)
 
 
+def profile_counts(n: int, index: int) -> np.ndarray:
+    """The level counts of the profile of order ``n`` with the given index,
+    the inverse of :func:`profile_index` on one row."""
+    ends = [i + 1 for i in range(n - 2) if index >> i & 1] + [n - 1]
+    return np.diff([-1, 0, *ends])[:n]  # order 1: the root alone
+
+
+def first_level_sequence(counts: np.ndarray) -> np.ndarray:
+    """The first tree of the level counts in :func:`level_sequences`: the
+    path 0..h, then each level k's other n_k - 1 vertices, deepest first.
+    It is the largest valid sequence with these counts: entry j is at most j,
+    as on the path, and the rest, fixed by the counts, is largest and valid
+    non-increasing. So it is its tree's canonical sequence, that tree's largest."""
+    h = len(counts) - 1
+    return np.concatenate([np.arange(h + 1), np.repeat(np.arange(h, 0, -1), counts[h:0:-1] - 1)])
+
+
+def has_one_tree(counts: np.ndarray) -> bool:
+    """Whether one rooted tree alone has the level counts: iff no levels k,
+    k + 1 with k >= 1 both hold two or more vertices. Else level k + 1 under
+    one level-k vertex, or split over two, leaves one or two of them with a
+    child: two trees. If not, a level of two or more hangs from the one
+    vertex above, and at most one of them has a child, the one below."""
+    return not np.any((counts[1:-1] >= 2) & (counts[2:] >= 2))
+
+
 def profile_ids(seqs: np.ndarray) -> np.ndarray:
     """(B, n) canonical level sequences -> each tree's profile index (see
     :func:`profile_stacks`). Below the root, the sorted levels spell the

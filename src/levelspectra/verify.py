@@ -7,8 +7,9 @@ profile or on a (profile, leaf level) pair, so the calling process computes
 it once, on each stack of ``trees.profile_stacks`` (up to STACK_SIZE
 profiles, whatever their heights), into tables by profile index, and the
 walk over the trees looks it up tree by tree; each such line's worst slack
-is folded there, stack by stack. Violations are collected rather than
-fail-fast, so a bad run reports every offending tree.
+is folded there, stack by stack. The extremal statistics come from the
+tables alone. Violations are collected rather than fail-fast, so a bad run
+reports every offending tree.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain, islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from . import bounds
 from .bounds import COMPARISON_TOL
 from .errors import InvalidOrder, ResourceLimit
 from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _check_tol, _cluster, solve_profiles
-from .trees import (STACK_SIZE, check_enumeration_cap, level_sequences, profile_ids,
-                    profile_index, profile_stacks, rooted_tree_count)
+from .trees import (STACK_SIZE, check_enumeration_cap, first_level_sequence, has_one_tree,
+                    level_sequences, profile_counts, profile_ids, profile_index,
+                    profile_stacks, rooted_tree_count)
 
 #: Interlacing slack scale: eigenvalues of a leaf-deleted tree may leave the
 #: bracketing interval by at most ``1e-8 * max(1, rho)``.
@@ -114,7 +116,7 @@ class CheckStat:
         return isinstance(other, CheckStat) and self._fields() == other._fields()
 
     def record(self, ok: bool, slack: float) -> None:
-        """Count one tree with its verdict and slack."""
+        """Count one tree, verdict and slack: only the tests' tree-by-tree oracle calls it."""
         self.trees_checked += 1
         if not math.isnan(slack):
             self.worst_slack = min(self.worst_slack, slack)
@@ -156,8 +158,9 @@ class CheckStat:
 
 
 class ExtremalStat:
-    """Best/worst trees for one statistic, each kept as its level sequence,
-    with runner-up values for uniqueness gaps."""
+    """Best/worst trees for one statistic, each the first in walk order,
+    kept as its level sequence, with runner-up values (the second from that
+    end over all trees) for uniqueness gaps."""
 
     __slots__ = ("stat", "min_value", "min_seq", "runner_min", "max_value", "max_seq",
                  "runner_max")
@@ -173,14 +176,8 @@ class ExtremalStat:
         self.max_seq = max_seq
         self.runner_max = runner_max
 
-    def _fields(self) -> tuple:
-        return (self.stat, self.min_value, self.min_seq, self.runner_min, self.max_value,
-                self.max_seq, self.runner_max)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExtremalStat) and self._fields() == other._fields()
-
     def record(self, value: float, seq: tuple[int, ...]) -> None:
+        """Fold in the next tree in walk order: only the tests' tree-by-tree oracle calls it."""
         if value < self.min_value:
             self.runner_min = self.min_value
             self.min_value, self.min_seq = value, seq
@@ -191,34 +188,6 @@ class ExtremalStat:
             self.max_value, self.max_seq = value, seq
         elif value > self.runner_max:
             self.runner_max = value
-
-    @classmethod
-    def of_batch(cls, stat: str, values: np.ndarray, seqs: np.ndarray) -> "ExtremalStat":
-        """The statistic over a batch of trees: ``values[i]`` of the level
-        sequence ``seqs[i]``, in walk order. Ties keep the earlier tree, as
-        :meth:`record` does, and each runner-up is the second value of the
-        batch from that end, a tie with the extreme included."""
-        lo, hi = int(values.argmin()), int(values.argmax())
-        out = cls(stat, float(values[lo]), tuple(seqs[lo].tolist()), math.inf,
-                  float(values[hi]), tuple(seqs[hi].tolist()), -math.inf)
-        if len(values) > 1:
-            out.runner_min = float(np.partition(values, 1)[1])
-            out.runner_max = float(np.partition(values, -2)[-2])
-        return out
-
-    def merge(self, other: "ExtremalStat") -> None:
-        """Fold in the aggregate of the trees enumerated after this one's;
-        ties keep the earlier tree, as :meth:`record` does."""
-        if other.min_value < self.min_value:
-            self.runner_min = min(self.min_value, other.runner_min)
-            self.min_value, self.min_seq = other.min_value, other.min_seq
-        else:
-            self.runner_min = min(self.runner_min, other.min_value)
-        if other.max_value > self.max_value:
-            self.runner_max = max(self.max_value, other.runner_max)
-            self.max_value, self.max_seq = other.max_value, other.max_seq
-        else:
-            self.runner_max = max(self.runner_max, other.max_value)
 
     @property
     def min_gap(self) -> float:
@@ -498,7 +467,7 @@ def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
     return [(name, *verdicts) for name, verdicts in folded.items()]
 
 
-class VerdictTables:
+class VerdictTables(NamedTuple):
     """Every verdict of one order, for the walk to look up by a tree's
     profile index (see ``trees.profile_stacks``; P of them).
 
@@ -508,21 +477,16 @@ class VerdictTables:
     that skips some profiles (``energy-upper-improved`` skips the rooted
     path). ``worst`` maps each line to its least slack over the stacks (inf
     if none), the walk's minimum, as every profile and realisable pair is
-    some tree's. ``tree_checks`` names the TREE checks, and ``values`` maps
-    each extremal statistic to its (P,) values.
+    some tree's. ``tree_checks`` names the TREE checks, and ``extremal``
+    maps each of EXTREMAL_STATS to its ``ExtremalStat`` over every tree.
     """
 
-    __slots__ = ("lines", "leaf_lines", "covered", "worst", "tree_checks", "values")
-
-    def __init__(self, lines: dict[str, np.ndarray], leaf_lines: dict[str, np.ndarray],
-                 covered: dict[str, np.ndarray], worst: dict[str, float],
-                 tree_checks: list[str], values: dict[str, np.ndarray]):
-        self.lines = lines
-        self.leaf_lines = leaf_lines
-        self.covered = covered
-        self.worst = worst
-        self.tree_checks = tree_checks
-        self.values = values
+    lines: dict[str, np.ndarray]
+    leaf_lines: dict[str, np.ndarray]
+    covered: dict[str, np.ndarray]
+    worst: dict[str, float]
+    tree_checks: list[str]
+    extremal: dict[str, ExtremalStat]
 
 
 def _store(tables: dict, worst: dict, name: str, shape: tuple[int, ...], at, ok, slack) -> None:
@@ -548,6 +512,21 @@ def _profile_count(order: int) -> int:
     return size
 
 
+def _extreme(order: int, values: np.ndarray, sign: int) -> tuple[float, tuple[int, ...], float]:
+    """(value, tree, runner-up) at one end of the (P,) values by profile
+    index (sign 1: min, -1: max), as ``ExtremalStat.record`` folds them over
+    the walk, which runs in decreasing order: the largest first tree of the
+    profiles at the extreme; the extreme again if two profiles, or two trees
+    of one, are there, else the best other profile's value, or inf."""
+    signed = sign * values
+    best = signed.min()
+    at = [profile_counts(order, i) for i in np.flatnonzero(signed == best).tolist()]
+    runner = (best if len(at) > 1 or not has_one_tree(at[0])
+              else signed[signed != best].min(initial=math.inf))
+    seq = max(tuple(first_level_sequence(counts).tolist()) for counts in at)
+    return sign * float(best), seq, sign * float(runner)
+
+
 def _solved_space(order: int) -> tuple[np.ndarray, ...]:
     """The values (P, order) and the rho, energy and nullity (P,) of every
     profile of the order, at its profile index."""
@@ -562,14 +541,15 @@ def _solved_space(order: int) -> tuple[np.ndarray, ...]:
 
 
 def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
-                    tol: float, stats: tuple[str, ...]) -> VerdictTables:
+                    tol: float) -> VerdictTables:
     """Check the order's profile space once. The profile engine solves each
     stack of ``profile_stacks``, which is checked as it comes: the bound
     lines and PROFILE checks on the stack, the LEAF_LEVEL checks on its
     realisable (profile, leaf level) pairs, each written at the members'
     profile indices. When a leaf check runs, the profiles one
     order down, which hold every leaf-deleted profile, are solved first
-    into arrays by profile index."""
+    into arrays by profile index. Last, ``_extreme`` reads each extremal
+    statistic off its (P,) values."""
     size = _profile_count(order)
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
@@ -582,11 +562,10 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
     leaf_lines: dict[str, np.ndarray] = {}
     covered: dict[str, np.ndarray] = {}
     worst: dict[str, float] = {}
-    values = {stat: np.empty(size) for stat in stats}
+    values = np.empty((len(EXTREMAL_STATS), size))
     for rows, counts in profile_stacks(order):
         data = solve_profiles(counts)
-        for stat, table in values.items():
-            table[rows] = getattr(data, stat)
+        values[:, rows] = [getattr(data, stat) for stat in EXTREMAL_STATS]
         for name, ok, slack, member in (
                 _bound_verdicts(data, bound_lines)
                 + [(name, *check(data, tol), True) for name, check in checks[PROFILE]]):
@@ -601,26 +580,27 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
                        *check(parent, sub, tol))
     return VerdictTables(lines, leaf_lines,
                          {name: mask for name, mask in covered.items() if not mask.all()},
-                         worst, [name for name, _ in checks[TREE]], values)
+                         worst, [name for name, _ in checks[TREE]],
+                         {stat: ExtremalStat(stat, *_extreme(order, table, 1),
+                                             *_extreme(order, table, -1))
+                          for stat, table in zip(EXTREMAL_STATS, values)})
 
 
 def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTables):
     """Worker: walk the canonical level sequences of one order from index
     ``start`` up to ``stop`` (``None``: to the end) once, recording every
-    line of ``tables`` tree by tree; returns mergeable partial aggregates
-    and the number of trees walked.
+    line of ``tables`` tree by tree; returns each line's mergeable partial
+    ``CheckStat`` and the number of trees walked.
 
     The walk takes the sequences STACK_SIZE at a time as a (B, n) array.
     numpy gives each tree's profile index and leaf-level mask and looks
     every verdict up per tree: a LEAF_LEVEL check's is the AND of its table
     over the tree's leaf levels. Each TREE check runs on the whole batch.
     Each line then counts the batch's trees and violations at once and
-    names its failing trees in walk order until it holds MAX_OFFENDERS,
-    and each extremal statistic folds in the batch's.
+    names its failing trees in walk order until it holds MAX_OFFENDERS.
     """
     check_stats = {name: CheckStat(name)
                    for name in chain(tables.lines, tables.leaf_lines, tables.tree_checks)}
-    extremal = {stat: ExtremalStat(stat) for stat in tables.values}
     dtype = np.promote_types(np.int16, np.min_scalar_type(order))  # holds levels
     flat = chain.from_iterable(islice(level_sequences(order), start, stop))
     walked = 0
@@ -635,10 +615,8 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
             check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1), levels)
         for name in tables.tree_checks:
             check_stats[name].record_each(STRUCTURAL_CHECKS[name][2](levels), levels)
-        for stat, values in tables.values.items():
-            extremal[stat].merge(ExtremalStat.of_batch(stat, values[ids], levels))
         walked += len(levels)
-    return check_stats, extremal, walked
+    return check_stats, walked
 
 
 def verify_order(order: int, selection=None, jobs: int | None = None,
@@ -669,7 +647,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     expected = rooted_tree_count(order)
     cpus = available_cpus()
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, expected))
-    tables = _verdict_tables(order, bound_lines, structural, tol, EXTREMAL_STATS)
+    tables = _verdict_tables(order, bound_lines, structural, tol)
     if jobs == 1 or order < POOL_MIN_ORDER:
         partials = [_evaluate_batch(order, 0, None, tables)]
     else:
@@ -679,12 +657,10 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(_evaluate_batch, [order] * jobs, cuts[:-1], cuts[1:],
                                      [tables] * jobs))
-    (merged_checks, merged_extremal, count), *rest = partials
-    for check_stats, extremal, trees in rest:
+    (merged_checks, count), *rest = partials
+    for check_stats, trees in rest:
         for name, stat in check_stats.items():
             merged_checks[name].merge(stat)
-        for name, ex in extremal.items():
-            merged_extremal[name].merge(ex)
         count += trees
     for name, slack in tables.worst.items():
         merged_checks[name].worst_slack = slack
@@ -697,7 +673,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         order=order,
         tree_count=count,
         checks=[merged_checks[k] for k in sorted(merged_checks)],
-        extremal=merged_extremal,
+        extremal=tables.extremal,
     )
 
 
@@ -712,14 +688,12 @@ def available_cpus() -> int:
 
 def extremal_sweep(order: int, stat: str = "rho") -> ExtremalStat:
     """Arg-extreme trees of one statistic (one of EXTREMAL_STATS) over every
-    rooted tree of the order: the walk of :func:`verify_order` with no
-    check. The statistic depends on the level profile alone, so each
-    profile is solved once and the walk looks its value up."""
+    rooted tree of the order: the tables step of :func:`verify_order` with
+    no check, which walks no tree. The statistic depends on the level
+    profile alone, so each profile is solved once (see ``_extreme``)."""
     if stat not in EXTREMAL_STATS:
         raise KeyError(f"unknown statistic {stat!r}; use 'rho' or 'energy'")
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
     check_enumeration_cap(order)
-    tables = _verdict_tables(order, {}, [], DEFAULT_CLUSTER_TOL, (stat,))
-    _, extremal, _ = _evaluate_batch(order, 0, None, tables)
-    return extremal[stat]
+    return _verdict_tables(order, {}, [], DEFAULT_CLUSTER_TOL).extremal[stat]

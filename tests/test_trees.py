@@ -12,13 +12,16 @@ from levelspectra.trees import (
     complete_dary,
     delete_leaf,
     enumerate_rooted_trees,
+    first_level_sequence,
     format_tree,
     from_parent_list,
+    has_one_tree,
     is_rooted_path,
     is_rooted_star,
     level_sequences,
     levels,
     parse_tree,
+    profile_counts,
     profile_index,
     profile_stacks,
     rooted_path,
@@ -322,6 +325,39 @@ class TestProfileStacks:
     def test_order_below_one(self):
         with pytest.raises(InvalidOrder):
             next(profile_stacks(0))
+
+
+def _trees_by_profile(n):
+    """Each level profile of order ``n``, as a tuple, with its trees'
+    level sequences in walk order."""
+    trees = {}
+    for seq in level_sequences(n):
+        trees.setdefault(tuple(np.bincount(seq).tolist()), []).append(seq)
+    return trees
+
+
+class TestProfileClosedForms:
+    """What ``extremal`` reads off a profile instead of walking its trees."""
+
+    def test_decoder_inverts_profile_index(self):
+        for n in range(1, 17):
+            for index, profile in enumerate(profiles_by_index(n)):
+                counts = profile_counts(n, index)
+                assert counts.tolist() == list(profile), (n, index)
+                assert profile_index([counts]).tolist() == [index]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_first_sequence_is_the_walks_first_tree(self, n):
+        trees = _trees_by_profile(n)
+        assert len(trees) == 2 ** max(n - 2, 0)
+        for profile, seqs in trees.items():
+            assert tuple(first_level_sequence(np.array(profile)).tolist()) == seqs[0], profile
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_one_tree_test_counts_the_walk(self, n):
+        trees = _trees_by_profile(n)
+        assert [has_one_tree(np.array(profile)) for profile in trees] == \
+            [len(seqs) == 1 for seqs in trees.values()]
 
 
 class TestStructuralPredicates:

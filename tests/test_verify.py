@@ -164,6 +164,9 @@ class TestExtremalSweeps:
         sweep = extremal_sweep(2, "rho")
         assert sweep.min_seq == sweep.max_seq == (0, 1)  # the one tree
         assert sweep.min_value == sweep.max_value == pytest.approx(1.0)
+        # no other tree, so no runner-up: an infinite gap, printed as null
+        assert sweep.min_gap == sweep.max_gap == math.inf
+        assert sweep.to_dict()["min"]["gap"] is sweep.to_dict()["max"]["gap"] is None
 
     def test_bad_stat(self):
         with pytest.raises(KeyError):
@@ -243,36 +246,8 @@ class TestAggregates:
         assert stat.min_gap == pytest.approx(1.0)
         assert stat.max_gap == pytest.approx(1.0)
 
-    def test_extremal_stat_merge(self):
-        a = ExtremalStat("rho")
-        a.record(5.0, "a")
-        a.record(4.0, "b")
-        b = ExtremalStat("rho")
-        b.record(1.0, "c")
-        b.record(2.0, "d")
-        a.merge(b)
-        assert a.min_value == 1.0 and a.min_seq == "c"
-        assert a.max_value == 5.0 and a.max_seq == "a"
-        assert a.min_gap == pytest.approx(1.0)
-        assert a.max_gap == pytest.approx(1.0)
 
-    def test_extremal_merge_of_single_tree_batches(self):
-        a, b = ExtremalStat("rho"), ExtremalStat("rho")
-        a.record(1.0, "a")
-        b.record(3.0, "b")
-        a.merge(b)
-        assert (a.min_value, a.min_seq, a.min_gap) == (1.0, "a", 2.0)
-        assert (a.max_value, a.max_seq, a.max_gap) == (3.0, "b", 2.0)
-
-    def test_extremal_merge_into_empty_has_no_runner_up(self):
-        merged, batch = ExtremalStat("rho"), ExtremalStat("rho")
-        batch.record(2.0, "only")
-        merged.merge(batch)
-        assert merged.to_dict()["min"]["gap"] is None
-        assert merged.to_dict()["max"]["gap"] is None
-
-
-# Values from a small set, so ties (which keep the earlier tree) are common.
+# Verdicts with slacks from a small set, so equal slacks are common.
 _values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
 _entries = st.lists(st.tuples(st.booleans(), _values), max_size=30)
 
@@ -284,20 +259,6 @@ def _split(items, cuts):
 
 
 class TestMergeEqualsOnePass:
-    @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
-    def test_extremal_stat(self, entries, cuts):
-        labelled = [(value, f"t{i}") for i, (_, value) in enumerate(entries)]
-        one_pass = ExtremalStat("rho")
-        for value, label in labelled:
-            one_pass.record(value, label)
-        merged = ExtremalStat("rho")
-        for part in _split(labelled, cuts):
-            batch = ExtremalStat("rho")
-            for value, label in part:
-                batch.record(value, label)
-            merged.merge(batch)
-        assert merged == one_pass
-
     @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
     def test_check_stat(self, entries, cuts):
         labelled = [(ok, slack, (i,)) for i, (ok, slack) in enumerate(entries)]
@@ -321,26 +282,19 @@ class TestMergeEqualsOnePass:
 
     @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
     def test_batch_forms_equal_one_pass(self, entries, cuts):
-        """record_each and ExtremalStat.of_batch, batch by batch, equal
-        record of one tree at a time, which for the check is given no slack
-        (a nan), as the walk folds none."""
-        one_check, one_extremal = CheckStat("demo"), ExtremalStat("rho")
-        for i, (ok, value) in enumerate(entries):
+        """record_each, batch by batch, equals record of one tree at a time,
+        given no slack (a nan), as the walk folds none."""
+        one_check = CheckStat("demo")
+        for i, (ok, _) in enumerate(entries):
             one_check.record(ok, math.nan)
             if not ok:
                 one_check.offend((i,))
-            one_extremal.record(value, (i,))
-        check, extremal = CheckStat("demo"), ExtremalStat("rho")
+        check = CheckStat("demo")
         for part in _split(list(enumerate(entries)), cuts):
-            if not part:
-                continue
-            seqs = np.array([(i,) for i, _ in part])
-            ok = np.array([ok for _, (ok, _) in part])
-            values = np.array([value for _, (_, value) in part])
-            check.record_each(ok, seqs)
-            extremal.merge(ExtremalStat.of_batch("rho", values, seqs))
+            if part:
+                check.record_each(np.array([ok for _, (ok, _) in part]),
+                                  np.array([(i,) for i, _ in part]))
         assert check == one_check
-        assert extremal == one_extremal
 
     def test_offenders_keep_enumeration_order(self):
         first, second = CheckStat("demo"), CheckStat("demo")
@@ -734,8 +688,7 @@ def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
 
 @pytest.mark.parametrize("walk_size", [1, 7])
 def test_ledger_does_not_depend_on_the_walk_batches(monkeypatch, walk_size):
-    """Keys recur across batches, a key's first two trees (which the
-    extremal statistics see) and the offenders named straddle batch
+    """Keys recur across batches, the offenders named straddle batch
     boundaries, and naming stops at the cap in mid-batch."""
     monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", _REAL_CHECKS | _FAILING_CHECKS)
     runs = [lambda: verify_order(9, jobs=1),
@@ -745,26 +698,95 @@ def test_ledger_does_not_depend_on_the_walk_batches(monkeypatch, walk_size):
     assert [run().to_dict() for run in runs] == default
 
 
-@pytest.mark.parametrize("walk_size", [1, verify_mod.STACK_SIZE])
-@pytest.mark.parametrize("order, start", [(5, 5), (7, 38)])
-def test_extremal_sees_two_trees_of_the_extreme_key(monkeypatch, order, start, walk_size):
-    """From ``start`` to the end of the walk, the largest rho belongs to a
-    profile with two or more trees, so the runner-up is that profile's
-    second tree (a gap of 0), which a walk that records one tree per
-    profile misses. One tree per batch puts the second tree in a later
-    batch."""
-    sequences = list(trees_mod.level_sequences(order))[start:]
-    profiles = [level_profile(seq) for seq in sequences]
-    oracle = ExtremalStat("rho")
-    for seq, profile in zip(sequences, profiles):
-        oracle.record(float(spectra_mod.solve_profiles([profile]).rho[0]), seq)
-    assert profiles.count(level_profile(oracle.max_seq)) >= 2
-    assert oracle.max_gap == 0.0
-    monkeypatch.setattr(verify_mod, "STACK_SIZE", walk_size)
-    tables = verify_mod._verdict_tables(order, {}, [], spectra_mod.DEFAULT_CLUSTER_TOL, ("rho",))
-    _, extremal, trees = verify_mod._evaluate_batch(order, start, None, tables)
-    assert trees == len(sequences)
-    assert extremal["rho"] == oracle
+# ---------------------------------------------------------------------------
+# extremal statistics from the values by profile, against the walk
+# ---------------------------------------------------------------------------
+
+def _walked_extremal(order, table, stat="rho"):
+    """``ExtremalStat.record`` folded over every tree in walk order, each
+    tree's value looked up in the (P,) ``table`` by its profile index."""
+    seqs = list(trees_mod.level_sequences(order))
+    oracle = ExtremalStat(stat)
+    for seq, index in zip(seqs, trees_mod.profile_ids(np.array(seqs)).tolist()):
+        oracle.record(float(table[index]), seq)
+    return oracle
+
+
+def _fields(stat):
+    return tuple(getattr(stat, name) for name in ExtremalStat.__slots__)
+
+
+def _crafted(order, case):
+    """A (P,) table of distinct values but at its ends. ``multi`` puts the
+    maximum, and the minimum, each on a profile of two or more trees (order
+    5 has one such profile, which takes the maximum); ``tie`` puts each on
+    two profiles of one tree."""
+    seqs = np.array(list(trees_mod.level_sequences(order)))
+    trees = np.bincount(trees_mod.profile_ids(seqs), minlength=2 ** (order - 2))
+    table = np.random.default_rng(order).permutation(len(trees)).astype(float)
+    if case == "multi":
+        table[np.flatnonzero(trees >= 2)[-1]] = -1.0
+        table[np.flatnonzero(trees >= 2)[0]] = len(trees)
+    else:
+        table[np.flatnonzero(trees == 1)[:2]] = len(trees)
+        table[np.flatnonzero(trees == 1)[-2:]] = -1.0
+    return table
+
+
+@pytest.mark.parametrize("case", ["multi", "tie"])
+@pytest.mark.parametrize("order", [5, 6, 7])
+def test_extremal_ties_equal_the_walk(monkeypatch, order, case):
+    """With crafted values by profile in place of rho and energy: an
+    extreme on a profile of two or more trees has a runner-up equal to it
+    (gap 0), and so does one that two profiles share, which names the
+    larger of their first trees, as the walk's fold does."""
+    table = _crafted(order, case)
+    solve = verify_mod.solve_profiles
+
+    def crafted_solve(counts):
+        data = solve(counts)
+        at = table[trees_mod.profile_index(counts)]
+        return spectra_mod.SpectralData(data.counts, data.values, at, at, data.nullity)
+
+    monkeypatch.setattr(verify_mod, "solve_profiles", crafted_solve)
+    oracle = _walked_extremal(order, table)
+    assert oracle.max_gap == 0.0 and (oracle.min_gap == 0.0) == (case == "tie" or order > 5)
+    if case == "tie":
+        seqs = list(trees_mod.level_sequences(order))
+        ids = trees_mod.profile_ids(np.array(seqs)).tolist()
+        firsts = [seqs[ids.index(i)] for i in np.flatnonzero(table == table.max()).tolist()]
+        assert len(firsts) == 2 and oracle.max_seq == max(firsts) != min(firsts)
+    for stat in verify_mod.EXTREMAL_STATS:
+        assert _fields(extremal_sweep(order, stat)) == (stat, *_fields(oracle)[1:])
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=32, max_size=32))
+def test_extreme_of_any_table_equals_the_walk(values):
+    """Order 7's 32 profiles with values from a small set, so ties of
+    profiles and of trees are common, at both ends."""
+    table = np.array(values, dtype=float)
+    oracle = _walked_extremal(7, table)
+    got = ExtremalStat("rho", *verify_mod._extreme(7, table, 1),
+                       *verify_mod._extreme(7, table, -1))
+    assert _fields(got) == _fields(oracle)
+
+
+def test_extremal_walks_no_tree(monkeypatch):
+    """extremal reads its trees and gaps off the values by profile: with
+    the enumerator and the walk made to raise, order 10 gives the walked
+    result for both statistics."""
+    _, rho, energy, _ = verify_mod._solved_space(10)
+    want = {stat: _fields(_walked_extremal(10, table, stat))
+            for stat, table in (("rho", rho), ("energy", energy))}
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("extremal walked the trees")
+
+    for module in (trees_mod, verify_mod):
+        monkeypatch.setattr(module, "level_sequences", no_walk)
+    monkeypatch.setattr(verify_mod, "_evaluate_batch", no_walk)
+    for stat, fields in want.items():
+        assert _fields(extremal_sweep(10, stat)) == fields
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -829,8 +851,7 @@ def test_verdict_tables_check_each_stack_once(monkeypatch):
         name: (min_order, kind, counting(name, check) if kind == _PROFILE_KIND else check)
         for name, (min_order, kind, check) in _REAL_CHECKS.items()})
     bound_lines, structural = verify_mod._resolve_selection(None)
-    verify_mod._verdict_tables(9, bound_lines, structural, spectra_mod.DEFAULT_CLUSTER_TOL,
-                               ("rho",))
+    verify_mod._verdict_tables(9, bound_lines, structural, spectra_mod.DEFAULT_CLUSTER_TOL)
     profile_checks = [name for name, (_, kind, _) in _REAL_CHECKS.items()
                       if kind == _PROFILE_KIND]
     assert sorted(map(str, calls)) == sorted(["8", "9", "bounds", "leaf stack", *profile_checks])
@@ -873,7 +894,7 @@ def test_tables_hold_only_what_carries_information(order):
     every other table has a row per profile."""
     bound_lines, structural = verify_mod._resolve_selection(None)
     tables = verify_mod._verdict_tables(order, bound_lines, structural,
-                                        spectra_mod.DEFAULT_CLUSTER_TOL, verify_mod.EXTREMAL_STATS)
+                                        spectra_mod.DEFAULT_CLUSTER_TOL)
     size = 2 ** (order - 2)
     assert set(tables.worst) == set(tables.lines) | set(tables.leaf_lines)
     assert {name for name, slack in tables.worst.items() if math.isinf(slack)} == _NO_SLACK
