@@ -11,8 +11,8 @@ multiplicity of the zero eigenvalue.
 
 import numpy as np
 
+from levelspectra.commands import polynomial_text
 from levelspectra.levelmatrix import build_level_matrix
-from levelspectra.cli import polynomial_text
 from levelspectra.spectra import (
     characteristic_polynomial,
     charpoly_roots,

@@ -14,14 +14,17 @@ The package exports its entry points:
   (``levelspectra.trees``).
 
 Every other name is imported from the module that defines it: the bound
-checks and closed forms from ``bounds``, the n x n level matrix and the
-its oracles from ``levelmatrix``, the exact polynomial and the dense
-oracles from ``spectra``, the dense QL solver from ``eigen``, and the tree
-enumeration, canonical forms and leaf deletion from ``trees``.
+checks and closed forms from ``bounds``, the n x n level matrix and its
+oracles from ``levelmatrix``, the exact polynomial and the dense oracles
+from ``spectra``, the dense QL solver from ``eigen``, the tree enumeration,
+canonical forms and leaf deletion from ``trees``, and the analysis report
+and the subcommands from ``commands``.
 
 Importing the package loads no submodule and not numpy: each entry point is
 imported from its submodule on first access (PEP 562). The command line
-relies on this to set its BLAS thread count before numpy starts.
+relies on this: ``levelspectra.cli`` parses with the standard library alone,
+so ``--help`` and usage errors never load numpy, and it sets the BLAS thread
+count before a command loads numpy and the engine.
 """
 
 import importlib

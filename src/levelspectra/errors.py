@@ -28,6 +28,10 @@ class LevelSpectraError(Exception):
     """Base class for every error raised by this package."""
 
 
+class UsageError(LevelSpectraError):
+    """A command line that the parser or a command refuses (exit 64)."""
+
+
 # -- tree construction / surgery ------------------------------------------
 
 class TreeError(LevelSpectraError, ValueError):

@@ -475,15 +475,21 @@ def parse_tree(text: str) -> RootedTree:
     after = next((i for i in range(2, len(lines)) if lines[i]), None)
     if after is not None:
         raise ParseError("unexpected content after the parent array", line=after + 1)
-    fields = [field for field in lines[1].replace("\t", " ").split(" ") if field]
+    line = lines[1].replace("\t", " ")
+    fields = [field for field in line.split(" ") if field]
     if len(fields) != n:
         raise ParseError(f"expected {n} parent entries, got {len(fields)}", line=2)
-    parents = []
-    for col, field in enumerate(fields, start=1):
-        try:
-            parents.append(_decimal(field))
-        except ValueError:
-            raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
+    # All entries are checked at once, and one by one only to find the first
+    # bad one: each is ASCII digits after at most one "-", so taking one "-"
+    # off the front of each leaves digits alone, and none is a bare "-".
+    digits = (" " + line).replace(" -", " ").replace(" ", "")
+    if not (digits.isascii() and digits.isdigit()) or "-" in fields:
+        for col, field in enumerate(fields, start=1):
+            try:
+                _decimal(field)
+            except ValueError:
+                raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
+    parents = list(map(int, fields))
     try:
         return from_parent_list(parents)
     except NoRoot as exc:
@@ -505,10 +511,17 @@ def parse_tree(text: str) -> RootedTree:
                          line=2, column=cycle[0] if len(cycle) == 1 else None) from exc
 
 
+def format_parents(parent) -> str:
+    """The tree file of a 0-based parent array, ``NO_PARENT`` at the root,
+    unchecked: ``format_parents(level_sequence_parents(seq))`` prints the
+    tree of a level sequence without building it."""
+    # 1-based, and the root's NO_PARENT (-1) becomes 0
+    return f"{len(parent)}\n{' '.join(str(p + 1) for p in parent)}\n"
+
+
 def format_tree(tree: RootedTree) -> str:
     """Inverse of :func:`parse_tree`."""
-    one_based = [0 if p == NO_PARENT else p + 1 for p in tree.parent]
-    return f"{tree.n}\n{' '.join(str(p) for p in one_based)}\n"
+    return format_parents(tree.parent)
 
 
 def to_dot(tree: RootedTree) -> str:

@@ -11,10 +11,12 @@ import jsonschema
 import pytest
 
 from levelspectra import cli as cli_mod
+from levelspectra import commands as commands_mod
 from levelspectra import spectra as spectra_mod
 from levelspectra import trees as trees_mod
 from levelspectra import verify as verify_mod
-from levelspectra.cli import ANALYSIS_REPORT_SCHEMA, main, polynomial_text
+from levelspectra.cli import main
+from levelspectra.commands import ANALYSIS_REPORT_SCHEMA, polynomial_text
 from levelspectra.levelmatrix import LevelMatrix
 from levelspectra.spectra import CharPoly
 from levelspectra.trees import canonicalize, parse_tree
@@ -75,7 +77,7 @@ class TestAnalyze:
             calls.append(tree)
             return trees_mod.levels(tree)
 
-        monkeypatch.setattr(cli_mod, "levels", counted)
+        monkeypatch.setattr(commands_mod, "levels", counted)
         code, out, _ = run(capsys, "analyze", tree_file, "--charpoly", "--format", fmt)
         assert code == 0 and out
         assert len(calls) == 1
@@ -175,9 +177,14 @@ class TestExitCodes:
         ("3\n0 +1 1\n", "bad parent entry '+1' (line 2, column 2)"),
         ("3\n0 1\f1\n", "expected 3 parent entries, got 2 (line 2)"),
         ("3\n0\u20031 1\n", "expected 3 parent entries, got 2 (line 2)"),
+        ("3\n0 - 1\n", "bad parent entry '-' (line 2, column 2)"),
+        ("3\n0 1 --1\n", "bad parent entry '--1' (line 2, column 3)"),
+        ("3\n0 1-1 -\n", "bad parent entry '1-1' (line 2, column 2)"),
+        ("3\n-0 1 1-\n", "bad parent entry '1-' (line 2, column 3)"),
     ], ids=["past-n", "negative", "signed", "two-roots", "no-root", "cycle", "long-cycle",
             "own-parent", "trailing-content", "underscore", "fullwidth", "plus",
-            "fullwidth-entry", "plus-entry", "form-feed", "em-space"])
+            "fullwidth-entry", "plus-entry", "form-feed", "em-space", "bare-minus",
+            "double-minus", "inner-minus", "trailing-minus"])
     def test_parse_errors_number_vertices_as_the_file_does(self, text, message, tmp_path,
                                                           capsys):
         """The file numbers vertices 1..n, so its errors do too; an entry is
@@ -484,7 +491,7 @@ class TestSpecialCommand:
             coeffs = spectra_mod.profile_charpoly(profile).coeffs
             return CharPoly(coeffs[:-1] + (coeffs[-1] + 1,))
 
-        monkeypatch.setattr(cli_mod, "profile_charpoly", off_by_one)
+        monkeypatch.setattr(commands_mod, "profile_charpoly", off_by_one)
         code, out, err = run(capsys, "special", "leafstar", "--order", "6", "--format", fmt)
         assert (code, err) == (1, "")
         if fmt == "json":
@@ -533,7 +540,7 @@ class TestSpecialCommand:
             raise AssertionError("a family member was built")
 
         for name in ("complete_dary", "rooted_star", "rooted_path", "star_rooted_at_leaf"):
-            monkeypatch.setattr(cli_mod, name, build)
+            monkeypatch.setattr(commands_mod, name, build)
         start = time.perf_counter()
         code, out, err = run(capsys, "special", *argv)
         assert time.perf_counter() - start < 1.0
@@ -546,8 +553,8 @@ class TestSpecialCommand:
         for argv in (["star", "--order", "1000000"],
                      ["dary", "--arity", "1", "--height", "999999"],
                      ["dary", "--arity", "999999", "--height", "1"]):
-            size = cli_mod._family_size(parser.parse_args(["special", *argv]))
-            assert size == cli_mod.SPECIAL_MAX_VERTICES == 1_000_000
+            size = commands_mod._family_size(parser.parse_args(["special", *argv]))
+            assert size == commands_mod.SPECIAL_MAX_VERTICES == 1_000_000
 
 
 class TestCharpolyCommand:
@@ -605,7 +612,7 @@ class TestCharpolyCommand:
 
         for name in ("_continuant", "_quotient_stack", "_profile_matrix"):
             monkeypatch.setattr(spectra_mod, name, work)
-        monkeypatch.setattr(cli_mod, "solve_profiles", work)
+        monkeypatch.setattr(commands_mod, "solve_profiles", work)
         argv = {"analyze": [str(path), "--charpoly"], "charpoly": [str(path)],
                 "special": ["path", "--order", str(n), "--charpoly"]}[command]
         code, out, err = run(capsys, command, *argv)

@@ -76,9 +76,18 @@ def test_star_import_and_unknown_name():
     assert out["raised"] == ["no_such_name", "build_level_matrix"]
 
 
+#: Runs one command through the command line, as ``bench/run.py`` does
+#: before it traces: the command line loads numpy and the engine only then.
+_RUN_A_COMMAND = (
+    "import contextlib, io\n"
+    "from levelspectra.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['verify', '--order', '5']) == 0\n"
+)
+
 _BLAS_PROBE = (
     "import json, os\n"
-    "import {module}\n"
+    "{load}"
     "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
     "print(json.dumps({{'var': os.environ.get('OPENBLAS_NUM_THREADS'), 'threads': threads}}))\n"
 )
@@ -86,12 +95,13 @@ _BLAS_PROBE = (
 
 def test_tracer_names_resolve_after_the_cli_import():
     """``bench/run.py --trace 1`` wraps every function ``bench/tracer.py``
-    names in ``LAYERS``, looked up in the modules the command line imported,
-    and sums the n**3 work of each ``N3_WORK`` name among them; a rename
-    that would break the traced run fails here."""
+    names in ``LAYERS``, looked up in the modules the command line imported
+    by the time its first command ran, and sums the n**3 work of each
+    ``N3_WORK`` name among them; a rename that would break the traced run
+    fails here."""
     out = run_python(
         "import json, sys\n"
-        "import levelspectra.cli\n"
+        + _RUN_A_COMMAND +
         f"sys.path.insert(0, {str(BENCH)!r})\n"
         "from tracer import LAYERS, N3_WORK\n"
         "traced = [f'{layer}.{name}' for layer, names in LAYERS.items() for name in names]\n"
@@ -107,7 +117,7 @@ def test_tracer_names_resolve_after_the_cli_import():
 
 
 def test_cli_defaults_to_one_blas_thread():
-    out = run_python(_BLAS_PROBE.format(module="levelspectra.cli"), OPENBLAS_NUM_THREADS=None)
+    out = run_python(_BLAS_PROBE.format(load=_RUN_A_COMMAND), OPENBLAS_NUM_THREADS=None)
     assert out["var"] == "1"
     if out["threads"] is not None:
         # set before numpy loaded OpenBLAS: no BLAS worker threads started
@@ -115,12 +125,14 @@ def test_cli_defaults_to_one_blas_thread():
 
 
 def test_cli_keeps_the_callers_blas_setting():
-    out = run_python(_BLAS_PROBE.format(module="levelspectra.cli"), OPENBLAS_NUM_THREADS="3")
+    out = run_python(_BLAS_PROBE.format(load="import levelspectra.cli\n"),
+                     OPENBLAS_NUM_THREADS="3")
     assert out["var"] == "3"
 
 
 def test_library_import_leaves_blas_setting_alone():
-    out = run_python(_BLAS_PROBE.format(module="levelspectra.verify"), OPENBLAS_NUM_THREADS=None)
+    out = run_python(_BLAS_PROBE.format(load="import levelspectra.verify\n"),
+                     OPENBLAS_NUM_THREADS=None)
     assert out["var"] is None
 
 
@@ -128,9 +140,11 @@ def test_library_import_leaves_blas_setting_alone():
                                             ("levelspectra", False),
                                             ("levelspectra.verify", False)])
 def test_only_the_cli_freezes_the_import_heap(module, frozen):
-    """The command line freezes its import heap, and gives the collector
-    back on; importing the library leaves the collector alone."""
-    out = run_python(f"import gc, json\nimport {module}\n"
+    """The command line freezes its import heap once a command has loaded
+    the engine, and gives the collector back on; importing the library
+    leaves the collector alone."""
+    run = _RUN_A_COMMAND if module == "levelspectra.cli" else ""
+    out = run_python(f"import gc, json\nimport {module}\n{run}"
                      "print(json.dumps({'frozen': gc.get_freeze_count(),\n"
                      "                  'enabled': gc.isenabled()}))\n")
     assert (out["frozen"] > 0) == frozen
@@ -138,27 +152,82 @@ def test_only_the_cli_freezes_the_import_heap(module, frozen):
 
 
 def test_cli_imports_without_a_collection(tmp_path):
-    """No collection runs while the command line imports numpy and the
-    package. Compiling a source may collect, so the probe runs twice over
-    a bytecode cache of its own and the second run, which compiles
+    """No collection runs while the command line loads numpy and the
+    package. Collections are counted from the start of the load, once
+    parsing is done, and the command probed fails on a missing file right
+    after the load. Compiling a source may collect, so the probe runs twice
+    over a bytecode cache of its own and the second run, which compiles
     nothing, counts."""
-    probe = ("import gc, json\n"
+    probe = ("import gc, json, sys\n"
+             "from levelspectra.cli import main\n"
              "starts = []\n"
-             "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))\n"
-             "import levelspectra.cli\n"
-             "print(json.dumps({'collections': sum(starts)}))\n")
+             "gc.callbacks.append(lambda phase, info: starts.append(\n"
+             "    phase == 'start' and 'levelspectra.commands' in sys.modules))\n"
+             f"code = main(['charpoly', {str(tmp_path / 'missing.tree')!r}])\n"
+             "print(json.dumps({'code': code, 'collections': sum(starts)}))\n")
     for _ in range(2):
         out = run_python(probe, PYTHONPYCACHEPREFIX=str(tmp_path), PYTHONDONTWRITEBYTECODE=None)
-    assert out == {"collections": 0}
+    assert out == {"code": 3, "collections": 0}
 
 
 def test_cli_keeps_the_callers_collector_off():
+    """A caller's collector stays off, and its heap is frozen on the first
+    command alone: a later freeze would set aside the caller's garbage."""
     out = run_python("import gc, json\n"
                      "gc.disable()\n"
-                     "import levelspectra.cli\n"
+                     "freezes = []\n"
+                     "freeze = gc.freeze\n"
+                     "gc.freeze = lambda: freezes.append(freeze())\n"
+                     + _RUN_A_COMMAND + _RUN_A_COMMAND.split("\n", 2)[2] +
                      "print(json.dumps({'frozen': gc.get_freeze_count() > 0,\n"
+                     "                  'freezes': len(freezes),\n"
                      "                  'enabled': gc.isenabled()}))\n")
-    assert out == {"frozen": True, "enabled": False}
+    assert out == {"frozen": True, "freezes": 1, "enabled": False}
+
+
+#: Usage errors the command line decides without the engine, run from the
+#: root of a checkout: (argv, exit code, start of stdout, stderr).
+_WITHOUT_THE_ENGINE = [
+    (["--help"], 0, "usage: level-spectra [-h]", ""),
+    *(([command, "--help"], 0, f"usage: level-spectra {command} [-h]", "")
+      for command in ("analyze", "charpoly", "verify", "extremal", "special")),
+    (["verify", "--order", "8", "--bogus"], 64, "",
+     "usage error: unrecognized arguments: --bogus\n"),
+    (["verify"], 64, "", "usage error: the following arguments are required: --order\n"),
+    (["verify", "--order", "8", "--tol", "0"], 64, "",
+     "usage error: --tol must be positive and finite, got 0.0\n"),
+    (["verify", "--order", "8", "--jobs", "0"], 64, "",
+     "usage error: --jobs must be at least 1, got 0\n"),
+    (["verify", "--order", "8", "--only", ",,"], 64, "",
+     "usage error: --only names no check: ',,'\n"),
+    (["analyze", "missing.tree", "--bounds", ","], 64, "",
+     "usage error: --bounds names no check: ','\n"),
+    (["special", "star"], 64, "", "usage error: star needs --order\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", _WITHOUT_THE_ENGINE,
+                         ids=[" ".join(case[0]) for case in _WITHOUT_THE_ENGINE])
+def test_help_and_usage_errors_load_no_numpy(argv, code, stdout, stderr):
+    """``--help`` and each usage error the command line can decide exit
+    before numpy and the engine load; so does importing the command line."""
+    out = run_python(
+        "import contextlib, io, json, sys\n"
+        "import levelspectra.cli\n"
+        "imported = sorted(m for m in sys.modules if m.split('.')[0] in ('levelspectra', 'numpy'))\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        f"        code = levelspectra.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps({'imported': imported, 'code': code, 'stdout': out.getvalue(),\n"
+        "                  'stderr': err.getvalue(), 'numpy': 'numpy' in sys.modules}))\n",
+        COLUMNS="80")
+    assert out["imported"] == ["levelspectra", "levelspectra.cli", "levelspectra.errors"]
+    assert (out["code"], out["stderr"]) == (code, stderr)
+    assert out["stdout"].startswith(stdout)
+    assert not out["numpy"]
 
 
 _POOL_PROBE = (

@@ -343,12 +343,17 @@ class TestPoolWidth:
 
     def test_cut_off_in_orders_is_one_in_trees(self, capsys):
         """Tree counts rise strictly from order 2, so an order cut-off is
-        the tree-count cut-off of its order, which the --jobs help names."""
-        counts = [rooted_tree_count(n) for n in range(2, verify_mod.POOL_MIN_ORDER + 3)]
+        the tree-count cut-off of its order, which the --jobs help names.
+        The command line writes both numbers out, as it parses without the
+        engine: this binds them to the engine's."""
+        order = verify_mod.POOL_MIN_ORDER
+        counts = [rooted_tree_count(n) for n in range(2, order + 3)]
         assert counts == sorted(set(counts))
+        assert order > trees_mod.DEFAULT_ENUMERATION_CAP
         with pytest.raises(SystemExit):
             cli_mod.main(["verify", "--help"])
-        assert ("a pool starts only from 1,721,159 trees (order 18, above the default cap)"
+        assert (f"a pool starts only from {rooted_tree_count(order):,} trees "
+                f"(order {order}, above the default cap)"
                 in " ".join(capsys.readouterr().out.split()))
 
     @pytest.mark.parametrize("jobs", [None, 1000])
