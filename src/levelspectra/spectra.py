@@ -120,10 +120,18 @@ def _cluster(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     one threshold per row: (k, n), true where a value starts a cluster. A
     value joins the current cluster iff it lies within the threshold of the
     cluster's first (largest) value, so no cluster spans more than the
-    threshold. The rule runs column by column, over every row at once."""
+    threshold. The rule runs column by column, over every row at once.
+
+    A column equal to the one on its left in every row is skipped: with a
+    threshold >= 0, its values join the cluster of their left neighbours
+    and leave each row's first value as it was, so it starts nothing. The
+    1,000,000-vertex star, two nonzero values around 999,998 zeros, runs
+    three columns."""
     starts = np.zeros(values.shape, dtype=bool)
     top = np.full(len(values), math.inf)
-    for j in range(values.shape[1]):
+    repeats = np.zeros(values.shape[1], dtype=bool)
+    repeats[1:] = (values[:, 1:] == values[:, :-1]).all(axis=0)
+    for j in np.flatnonzero(~repeats).tolist():
         column = values[:, j]
         starts[:, j] = new = top - column > threshold
         top = np.where(new, column, top)

@@ -102,12 +102,13 @@ class CheckStat:
 
     __slots__ = ("name", "trees_checked", "violations", "worst_slack", "offenders")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, trees_checked: int = 0, violations: int = 0,
+                 worst_slack: float = math.inf, offenders=()):
         self.name = name
-        self.trees_checked = 0
-        self.violations = 0
-        self.worst_slack = math.inf
-        self.offenders: list[tuple[int, ...]] = []
+        self.trees_checked = trees_checked
+        self.violations = violations
+        self.worst_slack = worst_slack
+        self.offenders: list[tuple[int, ...]] = list(offenders)
 
     def _fields(self) -> tuple:
         return self.name, self.trees_checked, self.violations, self.worst_slack, self.offenders
@@ -116,36 +117,21 @@ class CheckStat:
         return isinstance(other, CheckStat) and self._fields() == other._fields()
 
     def record(self, ok: bool, slack: float) -> None:
-        """Count one tree, verdict and slack: only the tests' tree-by-tree oracle calls it."""
+        """Count one tree, verdict and slack: the fold of the tests'
+        tree-by-tree oracle. ``verify_order`` builds each line whole from
+        the walk's counts instead."""
         self.trees_checked += 1
         if not math.isnan(slack):
             self.worst_slack = min(self.worst_slack, slack)
         if not ok:
             self.violations += 1
 
-    def record_each(self, ok: np.ndarray, seqs: np.ndarray) -> None:
-        """Count the trees of ``seqs``, a (B, n) array of level sequences in
-        walk order, each with its verdict in ``ok``, and name the failing
-        trees until the check holds MAX_OFFENDERS. The worst slack is not
-        the walk's: ``verify_order`` sets it from the verdict tables."""
-        self.trees_checked += len(ok)
-        failing = np.flatnonzero(~ok)
-        self.violations += len(failing)
-        for pos in failing[:MAX_OFFENDERS - len(self.offenders)].tolist():
-            self.offend(tuple(seqs[pos].tolist()))
-
     def offend(self, seq: tuple[int, ...]) -> None:
         """Name an offending tree by its level sequence; the first
-        MAX_OFFENDERS named are kept."""
+        MAX_OFFENDERS named are kept. Like ``record``, only the tests'
+        tree-by-tree oracle calls it."""
         if len(self.offenders) < MAX_OFFENDERS:
             self.offenders.append(seq)
-
-    def merge(self, other: "CheckStat") -> None:
-        """Fold in the aggregate of the trees enumerated after this one's."""
-        self.trees_checked += other.trees_checked
-        self.violations += other.violations
-        self.worst_slack = min(self.worst_slack, other.worst_slack)
-        self.offenders = (self.offenders + other.offenders)[:MAX_OFFENDERS]
 
     def to_dict(self) -> dict:
         return {
@@ -471,33 +457,24 @@ class VerdictTables(NamedTuple):
     """Every verdict of one order, for the walk to look up by a tree's
     profile index (see ``trees.profile_stacks``; P of them).
 
-    ``lines`` maps each bound line and PROFILE check to its (P,) verdicts,
-    and ``leaf_lines`` each LEAF_LEVEL check to its (P, n) verdicts by
-    (profile, leaf level). ``covered`` holds the (P,) mask of each line
-    that skips some profiles (``energy-upper-improved`` skips the rooted
-    path). ``worst`` maps each line to its least slack over the stacks (inf
-    if none), the walk's minimum, as every profile and realisable pair is
-    some tree's. ``tree_checks`` names the TREE checks, and ``extremal``
-    maps each of EXTREMAL_STATS to its ``ExtremalStat`` over every tree.
+    ``names`` lists the ledger lines: the L bound lines and PROFILE checks,
+    then the M LEAF_LEVEL checks, then the TREE checks. ``ok`` holds the
+    first L lines' (L, P) verdicts and ``covered`` the (L, P) mask of the
+    profiles each covers (``energy-upper-improved`` skips the rooted path,
+    and at orders 1 and 2 some bound lines cover none);
+    ``leaf_ok`` holds the leaf checks' (M, P, n) verdicts by (profile, leaf
+    level). ``worst`` holds each line's least slack over the stacks (inf if
+    none, as for a TREE check), the walk's minimum, as every profile and
+    realisable pair is some tree's. ``extremal`` maps each of EXTREMAL_STATS
+    to its ``ExtremalStat`` over every tree.
     """
 
-    lines: dict[str, np.ndarray]
-    leaf_lines: dict[str, np.ndarray]
-    covered: dict[str, np.ndarray]
-    worst: dict[str, float]
-    tree_checks: list[str]
+    names: list[str]
+    ok: np.ndarray
+    covered: np.ndarray
+    leaf_ok: np.ndarray
+    worst: np.ndarray
     extremal: dict[str, ExtremalStat]
-
-
-def _store(tables: dict, worst: dict, name: str, shape: tuple[int, ...], at, ok, slack) -> None:
-    """Write one stack's verdicts at ``at`` of the named line's table, made
-    on first use, and fold its slacks, nan ignored as ``CheckStat`` does,
-    into the line's worst."""
-    if name not in tables:
-        tables[name] = np.ones(shape, bool)
-    tables[name][at] = ok
-    worst[name] = min(worst.get(name, math.inf),
-                      float(np.fmin.reduce(np.ravel(slack), initial=math.inf)))
 
 
 def _profile_count(order: int) -> int:
@@ -540,16 +517,22 @@ def _solved_space(order: int) -> tuple[np.ndarray, ...]:
     return space
 
 
+def _least(slack) -> float:
+    """The least of a stack's slacks, nan ignored as ``CheckStat.record``
+    does (inf if none)."""
+    return float(np.fmin.reduce(np.ravel(slack), initial=math.inf))
+
+
 def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float) -> VerdictTables:
     """Check the order's profile space once. The profile engine solves each
     stack of ``profile_stacks``, which is checked as it comes: the bound
     lines and PROFILE checks on the stack, the LEAF_LEVEL checks on its
     realisable (profile, leaf level) pairs, each written at the members'
-    profile indices. When a leaf check runs, the profiles one
-    order down, which hold every leaf-deleted profile, are solved first
-    into arrays by profile index. Last, ``_extreme`` reads each extremal
-    statistic off its (P,) values."""
+    profile indices, and each line's least slack folded into its worst.
+    When a leaf check runs, the profiles one order down, which hold every
+    leaf-deleted profile, are solved first into arrays by profile index.
+    Last, ``_extreme`` reads each extremal statistic off its (P,) values."""
     size = _profile_count(order)
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
     for name in structural:
@@ -558,29 +541,31 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
     below = _solved_space(order - 1) if leaf_checks else ()
-    lines: dict[str, np.ndarray] = {}
-    leaf_lines: dict[str, np.ndarray] = {}
-    covered: dict[str, np.ndarray] = {}
-    worst: dict[str, float] = {}
+    names = [line for lines in bound_lines.values() for line in sorted(lines)]
+    names += [name for name, _ in checks[PROFILE] + leaf_checks + checks[TREE]]
+    row = {name: i for i, name in enumerate(names)}
+    lines = len(names) - len(leaf_checks) - len(checks[TREE])
+    ok = np.ones((lines, size), bool)
+    covered = np.zeros((lines, size), bool)
+    leaf_ok = np.ones((len(leaf_checks), size, order), bool)
+    worst = np.full(len(names), math.inf)
     values = np.empty((len(EXTREMAL_STATS), size))
     for rows, counts in profile_stacks(order):
         data = solve_profiles(counts)
         values[:, rows] = [getattr(data, stat) for stat in EXTREMAL_STATS]
-        for name, ok, slack, member in (
+        for name, line_ok, slack, member in (
                 _bound_verdicts(data, bound_lines)
                 + [(name, *check(data, tol), True) for name, check in checks[PROFILE]]):
-            _store(lines, worst, name, (size,), rows, ok, slack)
-            if name not in covered:
-                covered[name] = np.zeros(size, bool)
-            covered[name][rows] = member
+            i = row[name]
+            ok[i, rows], covered[i, rows] = line_ok, member
+            worst[i] = min(worst[i], _least(slack))
         if leaf_checks:
             members, levels, parent, sub = _leaf_stack(data, below)
-            for name, check in leaf_checks:
-                _store(leaf_lines, worst, name, (size, order), (rows[members], levels),
-                       *check(parent, sub, tol))
-    return VerdictTables(lines, leaf_lines,
-                         {name: mask for name, mask in covered.items() if not mask.all()},
-                         worst, [name for name, _ in checks[TREE]],
+            for i, (_, check) in enumerate(leaf_checks, lines):
+                line_ok, slack = check(parent, sub, tol)
+                leaf_ok[i - lines, rows[members], levels] = line_ok
+                worst[i] = min(worst[i], _least(slack))
+    return VerdictTables(names, ok, covered, leaf_ok, worst,
                          {stat: ExtremalStat(stat, *_extreme(order, table, 1),
                                              *_extreme(order, table, -1))
                           for stat, table in zip(EXTREMAL_STATS, values)})
@@ -588,35 +573,45 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
 
 def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTables):
     """Worker: walk the canonical level sequences of one order from index
-    ``start`` up to ``stop`` (``None``: to the end) once, recording every
-    line of ``tables`` tree by tree; returns each line's mergeable partial
-    ``CheckStat`` and the number of trees walked.
+    ``start`` up to ``stop`` (``None``: to the end) once, checking every
+    line of ``tables`` tree by tree; returns each line's count of trees
+    checked and of violations, as arrays in the order of ``tables.names``,
+    its first MAX_OFFENDERS offenders in walk order, and the number of
+    trees walked.
 
     The walk takes the sequences STACK_SIZE at a time as a (B, n) array.
-    numpy gives each tree's profile index and leaf-level mask and looks
-    every verdict up per tree: a LEAF_LEVEL check's is the AND of its table
-    over the tree's leaf levels. Each TREE check runs on the whole batch.
-    Each line then counts the batch's trees and violations at once and
-    names its failing trees in walk order until it holds MAX_OFFENDERS.
+    numpy gives each tree's profile index and leaf-level mask, and the
+    batch one (lines, B) failing matrix: the bound lines' and PROFILE
+    checks' rows are one lookup by profile index, a LEAF_LEVEL check's the
+    AND of its table over the tree's leaf levels, and each TREE check runs
+    on the whole batch. The first failing trees of each line with room are
+    then named.
     """
-    check_stats = {name: CheckStat(name)
-                   for name in chain(tables.lines, tables.leaf_lines, tables.tree_checks)}
+    lines, leaf = len(tables.ok), len(tables.leaf_ok)
+    tree_checks = [STRUCTURAL_CHECKS[name][2] for name in tables.names[lines + leaf:]]
+    checked = np.zeros(len(tables.names), np.int64)
+    violations = np.zeros(len(tables.names), np.int64)
+    offenders: list[list[tuple[int, ...]]] = [[] for _ in tables.names]
     dtype = np.promote_types(np.int16, np.min_scalar_type(order))  # holds levels
     flat = chain.from_iterable(islice(level_sequences(order), start, stop))
     walked = 0
     while (levels := np.fromiter(islice(flat, STACK_SIZE * order), dtype)).size:
         levels = levels.reshape(-1, order)
         ids = profile_ids(levels)
-        for name, ok in tables.lines.items():
-            trees = tables.covered[name][ids] if name in tables.covered else slice(None)
-            check_stats[name].record_each(ok[ids][trees], levels[trees])
+        covered = tables.covered[:, ids]
         off_leaf = ~_leaf_level_mask(levels)
-        for name, ok in tables.leaf_lines.items():
-            check_stats[name].record_each((ok[ids] | off_leaf).all(axis=1), levels)
-        for name in tables.tree_checks:
-            check_stats[name].record_each(STRUCTURAL_CHECKS[name][2](levels), levels)
+        failing = np.vstack([covered & ~tables.ok[:, ids],
+                             ~(tables.leaf_ok[:, ids] | off_leaf).all(axis=2),
+                             *(~check(levels) for check in tree_checks)])
+        checked[:lines] += covered.sum(axis=1)
+        checked[lines:] += len(levels)
+        room = MAX_OFFENDERS - np.minimum(violations, MAX_OFFENDERS)  # offenders still to name
+        violations += failing.sum(axis=1)
+        named = failing & (np.cumsum(failing, axis=1) <= room[:, None])
+        for line, pos in zip(*np.nonzero(named)):
+            offenders[line].append(tuple(levels[pos].tolist()))
         walked += len(levels)
-    return check_stats, walked
+    return checked, violations, offenders, walked
 
 
 def verify_order(order: int, selection=None, jobs: int | None = None,
@@ -634,8 +629,10 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     checks' cluster tolerance) that is not positive and finite raises
     ``ValueError`` before the cap or any solve. Below order POOL_MIN_ORDER
     no pool is started. Each batch walks its own contiguous range of the
-    enumeration, the last one to its end, and the batches are merged in
-    order, so the ledger equals the sequential one.
+    enumeration, the last one to its end: the counts add up and each
+    line's offenders are joined in batch order, so the ledger equals the
+    sequential one. A bound line that covers no profile of the order, and
+    so checks no tree, is left out.
     """
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
@@ -657,22 +654,20 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(_evaluate_batch, [order] * jobs, cuts[:-1], cuts[1:],
                                      [tables] * jobs))
-    (merged_checks, count), *rest = partials
-    for check_stats, trees in rest:
-        for name, stat in check_stats.items():
-            merged_checks[name].merge(stat)
-        count += trees
-    for name, slack in tables.worst.items():
-        merged_checks[name].worst_slack = slack
+    checked, violations, named, walked = zip(*partials)
+    count = sum(walked)
     if count != expected:
         raise AssertionError(
             f"enumerator produced {count} trees at order {order}, "
             f"counting recurrence says {expected}"
         )
+    offenders = [list(chain.from_iterable(parts))[:MAX_OFFENDERS] for parts in zip(*named)]
+    lines = zip(tables.names, sum(checked).tolist(), sum(violations).tolist(),
+                tables.worst.tolist(), offenders)
     return VerificationLedger(
         order=order,
         tree_count=count,
-        checks=[merged_checks[k] for k in sorted(merged_checks)],
+        checks=[CheckStat(*line) for line in sorted(lines) if line[1]],
         extremal=tables.extremal,
     )
 

@@ -483,7 +483,48 @@ def dyadic_stacks(draw):
     return np.array(rows) / 16.0, np.array(rho)
 
 
+@st.composite
+def repeated_stacks(draw):
+    """(values, threshold): a stack of :func:`dyadic_stacks` with each
+    column repeated one to four times in every row."""
+    values, rho = draw(dyadic_stacks())
+    repeats = draw(st.lists(st.integers(min_value=1, max_value=4),
+                            min_size=values.shape[1], max_size=values.shape[1]))
+    return np.repeat(values, repeats, axis=1), DYADIC_TOL * np.maximum(1.0, rho)
+
+
+def column_loop_starts(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """The clustering rule column by column over every column, the oracle
+    of :func:`_cluster`, which skips a column equal in every row to the one
+    on its left."""
+    starts = np.zeros(values.shape, dtype=bool)
+    top = np.full(len(values), math.inf)
+    for j in range(values.shape[1]):
+        column = values[:, j]
+        starts[:, j] = new = top - column > threshold
+        top = np.where(new, column, top)
+    return starts
+
+
 class TestStackedClusters:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_stacks())
+    def test_repeated_columns_start_as_in_the_column_loop(self, stack):
+        values, threshold = stack
+        assert _cluster(values, threshold).tolist() == \
+            column_loop_starts(values, threshold).tolist()
+
+    def test_long_row_of_zeros(self):
+        """A star's spectrum, sqrt(n - 1), n - 2 zeros and -sqrt(n - 1), and
+        a row of zeros alone, as the column loop groups them."""
+        n = 20_000
+        top = math.sqrt(n - 1)
+        values = np.array([[top, *[0.0] * (n - 2), -top], [0.0] * n])
+        threshold = DEFAULT_CLUSTER_TOL * np.array([top, 1.0])
+        starts = _cluster(values, threshold)
+        assert starts.tolist() == column_loop_starts(values, threshold).tolist()
+        assert [np.flatnonzero(row).tolist() for row in starts] == [[0, 1, n - 1], [0]]
+
     @settings(max_examples=300, deadline=None)
     @given(dyadic_stacks())
     def test_stacked_rule_equals_scalar_loop(self, stack):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import math
 import tracemalloc
@@ -214,23 +215,23 @@ class TestAggregates:
         assert stat.to_dict()["offenders"] == ["0 1 1"]
 
     def test_check_stat_records_many_trees(self):
-        stat = CheckStat("demo")
-        seqs = np.array([(0, 1, 1), (0, 1, 2), (0, 1, 1), (0, 1, 2)])
-        stat.record_each(np.array([True, False, True, False]), seqs)
-        stat.record_each(np.array([False]), seqs[:1])
-        # the walk folds no slack: verify_order sets it from the tables
-        assert (stat.trees_checked, stat.violations, stat.worst_slack) == (5, 3, math.inf)
-        assert stat.offenders == [(0, 1, 2), (0, 1, 2), (0, 1, 1)]
-
-    def test_check_stat_merge(self):
-        a = CheckStat("demo")
-        a.record(True, 1.0)
-        b = CheckStat("demo")
-        b.record(False, -1.0)
-        b.offend((0, 1))
-        a.merge(b)
-        assert a.trees_checked == 2 and a.violations == 1
-        assert a.worst_slack == -1.0 and a.offenders == [(0, 1)]
+        """A worker counts each line's trees and violations a batch at a
+        time: a line looked up by profile counts only the trees it covers
+        (the improved energy bound skips the path), and a line names its
+        first failing trees in walk order, across batches of 3, and no more
+        than MAX_OFFENDERS of its 12."""
+        bound_lines, _ = verify_mod._resolve_selection(["energy-upper-improved"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, "STRUCTURAL_CHECKS",
+                       {"made-up": (1, _TREE_KIND, _tree_check(_EVERY_FOURTH_FAILS))})
+            mp.setattr(verify_mod, "STACK_SIZE", 3)
+            tables = verify_mod._verdict_tables(7, bound_lines, ["made-up"],
+                                                spectra_mod.DEFAULT_CLUSTER_TOL)
+            checked, violations, offenders, walked = verify_mod._evaluate_batch(7, 0, None,
+                                                                                tables)
+        assert tables.names == ["energy-upper-improved", "made-up"]
+        assert (checked.tolist(), violations.tolist(), walked) == ([47, 48], [0, 12], 48)
+        assert offenders == [[], _ORDER_7[::4][:MAX_OFFENDERS]]
 
     def test_check_stats_do_not_share_offenders(self):
         a, b = CheckStat("x"), CheckStat("x")
@@ -247,64 +248,70 @@ class TestAggregates:
         assert stat.max_gap == pytest.approx(1.0)
 
 
-# Verdicts with slacks from a small set, so equal slacks are common.
-_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
-_entries = st.lists(st.tuples(st.booleans(), _values), max_size=30)
+#: The trees of order 7 in walk order.
+_ORDER_7 = list(trees_mod.level_sequences(7))
 
 
-def _split(items, cuts):
-    bounds = sorted({min(c, len(items)) for c in cuts})
-    edges = [0] + bounds + [len(items)]
-    return [items[lo:hi] for lo, hi in zip(edges, edges[1:])]
+def _tree_check(verdicts):
+    """A TREE check that gives the i-th tree of order 7 the i-th verdict."""
+    by_seq = dict(zip(_ORDER_7, verdicts))
+    return lambda levels: np.array([by_seq[tuple(row)] for row in levels.tolist()], dtype=bool)
+
+
+#: Fails on the trees 0, 4, 8, ... of order 7's walk: 12 of its 48.
+_EVERY_FOURTH_FAILS = [i % 4 != 0 for i in range(len(_ORDER_7))]
+
+
+def _walked_line(verdicts, walk_size, jobs):
+    """The ledger line of ``_tree_check(verdicts)`` at order 7, walked
+    ``walk_size`` trees at a time by ``jobs`` in-process pool workers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "STRUCTURAL_CHECKS",
+                   {"made-up": (1, _TREE_KIND, _tree_check(verdicts))})
+        mp.setattr(verify_mod, "STACK_SIZE", walk_size)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        mp.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
+        mp.setattr(verify_mod, "available_cpus", lambda: 3)
+        _RecordingPool.widths = []
+        [line] = verify_order(7, selection=["made-up"], jobs=jobs).checks
+    assert _RecordingPool.widths == ([] if jobs == 1 else [jobs])
+    return line
+
+
+def _one_pass(verdicts):
+    """The line folded tree by tree with ``CheckStat.record`` and ``offend``."""
+    line = CheckStat("made-up")
+    for seq, ok in zip(_ORDER_7, verdicts):
+        line.record(ok, math.nan)  # a TREE check has no slack
+        if not ok:
+            line.offend(seq)
+    return line
+
+
+_verdicts = st.lists(st.booleans(), min_size=len(_ORDER_7), max_size=len(_ORDER_7))
 
 
 class TestMergeEqualsOnePass:
-    @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
-    def test_check_stat(self, entries, cuts):
-        labelled = [(ok, slack, (i,)) for i, (ok, slack) in enumerate(entries)]
+    @given(_verdicts, st.integers(min_value=1, max_value=50), st.integers(min_value=2, max_value=3))
+    def test_check_stat(self, verdicts, walk_size, jobs):
+        """The workers' partials, added up and their offenders joined in
+        batch order, equal one pass over the trees."""
+        line = _walked_line(verdicts, walk_size, jobs)
+        assert line == _one_pass(verdicts)
+        assert len(line.offenders) <= MAX_OFFENDERS
 
-        def record(stat, ok, slack, label):
-            stat.record(ok, slack)
-            if not ok:
-                stat.offend(label)
-
-        one_pass = CheckStat("demo")
-        for ok, slack, label in labelled:
-            record(one_pass, ok, slack, label)
-        merged = CheckStat("demo")
-        for part in _split(labelled, cuts):
-            batch = CheckStat("demo")
-            for ok, slack, label in part:
-                record(batch, ok, slack, label)
-            merged.merge(batch)
-        assert merged == one_pass
-        assert len(merged.offenders) <= MAX_OFFENDERS
-
-    @given(_entries, st.lists(st.integers(min_value=0, max_value=30), max_size=5))
-    def test_batch_forms_equal_one_pass(self, entries, cuts):
-        """record_each, batch by batch, equals record of one tree at a time,
-        given no slack (a nan), as the walk folds none."""
-        one_check = CheckStat("demo")
-        for i, (ok, _) in enumerate(entries):
-            one_check.record(ok, math.nan)
-            if not ok:
-                one_check.offend((i,))
-        check = CheckStat("demo")
-        for part in _split(list(enumerate(entries)), cuts):
-            if part:
-                check.record_each(np.array([ok for _, (ok, _) in part]),
-                                  np.array([(i,) for i, _ in part]))
-        assert check == one_check
+    @given(_verdicts, st.integers(min_value=1, max_value=50))
+    def test_batch_forms_equal_one_pass(self, verdicts, walk_size):
+        """One worker's walk, batch by batch, equals one pass over the trees."""
+        assert _walked_line(verdicts, walk_size, 1) == _one_pass(verdicts)
 
     def test_offenders_keep_enumeration_order(self):
-        first, second = CheckStat("demo"), CheckStat("demo")
-        for i in range(MAX_OFFENDERS):
-            first.record(False, -1.0)
-            first.offend((1, i))
-        second.record(False, -1.0)
-        second.offend((0,))
-        first.merge(second)
-        assert first.offenders == [(1, i) for i in range(MAX_OFFENDERS)]
+        """Every fourth tree fails: 4 in each of three workers' 16 trees, so
+        the ten named come from all three, and across walk batches of 3."""
+        for walk_size, jobs in [(3, 1), (3, 3), (48, 3)]:
+            line = _walked_line(_EVERY_FOURTH_FAILS, walk_size, jobs)
+            assert (line.trees_checked, line.violations) == (48, 12)
+            assert line.offenders == _ORDER_7[::4][:MAX_OFFENDERS]
 
 
 class _RecordingPool:
@@ -893,25 +900,52 @@ _NO_SLACK = {"leaf-deletion-multiplicity", "zero-deletion-multiplicity", "zero-m
 
 @pytest.mark.parametrize("order", [3, 8])
 def test_tables_hold_only_what_carries_information(order):
-    """The tables hold verdicts only, beside one worst slack per line (inf
-    for a check without a slack), and only a line that skips some profiles
-    (energy-upper-improved skips the rooted path) gets a covered mask;
-    every other table has a row per profile."""
+    """The tables hold verdicts only: a (lines, P) bool table and coverage
+    mask for the bound lines and PROFILE checks, and a (checks, P, n) bool
+    table for the LEAF_LEVEL checks, named in that order before the TREE
+    check, beside one worst slack per line (inf for a check without a
+    slack). Only energy-upper-improved skips a profile, the rooted path."""
     bound_lines, structural = verify_mod._resolve_selection(None)
     tables = verify_mod._verdict_tables(order, bound_lines, structural,
                                         spectra_mod.DEFAULT_CLUSTER_TOL)
     size = 2 ** (order - 2)
-    assert set(tables.worst) == set(tables.lines) | set(tables.leaf_lines)
-    assert {name for name, slack in tables.worst.items() if math.isinf(slack)} == _NO_SLACK
-    assert set(tables.leaf_lines) == {"interlacing", "leaf-deletion-multiplicity",
-                                      "zero-deletion-multiplicity"}
-    for ok in tables.lines.values():
-        assert ok.dtype == bool and ok.shape == (size,)
-    for ok in tables.leaf_lines.values():
-        assert ok.dtype == bool and ok.shape == (size, order)
-    [(name, covered)] = tables.covered.items()
+    lines, leaf = len(tables.ok), len(tables.leaf_ok)
+    assert tables.ok.dtype == tables.covered.dtype == tables.leaf_ok.dtype == bool
+    assert tables.ok.shape == tables.covered.shape == (lines, size)
+    assert tables.leaf_ok.shape == (leaf, size, order)
+    assert tables.names[lines:] == ["interlacing", "leaf-deletion-multiplicity",
+                                    "zero-deletion-multiplicity", "distance-domination"]
+    assert tables.worst.shape == (len(tables.names),)
+    assert {name for name, slack in zip(tables.names, tables.worst.tolist())
+            if math.isinf(slack)} == _NO_SLACK | {"distance-domination"}
+    [(name, covered)] = [(name, covered) for name, covered in zip(tables.names, tables.covered)
+                         if not covered.all()]
     assert name == "energy-upper-improved"
     assert np.flatnonzero(~covered).tolist() == [size - 1]  # (1,) * order, the last profile
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_lines(order):
+    return {line["name"]: line for line in _oracle_ledger(order).to_dict()["checks"]}
+
+
+@pytest.mark.parametrize("line, uncovered", [("distance-domination", 0),
+                                             ("energy-upper-improved", 1)])
+def test_one_line_equals_the_oracle_line(line, uncovered):
+    """A selection of one line, with no profile line (its tables empty) or
+    with one that skips the path, gives the tree-by-tree oracle's line."""
+    [got] = verify_order(8, [line], jobs=1).to_dict()["checks"]
+    assert got == _oracle_lines(8)[line]
+    assert got["trees_checked"] == rooted_tree_count(8) - uncovered
+
+
+def test_tables_without_a_profile_line_are_empty_and_bool():
+    tables = verify_mod._verdict_tables(8, {}, ["distance-domination"],
+                                        spectra_mod.DEFAULT_CLUSTER_TOL)
+    assert tables.names == ["distance-domination"]
+    assert (tables.ok.shape, tables.covered.shape, tables.leaf_ok.shape) == \
+        ((0, 64), (0, 64), (0, 64, 8))
+    assert tables.ok.dtype == tables.covered.dtype == tables.leaf_ok.dtype == bool
 
 
 def test_profile_count_stops_where_numpy_cannot_address_the_values():
