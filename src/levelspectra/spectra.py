@@ -7,9 +7,9 @@ number of vertices at each level. Its nonzero spectrum is the spectrum of
 the (h+1)x(h+1) equitable-partition quotient S_ab = sqrt(n_a n_b)|a - b|,
 and its other n-h-1 eigenvalues are exactly zero. The profile engine,
 :func:`solve_profiles`, solves a (k, H+1) array of profiles of one order,
-each row zero after its deepest level, such as each stack
-``trees.profile_stacks`` yields, with one LAPACK ``eigvalsh`` call and one
-O(k h^2) rank certificate per run of rows of one height h, and returns
+each row zero after its deepest level and the rows in any order, such as
+each stack ``trees.profile_stacks`` yields, with one LAPACK ``eigvalsh``
+call and one O(k h^2) rank certificate per height h present, and returns
 the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
 energy and nullity arrays, which every check reads. It takes the counts
 alone, no tolerance; it is the only way a profile is solved, it keeps no
@@ -108,7 +108,7 @@ class Spectrum(Frozen):
 
     def to_dict(self) -> dict:
         return {
-            "values": [float(v) for v in self.values],
+            "values": self.values.tolist(),
             "clusters": [{"value": float(v), "multiplicity": m} for v, m in self.clusters],
             "rho": float(self.rho),
             "energy": float(self.energy),
@@ -587,12 +587,13 @@ def _rank_certificate(residues: np.ndarray) -> np.ndarray:
 
 def solve_profiles(counts) -> SpectralData:
     """The profile engine: the stack of a (k, H+1) array of level profiles
-    of one order, each row zero after its deepest level, such as
-    ``trees.profile_stacks`` yields.
+    of one order, each row zero after its deepest level, in any order, such
+    as ``trees.profile_stacks`` yields.
 
-    Each run of consecutive rows of one height h is solved as a slice of
-    its (h+1) columns, so a padded row solves exactly as the unpadded one.
-    Its values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
+    The rows of each height h present are solved together, on their first
+    h + 1 columns, so a padded row solves exactly as the unpadded one, and
+    each row's results do not depend on the other rows or their order.
+    Their values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
     quotients, padded with n - h - 1 exact zeros. The nullity is
     n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
     quotient. A full rank modulo RANK_PRIME, certified by
@@ -606,17 +607,16 @@ def solve_profiles(counts) -> SpectralData:
     counts = _profile_counts(counts)
     k = len(counts)
     n = int(counts[0].sum())
-    heights = (counts > 0).sum(axis=1) - 1
+    sizes = (counts > 0).sum(axis=1)  # levels, h + 1
     values = np.zeros((k, n))
     rho, energy = np.empty(k), np.empty(k)
     nullity = np.empty(k, dtype=np.int64)
-    cuts = [0, *(np.flatnonzero(np.diff(heights)) + 1).tolist(), k]
-    for lo, hi in zip(cuts, cuts[1:]):
-        s = int(heights[lo]) + 1
-        run = counts[lo:hi, :s]
-        quotient_values = np.linalg.eigvalsh(_quotient_stack(run))  # ascending
-        rho[lo:hi] = np.abs(quotient_values).max(axis=1)
-        energy[lo:hi] = np.abs(quotient_values).sum(axis=1)
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique: 16 ms first call
+        rows = np.flatnonzero(sizes == s)
+        group = counts[rows, :s]
+        quotient_values = np.linalg.eigvalsh(_quotient_stack(group))  # ascending
+        rho[rows] = np.abs(quotient_values).max(axis=1)
+        energy[rows] = np.abs(quotient_values).sum(axis=1)
 
         # Each member's n values, descending, in a row of a (k, n) array: the
         # positive quotient values, then n - h - 1 exact zeros, then the rest.
@@ -624,13 +624,13 @@ def solve_profiles(counts) -> SpectralData:
         positive = (desc > 0).sum(axis=1)
         j = np.arange(s)
         cols = j + np.where(j < positive[:, None], 0, n - s)
-        values[lo + np.arange(hi - lo)[:, None], cols] = desc
+        values[rows[:, None], cols] = desc
 
-        nullity[lo:hi] = n - s
-        residues = _profile_matrix(run % RANK_PRIME) % RANK_PRIME
+        nullity[rows] = n - s
+        residues = _profile_matrix(group % RANK_PRIME) % RANK_PRIME
         for i in np.flatnonzero(~_rank_certificate(residues).all(axis=1)).tolist():
             # B in Python integers, for Bareiss elimination
-            nullity[lo + i] += exact_zero_multiplicity(_profile_matrix(run[i].astype(object)))
+            nullity[rows[i]] += exact_zero_multiplicity(_profile_matrix(group[i].astype(object)))
     values.setflags(write=False)
     return SpectralData(counts, values, rho, energy, nullity)
 

@@ -146,10 +146,6 @@ def levels(tree: RootedTree) -> np.ndarray:
     return tree._level.copy()
 
 
-def max_level(tree: RootedTree) -> int:
-    return int(levels(tree).max())
-
-
 # ---------------------------------------------------------------------------
 # special families
 # ---------------------------------------------------------------------------
@@ -200,9 +196,10 @@ def canonical_level_sequence(tree: RootedTree) -> tuple[int, ...]:
     In O(n log n), as in Aho, Hopcroft and Ullman (*The Design and Analysis
     of Computer Algorithms*, 1974, section 3.2): each level, deepest first,
     ranks its vertices by key, the tuple of their children's ranks in
-    descending order; one DFS then emits the levels, children in descending
-    rank. Keys order sequences: by induction the ranks of level d + 1 do,
-    and a level-d vertex's sequence is d, then its children's in descending
+    descending order (a vertex alone on its level keeps rank 0, with no
+    key); one DFS then emits the levels, children in descending rank. Keys
+    order sequences: by induction the ranks of level d + 1 do, and a
+    level-d vertex's sequence is d, then its children's in descending
     order. At the first child where two keys differ, with sequences s < t,
     either s and t differ within, or s is a proper prefix of t and is
     followed by d + 1 (the next sibling) or by nothing, where t goes on with
@@ -212,9 +209,9 @@ def canonical_level_sequence(tree: RootedTree) -> tuple[int, ...]:
     lev = tree._level
     kids = tree.children()
     by_level = np.argsort(lev, kind="stable")
-    starts = [0, *np.cumsum(np.bincount(lev)).tolist()]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(lev))])
     rank = [0] * tree.n
-    for d in range(len(starts) - 2, -1, -1):
+    for d in np.flatnonzero(np.diff(starts) > 1)[::-1].tolist():
         here = by_level[starts[d]:starts[d + 1]].tolist()
         keys = [tuple(sorted(map(rank.__getitem__, kids[v]), reverse=True)) for v in here]
         index = {key: i for i, key in enumerate(sorted(set(keys)))}
@@ -305,34 +302,21 @@ def profile_stacks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     vertices: n_0 = 1 followed by a composition of n - 1, which some tree
     realises for any positive counts. Its profile index has bit i set where
     the composition is cut after its (i+1)-th unit, so there are 2**(n - 2)
-    for n >= 2. They come in one sequence, heights ascending and indices
-    ascending within a height, cut into (index, counts) stacks of STACK_SIZE
-    rows (the last may be shorter): the (k,) indices and the (k, H+1) int64
-    counts, H the stack's greatest height, each row zero after its deepest
-    level. :func:`profile_index` is the inverse."""
+    for n >= 2. They come in index order, in (index, counts) stacks of
+    STACK_SIZE consecutive indices (the last may be shorter): the (k,) int64
+    indices and their counts by :func:`profile_counts`, whatever their
+    heights. :func:`profile_index` is the inverse."""
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
-    height = np.full(1, min(n - 1, 1), dtype=np.int8)  # of each index, by doubling
-    for _ in range(n - 2):
-        height = np.concatenate([height, height + 1])
-    by_height = np.argsort(height, kind="stable")
-    for start in range(0, len(by_height), STACK_SIZE):
-        index = by_height[start:start + STACK_SIZE].astype(np.int64)
-        h = int(height[index[-1]])
-        ends = np.full((len(index), h), n - 1)  # the cuts, lowest bit first, then n - 1
-        rest = index.copy()
-        for j in range(h - 1):
-            low = rest & -rest
-            ends[:, j] = np.where(low > 0, np.frexp(low)[1], n - 1)  # frexp(2**i): i + 1
-            rest ^= low
-        counts = np.ones((len(index), h + 1), dtype=np.int64)
-        counts[:, 1:] = np.diff(ends, axis=1, prepend=0)
-        yield index, counts
+    size = 1 << max(n - 2, 0)
+    for start in range(0, size, STACK_SIZE):
+        index = np.arange(start, min(start + STACK_SIZE, size), dtype=np.int64)
+        yield index, profile_counts(n, index)
 
 
 def profile_index(counts) -> np.ndarray:
     """The profile index of each row of a (k, h+1) array of level counts,
-    the inverse of :func:`profile_stacks`, trailing zeros ignored: bit c - 1
+    the inverse of :func:`profile_counts`, trailing zeros ignored: bit c - 1
     is set for each cumulative count c = n_1 + ... + n_a where level a + 1
     is not empty."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -341,29 +325,39 @@ def profile_index(counts) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.int64)
 
 
-def profile_counts(n: int, index: int) -> np.ndarray:
-    """The level counts of the profile of order ``n`` with the given index,
-    the inverse of :func:`profile_index` on one row."""
-    ends = [i + 1 for i in range(n - 2) if index >> i & 1] + [n - 1]
-    return np.diff([-1, 0, *ends])[:n]  # order 1: the root alone
+def profile_counts(n: int, index) -> np.ndarray:
+    """The one decoder of the profile index: the (k, H+1) int64 level counts
+    of the profiles of order ``n`` at a (k,) array of indices, H their
+    greatest height, each row zero after its deepest level. In level order,
+    vertex j >= 1 lies on level 1 plus the number of bits 0..j-2 of its
+    index set, the sum of bits 0..j of 4 * index + 2. :func:`profile_index`
+    is the inverse."""
+    index = np.asarray(index, dtype=np.int64)[:, None]
+    level = np.cumsum((4 * index + 2) >> np.arange(n) & 1, axis=1)  # (k, n)
+    width = int(level[:, -1].max()) + 1
+    rows = width * np.arange(len(index))[:, None]
+    counts = np.bincount((level + rows).ravel(), minlength=rows.size * width)
+    return counts.reshape(-1, width).astype(np.int64, copy=False)
 
 
 def first_level_sequence(counts: np.ndarray) -> np.ndarray:
-    """The first tree of the level counts in :func:`level_sequences`: the
-    path 0..h, then each level k's other n_k - 1 vertices, deepest first.
-    It is the largest valid sequence with these counts: entry j is at most j,
-    as on the path, and the rest, fixed by the counts, is largest and valid
-    non-increasing. So it is its tree's canonical sequence, that tree's largest."""
-    h = len(counts) - 1
+    """The first tree of the level counts in :func:`level_sequences`,
+    trailing zeros ignored: the path 0..h, then each level k's other n_k - 1
+    vertices, deepest first. It is the largest valid sequence with these
+    counts: entry j is at most j, as on the path, and the rest, fixed by the
+    counts, is largest and valid non-increasing. So it is its tree's
+    canonical sequence, that tree's largest."""
+    h = np.count_nonzero(counts) - 1
     return np.concatenate([np.arange(h + 1), np.repeat(np.arange(h, 0, -1), counts[h:0:-1] - 1)])
 
 
 def has_one_tree(counts: np.ndarray) -> bool:
-    """Whether one rooted tree alone has the level counts: iff no levels k,
-    k + 1 with k >= 1 both hold two or more vertices. Else level k + 1 under
-    one level-k vertex, or split over two, leaves one or two of them with a
-    child: two trees. If not, a level of two or more hangs from the one
-    vertex above, and at most one of them has a child, the one below."""
+    """Whether one rooted tree alone has the level counts, trailing zeros
+    ignored: iff no levels k, k + 1 with k >= 1 both hold two or more
+    vertices. Else level k + 1 under one level-k vertex, or split over two,
+    leaves one or two of them with a child: two trees. If not, a level of
+    two or more hangs from the one vertex above, and at most one of them has
+    a child, the one below."""
     return not np.any((counts[1:-1] >= 2) & (counts[2:] >= 2))
 
 
@@ -431,11 +425,11 @@ def delete_leaf(tree: RootedTree, v: int) -> RootedTree:
 # ---------------------------------------------------------------------------
 
 def is_rooted_path(tree: RootedTree) -> bool:
-    return max_level(tree) == tree.n - 1
+    return int(tree._level.max()) == tree.n - 1
 
 
 def is_rooted_star(tree: RootedTree) -> bool:
-    return tree.n == 1 or max_level(tree) == 1
+    return tree.n == 1 or int(tree._level.max()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,8 @@ def _leaf_stack(data: SpectralData, below: tuple[np.ndarray, ...]):
     realisable pairs, gathered from ``data`` and, by profile index, from
     ``below`` (order n - 1's values, rho, energy and nullity)."""
     members, levels, sub = _leaf_pairs(data.counts)
-    return (members, levels, data.take(members),
-            SpectralData(sub, *(column[profile_index(sub)] for column in below)))
+    at = profile_index(sub)
+    return members, levels, data.take(members), SpectralData(sub, *(c[at] for c in below))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +497,7 @@ def _extreme(order: int, values: np.ndarray, sign: int) -> tuple[float, tuple[in
     of one, are there, else the best other profile's value, or inf."""
     signed = sign * values
     best = signed.min()
-    at = [profile_counts(order, i) for i in np.flatnonzero(signed == best).tolist()]
+    at = profile_counts(order, np.flatnonzero(signed == best))
     runner = (best if len(at) > 1 or not has_one_tree(at[0])
               else signed[signed != best].min(initial=math.inf))
     seq = max(tuple(first_level_sequence(counts).tolist()) for counts in at)

@@ -260,6 +260,8 @@ class TestExitCodes:
         (("verify", "--order", "10", "--format", "json"), 0),
         (("verify", "--order", "7", "--tol", "0.05"), 1),
         (("extremal", "--order", "6", "--stat", "rho", "--max", "--expect", "path"), 0),
+        # JSON of more than one block of encoder chunks
+        (("special", "star", "--order", "50000", "--format", "json"), 0),
     ])
     def test_closed_stdout_ends_quietly(self, argv, code):
         """A reader that closed the pipe (``| head -c 0``) ends the output,
@@ -525,6 +527,17 @@ class TestSpecialCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, ANALYSIS_REPORT_SCHEMA)
         assert payload["rho"] == pytest.approx(math.sqrt(8), abs=1e-10)
+
+    def test_json_in_blocks_is_the_dumps_text(self, capsys):
+        """JSON is written in blocks of 65,536 encoder chunks, which join to
+        the one ``json.dumps`` string: a 50,000-vertex star takes several."""
+        report = commands_mod.AnalysisReport.build(trees_mod.rooted_star(50_000), bound_names=[],
+                                                   extras={"family": "star of order 50000"})
+        blocks = list(commands_mod._json_blocks(report.to_dict()))
+        assert len(blocks) > 1
+        assert "".join(blocks) == json.dumps(report.to_dict(), indent=2) + "\n"
+        code, out, _ = run(capsys, "special", "star", "--order", "50000", "--format", "json")
+        assert code == 0 and out == "".join(blocks)
 
     def test_missing_order_is_64(self, capsys):
         code, _, _ = run(capsys, "special", "star")

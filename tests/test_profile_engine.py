@@ -44,6 +44,7 @@ from levelspectra.trees import (
     enumerate_rooted_trees,
     level_sequences,
     levels,
+    profile_counts,
     profile_index,
     profile_stacks,
     rooted_path,
@@ -376,7 +377,7 @@ class TestPaddedRows:
         assert same_bits(got.level_second_order_sums[:, :width], want.level_second_order_sums)
 
     def test_mixed_heights_in_any_row_order(self):
-        # runs of one height need not be sorted: each is solved as a slice
+        # the rows of each height are solved together, on their own columns
         rows = [(1, 1, 1, 1, 1, 1), (1, 5, 0, 0, 0, 0), (1, 1, 4, 0, 0, 0), (1, 1, 1, 1, 2, 0)]
         stack = solve_profiles(rows)
         assert stack.heights.tolist() == [5, 1, 2, 4]
@@ -385,6 +386,22 @@ class TestPaddedRows:
             alone = solve_profiles([unpadded(row)])
             for field in ("values", "rho", "energy", "nullity", "level_index", "h_value"):
                 assert same_bits(getattr(stack, field)[i:i + 1], getattr(alone, field)), field
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_permuted_stack_solves_bit_for_bit(self, data):
+        """The engine groups a stack's rows by height itself: the rows of a
+        stack in a random order, heights interleaved and every row padded,
+        solve bit for bit as the same rows in index order."""
+        n = data.draw(st.integers(1, 10), label="order")
+        index = sorted(data.draw(st.sets(st.integers(0, 2 ** max(n - 2, 0) - 1),
+                                         min_size=1, max_size=40), label="indices"))
+        pad = data.draw(st.integers(0, 2), label="padding")
+        order = data.draw(st.permutations(range(len(index))), label="row order")
+        counts = np.pad(profile_counts(n, index), ((0, 0), (0, pad)))
+        plain, permuted = solve_profiles(counts), solve_profiles(counts[order])
+        for field in ("values", "rho", "energy", "nullity"):
+            assert same_bits(getattr(permuted, field), getattr(plain, field)[order]), field
 
     @pytest.mark.parametrize("bad", [(1, 0, 2), (0, 1, 2), (0, 0, 3), (1, 2, 0, 1),
                                      (1, 3, -1)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,29 +294,38 @@ class TestCanonicalForm:
 class TestProfileStacks:
     @pytest.mark.parametrize("stack_size", [3, trees_mod.STACK_SIZE])
     def test_stacks_enumerate_the_bit_loop(self, monkeypatch, stack_size):
-        """Each profile of the bit loop once, at its index, in one sequence
-        of heights ascending and indices ascending within a height, cut
-        into full stacks of STACK_SIZE rows across heights (the last may
-        be shorter), each row zero-padded to its stack's tallest;
-        profile_index takes each stack back to its indices."""
+        """Each profile of the bit loop once, at its index, in index order:
+        each stack's indices are one arange, the stacks follow on, and
+        every stack is full but the last, whatever the heights. Each row is
+        zero-padded to its stack's tallest, and profile_index takes each
+        stack back to its indices."""
         monkeypatch.setattr(trees_mod, "STACK_SIZE", stack_size)
         for n in range(1, 15):
-            got, keys, sizes = {}, [], []
+            rows, sizes = [], []
             for index, counts in profile_stacks(n):
                 assert index.dtype == counts.dtype == np.int64
+                assert index.tolist() == list(range(len(rows), len(rows) + len(index)))
                 assert counts.shape[0] == len(index)
                 heights = (counts > 0).sum(axis=1) - 1
                 assert counts.shape[1] == heights.max() + 1
                 assert (counts[np.arange(counts.shape[1]) > heights[:, None]] == 0).all()
                 assert profile_index(counts).tolist() == index.tolist()
-                keys += zip(heights.tolist(), index.tolist())
                 sizes.append(len(index))
-                got.update((i, tuple(row[:h + 1]))
-                           for i, row, h in zip(index.tolist(), counts.tolist(), heights))
-            assert keys == sorted(keys)
+                rows += [tuple(row[:h + 1]) for row, h in zip(counts.tolist(), heights)]
             assert sizes[:-1] == [stack_size] * (len(sizes) - 1)
             assert 1 <= sizes[-1] <= stack_size
-            assert [got[i] for i in range(len(got))] == profiles_by_index(n), n
+            assert rows == profiles_by_index(n), n
+
+    def test_first_stack_allocates_no_table_of_every_profile(self):
+        """A stack is decoded from its own indices: the first of order 24's
+        2**22 profiles allocates well under one (P,) int64 table (32 MiB)."""
+        tracemalloc.start()
+        try:
+            next(profile_stacks(24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
 
     def test_stack_counts(self):
         """Order 9's 128 profiles and order 12's 2**10 come in one stack
@@ -340,24 +350,34 @@ class TestProfileClosedForms:
     """What ``extremal`` reads off a profile instead of walking its trees."""
 
     def test_decoder_inverts_profile_index(self):
+        """profile_counts decodes any array of indices, in any order, each
+        row zero-padded to the tallest; profile_index takes it back."""
+        rng = np.random.default_rng(7)
         for n in range(1, 17):
-            for index, profile in enumerate(profiles_by_index(n)):
+            profiles = profiles_by_index(n)
+            for index in (np.arange(len(profiles)), rng.permutation(len(profiles))[:50],
+                          np.array([len(profiles) - 1])):
                 counts = profile_counts(n, index)
-                assert counts.tolist() == list(profile), (n, index)
-                assert profile_index([counts]).tolist() == [index]
+                assert counts.dtype == np.int64
+                assert counts.shape == (len(index), max(len(profiles[i]) for i in index))
+                assert [tuple(c for c in row if c) for row in counts.tolist()] == \
+                    [profiles[i] for i in index.tolist()], (n, index)
+                assert profile_index(counts).tolist() == index.tolist()
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_first_sequence_is_the_walks_first_tree(self, n):
         trees = _trees_by_profile(n)
         assert len(trees) == 2 ** max(n - 2, 0)
         for profile, seqs in trees.items():
-            assert tuple(first_level_sequence(np.array(profile)).tolist()) == seqs[0], profile
+            for padded in (profile, profile + (0, 0)):  # trailing zeros ignored
+                assert tuple(first_level_sequence(np.array(padded)).tolist()) == seqs[0], padded
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_one_tree_test_counts_the_walk(self, n):
         trees = _trees_by_profile(n)
-        assert [has_one_tree(np.array(profile)) for profile in trees] == \
-            [len(seqs) == 1 for seqs in trees.values()]
+        for padded in ((), (0, 0)):  # trailing zeros ignored
+            assert [has_one_tree(np.array(profile + padded)) for profile in trees] == \
+                [len(seqs) == 1 for seqs in trees.values()]
 
 
 class TestStructuralPredicates:
