@@ -60,7 +60,10 @@ class RootedTree:
     __slots__ = ("_parent", "_root", "_level")
 
     def __init__(self, parent):
-        parent = tuple(int(p) for p in parent)
+        self._build(tuple(int(p) for p in parent))
+
+    def _build(self, parent: tuple[int, ...]) -> None:
+        """Validate and keep a parent tuple of Python ints."""
         n = len(parent)
         if n == 0:
             raise NoRoot("empty parent array")
@@ -138,7 +141,9 @@ def from_parent_list(parents) -> RootedTree:
     """Build a validated tree from an external parent array, numbered as in
     the file format: vertices 1..n, and 0 for the root's entry. (A 0-based
     array with ``NO_PARENT`` at the root is ``RootedTree(parents)``.)"""
-    return RootedTree([int(p) - 1 for p in parents])
+    tree = RootedTree.__new__(RootedTree)
+    tree._build(tuple(int(p) - 1 for p in parents))  # each entry converted once
+    return tree
 
 
 def levels(tree: RootedTree) -> np.ndarray:
@@ -483,9 +488,8 @@ def parse_tree(text: str) -> RootedTree:
                 _decimal(field)
             except ValueError:
                 raise ParseError(f"bad parent entry {field!r}", line=2, column=col) from None
-    parents = list(map(int, fields))
     try:
-        return from_parent_list(parents)
+        return from_parent_list(fields)  # each entry converted once, there
     except NoRoot as exc:
         raise ParseError("no vertex has parent 0; a tree has one root", line=2) from exc
     except MultipleRoots as exc:
@@ -498,7 +502,7 @@ def parse_tree(text: str) -> RootedTree:
                          line=2, column=v + 1) from exc
     except CycleDetected as exc:
         cycle = [exc.vertex + 1]
-        while (v := parents[cycle[-1] - 1]) != cycle[0]:
+        while (v := int(fields[cycle[-1] - 1])) != cycle[0]:
             cycle.append(v)
         raise ParseError("parent entries form a cycle: "
                          + " -> ".join(map(str, [*cycle, cycle[0]])),

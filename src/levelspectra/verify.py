@@ -236,17 +236,13 @@ class VerificationLedger:
         return "\n".join(lines) + "\n"
 
 
-def _leaf_level_mask(levels: np.ndarray) -> np.ndarray:
-    """(B, n) canonical level sequences -> (B, n) table whose [b, k] is
-    true where level k holds a leaf of tree b: vertex i is a leaf iff it is
-    last or the next vertex is no deeper."""
-    b, n = levels.shape
-    leaf = np.ones((b, n), dtype=bool)
-    leaf[:, :-1] = levels[:, 1:] <= levels[:, :-1]
-    mask = np.zeros((b, n), dtype=bool)
-    tree, vertex = np.nonzero(leaf)
-    mask[tree, levels[tree, vertex]] = True
-    return mask
+def _leaf_bits(levels: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """(B, n) canonical level sequences -> (B,) integers of ``dtype`` whose
+    bit a is set where level a holds a leaf of the tree: vertex i is a leaf
+    iff it is last or the next vertex is no deeper."""
+    bits = dtype.type(1) << levels.astype(dtype)
+    bits[:, :-1] *= levels[:, 1:] <= levels[:, :-1]
+    return np.bitwise_or.reduce(bits, axis=1)
 
 
 def _leaf_pairs(counts: np.ndarray):
@@ -328,17 +324,20 @@ def _zero_cluster_consistency(data: SpectralData, tol: float):
 def _row_sum_difference(data: SpectralData, tol: float):
     """The closed form f(i, k) of ``levelmatrix.row_sum_difference`` equals
     L_i - L_k for every pair i < k of the levels l_1 >= ... >= l_n, checked
-    on the consecutive pairs alone, (k, n - 1) arrays, in integers. That is
-    the all-pairs verdict: f telescopes, f(i, k) = sum over i <= j < k of
-    f(j, j+1) = (n - 2j)(l_j - l_(j+1)) (each l_j strictly between i and k
-    gets (n - 2j) - (n - 2j + 2) = -2, as in f), and so does L_i - L_k, the
-    sum of L_j - L_(j+1). So all pairs agree iff the consecutive ones do."""
-    k, n = len(data.counts), data.n
-    ascending = np.repeat(np.tile(np.arange(data.counts.shape[1]), k), data.counts.ravel())
-    lev = ascending.reshape(k, n)[:, ::-1]
-    sums = np.take_along_axis(data.level_row_sums, lev, axis=1)
-    closed = (n - 2 * np.arange(1, n)) * (lev[:, :-1] - lev[:, 1:])
-    return (closed == sums[:, :-1] - sums[:, 1:]).all(axis=1), math.nan
+    on the level boundaries alone, (k, H) arrays, in integers: L_(a+1) - L_a
+    = n - 2 N_(>=a+1) for each level a + 1 that is not empty, N_(>=a+1) the
+    vertices on level a + 1 or below. That is the all-pairs verdict. f
+    telescopes, f(i, k) = sum over i <= j < k of f(j, j+1) = (n - 2j)(l_j -
+    l_(j+1)) (each l_j strictly between i and k gets (n - 2j) - (n - 2j + 2)
+    = -2, as in f), and so does L_i - L_k, the sum of L_j - L_(j+1), so all
+    pairs agree iff the consecutive ones do. A consecutive pair within level
+    a compares 0 with L_a - L_a and cannot fail; the levels 0..H of a
+    profile are none empty, so the others are j = N_(>=a+1), the last vertex
+    on level a + 1, and j + 1, the first on level a: f = (n - 2j) * 1."""
+    counts, sums = data.counts, data.level_row_sums
+    below = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # N_(>=a) at column a
+    holds = (sums[:, 1:] - sums[:, :-1] == data.n - 2 * below[:, 1:]) | (counts[:, 1:] == 0)
+    return holds.all(axis=1), math.nan
 
 
 def _interlacing(data: SpectralData, sub: SpectralData, tol: float):
@@ -457,22 +456,21 @@ class VerdictTables(NamedTuple):
     """Every verdict of one order, for the walk to look up by a tree's
     profile index (see ``trees.profile_stacks``; P of them).
 
-    ``names`` lists the ledger lines: the L bound lines and PROFILE checks,
-    then the M LEAF_LEVEL checks, then the TREE checks. ``ok`` holds the
-    first L lines' (L, P) verdicts and ``covered`` the (L, P) mask of the
-    profiles each covers (``energy-upper-improved`` skips the rooted path,
-    and at orders 1 and 2 some bound lines cover none);
-    ``leaf_ok`` holds the leaf checks' (M, P, n) verdicts by (profile, leaf
-    level). ``worst`` holds each line's least slack over the stacks (inf if
-    none, as for a TREE check), the walk's minimum, as every profile and
-    realisable pair is some tree's. ``extremal`` maps each of EXTREMAL_STATS
-    to its ``ExtremalStat`` over every tree.
+    ``names`` lists the L bound lines and PROFILE checks, then the M
+    LEAF_LEVEL checks, then the TREE checks. ``verdict`` holds the L lines'
+    (L, P) int8 verdicts: 1 holds, 0 fails, -1 does not cover the profile
+    (``energy-upper-improved`` skips the rooted path, and at orders 1 and 2
+    some bound lines cover none). ``leaf_bad`` holds the M checks' (M, P)
+    failing levels, bit a set where deleting a leaf at level a fails, in
+    the least unsigned type of n bits or more. ``worst`` holds each line's
+    least slack over the stacks (inf if none), the walk's minimum, as every
+    profile and realisable pair is some tree's; ``extremal`` each of
+    EXTREMAL_STATS's ``ExtremalStat`` over every tree.
     """
 
     names: list[str]
-    ok: np.ndarray
-    covered: np.ndarray
-    leaf_ok: np.ndarray
+    verdict: np.ndarray
+    leaf_bad: np.ndarray
     worst: np.ndarray
     extremal: dict[str, ExtremalStat]
 
@@ -517,19 +515,14 @@ def _solved_space(order: int) -> tuple[np.ndarray, ...]:
     return space
 
 
-def _least(slack) -> float:
-    """The least of a stack's slacks, nan ignored as ``CheckStat.record``
-    does (inf if none)."""
-    return float(np.fmin.reduce(np.ravel(slack), initial=math.inf))
-
-
 def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
                     tol: float) -> VerdictTables:
     """Check the order's profile space once. The profile engine solves each
     stack of ``profile_stacks``, which is checked as it comes: the bound
     lines and PROFILE checks on the stack, the LEAF_LEVEL checks on its
     realisable (profile, leaf level) pairs, each written at the members'
-    profile indices, and each line's least slack folded into its worst.
+    profile indices, and each line's slacks folded into its worst, nan
+    ignored as ``CheckStat.record`` does.
     When a leaf check runs, the profiles one order down, which hold every
     leaf-deleted profile, are solved first into arrays by profile index.
     Last, ``_extreme`` reads each extremal statistic off its (P,) values."""
@@ -545,9 +538,8 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
     names += [name for name, _ in checks[PROFILE] + leaf_checks + checks[TREE]]
     row = {name: i for i, name in enumerate(names)}
     lines = len(names) - len(leaf_checks) - len(checks[TREE])
-    ok = np.ones((lines, size), bool)
-    covered = np.zeros((lines, size), bool)
-    leaf_ok = np.ones((len(leaf_checks), size, order), bool)
+    verdict = np.full((lines, size), -1, np.int8)
+    leaf_bad = np.zeros((len(leaf_checks), size), np.min_scalar_type((1 << order) - 1))
     worst = np.full(len(names), math.inf)
     values = np.empty((len(EXTREMAL_STATS), size))
     for rows, counts in profile_stacks(order):
@@ -557,15 +549,16 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
                 _bound_verdicts(data, bound_lines)
                 + [(name, *check(data, tol), True) for name, check in checks[PROFILE]]):
             i = row[name]
-            ok[i, rows], covered[i, rows] = line_ok, member
-            worst[i] = min(worst[i], _least(slack))
+            verdict[i, rows] = np.where(member, line_ok, -1)
+            worst[i] = np.fmin.reduce(np.ravel(slack), initial=worst[i])
         if leaf_checks:
             members, levels, parent, sub = _leaf_stack(data, below)
-            for i, (_, check) in enumerate(leaf_checks, lines):
+            at = np.flatnonzero(np.diff(members, prepend=-1))  # each member's first pair
+            for i, (_, check) in enumerate(leaf_checks):
                 line_ok, slack = check(parent, sub, tol)
-                leaf_ok[i - lines, rows[members], levels] = line_ok
-                worst[i] = min(worst[i], _least(slack))
-    return VerdictTables(names, ok, covered, leaf_ok, worst,
+                leaf_bad[i, rows] = np.bitwise_or.reduceat(np.where(line_ok, 0, 1 << levels), at)
+                worst[lines + i] = np.fmin.reduce(np.ravel(slack), initial=worst[lines + i])
+    return VerdictTables(names, verdict, leaf_bad, worst,
                          {stat: ExtremalStat(stat, *_extreme(order, table, 1),
                                              *_extreme(order, table, -1))
                           for stat, table in zip(EXTREMAL_STATS, values)})
@@ -580,14 +573,15 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
     trees walked.
 
     The walk takes the sequences STACK_SIZE at a time as a (B, n) array.
-    numpy gives each tree's profile index and leaf-level mask, and the
-    batch one (lines, B) failing matrix: the bound lines' and PROFILE
-    checks' rows are one lookup by profile index, a LEAF_LEVEL check's the
-    AND of its table over the tree's leaf levels, and each TREE check runs
-    on the whole batch. The first failing trees of each line with room are
+    numpy gives each tree's profile index and its leaf levels as the bits
+    of one integer, and the batch one (lines, B) failing matrix: the bound
+    lines' and PROFILE checks' rows are one lookup of ``verdict`` by
+    profile index, a LEAF_LEVEL check's row fails where its failing levels
+    share a bit with the tree's leaf levels, and each TREE check runs on
+    the whole batch. The first failing trees of each line with room are
     then named.
     """
-    lines, leaf = len(tables.ok), len(tables.leaf_ok)
+    lines, leaf = len(tables.verdict), len(tables.leaf_bad)
     tree_checks = [STRUCTURAL_CHECKS[name][2] for name in tables.names[lines + leaf:]]
     checked = np.zeros(len(tables.names), np.int64)
     violations = np.zeros(len(tables.names), np.int64)
@@ -598,12 +592,11 @@ def _evaluate_batch(order: int, start: int, stop: int | None, tables: VerdictTab
     while (levels := np.fromiter(islice(flat, STACK_SIZE * order), dtype)).size:
         levels = levels.reshape(-1, order)
         ids = profile_ids(levels)
-        covered = tables.covered[:, ids]
-        off_leaf = ~_leaf_level_mask(levels)
-        failing = np.vstack([covered & ~tables.ok[:, ids],
-                             ~(tables.leaf_ok[:, ids] | off_leaf).all(axis=2),
+        verdict = tables.verdict[:, ids]
+        leaf_bits = _leaf_bits(levels, tables.leaf_bad.dtype)
+        failing = np.vstack([verdict == 0, (tables.leaf_bad[:, ids] & leaf_bits) != 0,
                              *(~check(levels) for check in tree_checks)])
-        checked[:lines] += covered.sum(axis=1)
+        checked[:lines] += (verdict >= 0).sum(axis=1)
         checked[lines:] += len(levels)
         room = MAX_OFFENDERS - np.minimum(violations, MAX_OFFENDERS)  # offenders still to name
         violations += failing.sum(axis=1)

@@ -68,7 +68,8 @@ def profiles_by_index(n: int) -> list[tuple[int, ...]]:
 
 def leaf_levels(seq) -> set[int]:
     """The levels that hold a leaf of the tree with canonical level sequence
-    ``seq``, from the walk's batched leaf-level mask."""
-    from levelspectra.verify import _leaf_level_mask
+    ``seq``, from the walk's leaf-level bits."""
+    from levelspectra.verify import _leaf_bits
 
-    return set(np.flatnonzero(_leaf_level_mask(np.array([seq]))[0]).tolist())
+    bits = int(_leaf_bits(np.array([seq]), np.dtype(np.uint64))[0])
+    return {level for level in range(len(seq)) if bits >> level & 1}

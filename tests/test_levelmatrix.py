@@ -202,12 +202,25 @@ def _all_pairs_verdicts(data: SpectralData) -> list[bool]:
     return verdicts
 
 
-class TestRowSumDifferences:
-    """The ``row-sum-difference`` check reads only consecutive pairs, where
-    the closed form telescopes to all pairs: its verdicts must be those of
-    the scalar closed form on every pair."""
+def _consecutive_pairs_verdicts(data: SpectralData) -> np.ndarray:
+    """Each member's ``row-sum-difference`` verdict by the closed form on
+    its n - 1 consecutive pairs, (k, n - 1) arrays: the oracle of the
+    check's reduction from these pairs to the level boundaries."""
+    k, n = len(data.counts), data.n
+    ascending = np.repeat(np.tile(np.arange(data.counts.shape[1]), k), data.counts.ravel())
+    lev = ascending.reshape(k, n)[:, ::-1]
+    sums = np.take_along_axis(data.level_row_sums, lev, axis=1)
+    closed = (n - 2 * np.arange(1, n)) * (lev[:, :-1] - lev[:, 1:])
+    return (closed == sums[:, :-1] - sums[:, 1:]).all(axis=1)
 
-    @pytest.mark.parametrize("order", range(1, 13))
+
+class TestRowSumDifferences:
+    """The ``row-sum-difference`` check reads only the level boundaries,
+    where the closed form telescopes to all pairs: its verdicts must be
+    those of the consecutive pairs and of the scalar closed form on every
+    pair."""
+
+    @pytest.mark.parametrize("order", range(1, 14))
     def test_matches_scalar_closed_form(self, order):
         """Every profile of the order (order 1 has no pair), as solved and
         with its row sums perturbed: one level's shifted in some members,
@@ -219,6 +232,7 @@ class TestRowSumDifferences:
             data = solve_profiles(counts)
             ok, _ = _row_sum_difference(data, 1e-8)
             assert ok.tolist() == _all_pairs_verdicts(data) == [True] * len(counts)
+            assert ok.tolist() == _consecutive_pairs_verdicts(data).tolist()
 
             sums = data.level_row_sums.copy()
             k, width = sums.shape
@@ -233,6 +247,7 @@ class TestRowSumDifferences:
             perturbed.__dict__["level_row_sums"] = sums  # seed the cached property
             ok, _ = _row_sum_difference(perturbed, 1e-8)
             assert ok.tolist() == _all_pairs_verdicts(perturbed)
+            assert ok.tolist() == _consecutive_pairs_verdicts(perturbed).tolist()
             failing += int((~ok).sum())
         assert failing > 0 if order >= 2 else failing == 0
 

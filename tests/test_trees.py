@@ -101,6 +101,33 @@ class TestConstruction:
         t = RootedTree([-1, 0, 0])
         assert levels(t).tolist() == [0, 1, 1]
 
+    @pytest.mark.parametrize("build, parents", [
+        (RootedTree, [-1, 0, 0]), (RootedTree, np.array([-1, 0, 0])),
+        (RootedTree, ("-1", "0", "0")), (RootedTree, [-1.0, 0.0, 0.0]),
+        (from_parent_list, [0, 1, 1]), (from_parent_list, np.array([0, 1, 1], np.int16)),
+        (from_parent_list, ["0", " 1", "1"]), (from_parent_list, iter([0, 1, 1])),
+    ])
+    def test_parent_entries_become_python_ints(self, build, parents):
+        """Both constructors take any entries ``int`` takes, and keep
+        Python ints."""
+        tree = build(parents)
+        assert tree == RootedTree([-1, 0, 0])
+        assert all(type(p) is int for p in tree.parent)
+
+    @pytest.mark.parametrize("parents, error, message", [
+        ([], NoRoot, "empty parent array"),
+        ([2, 1], NoRoot, "no root sentinel in parent array"),
+        ([0, 0, 1], MultipleRoots, r"vertices \[0, 1\] all have no parent"),
+        ([0, 5, 1], IndexOutOfRange, r"parent\[1\] = 4 is not a vertex index"),
+        ([0, 3, 2], CycleDetected, "parent pointers cycle through vertex [12]"),
+    ])
+    def test_construction_error_messages(self, parents, error, message):
+        """The same messages from the 1-based and the 0-based constructor."""
+        for build, entries in ((from_parent_list, parents),
+                               (RootedTree, [p - 1 for p in parents])):
+            with pytest.raises(error, match=f"^{message}$"):
+                build(entries)
+
 
 class TestLevels:
     def test_sample9(self, sample9):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelspectra import bounds as bounds_mod
@@ -698,6 +698,58 @@ def test_ledger_with_failures_equals_tree_by_tree_oracle(monkeypatch, jobs):
     assert ledger.violations == sum(line["violations"] for line in oracle.values())
 
 
+def _inner_leaf_pairs(order):
+    """The realisable (profile index, leaf level) pairs of the order whose
+    level is not the profile's deepest: some trees of the profile have a
+    leaf there and some need not."""
+    pairs = []
+    for index, profile in enumerate(profiles_by_index(order)):
+        pairs += [(index, level)
+                  for level in verify_mod._leaf_pairs(np.array([profile]))[1].tolist()
+                  if level < len(profile) - 1]
+    return pairs
+
+
+@st.composite
+def _failing_leaf_pairs(draw):
+    order = draw(st.integers(min_value=5, max_value=8))
+    return order, draw(st.frozensets(st.sampled_from(_inner_leaf_pairs(order)), min_size=1))
+
+
+@settings(deadline=None)  # each example solves two orders' profiles
+@given(_failing_leaf_pairs(), st.sampled_from([1, 2]))
+def test_leaf_failures_split_a_profile_by_leaf_levels(failing, jobs):
+    """A LEAF_LEVEL check that fails at drawn (profile, level) pairs off the
+    deepest level fails only the trees of the profile with a leaf at one of
+    those levels, as a tree-by-tree oracle from each tree's own leaves
+    says, whether one process walks or a pool."""
+    order, pairs = failing
+
+    def fails_at_drawn_pairs(data, sub, tol):
+        level = np.argmax(data.counts != sub.counts, axis=1)
+        drawn = zip(trees_mod.profile_index(data.counts).tolist(), level.tolist())
+        return np.array([pair not in pairs for pair in drawn]), math.nan
+
+    oracle = CheckStat("made-up")
+    for seq in trees_mod.level_sequences(order):
+        tree = trees_mod.tree_from_level_sequence(seq)
+        index = int(trees_mod.profile_index([level_profile(seq)])[0])
+        ok = not any((index, seq[leaf]) in pairs for leaf in tree.leaves())
+        oracle.record(ok, math.nan)
+        if not ok:
+            oracle.offend(seq)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "STRUCTURAL_CHECKS",
+                   {"made-up": (1, _LEAF_KIND, fails_at_drawn_pairs)})
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        mp.setattr(verify_mod, "POOL_MIN_ORDER", 1)  # a pool at every order
+        mp.setattr(verify_mod, "available_cpus", lambda: 2)
+        _RecordingPool.widths = []
+        [line] = verify_order(order, selection=["made-up"], jobs=jobs).checks
+    assert _RecordingPool.widths == ([] if jobs == 1 else [2])
+    assert line == oracle
+
+
 @pytest.mark.parametrize("walk_size", [1, 7])
 def test_ledger_does_not_depend_on_the_walk_batches(monkeypatch, walk_size):
     """Keys recur across batches, the offenders named straddle batch
@@ -898,30 +950,38 @@ _NO_SLACK = {"leaf-deletion-multiplicity", "zero-deletion-multiplicity", "zero-m
              "zero-cluster-consistency", "row-sum-difference"}
 
 
-@pytest.mark.parametrize("order", [3, 8])
+@pytest.mark.parametrize("order", [3, 8, 9, 16, 17])
 def test_tables_hold_only_what_carries_information(order):
-    """The tables hold verdicts only: a (lines, P) bool table and coverage
-    mask for the bound lines and PROFILE checks, and a (checks, P, n) bool
-    table for the LEAF_LEVEL checks, named in that order before the TREE
-    check, beside one worst slack per line (inf for a check without a
-    slack). Only energy-upper-improved skips a profile, the rooted path."""
-    bound_lines, structural = verify_mod._resolve_selection(None)
+    """The tables hold one entry per (line, profile): a (lines, P) int8
+    verdict table for the bound lines and PROFILE checks (1 holds, 0 fails,
+    -1 not covered), and a (checks, P) table of failing-level bits for the
+    LEAF_LEVEL checks, in the least unsigned type of n bits or more, named
+    in that order before the TREE check, beside one worst slack per line
+    (inf for a check without a slack). Only energy-upper-improved skips a
+    profile, the rooted path, and no entry fails."""
+    size = 2 ** (order - 2)
+    # above order 9, the one line that skips a profile: the types of n bits
+    bound_lines, structural = verify_mod._resolve_selection(
+        None if order <= 9 else ["energy-upper-improved"])
     tables = verify_mod._verdict_tables(order, bound_lines, structural,
                                         spectra_mod.DEFAULT_CLUSTER_TOL)
-    size = 2 ** (order - 2)
-    lines, leaf = len(tables.ok), len(tables.leaf_ok)
-    assert tables.ok.dtype == tables.covered.dtype == tables.leaf_ok.dtype == bool
-    assert tables.ok.shape == tables.covered.shape == (lines, size)
-    assert tables.leaf_ok.shape == (leaf, size, order)
-    assert tables.names[lines:] == ["interlacing", "leaf-deletion-multiplicity",
-                                    "zero-deletion-multiplicity", "distance-domination"]
+    bits = {3: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32}[order]
+    lines = len(tables.verdict)
+    assert tables.verdict.dtype == np.int8 and tables.leaf_bad.dtype == bits
+    assert tables.verdict.shape == (lines, size)
+    assert tables.leaf_bad.shape == (len(tables.leaf_bad), size)
+    assert not (tables.verdict == 0).any() and not tables.leaf_bad.any()
     assert tables.worst.shape == (len(tables.names),)
-    assert {name for name, slack in zip(tables.names, tables.worst.tolist())
-            if math.isinf(slack)} == _NO_SLACK | {"distance-domination"}
-    [(name, covered)] = [(name, covered) for name, covered in zip(tables.names, tables.covered)
-                         if not covered.all()]
+    [(name, verdict)] = [(name, verdict) for name, verdict in zip(tables.names, tables.verdict)
+                         if (verdict < 0).any()]
     assert name == "energy-upper-improved"
-    assert np.flatnonzero(~covered).tolist() == [size - 1]  # (1,) * order, the last profile
+    assert np.flatnonzero(verdict < 0).tolist() == [size - 1]  # (1,) * order, the last profile
+    assert set(np.unique(tables.verdict).tolist()) == {-1, 1}
+    if order <= 9:
+        assert tables.names[lines:] == ["interlacing", "leaf-deletion-multiplicity",
+                                        "zero-deletion-multiplicity", "distance-domination"]
+        assert {name for name, slack in zip(tables.names, tables.worst.tolist())
+                if math.isinf(slack)} == _NO_SLACK | {"distance-domination"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -940,12 +1000,12 @@ def test_one_line_equals_the_oracle_line(line, uncovered):
 
 
 def test_tables_without_a_profile_line_are_empty_and_bool():
+    """With no profile line, both tables have no row, in their own types."""
     tables = verify_mod._verdict_tables(8, {}, ["distance-domination"],
                                         spectra_mod.DEFAULT_CLUSTER_TOL)
     assert tables.names == ["distance-domination"]
-    assert (tables.ok.shape, tables.covered.shape, tables.leaf_ok.shape) == \
-        ((0, 64), (0, 64), (0, 64, 8))
-    assert tables.ok.dtype == tables.covered.dtype == tables.leaf_ok.dtype == bool
+    assert (tables.verdict.shape, tables.leaf_bad.shape) == ((0, 64), (0, 64))
+    assert (tables.verdict.dtype, tables.leaf_bad.dtype) == (np.int8, np.uint8)
 
 
 def test_profile_count_stops_where_numpy_cannot_address_the_values():
