@@ -9,22 +9,23 @@ and its other n-h-1 eigenvalues are exactly zero. The profile engine,
 :func:`solve_profiles`, solves a (k, H+1) array of profiles of one order,
 each row zero after its deepest level and the rows in any order, such as
 each stack ``trees.profile_stacks`` yields, with one LAPACK ``eigvalsh``
-call and one O(k h^2) rank certificate per height h present, and returns
+call and one O(h^2) rank certificate per height h present, and returns
 the stack: a :class:`SpectralData` of (k, n) values and (k,) rho,
 energy and nullity arrays, which every check reads. It takes the counts
 alone, no tolerance; it is the only way a profile is solved, it keeps no
 state, and it refuses counts that are not positive integers up to a
 row's deepest level and zero after it, an array of more than one order,
 and a profile of more than MAX_LEVELS levels. The
-exact nullity is n - rank(B) with the integer matrix B_ab = |a - b| n_b,
-which has the rank of S. Its full rank is certified modulo a prime below
-2**26 from the second differences of B's rows, which are single entries;
-a member the certificate does not decide (in practice only the one-level
-profile) takes its exact rank from Bareiss elimination of B. The exact
-characteristic polynomial, :func:`profile_charpoly`, is x^(n-h-1) times
-that of B, by Sylvester's determinant identity, and that of B is a
-three-term recurrence in O(h^2) integer operations, under the same
-MAX_LEVELS.
+exact nullity is n - rank(D_s), with D_s the distance matrix of a path on
+s = h + 1 vertices, which has the rank of the level matrix. Its full rank
+is certified once per height, on D_s itself in exact int64, from the
+second differences of its rows, which are single entries; a height the
+certificate does not decide (in practice only the one-level profile,
+D_1 = [[0]]) takes its exact rank from Bareiss elimination of D_s. The
+exact characteristic polynomial, :func:`profile_charpoly`, is x^(n-h-1)
+times that of B = D_s diag(n_b), by Sylvester's determinant identity, and
+that of B is a three-term recurrence in O(h^2) integer operations, under
+the same MAX_LEVELS.
 :func:`_cluster`, the one clustering rule, groups a whole stack's values
 at once, at the tolerance a check passes. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
@@ -36,16 +37,15 @@ Oracle paths, kept to test the engine against:
 solver (:mod:`levelspectra.eigen`), on the full n x n matrix or on a
 quotient (:func:`quotient_matrix`), against the engine's ``eigvalsh``
 values; :func:`exact_zero_multiplicity` is the n x n Bareiss elimination
-(also the engine's fallback), against its nullity; :func:`_rank_mod_p` is
-the one-matrix rank modulo the prime, against the stacked certificate;
+(also the engine's fallback), against its nullity;
 :func:`characteristic_polynomial`, Faddeev-LeVerrier on the n x n matrix
 or on B, against :func:`profile_charpoly`; :func:`charpoly_roots` takes
 the spectrum from the exact characteristic polynomial.
 
 Floating point (binary64) everywhere except the characteristic polynomial
 and the rank computations, which are exact: arbitrary-precision integers,
-or residues modulo a prime below 2**26 (int64 in the stacked certificate,
-where every product of two is below 2**52).
+or int64 in the rank certificate, whose entries are at most 1,023 and
+need no modulus.
 """
 
 from __future__ import annotations
@@ -303,8 +303,9 @@ def exact_zero_multiplicity(matrix) -> int:
     """Exact nullity via Bareiss fraction-free integer elimination.
 
     Oracle path for level matrices, whose nullity the profile engine takes
-    from the (h+1)x(h+1) profile matrix B by a rank modulo a prime; this
-    elimination of B is its fallback when that rank is not full.
+    from the rank of the path's (h+1)x(h+1) distance matrix D_s, certified
+    once per height in exact int64; this elimination of D_s is its fallback
+    where the certificate does not decide.
     """
     a = _as_array(matrix)
     n = a.shape[0]
@@ -366,7 +367,8 @@ def level_profile(vertex_levels) -> tuple[int, ...]:
 
 #: Most levels (h + 1) of a profile that is solved or whose polynomial is
 #: taken. A deep profile costs O(h^3) in LAPACK's ``eigvalsh``, and O(h^2)
-#: in the rank certificate and in the recurrence of :func:`profile_charpoly`
+#: in the rank certificate (once per height, on D_s in int64, whose entries
+#: are at most 1,023) and in the recurrence of :func:`profile_charpoly`
 #: (integer operations on coefficients of up to about 14,300 bits at 1,024
 #: levels): ``analyze`` of rooted paths of 500 and 1,000 vertices takes 0.17
 #: and 0.32 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.02 and
@@ -397,19 +399,18 @@ def _profile_counts(counts) -> np.ndarray:
     return array
 
 
+def _path_distances(s: int) -> np.ndarray:
+    """D_s, the distance matrix D_ab = |a - b| of a path on s vertices, in
+    int64."""
+    idx = np.arange(s, dtype=np.int64)
+    return np.abs(idx[:, None] - idx[None, :])
+
+
 def _quotient_stack(counts: np.ndarray) -> np.ndarray:
     """The quotients of a (k, h+1) array of level counts, as a (k, h+1, h+1)
     stack."""
-    idx = np.arange(counts.shape[1])
     c = counts.astype(float)
-    return np.abs(idx[:, None] - idx[None, :]) * np.sqrt(c[:, :, None] * c[:, None, :])
-
-
-def _profile_matrix(counts: np.ndarray) -> np.ndarray:
-    """The profile matrices B_ab = |a - b| n_b of a (..., h+1) array of
-    level counts, as (..., h+1, h+1) in the counts' dtype."""
-    idx = np.arange(counts.shape[-1])
-    return np.abs(idx[:, None] - idx[None, :]) * counts[..., None, :]
+    return _path_distances(counts.shape[1]) * np.sqrt(c[:, :, None] * c[:, None, :])
 
 
 def quotient_matrix(profile) -> np.ndarray:
@@ -422,12 +423,6 @@ def quotient_matrix(profile) -> np.ndarray:
     MAX_LEVELS levels.
     """
     return _quotient_stack(_profile_counts([profile]))[0]
-
-
-#: Modulus of the rank certificate: 67,108,859, the largest prime below
-#: 2**26, so a product of two residues, and the difference of two such
-#: products, is an exact int64 below 2**53.
-RANK_PRIME = 67_108_859
 
 
 class SpectralData(Frozen):
@@ -511,8 +506,7 @@ class SpectralData(Frozen):
     def _level_sums(self, per_level=1, power: int = 1) -> np.ndarray:
         """(k, h+1): sum_b n_b |a - b|**power per_level[b] at every level a,
         exact up to (n h)**2."""
-        idx = np.arange(self.counts.shape[1])
-        distances = np.abs(idx[:, None] - idx[None, :]) ** power
+        distances = _path_distances(self.counts.shape[1]) ** power
         return (self._exact(self.counts * per_level, self._nh_squared)
                 @ self._exact(distances, self._nh_squared))
 
@@ -554,35 +548,36 @@ class SpectralData(Frozen):
         return self._weighted(self.level_second_order_sums, self.n * self._nh_squared**2, 2)
 
 
-def _rank_certificate(residues: np.ndarray) -> np.ndarray:
-    """The rank certificate of a (k, s, s) stack of residues modulo
-    RANK_PRIME (integers in [0, p)), in O(k s^2): (k, max(s - 1, 1))
-    residues. A member is certified of full rank over GF(RANK_PRIME) iff
-    its row has no zero, and then the row's product is +-det modulo p.
+def _rank_certificate(matrix) -> np.ndarray:
+    """The rank certificate of an (s, s) integer matrix, or of a (..., s, s)
+    stack of them, in O(s^2) each: max(s - 1, 1) integers per matrix. A
+    matrix is certified of full rank iff none of them is zero, and then
+    their product is +-det.
 
     The unimodular second-difference matrix T replaces row a < s - 2 by
-    B_a - 2 B_{a+1} + B_{a+2} and keeps the last two rows. Each of those
-    first s - 2 rows of TB gives its entry in column a + 1, its pivot, or
+    M_a - 2 M_{a+1} + M_{a+2} and keeps the last two rows. Each of those
+    first s - 2 rows of TM gives its entry in column a + 1, its pivot, or
     0 when any other entry of the row is nonzero. The last entry is the
-    2x2 minor of B's last two rows on columns 0 and s - 1 (the 1x1 entry
+    2x2 minor of M's last two rows on columns 0 and s - 1 (the 1x1 entry
     when s = 1): eliminating the single-entry pivot rows from the last two
-    rows leaves only that minor. Both are read off the computed residues,
-    so a certified member has full rank whatever its entries. A profile
-    matrix B_ab = |a - b| n_b passes unless p divides h or a count: the
-    second difference of |a - b| is 2 at b = a + 1 and 0 elsewhere. Every
-    value is an int64 below 2**53.
+    rows leaves only that minor. Both are read off the computed entries,
+    so a certified matrix has full rank whatever its entries. The distance
+    matrix D_s of a path passes from s = 2: the second difference of
+    |a - b| is 2 at b = a + 1 and 0 elsewhere, and the minor is -h. Every
+    value is exact in int64 while the entries stay below 2**31 in absolute
+    value; D_s's are at most MAX_LEVELS - 1.
     """
-    m = residues.astype(np.int64)
-    rows = (m[:, :-2] - 2 * m[:, 1:-1] + m[:, 2:]) % RANK_PRIME
-    a = np.arange(rows.shape[1])
-    pivots = rows[:, a, a + 1]
-    rows[:, a, a + 1] = 0
-    pivots[rows.any(axis=2)] = 0
-    if m.shape[1] == 1:
-        minor = m[:, 0, 0]
+    m = np.asarray(matrix, dtype=np.int64)
+    rows = m[..., :-2, :] - 2 * m[..., 1:-1, :] + m[..., 2:, :]
+    a = np.arange(rows.shape[-2])
+    pivots = rows[..., a, a + 1]
+    rows[..., a, a + 1] = 0
+    pivots[rows.any(axis=-1)] = 0
+    if m.shape[-1] == 1:
+        minor = m[..., 0, 0]
     else:
-        minor = (m[:, -2, 0] * m[:, -1, -1] - m[:, -2, -1] * m[:, -1, 0]) % RANK_PRIME
-    return np.column_stack([pivots, minor])
+        minor = m[..., -2, 0] * m[..., -1, -1] - m[..., -2, -1] * m[..., -1, 0]
+    return np.concatenate([pivots, minor[..., None]], axis=-1)
 
 
 def solve_profiles(counts) -> SpectralData:
@@ -591,18 +586,21 @@ def solve_profiles(counts) -> SpectralData:
     as ``trees.profile_stacks`` yields.
 
     The rows of each height h present are solved together, on their first
-    h + 1 columns, so a padded row solves exactly as the unpadded one, and
-    each row's results do not depend on the other rows or their order.
-    Their values come from one LAPACK ``eigvalsh`` call on the (h+1)x(h+1)
-    quotients, padded with n - h - 1 exact zeros. The nullity is
-    n - rank(B) with B_ab = |a - b| n_b, which has the rank of the
-    quotient. A full rank modulo RANK_PRIME, certified by
-    :func:`_rank_certificate`, proves full rank over the rationals; any
-    member it does not certify is decided by Bareiss elimination of B.
-    Counts that are negative or not integers, a zero root count or a zero
-    before a row's deepest level, or rows of more than one order, raise
-    ``ValueError``, and more than MAX_LEVELS levels ``ResourceLimit``,
-    before anything is solved.
+    s = h + 1 columns, so a padded row solves exactly as the unpadded one,
+    and each row's results do not depend on the other rows or their order.
+    Their values come from one LAPACK ``eigvalsh`` call on the s x s
+    quotients, padded with n - s exact zeros. Their nullity is
+    n - rank(D_s), with D_s the distance matrix of a path on s vertices:
+    the level matrix is E D_s E^T, with E the n x s level indicator, and
+    E^T E = diag(n_b) is invertible, since the counts are checked positive,
+    so E has full column rank and the level matrix, like the profile matrix
+    B = D_s diag(n_b), has the rank of D_s. That rank depends on the height
+    alone: :func:`_rank_certificate` certifies it full once per height, on
+    D_s's computed entries, and a height it does not decide is taken by
+    Bareiss elimination of D_s. Counts that are negative or not integers, a
+    zero root count or a zero before a row's deepest level, or rows of more
+    than one order, raise ``ValueError``, and more than MAX_LEVELS levels
+    ``ResourceLimit``, before anything is solved.
     """
     counts = _profile_counts(counts)
     k = len(counts)
@@ -626,44 +624,8 @@ def solve_profiles(counts) -> SpectralData:
         cols = j + np.where(j < positive[:, None], 0, n - s)
         values[rows[:, None], cols] = desc
 
-        nullity[rows] = n - s
-        residues = _profile_matrix(group % RANK_PRIME) % RANK_PRIME
-        for i in np.flatnonzero(~_rank_certificate(residues).all(axis=1)).tolist():
-            # B in Python integers, for Bareiss elimination
-            nullity[rows[i]] += exact_zero_multiplicity(_profile_matrix(group[i].astype(object)))
+        distances = _path_distances(s)
+        full = _rank_certificate(distances).all()
+        nullity[rows] = n - s + (0 if full else exact_zero_multiplicity(distances))
     values.setflags(write=False)
     return SpectralData(counts, values, rho, energy, nullity)
-
-
-def _residues(rows) -> np.ndarray:
-    """An integer matrix reduced modulo RANK_PRIME, on Python integers so
-    that any entry size is safe."""
-    return np.array([[int(x) % RANK_PRIME for x in row] for row in rows], dtype=np.int64)
-
-
-def _rank_mod_p(rows) -> int:
-    """Rank over GF(RANK_PRIME) of an integer matrix, a lower bound on its
-    rank over the rationals.
-
-    Oracle for the stacked certificate :func:`_rank_certificate`: a general
-    O(n^3) elimination of one matrix, with a modular inverse per pivot.
-    """
-    m = _residues(rows)
-    n_rows, n_cols = m.shape
-    rank = 0
-    for col in range(n_cols):
-        nonzero = np.flatnonzero(m[rank:, col])
-        if not len(nonzero):
-            continue
-        pivot = rank + int(nonzero[0])
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inverse = pow(int(m[rank, col]), RANK_PRIME - 2, RANK_PRIME)
-        top = m[rank, col:] * inverse % RANK_PRIME
-        below = m[rank + 1:, col:]
-        below -= below[:, :1] * top
-        below %= RANK_PRIME
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank

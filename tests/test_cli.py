@@ -599,13 +599,13 @@ class TestCharpolyCommand:
     def test_cap_checked_before_the_matrix_is_built(self, argv, tmp_path,
                                                     monkeypatch, capsys):
         # the 30-vertex star's polynomial comes from the recurrence: no n x n
-        # level matrix is built, and no profile matrix B but the one that
-        # analyze's rank certificate reduces
+        # level matrix is built, and no distance matrix D_s of a path but the
+        # ones analyze's solve reads
         star = tmp_path / "star.tree"
         star.write_text("30\n0" + " 1" * 29 + "\n")
         built = []
         if argv[0] == "charpoly":
-            monkeypatch.setattr(spectra_mod, "_profile_matrix", built.append)
+            monkeypatch.setattr(spectra_mod, "_path_distances", built.append)
         monkeypatch.setattr(LevelMatrix, "from_levels", built.append)
         code, out, err = run(capsys, argv[0], str(star), *argv[1:])
         assert (code, err) == (0, "") and "x^30 - 29*x^28\n" in out
@@ -623,7 +623,7 @@ class TestCharpolyCommand:
         def work(*args):
             raise AssertionError("a profile was solved or its polynomial taken")
 
-        for name in ("_continuant", "_quotient_stack", "_profile_matrix"):
+        for name in ("_continuant", "_quotient_stack", "_path_distances"):
             monkeypatch.setattr(spectra_mod, name, work)
         monkeypatch.setattr(commands_mod, "solve_profiles", work)
         argv = {"analyze": [str(path), "--charpoly"], "charpoly": [str(path)],

@@ -1,11 +1,11 @@
 """The profile engine against the oracle paths.
 
-The engine solves the (h+1)x(h+1) quotients of many level profiles at once,
-with LAPACK and a stacked rank certificate modulo a prime. The in-repo QL
-solver, the n x n Bareiss elimination and the one-matrix rank modulo the
-prime stay as independent oracles: every tree of orders 1..9
-(plus random larger trees) and every profile of orders 1..12 must agree
-with them.
+The engine solves the (h+1)x(h+1) quotients of many level profiles at once
+with LAPACK, and takes their nullity from one exact rank certificate per
+height, on the path's distance matrix D_s. The in-repo QL solver and the
+n x n Bareiss elimination stay as independent oracles: every tree of
+orders 1..9 (plus random larger trees) and every profile of orders 1..12
+must agree with them.
 """
 
 import math
@@ -24,12 +24,9 @@ from levelspectra.levelmatrix import LevelMatrix, build_level_matrix
 from levelspectra.spectra import (
     DEFAULT_CLUSTER_TOL,
     MAX_LEVELS,
-    RANK_PRIME,
     SpectralData,
     _cluster,
     _rank_certificate,
-    _rank_mod_p,
-    _residues,
     clustered_multiplicity,
     exact_zero_multiplicity,
     level_profile,
@@ -633,29 +630,20 @@ def profile_b(profile):
     return [[abs(a - c) * profile[c] for c in range(h1)] for a in range(h1)]
 
 
-def certificate(matrices) -> np.ndarray:
-    """The certificate's pivots and minor for square integer matrices of
-    one size."""
-    return _rank_certificate(np.stack([_residues(rows) for rows in matrices]))
-
-
 def stacked_full_rank(matrices) -> list[bool]:
-    """The stacked certificate on square integer matrices of one size."""
-    return certificate(matrices).all(axis=1).tolist()
+    """The certificate on a stack of square integer matrices of one size."""
+    return _rank_certificate(np.array(matrices, dtype=np.int64)).all(axis=1).tolist()
 
 
 def assert_certificate_sound(rows) -> None:
-    """A certificate must mean full rank modulo the prime, which means full
-    rank over the rationals: a certified matrix has exact nullity 0. Below
-    order 3 the certificate is the determinant modulo p, so it is also
-    complete there."""
-    certified = stacked_full_rank([rows]) == [True]
-    full_mod_p = _rank_mod_p(rows) == len(rows)
-    if certified:
-        assert full_mod_p
-        assert exact_zero_multiplicity(np.array(rows, dtype=object)) == 0
+    """A certified matrix has full rank: its exact nullity is 0. Below
+    order 3 the certificate is the determinant, so it is also complete
+    there."""
+    nullity = exact_zero_multiplicity(np.array(rows, dtype=object))
+    if stacked_full_rank([rows]) == [True]:
+        assert nullity == 0
     elif len(rows) <= 2:
-        assert not full_mod_p
+        assert nullity > 0
 
 
 def deep_profiles(seed: int = 0) -> list[tuple[int, ...]]:
@@ -665,15 +653,6 @@ def deep_profiles(seed: int = 0) -> list[tuple[int, ...]]:
             for s in (2, 3, 5, 17, 64, 129, 400)]
 
 
-def graham_pollak(profile) -> int:
-    """det B modulo p for B_ab = |a - b| n_b: the distance matrix of a path
-    on h + 1 vertices has determinant (-1)^h h 2^(h-1) (R. L. Graham and
-    H. O. Pollak, Bell Syst. Tech. J. 50, 1971), and B is that matrix
-    times diag(n_b)."""
-    h = len(profile) - 1
-    return (-1) ** h * h * 2 ** (h - 1) * math.prod(profile) % RANK_PRIME
-
-
 def changed(rows, entry):
     """``rows`` with ``entry`` = (row, column, value) written in, if any."""
     if entry is not None:
@@ -681,10 +660,14 @@ def changed(rows, entry):
     return rows
 
 
-#: Whole-order profiles, the rooted paths of 200 and MAX_LEVELS levels and
-#: random deep profiles, each with at least two levels.
-CERTIFIED_PROFILES = ([p for p in ALL_PROFILES if len(p) >= 2]
-                      + [(1,) * 200, (1,) * MAX_LEVELS] + deep_profiles())
+def small_or_near_distances(n: int, bound: int):
+    """n x n matrices of entries in [-bound, bound], or the distance matrix
+    D_n of a path, some with one entry changed to such a value: certified
+    matrices and near misses."""
+    entries = st.integers(min_value=-bound, max_value=bound)
+    return (st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+            | (st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), entries)
+               ).map(lambda entry: changed(profile_b((1,) * n), entry)))
 
 
 class TestRankCertificate:
@@ -704,218 +687,68 @@ class TestRankCertificate:
 
         monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
         solved_rows(ALL_PROFILES)
-        # only the one-level profile (1,), whose B = [[0]], falls back
-        assert len(calls) == 1
+        # only the one-level profile (1,), whose D_1 = [[0]], falls back
+        assert [m.tolist() for m in calls] == [[[0]]]
         solved_rows([(1,) * 200, (1,) * MAX_LEVELS, *deep_profiles()])
         assert len(calls) == 1
 
-    def test_certificate_equals_rank_mod_p_on_profiles(self):
-        for profile in [(1,), *CERTIFIED_PROFILES]:
-            b = profile_b(profile)
-            assert stacked_full_rank([b]) == [_rank_mod_p(b) == len(profile)], profile
-
     def test_pivots_and_minor_give_the_graham_pollak_determinant(self):
-        """The certificate's entries multiply to det(TB) = det(B) up to the
-        sign of the permutation that takes each row to its column: the
-        pivot rows a < s - 2 to columns a + 1 and the last two rows to
-        columns 0 and s - 1, a cycle of length s - 1 = h."""
-        for profile in CERTIFIED_PROFILES:
-            h = len(profile) - 1
-            product = 1
-            for entry in certificate([profile_b(profile)])[0].tolist():
-                product = product * entry % RANK_PRIME
-            assert (-1) ** (h - 1) * product % RANK_PRIME == graham_pollak(profile), profile
-
-    @pytest.mark.parametrize("s", [2, 3, 4, 9])
-    def test_count_divisible_by_p_is_not_certified(self, s):
-        """B's residues lose a pivot or the minor when p divides a count,
-        though B stays nonsingular over the rationals."""
-        for level in range(s):
-            for count in (RANK_PRIME, 2 * RANK_PRIME):
-                profile = tuple(count if b == level else b + 1 for b in range(s))
-                b = profile_b(profile)
-                assert stacked_full_rank([b]) == [False], profile
-                assert _rank_mod_p(b) < s
-                assert exact_zero_multiplicity(np.array(b, dtype=object)) == 0
-
-    def test_height_divisible_by_p_is_not_certified(self, monkeypatch):
-        monkeypatch.setattr(spectra_mod, "RANK_PRIME", 7)
-        # the rooted paths of 7 and 8 levels, heights 6 and 7, modulo 7
-        assert stacked_full_rank([profile_b((1,) * 7)]) == [True]
-        assert stacked_full_rank([profile_b((1,) * 8)]) == [False]
-
-    def test_rank_lost_modulo_p_falls_back(self):
-        m = [[RANK_PRIME, 0], [0, 1]]
-        assert _rank_mod_p(m) == 1
-        assert stacked_full_rank([m]) == [False]
-        # not certified, yet of full rank: the Bareiss fallback decides
-        assert exact_zero_multiplicity(np.array(m)) == 0
+        """The certificate's entries on D_s multiply, in Python integers, to
+        det(T D_s) = det D_s up to the sign of the permutation that takes
+        each row to its column: the pivot rows a < s - 2 to columns a + 1
+        and the last two rows to columns 0 and s - 1, a cycle of length
+        s - 1 = h. The distance matrix of a path on h + 1 vertices has
+        determinant (-1)^h h 2^(h-1) (R. L. Graham and H. O. Pollak, Bell
+        Syst. Tech. J. 50, 1971)."""
+        for s in range(2, MAX_LEVELS + 1):
+            h = s - 1
+            idx = np.arange(s)
+            entries = _rank_certificate(np.abs(np.subtract.outer(idx, idx))).tolist()
+            assert (-1) ** (h - 1) * math.prod(entries) == (-1) ** h * h * 2 ** (h - 1), s
 
     def test_stacked_certificate_on_the_fixed_inputs(self):
-        # the inputs of the tests around this one, 2x2 ones in one stack
+        # 2x2 matrices in one stack: each is certified iff it has full rank
         square = [
-            [[RANK_PRIME, 0], [0, 1]],
+            [[3, 0], [0, 1]],
             [[1, 2], [2, 4]],
             [[0, 0], [0, 0]],
-            [[2**31, 2**40 + 1], [-(2**62), 2**70 + 3]],
-            [[2**40, 2**41], [2**45, 2**46]],
+            [[1023, -1023], [1023, 1022]],
+            [[-4, 4], [4, -4]],
             [[0, 1], [1, 0]],
         ]
         full = stacked_full_rank(square)
-        assert full == [_rank_mod_p(m) == 2 for m in square]
-        assert full == [False, False, False, True, False, True]
-        for m, ok in zip(square, full):
-            if ok:
-                assert exact_zero_multiplicity(np.array(m, dtype=object)) == 0
+        assert full == [exact_zero_multiplicity(np.array(m)) == 0 for m in square]
+        assert full == [True, False, False, True, False, True]
         assert stacked_full_rank([[[0]]]) == [False]
         assert stacked_full_rank([[[0] * 3] * 3]) == [False]
 
     def test_singular(self):
-        assert _rank_mod_p([[1, 2], [2, 4]]) == 1
         assert stacked_full_rank([[[1, 2], [2, 4]]]) == [False]
         assert exact_zero_multiplicity(np.array([[1, 2], [2, 4]])) == 1
 
     def test_zero_matrices(self):
-        assert _rank_mod_p([[0]]) == 0
         assert stacked_full_rank([[[0]]]) == [False]
         assert exact_zero_multiplicity(np.array([[0]])) == 1
-        assert _rank_mod_p([[0] * 3] * 3) == 0
         assert stacked_full_rank([[[0] * 3] * 3]) == [False]
         assert exact_zero_multiplicity(np.array([[0] * 3] * 3)) == 3
 
-    def test_entries_beyond_int32(self):
-        big = [[2**31, 2**40 + 1], [-(2**62), 2**70 + 3]]
-        assert _rank_mod_p(big) == 2
-        assert stacked_full_rank([big]) == [True]
-        assert_certificate_sound(big)
-        dependent = [[2**40, 2**41], [2**45, 2**46]]
-        assert stacked_full_rank([dependent]) == [False]
-        assert exact_zero_multiplicity(np.array(dependent, dtype=object)) == 1
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=-4, max_value=4)
-                     | st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME]),
-                     min_size=n, max_size=n),
-            min_size=n, max_size=n)
-        # profile matrices, some with one entry changed: certified members
-        # and near misses
-        | st.tuples(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n),
-                    st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                          st.integers(min_value=-4, max_value=4))
-                    ).map(lambda drawn: changed(profile_b(drawn[0]), drawn[1]))))
+        lambda n: small_or_near_distances(n, 4)))
     def test_random_integer_matrices(self, rows):
-        exact = exact_zero_multiplicity(np.array(rows, dtype=object))
-        assert _rank_mod_p(rows) <= len(rows) - exact
         # the certificate is sound on every matrix, and complete below
         # order 3
         assert_certificate_sound(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=5).flatmap(
-        lambda n: st.lists(
-            st.lists(
-                st.lists(st.integers(min_value=-3, max_value=3)
-                         | st.sampled_from([RANK_PRIME, -RANK_PRIME, 2 * RANK_PRIME]),
-                         min_size=n, max_size=n),
-                min_size=n, max_size=n)
-            | st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n
-                       ).map(profile_b),
-            min_size=1, max_size=8)))
+        lambda n: st.lists(small_or_near_distances(n, 3), min_size=1, max_size=8)))
     def test_random_stacks(self, matrices):
         # members of one stack are certified independently
         assert stacked_full_rank(matrices) == [
             stacked_full_rank([rows])[0] for rows in matrices]
         for rows in matrices:
             assert_certificate_sound(rows)
-
-
-# ---------------------------------------------------------------------------
-# the certificate at the top of the residue range
-# ---------------------------------------------------------------------------
-
-def worst_case_matrices(s: int, seed: int = 0) -> dict[str, np.ndarray]:
-    """s x s residue matrices as large as residues go, p - 1 or near it,
-    with their rank modulo the prime known:
-
-    - "all": p - 1 everywhere, rank 1;
-    - "alternating": 0 and p - 1 in a checkerboard, rank 2 from s = 2;
-    - "upper": p - 1 on and above the diagonal, full rank;
-    - "near": uniform in [p - 1025, p - 1], full rank for these seeds;
-    - "dependent": "near" with its last row the sum of the first two
-      modulo p, rank s - 1 from s = 3;
-    - "profile": B of counts in [p - 1025, p - 1], whose residues near p
-      or 0 make the minor's products as large as the certificate allows,
-      (p - 1)**2 just below 2**52; full rank, and certified.
-    """
-    top = RANK_PRIME - 1
-    i, j = np.indices((s, s))
-    rng = np.random.default_rng(seed)
-    near = rng.integers(top - 1024, top, size=(s, s), endpoint=True)
-    dependent = near.copy()
-    if s >= 3:
-        dependent[-1] = (near[0] + near[1]) % RANK_PRIME
-    counts = rng.integers(top - 1024, top, size=s, endpoint=True).tolist()
-    return {"all": np.full((s, s), top), "alternating": (i + j) % 2 * top,
-            "upper": np.where(j >= i, top, 0), "near": near, "dependent": dependent,
-            "profile": np.array(profile_b(counts), dtype=object) % RANK_PRIME}
-
-
-def worst_case_full_rank(s: int) -> dict[str, bool]:
-    return {"all": s == 1, "alternating": s == 2, "upper": True, "near": True,
-            "dependent": s < 3, "profile": s >= 2}
-
-
-class TestRankCertificateAtTheBound:
-    @pytest.mark.parametrize("s", [*range(1, 9), 64, 128, 200, 300])
-    def test_worst_case_residues(self, s):
-        for name, m in worst_case_matrices(s, seed=s).items():
-            rows = m.tolist()
-            expected = worst_case_full_rank(s)[name]
-            assert (_rank_mod_p(rows) == s) == expected, name
-            # a certificate means full rank modulo p; it is complete on
-            # profile matrices and below order 3
-            certified = stacked_full_rank([rows]) == [True]
-            assert expected or not certified, name
-            if name == "profile" or s <= 2:
-                assert certified == expected, name
-
-    def test_mixed_stack(self):
-        """Every pattern in one stack, with the profile matrix B of
-        (1,) * 39 + (p,), which is singular modulo p (its last column
-        vanishes) and nonsingular over the rationals; the Bareiss
-        elimination, the engine's fallback, decides it. Each member is
-        certified as it is alone."""
-        s = 40
-        patterns = worst_case_matrices(s)
-        b = profile_b((1,) * (s - 1) + (RANK_PRIME,))
-        members = [m.tolist() for m in patterns.values()] + [b]
-        assert stacked_full_rank(members) == [
-            stacked_full_rank([rows])[0] for rows in members]
-        assert stacked_full_rank(members)[-2:] == [True, False]
-        for rows in members:
-            assert_certificate_sound(rows)
-        assert exact_zero_multiplicity(np.array(b, dtype=object)) == 0
-
-    def test_engine_falls_back_where_the_prime_divides_a_count(self, monkeypatch):
-        """Modulo 7, the B of a profile with a count divisible by 7 is
-        singular; the engine then takes the nullity from the Bareiss
-        elimination, and it equals the nullity certified modulo the
-        default prime."""
-        profiles = [(1, 7), (1, 2, 3), (1, 14, 2), (1, 3, 4, 1)]
-        expected = [int(data.nullity[row]) for data, row in solved_rows(profiles)]
-        calls = []
-        real = spectra_mod.exact_zero_multiplicity
-
-        def counting(matrix):
-            calls.append(matrix.shape[0])
-            return real(matrix)
-
-        monkeypatch.setattr(spectra_mod, "exact_zero_multiplicity", counting)
-        monkeypatch.setattr(spectra_mod, "RANK_PRIME", 7)
-        assert [int(data.nullity[row]) for data, row in solved_rows(profiles)] == expected
-        assert sorted(calls) == [2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from levelspectra.spectra import (
     MAX_LEVELS,
     CharPoly,
     Spectrum,
-    _profile_matrix,
     characteristic_polynomial,
     charpoly_roots,
     clustered_multiplicity,
@@ -228,7 +227,7 @@ class TestCharPoly:
     def test_profile_charpoly_of_paths_is_faddeev_leverrier_on_b(self, s):
         """The paths of up to 24 levels, whose B is their level matrix, are
         in the test above."""
-        b = _profile_matrix(np.ones(s, dtype=object))
+        b = [[abs(a - c) for c in range(s)] for a in range(s)]
         assert profile_charpoly((1,) * s) == characteristic_polynomial(b)
 
     @pytest.mark.parametrize("profile", [(1,) * s for s in range(1, 61)]

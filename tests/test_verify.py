@@ -65,6 +65,23 @@ class TestVerifyOrder:
         # the improved energy bound excludes the one path
         assert by_name["energy-upper-improved"].trees_checked == 19
 
+    @pytest.mark.parametrize("shift", [0, 1], ids=["exact", "one-too-many"])
+    def test_nullity_lines_fail_on_a_wrong_nullity(self, monkeypatch, shift):
+        """The three lines that read the exact nullity report violations at
+        order 7 when every member's nullity is one too large, and none when
+        it is the engine's."""
+        solve = verify_mod.solve_profiles
+
+        def shifted(counts):
+            data = solve(counts)
+            return spectra_mod.SpectralData(data.counts, data.values, data.rho, data.energy,
+                                            data.nullity + shift)
+
+        monkeypatch.setattr(verify_mod, "solve_profiles", shifted)
+        violations = {c.name: c.violations for c in verify_order(7, jobs=1).checks}
+        for name in ("zero-multiplicity", "star-characterisation", "path-characterisation"):
+            assert (violations[name] > 0) == bool(shift), name
+
     def test_selection_single_check(self):
         ledger = verify_order(5, selection=["energy-identity"], jobs=1)
         assert [c.name for c in ledger.checks] == ["energy-identity"]
