@@ -24,8 +24,9 @@ certificate does not decide (in practice only the one-level profile,
 D_1 = [[0]]) takes its exact rank from Bareiss elimination of D_s. The
 exact characteristic polynomial, :func:`profile_charpoly`, is x^(n-h-1)
 times that of B = D_s diag(n_b), by Sylvester's determinant identity, and
-that of B is a three-term recurrence in O(h^2) integer operations, under
-the same MAX_LEVELS.
+each coefficient of B's is a sum over chains of levels whose terms share
+one sign, taken by prefix sums in O(h^2) integer operations, under the
+same MAX_LEVELS; its docstring proves what the signs imply.
 :func:`_cluster`, the one clustering rule, groups a whole stack's values
 at once, at the tolerance a check passes. A
 :class:`Spectrum` is the one-spectrum view that ``analyze`` and
@@ -53,6 +54,8 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -120,7 +123,8 @@ def _cluster(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     one threshold per row: (k, n), true where a value starts a cluster. A
     value joins the current cluster iff it lies within the threshold of the
     cluster's first (largest) value, so no cluster spans more than the
-    threshold. The rule runs column by column, over every row at once.
+    threshold; the first value starts one whatever the threshold, +inf
+    included. The rule runs column by column, over every row at once.
 
     A column equal to the one on its left in every row is skipped: with a
     threshold >= 0, its values join the cluster of their left neighbours
@@ -133,7 +137,7 @@ def _cluster(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     repeats[1:] = (values[:, 1:] == values[:, :-1]).all(axis=0)
     for j in np.flatnonzero(~repeats).tolist():
         column = values[:, j]
-        starts[:, j] = new = top - column > threshold
+        starts[:, j] = new = (top - column > threshold) | (j == 0)
         top = np.where(new, column, top)
     return starts
 
@@ -236,52 +240,68 @@ def characteristic_polynomial(matrix) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def _continuant(counts: list[int]) -> tuple[list[int], list[int]]:
-    """The last two leading principal minors D_(s-1) and D_s of the
-    tridiagonal A(x) = x L_P + 2 diag(n) of a profile of s levels, as
-    ascending integer coefficient lists of lengths s and s + 1. Row a of
-    A(x) has diagonal x deg_a + 2 n_a, deg_a the degree of level a on the
-    path of levels, and -x on each side, so D_k = (x deg_(k-1) +
-    2 n_(k-1)) D_(k-1) - x^2 D_(k-2), from D_0 = 1 and D_(-1) = 0. At
-    s = 1 only D_0 is read."""
-    s = len(counts)
-    before, last = [], [1]
-    for k, count in enumerate(counts):
-        twice, degree = 2 * count, 1 if k in (0, s - 1) else 2
-        before, last = last, [twice * d + degree * e - f for d, e, f in
-                              zip([*last, 0], [0, *last], [0, 0, *before])]
-    return before, last
-
-
 def profile_charpoly(profile) -> CharPoly:
     """Exact characteristic polynomial det(xI - L) of the level matrix of a
-    level profile (n_0, ..., n_h) of order n, in O(h^2) integer operations.
+    level profile (n_0, ..., n_h) of order n, its trailing zero counts
+    ignored, in O(h^2) integer operations.
 
-    L = E D E^T, with E the n x (h+1) level indicator and D_ab = |a - b|, and
-    E^T E = diag(n_b), so by Sylvester's determinant identity
-    det(xI - L) = x^(n-h-1) det(xI - B) with B = D diag(n_b), the profile
-    matrix B_ab = |a - b| n_b. D is the distance matrix of a path of
-    s = h + 1 vertices, whose inverse (Graham and Lovasz, 1978) is
-    -L_P / 2 + t t^T / (2h), with L_P the path's Laplacian and t = (1, 0,
-    ..., 0, 1), and det D = (-1)^h h 2^(h-1). The matrix determinant lemma
-    on xD^-1 - diag(n_b) = -(A(x) - x t t^T / h) / 2 then gives
+    L = E D E^T, with E the n x s level indicator (s = h + 1) and D_ab =
+    |a - b| the distance matrix of a path on s vertices; E^T E = diag(n_b),
+    so det(xI - L) = x^(n-s) q(x), q(x) = det(xI - B), B = D diag(n_b)
+    (Sylvester). D's principal submatrix on a set S of m levels is the
+    distance matrix of a path whose edge lengths are gaps(S), the
+    differences of neighbours in S, so its determinant is (-1)^(m-1)
+    2^(m-2) span(S) prod gaps(S) for m >= 2, span(S) = max S - min S, and 0
+    for m = 1 (Bapat, Kirkland and Neumann, Linear Algebra Appl. 401,
+    2005). Summing the principal minors of B, each that of D times n_S,
+    the product of the counts over S,
 
-        det(xI - B) = -[h D_s - x (D_(s-1) + E_(s-1) + 2 x^h)] / 4,
+        q(x) = x^s + sum_{m=2..s} c_m x^(s-m),
+        c_m = -2^(m-2) sum_{|S|=m} span(S) prod gaps(S) n_S.
 
-    with D_k the leading k x k minors of A(x) (:func:`_continuant`) and
-    E_(s-1) the trailing one, the same recurrence on the reversed profile.
-    At s = 1, where h D_s = 0 and D_0 = E_0 = 1, it gives x. Refused, as
-    by :func:`solve_profiles`, above MAX_LEVELS levels.
+    Read upwards, S is a chain, and extending one that ends at level u to
+    t > u multiplies prod gaps(S) n_S by (t - u) n_t. So with f_t (g_t) the
+    sum of prod gaps(S) n_S (times min S) over the chains of m levels
+    ending at t, those of m + 1 levels have f'_t = n_t sum_{u<t} (t - u)
+    f_u, the second prefix sum of f at t - 1, and g' likewise, and the sum
+    in c_m is sum_t (t f_t - g_t) = s F - FF - G: F and G the sums of f and
+    g, FF = sum_t (s - t) f_t the last second prefix sum. Step m runs over
+    the levels m - 1..h, where the chains of m levels end.
+
+    Every term of c_m is positive and s levels hold a set of each size
+    m <= s, so c_1 = 0, c_m < 0 for 2 <= m <= s, and c_s = -2^(h-1) h
+    prod n_j. For h >= 1 it follows that:
+
+    - q has one positive root, rho, and it is simple: q is real-rooted (B
+      is similar to the symmetric diag(n)^(1/2) D diag(n)^(1/2)) and its
+      coefficients change sign once, so by Descartes' rule of signs it has
+      at most one positive root counted with multiplicity, and
+      q(0) = c_s < 0 gives one (``one-positive-eigenvalue``);
+    - the eigenvalues sum to -c_1 = 0, so the energy is 2 rho
+      (``energy-identity``);
+    - q(0) != 0, so 0 has multiplicity n - h - 1 in L: n - 2 iff h = 1,
+      the star, and 0 iff h = n - 1, the path (``zero-multiplicity``,
+      ``star-characterisation``, ``path-characterisation``);
+    - a tree (n_0 = 1) with h >= 2 has rho > r = sqrt(n - 1): the pairs
+      {0, j} of -c_2 = sum_{a<b} (b - a)^2 n_a n_b give sum_j j^2 n_j >
+      n - 1, so q(r) <= r^(h-1) (r^2 + c_2) < 0. The star has rho = r.
+
+    Those ledger lines check the engine against theorems. At h = 0,
+    q(x) = x. Refused, as by :func:`solve_profiles`, above MAX_LEVELS
+    levels.
     """
-    counts = _profile_counts([profile])[0].tolist()
-    s, n = len(counts), sum(counts)
-    before, last = _continuant(counts)
-    trailing, _ = _continuant(counts[::-1])
-    bracket = [(s - 1) * d - e - f for d, e, f in zip(last, [0, *before], [0, *trailing])]
-    bracket[s] -= 2  # x times 2 x^h
-    quarters = [divmod(-c, 4) for c in reversed(bracket)]
-    assert all(r == 0 for _, r in quarters), "the division by 4 must be exact on integers"
-    return CharPoly(tuple(q for q, _ in quarters) + (0,) * (n - s))
+    counts = _profile_counts([profile])[0]
+    counts = counts[counts > 0].tolist()
+    s = len(counts)
+    f, g = counts, list(map(mul, counts, range(s)))
+    spans = []
+    for m in range(1, s + 1):  # f and g over the levels m - 1 .. h
+        a, b = list(accumulate(f)), list(accumulate(g))
+        aa, bb = list(accumulate(a)), list(accumulate(b))
+        spans.append(s * a[-1] - aa[-1] - b[-1])
+        f, g = list(map(mul, counts[m:], aa)), list(map(mul, counts[m:], bb))
+    return CharPoly((1, 0, *(-(x << k) for k, x in enumerate(spans[1:])))
+                    + (0,) * (sum(counts) - s))
 
 
 def charpoly_roots(charpoly: CharPoly) -> np.ndarray:
@@ -368,11 +388,13 @@ def level_profile(vertex_levels) -> tuple[int, ...]:
 #: Most levels (h + 1) of a profile that is solved or whose polynomial is
 #: taken. A deep profile costs O(h^3) in LAPACK's ``eigvalsh``, and O(h^2)
 #: in the rank certificate (once per height, on D_s in int64, whose entries
-#: are at most 1,023) and in the recurrence of :func:`profile_charpoly`
-#: (integer operations on coefficients of up to about 14,300 bits at 1,024
-#: levels): ``analyze`` of rooted paths of 500 and 1,000 vertices takes 0.17
-#: and 0.32 s on a 2-vCPU host, of which ``solve_profiles`` takes 0.02 and
-#: 0.08 s, and ``profile_charpoly`` of the 1,024-level path 0.3-0.54 s.
+#: are at most 1,023) and in the chain sums of :func:`profile_charpoly`
+#: (integer operations on coefficients of 1,948 bits for the 1,024-level
+#: path, 14,296 for the profile (1, 8000 x 1,023)). On a 2-vCPU host,
+#: medians of 7 runs: ``analyze`` of rooted paths of 500 and 1,000 vertices
+#: takes 0.23 and 0.37 s, of which ``solve_profiles`` takes 0.03 and 0.10 s;
+#: ``profile_charpoly`` takes 0.2-0.3 s on the 1,024-level path and
+#: 1.2-1.5 s on (1, 8000 x 1,023).
 MAX_LEVELS = 1024
 
 

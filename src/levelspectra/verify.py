@@ -271,6 +271,13 @@ def _leaf_stack(data: SpectralData, below: tuple[np.ndarray, ...]):
 # structural checks
 # ---------------------------------------------------------------------------
 
+def _threshold(data: SpectralData, tol: float) -> np.ndarray:
+    """(k,): each member's cluster threshold tol * max(1, rho), as a
+    ``Spectrum`` takes it; +inf, with no warning, where that overflows."""
+    with np.errstate(over="ignore"):
+        return tol * np.maximum(1.0, data.rho)
+
+
 def _strict_row_sum_lower(data: SpectralData, tol: float):
     rho = data.rho
     slack = rho - 2.0 * data.level_index.astype(float) / data.n
@@ -291,8 +298,7 @@ def _zero_multiplicity(data: SpectralData, tol: float):
 
 
 def _one_positive_eigenvalue(data: SpectralData, tol: float):
-    threshold = tol * np.maximum(1.0, data.rho)
-    return (data.values > threshold[:, None]).sum(axis=1) == 1, math.nan
+    return (data.values > _threshold(data, tol)[:, None]).sum(axis=1) == 1, math.nan
 
 
 def _star_characterisation(data: SpectralData, tol: float):
@@ -314,7 +320,7 @@ def _zero_cluster_consistency(data: SpectralData, tol: float):
     pair is the two neighbours at an end of the run: only the gaps where
     ``inside`` changes need comparing."""
     values = data.values
-    threshold = (tol * np.maximum(1.0, data.rho))[:, None]
+    threshold = _threshold(data, tol)[:, None]
     inside = np.abs(values) <= threshold
     edge = inside[:, 1:] != inside[:, :-1]
     ambiguous = (edge & (values[:, :-1] - values[:, 1:] <= threshold)).any(axis=1)
@@ -355,7 +361,7 @@ def _leaf_deletion_multiplicity(data: SpectralData, sub: SpectralData, tol: floa
     so it does not depend on how the tolerance groups them."""
     values = data.values
     k, n = values.shape
-    starts = _cluster(values, tol * np.maximum(1.0, data.rho))
+    starts = _cluster(values, _threshold(data, tol))
     ends = np.concatenate([starts[:, 1:], np.ones((k, 1), dtype=bool)], axis=1)
     # each eigenvalue's cluster: the column of its first and of its last value
     col = np.arange(n)

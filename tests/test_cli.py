@@ -363,6 +363,20 @@ class TestExitCodes:
         assert code == 64 and out == ""
         assert "tol" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_tol_is_one_cluster(self, capsys):
+        """A tolerance whose threshold tol * max(1, rho) overflows clusters
+        at +inf: the first value starts the one cluster of the star's
+        spectrum, and verify warns of no overflow; every verdict is as at
+        any threshold that holds the whole spectrum."""
+        code, out, err = run(capsys, "special", "star", "--order", "5", "--tol", "1e308",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert [c["multiplicity"] for c in json.loads(out)["spectrum"]["clusters"]] == [5]
+        code, out, err = run(capsys, "verify", "--order", "3", "--tol", "1e308")
+        assert (code, err) == (1, "")
+        assert run(capsys, "verify", "--order", "3", "--tol", "1e300")[1] == out
+
     def test_bad_cap_variable_is_64(self, monkeypatch, capsys):
         monkeypatch.setenv("LEVEL_SPECTRA_CAP", "abc")
         code, out, err = run(capsys, "verify", "--order", "3")
@@ -623,7 +637,7 @@ class TestCharpolyCommand:
         def work(*args):
             raise AssertionError("a profile was solved or its polynomial taken")
 
-        for name in ("_continuant", "_quotient_stack", "_path_distances"):
+        for name in ("accumulate", "_quotient_stack", "_path_distances"):
             monkeypatch.setattr(spectra_mod, name, work)
         monkeypatch.setattr(commands_mod, "solve_profiles", work)
         argv = {"analyze": [str(path), "--charpoly"], "charpoly": [str(path)],

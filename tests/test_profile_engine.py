@@ -452,12 +452,13 @@ def test_cluster_means_are_summed_by_reduceat(n, tol):
 def scalar_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[float, int], ...]:
     """The clustering rule one value at a time, the oracle of the stacked
     :func:`_cluster`: a value joins the current cluster iff it lies within
-    the threshold of the cluster's first (largest) value. Each mean is the
-    cluster's ``np.add.reduceat`` sum over its size."""
+    the threshold of the cluster's first (largest) value, and the first
+    value starts one. Each mean is the cluster's ``np.add.reduceat`` sum
+    over its size."""
     listed = values.tolist()
     starts, top = [], math.inf
     for i, value in enumerate(listed):
-        if top - value > threshold:
+        if not starts or top - value > threshold:
             starts.append(i)
             top = value
     if not starts:
@@ -515,12 +516,24 @@ def column_loop_starts(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     top = np.full(len(values), math.inf)
     for j in range(values.shape[1]):
         column = values[:, j]
-        starts[:, j] = new = top - column > threshold
+        starts[:, j] = new = (top - column > threshold) | (j == 0)
         top = np.where(new, column, top)
     return starts
 
 
 class TestStackedClusters:
+    def test_infinite_threshold_is_one_cluster(self):
+        """A threshold that overflowed to +inf still starts a cluster at
+        the first value, and only there."""
+        values = np.array([[3.0, 1.0, 0.0, 0.0, -4.0], [0.0] * 5])
+        threshold = np.full(2, math.inf)
+        for starts in (_cluster(values, threshold), column_loop_starts(values, threshold)):
+            assert starts.tolist() == [[True] + [False] * 4] * 2
+        assert scalar_clusters(values[0], math.inf) == ((0.0, 5),)
+        spectrum = SpectralData(np.ones((1, 1), dtype=np.int64), values[:1], np.array([4.0]),
+                                np.zeros(1), np.zeros(1, dtype=np.int64)).spectrum(tol=1e308)
+        assert spectrum.clusters == ((0.0, 5),)
+
     @settings(max_examples=300, deadline=None)
     @given(repeated_stacks())
     def test_repeated_columns_start_as_in_the_column_loop(self, stack):

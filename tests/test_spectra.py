@@ -148,6 +148,39 @@ def random_profiles(count: int) -> list[tuple[int, ...]]:
     return [(1, *rng.integers(1, 10, size).tolist()) for size in rng.integers(1, 100, count)]
 
 
+def continuant_charpoly(profile) -> tuple[int, ...]:
+    """det(xI - L) of a level profile by the continuant form, the oracle of
+    the chain form of ``profile_charpoly``. With D the distance matrix of
+    the path on s = h + 1 levels, D^-1 = -L_P / 2 + t t^T / (2h) (Graham
+    and Lovasz), L_P the path's Laplacian and t = (1, 0, ..., 0, 1), so the
+    matrix determinant lemma gives
+
+        det(xI - B) = -[h D_s - x (D_(s-1) + E_(s-1) + 2 x^h)] / 4,
+
+    with D_k the leading k x k minors of the tridiagonal A(x) = x L_P +
+    2 diag(n), by the three-term recurrence D_k = (x deg_(k-1) +
+    2 n_(k-1)) D_(k-1) - x^2 D_(k-2), and E_(s-1) the trailing one, the
+    same recurrence on the reversed profile."""
+    counts = [c for c in profile if c]
+    s, n = len(counts), sum(counts)
+
+    def minors(counts):  # D_(s-1) and D_s, ascending coefficients
+        before, last = [], [1]
+        for k, count in enumerate(counts):
+            degree = 1 if k in (0, s - 1) else 2
+            before, last = last, [2 * count * d + degree * e - f for d, e, f in
+                                  zip([*last, 0], [0, *last], [0, 0, *before])]
+        return before, last
+
+    before, last = minors(counts)
+    trailing, _ = minors(counts[::-1])
+    bracket = [(s - 1) * d - e - f for d, e, f in zip(last, [0, *before], [0, *trailing])]
+    bracket[s] -= 2  # x times 2 x^h
+    quarters = [divmod(-c, 4) for c in reversed(bracket)]
+    assert all(r == 0 for _, r in quarters)
+    return tuple(q for q, _ in quarters) + (0,) * (n - s)
+
+
 class TestCharPoly:
     def test_sample9_exact(self, sample9):
         cp = characteristic_polynomial(build_level_matrix(sample9))
@@ -184,11 +217,16 @@ class TestCharPoly:
         every level profile of the order, against Faddeev-LeVerrier on its
         n x n level matrix. The trees of one profile have that level matrix
         up to a relabelling of their vertices; through order 10 each tree's
-        own matrix is checked as well."""
+        own matrix is checked as well, and Faddeev-LeVerrier on the s x s
+        profile matrix B_ab = |a - b| n_b, times x^(n-s)."""
         for profile in profiles_by_index(n):
             sorted_levels = np.repeat(np.arange(len(profile)), profile)
             dense = characteristic_polynomial(LevelMatrix.from_levels(sorted_levels))
             assert profile_charpoly(profile) == dense
+            if n <= 10:
+                s = len(profile)
+                b = [[abs(a - c) * profile[c] for c in range(s)] for a in range(s)]
+                assert dense.coeffs == characteristic_polynomial(b).coeffs + (0,) * (n - s)
         if n <= 10:
             for tree in enumerate_rooted_trees(n):
                 assert (profile_charpoly(level_profile(levels(tree)))
@@ -211,7 +249,7 @@ class TestCharPoly:
             raise AssertionError("work done on a profile past the limit")
 
         too_tall = (1,) * (MAX_LEVELS + 1)
-        monkeypatch.setattr(spectra_mod, "_continuant", work)
+        monkeypatch.setattr(spectra_mod, "accumulate", work)
         monkeypatch.setattr(np.linalg, "eigvalsh", work)
         for refuses in (profile_charpoly, quotient_matrix, lambda p: solve_profiles([p])):
             with pytest.raises(ResourceLimit, match="^a level profile of 1025 levels "
@@ -252,6 +290,45 @@ class TestCharPoly:
         for n in range(3, 201):
             assert profile_charpoly((1, 1, n - 2)).coeffs == (
                 1, 0, 9 - 5 * n, 8 - 4 * n, *[0] * (n - 3))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_chain_form_is_the_continuant(self, n):
+        """Every profile of the order, against the continuant form."""
+        for profile in profiles_by_index(n):
+            assert profile_charpoly(profile).coeffs == continuant_charpoly(profile)
+
+    @pytest.mark.parametrize("s", [*range(1, 65), 200, MAX_LEVELS])
+    def test_chain_form_of_paths_is_the_continuant(self, s):
+        assert profile_charpoly((1,) * s).coeffs == continuant_charpoly((1,) * s)
+
+    def test_chain_form_of_dense_profiles_is_the_continuant(self):
+        for profile in ((1,) + (3,) * 700, (1, 2, 1000, 1, 5, 7)):
+            assert profile_charpoly(profile).coeffs == continuant_charpoly(profile)
+
+    def test_chain_form_signs(self):
+        """The coefficient signs that ``profile_charpoly`` proves its
+        theorems from, on all 32,768 profiles of orders 1..16: c_1 = 0,
+        c_m < 0 for 2 <= m <= s, and c_s = -2^(h-1) h prod n_j."""
+        for n in range(1, 17):
+            for profile in profiles_by_index(n):
+                s = len(profile)
+                h = s - 1
+                coeffs = profile_charpoly(profile).coeffs
+                assert coeffs[1] == 0 and all(c < 0 for c in coeffs[2:s + 1])
+                if h:
+                    assert coeffs[s] == -2 ** (h - 1) * h * math.prod(profile)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_padded_rows_give_the_unpadded_polynomial(self, n):
+        """A row of ``profile_stacks``, zero after its deepest level, has the
+        polynomial of its unpadded profile, of degree n."""
+        for _, counts in profile_stacks(n):
+            for row in counts.tolist():
+                profile = tuple(c for c in row if c)
+                assert profile_charpoly(row) == profile_charpoly(profile)
+                assert profile_charpoly(row).degree == n
+        assert profile_charpoly((1, 2, 0, 0)).coeffs == (1, 0, -2, 0)
+        assert profile_charpoly((1, 0)).coeffs == (1, 0)
 
     def test_evaluation_and_json(self):
         cp = CharPoly((1, 0, -1))
