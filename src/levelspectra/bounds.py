@@ -4,8 +4,8 @@ Every inequality, identity and closed form has one evaluator: it takes a
 :class:`~levelspectra.spectra.SpectralData` stack, as the profile engine
 returns it, and returns :class:`Comparison` records, every member's verdict
 and slack from one stacked comparator. The relations stay arrays until
-:meth:`Comparison.rows` turns one member's into Python values;
-:func:`evaluate_checks` returns those rows of a stack of one.
+:meth:`Comparison.rows` turns one member's into Python values as they are
+read; :func:`evaluate_checks` yields those rows of a stack of one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import Frozen, InvalidOrder, NoBracket
+from .errors import Frozen, InvalidOrder, NoBracket, UnknownCheck
 from .spectra import SpectralData
 
 #: Uniform comparison tolerance scale: a relation is satisfied within
@@ -61,21 +61,23 @@ class Comparison(Frozen):
         object.__setattr__(self, "equality_expected", equality_expected)
         object.__setattr__(self, "covered", covered)
 
-    def rows(self, member: int = 0) -> list[tuple]:
+    def rows(self, member: int = 0):
         """One member's relations as tuples of Python values, one field each
         of :data:`ROW_FIELDS`, ``rhs`` a (lo, hi) tuple for "in" and
         ``satisfied`` the verdict; none where the relation does not cover
-        the member."""
+        the member. A generator: the arrays are converted 65,536 relations
+        at a time, so no list of a member's relations is built."""
         if self.covered is not None and not self.covered[member]:
-            return []
+            return
         ends = self.rhs if self.relation == "in" else (self.rhs,)
-        lhs, slack, ok, *ends = (np.atleast_1d(a[member]).tolist()
-                                 for a in (self.lhs, self.slack, self.ok, *ends))
-        rhs = list(zip(*ends)) if self.relation == "in" else ends[0]
-        names = ([self.name] if self.lhs.ndim == 1
-                 else [f"{self.name}-{j}" for j in range(1, len(lhs) + 1)])
-        return [(name, left, right, self.relation, gap, holds, self.equality_expected)
-                for name, left, right, gap, holds in zip(names, lhs, rhs, slack, ok)]
+        columns = [np.atleast_1d(a[member]) for a in (self.lhs, self.slack, self.ok, *ends)]
+        for start in range(0, len(columns[0]), 65_536):
+            lhs, slack, ok, *ends = (c[start:start + 65_536].tolist() for c in columns)
+            rhs = zip(*ends) if self.relation == "in" else ends[0]
+            names = ([self.name] if self.lhs.ndim == 1
+                     else [f"{self.name}-{j}" for j in range(start + 1, start + len(lhs) + 1)])
+            yield from ((name, left, right, self.relation, gap, holds, self.equality_expected)
+                        for name, left, right, gap, holds in zip(names, lhs, rhs, slack, ok))
 
 
 def _compare(name: str, lhs, rhs, relation: str, tol_scale: float = COMPARISON_TOL,
@@ -287,13 +289,23 @@ CHECKS: dict[str, tuple] = {
 }
 
 
-def evaluate_checks(d: SpectralData, names=None) -> list[tuple]:
-    """The rows (see :meth:`Comparison.rows`) of the named bound checks (all
-    by default) that apply at this order and to this tree, on a stack of one
-    profile."""
+def check_names(names) -> list[str]:
+    """``names`` as a list (``None``: every check, in registry order), each
+    one checked against :data:`CHECKS` before anything is evaluated; an
+    unknown name raises :class:`~levelspectra.errors.UnknownCheck`."""
     names = list(CHECKS) if names is None else list(names)
     for name in names:
         if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    return [row for name in names for comparison in CHECKS[name][0](d)
-            for row in comparison.rows()]
+            raise UnknownCheck(f"unknown bound check {name!r}; known: {sorted(CHECKS)}")
+    return names
+
+
+def evaluate_checks(d: SpectralData, names=None):
+    """The rows (see :meth:`Comparison.rows`) of the named bound checks (all
+    by default) that apply at this order and to this tree, on a stack of one
+    profile. The names are checked at the call (:func:`check_names`); the
+    rows are then made as they are read, one check's comparisons at a
+    time."""
+    names = check_names(names)
+    return (row for name in names for comparison in CHECKS[name][0](d)
+            for row in comparison.rows())

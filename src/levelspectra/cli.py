@@ -115,15 +115,16 @@ def _build_parser() -> _Parser:
 
 
 def _names(spec: str) -> list[str]:
-    """The comma-separated names in ``spec``, blanks dropped."""
-    return [s.strip() for s in spec.split(",") if s.strip()]
+    """The comma-separated names in ``spec``, blanks dropped and each name
+    kept once, where it first appears."""
+    return list(dict.fromkeys(s.strip() for s in spec.split(",") if s.strip()))
 
 
 def _check_usage(args) -> None:
     """Refuse what the command line alone shows to be wrong, before the
     engine loads, and split ``--only`` and ``--bounds`` into their names
-    (``--bounds all`` into None, ``none`` into no names). The names are
-    checked against the engine's by the commands."""
+    (``--bounds all`` into None, ``none`` into no names). The engine checks
+    the names against its own before it solves anything."""
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"--tol must be positive and finite, got {tol}")

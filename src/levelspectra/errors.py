@@ -32,6 +32,14 @@ class UsageError(LevelSpectraError):
     """A command line that the parser or a command refuses (exit 64)."""
 
 
+class UnknownCheck(UsageError, KeyError):
+    """A check name the engine does not know: a ``KeyError`` to the library
+    and a usage error (exit 64) on the command line. Its text is the bare
+    message, without the quotes ``KeyError`` puts round it."""
+
+    __str__ = Exception.__str__
+
+
 # -- tree construction / surgery ------------------------------------------
 
 class TreeError(LevelSpectraError, ValueError):

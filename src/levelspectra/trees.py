@@ -462,7 +462,8 @@ def parse_tree(text: str) -> RootedTree:
     lines = [line.strip(" \t") for line in
              text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
     if not lines[0]:
-        raise ParseError("empty input, expected vertex count", line=1)
+        raise ParseError("blank line where the vertex count belongs" if any(lines)
+                         else "empty input, expected vertex count", line=1)
     try:
         n = _decimal(lines[0])
     except ValueError:

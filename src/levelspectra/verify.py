@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import COMPARISON_TOL
-from .errors import InvalidOrder, ResourceLimit
+from .errors import InvalidOrder, ResourceLimit, UnknownCheck
 from .spectra import DEFAULT_CLUSTER_TOL, SpectralData, _check_tol, _cluster, solve_profiles
 from .trees import (STACK_SIZE, check_enumeration_cap, first_level_sequence, has_one_tree,
                     level_sequences, profile_counts, profile_ids, profile_index,
@@ -88,7 +88,7 @@ def _resolve_selection(selection) -> tuple[dict[str, set[str]], list[str]]:
             if name not in structural:
                 structural.append(name)
         else:
-            raise KeyError(f"unknown check {name!r}; known: {available_checks()}")
+            raise UnknownCheck(f"unknown check {name!r}; known: {available_checks()}")
     return bound_lines, structural
 
 
@@ -618,8 +618,9 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     """Run the selected checks over every rooted tree of the given order.
 
     ``selection`` lists names from :func:`available_checks` (``None``: all
-    of them); an unknown name raises ``KeyError`` and an empty list
-    ``ValueError``. An order above the enumeration cap raises
+    of them); an unknown name raises ``UnknownCheck`` (a ``KeyError``)
+    and an empty list ``ValueError``, before any other argument is
+    checked. An order above the enumeration cap raises
     ``ResourceLimit`` before any work. The verdict tables are built here,
     once, before any pool starts; the trees are then walked as canonical
     level sequences, and no tree object is built. ``jobs`` sets the
@@ -633,12 +634,12 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     sequential one. A bound line that covers no profile of the order, and
     so checks no tree, is left out.
     """
+    bound_lines, structural = _resolve_selection(selection)
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _check_tol(tol)
-    bound_lines, structural = _resolve_selection(selection)
     check_enumeration_cap(order)
     expected = rooted_tree_count(order)
     cpus = available_cpus()

@@ -347,16 +347,19 @@ class TestEvaluateChecks:
 
     def test_tree_and_profile_give_same_reports(self, sample9, d9):
         of_profile = solve_profiles([level_profile(levels(sample9))])
-        assert evaluate_checks(d9) == evaluate_checks(of_profile)
-        assert evaluate_checks(d9)
+        assert list(evaluate_checks(d9)) == list(evaluate_checks(of_profile))
+        assert list(evaluate_checks(d9))
 
     def test_selection(self, d9):
         rows = named(evaluate_checks(d9, ["trace-identity"]))
         assert [r.name for r in rows] == ["trace-identity"]
 
     def test_unknown_name(self, d9):
-        with pytest.raises(KeyError):
-            evaluate_checks(d9, ["nonsense"])
+        """An unknown name is refused at the call, before any row is made,
+        by a KeyError whose text is the bare message."""
+        with pytest.raises(KeyError) as caught:
+            evaluate_checks(d9, ["trace-identity", "nonsense"])
+        assert str(caught.value) == f"unknown bound check 'nonsense'; known: {sorted(CHECKS)}"
 
     @pytest.mark.parametrize("order", [3, 9])
     def test_stack_rows_equal_stacks_of_one(self, order):
@@ -371,7 +374,7 @@ class TestEvaluateChecks:
                 for i, profile in enumerate(counts):
                     alone = solve_profiles([profile[profile > 0]])
                     got = [row for c in comparisons for row in c.rows(i)]
-                    assert got == evaluate_checks(alone, [name]), (profile, name)
+                    assert got == list(evaluate_checks(alone, [name])), (profile, name)
 
     def test_special_families_to_order_50(self):
         from levelspectra.trees import complete_dary
@@ -400,14 +403,24 @@ def test_stacked_intervals_equal_per_index_comparisons(profiles):
     [stacked, spectrum] = check_eigenvalue_intervals(d)
     assert (stacked.name, spectrum.name) == ("eigenvalue-interval", "spectrum-interval")
     outer, inner = np.sqrt((n - 1) * h / n), np.sqrt(h / (n * (n - 1)))
-    rows = [stacked.rows(i) for i in range(len(d.values))]
+    rows = [list(stacked.rows(i)) for i in range(len(d.values))]
     for j in range(1, n + 1):
         lo = -np.sqrt((j - 1) * h / (n * (n - j + 1)))
         hi = np.sqrt((n - j) * h / (j * n))
         lo, hi = {1: (inner, outer), n: (-outer, -inner)}.get(j, (lo, hi))
         alone = _compare(f"eigenvalue-interval-{j}", d.values[:, j - 1], (lo, hi), "in")
         for i, member in enumerate(rows):
-            assert member[j - 1] == alone.rows(i)[0], (j, i)
+            assert member[j - 1] == next(alone.rows(i)), (j, i)
+
+
+def test_rows_run_on_across_conversion_blocks():
+    """A member's relations are converted 65,536 at a time; the names and
+    values run on in index order across the blocks."""
+    lhs = np.arange(70_000.0)[None, :]
+    rows = named(_compare("x", lhs, (lhs - 1, lhs + 2), "in").rows())
+    assert [r.name for r in rows] == [f"x-{j}" for j in range(1, 70_001)]
+    assert [r.lhs for r in rows] == lhs[0].tolist()
+    assert all(r.rhs == (r.lhs - 1, r.lhs + 2) and r.slack == 1.0 for r in rows)
 
 
 def test_analyze_lists_interval_rows_in_index_order(sample9, tmp_path, capsys):

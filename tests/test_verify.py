@@ -99,6 +99,15 @@ class TestVerifyOrder:
         with pytest.raises(KeyError):
             verify_order(4, selection=["made-up-check"])
 
+    @pytest.mark.parametrize("order", [0, 40])
+    def test_unknown_selection_refused_before_the_order(self, order):
+        """The selection is resolved before the order is checked, by a
+        KeyError whose text is the bare message."""
+        with pytest.raises(KeyError) as caught:
+            verify_order(order, selection=["made-up-check"])
+        assert str(caught.value) == (
+            f"unknown check 'made-up-check'; known: {verify_mod.available_checks()}")
+
     @pytest.mark.parametrize("selection", [[], ()])
     def test_empty_selection_rejected(self, selection):
         with pytest.raises(ValueError):
