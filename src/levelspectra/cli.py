@@ -2,7 +2,8 @@
 extremal search, special families, and exact characteristic polynomials.
 
 Exit codes: 0 ok, 1 violations or a failed expectation or exact identity,
-2 parse error, 3 I/O error, 4 resource limit, 64 usage error.
+2 parse error, 3 I/O error, 4 resource limit, 64 usage error, 70 internal
+error (a fault of the program itself, printed with its traceback).
 
 This module imports the standard library and ``errors`` alone: it parses the
 command line and refuses what it can tell is wrong without the engine, and
@@ -44,6 +45,7 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_RESOURCE = 4
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 # ---------------------------------------------------------------------------
 # argument parsing
@@ -206,6 +208,12 @@ def main(argv=None) -> int:
     except LevelSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not a refuted claim
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

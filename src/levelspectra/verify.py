@@ -36,60 +36,54 @@ INTERLACING_TOL = 1e-8
 #: How many offending trees to record per check before truncating.
 MAX_OFFENDERS = 10
 
-#: Lowest order at which ``verify_order`` starts a worker pool. CLI wall
-#: time of ``verify --order N --format json``, ``--jobs 1`` against
-#: ``--jobs 2`` with the pool started at each order, 12 interleaved runs per
-#: order on a 2-vCPU host (medians; ``LEVEL_SPECTRA_CAP=18``):
+#: Lowest order at which ``verify_order`` starts a worker pool: the lowest
+#: at which ``--jobs 2`` wins at least 9 of 10 pairs of runs against
+#: ``--jobs 1`` and its median beats the ``--jobs 1`` median by more than
+#: the ``--jobs 1`` interquartile range. CLI wall time of ``verify --order N
+#: --format json`` with the pool started at each order, pairs alternating
+#: which width runs first, two series on a 2-vCPU host (seconds;
+#: ``LEVEL_SPECTRA_CAP=18``):
 #:
-#:   order      trees   --jobs 1  --jobs 2  --jobs 2 faster
-#:      17    634,847    2.564 s   2.475 s   8 of 12
-#:      18  1,721,159    6.103 s   5.281 s  12 of 12
+#:   order      trees  pairs  --jobs 1 median (IQR)  --jobs 2 median  --jobs 2 faster
+#:      17    634,847     12           2.452 (0.223)            2.237         9 of 12
+#:                        10           2.104 (0.093)            1.926         8 of 10
+#:      18  1,721,159     12           5.417 (0.613)            4.762        11 of 12
+#:                        10           5.102 (0.199)            4.417         9 of 10
 #:
-#: Order 18 is the first at which two workers win at least 10 of 12 runs (a
-#: second series gave 8 and 9 of 12 at orders 17 and 18). The calling
-#: process builds the verdict tables before any pool starts, so a pool only
-#: splits the walk, and below that it costs more to start and to hand each
-#: worker the tables than it saves.
+#: Order 17 fails the count in both series (and the spread in the first),
+#: order 18 passes both. The calling process builds the verdict tables
+#: before any pool starts, so a pool only splits the walk, and below that
+#: it costs more to start and to hand each worker the tables than it saves.
 POOL_MIN_ORDER = 18
 
 #: The statistics whose arg-extreme trees a ledger names.
 EXTREMAL_STATS = ("rho", "energy")
 
 
-def _bound_check_of_line() -> dict[str, str]:
-    """Ledger line -> the bound check that reports under it."""
-    return {line: name for name, (_, lines) in bounds.CHECKS.items() for line in lines}
-
-
 def available_checks() -> list[str]:
     """Every name accepted by the ``selection`` arguments: each bound check,
     each ledger line of one, and each structural check."""
-    return sorted(set(bounds.CHECKS) | set(_bound_check_of_line()) | set(STRUCTURAL_CHECKS))
+    return sorted(set(bounds.CHECKS) | _resolve_selection(None))
 
 
-def _resolve_selection(selection) -> tuple[dict[str, set[str]], list[str]]:
-    """Split a selection into the bound checks to run, each with the ledger
-    lines to record, and the structural checks. A bound check's name selects
-    all its lines; a line's name selects that line of its check."""
+def _resolve_selection(selection) -> set[str]:
+    """The ledger lines a selection names (``None``: every line). A line's
+    name selects that line alone; a bound check's name that is no line's,
+    ``rho-row-sums`` or ``energy-bounds``, selects all its lines."""
+    lines = {line for _, own in bounds.CHECKS.values() for line in own} | set(STRUCTURAL_CHECKS)
     if selection is None:
-        return ({name: set(lines) for name, (_, lines) in bounds.CHECKS.items()},
-                list(STRUCTURAL_CHECKS))
+        return lines
     if not selection:
         raise ValueError("selection names no check; pass None to run them all")
-    check_of_line = _bound_check_of_line()
-    bound_lines: dict[str, set[str]] = {}
-    structural: list[str] = []
+    selected: set[str] = set()
     for name in selection:
-        if name in bounds.CHECKS:
-            bound_lines.setdefault(name, set()).update(bounds.CHECKS[name][1])
-        elif name in check_of_line:
-            bound_lines.setdefault(check_of_line[name], set()).add(name)
-        elif name in STRUCTURAL_CHECKS:
-            if name not in structural:
-                structural.append(name)
+        if name in lines:
+            selected.add(name)
+        elif name in bounds.CHECKS:
+            selected.update(bounds.CHECKS[name][1])
         else:
             raise UnknownCheck(f"unknown check {name!r}; known: {available_checks()}")
-    return bound_lines, structural
+    return selected
 
 
 def _label(seq: tuple[int, ...]) -> str:
@@ -435,27 +429,21 @@ STRUCTURAL_CHECKS: dict[str, tuple[int, str, Callable]] = {
 }
 
 
-def _bound_verdicts(data: SpectralData, bound_lines: dict[str, set[str]]):
-    """(line, ok, slack, covered) of each selected bound line on a stack:
-    the AND of the verdicts and the minimum of the slacks of the line's
-    comparisons, each comparison's index axis, if it has one, folded first;
-    a slack nan where a comparison does not cover the member, and the
-    covered members' mask (True: all). A line that covers no member of the
-    stack is left out."""
-    folded: dict[str, tuple] = {}
-    for check, keep in bound_lines.items():
-        func, lines = bounds.CHECKS[check]
-        for c in func(data):
-            name = c.name if c.name in lines else check
-            covered = True if c.covered is None else c.covered
-            if name in keep and np.any(covered):
+def _bound_verdicts(data: SpectralData, lines: set[str]):
+    """Yield (line, ok, slack, covered) for each selected bound line on a
+    stack, each line one comparison (see ``bounds.CHECKS``), its index axis,
+    if it has one, folded first: the verdicts, the slacks (nan where the
+    comparison does not cover the member) and the covered members' mask. A
+    line that covers no member of the stack is left out."""
+    for check, (func, own) in bounds.CHECKS.items():
+        for c in () if lines.isdisjoint(own) else func(data):
+            line = c.name if c.name in own else check
+            covered = np.full(len(c.ok), True) if c.covered is None else c.covered
+            if line in lines and covered.any():
                 ok, slack = c.ok, c.slack
                 if slack.ndim == 2:
                     ok, slack = ok.all(axis=1), slack.min(axis=1)
-                slack = slack if c.covered is None else np.where(covered, slack, math.nan)
-                ok_before, worst, _ = folded.get(name, (True, math.inf, True))
-                folded[name] = (ok & ok_before, np.minimum(slack, worst), covered)
-    return [(name, *verdicts) for name, verdicts in folded.items()]
+                yield line, ok, np.where(covered, slack, math.nan), covered
 
 
 class VerdictTables(NamedTuple):
@@ -521,26 +509,24 @@ def _solved_space(order: int) -> tuple[np.ndarray, ...]:
     return space
 
 
-def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: list[str],
-                    tol: float) -> VerdictTables:
-    """Check the order's profile space once. The profile engine solves each
-    stack of ``profile_stacks``, which is checked as it comes: the bound
-    lines and PROFILE checks on the stack, the LEAF_LEVEL checks on its
-    realisable (profile, leaf level) pairs, each written at the members'
-    profile indices, and each line's slacks folded into its worst, nan
-    ignored as ``CheckStat.record`` does.
+def _verdict_tables(order: int, selected: set[str], tol: float) -> VerdictTables:
+    """Check the order's profile space once for the ``selected`` ledger
+    lines. The profile engine solves each stack of ``profile_stacks``,
+    which is checked as it comes: the bound lines and PROFILE checks on the
+    stack, the LEAF_LEVEL checks on its realisable (profile, leaf level)
+    pairs, each written at the members' profile indices, and each line's
+    slacks folded into its worst, nan ignored as ``CheckStat.record`` does.
     When a leaf check runs, the profiles one order down, which hold every
     leaf-deleted profile, are solved first into arrays by profile index.
     Last, ``_extreme`` reads each extremal statistic off its (P,) values."""
     size = _profile_count(order)
     checks: dict[str, list] = {PROFILE: [], LEAF_LEVEL: [], TREE: []}
-    for name in structural:
-        min_order, depends_on, check = STRUCTURAL_CHECKS[name]
-        if order >= min_order:
+    for name, (min_order, depends_on, check) in STRUCTURAL_CHECKS.items():
+        if name in selected and order >= min_order:
             checks[depends_on].append((name, check))
     leaf_checks = checks[LEAF_LEVEL]
     below = _solved_space(order - 1) if leaf_checks else ()
-    names = [line for lines in bound_lines.values() for line in sorted(lines)]
+    names = sorted(selected.difference(STRUCTURAL_CHECKS))
     names += [name for name, _ in checks[PROFILE] + leaf_checks + checks[TREE]]
     row = {name: i for i, name in enumerate(names)}
     lines = len(names) - len(leaf_checks) - len(checks[TREE])
@@ -551,9 +537,9 @@ def _verdict_tables(order: int, bound_lines: dict[str, set[str]], structural: li
     for rows, counts in profile_stacks(order):
         data = solve_profiles(counts)
         values[:, rows] = [getattr(data, stat) for stat in EXTREMAL_STATS]
-        for name, line_ok, slack, member in (
-                _bound_verdicts(data, bound_lines)
-                + [(name, *check(data, tol), True) for name, check in checks[PROFILE]]):
+        for name, line_ok, slack, member in chain(
+                _bound_verdicts(data, selected),
+                ((name, *check(data, tol), True) for name, check in checks[PROFILE])):
             i = row[name]
             verdict[i, rows] = np.where(member, line_ok, -1)
             worst[i] = np.fmin.reduce(np.ravel(slack), initial=worst[i])
@@ -634,7 +620,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     sequential one. A bound line that covers no profile of the order, and
     so checks no tree, is left out.
     """
-    bound_lines, structural = _resolve_selection(selection)
+    selected = _resolve_selection(selection)
     if order < 1:
         raise InvalidOrder(f"need order >= 1, got {order}")
     if jobs is not None and jobs < 1:
@@ -644,7 +630,7 @@ def verify_order(order: int, selection=None, jobs: int | None = None,
     expected = rooted_tree_count(order)
     cpus = available_cpus()
     jobs = max(1, min(cpus if jobs is None else jobs, cpus, expected))
-    tables = _verdict_tables(order, bound_lines, structural, tol)
+    tables = _verdict_tables(order, selected, tol)
     if jobs == 1 or order < POOL_MIN_ORDER:
         partials = [_evaluate_batch(order, 0, None, tables)]
     else:
@@ -691,4 +677,4 @@ def extremal_sweep(order: int, stat: str = "rho") -> ExtremalStat:
     if order < 2:
         raise InvalidOrder(f"extremal sweep needs order >= 2, got {order}")
     check_enumeration_cap(order)
-    return _verdict_tables(order, {}, [], DEFAULT_CLUSTER_TOL).extremal[stat]
+    return _verdict_tables(order, set(), DEFAULT_CLUSTER_TOL).extremal[stat]

@@ -31,6 +31,12 @@ from levelspectra.verify import (
 from conftest import leaf_levels, profiles_by_index
 
 
+@functools.lru_cache(maxsize=None)
+def _full_lines(order):
+    """Each line's record in the ledger of every check at the order."""
+    return {c.name: c.to_dict() for c in verify_order(order, jobs=1).checks}
+
+
 class TestVerifyOrder:
     def test_levels_never_computed(self, monkeypatch):
         """verify walks level sequences and builds no tree, so no tree's
@@ -77,14 +83,29 @@ class TestVerifyOrder:
          ["eigenvalue-intervals", "spectrum-interval"]),
         (["rho-row-sum-upper", "energy-upper", "energy-identity"],
          ["energy-identity", "energy-upper", "rho-row-sum-upper"]),
+        pytest.param(["eigenvalue-intervals"], ["eigenvalue-intervals"],
+                     id="line-named-like-its-check"),
     ])
     def test_selection_mixes_lines_and_checks(self, selection, lines):
-        """A ledger line selects itself, a check all of its lines; each
+        """A ledger line selects itself, also where a bound check has its
+        name, and a check that names no line all of its lines; each
         evaluator keeps what was asked of it."""
         ledger = verify_order(5, selection=selection, jobs=1)
         assert [c.name for c in ledger.checks] == lines
-        full = {c.name: c.to_dict() for c in verify_order(5, jobs=1).checks}
-        assert [c.to_dict() for c in ledger.checks] == [full[name] for name in lines]
+        assert [c.to_dict() for c in ledger.checks] == [_full_lines(5)[name] for name in lines]
+
+    @settings(deadline=None)  # each example solves an order's profiles
+    @given(st.sets(st.sampled_from(available_checks()), min_size=1), st.sampled_from([3, 5]))
+    def test_any_selection_is_the_union_of_its_names_lines(self, names, order):
+        """Any mix of names selects the union of each name's lines: a ledger
+        line itself, ``rho-row-sums`` and ``energy-bounds`` all of theirs.
+        Each line, in name order, is the full run's."""
+        bound_lines = {line for _, own in bounds_mod.CHECKS.values() for line in own}
+        lines = set().union(*({name} if name in bound_lines | set(verify_mod.STRUCTURAL_CHECKS)
+                              else set(bounds_mod.CHECKS[name][1]) for name in names))
+        full = _full_lines(order)
+        ledger = verify_order(order, selection=sorted(names), jobs=1)
+        assert [c.to_dict() for c in ledger.checks] == [full[line] for line in sorted(lines)]
 
     def test_selection_repeated_name_counts_once(self):
         ledger = verify_order(5, selection=["interlacing", "interlacing",
@@ -229,13 +250,12 @@ class TestAggregates:
         (the improved energy bound skips the path), and a line names its
         first failing trees in walk order, across batches of 3, and no more
         than MAX_OFFENDERS of its 12."""
-        bound_lines, _ = verify_mod._resolve_selection(["energy-upper-improved"])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify_mod, "STRUCTURAL_CHECKS",
                        {"made-up": (1, _TREE_KIND, _tree_check(_EVERY_FOURTH_FAILS))})
             mp.setattr(verify_mod, "STACK_SIZE", 3)
-            tables = verify_mod._verdict_tables(7, bound_lines, ["made-up"],
-                                                spectra_mod.DEFAULT_CLUSTER_TOL)
+            selected = verify_mod._resolve_selection(["energy-upper-improved", "made-up"])
+            tables = verify_mod._verdict_tables(7, selected, spectra_mod.DEFAULT_CLUSTER_TOL)
             checked, violations, offenders, walked = verify_mod._evaluate_batch(7, 0, None,
                                                                                 tables)
         assert tables.names == ["energy-upper-improved", "made-up"]
@@ -923,8 +943,8 @@ def test_verdict_tables_check_each_stack_once(monkeypatch):
     monkeypatch.setattr(verify_mod, "STRUCTURAL_CHECKS", {
         name: (min_order, kind, counting(name, check) if kind == _PROFILE_KIND else check)
         for name, (min_order, kind, check) in _REAL_CHECKS.items()})
-    bound_lines, structural = verify_mod._resolve_selection(None)
-    verify_mod._verdict_tables(9, bound_lines, structural, spectra_mod.DEFAULT_CLUSTER_TOL)
+    verify_mod._verdict_tables(9, verify_mod._resolve_selection(None),
+                               spectra_mod.DEFAULT_CLUSTER_TOL)
     profile_checks = [name for name, (_, kind, _) in _REAL_CHECKS.items()
                       if kind == _PROFILE_KIND]
     assert sorted(map(str, calls)) == sorted(["8", "9", "bounds", "leaf stack", *profile_checks])
@@ -941,12 +961,12 @@ def test_padded_levels_never_reach_a_line(order):
     star, path = (1, order - 1) + (0,) * (order - 2), (1,) * order
     stack = spectra_mod.solve_profiles([star, path])
     assert stack.level_row_sums[0].max() > stack.level_max(stack.level_row_sums)[0]
-    bound_lines, _ = verify_mod._resolve_selection(None)
+    every_line = verify_mod._resolve_selection(None)
     lines = {name: (ok, slack, np.broadcast_to(covered, ok.shape))
-             for name, ok, slack, covered in verify_mod._bound_verdicts(stack, bound_lines)}
+             for name, ok, slack, covered in verify_mod._bound_verdicts(stack, every_line)}
     for i, profile in enumerate([star[:2], path]):
         alone = {name: (ok[0], slack[0]) for name, ok, slack, _ in
-                 verify_mod._bound_verdicts(spectra_mod.solve_profiles([profile]), bound_lines)}
+                 verify_mod._bound_verdicts(spectra_mod.solve_profiles([profile]), every_line)}
         assert {name for name, (_, _, covered) in lines.items() if covered[i]} == set(alone)
         for name, (ok, slack) in alone.items():
             assert (lines[name][0][i], lines[name][1][i]) == (ok, slack), (profile, name)
@@ -970,10 +990,8 @@ def test_tables_hold_only_what_carries_information(order):
     profile, the rooted path, and no entry fails."""
     size = 2 ** (order - 2)
     # above order 9, the one line that skips a profile: the types of n bits
-    bound_lines, structural = verify_mod._resolve_selection(
-        None if order <= 9 else ["energy-upper-improved"])
-    tables = verify_mod._verdict_tables(order, bound_lines, structural,
-                                        spectra_mod.DEFAULT_CLUSTER_TOL)
+    selected = verify_mod._resolve_selection(None if order <= 9 else ["energy-upper-improved"])
+    tables = verify_mod._verdict_tables(order, selected, spectra_mod.DEFAULT_CLUSTER_TOL)
     bits = {3: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32}[order]
     lines = len(tables.verdict)
     assert tables.verdict.dtype == np.int8 and tables.leaf_bad.dtype == bits
@@ -1010,7 +1028,7 @@ def test_one_line_equals_the_oracle_line(line, uncovered):
 
 def test_tables_without_a_profile_line_are_empty_and_bool():
     """With no profile line, both tables have no row, in their own types."""
-    tables = verify_mod._verdict_tables(8, {}, ["distance-domination"],
+    tables = verify_mod._verdict_tables(8, {"distance-domination"},
                                         spectra_mod.DEFAULT_CLUSTER_TOL)
     assert tables.names == ["distance-domination"]
     assert (tables.verdict.shape, tables.leaf_bad.shape) == ((0, 64), (0, 64))
